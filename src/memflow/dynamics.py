@@ -9,8 +9,14 @@ on this module.  It provides:
   by :func:`make_system`; arbitrary linear block systems by
   :func:`linear_system`.
 * a classical 4th-order Runge-Kutta integrator with a fixed number of
-  substeps per coarse sample step (:func:`integrate`,
-  :func:`integrate_batch`).
+  substeps per coarse sample step (:func:`integrate_batch`; :func:`integrate`
+  is the same loop on one row).  For a linear system (``a_matrix`` set)
+  RK4 is the linear map R(hA) with the stability polynomial
+  R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so one coarse sample is one
+  product with the precomputed S = R(hA)^substeps.  That is the same
+  scheme with its sums in another order: it agrees with the stage loop to
+  about 1e-12 absolute on states of order 1 (2000 samples of example4).
+  Nonlinear systems run the stage loop.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * ``LinearMZOracle`` -- for linear systems the dynamics of the observed
   block is known exactly: a Markov term ``A11 z(t)``, a memory integral
@@ -98,7 +104,8 @@ class SystemSpec:
         shape.
     a_matrix : ndarray or None
         For linear systems, the full ``n x n`` matrix so that
-        ``rhs(x) == a_matrix @ x``; ``None`` for nonlinear systems.
+        ``rhs(x) == a_matrix @ x``; ``None`` for nonlinear systems.  When
+        set, integration steps with this matrix and does not call ``rhs``.
     """
 
     name: str
@@ -216,7 +223,11 @@ def homogenized_rhs(state):
     if state.shape[-1] != 3:
         raise ValueError(f"homogenized system is 3-dimensional, got {state.shape[-1]}")
     x1, x2, x3 = state[..., 0], state[..., 1], state[..., 2]
-    return np.stack([-x2 - x3, x1 + x2 / 5.0, 0.2 + x3 * (x1 - 5.0)], axis=-1)
+    out = np.empty_like(state)
+    out[..., 0] = -x2 - x3
+    out[..., 1] = x1 + x2 / 5.0
+    out[..., 2] = 0.2 + x3 * (x1 - 5.0)
+    return out
 
 
 def linear_system(a, d, name="linear-generic"):
@@ -273,9 +284,10 @@ def make_system(name, **params):
             x = np.asarray(x, dtype=float)
             if x.shape[-1] != 2:
                 raise ValueError(f"example2 state has dimension 2, got {x.shape[-1]}")
-            return np.stack(
-                [x[..., 1], -alpha * x[..., 1] - beta * np.sin(x[..., 0])], axis=-1
-            )
+            out = np.empty_like(x)
+            out[..., 0] = x[..., 1]
+            out[..., 1] = -alpha * x[..., 1] - beta * np.sin(x[..., 0])
+            return out
 
         spec = SystemSpec(name=name, n=2, d=1,
                           params={"alpha": alpha, "beta": beta}, rhs=rhs)
@@ -292,15 +304,12 @@ def make_system(name, **params):
             if x.shape[-1] != 4:
                 raise ValueError(f"example3 state has dimension 4, got {x.shape[-1]}")
             x1, x2, x3, y = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-            return np.stack(
-                [
-                    -x2 - x3,
-                    x1 + x2 / 5.0,
-                    0.2 + y - 5.0 * x3,
-                    (x1 * x2 - y) / epsilon,
-                ],
-                axis=-1,
-            )
+            out = np.empty_like(x)
+            out[..., 0] = -x2 - x3
+            out[..., 1] = x1 + x2 / 5.0
+            out[..., 2] = 0.2 + y - 5.0 * x3
+            out[..., 3] = (x1 * x2 - y) / epsilon
+            return out
 
         spec = SystemSpec(name=name, n=4, d=3, params={"epsilon": epsilon}, rhs=rhs)
         return _with(spec, d=observe)
@@ -405,31 +414,31 @@ def _rk4_sample_step(rhs, state, delta, substeps):
     return state
 
 
+def _rk4_sample_matrix(a, delta, substeps):
+    """S = R(hA)^substeps with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+
+    One coarse RK4 sample of dx/dt = A x maps a row state ``x`` to
+    ``x @ S.T``.
+    """
+    z = a * (delta / substeps)
+    eye = np.eye(a.shape[0])
+    r = eye + z @ (eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0)))
+    return np.linalg.matrix_power(r, substeps)
+
+
 def integrate(spec, config, x0, num_samples):
     """Integrate one trajectory, returning states at times 0, delta, ...
 
     Returns an array of shape ``(num_samples + 1, n)`` whose row ``k``
     approximates the flow of ``x0`` over time ``k * delta``; row 0 is
-    ``x0`` exactly.
+    ``x0`` exactly.  This is :func:`integrate_batch` on one row; a
+    non-finite state raises IntegrationError with ``trajectory_index``
+    None.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    out = np.empty((num_samples + 1, spec.n))
-    out[0] = x0
-    state = x0
-    for k in range(1, num_samples + 1):
-        state = _rk4_sample_step(spec.rhs, state, config.delta, config.substeps)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError(
-                f"non-finite state at sample {k} (t={k * config.delta:g}) "
-                f"while integrating {spec.name}",
-                sample_index=k,
-            )
-        out[k] = state
-    return out
+    return _integrate_rows(spec, config, x0[None, :], num_samples, batch=False)[0]
 
 
 def integrate_batch(spec, config, x0s, num_samples):
@@ -437,29 +446,45 @@ def integrate_batch(spec, config, x0s, num_samples):
 
     ``x0s`` has shape ``(m, n)``; the result has shape
     ``(m, num_samples + 1, n)``.  All trajectories share the coarse time
-    grid, so the whole batch advances through vectorized RK4 stages.  A
-    non-finite state aborts the run, reporting the first offending
-    trajectory and sample.
+    grid, so the whole batch advances through vectorized RK4 stages (or,
+    for a linear system, one product with the sample matrix per coarse
+    sample).  A non-finite state aborts the run, reporting the first
+    offending trajectory and sample.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n:
         raise ValueError(f"x0s must have shape (m, {spec.n}), got {x0s.shape}")
+    return _integrate_rows(spec, config, x0s, num_samples, batch=True)
+
+
+def _integrate_rows(spec, config, x0s, num_samples, batch):
+    """The RK4 sample loop behind :func:`integrate` and :func:`integrate_batch`.
+
+    ``batch`` only decides whether an IntegrationError names the trajectory.
+    """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    step_t = None
+    if spec.a_matrix is not None:
+        step_t = _rk4_sample_matrix(spec.a_matrix, config.delta, config.substeps).T
     m = x0s.shape[0]
     out = np.empty((m, num_samples + 1, spec.n))
     out[:, 0] = x0s
     state = x0s
     for k in range(1, num_samples + 1):
-        state = _rk4_sample_step(spec.rhs, state, config.delta, config.substeps)
+        if step_t is None:
+            state = _rk4_sample_step(spec.rhs, state, config.delta, config.substeps)
+        else:
+            state = state @ step_t
         finite = np.isfinite(state).all(axis=1)
         if not finite.all():
             bad = int(np.nonzero(~finite)[0][0])
+            where = f"in trajectory {bad} " if batch else ""
             raise IntegrationError(
-                f"non-finite state in trajectory {bad} at sample {k} "
+                f"non-finite state {where}at sample {k} "
                 f"(t={k * config.delta:g}) while integrating {spec.name}",
                 sample_index=k,
-                trajectory_index=bad,
+                trajectory_index=bad if batch else None,
             )
         out[:, k] = state
     return out

@@ -2,7 +2,9 @@
 
 A trained model advances the observed state one step at a time from a
 seed block of ``n_mem + 1`` states.  This module iterates that map
-(:func:`rollout`), measures pointwise l2 errors against references
+(:func:`rollout`; seeds of shape ``(R, n_mem + 1, d)`` advance R runs
+together, one batched network evaluation per step, each run recording
+where it diverged), measures pointwise l2 errors against references
 (:func:`error_series`), sweeps the memory length to find where accuracy
 saturates (:func:`memory_sweep`), and provides two analytic references
 for benchmarks: an explicit-Euler discretization of the exact reduced
@@ -39,19 +41,30 @@ __all__ = [
 class RolloutResult:
     """Predicted observed-state sequence, seed states included.
 
-    ``states`` has shape (seed_len + steps_taken, d); if the iteration
-    produced a non-finite state it stops early and ``diverged_at`` records
-    the index the failure would have occupied.
+    For one run ``states`` has shape (seed_len + steps_taken, d); if the
+    iteration produced a non-finite state it stops early and
+    ``diverged_at`` records the index the failure would have occupied.
+
+    For R runs ``states`` has shape (R, seed_len + steps, d) and
+    ``diverged_at`` is a tuple with one such index (or None) per run; a
+    run's rows from its divergence index on are NaN.  :meth:`run` returns
+    one run as a one-run result.
     """
 
     delta: float
     states: np.ndarray
     seed_len: int
-    diverged_at: int | None = None
+    diverged_at: int | tuple | None = None
 
     @property
     def times(self):
-        return np.arange(self.states.shape[0]) * self.delta
+        return np.arange(self.states.shape[-2]) * self.delta
+
+    def run(self, r):
+        """Run ``r`` of a many-run result, cut at its divergence index."""
+        end = self.diverged_at[r]
+        return RolloutResult(delta=self.delta, states=self.states[r, :end],
+                             seed_len=self.seed_len, diverged_at=end)
 
 
 @dataclass(frozen=True)
@@ -78,37 +91,48 @@ def rollout(model, seeds, steps, delta=np.nan):
 
     At each step the stacked input is the latest ``n_mem + 1`` states in
     newest-first order, and the model output becomes the next state.
-    Returns seed states plus up to ``steps`` predictions; a non-finite
-    prediction stops the iteration with the divergence index recorded.
-    ``delta`` is carried through for time axes when known.
+    ``seeds`` of shape (n_mem + 1, d) give one run; seeds of shape
+    (R, n_mem + 1, d) give R runs that advance together through one
+    batched network evaluation per step (see :class:`RolloutResult` for
+    the two result layouts).  A non-finite prediction stops its run and
+    records the divergence index; the other runs go on.  ``delta`` is
+    carried through for time axes when known.
     """
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim == 1 and model.d == 1:
         seeds = seeds[:, None]
     need = model.n_mem + 1
-    if seeds.shape != (need, model.d):
+    if seeds.shape[-2:] != (need, model.d) or seeds.ndim not in (2, 3):
         raise ValueError(
-            f"seeds must have shape ({need}, {model.d}) "
-            f"= (n_mem + 1, d), got {seeds.shape}"
+            f"seeds must have shape ({need}, {model.d}) = (n_mem + 1, d) or "
+            f"(R, {need}, {model.d}), got {seeds.shape}"
         )
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    states = np.empty((need + steps, model.d))
-    states[:need] = seeds
-    diverged_at = None
-    for k in range(steps):
-        pos = need + k
-        window = states[pos - need : pos]          # oldest ... newest
-        stack = window[::-1].reshape(-1)           # newest-first blocks
-        nxt = net_mod.forward(model, stack)
-        if not np.all(np.isfinite(nxt)):
-            diverged_at = pos
-            states = states[:pos]
-            break
-        states[pos] = nxt
-    return RolloutResult(
-        delta=delta, states=states, seed_len=need, diverged_at=diverged_at
-    )
+    one_run = seeds.ndim == 2
+    if one_run:
+        seeds = seeds[None]
+    runs = seeds.shape[0]
+    states = np.full((runs, need + steps, model.d), np.nan)
+    states[:, :need] = seeds
+    diverged_at = [None] * runs
+    live = slice(None)  # every run; an index array once one has diverged
+    for pos in range(need, need + steps):
+        window = states[live, pos - need : pos]          # oldest ... newest
+        stacks = window[:, ::-1].reshape(window.shape[0], -1)  # newest first
+        nxt = net_mod.forward_batch(model, stacks)
+        finite = np.isfinite(nxt).all(axis=1)
+        if not finite.all():
+            live = np.arange(runs)[live]
+            for r in live[~finite]:
+                diverged_at[r] = pos
+            live, nxt = live[finite], nxt[finite]
+            if live.size == 0:
+                break
+        states[live, pos] = nxt
+    result = RolloutResult(delta=delta, states=states, seed_len=need,
+                           diverged_at=tuple(diverged_at))
+    return result.run(0) if one_run else result
 
 
 def error_series(pred, reference, delta=None):
@@ -184,12 +208,13 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
     truth = dyn.integrate_batch(spec, solver, x0s, horizon_steps)
     observed = spec.observe(truth)
+    runs = rollout(model, observed[:, :need], horizon_steps + 1 - need,
+                   delta=solver.delta)
     series = []
     run_means = np.empty(n_runs)
     for r in range(n_runs):
         ref = observed[r]
-        res = rollout(model, ref[:need], horizon_steps + 1 - need,
-                      delta=solver.delta)
+        res = runs.run(r)
         if res.diverged_at is not None:
             run_means[r] = np.inf
             series.append(None)
@@ -293,27 +318,30 @@ def euler_damz(oracle, seeds, steps, delta):
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     n_mem = seeds.shape[0] - 1
+    d = oracle.d
     # kernel matrices A12 exp(A22 j*delta) A21 at the history nodes,
     # with trapezoid weights over [0, n_mem*delta]
-    kernels = []
+    kernels = np.empty((n_mem + 1, d, d))
     propagated = np.eye(oracle.a22.shape[0])
     step_mat = dyn.matrix_exponential(oracle.a22 * delta)
     for j in range(n_mem + 1):
-        kernels.append(oracle.a12 @ propagated @ oracle.a21)
+        kernels[j] = oracle.a12 @ propagated @ oracle.a21
         propagated = step_mat @ propagated
     weights = np.full(n_mem + 1, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     if n_mem == 0:
         weights[:] = 0.0  # zero-length window: no memory contribution
-    states = np.empty((n_mem + 1 + steps, oracle.d))
+    # Kernel j multiplies z_{n-j}.  Stacking the weighted kernels oldest
+    # first as one (d, (n_mem+1)*d) matrix lets each step contract them
+    # against the history slice in time order, a view with no copy.
+    memory_mat = (weights[::-1, None, None] * kernels[::-1]).transpose(1, 0, 2)
+    memory_mat = memory_mat.reshape(d, (n_mem + 1) * d)
+    states = np.empty((n_mem + 1 + steps, d))
     states[: n_mem + 1] = seeds
-    for k in range(steps):
-        pos = n_mem + 1 + k
+    for pos in range(n_mem + 1, n_mem + 1 + steps):
         z_now = states[pos - 1]
-        memory = np.zeros(oracle.d)
-        for j in range(n_mem + 1):
-            memory += weights[j] * (kernels[j] @ states[pos - 1 - j])
+        memory = memory_mat @ states[pos - 1 - n_mem : pos].reshape(-1)
         states[pos] = z_now + delta * (oracle.a11 @ z_now + memory)
     return states
 
@@ -342,12 +370,13 @@ def compare_with_homogenized(
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
     truth = spec.observe(dyn.integrate_batch(spec, solver, x0s, horizon_steps))
     baseline = dyn.integrate_batch(reduced, solver, x0s[:, :3], horizon_steps)
+    runs = rollout(model, truth[:, :need], horizon_steps + 1 - need,
+                   delta=solver.delta)
     nn_series = []
     reduced_series = []
     for r in range(n_runs):
         ref = truth[r]
-        res = rollout(model, ref[:need], horizon_steps + 1 - need,
-                      delta=solver.delta)
+        res = runs.run(r)
         if res.diverged_at is not None:
             raise dyn.IntegrationError(
                 f"network rollout diverged at step {res.diverged_at} in run {r}",

@@ -1,5 +1,7 @@
 """Tests for benchmark systems, integration, and the linear reduced-dynamics oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,17 +129,21 @@ class TestIntegrate:
         np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (7, 1)))
 
     def test_rk4_convergence_order(self):
-        spec = dyn.make_system("example1", alpha=2.0)
-        oracle = dyn.oracle_for_system(spec)
+        # once on the linear sample-matrix path, once on the stage loop
+        linear = dyn.make_system("example1", alpha=2.0)
+        oracle = dyn.oracle_for_system(linear)
         x0 = np.array([1.3, -0.4])
         exact = dyn.exact_linear_solution(oracle, x0, 1.0)
         substeps = [1, 2, 4, 8]
-        errors = []
-        for s in substeps:
-            end = dyn.integrate(spec, dyn.SolverConfig(0.02, s), x0, 50)[-1]
-            errors.append(np.linalg.norm(end - exact))
-        slope = np.polyfit(np.log([0.02 / s for s in substeps]), np.log(errors), 1)[0]
-        assert 3.8 <= slope <= 4.2
+        for spec in (linear, dataclasses.replace(linear, a_matrix=None)):
+            errors = []
+            for s in substeps:
+                end = dyn.integrate(spec, dyn.SolverConfig(0.02, s), x0, 50)[-1]
+                errors.append(np.linalg.norm(end - exact))
+            slope = np.polyfit(
+                np.log([0.02 / s for s in substeps]), np.log(errors), 1
+            )[0]
+            assert 3.8 <= slope <= 4.2
 
     def test_flow_map_composition(self):
         spec = dyn.make_system("example2")
@@ -157,6 +163,13 @@ class TestIntegrate:
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate(spec, dyn.SolverConfig(1.0, 1), np.array([5.0]), 10)
         assert info.value.sample_index >= 1
+        # a single trajectory has no index to report
+        assert info.value.trajectory_index is None
+        assert "trajectory" not in str(info.value)
+        with pytest.raises(ValueError, match=r"x0 must have shape \(1,\), got \(2,\)"):
+            dyn.integrate(spec, dyn.SolverConfig(1.0, 1), np.array([5.0, 1.0]), 10)
+        with pytest.raises(ValueError, match="num_samples must be >= 1, got 0"):
+            dyn.integrate(spec, dyn.SolverConfig(1.0, 1), np.array([5.0]), 0)
 
     def test_batch_matches_single(self):
         spec = dyn.make_system("example3", epsilon=0.05)
@@ -177,6 +190,104 @@ class TestIntegrate:
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s, 10)
         assert info.value.trajectory_index == 1
+
+
+def stage_loop(spec, cfg, x0s, num_samples):
+    """Reference: the generic RK4 stage loop on ``spec.rhs``."""
+    out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
+    out[:, 0] = state = x0s
+    for k in range(1, num_samples + 1):
+        state = dyn._rk4_sample_step(spec.rhs, state, cfg.delta, cfg.substeps)
+        out[:, k] = state
+    return out
+
+
+RANDOM3 = dyn.linear_system(
+    np.random.default_rng(7).normal(size=(3, 3)) - 2.0 * np.eye(3), d=1
+)
+
+
+class TestLinearSampleMatrix:
+    """The linear path applies S = R(hA)^substeps once per sample.
+
+    It is the stage loop's map with the sums in another order, so the two
+    agree to a bound, not bitwise.  Bound: 2e-12 times max(1, max |x|) over
+    up to 2000 samples (about 4 ulp per sample); measured 3.1e-13 with
+    |x| <= 2.1 on example4 and 1.0e-14 on example1 here, 6.0e-13 on
+    example4 at 20 substeps.
+    """
+
+    @pytest.mark.parametrize(
+        "spec, substeps, num_samples",
+        [
+            (dyn.make_system("example1"), 10, 2000),
+            (dyn.make_system("example4"), 5, 2000),
+            (RANDOM3, 1, 500),
+            (RANDOM3, 7, 500),
+        ],
+        ids=["example1", "example4", "random3-substeps1", "random3-substeps7"],
+    )
+    def test_matches_stage_loop(self, spec, substeps, num_samples):
+        cfg = dyn.SolverConfig(0.02, substeps)
+        x0s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, spec.n))
+        got = dyn.integrate_batch(spec, cfg, x0s, num_samples)
+        want = stage_loop(spec, cfg, x0s, num_samples)
+        np.testing.assert_array_equal(got[:, 0], x0s)
+        bound = 2e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_reports_sample_and_trajectory(self):
+        # dx/dt = x with h = 1: each sample multiplies by R(1) = 65/24, so
+        # from 1e300 the state is 1.66e308 at sample 19 and overflows at 20
+        spec = dyn.linear_system([[1.0]], d=1)
+        cfg = dyn.SolverConfig(1.0, 1)
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, cfg, np.array([[1.0], [1e300]]), 25)
+        assert (info.value.sample_index, info.value.trajectory_index) == (20, 1)
+        assert "trajectory 1 at sample 20" in str(info.value)
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate(spec, cfg, np.array([1e300]), 25)
+        assert (info.value.sample_index, info.value.trajectory_index) == (20, None)
+
+
+class TestRhsBuffers:
+    """The nonlinear right-hand sides fill one output buffer; they must
+    equal the np.stack formulas they replaced bit for bit."""
+
+    REFERENCES = {
+        "example2": lambda x: np.stack(
+            [x[..., 1], -0.1 * x[..., 1] - 8.91 * np.sin(x[..., 0])], axis=-1
+        ),
+        "example3": lambda x: np.stack(
+            [
+                -x[..., 1] - x[..., 2],
+                x[..., 0] + x[..., 1] / 5.0,
+                0.2 + x[..., 3] - 5.0 * x[..., 2],
+                (x[..., 0] * x[..., 1] - x[..., 3]) / 0.01,
+            ],
+            axis=-1,
+        ),
+        "example3-reduced": lambda x: np.stack(
+            [
+                -x[..., 1] - x[..., 2],
+                x[..., 0] + x[..., 1] / 5.0,
+                0.2 + x[..., 2] * (x[..., 0] - 5.0),
+            ],
+            axis=-1,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_bitwise_equal_to_stack_formulas(self, name):
+        spec = dyn.make_system(name)
+        rng = np.random.default_rng(12)
+        for shape in [(spec.n,), (7, spec.n), (3, 4, spec.n)]:
+            x = rng.uniform(-5.0, 5.0, size=shape)
+            got = spec.rhs(x)
+            want = self.REFERENCES[name](x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMatrixExponential:

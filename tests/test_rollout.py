@@ -69,6 +69,50 @@ class TestRollout:
         assert np.all(np.isfinite(res.states))
 
 
+class TestBatchedRollout:
+    def test_batch_matches_single_runs(self):
+        # one forward_batch over R rows vs R one-row calls: BLAS may block
+        # and reorder the sums differently for different row counts, so
+        # the runs agree to rounding, not bitwise
+        rng = np.random.default_rng(8)
+        model = net.init_params(2, 4, [12, 12], seed=8)
+        seeds = 0.5 * rng.normal(size=(6, 5, 2))
+        batch = rollout.rollout(model, seeds, 60, delta=0.1)
+        assert batch.states.shape == (6, 65, 2)
+        assert batch.diverged_at == (None,) * 6
+        np.testing.assert_allclose(batch.times, 0.1 * np.arange(65))
+        for r in range(6):
+            single = rollout.rollout(model, seeds[r], 60, delta=0.1)
+            assert np.abs(batch.states[r] - single.states).max() <= 1e-12
+            assert np.abs(batch.run(r).states - single.states).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverged_run_stops_alone(self):
+        # increment 1e308 * tanh(z): z = 0 is a fixed point, z = 1 grows to
+        # 7.6e307, then 1.76e308, then overflows at index 3
+        model = net.NetworkParams(
+            d=1, n_mem=0, hidden=(1,),
+            weights=[np.array([[1.0]]), np.array([[1e308]])],
+            biases=[np.zeros(1), np.zeros(1)],
+        )
+        seeds = np.array([[[0.0]], [[1.0]], [[0.0]]])
+        res = rollout.rollout(model, seeds, 6)
+        assert res.diverged_at == (None, 3, None)
+        np.testing.assert_array_equal(res.states[[0, 2], :, 0], np.zeros((2, 7)))
+        assert np.all(np.isnan(res.states[1, 3:]))
+        blown = res.run(1)
+        assert blown.diverged_at == 3 and blown.states.shape == (3, 1)
+        assert np.all(np.isfinite(blown.states))
+        assert res.run(0).diverged_at is None and res.run(0).states.shape == (7, 1)
+
+    def test_bad_batch_shape_rejected(self):
+        model = net.init_params(1, 2, [3], seed=4)
+        with pytest.raises(ValueError, match="seeds"):
+            rollout.rollout(model, np.ones((2, 3, 2)), 5)
+        with pytest.raises(ValueError, match="seeds"):
+            rollout.rollout(model, np.ones((1, 2, 3, 1)), 5)
+
+
 class TestErrorSeries:
     def test_identical_sequences_zero_error(self):
         seq = np.arange(10.0)[:, None]
@@ -101,7 +145,44 @@ class TestErrorSeries:
         np.testing.assert_allclose(es.times, [0.0, 0.25, 0.5, 0.75])
 
 
+def euler_damz_loop(oracle, seeds, steps, delta):
+    """Reference: the Euler scheme with one kernel product per history node."""
+    n_mem = seeds.shape[0] - 1
+    kernels = []
+    propagated = np.eye(oracle.a22.shape[0])
+    step_mat = dyn.matrix_exponential(oracle.a22 * delta)
+    for j in range(n_mem + 1):
+        kernels.append(oracle.a12 @ propagated @ oracle.a21)
+        propagated = step_mat @ propagated
+    weights = np.full(n_mem + 1, delta)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    if n_mem == 0:
+        weights[:] = 0.0
+    states = np.empty((n_mem + 1 + steps, oracle.d))
+    states[: n_mem + 1] = seeds
+    for k in range(steps):
+        pos = n_mem + 1 + k
+        z_now = states[pos - 1]
+        memory = np.zeros(oracle.d)
+        for j in range(n_mem + 1):
+            memory += weights[j] * (kernels[j] @ states[pos - 1 - j])
+        states[pos] = z_now + delta * (oracle.a11 @ z_now + memory)
+    return states
+
+
 class TestEulerScheme:
+    @pytest.mark.parametrize("name, n_mem", [("example1", 0), ("example1", 30),
+                                             ("example4", 8)])
+    def test_contraction_matches_node_loop(self, name, n_mem):
+        # one contraction per step sums the memory terms in another order
+        oracle = dyn.oracle_for_system(dyn.make_system(name))
+        x0 = np.random.default_rng(2).uniform(-1.0, 1.0, size=oracle.n)
+        seeds = dyn.exact_linear_trajectory(oracle, x0, 0.02, n_mem)[:, : oracle.d]
+        got = rollout.euler_damz(oracle, seeds, 300, 0.02)
+        want = euler_damz_loop(oracle, seeds, 300, 0.02)
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_zero_seeds_stay_zero(self):
         oracle = dyn.oracle_for_system(dyn.make_system("example1"))
         traj = rollout.euler_damz(oracle, np.zeros((31, 1)), 20, 0.02)
