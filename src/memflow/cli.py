@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ValueError("n_eval_runs must be >= 1")
         if not self.eval_horizon > 0:
             raise ValueError("eval_horizon must be positive")
+        # fail at load time, not at the first stage that uses these
+        self.strategy()
+        self.train_config()
 
     # -- pieces ------------------------------------------------------------
 
@@ -148,33 +151,7 @@ class ExperimentConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self):
-        return {
-            "system": self.system,
-            "params": dict(self.params),
-            "domain_lower": None if self.domain_lower is None
-            else list(self.domain_lower),
-            "domain_upper": None if self.domain_upper is None
-            else list(self.domain_upper),
-            "delta": self.delta,
-            "substeps": self.substeps,
-            "n_traj": self.n_traj,
-            "traj_len": self.traj_len,
-            "selection_kind": self.selection_kind,
-            "per_trajectory": self.per_trajectory,
-            "n_mem": self.n_mem,
-            "hidden": list(self.hidden),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "shuffle_each_epoch": self.shuffle_each_epoch,
-            "eval_horizon": self.eval_horizon,
-            "n_eval_runs": self.n_eval_runs,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
@@ -333,6 +310,19 @@ def cmd_train(cfg):
     return model_path
 
 
+def _load_model(cfg, out):
+    """Load the checkpoint and check its shape against the config."""
+    model = train_mod.load_model(out / MODEL_FILE)
+    got = (model.d, model.n_mem, model.hidden)
+    want = (cfg.spec().d, cfg.n_mem, cfg.hidden)
+    if got != want:
+        raise ValueError(
+            "checkpoint (d={}, n_mem={}, hidden={}) does not match config "
+            "(d={}, n_mem={}, hidden={})".format(*got, *want)
+        )
+    return model
+
+
 def cmd_predict(cfg, steps=None):
     """Roll the trained model forward and write a rollout CSV.
 
@@ -340,10 +330,8 @@ def cmd_predict(cfg, steps=None):
     condition), which also provides the reference columns.
     """
     out = _out_dir(cfg)
-    model = train_mod.load_model(out / MODEL_FILE)
+    model = _load_model(cfg, out)
     spec = cfg.spec()
-    if model.d != spec.d:
-        raise ValueError(f"model d={model.d} does not match system d={spec.d}")
     need = model.n_mem + 1
     if steps is None:
         steps = int(round(cfg.eval_horizon / cfg.delta)) - model.n_mem
@@ -428,7 +416,7 @@ def cmd_compare_reduced(cfg):
     if cfg.system != "example3":
         raise ValueError("compare-reduced applies to the example3 system")
     out = _out_dir(cfg)
-    model = train_mod.load_model(out / MODEL_FILE)
+    model = _load_model(cfg, out)
     nn_series, reduced_series = roll_mod.compare_with_homogenized(
         model,
         cfg.solver(),

@@ -12,25 +12,28 @@ output layer.  The network therefore learns only the increment between
 consecutive states; zeroing its final layer makes the model an exact
 "persistence" predictor.
 
+All parameters live in one contiguous float64 vector ``flat``: layer by
+layer, the weight matrix in row-major order followed by the bias.
+``weights[l]`` and ``biases[l]`` are views into it, and
+:meth:`NetworkParams.split` lays any vector of the same length (a
+gradient, an optimizer moment) out the same way.
+
 Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
-Batched variants (:func:`forward_batch`, :func:`backward_batch`) operate
-on row-stacked inputs and are what training uses.
+Both operate on row-stacked inputs; :func:`forward_batch` also takes a
+single ``(D,)`` row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "NetworkParams",
-    "GradientSet",
     "init_params",
-    "forward",
     "forward_batch",
-    "backward",
     "backward_batch",
     "count_params",
     "save_params",
@@ -44,7 +47,8 @@ class NetworkParams:
 
     ``weights[l]`` has shape ``(width_out, width_in)`` and ``biases[l]``
     shape ``(width_out,)``; the layer chain runs
-    ``D -> hidden[0] -> ... -> hidden[-1] -> d``.
+    ``D -> hidden[0] -> ... -> hidden[-1] -> d``.  The given arrays are
+    copied into ``flat``, of which ``weights`` and ``biases`` are views.
     """
 
     d: int
@@ -52,6 +56,7 @@ class NetworkParams:
     hidden: tuple
     weights: list
     biases: list
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
@@ -65,8 +70,7 @@ class NetworkParams:
                 f"expected {len(widths) - 1} weight/bias pairs, got "
                 f"{len(self.weights)}/{len(self.biases)}"
             )
-        weights = []
-        biases = []
+        pieces = []
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             w = np.asarray(w, dtype=float)
             b = np.asarray(b, dtype=float)
@@ -81,8 +85,9 @@ class NetworkParams:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} contains non-finite parameters")
-            weights.append(w)
-            biases.append(b)
+            pieces += [w.ravel(), b]
+        object.__setattr__(self, "flat", np.concatenate(pieces))
+        weights, biases = self.split(self.flat)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
 
@@ -94,13 +99,21 @@ class NetworkParams:
     def n_layers(self):
         return len(self.weights)
 
-
-@dataclass(frozen=True)
-class GradientSet:
-    """Per-parameter gradients, shape-congruent with a NetworkParams."""
-
-    weights: list
-    biases: list
+    def split(self, vec):
+        """Per-layer ``(weights, biases)`` views into ``vec``, a vector laid
+        out like ``flat``."""
+        if vec.shape != self.flat.shape:
+            raise ValueError(f"vector shape {vec.shape}, expected {self.flat.shape}")
+        widths = [self.input_width, *self.hidden, self.d]
+        weights = []
+        biases = []
+        pos = 0
+        for w_in, w_out in zip(widths[:-1], widths[1:]):
+            weights.append(vec[pos : pos + w_out * w_in].reshape(w_out, w_in))
+            pos += w_out * w_in
+            biases.append(vec[pos : pos + w_out])
+            pos += w_out
+        return weights, biases
 
 
 def init_params(d, n_mem, hidden, seed):
@@ -120,7 +133,7 @@ def init_params(d, n_mem, hidden, seed):
 
 def count_params(params):
     """Total number of scalar parameters."""
-    return sum(w.size for w in params.weights) + sum(b.size for b in params.biases)
+    return params.flat.size
 
 
 def _check_width(params, z):
@@ -132,7 +145,8 @@ def _check_width(params, z):
 
 
 def forward_batch(params, z_stacks):
-    """Evaluate the model on rows of stacked states, shape (J, D) -> (J, d)."""
+    """Evaluate the model on rows of stacked states, shape (J, D) -> (J, d);
+    a single (D,) row gives (d,)."""
     z_stacks = np.asarray(z_stacks, dtype=float)
     _check_width(params, z_stacks)
     act = z_stacks
@@ -144,23 +158,15 @@ def forward_batch(params, z_stacks):
     return z_stacks[..., : params.d] + act
 
 
-def forward(params, z_stack):
-    """Single-input model evaluation, shape (D,) -> (d,)."""
-    z_stack = np.asarray(z_stack, dtype=float)
-    if z_stack.ndim != 1:
-        raise ValueError(f"z_stack must be 1-D, got shape {z_stack.shape}")
-    return forward_batch(params, z_stack[None, :])[0]
-
-
 def backward_batch(params, z_stacks, output_grads):
     """Reverse-mode gradients for a batch.
 
     Given upstream gradients ``output_grads`` (J, d) of some scalar with
-    respect to the model outputs, returns the GradientSet of that scalar
-    with respect to all parameters (summed over the batch) plus its
-    gradient with respect to the inputs, shape (J, D).  The residual
-    projection contributes ``output_grads`` directly onto the leading
-    ``d`` input columns.
+    respect to the model outputs, returns the gradient of that scalar
+    with respect to all parameters (summed over the batch), as one vector
+    laid out like ``params.flat``, plus its gradient with respect to the
+    inputs, shape (J, D).  The residual projection contributes
+    ``output_grads`` directly onto the leading ``d`` input columns.
     """
     z_stacks = np.asarray(z_stacks, dtype=float)
     output_grads = np.asarray(output_grads, dtype=float)
@@ -176,29 +182,18 @@ def backward_batch(params, z_stacks, output_grads):
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         pre = acts[-1] @ w.T + b
         acts.append(np.tanh(pre) if l != last else pre)
-    # reverse pass
-    grad_w = [None] * params.n_layers
-    grad_b = [None] * params.n_layers
+    # reverse pass, writing each layer's gradient into its view of flat_grad
+    flat_grad = np.empty_like(params.flat)
+    grad_w, grad_b = params.split(flat_grad)
     delta = output_grads
     for l in range(last, -1, -1):
-        grad_w[l] = delta.T @ acts[l]
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=grad_w[l])
+        np.sum(delta, axis=0, out=grad_b[l])
         delta = delta @ params.weights[l]
         if l > 0:
             delta = delta * (1.0 - acts[l] ** 2)  # tanh' through layer l-1 output
-    input_grads = delta.copy()
-    input_grads[:, : params.d] += output_grads
-    return GradientSet(weights=grad_w, biases=grad_b), input_grads
-
-
-def backward(params, z_stack, output_grad):
-    """Single-input reverse pass; see :func:`backward_batch`."""
-    z_stack = np.asarray(z_stack, dtype=float)
-    output_grad = np.asarray(output_grad, dtype=float)
-    if z_stack.ndim != 1 or output_grad.ndim != 1:
-        raise ValueError("backward expects 1-D input and output_grad")
-    grads, input_grads = backward_batch(params, z_stack[None, :], output_grad[None, :])
-    return grads, input_grads[0]
+    delta[:, : params.d] += output_grads  # delta is a fresh product here
+    return flat_grad, delta
 
 
 # ---------------------------------------------------------------------------

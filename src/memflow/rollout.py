@@ -15,7 +15,7 @@ slow-variable closure of the chaotic system
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class ErrorSeries:
 
     times: np.ndarray
     errors: np.ndarray
-    mean_over_runs: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -161,11 +160,7 @@ def error_series(pred, reference, delta=None):
 
 
 def mean_error_series(series):
-    """Average several equal-grid error series into one.
-
-    The result's ``errors`` is the pointwise mean and is also stored in
-    ``mean_over_runs``.
-    """
+    """Average several equal-grid error series into one (pointwise mean)."""
     if not series:
         raise ValueError("need at least one error series")
     times = series[0].times
@@ -173,8 +168,7 @@ def mean_error_series(series):
         if s.times.shape != times.shape or not np.allclose(s.times, times):
             raise ValueError("error series must share their time grid")
     stacked = np.stack([s.errors for s in series])
-    mean = stacked.mean(axis=0)
-    return ErrorSeries(times=times, errors=mean, mean_over_runs=mean)
+    return ErrorSeries(times=times, errors=stacked.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +261,7 @@ def memory_sweep(
         )
         ds = data_mod.build_dataset(trajs, n_mem, strategy)
         params0 = net_mod.init_params(spec.d, n_mem, hidden, seed=cell_seed + 2)
-        cfg = train_mod.TrainConfig(
-            learning_rate=train_cfg.learning_rate,
-            batch_size=train_cfg.batch_size,
-            epochs=train_cfg.epochs,
-            adam_beta1=train_cfg.adam_beta1,
-            adam_beta2=train_cfg.adam_beta2,
-            adam_eps=train_cfg.adam_eps,
-            seed=cell_seed + 3,
-            shuffle_each_epoch=train_cfg.shuffle_each_epoch,
-        )
+        cfg = replace(train_cfg, seed=cell_seed + 3)
         model, _ = train_mod.train_model(params0, ds, cfg)
         mean_err, _ = evaluate_model(
             model, spec, solver, domain, horizon_steps, n_eval_runs,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from memflow.net import (
+    NetworkParams,
     backward_batch,
     count_params,
     forward_batch,
@@ -105,19 +106,11 @@ def train_model(init, ds, cfg):
             f"batch_size {cfg.batch_size} exceeds dataset size {j_total}"
         )
     rng = np.random.default_rng(cfg.seed)
-    weights = [w.copy() for w in init.weights]
-    biases = [b.copy() for b in init.biases]
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    work = NetworkParams(init.d, init.n_mem, init.hidden, init.weights, init.biases)
+    theta = work.flat  # updated in place, so work's weight views follow it
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
-
-    def current():
-        return type(init)(
-            d=init.d, n_mem=init.n_mem, hidden=init.hidden,
-            weights=[w.copy() for w in weights], biases=[b.copy() for b in biases],
-        )
 
     t0 = time.perf_counter()
     losses = np.empty(cfg.epochs)
@@ -130,8 +123,7 @@ def train_model(init, ds, cfg):
             idx = order[lo : lo + cfg.batch_size]
             xb = ds.inputs[idx]
             yb = ds.targets[idx]
-            params_now = _View(init, weights, biases)
-            pred = forward_batch(params_now, xb)
+            pred = forward_batch(work, xb)
             resid = pred - yb
             with np.errstate(over="ignore"):  # detected and raised below
                 batch_loss = np.mean(np.sum(resid**2, axis=1))
@@ -141,43 +133,24 @@ def train_model(init, ds, cfg):
                     "reduce the learning rate",
                     step=step,
                 )
-            grads, _ = backward_batch(params_now, xb, (2.0 / xb.shape[0]) * resid)
+            grad, _ = backward_batch(work, xb, (2.0 / xb.shape[0]) * resid)
             step += 1
             corr1 = 1.0 - b1**step
             corr2 = 1.0 - b2**step
-            for l in range(len(weights)):
-                gw, gb = grads.weights[l], grads.biases[l]
-                m_w[l] = b1 * m_w[l] + (1 - b1) * gw
-                v_w[l] = b2 * v_w[l] + (1 - b2) * gw**2
-                m_b[l] = b1 * m_b[l] + (1 - b1) * gb
-                v_b[l] = b2 * v_b[l] + (1 - b2) * gb**2
-                weights[l] -= lr * (m_w[l] / corr1) / (np.sqrt(v_w[l] / corr2) + eps)
-                biases[l] -= lr * (m_b[l] / corr1) / (np.sqrt(v_b[l] / corr2) + eps)
-        losses[epoch] = mse_loss(_View(init, weights, biases), ds)
-    trained = current()
+            m *= b1
+            m += (1 - b1) * grad
+            v *= b2
+            v += (1 - b2) * grad**2
+            theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        losses[epoch] = mse_loss(work, ds)
+    # a fresh, validated copy: non-finite parameters are rejected here
+    trained = NetworkParams(work.d, work.n_mem, work.hidden, work.weights, work.biases)
     report = TrainReport(
         loss_per_epoch=losses,
         final_loss=float(losses[-1]),
         wall_time=time.perf_counter() - t0,
     )
     return trained, report
-
-
-class _View:
-    """Lightweight parameter view over mutable weight/bias lists.
-
-    Lets the hot training loop reuse forward/backward without rebuilding a
-    validated NetworkParams per step.
-    """
-
-    def __init__(self, proto, weights, biases):
-        self.d = proto.d
-        self.n_mem = proto.n_mem
-        self.hidden = proto.hidden
-        self.weights = weights
-        self.biases = biases
-        self.input_width = proto.input_width
-        self.n_layers = len(weights)
 
 
 def save_model(params, path):

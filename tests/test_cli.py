@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from memflow import cli
+from memflow import cli, net
 
 
 def micro_config(tmp_path, **overrides):
@@ -66,6 +66,24 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             cli.load_config(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("selection_kind", "sometimes", "kind"),
+        ("per_trajectory", 0, "per_trajectory"),
+        ("epochs", 0, "epochs"),
+        ("batch_size", 0, "batch_size"),
+        ("adam_beta1", 1.0, "betas"),
+        ("adam_beta2", -0.5, "betas"),
+    ])
+    def test_bad_values_rejected_at_load(self, tmp_path, monkeypatch, key, value, match):
+        doc = {**cli.PRESETS["example1-fast"], key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            cli.load_config(path)
+        monkeypatch.setitem(cli.PRESETS, "bad", doc)
+        with pytest.raises(ValueError, match=match):
+            cli.preset_config("bad")
 
     def test_stage_seeds_differ_by_label(self):
         assert cli.stage_seed(7, "generate") != cli.stage_seed(7, "train")
@@ -143,6 +161,15 @@ class TestPipeline:
         with pytest.raises(ValueError, match="not linear"):
             cli.cmd_oracle_check(cfg)
 
+    def test_compare_reduced_rejects_checkpoint_config_mismatch(self, tmp_path):
+        cfg = micro_config(tmp_path, system="example3", params={})
+        out = tmp_path / "run"
+        out.mkdir()
+        net.save_params(net.init_params(1, cfg.n_mem + 1, cfg.hidden, seed=0),
+                        out / cli.MODEL_FILE)
+        with pytest.raises(ValueError, match="n_mem=4.*does not match.*n_mem=3"):
+            cli.cmd_compare_reduced(cfg)
+
     def test_dataset_config_mismatch_rejected(self, tmp_path):
         cfg = micro_config(tmp_path)
         cli.cmd_generate(cfg)
@@ -176,6 +203,24 @@ class TestMain:
         for name in (cli.TRAJECTORY_FILE, cli.DATASET_FILE, cli.MODEL_FILE,
                      cli.ROLLOUT_FILE, cli.SWEEP_FILE):
             assert (tmp_path / "run" / name).exists(), name
+
+    @pytest.mark.parametrize("change, got, want", [
+        ({"n_mem": 4}, "n_mem=3", "n_mem=4"),
+        ({"hidden": [9]}, "hidden=(8,)", "hidden=(9,)"),
+    ])
+    def test_predict_rejects_checkpoint_config_mismatch(
+        self, tmp_path, capsys, change, got, want
+    ):
+        base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
+        for stage in ("generate", "build-dataset", "train"):
+            assert cli.main([stage, *base]) == 0
+        other = write_config(micro_config(tmp_path, **change), tmp_path, "other.json")
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", str(other), "--steps", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "does not match config" in err
+        assert got in err and want in err
+        assert err.index(got) < err.index(want)  # checkpoint first, then config
 
     def test_seed_override_flows_through(self, tmp_path):
         cfg_path = write_config(micro_config(tmp_path), tmp_path)

@@ -18,39 +18,22 @@ def zero_final_layer(params):
 
 
 def fd_gradient(params, z, grad_out, step=1e-5):
-    """Central finite differences of (output . grad_out) w.r.t. every parameter."""
+    """Central finite differences of (output . grad_out) w.r.t. every
+    parameter, as one vector laid out like ``params.flat``."""
 
-    def objective(p):
-        return float(net.forward(p, z) @ grad_out)
+    def objective(flat):
+        p = net.NetworkParams(params.d, params.n_mem, params.hidden,
+                              *params.split(flat))
+        return float(net.forward_batch(p, z) @ grad_out)
 
-    grads_w = []
-    grads_b = []
-    for l in range(params.n_layers):
-        gw = np.zeros_like(params.weights[l])
-        for idx in np.ndindex(*gw.shape):
-            wp = [w.copy() for w in params.weights]
-            wm = [w.copy() for w in params.weights]
-            wp[l][idx] += step
-            wm[l][idx] -= step
-            pp = net.NetworkParams(params.d, params.n_mem, params.hidden,
-                                   wp, params.biases)
-            pm = net.NetworkParams(params.d, params.n_mem, params.hidden,
-                                   wm, params.biases)
-            gw[idx] = (objective(pp) - objective(pm)) / (2 * step)
-        grads_w.append(gw)
-        gb = np.zeros_like(params.biases[l])
-        for i in range(gb.shape[0]):
-            bp = [b.copy() for b in params.biases]
-            bm = [b.copy() for b in params.biases]
-            bp[l][i] += step
-            bm[l][i] -= step
-            pp = net.NetworkParams(params.d, params.n_mem, params.hidden,
-                                   params.weights, bp)
-            pm = net.NetworkParams(params.d, params.n_mem, params.hidden,
-                                   params.weights, bm)
-            gb[i] = (objective(pp) - objective(pm)) / (2 * step)
-        grads_b.append(gb)
-    return grads_w, grads_b
+    grad = np.zeros_like(params.flat)
+    for i in range(grad.size):
+        fp = params.flat.copy()
+        fm = params.flat.copy()
+        fp[i] += step
+        fm[i] -= step
+        grad[i] = (objective(fp) - objective(fm)) / (2 * step)
+    return grad
 
 
 class TestInitParams:
@@ -92,7 +75,7 @@ class TestForward:
         params = zero_final_layer(net.init_params(3, 4, [10, 10], seed=3))
         for _ in range(100):
             z = rng.normal(size=params.input_width)
-            np.testing.assert_array_equal(net.forward(params, z), z[:3])
+            np.testing.assert_array_equal(net.forward_batch(params, z), z[:3])
 
     def test_hand_evaluated_single_unit(self):
         # d=1, n_mem=1, one hidden unit:
@@ -106,19 +89,19 @@ class TestForward:
         )
         z_now, z_prev = 0.8, -0.4
         want = z_now + w_out * np.tanh(w1 * z_now + w2 * z_prev + b) + b_out
-        got = net.forward(params, np.array([z_now, z_prev]))
+        got = net.forward_batch(params, np.array([z_now, z_prev]))
         np.testing.assert_allclose(got, [want], rtol=1e-15)
 
     def test_zero_input_zero_bias_maps_to_zero(self):
         params = net.init_params(2, 3, [9, 9], seed=11)  # biases are zero
         np.testing.assert_array_equal(
-            net.forward(params, np.zeros(params.input_width)), np.zeros(2)
+            net.forward_batch(params, np.zeros(params.input_width)), np.zeros(2)
         )
 
     def test_length_mismatch_rejected(self):
         params = net.init_params(1, 2, [4], seed=0)
         with pytest.raises(ValueError, match="width"):
-            net.forward(params, np.zeros(5))
+            net.forward_batch(params, np.zeros(5))
 
     def test_batch_matches_single(self):
         # last-ulp differences are allowed: BLAS picks different kernels for
@@ -129,15 +112,15 @@ class TestForward:
         out = net.forward_batch(params, batch)
         for i in range(7):
             np.testing.assert_allclose(
-                out[i], net.forward(params, batch[i]), rtol=1e-13, atol=1e-15
+                out[i], net.forward_batch(params, batch[i]), rtol=1e-13, atol=1e-15
             )
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
         params = net.init_params(1, 3, [5], seed=12)
         z = rng.normal(size=params.input_width)
-        a = net.forward(params, z)
-        b = net.forward(params, z)
+        a = net.forward_batch(params, z)
+        b = net.forward_batch(params, z)
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_sensitivity(self):
@@ -151,10 +134,10 @@ class TestForward:
         swapped = z.copy()
         swapped[:d], swapped[d : 2 * d] = z[d : 2 * d].copy(), z[:d].copy()
         pz = zero_final_layer(params)
-        diff_skip_only = net.forward(pz, swapped) - net.forward(pz, z)
+        diff_skip_only = net.forward_batch(pz, swapped) - net.forward_batch(pz, z)
         np.testing.assert_allclose(diff_skip_only, z[d : 2 * d] - z[:d], rtol=1e-15)
         # with the live network the difference is skip change + network change
-        diff_full = net.forward(params, swapped) - net.forward(params, z)
+        diff_full = net.forward_batch(params, swapped) - net.forward_batch(params, z)
         assert not np.allclose(diff_full, diff_skip_only)
 
 
@@ -164,44 +147,92 @@ class TestBackward:
         params = net.init_params(d=2, n_mem=3, hidden=[10, 10], seed=31)
         z = rng.normal(size=params.input_width)
         grad_out = rng.normal(size=2)
-        grads, _ = net.backward(params, z, grad_out)
-        fd_w, fd_b = fd_gradient(params, z, grad_out)
+        grad, _ = net.backward_batch(params, z[None, :], grad_out[None, :])
+        grads_w, grads_b = params.split(grad)
+        fd_w, fd_b = params.split(fd_gradient(params, z, grad_out))
         for l in range(params.n_layers):
             scale = np.maximum(np.abs(fd_w[l]), 1e-8)
-            assert (np.abs(grads.weights[l] - fd_w[l]) / scale).max() <= 1e-6
+            assert (np.abs(grads_w[l] - fd_w[l]) / scale).max() <= 1e-6
             scale_b = np.maximum(np.abs(fd_b[l]), 1e-8)
-            assert (np.abs(grads.biases[l] - fd_b[l]) / scale_b).max() <= 1e-6
+            assert (np.abs(grads_b[l] - fd_b[l]) / scale_b).max() <= 1e-6
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(32)
         params = net.init_params(d=1, n_mem=4, hidden=[6], seed=32)
         z = rng.normal(size=params.input_width)
         grad_out = np.array([1.0])
-        _, input_grad = net.backward(params, z, grad_out)
+        _, input_grad = net.backward_batch(params, z[None, :], grad_out[None, :])
+        input_grad = input_grad[0]
         step = 1e-6
         for i in range(z.shape[0]):
             zp, zm = z.copy(), z.copy()
             zp[i] += step
             zm[i] -= step
-            fd = (net.forward(params, zp) - net.forward(params, zm))[0] / (2 * step)
+            fd = (net.forward_batch(params, zp) - net.forward_batch(params, zm))[0] / (2 * step)
             assert abs(input_grad[i] - fd) <= 1e-7 * max(1.0, abs(fd))
 
     def test_zero_output_grad_gives_zero_gradients(self):
         params = net.init_params(2, 2, [5], seed=1)
-        grads, input_grad = net.backward(
-            params, np.ones(params.input_width), np.zeros(2)
+        grad, input_grad = net.backward_batch(
+            params, np.ones((1, params.input_width)), np.zeros((1, 2))
         )
-        for g in grads.weights + grads.biases:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
-        np.testing.assert_array_equal(input_grad, np.zeros(params.input_width))
+        np.testing.assert_array_equal(grad, np.zeros_like(params.flat))
+        np.testing.assert_array_equal(input_grad, np.zeros((1, params.input_width)))
 
     def test_skip_path_feeds_first_block(self):
         params = zero_final_layer(net.init_params(1, 3, [4], seed=2))
-        _, input_grad = net.backward(
-            params, np.ones(params.input_width), np.array([2.5])
+        _, input_grad = net.backward_batch(
+            params, np.ones((1, params.input_width)), np.array([[2.5]])
         )
-        assert input_grad[0] == 2.5
-        np.testing.assert_array_equal(input_grad[1:], np.zeros(3))
+        assert input_grad[0, 0] == 2.5
+        np.testing.assert_array_equal(input_grad[0, 1:], np.zeros(3))
+
+
+class TestFlatLayout:
+    def test_weights_and_biases_are_views_of_flat(self):
+        params = net.init_params(2, 3, [5, 4], seed=3)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == net.count_params(params)
+        for a in params.weights + params.biases:
+            assert np.shares_memory(a, params.flat)
+        # layer by layer: the weight matrix row-major, then the bias
+        params.flat[:] = np.arange(params.flat.size)
+        n0 = params.weights[0].size
+        assert params.weights[0][0, 1] == 1.0
+        assert params.biases[0][0] == n0
+        assert params.weights[1][0, 0] == n0 + params.biases[0].size
+        assert params.biases[-1][-1] == params.flat.size - 1
+
+    def test_built_from_lists_does_not_alias(self):
+        weights = [np.ones((4, 3)), np.ones((1, 4))]
+        biases = [np.zeros(4), np.zeros(1)]
+        params = net.NetworkParams(1, 2, (4,), weights, biases)
+        for a in weights + biases:
+            assert not np.shares_memory(a, params.flat)
+        params.flat[:] = 7.0
+        weights[0][0, 0] = 5.0
+        assert np.all(weights[1] == 1.0) and np.all(biases[0] == 0.0)
+        assert np.all(params.flat == 7.0)
+
+    def test_split_views_any_vector_like_flat(self):
+        params = net.init_params(1, 2, [6, 3], seed=4)
+        vec = params.flat.copy()
+        vw, vb = params.split(vec)
+        for got, want in zip(vw + vb, params.weights + params.biases):
+            np.testing.assert_array_equal(got, want)
+            assert np.shares_memory(got, vec)
+
+    def test_split_rejects_wrong_length(self):
+        params = net.init_params(1, 2, [6], seed=4)
+        with pytest.raises(ValueError, match="shape"):
+            params.split(np.zeros(params.flat.size + 1))
+
+    def test_non_finite_parameters_rejected(self):
+        params = net.init_params(1, 2, [6], seed=4)
+        weights = [w.copy() for w in params.weights]
+        weights[1][0, 2] = np.nan
+        with pytest.raises(ValueError, match="layer 1 contains non-finite"):
+            net.NetworkParams(1, 2, (6,), weights, params.biases)
 
 
 class TestCountParams:
@@ -244,7 +275,7 @@ class TestCheckpoint:
         for _ in range(10):
             z = rng.normal(size=params.input_width)
             np.testing.assert_array_equal(
-                net.forward(back, z), net.forward(params, z)
+                net.forward_batch(back, z), net.forward_batch(params, z)
             )
 
     def test_shape_mismatch_rejected(self, tmp_path):

@@ -132,7 +132,6 @@ class TestErrorSeries:
         b = rollout.ErrorSeries(times=times, errors=np.full(4, 3.0))
         mean = rollout.mean_error_series([a, b])
         np.testing.assert_array_equal(mean.errors, np.full(4, 2.0))
-        np.testing.assert_array_equal(mean.mean_over_runs, np.full(4, 2.0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):

@@ -26,6 +26,49 @@ def exact_fit_params(row_input, row_target, d, n_mem, hidden, seed=0):
     return net.NetworkParams(d, n_mem, params.hidden, weights, biases)
 
 
+def reference_adam(init, ds, cfg):
+    """Minibatch Adam with moments kept per layer, as separate weight and
+    bias arrays; ``train_model`` must match it bitwise."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = [w.copy() for w in init.weights]
+    biases = [b.copy() for b in init.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+
+    def current():
+        return net.NetworkParams(init.d, init.n_mem, init.hidden, weights, biases)
+
+    losses = []
+    step = 0
+    order = np.arange(ds.size)
+    for _ in range(cfg.epochs):
+        if cfg.shuffle_each_epoch:
+            order = rng.permutation(ds.size)
+        for lo in range(0, ds.size, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            xb, yb = ds.inputs[idx], ds.targets[idx]
+            params = current()
+            resid = net.forward_batch(params, xb) - yb
+            grad, _ = net.backward_batch(params, xb, (2.0 / xb.shape[0]) * resid)
+            grads_w, grads_b = params.split(grad)
+            step += 1
+            corr1 = 1.0 - b1**step
+            corr2 = 1.0 - b2**step
+            for l in range(len(weights)):
+                gw, gb = grads_w[l], grads_b[l]
+                m_w[l] = b1 * m_w[l] + (1 - b1) * gw
+                v_w[l] = b2 * v_w[l] + (1 - b2) * gw**2
+                m_b[l] = b1 * m_b[l] + (1 - b1) * gb
+                v_b[l] = b2 * v_b[l] + (1 - b2) * gb**2
+                weights[l] -= lr * (m_w[l] / corr1) / (np.sqrt(v_w[l] / corr2) + eps)
+                biases[l] -= lr * (m_b[l] / corr1) / (np.sqrt(v_b[l] / corr2) + eps)
+        losses.append(train.mse_loss(current(), ds))
+    return current(), np.array(losses)
+
+
 class TestMseLoss:
     def test_exact_reproduction_gives_zero(self):
         row_in = np.array([0.4, -0.2, 0.9])
@@ -42,7 +85,7 @@ class TestMseLoss:
             d=1, n_mem=0, inputs=row_in[None, :], targets=np.array([[2.0]])
         )
         params = net.init_params(1, 0, [3], seed=4)
-        prediction = net.forward(params, row_in)[0]
+        prediction = net.forward_batch(params, row_in)[0]
         np.testing.assert_allclose(
             train.mse_loss(params, ds), (prediction - 2.0) ** 2, rtol=1e-15
         )
@@ -115,6 +158,21 @@ class TestTrainModel:
         for a, b in zip(m1.biases, m2.biases):
             np.testing.assert_array_equal(a, b)
 
+    def test_matches_per_layer_adam_bitwise(self):
+        # 23 rows in batches of 8: the last batch of each epoch has 7 rows
+        rng = np.random.default_rng(4)
+        ds = make_dataset(rng, 23, d=2, n_mem=1)
+        init = net.init_params(2, 1, [5, 4], seed=4)
+        before = init.flat.tobytes()
+        cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=4)
+        model, report = train.train_model(init, ds, cfg)
+        want_model, want_losses = reference_adam(init, ds, cfg)
+        assert model.flat.tobytes() == want_model.flat.tobytes()
+        assert report.loss_per_epoch.tobytes() == want_losses.tobytes()
+        assert model.flat.tobytes() != before
+        assert init.flat.tobytes() == before  # training works on a copy
+        assert not np.shares_memory(model.flat, init.flat)
+
     def test_small_lr_descends(self):
         rng = np.random.default_rng(5)
         ds = make_dataset(rng, 64, d=1, n_mem=2)
@@ -179,7 +237,7 @@ class TestSaveLoad:
         for _ in range(10):
             z = rng.normal(size=params.input_width)
             np.testing.assert_array_equal(
-                net.forward(back, z), net.forward(params, z)
+                net.forward_batch(back, z), net.forward_batch(params, z)
             )
 
     def test_malformed_file_rejected(self, tmp_path):
