@@ -15,6 +15,12 @@ Experiments are described by a flat JSON config (see
 ``--config`` loads one from disk.  Unknown config keys are errors.  One
 master seed drives every stage through fixed labels, so a config plus a
 seed pins every output byte.
+
+Each run directory holds the bulk artifacts as ``.npz`` archives
+(``trajectories.npz``, ``dataset.npz``, ``model.npz``; members are listed
+in :mod:`memflow.data` and :mod:`memflow.net`) and the small
+human-facing outputs as CSV (``train_log.csv``, ``rollout.csv``,
+``sweep.csv``, ``compare.csv``).
 """
 
 from __future__ import annotations
@@ -50,9 +56,9 @@ __all__ = [
     "main",
 ]
 
-TRAJECTORY_FILE = "trajectories.txt"
-DATASET_FILE = "dataset.txt"
-MODEL_FILE = "model.txt"
+TRAJECTORY_FILE = "trajectories.npz"
+DATASET_FILE = "dataset.npz"
+MODEL_FILE = "model.npz"
 TRAIN_LOG_FILE = "train_log.csv"
 ROLLOUT_FILE = "rollout.csv"
 SWEEP_FILE = "sweep.csv"

@@ -11,17 +11,20 @@ occupies the leading ``d`` entries and the residual projection in the
 network can read it off directly.  Windows are extracted oldest-first
 from trajectories and reversed by the builder.
 
-Both container types serialize to plain UTF-8 text with full round-trip
-precision; see :func:`save_dataset` / :func:`save_trajectories` for the
-formats.
+Both container types are stored as uncompressed ``.npz`` archives of
+float64 and int64 arrays with a fixed set of members; see
+:func:`save_trajectories` and :func:`save_dataset` for the members.
+Loaders reject any other layout with a ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from memflow import _npz
 from memflow.dynamics import integrate_batch
 
 __all__ = [
@@ -43,12 +46,15 @@ class TrajectorySet:
     """Observed-variable trajectories sharing dimension and sample step.
 
     ``trajectories`` is a list of arrays of shape ``(K_i, d)``; lengths
-    may differ between trajectories.
+    may differ between trajectories.  The given arrays are copied, in
+    order, into one contiguous float64 array ``samples`` of shape
+    ``(sum K_i, d)``, of which ``trajectories`` are views.
     """
 
     d: int
     delta: float
     trajectories: list
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -67,7 +73,11 @@ class TrajectorySet:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"trajectory {i} contains non-finite entries")
             cleaned.append(arr)
-        object.__setattr__(self, "trajectories", cleaned)
+        samples = np.concatenate(cleaned) if cleaned else np.empty((0, self.d))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(
+            self, "trajectories", _split_rows(samples, [a.shape[0] for a in cleaned])
+        )
 
     @property
     def n_traj(self):
@@ -75,6 +85,12 @@ class TrajectorySet:
 
     def lengths(self):
         return [t.shape[0] for t in self.trajectories]
+
+
+def _split_rows(samples, lengths):
+    """Consecutive row blocks of ``samples`` with the given lengths, as views."""
+    bounds = np.cumsum([0, *lengths])
+    return [samples[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -173,17 +189,6 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     )
 
 
-def _window_rows(traj, starts, n_mem):
-    """Turn start positions into (newest-first input, target) rows."""
-    inputs = []
-    targets = []
-    for k in sorted(int(s) for s in starts):
-        window = traj[k : k + n_mem + 2]
-        inputs.append(window[n_mem::-1].reshape(-1))
-        targets.append(window[n_mem + 1])
-    return inputs, targets
-
-
 def build_dataset(trajs, n_mem, strategy):
     """Assemble a memory-window dataset from a trajectory set.
 
@@ -191,165 +196,96 @@ def build_dataset(trajs, n_mem, strategy):
     ``K_i - n_mem - 1`` windows per trajectory (trajectories shorter than
     ``n_mem + 2`` are skipped).  Random selection draws
     ``strategy.per_trajectory`` distinct start positions per trajectory
-    and fails loudly when a trajectory cannot supply that many.
+    and fails loudly when a trajectory cannot supply that many.  Windows
+    come trajectory by trajectory, in increasing start position.
     """
     if n_mem < 0:
         raise ValueError(f"n_mem must be >= 0, got {n_mem}")
     d = trajs.d
-    inputs: list = []
-    targets: list = []
     rng = np.random.default_rng(strategy.seed) if strategy.kind == "random" else None
-    for i, traj in enumerate(trajs.trajectories):
-        available = traj.shape[0] - n_mem - 1  # number of admissible starts
+    starts = [np.empty(0, dtype=np.int64)]  # rows of trajs.samples
+    offset = 0
+    for i, length in enumerate(trajs.lengths()):
+        available = length - n_mem - 1  # number of admissible starts
         if strategy.kind == "deterministic":
-            if available < 1:
-                continue
-            starts = range(available)
+            picked = np.arange(max(available, 0))
         else:
             j0 = strategy.per_trajectory
             if j0 > available:
                 raise ValueError(
                     f"trajectory {i}: requested {j0} windows but only "
                     f"{max(available, 0)} start positions exist "
-                    f"(length {traj.shape[0]}, n_mem {n_mem})"
+                    f"(length {length}, n_mem {n_mem})"
                 )
-            starts = rng.choice(available, size=j0, replace=False)
-        rows_in, rows_tgt = _window_rows(traj, starts, n_mem)
-        inputs.extend(rows_in)
-        targets.extend(rows_tgt)
+            picked = np.sort(rng.choice(available, size=j0, replace=False))
+        starts.append(offset + picked)
+        offset += length
+    starts = np.concatenate(starts)
     width = d * (n_mem + 1)
-    inputs_arr = (
-        np.array(inputs) if inputs else np.empty((0, width))
+    if starts.size == 0:
+        return MemoryWindowDataset(
+            d=d, n_mem=n_mem, inputs=np.empty((0, width)), targets=np.empty((0, d))
+        )
+    # history[k, t] = samples[k + n_mem - t]: n_mem + 1 rows from row k, newest first
+    history = sliding_window_view(trajs.samples, n_mem + 1, axis=0)
+    history = history[:, :, ::-1].transpose(0, 2, 1)
+    return MemoryWindowDataset(
+        d=d, n_mem=n_mem, inputs=history[starts].reshape(starts.size, width),
+        targets=trajs.samples[starts + n_mem + 1],
     )
-    targets_arr = np.array(targets) if targets else np.empty((0, d))
-    return MemoryWindowDataset(d=d, n_mem=n_mem, inputs=inputs_arr, targets=targets_arr)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-
-def _fmt(x):
-    return repr(float(x))
-
-
-def _parse_header(line, path, expected_keys):
-    fields = line.split()
-    if len(fields) != len(expected_keys):
-        raise ValueError(
-            f"{path}: header {line!r} must have fields {expected_keys}"
-        )
-    values = {}
-    for field, key in zip(fields, expected_keys):
-        if not field.startswith(key + "="):
-            raise ValueError(f"{path}: expected '{key}=...', got {field!r}")
-        values[key] = field[len(key) + 1 :]
-    return values
+_DATASET_SCHEMA = {
+    "d": (np.int64, 0), "n_mem": (np.int64, 0),
+    "inputs": (np.float64, 2), "targets": (np.float64, 2),
+}
+_TRAJECTORY_SCHEMA = {
+    "d": (np.int64, 0), "delta": (np.float64, 0),
+    "lengths": (np.int64, 1), "samples": (np.float64, 2),
+}
 
 
 def save_dataset(ds, path):
-    """Write a dataset as text: header ``d=.. n_mem=.. J=..`` then one
-    ``input ; target`` line per row, full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d={ds.d} n_mem={ds.n_mem} J={ds.size}\n")
-        for row_in, row_tgt in zip(ds.inputs, ds.targets):
-            left = " ".join(_fmt(v) for v in row_in)
-            right = " ".join(_fmt(v) for v in row_tgt)
-            fh.write(f"{left} ; {right}\n")
+    """Write a dataset as an npz archive: ``d`` and ``n_mem`` (int64
+    scalars), ``inputs`` (float64, ``(J, d*(n_mem+1))``, newest-first
+    rows) and ``targets`` (float64, ``(J, d)``)."""
+    _npz.save(path, _DATASET_SCHEMA, d=ds.d, n_mem=ds.n_mem,
+              inputs=ds.inputs, targets=ds.targets)
 
 
 def load_dataset(path):
-    """Inverse of :func:`save_dataset`; malformed files are rejected with
-    line context."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        meta = _parse_header(header, path, ["d", "n_mem", "J"])
-        try:
-            d, n_mem, j_total = int(meta["d"]), int(meta["n_mem"]), int(meta["J"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad header values: {exc}") from None
-        width = d * (n_mem + 1)
-        inputs = np.empty((j_total, width))
-        targets = np.empty((j_total, d))
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if row >= j_total:
-                raise ValueError(f"{path}:{lineno}: more rows than header J={j_total}")
-            halves = line.split(";")
-            if len(halves) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'input ; target', got {line!r}"
-                )
-            try:
-                left = [float(v) for v in halves[0].split()]
-                right = [float(v) for v in halves[1].split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(left) != width or len(right) != d:
-                raise ValueError(
-                    f"{path}:{lineno}: row widths ({len(left)}, {len(right)}) do "
-                    f"not match header (d={d}, n_mem={n_mem})"
-                )
-            inputs[row] = left
-            targets[row] = right
-            row += 1
-        if row != j_total:
-            raise ValueError(f"{path}: header J={j_total} but found {row} rows")
-    return MemoryWindowDataset(d=d, n_mem=n_mem, inputs=inputs, targets=targets)
+    """Inverse of :func:`save_dataset`; malformed files are rejected."""
+    members = _npz.load(path, _DATASET_SCHEMA)
+    with _npz.naming(path):
+        return MemoryWindowDataset(
+            d=int(members["d"]), n_mem=int(members["n_mem"]),
+            inputs=members["inputs"], targets=members["targets"],
+        )
 
 
 def save_trajectories(trajs, path):
-    """Write a trajectory set as text: header ``d=.. delta=.. n_traj=..``,
-    then per trajectory a ``K=..`` line followed by K rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d={trajs.d} delta={_fmt(trajs.delta)} n_traj={trajs.n_traj}\n")
-        for traj in trajs.trajectories:
-            fh.write(f"K={traj.shape[0]}\n")
-            for row in traj:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    """Write a trajectory set as an npz archive: ``d`` (int64 scalar),
+    ``delta`` (float64 scalar), ``lengths`` (int64, one ``K_i`` per
+    trajectory) and ``samples`` (float64, ``(sum K_i, d)``, the
+    trajectories one after another)."""
+    _npz.save(path, _TRAJECTORY_SCHEMA, d=trajs.d, delta=trajs.delta,
+              lengths=trajs.lengths(), samples=trajs.samples)
 
 
 def load_trajectories(path):
-    """Inverse of :func:`save_trajectories`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    meta = _parse_header(lines[0], path, ["d", "delta", "n_traj"])
-    try:
-        d = int(meta["d"])
-        delta = float(meta["delta"])
-        n_traj = int(meta["n_traj"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad header values: {exc}") from None
-    trajectories = []
-    pos = 1
-    for t in range(n_traj):
-        if pos >= len(lines):
-            raise ValueError(f"{path}: expected {n_traj} trajectories, found {t}")
-        if not lines[pos].startswith("K="):
-            raise ValueError(f"{path}:{pos + 1}: expected 'K=...', got {lines[pos]!r}")
-        try:
-            k = int(lines[pos][2:])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{pos + 1}: {exc}") from None
-        pos += 1
-        if pos + k > len(lines):
-            raise ValueError(f"{path}: trajectory {t} truncated (K={k})")
-        block = np.empty((k, d))
-        for r in range(k):
-            vals = lines[pos + r].split()
-            if len(vals) != d:
-                raise ValueError(
-                    f"{path}:{pos + r + 1}: expected {d} values, got {len(vals)}"
-                )
-            block[r] = [float(v) for v in vals]
-        trajectories.append(block)
-        pos += k
-    if any(lines[pos:]):
-        raise ValueError(f"{path}:{pos + 1}: trailing content after last trajectory")
-    return TrajectorySet(d=d, delta=delta, trajectories=trajectories)
+    """Inverse of :func:`save_trajectories`; malformed files are rejected."""
+    members = _npz.load(path, _TRAJECTORY_SCHEMA)
+    lengths = members["lengths"].tolist()
+    samples = members["samples"]
+    with _npz.naming(path):
+        if min(lengths, default=0) < 0 or sum(lengths) != samples.shape[0]:
+            raise ValueError(
+                f"lengths (sum {sum(lengths)}, min {min(lengths, default=0)}) "
+                f"must be >= 0 and sum to the {samples.shape[0]} rows of samples"
+            )
+        return TrajectorySet(d=int(members["d"]), delta=float(members["delta"]),
+                             trajectories=_split_rows(samples, lengths))

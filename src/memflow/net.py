@@ -22,6 +22,9 @@ Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
 Both operate on row-stacked inputs; :func:`forward_batch` also takes a
 single ``(D,)`` row.
+
+A checkpoint is an uncompressed ``.npz`` archive holding ``d``, ``n_mem``
+and ``hidden`` (int64) and ``flat`` (float64); see :func:`save_params`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from memflow import _npz
 
 __all__ = [
     "NetworkParams",
@@ -60,11 +65,7 @@ class NetworkParams:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.d < 1 or self.n_mem < 0:
-            raise ValueError("require d >= 1 and n_mem >= 0")
-        if not self.hidden or any(w < 1 for w in self.hidden):
-            raise ValueError("hidden widths must be a non-empty list of counts >= 1")
-        widths = [self.input_width, *self.hidden, self.d]
+        widths = _widths(self.d, self.n_mem, self.hidden)
         if len(self.weights) != len(widths) - 1 or len(self.biases) != len(widths) - 1:
             raise ValueError(
                 f"expected {len(widths) - 1} weight/bias pairs, got "
@@ -102,27 +103,43 @@ class NetworkParams:
     def split(self, vec):
         """Per-layer ``(weights, biases)`` views into ``vec``, a vector laid
         out like ``flat``."""
-        if vec.shape != self.flat.shape:
-            raise ValueError(f"vector shape {vec.shape}, expected {self.flat.shape}")
-        widths = [self.input_width, *self.hidden, self.d]
-        weights = []
-        biases = []
-        pos = 0
-        for w_in, w_out in zip(widths[:-1], widths[1:]):
-            weights.append(vec[pos : pos + w_out * w_in].reshape(w_out, w_in))
-            pos += w_out * w_in
-            biases.append(vec[pos : pos + w_out])
-            pos += w_out
-        return weights, biases
+        return _split(vec, _widths(self.d, self.n_mem, self.hidden))
+
+
+def _widths(d, n_mem, hidden):
+    """Layer widths ``D, *hidden, d``; impossible shapes are rejected."""
+    if d < 1 or n_mem < 0:
+        raise ValueError("require d >= 1 and n_mem >= 0")
+    if not hidden or any(w < 1 for w in hidden):
+        raise ValueError("hidden widths must be a non-empty list of counts >= 1")
+    return [d * (n_mem + 1), *hidden, d]
+
+
+def _split(vec, widths):
+    """Per-layer weight and bias views into ``vec`` for the layer chain
+    ``widths``; ``vec`` must hold exactly that many parameters."""
+    size = sum(w_out * (w_in + 1) for w_in, w_out in zip(widths[:-1], widths[1:]))
+    if vec.shape != (size,):
+        raise ValueError(
+            f"vector shape {vec.shape} does not fit layer widths {widths}, "
+            f"expected ({size},)"
+        )
+    weights = []
+    biases = []
+    pos = 0
+    for w_in, w_out in zip(widths[:-1], widths[1:]):
+        weights.append(vec[pos : pos + w_out * w_in].reshape(w_out, w_in))
+        pos += w_out * w_in
+        biases.append(vec[pos : pos + w_out])
+        pos += w_out
+    return weights, biases
 
 
 def init_params(d, n_mem, hidden, seed):
     """Fresh parameters: zero-mean weights scaled by 1/sqrt(fan_in), zero biases."""
     hidden = tuple(int(w) for w in hidden)
-    if not hidden or any(w < 1 for w in hidden):
-        raise ValueError("hidden widths must be a non-empty list of counts >= 1")
+    widths = _widths(d, n_mem, hidden)
     rng = np.random.default_rng(seed)
-    widths = [d * (n_mem + 1), *hidden, d]
     weights = []
     biases = []
     for w_in, w_out in zip(widths[:-1], widths[1:]):
@@ -201,73 +218,26 @@ def backward_batch(params, z_stacks, output_grads):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return repr(float(x))
+_CHECKPOINT_SCHEMA = {
+    "d": (np.int64, 0), "n_mem": (np.int64, 0),
+    "hidden": (np.int64, 1), "flat": (np.float64, 1),
+}
 
 
 def save_params(params, path):
-    """Write a checkpoint: header ``d=.. n_mem=.. layers=w1,w2,..``, then
-    per layer a ``W <out> <in>`` block of rows and a ``B`` line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        layers = ",".join(str(w) for w in params.hidden)
-        fh.write(f"d={params.d} n_mem={params.n_mem} layers={layers}\n")
-        for w, b in zip(params.weights, params.biases):
-            fh.write(f"W {w.shape[0]} {w.shape[1]}\n")
-            for row in w:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
-            fh.write("B " + " ".join(_fmt(v) for v in b) + "\n")
+    """Write a checkpoint as an npz archive: ``d`` and ``n_mem`` (int64
+    scalars), ``hidden`` (int64 widths) and ``flat`` (float64, the
+    parameter vector laid out as :attr:`NetworkParams.flat`)."""
+    _npz.save(path, _CHECKPOINT_SCHEMA, d=params.d, n_mem=params.n_mem,
+              hidden=params.hidden, flat=params.flat)
 
 
 def load_params(path):
-    """Inverse of :func:`save_params`; shape mismatches are rejected."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty checkpoint")
-    fields = lines[0].split()
-    if len(fields) != 3 or not (
-        fields[0].startswith("d=")
-        and fields[1].startswith("n_mem=")
-        and fields[2].startswith("layers=")
-    ):
-        raise ValueError(f"{path}: bad checkpoint header {lines[0]!r}")
-    try:
-        d = int(fields[0][2:])
-        n_mem = int(fields[1][6:])
-        hidden = tuple(int(v) for v in fields[2][7:].split(","))
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad header values: {exc}") from None
-    weights = []
-    biases = []
-    pos = 1
-    while pos < len(lines) and lines[pos].strip():
-        header = lines[pos].split()
-        if len(header) != 3 or header[0] != "W":
-            raise ValueError(f"{path}:{pos + 1}: expected 'W <out> <in>'")
-        out_w, in_w = int(header[1]), int(header[2])
-        pos += 1
-        if pos + out_w >= len(lines) + 1:
-            raise ValueError(f"{path}: truncated weight block at line {pos + 1}")
-        block = np.empty((out_w, in_w))
-        for r in range(out_w):
-            vals = lines[pos + r].split()
-            if len(vals) != in_w:
-                raise ValueError(
-                    f"{path}:{pos + r + 1}: expected {in_w} values, got {len(vals)}"
-                )
-            block[r] = [float(v) for v in vals]
-        pos += out_w
-        if pos >= len(lines) or not lines[pos].startswith("B "):
-            raise ValueError(f"{path}:{pos + 1}: expected 'B <values>' line")
-        bias = np.array([float(v) for v in lines[pos].split()[1:]])
-        if bias.shape != (out_w,):
-            raise ValueError(
-                f"{path}:{pos + 1}: bias length {bias.shape[0]}, expected {out_w}"
-            )
-        pos += 1
-        weights.append(block)
-        biases.append(bias)
-    if any(lines[pos:]):
-        raise ValueError(f"{path}:{pos + 1}: trailing content after last layer")
-    # NetworkParams validates the full shape chain against the header
-    return NetworkParams(d=d, n_mem=n_mem, hidden=hidden, weights=weights, biases=biases)
+    """Inverse of :func:`save_params`; a ``flat`` whose length does not
+    match ``(d, n_mem, hidden)`` and malformed files are rejected."""
+    members = _npz.load(path, _CHECKPOINT_SCHEMA)
+    d, n_mem = int(members["d"]), int(members["n_mem"])
+    hidden = tuple(members["hidden"].tolist())
+    with _npz.naming(path):
+        weights, biases = _split(members["flat"], _widths(d, n_mem, hidden))
+        return NetworkParams(d, n_mem, hidden, weights, biases)

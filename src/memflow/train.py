@@ -73,11 +73,20 @@ class TrainReport:
     wall_time: float
 
 
+# Rows per forward_batch call in mse_loss, which bounds the activations it
+# holds at once independently of the dataset size.
+LOSS_CHUNK_ROWS = 1024
+
+
 def mse_loss(params, ds):
     """(1/J) * sum_j ||model(Z_j) - z_j||^2 over the dataset."""
     _check_shapes(params, ds)
-    resid = forward_batch(params, ds.inputs) - ds.targets
-    return float(np.mean(np.sum(resid**2, axis=1)))
+    sq_norms = np.empty(ds.size)
+    for lo in range(0, ds.size, LOSS_CHUNK_ROWS):
+        hi = lo + LOSS_CHUNK_ROWS
+        resid = forward_batch(params, ds.inputs[lo:hi]) - ds.targets[lo:hi]
+        sq_norms[lo:hi] = np.sum(resid**2, axis=1)
+    return float(np.mean(sq_norms))
 
 
 def _check_shapes(params, ds):
@@ -154,7 +163,8 @@ def train_model(init, ds, cfg):
 
 
 def save_model(params, path):
-    """Write a trained model checkpoint (text format, see net module)."""
+    """Write a trained model checkpoint (an ``.npz`` archive, see
+    :func:`memflow.net.save_params`)."""
     save_params(params, path)
 
 

@@ -222,6 +222,25 @@ class TestMain:
         assert got in err and want in err
         assert err.index(got) < err.index(want)  # checkpoint first, then config
 
+    @pytest.mark.parametrize("stage, name, members", [
+        ("build-dataset", cli.TRAJECTORY_FILE,
+         dict(d=np.int64(1), delta=np.float64(0.02), lengths=np.array([1]))),
+        ("train", cli.DATASET_FILE,
+         dict(d=np.int64(1), n_mem=np.int64(3), targets=np.zeros((1, 1)))),
+    ])
+    def test_oversized_artifact_fails_without_traceback(
+        self, tmp_path, capsys, write_archive, declared_npy, stage, name, members
+    ):
+        base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
+        out = tmp_path / "run"
+        out.mkdir()
+        bulk = "samples" if name == cli.TRAJECTORY_FILE else "inputs"
+        write_archive(out / name, **members, **{bulk: declared_npy((10**9, 10))})
+        assert cli.main([stage, *base]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / name}: member '{bulk}' declares shape")
+        assert "Traceback" not in err
+
     def test_seed_override_flows_through(self, tmp_path):
         cfg_path = write_config(micro_config(tmp_path), tmp_path)
         outs = {}

@@ -41,6 +41,37 @@ class TestSampleInitialConditions:
             data.sample_initial_conditions(dom, 0, seed=0)
 
 
+def reference_build_dataset(trajs, n_mem, strategy):
+    """The per-window loop that build_dataset replaced; it must match it
+    bitwise, start positions, row order and random draws included."""
+    inputs, targets = [], []
+    rng = np.random.default_rng(strategy.seed) if strategy.kind == "random" else None
+    for traj in trajs.trajectories:
+        available = traj.shape[0] - n_mem - 1
+        if strategy.kind == "deterministic":
+            if available < 1:
+                continue
+            starts = range(available)
+        else:
+            starts = rng.choice(available, size=strategy.per_trajectory, replace=False)
+        for k in sorted(int(s) for s in starts):
+            window = traj[k : k + n_mem + 2]
+            inputs.append(window[n_mem::-1].reshape(-1))
+            targets.append(window[n_mem + 1])
+    width = trajs.d * (n_mem + 1)
+    return (
+        np.array(inputs) if inputs else np.empty((0, width)),
+        np.array(targets) if targets else np.empty((0, trajs.d)),
+    )
+
+
+def random_trajectories(lengths, d, seed):
+    rng = np.random.default_rng(seed)
+    return data.TrajectorySet(
+        d=d, delta=0.02, trajectories=[rng.normal(size=(k, d)) for k in lengths]
+    )
+
+
 class TestGenerateTrajectories:
     def test_minimal_length_trajectories(self):
         n_mem = 30
@@ -85,6 +116,22 @@ class TestGenerateTrajectories:
         for i in range(3):
             full = dyn.integrate(spec, cfg, x0s[i], 9)
             np.testing.assert_array_equal(trajs.trajectories[i], full[:, :1])
+
+    def test_owns_only_the_observed_samples(self):
+        spec = dyn.make_system("example4")  # n=20, d=10
+        trajs = data.generate_trajectories(
+            spec, dyn.SolverConfig(0.05, 2), dyn.default_domain(spec), 6, 9, seed=3
+        )
+        assert spec.n > spec.d
+        assert trajs.samples.shape == (6 * 9, spec.d)
+        assert trajs.samples.dtype == np.float64 and trajs.samples.flags.c_contiguous
+        # the views keep alive one owned array of exactly the observed bytes
+        assert all(traj.base is trajs.samples for traj in trajs.trajectories)
+        assert trajs.samples.base is None
+        assert trajs.samples.nbytes == 6 * 9 * spec.d * 8
+        np.testing.assert_array_equal(
+            trajs.samples, np.concatenate(trajs.trajectories)
+        )
 
 
 class TestBuildDataset:
@@ -178,6 +225,21 @@ class TestBuildDataset:
             assert found, "window does not match consecutive trajectory entries"
         assert flat  # trajectories nonempty
 
+    @pytest.mark.parametrize("lengths, n_mem, strategy", [
+        ([12, 5, 20, 9, 3], 0, data.SelectionStrategy("deterministic")),
+        ([12, 5, 20, 9, 3], 4, data.SelectionStrategy("deterministic")),
+        ([3, 2, 4], 5, data.SelectionStrategy("deterministic")),  # no window
+        ([12, 8, 20, 9], 4, data.SelectionStrategy("random", per_trajectory=3, seed=5)),
+        ([30, 7], 2, data.SelectionStrategy("random", per_trajectory=4, seed=0)),
+    ])
+    def test_matches_per_window_loop_bitwise(self, lengths, n_mem, strategy):
+        trajs = random_trajectories(lengths, d=3, seed=sum(lengths) + n_mem)
+        ds = data.build_dataset(trajs, n_mem, strategy)
+        want_in, want_tgt = reference_build_dataset(trajs, n_mem, strategy)
+        for got, want in ((ds.inputs, want_in), (ds.targets, want_tgt)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="kind"):
             data.SelectionStrategy("fancy")
@@ -193,7 +255,7 @@ class TestSerialization:
             inputs=rng.normal(size=(11, 8)) * 10.0 ** rng.integers(-8, 8, size=(11, 1)),
             targets=rng.normal(size=(11, 2)),
         )
-        path = tmp_path / "ds.txt"
+        path = tmp_path / "ds.npz"
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
         assert back.d == 2 and back.n_mem == 3
@@ -204,27 +266,33 @@ class TestSerialization:
         ds = data.MemoryWindowDataset(
             d=1, n_mem=2, inputs=np.empty((0, 3)), targets=np.empty((0, 1))
         )
-        path = tmp_path / "empty.txt"
+        path = tmp_path / "empty.npz"
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
         assert back.size == 0 and back.input_width == 3
 
-    def test_header_row_width_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("d=2 n_mem=1 J=1\n1.0 2.0 3.0 ; 4.0 5.0\n")
-        with pytest.raises(ValueError, match="row widths"):
+    def test_header_row_width_mismatch_rejected(self, tmp_path, write_archive):
+        path = write_archive(
+            tmp_path / "bad.npz", d=np.int64(2), n_mem=np.int64(1),
+            inputs=np.array([[1.0, 2.0, 3.0]]), targets=np.array([[4.0, 5.0]]),
+        )
+        with pytest.raises(ValueError, match=r"bad\.npz: inputs have shape \(1, 3\)"):
             data.load_dataset(path)
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("d=1 J=0\n")
-        with pytest.raises(ValueError, match="header"):
+    def test_bad_header_rejected(self, tmp_path, write_archive):
+        path = write_archive(
+            tmp_path / "bad.npz", d=np.int64(1), J=np.int64(0),
+            inputs=np.empty((0, 1)), targets=np.empty((0, 1)),
+        )
+        with pytest.raises(ValueError, match=r"bad\.npz: members .*expected"):
             data.load_dataset(path)
 
-    def test_row_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("d=1 n_mem=0 J=2\n1.0 ; 2.0\n")
-        with pytest.raises(ValueError, match="J=2"):
+    def test_row_count_mismatch_rejected(self, tmp_path, write_archive):
+        path = write_archive(
+            tmp_path / "bad.npz", d=np.int64(1), n_mem=np.int64(0),
+            inputs=np.array([[1.0], [3.0]]), targets=np.array([[2.0]]),
+        )
+        with pytest.raises(ValueError, match=r"bad\.npz: targets have shape \(1, 1\)"):
             data.load_dataset(path)
 
     def test_trajectory_round_trip(self, tmp_path):
@@ -232,7 +300,7 @@ class TestSerialization:
         trajs = data.generate_trajectories(
             spec, dyn.SolverConfig(0.02, 5), dyn.default_domain(spec), 3, 8, seed=0
         )
-        path = tmp_path / "trajs.txt"
+        path = tmp_path / "trajs.npz"
         data.save_trajectories(trajs, path)
         back = data.load_trajectories(path)
         assert back.d == trajs.d and back.delta == trajs.delta
@@ -240,10 +308,103 @@ class TestSerialization:
         for a, b in zip(back.trajectories, trajs.trajectories):
             np.testing.assert_array_equal(a, b)
 
-    def test_truncated_trajectory_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("d=1 delta=0.02 n_traj=1\nK=3\n1.0\n2.0\n")
-        with pytest.raises(ValueError, match="truncated"):
+    def test_ragged_trajectory_round_trip(self, tmp_path):
+        trajs = random_trajectories([5, 1, 9], d=2, seed=4)
+        path = tmp_path / "exact-name"
+        data.save_trajectories(trajs, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["exact-name"]
+        back = data.load_trajectories(path)
+        assert back.lengths() == [5, 1, 9]
+        assert back.samples.tobytes() == trajs.samples.tobytes()
+
+    def test_truncated_trajectory_file_rejected(self, tmp_path, write_archive):
+        path = write_archive(
+            tmp_path / "bad.npz", d=np.int64(1), delta=np.float64(0.02),
+            lengths=np.array([3]), samples=np.array([[1.0], [2.0]]),
+        )
+        with pytest.raises(ValueError, match=r"bad\.npz: lengths .*sum to the 2 rows"):
+            data.load_trajectories(path)
+        good = tmp_path / "good.npz"
+        data.save_trajectories(toy_trajectories([3]), good)
+        path.write_bytes(good.read_bytes()[:-40])
+        with pytest.raises(ValueError, match=r"bad\.npz: not a readable npz archive"):
+            data.load_trajectories(path)
+
+
+VALID_MEMBERS = {
+    "trajectories": dict(
+        d=np.int64(1), delta=np.float64(0.02), lengths=np.array([2, 1]),
+        samples=np.array([[1.0], [2.0], [3.0]]),
+    ),
+    "dataset": dict(
+        d=np.int64(1), n_mem=np.int64(1), inputs=np.ones((2, 2)),
+        targets=np.ones((2, 1)),
+    ),
+}
+LOADERS = {"trajectories": data.load_trajectories, "dataset": data.load_dataset}
+BULK = {"trajectories": "samples", "dataset": "inputs"}
+
+
+class TestMalformedArtifacts:
+    """Every loader rejects a malformed or oversized archive with a
+    ValueError naming the file, before reading any bulk member."""
+
+    @pytest.mark.parametrize("kind", ["trajectories", "dataset"])
+    def test_valid_members_load(self, tmp_path, write_archive, kind):
+        LOADERS[kind](write_archive(tmp_path / "ok.npz", **VALID_MEMBERS[kind]))
+
+    @pytest.mark.parametrize("kind", ["trajectories", "dataset"])
+    @pytest.mark.parametrize("case, match", [
+        ("not_npz", "not a readable npz archive"),
+        ("missing", "members"),
+        ("extra", "members"),
+        ("dtype", "float32 with 2 dims, expected float64"),
+        ("ndim", "'d' is int64 with 1 dims, expected int64 with 0"),
+        ("pickled", "is object with 2 dims"),
+        ("oversized", r"declares shape \(1000000000, 10\)"),
+        ("negative_shape", r"declares shape \(-1, -2\)"),
+        ("compressed", "compressed"),
+    ])
+    def test_rejected(self, tmp_path, write_archive, declared_npy, kind, case, match):
+        members = dict(VALID_MEMBERS[kind])
+        bulk = BULK[kind]
+        path = tmp_path / "bad.npz"
+        if case == "not_npz":
+            path.write_text("d=1 n_mem=0 J=1\n1.0 ; 2.0\n")
+        elif case == "compressed":
+            np.savez_compressed(path, **members)
+        else:
+            if case == "missing":
+                del members[bulk]
+            elif case == "extra":
+                members["extra"] = np.zeros(1)
+            elif case == "dtype":
+                members[bulk] = members[bulk].astype(np.float32)
+            elif case == "ndim":
+                members["d"] = np.array([1])
+            elif case == "pickled":
+                members[bulk] = members[bulk].astype(object)
+            elif case == "oversized":
+                members[bulk] = declared_npy((10**9, 10))  # 74.5 GiB
+            elif case == "negative_shape":
+                members[bulk] = declared_npy((-1, -2))  # 80 bytes, as held
+            write_archive(path, **members)
+        with pytest.raises(ValueError, match=match) as err:
+            LOADERS[kind](path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("lengths", [[3, -1], [4, 0], [1, 1]])
+    def test_bad_lengths_rejected(self, tmp_path, write_archive, lengths):
+        members = dict(VALID_MEMBERS["trajectories"], lengths=np.array(lengths))
+        path = write_archive(tmp_path / "bad.npz", **members)
+        with pytest.raises(ValueError, match="bad.npz: lengths") as err:
+            data.load_trajectories(path)
+        assert "must be >= 0 and sum to the 3 rows" in str(err.value)
+
+    def test_empty_trajectory_rejected(self, tmp_path, write_archive):
+        members = dict(VALID_MEMBERS["trajectories"], lengths=np.array([3, 0]))
+        path = write_archive(tmp_path / "bad.npz", **members)
+        with pytest.raises(ValueError, match="bad.npz: trajectory 1 is empty"):
             data.load_trajectories(path)
 
 

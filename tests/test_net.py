@@ -257,7 +257,7 @@ class TestCountParams:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         params = net.init_params(3, 7, [11, 13], seed=77)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         net.save_params(params, path)
         back = net.load_params(path)
         assert back.d == 3 and back.n_mem == 7 and back.hidden == (11, 13)
@@ -269,7 +269,7 @@ class TestCheckpoint:
     def test_forward_agreement_after_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         params = net.init_params(2, 4, [9], seed=5)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         net.save_params(params, path)
         back = net.load_params(path)
         for _ in range(10):
@@ -280,15 +280,52 @@ class TestCheckpoint:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         params = net.init_params(1, 2, [4], seed=0)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         net.save_params(params, path)
-        text = path.read_text().replace("layers=4", "layers=5")
-        path.write_text(text)
-        with pytest.raises(ValueError, match="shape|expected"):
+        with np.load(path) as archive:
+            members = dict(archive)
+        members["hidden"] = np.array([5])
+        np.savez(path, **members)
+        with pytest.raises(ValueError, match="shape|expected") as err:
             net.load_params(path)
+        want = "model.npz: vector shape (21,) does not fit layer widths [3, 5, 1]"
+        assert want in str(err.value)
 
     def test_malformed_header_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         path.write_text("not a header\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="model.npz: not a readable npz archive"):
+            net.load_params(path)
+
+    def test_written_to_exact_path(self, tmp_path):
+        path = tmp_path / "checkpoint"
+        net.save_params(net.init_params(1, 0, [2], seed=0), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint"]
+        assert net.load_params(path).hidden == (2,)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"flat": np.zeros(3)}, r"widths \[2, 3, 1\], expected \(13,\)"),
+        ({"hidden": np.array([], dtype=np.int64)}, "hidden widths"),
+        ({"d": np.int64(0)}, "require d >= 1"),
+        ({"flat": np.zeros(13, dtype=np.float32)}, "'flat' is float32"),
+        ({"hidden": np.array([2.0])}, "'hidden' is float64"),
+        ({"flat": np.zeros(13, dtype=object)}, "'flat' is object"),
+        ({"extra": np.zeros(1)}, "members"),
+    ])
+    def test_malformed_members_rejected(self, tmp_path, write_archive, change, match):
+        params = net.init_params(1, 1, [3], seed=0)  # 2*3+3 + 3*1+1 = 13
+        members = dict(
+            d=np.int64(1), n_mem=np.int64(1), hidden=np.array([3]), flat=params.flat
+        )
+        path = write_archive(tmp_path / "bad.npz", **{**members, **change})
+        with pytest.raises(ValueError, match=match) as err:
+            net.load_params(path)
+        assert str(path) in str(err.value)
+
+    def test_oversized_member_rejected(self, tmp_path, write_archive, declared_npy):
+        path = write_archive(
+            tmp_path / "bad.npz", d=np.int64(1), n_mem=np.int64(1),
+            hidden=np.array([3]), flat=declared_npy((10**10,)),
+        )
+        with pytest.raises(ValueError, match=r"bad\.npz: member 'flat' declares shape"):
             net.load_params(path)

@@ -101,6 +101,24 @@ class TestMseLoss:
         ds = data.MemoryWindowDataset(d=1, n_mem=1, inputs=inputs, targets=targets)
         np.testing.assert_allclose(train.mse_loss(params, ds), 2.0, rtol=1e-12)
 
+    def test_chunked_matches_whole_dataset(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        j = 2 * train.LOSS_CHUNK_ROWS + 37  # last chunk is short
+        ds = make_dataset(rng, j, d=2, n_mem=3)
+        params = net.init_params(2, 3, [16, 16], seed=12)
+        resid = net.forward_batch(params, ds.inputs) - ds.targets
+        whole = float(np.mean(np.sum(resid**2, axis=1)))
+        rows = []
+
+        def counting_forward(p, z):
+            rows.append(z.shape[0])
+            return net.forward_batch(p, z)
+
+        monkeypatch.setattr(train, "forward_batch", counting_forward)
+        # rows may round differently in a shorter GEMM: a few ulp, not more
+        np.testing.assert_allclose(train.mse_loss(params, ds), whole, rtol=1e-13)
+        assert rows == [train.LOSS_CHUNK_ROWS, train.LOSS_CHUNK_ROWS, 37]
+
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         ds = make_dataset(rng, 5, d=2, n_mem=1)
@@ -222,7 +240,7 @@ class TestTrainModel:
 class TestSaveLoad:
     def test_round_trip_bitwise(self, tmp_path):
         params = net.init_params(2, 3, [7, 7], seed=9)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         train.save_model(params, path)
         back = train.load_model(path)
         for a, b in zip(back.weights, params.weights):
@@ -231,7 +249,7 @@ class TestSaveLoad:
     def test_forward_agreement(self, tmp_path):
         rng = np.random.default_rng(10)
         params = net.init_params(1, 5, [6], seed=10)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         train.save_model(params, path)
         back = train.load_model(path)
         for _ in range(10):
@@ -241,9 +259,10 @@ class TestSaveLoad:
             )
 
     def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("d=1 n_mem=0 layers=2\nW 2 1\n0.5\n")
-        with pytest.raises(ValueError):
+        path = tmp_path / "model.npz"
+        train.save_model(net.init_params(1, 0, [2], seed=0), path)
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValueError, match="model.npz: not a readable npz archive"):
             train.load_model(path)
 
 
