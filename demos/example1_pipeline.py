@@ -50,14 +50,15 @@ x0 = np.array([-0.87, 0.65])
 steps_total = int(round(20.0 / solver.delta))
 reference = dyn.exact_linear_trajectory(oracle, x0, solver.delta, steps_total)[:, :1]
 res = rollout.rollout(
-    model, reference[: N_MEM + 1], steps_total - N_MEM, delta=solver.delta
+    model, reference[None, : N_MEM + 1], steps_total - N_MEM, delta=solver.delta
 )
-es = rollout.error_series(res, reference)
+predicted = res.states[0]  # the one run of the batch
+es = rollout.error_series(predicted, reference, solver.delta)
 
 print("\n  t      predicted   exact       |error|")
 for t_mark in (1.0, 5.0, 10.0, 20.0):
     k = int(round(t_mark / solver.delta))
-    print(f"{es.times[k]:5.1f}   {res.states[k, 0]: .6f}   "
+    print(f"{es.times[k]:5.1f}   {predicted[k, 0]: .6f}   "
           f"{reference[k, 0]: .6f}   {es.errors[k]:.2e}")
 print(f"\ntime-averaged error after the seed block: "
       f"{es.errors[N_MEM + 1:].mean():.3e}")

@@ -44,8 +44,8 @@ exact = dyn.exact_linear_solution(oracle, x0, 1.0)
 print("substeps   error at t=1")
 errors = []
 for substeps in (1, 2, 4, 8):
-    end = dyn.integrate(spec, dyn.SolverConfig(0.02, substeps), x0, 50)[-1]
-    errors.append(np.linalg.norm(end - exact))
+    end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, substeps), x0[None], 50)
+    errors.append(np.linalg.norm(end[0, -1] - exact))
     print(f"{substeps:8d}   {errors[-1]:.3e}")
 slope = np.polyfit(np.log([0.02 / s for s in (1, 2, 4, 8)]), np.log(errors), 1)[0]
 print(f"observed order: {slope:.3f}")

@@ -242,8 +242,12 @@ def preset_config(name):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return repr(float(x))
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` of Python ints and floats, each value
+    as its ``repr`` (the shortest text that reads back to the same float)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _out_dir(cfg):
@@ -294,7 +298,7 @@ def cmd_train(cfg):
         ds.d, ds.n_mem, cfg.hidden, seed=stage_seed(cfg.seed, "init")
     )
     n_params = net_mod.count_params(params0)
-    if ds.size < 5 * n_params:
+    if train_mod.data_sizing_ratio(params0, ds) < 5:
         print(
             f"warning: J={ds.size} is below 5x the parameter count "
             f"({n_params}); training may be data-starved",
@@ -303,11 +307,8 @@ def cmd_train(cfg):
     model, report = train_mod.train_model(params0, ds, cfg.train_config())
     model_path = out / MODEL_FILE
     train_mod.save_model(model, model_path)
-    log_path = out / TRAIN_LOG_FILE
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for e, loss in enumerate(report.loss_per_epoch, start=1):
-            fh.write(f"{e},{_fmt(loss)}\n")
+    _write_csv(out / TRAIN_LOG_FILE, ["epoch", "loss"],
+               enumerate(report.loss_per_epoch.tolist(), start=1))
     print(
         f"trained {n_params}-parameter model for {cfg.epochs} epochs "
         f"in {report.wall_time:.1f}s, final loss {report.final_loss:.3e} "
@@ -337,48 +338,26 @@ def cmd_predict(cfg, steps=None):
     """
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
-    spec = cfg.spec()
-    need = model.n_mem + 1
     if steps is None:
         steps = int(round(cfg.eval_horizon / cfg.delta)) - model.n_mem
-    if steps < 1:
-        raise ValueError("prediction horizon shorter than the seed block")
-    solver = cfg.solver()
-    x0 = data_mod.sample_initial_conditions(
+    x0s = data_mod.sample_initial_conditions(
         cfg.domain(), 1, seed=stage_seed(cfg.seed, "predict")
-    )[0]
-    truth = spec.observe(dyn.integrate(spec, solver, x0, model.n_mem + steps))
-    res = roll_mod.rollout(model, truth[:need], steps, delta=solver.delta)
-    if res.diverged_at is not None:
-        raise RuntimeError(f"rollout diverged at step {res.diverged_at}")
-    es = roll_mod.error_series(res, truth)
+    )
+    truth, res, es = roll_mod.rollout_against_truth(
+        model, cfg.spec(), cfg.solver(), x0s, model.n_mem + steps
+    )
+    res.raise_if_diverged()
+    d = model.d
+    header = (["t"] + [f"z_{i + 1}" for i in range(d)]
+              + [f"ref_{i + 1}" for i in range(d)] + ["err"])
+    rows = np.column_stack([es.times, res.states[0], truth[0], es.errors[0]])
     path = out / ROLLOUT_FILE
-    _write_rollout_csv(path, res, truth, es)
+    _write_csv(path, header, rows.tolist())
     print(
-        f"rolled out {steps} steps to t={res.times[-1]:g}; "
-        f"final error {es.errors[-1]:.3e} -> {path}"
+        f"rolled out {steps} steps to t={es.times[-1]:g}; "
+        f"final error {es.errors[0, -1]:.3e} -> {path}"
     )
     return path
-
-
-def _write_rollout_csv(path, res, reference, es):
-    d = res.states.shape[1]
-    cols = (
-        ["t"]
-        + [f"z_{i + 1}" for i in range(d)]
-        + [f"ref_{i + 1}" for i in range(d)]
-        + ["err"]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(res.states.shape[0]):
-            row = (
-                [_fmt(res.times[k])]
-                + [_fmt(v) for v in res.states[k]]
-                + [_fmt(v) for v in reference[k]]
-                + [_fmt(es.errors[k])]
-            )
-            fh.write(",".join(row) + "\n")
 
 
 def cmd_sweep(cfg, n_mem_list):
@@ -400,13 +379,9 @@ def cmd_sweep(cfg, n_mem_list):
         seed=stage_seed(cfg.seed, "sweep"),
     )
     path = out / SWEEP_FILE
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n_mem,T_M,mean_error\n")
-        for cell in cells:
-            fh.write(
-                f"{cell.n_mem},{_fmt(cell.memory_length)},"
-                f"{_fmt(cell.mean_error)}\n"
-            )
+    _write_csv(path, ["n_mem", "T_M", "mean_error"],
+               [(int(c.n_mem), float(c.memory_length), float(c.mean_error))
+                for c in cells])
     for cell in cells:
         print(
             f"n_mem={cell.n_mem:4d}  T_M={cell.memory_length:g}  "
@@ -433,10 +408,8 @@ def cmd_compare_reduced(cfg):
         epsilon=float(cfg.params.get("epsilon", 0.01)),
     )
     path = out / COMPARE_FILE
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,nn_error,reduced_error\n")
-        for t, a, b in zip(nn_series.times, nn_series.errors, reduced_series.errors):
-            fh.write(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}\n")
+    rows = np.column_stack([nn_series.times, nn_series.errors, reduced_series.errors])
+    _write_csv(path, ["t", "nn_error", "reduced_error"], rows.tolist())
     print(
         f"mean error over t<=({cfg.eval_horizon:g}): "
         f"network {nn_series.errors.mean():.4e}, "
@@ -468,7 +441,7 @@ def cmd_oracle_check(cfg, n_checks=20, tol=1e-4):
         worst = max(worst, float(np.max(np.abs(got - want))))
     x0 = rng.uniform(-1.0, 1.0, size=spec.n)
     solver = cfg.solver()
-    rk4_end = dyn.integrate(spec, solver, x0, 50)[-1]
+    rk4_end = dyn.integrate_batch(spec, solver, x0[None], 50)[0, -1]
     exact_end = dyn.exact_linear_solution(oracle, x0, 50 * solver.delta)
     rk4_err = float(np.max(np.abs(rk4_end - exact_end)))
     print(f"decomposition residual (max over {n_checks} draws): {worst:.3e}")

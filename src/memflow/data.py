@@ -19,7 +19,7 @@ Loaders reject any other layout with a ``ValueError`` naming the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,52 +45,53 @@ __all__ = [
 class TrajectorySet:
     """Observed-variable trajectories sharing dimension and sample step.
 
-    ``trajectories`` is a list of arrays of shape ``(K_i, d)``; lengths
-    may differ between trajectories.  The given arrays are copied, in
-    order, into one contiguous float64 array ``samples`` of shape
-    ``(sum K_i, d)``, of which ``trajectories`` are views.
+    ``samples`` of shape ``(sum K_i, d)`` holds the trajectories one after
+    another and ``lengths`` the ``K_i``, the same layout as on disk; each
+    ``K_i`` must be >= 1 and the lengths must cover ``samples`` exactly.
+    A float64 C-contiguous ``samples`` is adopted without a copy.
+    ``trajectories`` lists the ``(K_i, d)`` views into it.
     """
 
     d: int
     delta: float
-    trajectories: list
-    samples: np.ndarray = field(init=False, repr=False, compare=False)
+    samples: np.ndarray
+    lengths: np.ndarray
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("observed dimension must be >= 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        cleaned = []
-        for i, traj in enumerate(self.trajectories):
-            arr = np.asarray(traj, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != self.d:
-                raise ValueError(
-                    f"trajectory {i} has shape {arr.shape}, expected (K, {self.d})"
-                )
-            if arr.shape[0] < 1:
-                raise ValueError(f"trajectory {i} is empty")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"trajectory {i} contains non-finite entries")
-            cleaned.append(arr)
-        samples = np.concatenate(cleaned) if cleaned else np.empty((0, self.d))
+        samples = np.ascontiguousarray(self.samples, dtype=float)
+        lengths = np.asarray(self.lengths, dtype=np.int64)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(
-            self, "trajectories", _split_rows(samples, [a.shape[0] for a in cleaned])
-        )
+        object.__setattr__(self, "lengths", lengths)
+        if samples.ndim != 2 or samples.shape[1] != self.d:
+            raise ValueError(
+                f"samples have shape {samples.shape}, expected (K, {self.d})"
+            )
+        low = int(lengths.min(initial=0))
+        if low < 0 or lengths.sum() != samples.shape[0]:
+            raise ValueError(
+                f"lengths (sum {lengths.sum()}, min {low}) must be >= 0 and "
+                f"sum to the {samples.shape[0]} rows of samples"
+            )
+        if not lengths.all():
+            raise ValueError(f"trajectory {np.argmin(lengths)} is empty")
+        bad_rows = np.nonzero(~np.isfinite(samples).all(axis=1))[0]
+        if bad_rows.size:
+            bad = np.searchsorted(np.cumsum(lengths), bad_rows[0], side="right")
+            raise ValueError(f"trajectory {bad} contains non-finite entries")
 
     @property
     def n_traj(self):
-        return len(self.trajectories)
+        return self.lengths.shape[0]
 
-    def lengths(self):
-        return [t.shape[0] for t in self.trajectories]
-
-
-def _split_rows(samples, lengths):
-    """Consecutive row blocks of ``samples`` with the given lengths, as views."""
-    bounds = np.cumsum([0, *lengths])
-    return [samples[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    @property
+    def trajectories(self):
+        ends = np.cumsum(self.lengths).tolist()
+        return [self.samples[end - k : end]
+                for k, end in zip(self.lengths.tolist(), ends)]
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     else:
         full = integrate_batch(spec, config, x0s, traj_len - 1)
         observed = spec.observe(full)
-    return TrajectorySet(
-        d=spec.d, delta=config.delta, trajectories=list(observed)
-    )
+    return TrajectorySet(d=spec.d, delta=config.delta,
+                         samples=observed.reshape(-1, spec.d),
+                         lengths=np.full(n_traj, traj_len))
 
 
 def build_dataset(trajs, n_mem, strategy):
@@ -205,7 +206,7 @@ def build_dataset(trajs, n_mem, strategy):
     rng = np.random.default_rng(strategy.seed) if strategy.kind == "random" else None
     starts = [np.empty(0, dtype=np.int64)]  # rows of trajs.samples
     offset = 0
-    for i, length in enumerate(trajs.lengths()):
+    for i, length in enumerate(trajs.lengths.tolist()):
         available = length - n_mem - 1  # number of admissible starts
         if strategy.kind == "deterministic":
             picked = np.arange(max(available, 0))
@@ -273,19 +274,12 @@ def save_trajectories(trajs, path):
     trajectory) and ``samples`` (float64, ``(sum K_i, d)``, the
     trajectories one after another)."""
     _npz.save(path, _TRAJECTORY_SCHEMA, d=trajs.d, delta=trajs.delta,
-              lengths=trajs.lengths(), samples=trajs.samples)
+              lengths=trajs.lengths, samples=trajs.samples)
 
 
 def load_trajectories(path):
     """Inverse of :func:`save_trajectories`; malformed files are rejected."""
     members = _npz.load(path, _TRAJECTORY_SCHEMA)
-    lengths = members["lengths"].tolist()
-    samples = members["samples"]
     with _npz.naming(path):
-        if min(lengths, default=0) < 0 or sum(lengths) != samples.shape[0]:
-            raise ValueError(
-                f"lengths (sum {sum(lengths)}, min {min(lengths, default=0)}) "
-                f"must be >= 0 and sum to the {samples.shape[0]} rows of samples"
-            )
         return TrajectorySet(d=int(members["d"]), delta=float(members["delta"]),
-                             trajectories=_split_rows(samples, lengths))
+                             samples=members["samples"], lengths=members["lengths"])

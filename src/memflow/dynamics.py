@@ -9,14 +9,16 @@ on this module.  It provides:
   by :func:`make_system`; arbitrary linear block systems by
   :func:`linear_system`.
 * a classical 4th-order Runge-Kutta integrator with a fixed number of
-  substeps per coarse sample step (:func:`integrate_batch`; :func:`integrate`
-  is the same loop on one row).  For a linear system (``a_matrix`` set)
-  RK4 is the linear map R(hA) with the stability polynomial
-  R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so one coarse sample is one
-  product with the precomputed S = R(hA)^substeps.  That is the same
-  scheme with its sums in another order: it agrees with the stage loop to
-  about 1e-12 absolute on states of order 1 (2000 samples of example4).
-  Nonlinear systems run the stage loop.
+  substeps per coarse sample step (:func:`integrate_batch`).  It advances
+  an ``(m, n)`` batch of initial conditions in lock-step and returns
+  ``(m, num_samples + 1, n)``; one trajectory is a batch of one row.
+  For a linear system (``a_matrix`` set) RK4 is the linear map R(hA)
+  with the stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+  so one coarse sample is one product with the precomputed
+  S = R(hA)^substeps.  That is the same scheme with its sums in another
+  order: it agrees with the stage loop to about 1e-12 absolute on states
+  of order 1 (2000 samples of example4).  Nonlinear systems run the stage
+  loop.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * ``LinearMZOracle`` -- for linear systems the dynamics of the observed
   block is known exactly: a Markov term ``A11 z(t)``, a memory integral
@@ -33,7 +35,7 @@ trajectories integrate in lock-step without Python-level loops.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +50,6 @@ __all__ = [
     "linear_system",
     "default_domain",
     "eval_rhs",
-    "integrate",
     "integrate_batch",
     "matrix_exponential",
     "oracle_for_system",
@@ -75,11 +76,11 @@ SYSTEM_NAMES = (
 class IntegrationError(RuntimeError):
     """Raised when the integrator produces a non-finite state.
 
-    ``sample_index`` is the coarse sample at which the failure occurred;
-    ``trajectory_index`` is set when integrating a batch.
+    ``sample_index`` is the coarse sample at which the failure occurred
+    and ``trajectory_index`` the first batch row that failed there.
     """
 
-    def __init__(self, message, sample_index, trajectory_index=None):
+    def __init__(self, message, sample_index, trajectory_index):
         super().__init__(message)
         self.sample_index = sample_index
         self.trajectory_index = trajectory_index
@@ -272,10 +273,9 @@ def make_system(name, **params):
         alpha = float(params.pop("alpha", 2.0))
         _reject_params(name, params)
         a = np.array([[1.0, -4.0], [4.0, -alpha]])
-        spec = linear_system(a, d=1, name=name)
-        return _with(spec, params={"alpha": alpha}, d=observe)
+        spec = replace(linear_system(a, d=1, name=name), params={"alpha": alpha})
 
-    if name == "example2":
+    elif name == "example2":
         alpha = float(params.pop("alpha", 0.1))
         beta = float(params.pop("beta", 8.91))
         _reject_params(name, params)
@@ -291,9 +291,8 @@ def make_system(name, **params):
 
         spec = SystemSpec(name=name, n=2, d=1,
                           params={"alpha": alpha, "beta": beta}, rhs=rhs)
-        return _with(spec, d=observe)
 
-    if name == "example3":
+    elif name == "example3":
         epsilon = float(params.pop("epsilon", 0.01))
         _reject_params(name, params)
         if epsilon <= 0:
@@ -312,14 +311,12 @@ def make_system(name, **params):
             return out
 
         spec = SystemSpec(name=name, n=4, d=3, params={"epsilon": epsilon}, rhs=rhs)
-        return _with(spec, d=observe)
 
-    if name == "example3-reduced":
+    elif name == "example3-reduced":
         _reject_params(name, params)
         spec = SystemSpec(name=name, n=3, d=3, params={}, rhs=homogenized_rhs)
-        return _with(spec, d=observe)
 
-    if name == "example4":
+    elif name == "example4":
         _reject_params(name, params)
         sig = example4_sigma()
         eye = np.eye(10)
@@ -337,9 +334,8 @@ def make_system(name, **params):
 
         a = np.block([[s11, eye + s12], [-(eye + s21), -s22]])
         spec = SystemSpec(name=name, n=20, d=10, params={}, rhs=rhs, a_matrix=a)
-        return _with(spec, d=observe)
 
-    if name == "linear-generic":
+    elif name == "linear-generic":
         matrix = params.pop("matrix", None)
         d = params.pop("d", None)
         _reject_params(name, params)
@@ -347,24 +343,14 @@ def make_system(name, **params):
             raise ValueError("linear-generic requires 'matrix' and 'd' parameters")
         return linear_system(matrix, d=int(d))
 
-    raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}")
+    else:
+        raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}")
+    return spec if observe is None else replace(spec, d=int(observe))
 
 
 def _reject_params(name, leftover):
     if leftover:
         raise ValueError(f"unknown parameters for {name}: {sorted(leftover)}")
-
-
-def _with(spec, params=None, d=None):
-    """Rebuild a spec with overridden params metadata / observed dimension."""
-    return SystemSpec(
-        name=spec.name,
-        n=spec.n,
-        d=spec.d if d is None else int(d),
-        params=spec.params if params is None else params,
-        rhs=spec.rhs,
-        a_matrix=spec.a_matrix,
-    )
 
 
 _DEFAULT_DOMAINS = {
@@ -426,51 +412,28 @@ def _rk4_sample_matrix(a, delta, substeps):
     return np.linalg.matrix_power(r, substeps)
 
 
-def integrate(spec, config, x0, num_samples):
-    """Integrate one trajectory, returning states at times 0, delta, ...
-
-    Returns an array of shape ``(num_samples + 1, n)`` whose row ``k``
-    approximates the flow of ``x0`` over time ``k * delta``; row 0 is
-    ``x0`` exactly.  This is :func:`integrate_batch` on one row; a
-    non-finite state raises IntegrationError with ``trajectory_index``
-    None.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.n,):
-        raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
-    return _integrate_rows(spec, config, x0[None, :], num_samples, batch=False)[0]
-
-
 def integrate_batch(spec, config, x0s, num_samples):
-    """Integrate many trajectories in lock-step.
+    """Integrate many trajectories in lock-step, returning states at times
+    0, delta, ..., num_samples * delta.
 
     ``x0s`` has shape ``(m, n)``; the result has shape
-    ``(m, num_samples + 1, n)``.  All trajectories share the coarse time
-    grid, so the whole batch advances through vectorized RK4 stages (or,
-    for a linear system, one product with the sample matrix per coarse
-    sample).  A non-finite state aborts the run, reporting the first
-    offending trajectory and sample.
+    ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
+    All trajectories share the coarse time grid, so the whole batch
+    advances through vectorized RK4 stages (or, for a linear system, one
+    product with the sample matrix per coarse sample).  A non-finite state
+    aborts the run with an IntegrationError naming the first offending
+    trajectory and sample.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n:
         raise ValueError(f"x0s must have shape (m, {spec.n}), got {x0s.shape}")
-    return _integrate_rows(spec, config, x0s, num_samples, batch=True)
-
-
-def _integrate_rows(spec, config, x0s, num_samples, batch):
-    """The RK4 sample loop behind :func:`integrate` and :func:`integrate_batch`.
-
-    ``batch`` only decides whether an IntegrationError names the trajectory.
-    """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     step_t = None
     if spec.a_matrix is not None:
         step_t = _rk4_sample_matrix(spec.a_matrix, config.delta, config.substeps).T
-    m = x0s.shape[0]
-    out = np.empty((m, num_samples + 1, spec.n))
-    out[:, 0] = x0s
-    state = x0s
+    out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
+    out[:, 0] = state = x0s
     for k in range(1, num_samples + 1):
         if step_t is None:
             state = _rk4_sample_step(spec.rhs, state, config.delta, config.substeps)
@@ -479,12 +442,11 @@ def _integrate_rows(spec, config, x0s, num_samples, batch):
         finite = np.isfinite(state).all(axis=1)
         if not finite.all():
             bad = int(np.nonzero(~finite)[0][0])
-            where = f"in trajectory {bad} " if batch else ""
             raise IntegrationError(
-                f"non-finite state {where}at sample {k} "
+                f"non-finite state in trajectory {bad} at sample {k} "
                 f"(t={k * config.delta:g}) while integrating {spec.name}",
                 sample_index=k,
-                trajectory_index=bad if batch else None,
+                trajectory_index=bad,
             )
         out[:, k] = state
     return out
@@ -621,6 +583,8 @@ def exact_linear_trajectory(oracle, x0, delta, num_samples):
     exp(A delta), so there is no time-discretization error.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (oracle.n,):
+        raise ValueError(f"x0 must have shape ({oracle.n},), got {x0.shape}")
     step = matrix_exponential(oracle.full_matrix() * delta)
     out = np.empty((num_samples + 1, oracle.n))
     out[0] = x0

@@ -1,16 +1,19 @@
 """Iterative prediction and its evaluation machinery.
 
 A trained model advances the observed state one step at a time from a
-seed block of ``n_mem + 1`` states.  This module iterates that map
-(:func:`rollout`; seeds of shape ``(R, n_mem + 1, d)`` advance R runs
-together, one batched network evaluation per step, each run recording
-where it diverged), measures pointwise l2 errors against references
-(:func:`error_series`), sweeps the memory length to find where accuracy
-saturates (:func:`memory_sweep`), and provides two analytic references
-for benchmarks: an explicit-Euler discretization of the exact reduced
-dynamics for linear systems (:func:`euler_damz`) and the homogenized
-slow-variable closure of the chaotic system
-(:func:`compare_with_homogenized`).
+seed block of ``n_mem + 1`` states.  Every run in flight has the layout
+``(R, T, d)``: R runs of T observed states each.  This module iterates the
+model (:func:`rollout`: seeds ``(R, n_mem + 1, d)`` advance together, one
+batched network evaluation per step, each run recording where it
+diverged), measures pointwise l2 errors against references
+(:func:`error_series`), scores a model against the integrated truth from
+given initial conditions (:func:`rollout_against_truth`, shared by
+:func:`evaluate_model`, :func:`compare_with_homogenized` and the CLI's
+``predict``), sweeps the memory length to find where accuracy saturates
+(:func:`memory_sweep`), and provides two analytic references for
+benchmarks: an explicit-Euler discretization of the exact reduced dynamics
+for linear systems (:func:`euler_damz`) and the homogenized slow-variable
+closure of the chaotic system (:func:`compare_with_homogenized`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
     "SweepCell",
     "rollout",
     "error_series",
-    "mean_error_series",
+    "rollout_against_truth",
     "memory_sweep",
     "euler_damz",
     "compare_with_homogenized",
@@ -39,37 +42,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RolloutResult:
-    """Predicted observed-state sequence, seed states included.
+    """Predicted observed states of R runs, seed states included.
 
-    For one run ``states`` has shape (seed_len + steps_taken, d); if the
-    iteration produced a non-finite state it stops early and
-    ``diverged_at`` records the index the failure would have occupied.
-
-    For R runs ``states`` has shape (R, seed_len + steps, d) and
-    ``diverged_at`` is a tuple with one such index (or None) per run; a
-    run's rows from its divergence index on are NaN.  :meth:`run` returns
-    one run as a one-run result.
+    ``states`` has shape (R, seed_len + steps, d).  ``diverged_at`` holds
+    one entry per run: None, or the index at which the run first produced
+    a non-finite state; the run's rows from that index on are NaN.
     """
 
     delta: float
     states: np.ndarray
     seed_len: int
-    diverged_at: int | tuple | None = None
+    diverged_at: tuple
 
     @property
     def times(self):
         return np.arange(self.states.shape[-2]) * self.delta
 
-    def run(self, r):
-        """Run ``r`` of a many-run result, cut at its divergence index."""
-        end = self.diverged_at[r]
-        return RolloutResult(delta=self.delta, states=self.states[r, :end],
-                             seed_len=self.seed_len, diverged_at=end)
+    def raise_if_diverged(self):
+        """Raise RuntimeError naming the first diverged run and its step."""
+        for r, step in enumerate(self.diverged_at):
+            if step is not None:
+                raise RuntimeError(f"rollout diverged at step {step} in run {r}")
 
 
 @dataclass(frozen=True)
 class ErrorSeries:
-    """Pointwise l2 distance between a prediction and a reference."""
+    """Pointwise l2 distance between a prediction and a reference.
+
+    ``times`` has shape (T,); ``errors`` has shape (T,) for one run or
+    (R, T) for R runs.
+    """
 
     times: np.ndarray
     errors: np.ndarray
@@ -79,38 +81,31 @@ class ErrorSeries:
         errors = np.asarray(self.errors, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "errors", errors)
-        if times.shape != errors.shape:
+        if times.ndim != 1 or errors.shape[-1:] != times.shape:
             raise ValueError("times and errors must have equal length")
         if np.any(errors < 0):
             raise ValueError("errors must be nonnegative")
 
 
 def rollout(model, seeds, steps, delta=np.nan):
-    """Iterate the one-step model from ``n_mem + 1`` seed states.
+    """Iterate the one-step model from ``n_mem + 1`` seed states per run.
 
-    At each step the stacked input is the latest ``n_mem + 1`` states in
-    newest-first order, and the model output becomes the next state.
-    ``seeds`` of shape (n_mem + 1, d) give one run; seeds of shape
-    (R, n_mem + 1, d) give R runs that advance together through one
-    batched network evaluation per step (see :class:`RolloutResult` for
-    the two result layouts).  A non-finite prediction stops its run and
-    records the divergence index; the other runs go on.  ``delta`` is
-    carried through for time axes when known.
+    ``seeds`` has shape (R, n_mem + 1, d); the R runs advance together
+    through one batched network evaluation per step.  At each step a run's
+    input is its latest ``n_mem + 1`` states in newest-first order, and
+    the model output becomes its next state.  A non-finite prediction
+    stops its run and records the divergence index; the other runs go on.
+    ``delta`` is carried through for time axes when known.
     """
     seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim == 1 and model.d == 1:
-        seeds = seeds[:, None]
     need = model.n_mem + 1
-    if seeds.shape[-2:] != (need, model.d) or seeds.ndim not in (2, 3):
+    if seeds.ndim != 3 or seeds.shape[1:] != (need, model.d):
         raise ValueError(
-            f"seeds must have shape ({need}, {model.d}) = (n_mem + 1, d) or "
-            f"(R, {need}, {model.d}), got {seeds.shape}"
+            f"seeds must have shape (R, {need}, {model.d}) = (R, n_mem + 1, d), "
+            f"got {seeds.shape}"
         )
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    one_run = seeds.ndim == 2
-    if one_run:
-        seeds = seeds[None]
     runs = seeds.shape[0]
     states = np.full((runs, need + steps, model.d), np.nan)
     states[:, :need] = seeds
@@ -129,46 +124,48 @@ def rollout(model, seeds, steps, delta=np.nan):
             if live.size == 0:
                 break
         states[live, pos] = nxt
-    result = RolloutResult(delta=delta, states=states, seed_len=need,
-                           diverged_at=tuple(diverged_at))
-    return result.run(0) if one_run else result
+    return RolloutResult(delta=delta, states=states, seed_len=need,
+                         diverged_at=tuple(diverged_at))
 
 
-def error_series(pred, reference, delta=None):
-    """Pointwise l2 error of a prediction against a reference sequence.
+def error_series(pred, reference, delta):
+    """Pointwise l2 error of predicted states against a reference.
 
-    ``pred`` may be a RolloutResult or a plain (T, d) array; the reference
-    must have matching length and dimension.
+    ``pred`` and ``reference`` are arrays of equal shape (T, d) or
+    (R, T, d); the errors have shape (T,) or (R, T), on the time grid
+    0, delta, ..., (T - 1) * delta.
     """
-    if isinstance(pred, RolloutResult):
-        states = pred.states
-        if delta is None and np.isfinite(pred.delta):
-            delta = pred.delta
-    else:
-        states = np.asarray(pred, dtype=float)
+    pred = np.asarray(pred, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    if states.shape != reference.shape:
+    if pred.shape != reference.shape:
         raise ValueError(
-            f"prediction shape {states.shape} does not match reference "
+            f"prediction shape {pred.shape} does not match reference "
             f"{reference.shape}"
         )
-    if delta is None:
-        raise ValueError("delta is required when pred carries no sample step")
-    errors = np.linalg.norm(states - reference, axis=1)
-    times = np.arange(states.shape[0]) * delta
-    return ErrorSeries(times=times, errors=errors)
+    times = np.arange(pred.shape[-2]) * delta
+    return ErrorSeries(times=times, errors=np.linalg.norm(pred - reference, axis=-1))
 
 
-def mean_error_series(series):
-    """Average several equal-grid error series into one (pointwise mean)."""
-    if not series:
-        raise ValueError("need at least one error series")
-    times = series[0].times
-    for s in series[1:]:
-        if s.times.shape != times.shape or not np.allclose(s.times, times):
-            raise ValueError("error series must share their time grid")
-    stacked = np.stack([s.errors for s in series])
-    return ErrorSeries(times=times, errors=stacked.mean(axis=0))
+def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
+    """Roll the model out against the integrated truth from ``x0s``.
+
+    The full system is integrated from each initial condition of ``x0s``
+    (shape (R, n)) over ``horizon_steps`` samples, each run is seeded with
+    its first ``n_mem + 1`` true observed states and rolled out to the
+    horizon, and every run is scored against its truth.  Returns
+    ``(truth, result, errors)``: the observed truth (R, T, d) with
+    T = horizon_steps + 1, the RolloutResult on the same grid, and the
+    ErrorSeries with errors (R, T), NaN from a run's divergence on.
+    """
+    need = model.n_mem + 1
+    if horizon_steps < need:
+        raise ValueError(
+            f"horizon of {horizon_steps} steps cannot cover {need} seed states"
+        )
+    truth = spec.observe(dyn.integrate_batch(spec, solver, x0s, horizon_steps))
+    result = rollout(model, truth[:, :need], horizon_steps + 1 - need,
+                     delta=solver.delta)
+    return truth, result, error_series(result.states, truth, solver.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -188,34 +185,18 @@ class SweepCell:
 def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     """Mean rollout error over fresh random initial conditions.
 
-    For each run an initial condition is drawn in the domain, the truth
-    system integrated over the horizon, the model seeded with the first
-    ``n_mem + 1`` true observed states, and the remaining steps predicted.
-    Returns (scalar mean over runs of the time-averaged post-seed l2
-    error, list of per-run ErrorSeries).
+    ``n_runs`` initial conditions are drawn in the domain and scored with
+    :func:`rollout_against_truth`.  Returns (scalar mean over runs of the
+    time-averaged post-seed l2 error, list of per-run ErrorSeries); a run
+    that diverged contributes ``inf`` to the mean and None to the list.
     """
-    need = model.n_mem + 1
-    if horizon_steps < need:
-        raise ValueError(
-            f"horizon of {horizon_steps} steps cannot cover {need} seed states"
-        )
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
-    truth = dyn.integrate_batch(spec, solver, x0s, horizon_steps)
-    observed = spec.observe(truth)
-    runs = rollout(model, observed[:, :need], horizon_steps + 1 - need,
-                   delta=solver.delta)
-    series = []
-    run_means = np.empty(n_runs)
-    for r in range(n_runs):
-        ref = observed[r]
-        res = runs.run(r)
-        if res.diverged_at is not None:
-            run_means[r] = np.inf
-            series.append(None)
-            continue
-        es = error_series(res, ref)
-        run_means[r] = float(es.errors[need:].mean())
-        series.append(es)
+    _, result, scored = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
+    diverged = np.array([step is not None for step in result.diverged_at])
+    post_seed = scored.errors[:, result.seed_len:].mean(axis=1)
+    run_means = np.where(diverged, np.inf, post_seed)
+    series = [None if bad else ErrorSeries(times=scored.times, errors=errors)
+              for bad, errors in zip(diverged, scored.errors)]
     return float(run_means.mean()), series
 
 
@@ -337,37 +318,22 @@ def compare_with_homogenized(
     """Rollout accuracy of a trained chaotic-system model vs the analytic
     slow-variable closure.
 
-    For each run, one initial condition is drawn for the full 4-variable
-    system; the truth is integrated over the horizon, the network is
-    seeded with the first ``n_mem + 1`` true observed states, and the
-    homogenized 3-variable system is integrated from the same slow-variable
-    initial condition.  Returns a pair of mean ErrorSeries
-    (network, homogenized), both measured against the truth.
+    ``n_runs`` initial conditions of the full 4-variable system are scored
+    with :func:`rollout_against_truth`, and the homogenized 3-variable
+    system is integrated from the same slow-variable initial conditions.
+    Returns a pair of ErrorSeries averaged over the runs (network,
+    homogenized), both measured against the truth.  A diverged network
+    run raises RuntimeError naming the run and the step.
     """
     spec = dyn.make_system("example3", epsilon=epsilon)
     reduced = dyn.make_system("example3-reduced")
     if model.d != spec.d:
         raise ValueError(f"model d={model.d} does not match observed dimension 3")
-    need = model.n_mem + 1
     horizon_steps = int(round(eval_horizon / solver.delta))
-    if horizon_steps < need:
-        raise ValueError("evaluation horizon shorter than the seed block")
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
-    truth = spec.observe(dyn.integrate_batch(spec, solver, x0s, horizon_steps))
+    truth, result, nn = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
+    result.raise_if_diverged()
     baseline = dyn.integrate_batch(reduced, solver, x0s[:, :3], horizon_steps)
-    runs = rollout(model, truth[:, :need], horizon_steps + 1 - need,
-                   delta=solver.delta)
-    nn_series = []
-    reduced_series = []
-    for r in range(n_runs):
-        ref = truth[r]
-        res = runs.run(r)
-        if res.diverged_at is not None:
-            raise dyn.IntegrationError(
-                f"network rollout diverged at step {res.diverged_at} in run {r}",
-                sample_index=res.diverged_at,
-                trajectory_index=r,
-            )
-        nn_series.append(error_series(res, ref))
-        reduced_series.append(error_series(baseline[r], ref, delta=solver.delta))
-    return mean_error_series(nn_series), mean_error_series(reduced_series)
+    closure = error_series(baseline, truth, solver.delta)
+    return (ErrorSeries(times=nn.times, errors=nn.errors.mean(axis=0)),
+            ErrorSeries(times=closure.times, errors=closure.errors.mean(axis=0)))

@@ -1,5 +1,7 @@
 """Tests for trajectory generation and memory-window dataset construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,10 @@ from memflow import dynamics as dyn
 
 def toy_trajectories(rows_per_traj, d=1, delta=0.02):
     """Trajectory set with entries 1, 2, 3, ... (per component) for easy reading."""
-    trajs = []
-    for k in rows_per_traj:
-        base = np.arange(1, k + 1, dtype=float)
-        trajs.append(np.tile(base[:, None], (1, d)))
-    return data.TrajectorySet(d=d, delta=delta, trajectories=trajs)
+    base = np.concatenate([np.arange(1, k + 1, dtype=float) for k in rows_per_traj])
+    return data.TrajectorySet(
+        d=d, delta=delta, samples=np.tile(base[:, None], (1, d)), lengths=rows_per_traj
+    )
 
 
 class TestSampleInitialConditions:
@@ -68,7 +69,7 @@ def reference_build_dataset(trajs, n_mem, strategy):
 def random_trajectories(lengths, d, seed):
     rng = np.random.default_rng(seed)
     return data.TrajectorySet(
-        d=d, delta=0.02, trajectories=[rng.normal(size=(k, d)) for k in lengths]
+        d=d, delta=0.02, samples=rng.normal(size=(sum(lengths), d)), lengths=lengths
     )
 
 
@@ -81,7 +82,7 @@ class TestGenerateTrajectories:
             n_traj=4, traj_len=n_mem + 2, seed=0,
         )
         assert trajs.n_traj == 4
-        assert trajs.lengths() == [32, 32, 32, 32]
+        assert trajs.lengths.tolist() == [32, 32, 32, 32]
         assert trajs.d == 1
 
     def test_time_span(self):
@@ -92,7 +93,7 @@ class TestGenerateTrajectories:
         )
         # K samples cover (K-1)*delta = 1.98, i.e. sample k sits at t = k*0.02,
         # so 100 samples span a time lapse of 2 per trajectory
-        assert trajs.lengths() == [100, 100]
+        assert trajs.lengths.tolist() == [100, 100]
         assert trajs.delta * 100 == pytest.approx(2.0)
         assert all(t.shape[1] == 3 for t in trajs.trajectories)
 
@@ -114,7 +115,7 @@ class TestGenerateTrajectories:
         trajs = data.generate_trajectories(spec, cfg, dom, 3, 10, seed=5)
         x0s = data.sample_initial_conditions(dom, 3, seed=5)
         for i in range(3):
-            full = dyn.integrate(spec, cfg, x0s[i], 9)
+            full = dyn.integrate_batch(spec, cfg, x0s[i : i + 1], 9)[0]
             np.testing.assert_array_equal(trajs.trajectories[i], full[:, :1])
 
     def test_owns_only_the_observed_samples(self):
@@ -126,9 +127,9 @@ class TestGenerateTrajectories:
         assert trajs.samples.shape == (6 * 9, spec.d)
         assert trajs.samples.dtype == np.float64 and trajs.samples.flags.c_contiguous
         # the views keep alive one owned array of exactly the observed bytes
-        assert all(traj.base is trajs.samples for traj in trajs.trajectories)
-        assert trajs.samples.base is None
-        assert trajs.samples.nbytes == 6 * 9 * spec.d * 8
+        owner = trajs.samples if trajs.samples.base is None else trajs.samples.base
+        assert all(traj.base is owner for traj in trajs.trajectories)
+        assert owner.base is None and owner.nbytes == 6 * 9 * spec.d * 8
         np.testing.assert_array_equal(
             trajs.samples, np.concatenate(trajs.trajectories)
         )
@@ -161,12 +162,9 @@ class TestBuildDataset:
 
     def test_random_selection_counts_and_coherence(self):
         # offset the second trajectory so windows are attributable
+        values = np.concatenate([np.arange(1.0, 51.0), np.arange(1001.0, 1051.0)])
         trajs = data.TrajectorySet(
-            d=2, delta=0.02,
-            trajectories=[
-                np.tile(np.arange(1.0, 51.0)[:, None], (1, 2)),
-                np.tile(np.arange(1001.0, 1051.0)[:, None], (1, 2)),
-            ],
+            d=2, delta=0.02, samples=np.tile(values[:, None], (1, 2)), lengths=[50, 50]
         )
         strategy = data.SelectionStrategy("random", per_trajectory=7, seed=13)
         ds = data.build_dataset(trajs, 4, strategy)
@@ -314,7 +312,23 @@ class TestSerialization:
         data.save_trajectories(trajs, path)
         assert [p.name for p in tmp_path.iterdir()] == ["exact-name"]
         back = data.load_trajectories(path)
-        assert back.lengths() == [5, 1, 9]
+        assert back.lengths.tolist() == [5, 1, 9]
+        assert back.samples.tobytes() == trajs.samples.tobytes()
+
+    def test_load_holds_the_samples_once(self, tmp_path):
+        # 400 trajectories of 100 samples, d=10: 3.2 MB, as in the example4
+        # benchmark; the set adopts the loaded array instead of copying it
+        trajs = random_trajectories([100] * 400, d=10, seed=1)
+        path = tmp_path / "trajs.npz"
+        data.save_trajectories(trajs, path)
+        tracemalloc.start()
+        try:
+            back = data.load_trajectories(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.samples.nbytes == 3_200_000
+        assert peak < 1.5 * back.samples.nbytes
         assert back.samples.tobytes() == trajs.samples.tobytes()
 
     def test_truncated_trajectory_file_rejected(self, tmp_path, write_archive):
@@ -435,8 +449,19 @@ class TestInvariants:
                 d=1, n_mem=2, inputs=np.ones((4, 3)), targets=np.ones((3, 1))
             )
 
+    def test_trajectory_set_adopts_float64_samples(self):
+        samples = np.arange(12.0).reshape(6, 2).copy()
+        trajs = data.TrajectorySet(d=2, delta=0.1, samples=samples, lengths=[4, 2])
+        assert trajs.samples is samples
+        assert [t.shape for t in trajs.trajectories] == [(4, 2), (2, 2)]
+        assert all(t.base is samples for t in trajs.trajectories)
+        np.testing.assert_array_equal(trajs.trajectories[1], samples[4:])
+        with pytest.raises(ValueError, match=r"shape \(6, 2\), expected \(K, 3\)"):
+            data.TrajectorySet(d=3, delta=0.1, samples=samples, lengths=[6])
+
     def test_trajectory_validation(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="trajectory 1 contains non-finite"):
             data.TrajectorySet(
-                d=1, delta=0.02, trajectories=[np.array([[1.0], [np.nan]])]
+                d=1, delta=0.02, samples=np.array([[1.0], [2.0], [np.nan]]),
+                lengths=[1, 2],
             )

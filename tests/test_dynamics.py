@@ -102,7 +102,7 @@ class TestIntegrate:
         rng = np.random.default_rng(11)
         for _ in range(5):
             x0 = rng.uniform(-2, 2, size=2)
-            got = dyn.integrate(spec, cfg, x0, 1)
+            got = dyn.integrate_batch(spec, cfg, x0[None], 1)[0]
             np.testing.assert_array_equal(got[0], x0)
             want = dyn.exact_linear_solution(oracle, x0, 0.02)
             assert np.abs(got[1] - want).max() <= 1e-10
@@ -111,12 +111,12 @@ class TestIntegrate:
         # one coarse step of 0.1 on the pendulum; error vs substeps=256
         # reference should shrink by ~16^4 from substeps=1 to substeps=16
         spec = dyn.make_system("example2")
-        x0 = np.array([1.0, 0.5])
+        x0s = np.array([[1.0, 0.5]])
 
         def err(substeps):
-            ref = dyn.integrate(spec, dyn.SolverConfig(0.1, 256), x0, 1)[-1]
-            end = dyn.integrate(spec, dyn.SolverConfig(0.1, substeps), x0, 1)[-1]
-            return np.linalg.norm(end - ref)
+            ref = dyn.integrate_batch(spec, dyn.SolverConfig(0.1, 256), x0s, 1)
+            end = dyn.integrate_batch(spec, dyn.SolverConfig(0.1, substeps), x0s, 1)
+            return np.linalg.norm(end[0, -1] - ref[0, -1])
 
         ratio = err(1) / err(16)
         assert 16**4 / 2 <= ratio <= 16**4 * 2
@@ -125,8 +125,8 @@ class TestIntegrate:
         spec = dyn.SystemSpec(
             name="still", n=2, d=2, params={}, rhs=lambda s: np.zeros_like(s)
         )
-        got = dyn.integrate(spec, dyn.SolverConfig(0.5, 3), np.array([3.0, 7.0]), 6)
-        np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (7, 1)))
+        got = dyn.integrate_batch(spec, dyn.SolverConfig(0.5, 3), [[3.0, 7.0]], 6)
+        np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (1, 7, 1)))
 
     def test_rk4_convergence_order(self):
         # once on the linear sample-matrix path, once on the stage loop
@@ -138,8 +138,8 @@ class TestIntegrate:
         for spec in (linear, dataclasses.replace(linear, a_matrix=None)):
             errors = []
             for s in substeps:
-                end = dyn.integrate(spec, dyn.SolverConfig(0.02, s), x0, 50)[-1]
-                errors.append(np.linalg.norm(end - exact))
+                end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, s), x0[None], 50)
+                errors.append(np.linalg.norm(end[0, -1] - exact))
             slope = np.polyfit(
                 np.log([0.02 / s for s in substeps]), np.log(errors), 1
             )[0]
@@ -150,10 +150,10 @@ class TestIntegrate:
         cfg = dyn.SolverConfig(0.02, 10)
         x0 = np.array([0.7, -1.1])
         k = 25
-        whole = dyn.integrate(spec, cfg, x0, 2 * k)
-        first = dyn.integrate(spec, cfg, x0, k)
-        second = dyn.integrate(spec, cfg, first[-1], k)
-        assert np.abs(whole[k:] - second).max() <= 1e-9
+        whole = dyn.integrate_batch(spec, cfg, x0[None], 2 * k)
+        first = dyn.integrate_batch(spec, cfg, x0[None], k)
+        second = dyn.integrate_batch(spec, cfg, first[:, -1], k)
+        assert np.abs(whole[:, k:] - second).max() <= 1e-9
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_sample_index(self):
@@ -161,15 +161,15 @@ class TestIntegrate:
             name="blowup", n=1, d=1, params={}, rhs=lambda s: s**2
         )
         with pytest.raises(dyn.IntegrationError) as info:
-            dyn.integrate(spec, dyn.SolverConfig(1.0, 1), np.array([5.0]), 10)
+            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 10)
         assert info.value.sample_index >= 1
-        # a single trajectory has no index to report
-        assert info.value.trajectory_index is None
-        assert "trajectory" not in str(info.value)
-        with pytest.raises(ValueError, match=r"x0 must have shape \(1,\), got \(2,\)"):
-            dyn.integrate(spec, dyn.SolverConfig(1.0, 1), np.array([5.0, 1.0]), 10)
+        # a batch of one row still names its trajectory
+        assert info.value.trajectory_index == 0
+        assert f"trajectory 0 at sample {info.value.sample_index}" in str(info.value)
+        with pytest.raises(ValueError, match=r"x0s must have shape \(m, 1\), got \(2,\)"):
+            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [5.0, 1.0], 10)
         with pytest.raises(ValueError, match="num_samples must be >= 1, got 0"):
-            dyn.integrate(spec, dyn.SolverConfig(1.0, 1), np.array([5.0]), 0)
+            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 0)
 
     def test_batch_matches_single(self):
         spec = dyn.make_system("example3", epsilon=0.05)
@@ -178,8 +178,8 @@ class TestIntegrate:
         x0s = rng.uniform(0.0, 1.0, size=(3, 4))
         batch = dyn.integrate_batch(spec, cfg, x0s, 8)
         for i in range(3):
-            single = dyn.integrate(spec, cfg, x0s[i], 8)
-            np.testing.assert_array_equal(batch[i], single)
+            single = dyn.integrate_batch(spec, cfg, x0s[i : i + 1], 8)
+            np.testing.assert_array_equal(batch[i], single[0])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_batch_divergence_reports_trajectory(self):
@@ -247,8 +247,8 @@ class TestLinearSampleMatrix:
         assert (info.value.sample_index, info.value.trajectory_index) == (20, 1)
         assert "trajectory 1 at sample 20" in str(info.value)
         with pytest.raises(dyn.IntegrationError) as info:
-            dyn.integrate(spec, cfg, np.array([1e300]), 25)
-        assert (info.value.sample_index, info.value.trajectory_index) == (20, None)
+            dyn.integrate_batch(spec, cfg, np.array([[1e300]]), 25)
+        assert (info.value.sample_index, info.value.trajectory_index) == (20, 0)
 
 
 class TestRhsBuffers:
@@ -365,7 +365,7 @@ class TestLinearOracle:
         oracle = dyn.oracle_for_system(spec)
         rng = np.random.default_rng(9)
         x0 = rng.uniform(-2, 2, size=2)
-        end = dyn.integrate(spec, dyn.SolverConfig(0.02, 50), x0, 50)[-1]
+        end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 50), x0[None], 50)[0, -1]
         want = dyn.exact_linear_solution(oracle, x0, 1.0)
         assert np.abs(end - want).max() <= 1e-8
 
@@ -374,9 +374,17 @@ class TestLinearOracle:
         oracle = dyn.oracle_for_system(spec)
         rng = np.random.default_rng(10)
         x0 = rng.uniform(-2, 2, size=20)
-        end = dyn.integrate(spec, dyn.SolverConfig(0.02, 20), x0, 1)[-1]
+        end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 20), x0[None], 1)[0, -1]
         want = dyn.exact_linear_solution(oracle, x0, 0.02)
         assert np.abs(end - want).max() <= 1e-8
+
+    def test_exact_trajectory_rejects_wrong_x0_length(self):
+        # a length-1 x0 on the 2-variable system used to broadcast to [1, 1]
+        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(1,\)"):
+            dyn.exact_linear_trajectory(oracle, [1.0], 0.1, 5)
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
+            dyn.exact_linear_trajectory(oracle, [1.0, 0.0, 0.0], 0.1, 5)
 
     def test_exact_trajectory_matches_pointwise_solution(self):
         oracle = dyn.oracle_for_system(dyn.make_system("example1"))

@@ -22,15 +22,15 @@ class TestRollout:
     def test_seed_fidelity(self):
         rng = np.random.default_rng(1)
         model = net.init_params(2, 3, [6], seed=1)
-        seeds = rng.normal(size=(4, 2))
+        seeds = rng.normal(size=(1, 4, 2))
         res = rollout.rollout(model, seeds, 10)
-        np.testing.assert_array_equal(res.states[:4], seeds)
+        np.testing.assert_array_equal(res.states[:, :4], seeds)
         assert res.seed_len == 4
-        assert res.states.shape == (14, 2)
+        assert res.states.shape == (1, 14, 2)
 
     def test_zero_final_layer_continues_last_seed(self):
         model = zero_final_layer(net.init_params(1, 2, [5], seed=2))
-        seeds = np.array([[0.1], [0.2], [0.3]])
+        seeds = np.array([[[0.1], [0.2], [0.3]]])
         res = rollout.rollout(model, seeds, 4)
         np.testing.assert_array_equal(
             res.states.ravel(), [0.1, 0.2, 0.3, 0.3, 0.3, 0.3, 0.3]
@@ -38,24 +38,24 @@ class TestRollout:
 
     def test_zero_steps_returns_seeds(self):
         model = net.init_params(1, 1, [3], seed=3)
-        seeds = np.array([[1.0], [2.0]])
+        seeds = np.array([[[1.0], [2.0]]])
         res = rollout.rollout(model, seeds, 0)
         np.testing.assert_array_equal(res.states, seeds)
-        assert res.diverged_at is None
+        assert res.diverged_at == (None,)
 
     def test_wrong_seed_count_rejected(self):
         model = net.init_params(1, 3, [3], seed=4)
         with pytest.raises(ValueError, match="seeds"):
-            rollout.rollout(model, np.ones((3, 1)), 5)
+            rollout.rollout(model, np.ones((1, 3, 1)), 5)
 
     def test_shift_property(self):
         # restarting from states taken mid-rollout reproduces the suffix
         rng = np.random.default_rng(5)
         model = net.init_params(1, 4, [8], seed=5)
-        seeds = 0.1 * rng.normal(size=(5, 1))
+        seeds = 0.1 * rng.normal(size=(1, 5, 1))
         long = rollout.rollout(model, seeds, 40)
-        restart = rollout.rollout(model, long.states[20:25], 20)
-        np.testing.assert_array_equal(restart.states, long.states[20:])
+        restart = rollout.rollout(model, long.states[:, 20:25], 20)
+        np.testing.assert_array_equal(restart.states, long.states[:, 20:])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_recorded(self):
@@ -63,10 +63,13 @@ class TestRollout:
         biases = [b.copy() for b in params.biases]
         biases[-1][:] = 1e308  # first step lands near the float ceiling
         model = net.NetworkParams(1, 0, params.hidden, params.weights, biases)
-        res = rollout.rollout(model, np.array([[1.0]]), 10)
-        assert res.diverged_at is not None
-        assert res.states.shape[0] == res.diverged_at
-        assert np.all(np.isfinite(res.states))
+        res = rollout.rollout(model, np.array([[[1.0]]]), 10)
+        (step,) = res.diverged_at
+        assert step is not None and res.states.shape == (1, 11, 1)
+        assert np.all(np.isfinite(res.states[0, :step]))
+        assert np.all(np.isnan(res.states[0, step:]))
+        with pytest.raises(RuntimeError, match=f"diverged at step {step} in run 0"):
+            res.raise_if_diverged()
 
 
 class TestBatchedRollout:
@@ -82,9 +85,8 @@ class TestBatchedRollout:
         assert batch.diverged_at == (None,) * 6
         np.testing.assert_allclose(batch.times, 0.1 * np.arange(65))
         for r in range(6):
-            single = rollout.rollout(model, seeds[r], 60, delta=0.1)
-            assert np.abs(batch.states[r] - single.states).max() <= 1e-12
-            assert np.abs(batch.run(r).states - single.states).max() <= 1e-12
+            single = rollout.rollout(model, seeds[r : r + 1], 60, delta=0.1)
+            assert np.abs(batch.states[r] - single.states[0]).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverged_run_stops_alone(self):
@@ -100,10 +102,9 @@ class TestBatchedRollout:
         assert res.diverged_at == (None, 3, None)
         np.testing.assert_array_equal(res.states[[0, 2], :, 0], np.zeros((2, 7)))
         assert np.all(np.isnan(res.states[1, 3:]))
-        blown = res.run(1)
-        assert blown.diverged_at == 3 and blown.states.shape == (3, 1)
-        assert np.all(np.isfinite(blown.states))
-        assert res.run(0).diverged_at is None and res.run(0).states.shape == (7, 1)
+        assert np.all(np.isfinite(res.states[1, :3]))
+        with pytest.raises(RuntimeError, match="diverged at step 3 in run 1"):
+            res.raise_if_diverged()
 
     def test_bad_batch_shape_rejected(self):
         model = net.init_params(1, 2, [3], seed=4)
@@ -111,6 +112,11 @@ class TestBatchedRollout:
             rollout.rollout(model, np.ones((2, 3, 2)), 5)
         with pytest.raises(ValueError, match="seeds"):
             rollout.rollout(model, np.ones((1, 2, 3, 1)), 5)
+        # one run is a batch of one: the (n_mem + 1, d) and 1-D shortcuts are gone
+        with pytest.raises(ValueError, match=r"\(R, 3, 1\).*got \(3, 1\)"):
+            rollout.rollout(model, np.ones((3, 1)), 5)
+        with pytest.raises(ValueError, match=r"got \(3,\)"):
+            rollout.rollout(model, np.ones(3), 5)
 
 
 class TestErrorSeries:
@@ -126,12 +132,17 @@ class TestErrorSeries:
         es = rollout.error_series(shifted, base, delta=1.0)
         np.testing.assert_allclose(es.errors, np.full(6, 0.5))
 
-    def test_mean_over_runs(self):
-        times = np.arange(4.0)
-        a = rollout.ErrorSeries(times=times, errors=np.full(4, 1.0))
-        b = rollout.ErrorSeries(times=times, errors=np.full(4, 3.0))
-        mean = rollout.mean_error_series([a, b])
-        np.testing.assert_array_equal(mean.errors, np.full(4, 2.0))
+    def test_batched_runs_match_one_run_each(self):
+        # one norm over (R, T, d) gives each run's row bit for bit
+        rng = np.random.default_rng(3)
+        pred, ref = rng.normal(size=(2, 3, 7, 2))
+        es = rollout.error_series(pred, ref, delta=0.5)
+        assert es.errors.shape == (3, 7) and es.times.shape == (7,)
+        for r in range(3):
+            one = rollout.error_series(pred[r], ref[r], delta=0.5)
+            assert one.errors.tobytes() == es.errors[r].tobytes()
+        with pytest.raises(ValueError, match="equal length"):
+            rollout.ErrorSeries(times=np.arange(6.0), errors=es.errors)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -139,9 +150,10 @@ class TestErrorSeries:
 
     def test_rollout_result_carries_delta(self):
         model = net.init_params(1, 0, [2], seed=7)
-        res = rollout.rollout(model, np.array([[0.5]]), 3, delta=0.25)
-        es = rollout.error_series(res, np.zeros((4, 1)))
-        np.testing.assert_allclose(es.times, [0.0, 0.25, 0.5, 0.75])
+        res = rollout.rollout(model, np.array([[[0.5]]]), 3, delta=0.25)
+        np.testing.assert_allclose(res.times, [0.0, 0.25, 0.5, 0.75])
+        es = rollout.error_series(res.states, np.zeros((1, 4, 1)), res.delta)
+        np.testing.assert_array_equal(es.times, res.times)
 
 
 def euler_damz_loop(oracle, seeds, steps, delta):
@@ -287,3 +299,55 @@ class TestEvaluateAndSweep:
         )
         assert mean_err == 0.0
         assert len(series) == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_evaluate_model_reports_diverged_run(self):
+        # final bias 1e308: every run lands near the float ceiling at the
+        # first prediction and overflows at the second
+        spec = dyn.make_system("example1")
+        model = zero_final_layer(net.init_params(1, 2, [4], seed=3))
+        model.biases[-1][:] = 1e308
+        mean_err, series = rollout.evaluate_model(
+            model, spec, dyn.SolverConfig(0.1, 1), dyn.default_domain(spec),
+            horizon_steps=8, n_runs=2, seed=5,
+        )
+        assert mean_err == np.inf and series == [None, None]
+
+    def test_horizon_must_cover_the_seeds(self):
+        spec = dyn.make_system("example1")
+        model = net.init_params(1, 4, [3], seed=0)
+        with pytest.raises(ValueError, match="horizon of 4 steps cannot cover 5"):
+            rollout.rollout_against_truth(
+                model, spec, dyn.SolverConfig(0.1, 1), np.zeros((1, 2)), 4
+            )
+
+
+class TestCompareWithHomogenized:
+    SOLVER = dyn.SolverConfig(0.02, 2)
+
+    def compare(self, model):
+        spec = dyn.make_system("example3")
+        return rollout.compare_with_homogenized(
+            model, self.SOLVER, dyn.default_domain(spec), eval_horizon=0.2,
+            n_runs=2, seed=4,
+        )
+
+    def test_series_on_the_horizon_grid(self):
+        model = zero_final_layer(net.init_params(3, 2, [6], seed=1))
+        nn, closure = self.compare(model)
+        for es in (nn, closure):
+            assert es.times.shape == es.errors.shape == (11,)
+            assert np.all(np.isfinite(es.errors))
+            assert es.errors[0] == 0.0  # both start from the true slow state
+        np.testing.assert_allclose(nn.times, 0.02 * np.arange(11))
+        # the seeds are the truth, so the network's error starts after them
+        np.testing.assert_array_equal(nn.errors[:3], 0.0)
+        assert nn.errors[-1] > 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverged_network_raises_runtime_error(self):
+        model = zero_final_layer(net.init_params(3, 2, [6], seed=1))
+        model.biases[-1][:] = 1e308
+        with pytest.raises(RuntimeError, match="diverged at step 4 in run 0") as info:
+            self.compare(model)
+        assert not isinstance(info.value, dyn.IntegrationError)
