@@ -99,7 +99,6 @@ class ExperimentConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    shuffle_each_epoch: bool = True
     eval_horizon: float = 20.0
     n_eval_runs: int = 5
     seed: int = 0
@@ -151,7 +150,6 @@ class ExperimentConfig:
             adam_beta2=self.adam_beta2,
             adam_eps=self.adam_eps,
             seed=stage_seed(self.seed, "train"),
-            shuffle_each_epoch=self.shuffle_each_epoch,
         )
 
     # -- serialization -----------------------------------------------------

@@ -23,9 +23,12 @@ on this module.  It provides:
 * ``LinearMZOracle`` -- for linear systems the dynamics of the observed
   block is known exactly: a Markov term ``A11 z(t)``, a memory integral
   with kernel ``exp(A22 s) A21 z(t-s)`` projected through ``A12``, and a
-  term propagating the unobserved initial state.  The oracle evaluates all
-  three, giving a zero-model-error reference that trained networks and
-  discrete schemes are validated against.
+  term propagating the unobserved initial state.  A linear system is its
+  matrix: every linear built-in is made by :func:`linear_system`, and the
+  oracle holds that same ``a_matrix`` with the observed dimension ``d``;
+  the blocks ``A11``..``A22`` are slices of it.  The oracle functions
+  evaluate all three terms, giving a zero-model-error reference that
+  trained networks and discrete schemes are validated against.
 
 All right-hand sides broadcast over leading axes: they accept state arrays
 of shape ``(..., n)`` and return the same shape, so batches of
@@ -49,7 +52,6 @@ __all__ = [
     "make_system",
     "linear_system",
     "default_domain",
-    "eval_rhs",
     "integrate_batch",
     "matrix_exponential",
     "oracle_for_system",
@@ -177,6 +179,7 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 _SIGMA_CACHE: dict[str, np.ndarray] | None = None
+_SIGMA_LABELS = ("SIGMA11", "SIGMA12", "SIGMA21", "SIGMA22")
 
 
 def example4_sigma():
@@ -188,36 +191,22 @@ def example4_sigma():
     global _SIGMA_CACHE
     if _SIGMA_CACHE is None:
         path = importlib.resources.files(__package__) / "example4_sigma.txt"
-        blocks: dict[str, list[list[float]]] = {}
-        current = None
-        for raw in path.read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("SIGMA"):
-                current = line
-                blocks[current] = []
-            else:
-                if current is None:
-                    raise ValueError("matrix data before any SIGMA label")
-                blocks[current].append([float(v) for v in line.split()])
-        expected = ("SIGMA11", "SIGMA12", "SIGMA21", "SIGMA22")
-        if tuple(sorted(blocks)) != tuple(sorted(expected)):
-            raise ValueError(f"expected blocks {expected}, found {sorted(blocks)}")
-        out = {}
-        for name in expected:
-            mat = np.array(blocks[name], dtype=float)
-            if mat.shape != (10, 10):
-                raise ValueError(f"{name} has shape {mat.shape}, expected (10, 10)")
-            out[name] = mat
-        _SIGMA_CACHE = out
+        lines = path.read_text().splitlines()
+        labels = tuple(line.strip() for line in lines if line.startswith("SIGMA"))
+        if labels != _SIGMA_LABELS:
+            raise ValueError(f"expected blocks {_SIGMA_LABELS} in order, found {labels}")
+        rows = np.loadtxt(lines, comments=("#", "SIGMA"))
+        if rows.shape != (40, 10):
+            raise ValueError(f"matrix rows have shape {rows.shape}, expected (40, 10)")
+        _SIGMA_CACHE = dict(zip(_SIGMA_LABELS, rows.reshape(4, 10, 10)))
     return {k: v.copy() for k, v in _SIGMA_CACHE.items()}
 
 
 def homogenized_rhs(state):
     """Slow-variable closure of the 4-variable chaotic system.
 
-    dx1 = -x2 - x3,  dx2 = x1 + x2/5,  dx3 = 1/5 + x3*(x1 - 5).
+    dx1 = -x2 - x3,  dx2 = x1 + x2/5,  dx3 = 1/5 + x3*(x1 - 5): example3
+    with its fast variable y replaced by the value x1*x3 it relaxes to.
     Accepts ``(..., 3)`` arrays.
     """
     state = np.asarray(state, dtype=float)
@@ -257,7 +246,8 @@ def make_system(name, **params):
     * ``example2`` -- damped pendulum, observed angle; ``alpha`` (0.1),
       ``beta`` (8.91).
     * ``example3`` -- 4-variable chaotic slow-fast system, observed
-      (x1, x2, x3); ``epsilon`` (0.01) is the fast time scale.
+      (x1, x2, x3); ``epsilon`` (0.01) is the fast time scale on which the
+      hidden y relaxes to x1*x3.
     * ``example3-reduced`` -- 3-variable homogenized closure of example3.
     * ``example4`` -- 20-variable linear system, observed first 10
       components; coefficients from the packaged matrix file.
@@ -307,7 +297,7 @@ def make_system(name, **params):
             out[..., 0] = -x2 - x3
             out[..., 1] = x1 + x2 / 5.0
             out[..., 2] = 0.2 + y - 5.0 * x3
-            out[..., 3] = (x1 * x2 - y) / epsilon
+            out[..., 3] = (x1 * x3 - y) / epsilon
             return out
 
         spec = SystemSpec(name=name, n=4, d=3, params={"epsilon": epsilon}, rhs=rhs)
@@ -320,20 +310,9 @@ def make_system(name, **params):
         _reject_params(name, params)
         sig = example4_sigma()
         eye = np.eye(10)
-        s11, s12 = sig["SIGMA11"], sig["SIGMA12"]
-        s21, s22 = sig["SIGMA21"], sig["SIGMA22"]
-
-        def rhs(x):
-            x = np.asarray(x, dtype=float)
-            if x.shape[-1] != 20:
-                raise ValueError(f"example4 state has dimension 20, got {x.shape[-1]}")
-            p, q = x[..., :10], x[..., 10:]
-            dp = p @ s11.T + q @ (eye + s12).T
-            dq = -(p @ (eye + s21).T) - q @ s22.T
-            return np.concatenate([dp, dq], axis=-1)
-
-        a = np.block([[s11, eye + s12], [-(eye + s21), -s22]])
-        spec = SystemSpec(name=name, n=20, d=10, params={}, rhs=rhs, a_matrix=a)
+        a = np.block([[sig["SIGMA11"], eye + sig["SIGMA12"]],
+                      [-(eye + sig["SIGMA21"]), -sig["SIGMA22"]]])
+        spec = linear_system(a, d=10, name=name)
 
     elif name == "linear-generic":
         matrix = params.pop("matrix", None)
@@ -341,7 +320,7 @@ def make_system(name, **params):
         _reject_params(name, params)
         if matrix is None or d is None:
             raise ValueError("linear-generic requires 'matrix' and 'd' parameters")
-        return linear_system(matrix, d=int(d))
+        spec = linear_system(matrix, d=int(d))
 
     else:
         raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}")
@@ -376,16 +355,6 @@ def default_domain(spec):
 # ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------
-
-
-def eval_rhs(spec, state):
-    """Evaluate the vector field at one state (or a batch of states)."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != spec.n:
-        raise ValueError(
-            f"state dimension {state.shape[-1]} does not match {spec.name} n={spec.n}"
-        )
-    return spec.rhs(state)
 
 
 def _rk4_sample_step(rhs, state, delta, substeps):
@@ -456,12 +425,14 @@ def integrate_batch(spec, config, x0s, num_samples):
 # Matrix exponential
 # ---------------------------------------------------------------------------
 
+_EXPM_TERMS = 24  # series terms at norm <= 1/2: relative error far below 1e-12
 
-def matrix_exponential(a, terms=24):
+
+def matrix_exponential(a):
     """exp(a) by scaling-and-squaring around a truncated-series core.
 
     The input is scaled by a power of two until its 1-norm is at most 1/2,
-    the series is summed in Horner form with ``terms`` terms, and the
+    the series is summed in Horner form with ``_EXPM_TERMS`` terms, and the
     result is squared back up.  Relative error is well below 1e-12 for
     matrices with norm up to ~10.
     """
@@ -476,7 +447,7 @@ def matrix_exponential(a, terms=24):
     scaled = a / (2.0**squarings)
     eye = np.eye(m)
     result = eye.copy()
-    for k in range(terms, 0, -1):
+    for k in range(_EXPM_TERMS, 0, -1):
         result = eye + (scaled @ result) / k
     for _ in range(squarings):
         result = result @ result
@@ -487,93 +458,74 @@ def matrix_exponential(a, terms=24):
 # Linear Mori-Zwanzig oracle
 # ---------------------------------------------------------------------------
 
+_QUAD_POINTS = 1000  # history samples per unit time in linear_mz_rhs
+
 
 @dataclass(frozen=True)
 class LinearMZOracle:
-    """Block decomposition of a linear system for exact reduced dynamics.
+    """A linear system dx/dt = A x seen through its first ``d`` components.
 
-    For dx/dt = A x with x = (z; w), z in R^d observed, the observed block
-    satisfies exactly
+    With x = (z; w), z in R^d observed, the observed block satisfies exactly
 
         dz/dt = A11 z(t)
               + A12 * integral_0^t exp(A22 s) A21 z(t-s) ds
               + A12 * exp(A22 t) w(0).
 
-    ``quad_points`` is the default number of quadrature samples per unit
-    time used when the oracle builds its own histories.
+    The oracle holds ``a`` and ``d`` only; ``a11``..``a22`` are views of
+    ``a``.  ``d == n`` is allowed: the unobserved blocks are then empty and
+    the memory and noise terms vanish.
     """
 
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    quad_points: int = 1000
+    a: np.ndarray
+    d: int
 
     def __post_init__(self):
-        a11 = np.asarray(self.a11, dtype=float)
-        a12 = np.asarray(self.a12, dtype=float)
-        a21 = np.asarray(self.a21, dtype=float)
-        a22 = np.asarray(self.a22, dtype=float)
-        for name, mat in (("a11", a11), ("a12", a12), ("a21", a21), ("a22", a22)):
-            if mat.ndim != 2:
-                raise ValueError(f"{name} must be a matrix")
-            object.__setattr__(self, name, mat)
-        d = a11.shape[0]
-        m = a22.shape[0]
-        if a11.shape != (d, d) or a12.shape != (d, m) or a21.shape != (m, d) \
-                or a22.shape != (m, m):
+        a = np.asarray(self.a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {a.shape}")
+        if not 1 <= self.d <= a.shape[0]:
             raise ValueError(
-                "inconsistent block shapes: "
-                f"a11 {a11.shape}, a12 {a12.shape}, a21 {a21.shape}, a22 {a22.shape}"
+                f"observed dimension d={self.d} must satisfy 1 <= d <= n={a.shape[0]}"
             )
-        if self.quad_points < 1:
-            raise ValueError("quad_points must be >= 1")
-
-    @property
-    def d(self):
-        return self.a11.shape[0]
+        object.__setattr__(self, "a", a)
 
     @property
     def n(self):
-        return self.a11.shape[0] + self.a22.shape[0]
+        return self.a.shape[0]
 
-    def full_matrix(self):
-        """Assemble the full n x n system matrix from the blocks."""
-        return np.block([[self.a11, self.a12], [self.a21, self.a22]])
+    @property
+    def a11(self):
+        return self.a[: self.d, : self.d]
+
+    @property
+    def a12(self):
+        return self.a[: self.d, self.d :]
+
+    @property
+    def a21(self):
+        return self.a[self.d :, : self.d]
+
+    @property
+    def a22(self):
+        return self.a[self.d :, self.d :]
 
 
-def oracle_for_system(spec, quad_points=1000):
-    """Build the exact reduced-dynamics oracle for a linear SystemSpec.
-
-    The assembled block matrix is checked against the system's own
-    right-hand side on a handful of random states (agreement to 1e-12);
-    nonlinear systems are rejected.
-    """
+def oracle_for_system(spec):
+    """The exact reduced-dynamics oracle of a linear SystemSpec; nonlinear
+    systems are rejected."""
     if spec.a_matrix is None:
         raise ValueError(f"{spec.name} is not linear; no exact oracle available")
-    a = spec.a_matrix
-    d = spec.d
-    oracle = LinearMZOracle(
-        a11=a[:d, :d], a12=a[:d, d:], a21=a[d:, :d], a22=a[d:, d:],
-        quad_points=quad_points,
-    )
-    rng = np.random.default_rng(0)
-    states = rng.uniform(-1.0, 1.0, size=(8, spec.n))
-    want = eval_rhs(spec, states)
-    got = states @ oracle.full_matrix().T
-    if not np.allclose(got, want, rtol=0.0, atol=1e-12):
-        raise ValueError(f"assembled blocks do not reproduce {spec.name} rhs")
-    return oracle
+    return LinearMZOracle(spec.a_matrix, spec.d)
 
 
 def exact_linear_solution(oracle, x0, t):
-    """Full-state solution exp(A t) x0 of the assembled linear system."""
+    """Full-state solution exp(A t) x0 of the linear system."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (oracle.n,):
         raise ValueError(f"x0 must have shape ({oracle.n},), got {x0.shape}")
-    return matrix_exponential(oracle.full_matrix() * t) @ x0
+    return matrix_exponential(oracle.a * t) @ x0
 
 
 def exact_linear_trajectory(oracle, x0, delta, num_samples):
@@ -585,12 +537,33 @@ def exact_linear_trajectory(oracle, x0, delta, num_samples):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (oracle.n,):
         raise ValueError(f"x0 must have shape ({oracle.n},), got {x0.shape}")
-    step = matrix_exponential(oracle.full_matrix() * delta)
+    step = matrix_exponential(oracle.a * delta)
     out = np.empty((num_samples + 1, oracle.n))
     out[0] = x0
     for k in range(1, num_samples + 1):
         out[k] = step @ out[k - 1]
     return out
+
+
+def _memory_matrix(oracle, h, m):
+    """Trapezoid rule for the memory term over a window of ``m`` steps of
+    length ``h``, as one ``(d, (m + 1) * d)`` matrix.
+
+    Node j carries the kernel A12 exp(A22 j h) A21 with weight h (h/2 at
+    both ends; all zero when m == 0, a window of length 0) and multiplies
+    z(t - j h).  The blocks are stored oldest node first, so the matrix
+    applies to a history of ``m + 1`` states in time order, flattened.
+    """
+    step = matrix_exponential(oracle.a22 * h)
+    powers = np.empty((m + 1, *step.shape))  # exp(A22 j h), j = 0..m
+    powers[0] = np.eye(step.shape[0])
+    for j in range(1, m + 1):
+        powers[j] = step @ powers[j - 1]
+    kernels = oracle.a12 @ powers @ oracle.a21
+    weights = np.full(m + 1, h if m > 0 else 0.0)
+    weights[[0, -1]] *= 0.5
+    weighted = (weights[::-1, None, None] * kernels[::-1]).transpose(1, 0, 2)
+    return weighted.reshape(oracle.d, (m + 1) * oracle.d)
 
 
 def mz_memory_integral(oracle, z_history, t, truncation):
@@ -628,16 +601,7 @@ def mz_memory_integral(oracle, z_history, t, truncation):
             f"insufficient history: need >= 2 samples covering [t-T, t], "
             f"got {z_history.shape[0]}"
         )
-    h = truncation / m
-    # kernel value at s = j*h applied to z(t - j*h) = z_history[m - j]
-    step = matrix_exponential(oracle.a22 * h)
-    propagated = np.eye(oracle.a22.shape[0])
-    acc = 0.5 * (oracle.a21 @ z_history[m])  # j = 0 endpoint, exp(0) = I
-    for j in range(1, m + 1):
-        propagated = step @ propagated
-        term = propagated @ (oracle.a21 @ z_history[m - j])
-        acc = acc + (0.5 * term if j == m else term)
-    return oracle.a12 @ (h * acc)
+    return _memory_matrix(oracle, truncation / m, m) @ z_history.reshape(-1)
 
 
 def mz_noise_term(oracle, w0, t):
@@ -662,7 +626,7 @@ def linear_mz_rhs(oracle, x0, t):
 
     Evaluates Markov term + full-interval memory quadrature (T = t) +
     unobserved-initial-state term, with the history sampled from the
-    exact solution at the oracle's ``quad_points`` resolution.  Useful as
+    exact solution at ``_QUAD_POINTS`` samples per unit time.  Useful as
     a self-check: the result must match the time derivative of the
     observed block of exp(A t) x0 up to quadrature error.
     """
@@ -670,7 +634,7 @@ def linear_mz_rhs(oracle, x0, t):
     d = oracle.d
     if t == 0:
         return oracle.a11 @ x0[:d] + mz_noise_term(oracle, x0[d:], 0.0)
-    m = max(1, int(round(t * oracle.quad_points)))
+    m = max(1, int(round(t * _QUAD_POINTS)))
     full = exact_linear_trajectory(oracle, x0, t / m, m)
     z_history = full[:, :d]
     markov = oracle.a11 @ z_history[-1]

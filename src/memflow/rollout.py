@@ -285,30 +285,16 @@ def euler_damz(oracle, seeds, steps, delta):
         raise ValueError(f"steps must be >= 0, got {steps}")
     n_mem = seeds.shape[0] - 1
     d = oracle.d
-    # kernel matrices A12 exp(A22 j*delta) A21 at the history nodes,
-    # with trapezoid weights over [0, n_mem*delta]
-    kernels = np.empty((n_mem + 1, d, d))
-    propagated = np.eye(oracle.a22.shape[0])
-    step_mat = dyn.matrix_exponential(oracle.a22 * delta)
-    for j in range(n_mem + 1):
-        kernels[j] = oracle.a12 @ propagated @ oracle.a21
-        propagated = step_mat @ propagated
-    weights = np.full(n_mem + 1, delta)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    if n_mem == 0:
-        weights[:] = 0.0  # zero-length window: no memory contribution
-    # Kernel j multiplies z_{n-j}.  Stacking the weighted kernels oldest
-    # first as one (d, (n_mem+1)*d) matrix lets each step contract them
-    # against the history slice in time order, a view with no copy.
-    memory_mat = (weights[::-1, None, None] * kernels[::-1]).transpose(1, 0, 2)
-    memory_mat = memory_mat.reshape(d, (n_mem + 1) * d)
+    # The trapezoid-weighted kernels, oldest node first, contract against
+    # the history slice in time order: a view with no copy.
+    memory_mat = dyn._memory_matrix(oracle, delta, n_mem)
+    a11 = oracle.a11
     states = np.empty((n_mem + 1 + steps, d))
     states[: n_mem + 1] = seeds
     for pos in range(n_mem + 1, n_mem + 1 + steps):
         z_now = states[pos - 1]
         memory = memory_mat @ states[pos - 1 - n_mem : pos].reshape(-1)
-        states[pos] = z_now + delta * (oracle.a11 @ z_now + memory)
+        states[pos] = z_now + delta * (a11 @ z_now + memory)
     return states
 
 

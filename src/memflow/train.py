@@ -51,7 +51,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -100,9 +99,10 @@ def _check_shapes(params, ds):
 def train_model(init, ds, cfg):
     """Run minibatch Adam on the mean-squared loss.
 
-    Each epoch visits the whole dataset in ceil(J / batch_size)
-    minibatches (the last one may be short).  Returns the trained
-    parameters and a report with the full-dataset loss after each epoch.
+    Each epoch visits the whole dataset, in a fresh random order drawn
+    from ``cfg.seed``, in ceil(J / batch_size) minibatches (the last one
+    may be short).  Returns the trained parameters and a report with the
+    full-dataset loss after each epoch.
     A non-finite minibatch loss aborts with the global step index, the
     usual sign of a divergent learning rate.
     """
@@ -124,10 +124,8 @@ def train_model(init, ds, cfg):
     t0 = time.perf_counter()
     losses = np.empty(cfg.epochs)
     step = 0
-    order = np.arange(j_total)
     for epoch in range(cfg.epochs):
-        if cfg.shuffle_each_epoch:
-            order = rng.permutation(j_total)
+        order = rng.permutation(j_total)
         for lo in range(0, j_total, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb = ds.inputs[idx]

@@ -20,31 +20,36 @@ def taylor_expm(a, terms=30):
 
 
 class TestEvalRhs:
+    """Each built-in's ``spec.rhs``, evaluated at known states."""
+
     def test_example1_direct_substitution(self):
         spec = dyn.make_system("example1", alpha=2.0)
-        np.testing.assert_allclose(dyn.eval_rhs(spec, [1.0, 0.0]), [1.0, 4.0])
+        np.testing.assert_allclose(spec.rhs([1.0, 0.0]), [1.0, 4.0])
 
     def test_example2_equilibrium(self):
         spec = dyn.make_system("example2", alpha=0.1, beta=8.91)
-        np.testing.assert_allclose(dyn.eval_rhs(spec, [0.0, 0.0]), [0.0, 0.0])
+        np.testing.assert_allclose(spec.rhs([0.0, 0.0]), [0.0, 0.0])
 
     def test_example3_direct_substitution(self):
+        # x2 != x3, so the fast variable's target x1*x3 = 2 is told apart
+        # from x1*x2 = 1
         spec = dyn.make_system("example3", epsilon=0.01)
         np.testing.assert_allclose(
-            dyn.eval_rhs(spec, [1.0, 1.0, 0.0, 0.0]), [-1.0, 1.2, 0.2, 100.0]
+            spec.rhs([1.0, 1.0, 2.0, 0.0]), [-3.0, 1.2, -9.8, 200.0]
         )
 
     def test_dimension_mismatch_rejected(self):
-        spec = dyn.make_system("example1")
-        with pytest.raises(ValueError, match="dimension"):
-            dyn.eval_rhs(spec, [1.0, 0.0, 0.0])
+        spec = dyn.make_system("example2")
+        with pytest.raises(ValueError, match="dimension 2, got 3"):
+            spec.rhs([1.0, 0.0, 0.0])
 
     def test_batched_evaluation(self):
-        spec = dyn.make_system("example2")
-        states = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]])
-        batched = dyn.eval_rhs(spec, states)
-        for row_in, row_out in zip(states, batched):
-            np.testing.assert_allclose(dyn.eval_rhs(spec, row_in), row_out)
+        for name in ("example2", "example4"):
+            spec = dyn.make_system(name)
+            states = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, spec.n))
+            batched = spec.rhs(states)
+            for row_in, row_out in zip(states, batched):
+                np.testing.assert_allclose(spec.rhs(row_in), row_out, rtol=0, atol=1e-14)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
@@ -68,6 +73,18 @@ class TestSystemSpec:
     def test_observe_override(self):
         spec = dyn.make_system("example1", alpha=2.0, observe=2)
         assert spec.d == 2
+
+    def test_observe_override_on_generic_linear(self):
+        matrix = [[0.0, 1.0], [-1.0, 0.0]]
+        spec = dyn.make_system("linear-generic", matrix=matrix, d=1, observe=2)
+        assert spec.d == 2
+        assert dyn.oracle_for_system(spec).d == 2
+
+    def test_linear_builtins_share_their_matrix_rhs(self):
+        for name in ("example1", "example4"):
+            spec = dyn.make_system(name)
+            states = np.random.default_rng(17).uniform(-2.0, 2.0, size=(6, spec.n))
+            np.testing.assert_array_equal(spec.rhs(states), states @ spec.a_matrix.T)
 
     def test_builtin_shapes(self):
         for name, n, d in [
@@ -264,7 +281,7 @@ class TestRhsBuffers:
                 -x[..., 1] - x[..., 2],
                 x[..., 0] + x[..., 1] / 5.0,
                 0.2 + x[..., 3] - 5.0 * x[..., 2],
-                (x[..., 0] * x[..., 1] - x[..., 3]) / 0.01,
+                (x[..., 0] * x[..., 2] - x[..., 3]) / 0.01,
             ],
             axis=-1,
         ),
@@ -348,11 +365,42 @@ class TestLinearOracle:
         assert oracle.a12.shape == (10, 10)
         assert oracle.d == 10 and oracle.n == 20
 
-    def test_inconsistent_blocks_rejected(self):
-        with pytest.raises(ValueError, match="block shapes"):
-            dyn.LinearMZOracle(
-                a11=np.eye(2), a12=np.ones((2, 3)), a21=np.ones((3, 2)),
-                a22=np.eye(4),
+    def test_blocks_are_views_of_the_matrix(self):
+        spec = dyn.make_system("example4")
+        oracle = dyn.oracle_for_system(spec)
+        for block in (oracle.a11, oracle.a12, oracle.a21, oracle.a22):
+            assert np.shares_memory(block, oracle.a)
+        np.testing.assert_array_equal(
+            np.block([[oracle.a11, oracle.a12], [oracle.a21, oracle.a22]]),
+            spec.a_matrix,
+        )
+
+    @pytest.mark.parametrize(
+        "a, d, match",
+        [
+            (np.ones((2, 3)), 1, "square"),
+            (np.ones(4), 1, "square"),
+            (np.eye(3), 0, r"d=0 must satisfy 1 <= d <= n=3"),
+            (np.eye(3), 4, r"d=4 must satisfy 1 <= d <= n=3"),
+        ],
+        ids=["non-square", "vector", "d-zero", "d-above-n"],
+    )
+    def test_bad_matrix_or_dimension_rejected(self, a, d, match):
+        with pytest.raises(ValueError, match=match):
+            dyn.LinearMZOracle(a, d)
+
+    def test_fully_observed_has_no_memory(self):
+        # d = n: the unobserved blocks are empty, so memory and noise vanish
+        # and the reduced rhs is the full vector field
+        spec = dyn.make_system("example1", alpha=2.0, observe=2)
+        oracle = dyn.oracle_for_system(spec)
+        assert oracle.a22.shape == (0, 0) and oracle.a12.shape == (2, 0)
+        x0 = np.array([0.6, -1.3])
+        for t in (0.0, 0.35, 1.1):
+            x_t = dyn.exact_linear_solution(oracle, x0, t)
+            np.testing.assert_allclose(
+                dyn.linear_mz_rhs(oracle, x0, t), spec.a_matrix @ x_t,
+                rtol=0, atol=1e-12,
             )
 
     def test_exact_solution_at_t0(self):
@@ -396,7 +444,32 @@ class TestLinearOracle:
             )
 
 
+def memory_integral_loop(oracle, z_history, truncation):
+    """Reference: the trapezoid sum with one kernel product per history node."""
+    m = z_history.shape[0] - 1
+    h = truncation / m
+    step = dyn.matrix_exponential(oracle.a22 * h)
+    propagated = np.eye(oracle.a22.shape[0])
+    acc = 0.5 * (oracle.a21 @ z_history[m])
+    for j in range(1, m + 1):
+        propagated = step @ propagated
+        term = propagated @ (oracle.a21 @ z_history[m - j])
+        acc = acc + (0.5 * term if j == m else term)
+    return oracle.a12 @ (h * acc)
+
+
 class TestMemoryIntegral:
+    @pytest.mark.parametrize("name, m", [("example1", 1), ("example1", 400),
+                                         ("example4", 60)])
+    def test_matches_node_loop(self, name, m):
+        # one matrix-vector product sums the nodes in another order
+        oracle = dyn.oracle_for_system(dyn.make_system(name))
+        x0 = np.random.default_rng(6).uniform(-1.0, 1.0, size=oracle.n)
+        hist = dyn.exact_linear_trajectory(oracle, x0, 0.8 / m, m)[:, : oracle.d]
+        got = dyn.mz_memory_integral(oracle, hist, t=0.8, truncation=0.8)
+        want = memory_integral_loop(oracle, hist, 0.8)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
     def test_zero_history_gives_zero(self):
         oracle = dyn.oracle_for_system(dyn.make_system("example1"))
         hist = np.zeros((51, 1))
@@ -509,6 +582,35 @@ class TestHomogenizedRhs:
             dyn.homogenized_rhs([1.0, 2.0])
 
 
+class TestExample3SlowManifold:
+    """The fast variable y relaxes to x1*x3, the value the homogenized
+    closure substitutes for it."""
+
+    SOLVER = dyn.SolverConfig(0.02, 20)
+
+    def test_default_domain_stays_finite(self):
+        spec = dyn.make_system("example3")
+        domain = dyn.default_domain(spec)
+        x0s = np.random.default_rng(1).uniform(domain.lower, domain.upper, size=(200, 4))
+        states = dyn.integrate_batch(spec, self.SOLVER, x0s, 250)  # to t = 5
+        assert np.isfinite(states).all()
+
+    def test_closure_error_is_first_order_in_epsilon(self):
+        # started on the slow manifold y = x1*x3, the distance to the
+        # homogenized closure at t = 1 halves with epsilon (measured: 0.0420
+        # at epsilon 0.02, 0.0211 at 0.01, ratio 1.99)
+        slow = np.array([2.0, 1.0, 5.0])
+        x0 = np.append(slow, slow[0] * slow[2])
+        reduced = dyn.make_system("example3-reduced")
+        closure = dyn.integrate_batch(reduced, self.SOLVER, slow[None], 50)[0, -1]
+        errors = []
+        for epsilon in (0.02, 0.01):
+            spec = dyn.make_system("example3", epsilon=epsilon)
+            end = dyn.integrate_batch(spec, self.SOLVER, x0[None], 50)[0, -1]
+            errors.append(np.linalg.norm(spec.observe(end) - closure))
+        assert 1.6 <= errors[0] / errors[1] <= 2.4
+
+
 class TestExample4Assembly:
     # frozen at transcription time; guards the packaged matrix file
     CHECKSUMS = {
@@ -526,19 +628,26 @@ class TestExample4Assembly:
             np.testing.assert_allclose(np.abs(sigma[name]).sum(), abs_total,
                                        rtol=1e-13)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda text: text.replace("SIGMA12", "SIGMA2X"), "in order"),
+            (lambda text: text.replace("SIGMA21\n", "SIGMA21\n" + "0 " * 10 + "\n"),
+             r"shape \(41, 10\)"),
+        ],
+        ids=["label-order", "row-count"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, monkeypatch, edit, match):
+        packaged = dyn.importlib.resources.files("memflow") / "example4_sigma.txt"
+        (tmp_path / "example4_sigma.txt").write_text(edit(packaged.read_text()))
+        monkeypatch.setattr(dyn, "_SIGMA_CACHE", None)
+        monkeypatch.setattr(dyn.importlib.resources, "files", lambda _: tmp_path)
+        with pytest.raises(ValueError, match=match):
+            dyn.example4_sigma()
+
     def test_symmetric_unobserved_coupling(self):
         sigma = dyn.example4_sigma()
         np.testing.assert_array_equal(sigma["SIGMA22"], sigma["SIGMA22"].T)
-
-    def test_block_matrix_reproduces_rhs(self):
-        spec = dyn.make_system("example4")
-        oracle = dyn.oracle_for_system(spec)
-        full = oracle.full_matrix()
-        rng = np.random.default_rng(17)
-        states = rng.uniform(-2, 2, size=(20, 20))
-        np.testing.assert_allclose(
-            states @ full.T, dyn.eval_rhs(spec, states), rtol=0, atol=1e-12
-        )
 
     def test_block_structure(self):
         sigma = dyn.example4_sigma()

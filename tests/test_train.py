@@ -43,10 +43,8 @@ def reference_adam(init, ds, cfg):
 
     losses = []
     step = 0
-    order = np.arange(ds.size)
     for _ in range(cfg.epochs):
-        if cfg.shuffle_each_epoch:
-            order = rng.permutation(ds.size)
+        order = rng.permutation(ds.size)
         for lo in range(0, ds.size, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = ds.inputs[idx], ds.targets[idx]
