@@ -194,7 +194,9 @@ def example4_sigma():
         lines = path.read_text().splitlines()
         labels = tuple(line.strip() for line in lines if line.startswith("SIGMA"))
         if labels != _SIGMA_LABELS:
-            raise ValueError(f"expected blocks {_SIGMA_LABELS} in order, found {labels}")
+            raise ValueError(
+                f"expected blocks {_SIGMA_LABELS} in order, found {labels}"
+            )
         rows = np.loadtxt(lines, comments=("#", "SIGMA"))
         if rows.shape != (40, 10):
             raise ValueError(f"matrix rows have shape {rows.shape}, expected (40, 10)")

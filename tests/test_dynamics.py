@@ -49,7 +49,9 @@ class TestEvalRhs:
             states = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, spec.n))
             batched = spec.rhs(states)
             for row_in, row_out in zip(states, batched):
-                np.testing.assert_allclose(spec.rhs(row_in), row_out, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(
+                    spec.rhs(row_in), row_out, rtol=0, atol=1e-14
+                )
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
@@ -591,7 +593,8 @@ class TestExample3SlowManifold:
     def test_default_domain_stays_finite(self):
         spec = dyn.make_system("example3")
         domain = dyn.default_domain(spec)
-        x0s = np.random.default_rng(1).uniform(domain.lower, domain.upper, size=(200, 4))
+        rng = np.random.default_rng(1)
+        x0s = rng.uniform(domain.lower, domain.upper, size=(200, 4))
         states = dyn.integrate_batch(spec, self.SOLVER, x0s, 250)  # to t = 5
         assert np.isfinite(states).all()
 
