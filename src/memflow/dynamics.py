@@ -17,8 +17,17 @@ on this module.  It provides:
   so one coarse sample is one product with the precomputed
   S = R(hA)^substeps.  That is the same scheme with its sums in another
   order: it agrees with the stage loop to about 1e-12 absolute on states
-  of order 1 (2000 samples of example4).  Nonlinear systems run the stage
-  loop.
+  of order 1 (2000 samples of example4).  Nonlinear systems run the one
+  RK4 stage loop, which steps a state given as a sequence of components.
+  A built-in nonlinear system writes its vector field once, over such a
+  sequence and a math namespace (``SystemSpec.field``): a batch of at most
+  ``_FLOAT_ROWS`` rows runs it row by row on Python floats with ``math``,
+  where numpy's per-call overhead would cost more than the arithmetic; a
+  wider batch runs it on contiguous columns with ``numpy``.  Both apply
+  the same float operations in the same order, so they agree bitwise
+  wherever ``math`` and ``numpy`` evaluate their functions alike.  A system
+  given by an array ``rhs`` alone steps through the same loop, with the
+  whole batch as its one component.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * ``LinearMZOracle`` -- for linear systems the dynamics of the observed
   block is known exactly: a Markov term ``A11 z(t)``, a memory integral
@@ -31,13 +40,14 @@ on this module.  It provides:
   trained networks and discrete schemes are validated against.
 
 All right-hand sides broadcast over leading axes: they accept state arrays
-of shape ``(..., n)`` and return the same shape, so batches of
-trajectories integrate in lock-step without Python-level loops.
+of shape ``(..., n)`` and return the same shape.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -104,25 +114,39 @@ class SystemSpec:
         Named real parameters the right-hand side was built with.
     rhs : callable
         Maps state arrays of shape ``(..., n)`` to derivatives of the same
-        shape.
+        shape.  Made from ``field`` when not given.
     a_matrix : ndarray or None
         For linear systems, the full ``n x n`` matrix so that
         ``rhs(x) == a_matrix @ x``; ``None`` for nonlinear systems.  When
         set, integration steps with this matrix and does not call ``rhs``.
+    field : callable or None
+        The vector field over components: ``field(x, m)`` takes a sequence
+        of the ``n`` state components and a math namespace ``m`` (``math``
+        when the components are floats, ``numpy`` when they are arrays)
+        and returns the ``n`` derivative components.  The built-in
+        nonlinear systems are defined by it; ``None`` for a system given by
+        ``rhs`` alone, which integrates through ``rhs`` on the whole batch.
     """
 
     name: str
     n: int
     d: int
     params: dict
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray], np.ndarray] | None = None
     a_matrix: np.ndarray | None = None
+    field: Callable | None = None
 
     def __post_init__(self):
         if not (1 <= self.d <= self.n):
             raise ValueError(
                 f"observed dimension d={self.d} must satisfy 1 <= d <= n={self.n}"
             )
+        if self.rhs is None:
+            if self.field is None:
+                raise ValueError(f"{self.name} needs an rhs or a field")
+            mismatch = f"{self.name} state has dimension {self.n}, got {{}}"
+            object.__setattr__(self, "rhs", functools.partial(
+                _on_array, self.field, self.n, mismatch))
 
     def observe(self, states):
         """Project full states ``(..., n)`` onto the observed block ``(..., d)``."""
@@ -204,6 +228,20 @@ def example4_sigma():
     return {k: v.copy() for k, v in _SIGMA_CACHE.items()}
 
 
+def _on_array(field, n, mismatch, state):
+    """A component field on state arrays ``(..., n)``, whose last axis holds
+    the components; ``mismatch`` formats the error for another dimension."""
+    state = np.asarray(state, dtype=float)
+    if state.shape[-1] != n:
+        raise ValueError(mismatch.format(state.shape[-1]))
+    return np.stack(field(np.moveaxis(state, -1, 0), np), axis=-1)
+
+
+def _homogenized_field(x, m):
+    x1, x2, x3 = x
+    return (-x2 - x3, x1 + x2 / 5.0, 0.2 + x3 * (x1 - 5.0))
+
+
 def homogenized_rhs(state):
     """Slow-variable closure of the 4-variable chaotic system.
 
@@ -211,15 +249,8 @@ def homogenized_rhs(state):
     with its fast variable y replaced by the value x1*x3 it relaxes to.
     Accepts ``(..., 3)`` arrays.
     """
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != 3:
-        raise ValueError(f"homogenized system is 3-dimensional, got {state.shape[-1]}")
-    x1, x2, x3 = state[..., 0], state[..., 1], state[..., 2]
-    out = np.empty_like(state)
-    out[..., 0] = -x2 - x3
-    out[..., 1] = x1 + x2 / 5.0
-    out[..., 2] = 0.2 + x3 * (x1 - 5.0)
-    return out
+    return _on_array(_homogenized_field, 3,
+                     "homogenized system is 3-dimensional, got {}", state)
 
 
 def linear_system(a, d, name="linear-generic"):
@@ -272,17 +303,12 @@ def make_system(name, **params):
         beta = float(params.pop("beta", 8.91))
         _reject_params(name, params)
 
-        def rhs(x):
-            x = np.asarray(x, dtype=float)
-            if x.shape[-1] != 2:
-                raise ValueError(f"example2 state has dimension 2, got {x.shape[-1]}")
-            out = np.empty_like(x)
-            out[..., 0] = x[..., 1]
-            out[..., 1] = -alpha * x[..., 1] - beta * np.sin(x[..., 0])
-            return out
+        def field(x, m):
+            x1, x2 = x
+            return (x2, -alpha * x2 - beta * m.sin(x1))
 
         spec = SystemSpec(name=name, n=2, d=1,
-                          params={"alpha": alpha, "beta": beta}, rhs=rhs)
+                          params={"alpha": alpha, "beta": beta}, field=field)
 
     elif name == "example3":
         epsilon = float(params.pop("epsilon", 0.01))
@@ -290,23 +316,18 @@ def make_system(name, **params):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-        def rhs(x):
-            x = np.asarray(x, dtype=float)
-            if x.shape[-1] != 4:
-                raise ValueError(f"example3 state has dimension 4, got {x.shape[-1]}")
-            x1, x2, x3, y = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-            out = np.empty_like(x)
-            out[..., 0] = -x2 - x3
-            out[..., 1] = x1 + x2 / 5.0
-            out[..., 2] = 0.2 + y - 5.0 * x3
-            out[..., 3] = (x1 * x3 - y) / epsilon
-            return out
+        def field(x, m):
+            x1, x2, x3, y = x
+            return (-x2 - x3, x1 + x2 / 5.0, 0.2 + y - 5.0 * x3,
+                    (x1 * x3 - y) / epsilon)
 
-        spec = SystemSpec(name=name, n=4, d=3, params={"epsilon": epsilon}, rhs=rhs)
+        spec = SystemSpec(name=name, n=4, d=3, params={"epsilon": epsilon},
+                          field=field)
 
     elif name == "example3-reduced":
         _reject_params(name, params)
-        spec = SystemSpec(name=name, n=3, d=3, params={}, rhs=homogenized_rhs)
+        spec = SystemSpec(name=name, n=3, d=3, params={}, rhs=homogenized_rhs,
+                          field=_homogenized_field)
 
     elif name == "example4":
         _reject_params(name, params)
@@ -359,16 +380,73 @@ def default_domain(spec):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_sample_step(rhs, state, delta, substeps):
-    """Advance states ``(..., n)`` by one coarse step of ``delta``."""
+# A batch of at most this many rows integrates its component field row by
+# row on Python floats; a wider one on numpy columns.  One substep costs
+# about 3-7 us per row on floats against 25-75 us per batch on columns up
+# to a few dozen rows: floats are faster up to about 8 rows on example2
+# and 12 on example3 (measurements in CHANGES.md).
+_FLOAT_ROWS = 8
+
+
+def _rk4_sample_step(field, m, state, delta, substeps):
+    """Advance ``state``, a sequence of components, by one coarse step of
+    ``delta``.  A component is a float (one state) or an array holding it
+    for a whole batch; ``m`` is the math namespace ``field`` uses on them."""
     h = delta / substeps
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = field(state, m)
+        k2 = field([x + half * k for x, k in zip(state, k1)], m)
+        k3 = field([x + half * k for x, k in zip(state, k2)], m)
+        k4 = field([x + h * k for x, k in zip(state, k3)], m)
+        state = [x + sixth * (a + 2.0 * b + 2.0 * c + e)
+                 for x, a, b, c, e in zip(state, k1, k2, k3, k4)]
     return state
+
+
+def _float_sample_step(field, row, delta, substeps):
+    """One coarse sample of one state on Python floats.
+
+    ``math`` raises where numpy returns inf or NaN (sin(inf), exp(1000),
+    1/0).  The sample is then redone on numpy, as the wide path runs it, so
+    a state that numpy makes non-finite comes back non-finite and any other
+    error is raised as it is there.
+    """
+    try:
+        return _rk4_sample_step(field, math, row, delta, substeps)
+    except (ArithmeticError, ValueError):
+        columns = list(np.array(row)[:, None])
+        return np.concatenate(
+            _rk4_sample_step(field, np, columns, delta, substeps)).tolist()
+
+
+def _samples(spec, config, x0s):
+    """Yield the batch's states ``(m, n)`` at samples 1, 2, ... ."""
+    delta, substeps = config.delta, config.substeps
+    if spec.a_matrix is not None:
+        step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
+        state = x0s
+        while True:
+            state = state @ step_t
+            yield state
+    elif spec.field is not None and x0s.shape[0] <= _FLOAT_ROWS:
+        rows = x0s.tolist()
+        while True:
+            rows = [_float_sample_step(spec.field, row, delta, substeps)
+                    for row in rows]
+            yield rows
+    else:
+        if spec.field is None:
+            # an array rhs is a field of one component: the whole batch
+            def field(x, m):
+                return (spec.rhs(x[0]),)
+
+            components = [x0s]
+        else:
+            field, components = spec.field, list(np.ascontiguousarray(x0s.T))
+        while True:
+            components = _rk4_sample_step(field, np, components, delta, substeps)
+            yield np.column_stack(components)
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -389,28 +467,23 @@ def integrate_batch(spec, config, x0s, num_samples):
 
     ``x0s`` has shape ``(m, n)``; the result has shape
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
-    All trajectories share the coarse time grid, so the whole batch
-    advances through vectorized RK4 stages (or, for a linear system, one
-    product with the sample matrix per coarse sample).  A non-finite state
-    aborts the run with an IntegrationError naming the first offending
-    trajectory and sample.
+    All trajectories share the coarse time grid.  A linear system takes
+    one product with the sample matrix per coarse sample; a component
+    field steps row by row on floats (at most ``_FLOAT_ROWS`` rows) or on
+    numpy columns; an array ``rhs`` steps on the whole batch.  A non-finite
+    state aborts the run with an IntegrationError naming the earliest
+    sample and the lowest trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n:
         raise ValueError(f"x0s must have shape (m, {spec.n}), got {x0s.shape}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    step_t = None
-    if spec.a_matrix is not None:
-        step_t = _rk4_sample_matrix(spec.a_matrix, config.delta, config.substeps).T
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
-    out[:, 0] = state = x0s
-    for k in range(1, num_samples + 1):
-        if step_t is None:
-            state = _rk4_sample_step(spec.rhs, state, config.delta, config.substeps)
-        else:
-            state = state @ step_t
-        finite = np.isfinite(state).all(axis=1)
+    out[:, 0] = x0s
+    for k, state in zip(range(1, num_samples + 1), _samples(spec, config, x0s)):
+        out[:, k] = state
+        finite = np.isfinite(out[:, k]).all(axis=1)
         if not finite.all():
             bad = int(np.nonzero(~finite)[0][0])
             raise IntegrationError(
@@ -419,7 +492,6 @@ def integrate_batch(spec, config, x0s, num_samples):
                 sample_index=k,
                 trajectory_index=bad,
             )
-        out[:, k] = state
     return out
 
 

@@ -189,10 +189,16 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     :func:`rollout_against_truth`.  Returns (scalar mean over runs of the
     time-averaged post-seed l2 error, list of per-run ErrorSeries); a run
     that diverged contributes ``inf`` to the mean and None to the list.
+    When every run diverged there is no error to report: RuntimeError,
+    naming each run and the step at which it diverged.
     """
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
     _, result, scored = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
     diverged = np.array([step is not None for step in result.diverged_at])
+    if diverged.all():
+        runs = ", ".join(f"run {r} at step {step}"
+                         for r, step in enumerate(result.diverged_at))
+        raise RuntimeError(f"every rollout diverged: {runs}")
     post_seed = scored.errors[:, result.seed_len:].mean(axis=1)
     run_means = np.where(diverged, np.inf, post_seed)
     series = [None if bad else ErrorSeries(times=scored.times, errors=errors)

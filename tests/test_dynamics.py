@@ -1,10 +1,12 @@
 """Tests for benchmark systems, integration, and the linear reduced-dynamics oracle."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from memflow import data
 from memflow import dynamics as dyn
 
 
@@ -113,6 +115,12 @@ class TestDomain:
             assert dom.n == spec.n
 
 
+def example1_field(x, m):
+    """example1 (alpha = 2) written over components."""
+    x1, x2 = x
+    return (x1 - 4.0 * x2, 4.0 * x1 - 2.0 * x2)
+
+
 class TestIntegrate:
     def test_one_step_matches_matrix_exponential(self):
         spec = dyn.make_system("example1", alpha=2.0)
@@ -148,13 +156,17 @@ class TestIntegrate:
         np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (1, 7, 1)))
 
     def test_rk4_convergence_order(self):
-        # once on the linear sample-matrix path, once on the stage loop
+        # on the linear sample-matrix path, on the stage loop through the
+        # array rhs, and on the stage loop through a component field, which
+        # one row integrates on Python floats
         linear = dyn.make_system("example1", alpha=2.0)
         oracle = dyn.oracle_for_system(linear)
         x0 = np.array([1.3, -0.4])
         exact = dyn.exact_linear_solution(oracle, x0, 1.0)
         substeps = [1, 2, 4, 8]
-        for spec in (linear, dataclasses.replace(linear, a_matrix=None)):
+        fields = dyn.SystemSpec(name="example1-field", n=2, d=1, params={},
+                                field=example1_field)
+        for spec in (linear, dataclasses.replace(linear, a_matrix=None), fields):
             errors = []
             for s in substeps:
                 end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, s), x0[None], 50)
@@ -213,12 +225,9 @@ class TestIntegrate:
 
 def stage_loop(spec, cfg, x0s, num_samples):
     """Reference: the generic RK4 stage loop on ``spec.rhs``."""
-    out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
-    out[:, 0] = state = x0s
-    for k in range(1, num_samples + 1):
-        state = dyn._rk4_sample_step(spec.rhs, state, cfg.delta, cfg.substeps)
-        out[:, k] = state
-    return out
+    return dyn.integrate_batch(
+        dataclasses.replace(spec, a_matrix=None), cfg, x0s, num_samples
+    )
 
 
 RANDOM3 = dyn.linear_system(
@@ -270,9 +279,121 @@ class TestLinearSampleMatrix:
         assert (info.value.sample_index, info.value.trajectory_index) == (20, 0)
 
 
+class TestComponentFields:
+    """A component field integrates row by row on Python floats up to
+    ``_FLOAT_ROWS`` rows and on numpy columns above; the two paths apply
+    the same float operations in the same order."""
+
+    CFG = dyn.SolverConfig(0.02, 10)
+
+    def initial_states(self, spec, rows):
+        x0s = data.sample_initial_conditions(dyn.default_domain(spec), rows, 8)
+        if spec.name == "example3":
+            x0s[:, 3] = x0s[:, 0] * x0s[:, 2]  # start on the slow manifold
+        return x0s
+
+    def float_rows_counted(self, monkeypatch):
+        calls = []
+        step = dyn._float_sample_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(dyn, "_float_sample_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["example2", "example3", "example3-reduced"])
+    def test_float_rows_equal_columns_bitwise(self, name, monkeypatch):
+        spec = dyn.make_system(name)
+        cut = dyn._FLOAT_ROWS
+        x0s = self.initial_states(spec, cut + 1)
+        calls = self.float_rows_counted(monkeypatch)
+        wide = dyn.integrate_batch(spec, self.CFG, x0s, 200)
+        assert not calls
+        narrow = dyn.integrate_batch(spec, self.CFG, x0s[:cut], 200)
+        assert len(calls) == 200 * cut
+        assert narrow.tobytes() == wide[:cut].tobytes()
+        for i in (0, cut):
+            one = dyn.integrate_batch(spec, self.CFG, x0s[i : i + 1], 200)
+            assert one.tobytes() == wide[i : i + 1].tobytes()
+
+    def test_rhs_made_from_the_field(self):
+        spec = dyn.SystemSpec(name="e1", n=2, d=1, params={}, field=example1_field)
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(3, 4, 2))
+        want = x @ dyn.make_system("example1").a_matrix.T
+        np.testing.assert_allclose(spec.rhs(x), want, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="e1 state has dimension 2, got 3"):
+            spec.rhs([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="needs an rhs or a field"):
+            dyn.SystemSpec(name="none", n=1, d=1, params={})
+
+    def assert_same_failure(self, spec, cfg, x0s, num_samples, want):
+        errors = []
+        for rows in (x0s[: dyn._FLOAT_ROWS], x0s):
+            with pytest.raises(dyn.IntegrationError) as info:
+                dyn.integrate_batch(spec, cfg, rows, num_samples)
+            errors.append(info.value)
+        narrow, wide = errors
+        assert (narrow.sample_index, narrow.trajectory_index) == want
+        assert (wide.sample_index, wide.trajectory_index) == want
+        assert str(narrow) == str(wide)
+        assert "math" not in str(narrow)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflow_fails_alike_on_both_paths(self):
+        # dx/dt = x * x from 5 with h = 1: the state is 1.0e8 at sample 1 and
+        # 7e123 at sample 2, and a stage overflows to inf at sample 3; floats
+        # overflow silently, as numpy does.  Rows 3 and 5 fail first, row 1
+        # later.
+        spec = dyn.SystemSpec(name="square", n=1, d=1, params={},
+                              field=lambda x, m: (x[0] * x[0],))
+        x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
+        x0s[[3, 5]] = 5.0
+        x0s[1] = 0.5
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s[1:2], 10)
+        later = info.value.sample_index
+        self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 3))
+        assert later > 3
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_sin_of_inf_mid_sample_fails_alike_on_both_paths(self):
+        # x1 overflows at the second stage of sample 3, and the third stage
+        # takes sin(inf): math raises ValueError there, numpy returns NaN
+        reached = []
+
+        def field(x, m):
+            x1, x2 = x
+            if m is math and math.isinf(x1):
+                reached.append(True)
+            return (x1 * x1, m.sin(x1))
+
+        spec = dyn.SystemSpec(name="square-sin", n=2, d=1, params={}, field=field)
+        x0s = np.zeros((dyn._FLOAT_ROWS + 1, 2))
+        x0s[4, 0] = 5.0
+        with pytest.raises(ValueError, match="math domain error"):
+            math.sin(math.inf)
+        self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 4))
+        assert reached
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_math_error_with_finite_numpy_result_continues(self):
+        # -1/(1/x) at x = 0: 1/0 raises ZeroDivisionError on floats, while
+        # numpy gives -1/inf = -0.0; the row goes on as the wide path does
+        spec = dyn.SystemSpec(name="reciprocal", n=1, d=1, params={},
+                              field=lambda x, m: (-1.0 / (1.0 / x[0]),))
+        x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
+        x0s[2] = 1.0
+        wide = dyn.integrate_batch(spec, self.CFG, x0s, 20)
+        narrow = dyn.integrate_batch(spec, self.CFG, x0s[: dyn._FLOAT_ROWS], 20)
+        assert narrow.tobytes() == wide[: dyn._FLOAT_ROWS].tobytes()
+        np.testing.assert_allclose(wide[2, -1, 0], math.exp(-0.4), rtol=1e-10)
+
+
 class TestRhsBuffers:
-    """The nonlinear right-hand sides fill one output buffer; they must
-    equal the np.stack formulas they replaced bit for bit."""
+    """The nonlinear right-hand sides are made from their component fields
+    by one helper; they must equal the np.stack formulas bit for bit."""
 
     REFERENCES = {
         "example2": lambda x: np.stack(

@@ -300,18 +300,51 @@ class TestEvaluateAndSweep:
         assert mean_err == 0.0
         assert len(series) == 4
 
+    # increment 1e308 * (tanh(1000 z) + 1) on the constant system: exactly 0
+    # for z < -0.02, so those runs hold still; it overflows at the first
+    # prediction (step 1 with n_mem = 0) for z > 0.02
+    SIGN_SPLIT = net.NetworkParams(
+        d=1, n_mem=0, hidden=(1,),
+        weights=[np.array([[1000.0]]), np.array([[1e308]])],
+        biases=[np.zeros(1), np.array([1e308])],
+    )
+    STILL = dyn.SystemSpec(
+        name="still", n=2, d=1, params={}, rhs=lambda s: np.zeros_like(s)
+    )
+
+    def evaluate_sign_split(self, lower, upper):
+        dom = dyn.Domain(np.array([lower, -1.0]), np.array([upper, 1.0]))
+        return rollout.evaluate_model(
+            self.SIGN_SPLIT, self.STILL, dyn.SolverConfig(0.1, 1), dom,
+            horizon_steps=6, n_runs=4, seed=2,
+        )
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_evaluate_model_reports_diverged_run(self):
-        # final bias 1e308: every run lands near the float ceiling at the
-        # first prediction and overflows at the second
-        spec = dyn.make_system("example1")
-        model = zero_final_layer(net.init_params(1, 2, [4], seed=3))
-        model.biases[-1][:] = 1e308
-        mean_err, series = rollout.evaluate_model(
-            model, spec, dyn.SolverConfig(0.1, 1), dyn.default_domain(spec),
-            horizon_steps=8, n_runs=2, seed=5,
+        # some runs diverge: the mean is inf and those runs have no series
+        x0s = data.sample_initial_conditions(
+            dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 4, 2
         )
-        assert mean_err == np.inf and series == [None, None]
+        bad = x0s[:, 0] > 0.0
+        assert 0 < bad.sum() < 4 and np.all(np.abs(x0s[:, 0]) > 0.02)
+        mean_err, series = self.evaluate_sign_split(-1.0, 1.0)
+        assert mean_err == np.inf
+        assert [es is None for es in series] == bad.tolist()
+        for es in series:
+            if es is not None:
+                np.testing.assert_array_equal(es.errors, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_evaluate_model_raises_when_every_run_diverges(self):
+        with pytest.raises(
+            RuntimeError,
+            match="every rollout diverged: run 0 at step 1, run 1 at step 1, "
+                  "run 2 at step 1, run 3 at step 1",
+        ):
+            self.evaluate_sign_split(0.5, 1.0)
+        # the same model is scored where no run diverges
+        mean_err, series = self.evaluate_sign_split(-1.0, -0.5)
+        assert mean_err == 0.0 and all(es is not None for es in series)
 
     def test_horizon_must_cover_the_seeds(self):
         spec = dyn.make_system("example1")
