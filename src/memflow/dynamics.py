@@ -22,12 +22,11 @@ on this module.  It provides:
   A built-in nonlinear system writes its vector field once, over such a
   sequence and a math namespace (``SystemSpec.field``): a batch of at most
   ``_FLOAT_ROWS`` rows runs it row by row on Python floats with ``math``,
-  where numpy's per-call overhead would cost more than the arithmetic; a
-  wider batch runs it on contiguous columns with ``numpy``.  Both apply
-  the same float operations in the same order, so they agree bitwise
-  wherever ``math`` and ``numpy`` evaluate their functions alike.  A system
-  given by an array ``rhs`` alone steps through the same loop, with the
-  whole batch as its one component.
+  where numpy's per-call overhead would cost more than the arithmetic.  A
+  wider batch, and any system given by an array ``rhs`` alone, steps
+  ``rhs`` on the whole ``(m, n)`` batch as the loop's one component.  Both
+  apply the same float operations in the same order, so they agree bitwise
+  wherever ``math`` and ``numpy`` evaluate their functions alike.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * ``LinearMZOracle`` -- for linear systems the dynamics of the observed
   block is known exactly: a Markov term ``A11 z(t)``, a memory integral
@@ -124,8 +123,8 @@ class SystemSpec:
         of the ``n`` state components and a math namespace ``m`` (``math``
         when the components are floats, ``numpy`` when they are arrays)
         and returns the ``n`` derivative components.  The built-in
-        nonlinear systems are defined by it; ``None`` for a system given by
-        ``rhs`` alone, which integrates through ``rhs`` on the whole batch.
+        nonlinear systems are defined by it, and narrow batches integrate
+        on it with floats; ``None`` for a system given by ``rhs`` alone.
     """
 
     name: str
@@ -234,7 +233,15 @@ def _on_array(field, n, mismatch, state):
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != n:
         raise ValueError(mismatch.format(state.shape[-1]))
-    return np.stack(field(np.moveaxis(state, -1, 0), np), axis=-1)
+    derivative = field([state[..., i] for i in range(n)], np)
+    if len(derivative) != n:
+        raise ValueError(
+            f"vector field returns {len(derivative)} components, expected {n}"
+        )
+    out = np.empty_like(state)
+    for i, component in enumerate(derivative):
+        out[..., i] = component
+    return out
 
 
 def _homogenized_field(x, m):
@@ -381,10 +388,10 @@ def default_domain(spec):
 
 
 # A batch of at most this many rows integrates its component field row by
-# row on Python floats; a wider one on numpy columns.  One substep costs
-# about 3-7 us per row on floats against 25-75 us per batch on columns up
-# to a few dozen rows: floats are faster up to about 8 rows on example2
-# and 12 on example3 (measurements in CHANGES.md).
+# row on Python floats; a wider one steps ``rhs`` on the whole batch.  One
+# substep costs about 4-7 us per row on floats against 30-80 us per batch
+# in numpy up to a few dozen rows: floats are faster up to about 8-10 rows
+# on example2 and 10-12 on example3 (measurements in CHANGES.md).
 _FLOAT_ROWS = 8
 
 
@@ -404,25 +411,30 @@ def _rk4_sample_step(field, m, state, delta, substeps):
     return state
 
 
-def _float_sample_step(field, row, delta, substeps):
+def _float_sample_step(field, batch_field, row, delta, substeps):
     """One coarse sample of one state on Python floats.
 
     ``math`` raises where numpy returns inf or NaN (sin(inf), exp(1000),
-    1/0).  The sample is then redone on numpy, as the wide path runs it, so
-    a state that numpy makes non-finite comes back non-finite and any other
-    error is raised as it is there.
+    1/0).  The sample is then redone on numpy as a batch of one row, as the
+    wide path runs it, so a state that numpy makes non-finite comes back
+    non-finite and any other error is raised as it is there.
     """
     try:
         return _rk4_sample_step(field, math, row, delta, substeps)
     except (ArithmeticError, ValueError):
-        columns = list(np.array(row)[:, None])
-        return np.concatenate(
-            _rk4_sample_step(field, np, columns, delta, substeps)).tolist()
+        (batch,) = _rk4_sample_step(batch_field, np, [np.array([row])],
+                                    delta, substeps)
+        return batch[0].tolist()
 
 
 def _samples(spec, config, x0s):
     """Yield the batch's states ``(m, n)`` at samples 1, 2, ... ."""
     delta, substeps = config.delta, config.substeps
+
+    def batch_field(x, m):
+        # an array rhs is a field of one component: the whole batch
+        return (spec.rhs(x[0]),)
+
     if spec.a_matrix is not None:
         step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
         state = x0s
@@ -432,21 +444,16 @@ def _samples(spec, config, x0s):
     elif spec.field is not None and x0s.shape[0] <= _FLOAT_ROWS:
         rows = x0s.tolist()
         while True:
-            rows = [_float_sample_step(spec.field, row, delta, substeps)
+            rows = [_float_sample_step(spec.field, batch_field, row, delta,
+                                       substeps)
                     for row in rows]
             yield rows
     else:
-        if spec.field is None:
-            # an array rhs is a field of one component: the whole batch
-            def field(x, m):
-                return (spec.rhs(x[0]),)
-
-            components = [x0s]
-        else:
-            field, components = spec.field, list(np.ascontiguousarray(x0s.T))
+        state = x0s
         while True:
-            components = _rk4_sample_step(field, np, components, delta, substeps)
-            yield np.column_stack(components)
+            (state,) = _rk4_sample_step(batch_field, np, [state], delta,
+                                        substeps)
+            yield state
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -469,16 +476,26 @@ def integrate_batch(spec, config, x0s, num_samples):
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
     All trajectories share the coarse time grid.  A linear system takes
     one product with the sample matrix per coarse sample; a component
-    field steps row by row on floats (at most ``_FLOAT_ROWS`` rows) or on
-    numpy columns; an array ``rhs`` steps on the whole batch.  A non-finite
-    state aborts the run with an IntegrationError naming the earliest
-    sample and the lowest trajectory that is non-finite there.
+    field steps row by row on floats (at most ``_FLOAT_ROWS`` rows); any
+    other batch steps ``rhs`` on the whole batch.  A vector field that does
+    not give ``n`` components is rejected before the first step.  A
+    non-finite state aborts the run with an IntegrationError naming the
+    earliest sample and the lowest trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n:
         raise ValueError(f"x0s must have shape (m, {spec.n}), got {x0s.shape}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    if spec.a_matrix is None:
+        # the stage loop's zip and the broadcast into ``out`` would hide a
+        # field with too few or too many components; one call shows it
+        shape = np.shape(spec.rhs(x0s[:1]))
+        if shape != x0s[:1].shape:
+            raise ValueError(
+                f"{spec.name} vector field maps states of shape "
+                f"{x0s[:1].shape} to shape {shape}"
+            )
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
     for k, state in zip(range(1, num_samples + 1), _samples(spec, config, x0s)):

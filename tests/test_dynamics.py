@@ -281,8 +281,8 @@ class TestLinearSampleMatrix:
 
 class TestComponentFields:
     """A component field integrates row by row on Python floats up to
-    ``_FLOAT_ROWS`` rows and on numpy columns above; the two paths apply
-    the same float operations in the same order."""
+    ``_FLOAT_ROWS`` rows and through ``rhs`` on the whole batch above; the
+    two paths apply the same float operations in the same order."""
 
     CFG = dyn.SolverConfig(0.02, 10)
 
@@ -304,7 +304,7 @@ class TestComponentFields:
         return calls
 
     @pytest.mark.parametrize("name", ["example2", "example3", "example3-reduced"])
-    def test_float_rows_equal_columns_bitwise(self, name, monkeypatch):
+    def test_float_rows_equal_whole_batch_bitwise(self, name, monkeypatch):
         spec = dyn.make_system(name)
         cut = dyn._FLOAT_ROWS
         x0s = self.initial_states(spec, cut + 1)
@@ -327,6 +327,24 @@ class TestComponentFields:
             spec.rhs([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="needs an rhs or a field"):
             dyn.SystemSpec(name="none", n=1, d=1, params={})
+
+    @pytest.mark.parametrize("field", [lambda x, m: (-x[0],),
+                                       lambda x, m: (x[1], -x[0], x[0])])
+    def test_wrong_number_of_components_rejected(self, field, monkeypatch):
+        spec = dyn.SystemSpec(name="short", n=2, d=1, params={}, field=field)
+        calls = self.float_rows_counted(monkeypatch)
+        for rows in (1, dyn._FLOAT_ROWS + 1):
+            with pytest.raises(ValueError, match="vector field returns [13] "
+                               "components, expected 2"):
+                dyn.integrate_batch(spec, self.CFG, np.ones((rows, 2)), 1)
+        assert not calls
+
+    def test_rhs_of_wrong_shape_rejected(self):
+        spec = dyn.SystemSpec(name="flat", n=2, d=1, params={},
+                              rhs=lambda x: x.sum(axis=-1))
+        with pytest.raises(ValueError, match=r"flat vector field maps states "
+                           r"of shape \(1, 2\) to shape \(1,\)"):
+            dyn.integrate_batch(spec, self.CFG, np.ones((3, 2)), 1)
 
     def assert_same_failure(self, spec, cfg, x0s, num_samples, want):
         errors = []
