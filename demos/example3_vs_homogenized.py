@@ -2,15 +2,17 @@
 
 Three slow variables are observed; the fast variable y is hidden.  Because
 y relaxes quickly, an analytic homogenized 3-variable system exists and is
-the natural baseline: it replaces y by its slaved value.  The learned
-model has to beat it using nothing but observed histories.
+the natural baseline: it replaces y by its slaved value.  The demo trains
+a memory network on observed histories alone, then measures both models
+against the truth integrated from the same initial conditions: the l2
+error of the slow variables at t = 2, 5, 10 and 20, averaged over five
+runs, and its mean over the horizon.
 
-Scaled down (shorter horizon, fewer runs, lighter training) to finish in
-a few minutes; the full comparison lives in the acceptance suite and the
-``example3`` preset.
+Scaled down (2000 trajectories, 25 epochs, a horizon of 20 time units)
+to finish in about ten seconds.  At this scale the network loses: with
+seed 5 its mean error over the horizon is 19.4 against 1.34 for the
+homogenized closure, and it is already at 21 by t = 5.
 """
-
-import numpy as np
 
 from memflow import data, net, rollout, train
 from memflow import dynamics as dyn
@@ -38,8 +40,7 @@ print(f"done in {report.wall_time:.1f}s, final loss {report.final_loss:.3e}")
 
 print("comparing against the homogenized closure ...")
 nn_series, reduced_series = rollout.compare_with_homogenized(
-    model, solver, domain, eval_horizon=20.0, n_runs=5, seed=SEED + 1,
-    epsilon=EPSILON,
+    model, spec, solver, domain, eval_horizon=20.0, n_runs=5, seed=SEED + 1,
 )
 
 print("\n  t     network err   homogenized err")

@@ -73,12 +73,45 @@ def stage_seed(master, label):
     )
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list_of(test):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(test, v))
+
+
+# (config key, what its value must be, the test of that value)
+_VALUE_TYPES = (
+    *[(key, "an integer", _is_int) for key in (
+        "substeps", "n_traj", "n_mem", "batch_size", "epochs", "n_eval_runs",
+        "seed")],
+    *[(key, "a number", _is_number) for key in (
+        "delta", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
+        "eval_horizon")],
+    ("params", "an object", lambda v: isinstance(v, dict)),
+    ("hidden", "a list of integers", _is_list_of(_is_int)),
+    ("traj_len", 'an integer or "auto"', lambda v: v == "auto" or _is_int(v)),
+    ("per_trajectory", "an integer or null", lambda v: v is None or _is_int(v)),
+    *[(key, "a list of numbers or null",
+       lambda v: v is None or _is_list_of(_is_number)(v))
+      for key in ("domain_lower", "domain_upper")],
+    ("out_dir", "a string", lambda v: isinstance(v, str)),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs, JSON-serializable.
 
     ``traj_len`` is either an integer K or the string ``"auto"`` meaning
     the minimal usable length ``n_mem + 2`` (one window per trajectory).
+    ``domain_lower`` and ``domain_upper`` are given together or not at
+    all; without them the system's default domain is used.
     """
 
     system: str
@@ -105,31 +138,45 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.traj_len != "auto":
-            object.__setattr__(self, "traj_len", int(self.traj_len))
+        for key, want, test in _VALUE_TYPES:
+            if not test(getattr(self, key)):
+                raise ValueError(f"{key} must be {want}, got {getattr(self, key)!r}")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.n_mem < 0:
             raise ValueError("n_mem must be >= 0")
+        if self.n_traj < 1:
+            raise ValueError("n_traj must be >= 1")
         if self.n_eval_runs < 1:
             raise ValueError("n_eval_runs must be >= 1")
         if not self.eval_horizon > 0:
             raise ValueError("eval_horizon must be positive")
+        if (self.domain_lower is None) != (self.domain_upper is None):
+            raise ValueError("domain_lower and domain_upper must be given together")
         # fail at load time, not at the first stage that uses these
+        self.domain()
         self.strategy()
         self.train_config()
 
     # -- pieces ------------------------------------------------------------
 
     def spec(self):
-        return dyn.make_system(self.system, **self.params)
+        try:
+            return dyn.make_system(self.system, **self.params)
+        except TypeError as exc:  # a parameter value that is not a number
+            raise ValueError(f"params of {self.system}: {exc}") from None
 
     def solver(self):
         return dyn.SolverConfig(delta=self.delta, substeps=self.substeps)
 
     def domain(self):
-        if self.domain_lower is None or self.domain_upper is None:
-            return dyn.default_domain(self.spec())
-        return dyn.Domain(np.array(self.domain_lower), np.array(self.domain_upper))
+        spec = self.spec()
+        if self.domain_lower is None:
+            return dyn.default_domain(spec)
+        domain = dyn.Domain(np.array(self.domain_lower), np.array(self.domain_upper))
+        if domain.n != spec.n:
+            raise ValueError(f"domain_lower and domain_upper have {domain.n} "
+                             f"entries; {self.system} has n={spec.n}")
+        return domain
 
     def strategy(self):
         return data_mod.SelectionStrategy(
@@ -174,7 +221,10 @@ def load_config(path):
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return ExperimentConfig.from_dict(doc)
+    try:
+        return ExperimentConfig.from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(cfg, path):
@@ -392,18 +442,16 @@ def cmd_sweep(cfg, n_mem_list):
 def cmd_compare_reduced(cfg):
     """Compare the trained chaotic-system model against the homogenized
     closure; write both mean error series."""
-    if cfg.system != "example3":
-        raise ValueError("compare-reduced applies to the example3 system")
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
     nn_series, reduced_series = roll_mod.compare_with_homogenized(
         model,
+        cfg.spec(),
         cfg.solver(),
         cfg.domain(),
         cfg.eval_horizon,
         cfg.n_eval_runs,
         seed=stage_seed(cfg.seed, "compare"),
-        epsilon=float(cfg.params.get("epsilon", 0.01)),
     )
     path = out / COMPARE_FILE
     rows = np.column_stack([nn_series.times, nn_series.errors, reduced_series.errors])

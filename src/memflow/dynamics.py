@@ -5,8 +5,11 @@ Everything downstream (data generation, training, rollout validation) sits
 on this module.  It provides:
 
 * ``SystemSpec`` -- a vector field on R^n with the first ``d`` components
-  designated as the observed variables.  Built-in systems are constructed
-  by :func:`make_system`; arbitrary linear block systems by
+  designated as the observed variables.  A system is described once: by
+  its matrix ``a_matrix`` (linear), by its component ``field``, or by an
+  array ``rhs`` alone; ``rhs`` is derived from the first two.  Built-in
+  systems, the homogenized closure ``example3-reduced`` among them, are
+  constructed by :func:`make_system`; arbitrary linear block systems by
   :func:`linear_system`.
 * a classical 4th-order Runge-Kutta integrator with a fixed number of
   substeps per coarse sample step (:func:`integrate_batch`).  It advances
@@ -69,7 +72,6 @@ __all__ = [
     "mz_memory_integral",
     "mz_noise_term",
     "linear_mz_rhs",
-    "homogenized_rhs",
     "example4_sigma",
     "SYSTEM_NAMES",
 ]
@@ -109,14 +111,12 @@ class SystemSpec:
         Full state dimension.
     d : int
         Observed dimension; the observation map keeps components ``[:d]``.
-    params : dict
-        Named real parameters the right-hand side was built with.
     rhs : callable
         Maps state arrays of shape ``(..., n)`` to derivatives of the same
-        shape.  Made from ``field`` when not given.
+        shape.  Made from ``a_matrix`` or ``field`` when not given.
     a_matrix : ndarray or None
-        For linear systems, the full ``n x n`` matrix so that
-        ``rhs(x) == a_matrix @ x``; ``None`` for nonlinear systems.  When
+        For linear systems, the full ``n x n`` matrix, so that
+        ``rhs(x) == x @ a_matrix.T``; ``None`` for nonlinear systems.  When
         set, integration steps with this matrix and does not call ``rhs``.
     field : callable or None
         The vector field over components: ``field(x, m)`` takes a sequence
@@ -130,7 +130,6 @@ class SystemSpec:
     name: str
     n: int
     d: int
-    params: dict
     rhs: Callable[[np.ndarray], np.ndarray] | None = None
     a_matrix: np.ndarray | None = None
     field: Callable | None = None
@@ -140,12 +139,18 @@ class SystemSpec:
             raise ValueError(
                 f"observed dimension d={self.d} must satisfy 1 <= d <= n={self.n}"
             )
+        if self.a_matrix is not None and np.shape(self.a_matrix) != (self.n, self.n):
+            raise ValueError(f"{self.name} has n={self.n} but a matrix of shape "
+                             f"{np.shape(self.a_matrix)}")
         if self.rhs is None:
-            if self.field is None:
-                raise ValueError(f"{self.name} needs an rhs or a field")
-            mismatch = f"{self.name} state has dimension {self.n}, got {{}}"
-            object.__setattr__(self, "rhs", functools.partial(
-                _on_array, self.field, self.n, mismatch))
+            if self.a_matrix is not None:
+                rhs = functools.partial(_times_transpose, self.a_matrix)
+            elif self.field is not None:
+                mismatch = f"{self.name} state has dimension {self.n}, got {{}}"
+                rhs = functools.partial(_on_array, self.field, self.n, mismatch)
+            else:
+                raise ValueError(f"{self.name} needs an rhs, an a_matrix or a field")
+            object.__setattr__(self, "rhs", rhs)
 
     def observe(self, states):
         """Project full states ``(..., n)`` onto the observed block ``(..., d)``."""
@@ -244,20 +249,9 @@ def _on_array(field, n, mismatch, state):
     return out
 
 
-def _homogenized_field(x, m):
-    x1, x2, x3 = x
-    return (-x2 - x3, x1 + x2 / 5.0, 0.2 + x3 * (x1 - 5.0))
-
-
-def homogenized_rhs(state):
-    """Slow-variable closure of the 4-variable chaotic system.
-
-    dx1 = -x2 - x3,  dx2 = x1 + x2/5,  dx3 = 1/5 + x3*(x1 - 5): example3
-    with its fast variable y replaced by the value x1*x3 it relaxes to.
-    Accepts ``(..., 3)`` arrays.
-    """
-    return _on_array(_homogenized_field, 3,
-                     "homogenized system is 3-dimensional, got {}", state)
+def _times_transpose(a, state):
+    """The linear vector field ``x @ a.T`` on state arrays ``(..., n)``."""
+    return np.asarray(state, dtype=float) @ a.T
 
 
 def linear_system(a, d, name="linear-generic"):
@@ -267,13 +261,7 @@ def linear_system(a, d, name="linear-generic"):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite-valued")
-    n = a.shape[0]
-
-    def rhs(x):
-        x = np.asarray(x, dtype=float)
-        return x @ a.T
-
-    return SystemSpec(name=name, n=n, d=d, params={}, rhs=rhs, a_matrix=a)
+    return SystemSpec(name=name, n=a.shape[0], d=d, a_matrix=a)
 
 
 def make_system(name, **params):
@@ -288,7 +276,9 @@ def make_system(name, **params):
     * ``example3`` -- 4-variable chaotic slow-fast system, observed
       (x1, x2, x3); ``epsilon`` (0.01) is the fast time scale on which the
       hidden y relaxes to x1*x3.
-    * ``example3-reduced`` -- 3-variable homogenized closure of example3.
+    * ``example3-reduced`` -- 3-variable homogenized closure of example3:
+      dx1 = -x2 - x3, dx2 = x1 + x2/5, dx3 = 1/5 + x3*(x1 - 5), example3
+      with its fast variable y replaced by the value x1*x3 it relaxes to.
     * ``example4`` -- 20-variable linear system, observed first 10
       components; coefficients from the packaged matrix file.
 
@@ -302,8 +292,7 @@ def make_system(name, **params):
     if name == "example1":
         alpha = float(params.pop("alpha", 2.0))
         _reject_params(name, params)
-        a = np.array([[1.0, -4.0], [4.0, -alpha]])
-        spec = replace(linear_system(a, d=1, name=name), params={"alpha": alpha})
+        spec = linear_system([[1.0, -4.0], [4.0, -alpha]], d=1, name=name)
 
     elif name == "example2":
         alpha = float(params.pop("alpha", 0.1))
@@ -314,8 +303,7 @@ def make_system(name, **params):
             x1, x2 = x
             return (x2, -alpha * x2 - beta * m.sin(x1))
 
-        spec = SystemSpec(name=name, n=2, d=1,
-                          params={"alpha": alpha, "beta": beta}, field=field)
+        spec = SystemSpec(name=name, n=2, d=1, field=field)
 
     elif name == "example3":
         epsilon = float(params.pop("epsilon", 0.01))
@@ -328,13 +316,16 @@ def make_system(name, **params):
             return (-x2 - x3, x1 + x2 / 5.0, 0.2 + y - 5.0 * x3,
                     (x1 * x3 - y) / epsilon)
 
-        spec = SystemSpec(name=name, n=4, d=3, params={"epsilon": epsilon},
-                          field=field)
+        spec = SystemSpec(name=name, n=4, d=3, field=field)
 
     elif name == "example3-reduced":
         _reject_params(name, params)
-        spec = SystemSpec(name=name, n=3, d=3, params={}, rhs=homogenized_rhs,
-                          field=_homogenized_field)
+
+        def field(x, m):
+            x1, x2, x3 = x
+            return (-x2 - x3, x1 + x2 / 5.0, 0.2 + x3 * (x1 - 5.0))
+
+        spec = SystemSpec(name=name, n=3, d=3, field=field)
 
     elif name == "example4":
         _reject_params(name, params)
@@ -372,14 +363,10 @@ _DEFAULT_DOMAINS = {
 
 
 def default_domain(spec):
-    """The initial-condition box each built-in system is studied on."""
-    name = spec if isinstance(spec, str) else spec.name
-    if name in _DEFAULT_DOMAINS:
-        lower, upper = _DEFAULT_DOMAINS[name]
-        return Domain(np.array(lower), np.array(upper))
-    if not isinstance(spec, str):
-        return Domain(np.full(spec.n, -2.0), np.full(spec.n, 2.0))
-    raise ValueError(f"no default domain for {name!r}")
+    """The initial-condition box a system is studied on: each built-in's
+    own, and [-2, 2]^n for any other."""
+    lower, upper = _DEFAULT_DOMAINS.get(spec.name, ([-2.0] * spec.n, [2.0] * spec.n))
+    return Domain(np.array(lower), np.array(upper))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the command line driver: configs, presets, and the pipeline glue."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ class TestConfig:
         ("selection_kind", "sometimes", "kind"),
         ("per_trajectory", 0, "per_trajectory"),
         ("epochs", 0, "epochs"),
+        ("n_traj", 0, "n_traj"),
         ("batch_size", 0, "batch_size"),
         ("adam_beta1", 1.0, "betas"),
         ("adam_beta2", -0.5, "betas"),
@@ -84,6 +86,50 @@ class TestConfig:
         monkeypatch.setitem(cli.PRESETS, "bad", doc)
         with pytest.raises(ValueError, match=match):
             cli.preset_config("bad")
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 30),
+        ("params", []),
+        ("seed", None),
+        ("n_traj", "abc"),
+        ("n_mem", 1.5),
+    ])
+    def test_wrong_types_rejected_at_load(self, tmp_path, capsys, key, value):
+        doc = {**micro_config(tmp_path).to_dict(), key: value}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        message = f"{path}: {key} must be "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            cli.load_config(path)
+        assert cli.main(["generate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_parameter_that_is_not_a_number_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="params of example1: float"):
+            micro_config(tmp_path, params={"alpha": [2.0]})
+
+    def test_explicit_domain_reaches_the_config(self, tmp_path):
+        cfg = micro_config(tmp_path, domain_lower=[-1.0, -0.5],
+                           domain_upper=[0.5, 1.0])
+        domain = cfg.domain()
+        np.testing.assert_array_equal(domain.lower, [-1.0, -0.5])
+        np.testing.assert_array_equal(domain.upper, [0.5, 1.0])
+
+    @pytest.mark.parametrize("key", ["domain_lower", "domain_upper"])
+    def test_half_a_domain_rejected(self, tmp_path, capsys, key):
+        doc = {"system": "example1", key: [-1, -1]}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "domain_lower and domain_upper" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_domain_of_the_wrong_dimension_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="3 entries; example1 has n=2"):
+            micro_config(tmp_path, domain_lower=[-1, -1, -1], domain_upper=[1, 1, 1])
 
     def test_stage_seeds_differ_by_label(self):
         assert cli.stage_seed(7, "generate") != cli.stage_seed(7, "train")
@@ -146,8 +192,13 @@ class TestPipeline:
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
 
     def test_compare_reduced_requires_example3(self, tmp_path):
+        # a checkpoint that fits the example1 config: the system is what fails
         cfg = micro_config(tmp_path)
-        with pytest.raises(ValueError, match="example3"):
+        out = tmp_path / "run"
+        out.mkdir()
+        net.save_params(net.init_params(1, cfg.n_mem, cfg.hidden, seed=0),
+                        out / cli.MODEL_FILE)
+        with pytest.raises(ValueError, match="for example3, not example1"):
             cli.cmd_compare_reduced(cfg)
 
     def test_oracle_check_passes_for_linear_system(self, tmp_path, capsys):

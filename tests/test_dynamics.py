@@ -67,7 +67,7 @@ class TestEvalRhs:
 class TestSystemSpec:
     def test_observed_dimension_bounds(self):
         with pytest.raises(ValueError, match="observed dimension"):
-            dyn.SystemSpec(name="x", n=2, d=3, params={}, rhs=lambda s: s)
+            dyn.SystemSpec(name="x", n=2, d=3, rhs=lambda s: s)
 
     def test_observe_projects_leading_components(self):
         spec = dyn.make_system("example3")
@@ -83,6 +83,17 @@ class TestSystemSpec:
         spec = dyn.make_system("linear-generic", matrix=matrix, d=1, observe=2)
         assert spec.d == 2
         assert dyn.oracle_for_system(spec).d == 2
+
+    def test_matrix_alone_is_a_linear_system(self):
+        a = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 3))
+        spec = dyn.SystemSpec(name="lin", n=3, d=1, a_matrix=a)
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 5, 3))
+        assert spec.rhs(x).tobytes() == (x @ a.T).tobytes()
+        assert spec.rhs(x.tolist()).tobytes() == (x @ a.T).tobytes()
+
+    def test_matrix_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"n=3 but a matrix of shape \(2, 2\)"):
+            dyn.SystemSpec(name="lin", n=3, d=1, a_matrix=np.eye(2))
 
     def test_linear_builtins_share_their_matrix_rhs(self):
         for name in ("example1", "example4"):
@@ -113,6 +124,12 @@ class TestDomain:
             spec = dyn.make_system(name)
             dom = dyn.default_domain(spec)
             assert dom.n == spec.n
+
+    def test_other_systems_default_to_minus_two_to_two(self):
+        spec = dyn.make_system("linear-generic", matrix=-np.eye(3), d=1)
+        dom = dyn.default_domain(spec)
+        np.testing.assert_array_equal(dom.lower, [-2.0, -2.0, -2.0])
+        np.testing.assert_array_equal(dom.upper, [2.0, 2.0, 2.0])
 
 
 def example1_field(x, m):
@@ -150,7 +167,7 @@ class TestIntegrate:
 
     def test_zero_vector_field_constant_solution(self):
         spec = dyn.SystemSpec(
-            name="still", n=2, d=2, params={}, rhs=lambda s: np.zeros_like(s)
+            name="still", n=2, d=2, rhs=lambda s: np.zeros_like(s)
         )
         got = dyn.integrate_batch(spec, dyn.SolverConfig(0.5, 3), [[3.0, 7.0]], 6)
         np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (1, 7, 1)))
@@ -164,7 +181,7 @@ class TestIntegrate:
         x0 = np.array([1.3, -0.4])
         exact = dyn.exact_linear_solution(oracle, x0, 1.0)
         substeps = [1, 2, 4, 8]
-        fields = dyn.SystemSpec(name="example1-field", n=2, d=1, params={},
+        fields = dyn.SystemSpec(name="example1-field", n=2, d=1,
                                 field=example1_field)
         for spec in (linear, dataclasses.replace(linear, a_matrix=None), fields):
             errors = []
@@ -189,7 +206,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_sample_index(self):
         spec = dyn.SystemSpec(
-            name="blowup", n=1, d=1, params={}, rhs=lambda s: s**2
+            name="blowup", n=1, d=1, rhs=lambda s: s**2
         )
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 10)
@@ -215,7 +232,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_batch_divergence_reports_trajectory(self):
         spec = dyn.SystemSpec(
-            name="blowup", n=1, d=1, params={}, rhs=lambda s: s**2
+            name="blowup", n=1, d=1, rhs=lambda s: s**2
         )
         x0s = np.array([[0.0], [5.0]])
         with pytest.raises(dyn.IntegrationError) as info:
@@ -319,19 +336,19 @@ class TestComponentFields:
             assert one.tobytes() == wide[i : i + 1].tobytes()
 
     def test_rhs_made_from_the_field(self):
-        spec = dyn.SystemSpec(name="e1", n=2, d=1, params={}, field=example1_field)
+        spec = dyn.SystemSpec(name="e1", n=2, d=1, field=example1_field)
         x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(3, 4, 2))
         want = x @ dyn.make_system("example1").a_matrix.T
         np.testing.assert_allclose(spec.rhs(x), want, rtol=0, atol=1e-14)
         with pytest.raises(ValueError, match="e1 state has dimension 2, got 3"):
             spec.rhs([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="needs an rhs or a field"):
-            dyn.SystemSpec(name="none", n=1, d=1, params={})
+        with pytest.raises(ValueError, match="needs an rhs, an a_matrix or a field"):
+            dyn.SystemSpec(name="none", n=1, d=1)
 
     @pytest.mark.parametrize("field", [lambda x, m: (-x[0],),
                                        lambda x, m: (x[1], -x[0], x[0])])
     def test_wrong_number_of_components_rejected(self, field, monkeypatch):
-        spec = dyn.SystemSpec(name="short", n=2, d=1, params={}, field=field)
+        spec = dyn.SystemSpec(name="short", n=2, d=1, field=field)
         calls = self.float_rows_counted(monkeypatch)
         for rows in (1, dyn._FLOAT_ROWS + 1):
             with pytest.raises(ValueError, match="vector field returns [13] "
@@ -340,7 +357,7 @@ class TestComponentFields:
         assert not calls
 
     def test_rhs_of_wrong_shape_rejected(self):
-        spec = dyn.SystemSpec(name="flat", n=2, d=1, params={},
+        spec = dyn.SystemSpec(name="flat", n=2, d=1,
                               rhs=lambda x: x.sum(axis=-1))
         with pytest.raises(ValueError, match=r"flat vector field maps states "
                            r"of shape \(1, 2\) to shape \(1,\)"):
@@ -364,7 +381,7 @@ class TestComponentFields:
         # 7e123 at sample 2, and a stage overflows to inf at sample 3; floats
         # overflow silently, as numpy does.  Rows 3 and 5 fail first, row 1
         # later.
-        spec = dyn.SystemSpec(name="square", n=1, d=1, params={},
+        spec = dyn.SystemSpec(name="square", n=1, d=1,
                               field=lambda x, m: (x[0] * x[0],))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
         x0s[[3, 5]] = 5.0
@@ -387,7 +404,7 @@ class TestComponentFields:
                 reached.append(True)
             return (x1 * x1, m.sin(x1))
 
-        spec = dyn.SystemSpec(name="square-sin", n=2, d=1, params={}, field=field)
+        spec = dyn.SystemSpec(name="square-sin", n=2, d=1, field=field)
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 2))
         x0s[4, 0] = 5.0
         with pytest.raises(ValueError, match="math domain error"):
@@ -399,7 +416,7 @@ class TestComponentFields:
     def test_math_error_with_finite_numpy_result_continues(self):
         # -1/(1/x) at x = 0: 1/0 raises ZeroDivisionError on floats, while
         # numpy gives -1/inf = -0.0; the row goes on as the wide path does
-        spec = dyn.SystemSpec(name="reciprocal", n=1, d=1, params={},
+        spec = dyn.SystemSpec(name="reciprocal", n=1, d=1,
                               field=lambda x, m: (-1.0 / (1.0 / x[0]),))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
         x0s[2] = 1.0
@@ -707,20 +724,19 @@ class TestDecompositionIdentity:
 
 
 class TestHomogenizedRhs:
+    """The closure ``example3-reduced``, evaluated through its spec."""
+
+    RHS = dyn.make_system("example3-reduced").rhs
+
     def test_direct_substitution(self):
-        np.testing.assert_allclose(
-            dyn.homogenized_rhs([0.0, 0.0, 0.0]), [0.0, 0.0, 0.2]
-        )
-        np.testing.assert_allclose(
-            dyn.homogenized_rhs([5.0, 0.0, 1.0]), [-1.0, 5.0, 0.2]
-        )
-        np.testing.assert_allclose(
-            dyn.homogenized_rhs([1.0, 1.0, 1.0]), [-2.0, 1.2, -3.8]
-        )
+        np.testing.assert_allclose(self.RHS([0.0, 0.0, 0.0]), [0.0, 0.0, 0.2])
+        np.testing.assert_allclose(self.RHS([5.0, 0.0, 1.0]), [-1.0, 5.0, 0.2])
+        np.testing.assert_allclose(self.RHS([1.0, 1.0, 1.0]), [-2.0, 1.2, -3.8])
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError, match="3-dimensional"):
-            dyn.homogenized_rhs([1.0, 2.0])
+        with pytest.raises(ValueError,
+                           match="example3-reduced state has dimension 3, got 2"):
+            self.RHS([1.0, 2.0])
 
 
 class TestExample3SlowManifold:

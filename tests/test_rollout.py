@@ -289,7 +289,7 @@ class TestEvaluateAndSweep:
         # a zero-final-layer model predicts a constant, so against a
         # constant system the evaluation error is exactly zero
         spec = dyn.SystemSpec(
-            name="still", n=2, d=1, params={}, rhs=lambda s: np.zeros_like(s)
+            name="still", n=2, d=1, rhs=lambda s: np.zeros_like(s)
         )
         model = zero_final_layer(net.init_params(1, 2, [4], seed=3))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -309,7 +309,7 @@ class TestEvaluateAndSweep:
         biases=[np.zeros(1), np.array([1e308])],
     )
     STILL = dyn.SystemSpec(
-        name="still", n=2, d=1, params={}, rhs=lambda s: np.zeros_like(s)
+        name="still", n=2, d=1, rhs=lambda s: np.zeros_like(s)
     )
 
     def evaluate_sign_split(self, lower, upper):
@@ -358,10 +358,10 @@ class TestEvaluateAndSweep:
 class TestCompareWithHomogenized:
     SOLVER = dyn.SolverConfig(0.02, 2)
 
-    def compare(self, model):
-        spec = dyn.make_system("example3")
+    def compare(self, model, spec=None):
+        spec = spec or dyn.make_system("example3")
         return rollout.compare_with_homogenized(
-            model, self.SOLVER, dyn.default_domain(spec), eval_horizon=0.2,
+            model, spec, self.SOLVER, dyn.default_domain(spec), eval_horizon=0.2,
             n_runs=2, seed=4,
         )
 
@@ -384,3 +384,27 @@ class TestCompareWithHomogenized:
         with pytest.raises(RuntimeError, match="diverged at step 4 in run 0") as info:
             self.compare(model)
         assert not isinstance(info.value, dyn.IntegrationError)
+
+    def test_other_systems_rejected(self):
+        model = net.init_params(1, 2, [6], seed=1)
+        with pytest.raises(ValueError, match="for example3, not example2"):
+            self.compare(model, dyn.make_system("example2"))
+
+    def test_scores_against_the_given_epsilon(self):
+        # the truth is the spec's own: example3 at epsilon 0.05, not 0.01
+        model = net.init_params(3, 2, [6], seed=1)
+        spec = dyn.make_system("example3", epsilon=0.05)
+        nn, closure = self.compare(model, spec)
+        x0s = data.sample_initial_conditions(dyn.default_domain(spec), 2, 4)
+        truth, _, scored = rollout.rollout_against_truth(
+            model, spec, self.SOLVER, x0s, 10
+        )
+        baseline = dyn.integrate_batch(
+            dyn.make_system("example3-reduced"), self.SOLVER, x0s[:, :3], 10
+        )
+        want = np.linalg.norm(baseline - truth, axis=-1).mean(axis=0)
+        assert nn.errors.tobytes() == scored.errors.mean(axis=0).tobytes()
+        assert closure.errors.tobytes() == want.tobytes()
+        default_nn, default_closure = self.compare(model)
+        assert not np.array_equal(default_closure.errors, closure.errors)
+        assert not np.array_equal(default_nn.errors, nn.errors)
