@@ -2,13 +2,15 @@
 
 Only the angle is observed; the angular velocity is hidden.  A model with
 too little memory cannot reconstruct the missing velocity from history
-and its rollouts drift.  Sweeping the memory length shows the error
-falling and then flattening: the knee is the system's effective memory.
+and its rollouts drift.  The sweep trains one model per memory length and
+prints each model's mean rollout error up to t=10.
 
-Scaled down from the full preset (fewer trajectories, shorter training,
-horizon t=10) so the whole sweep takes a couple of minutes.  The knee
-location is already visible at this scale; the full preset sharpens the
-contrast.
+Scaled down from the full preset (1500 trajectories, 40 epochs, 5
+evaluation runs) so the whole sweep takes about 7 s on 2 cores.  At seed 3
+the error is 0.96 at n_mem 1 and 0.90 at n_mem 3, falls to 0.12 at
+n_mem 10, and rises again to 0.43 at n_mem 20.  One or three steps of
+history are too few; at this scale the error is lowest at an intermediate
+memory length and does not flatten after it.
 """
 
 import math
@@ -43,5 +45,6 @@ print("n_mem   T_M     mean rollout error (t <= 10)")
 for cell in cells:
     bar = "#" * max(1, int(round(-10 * math.log10(cell.mean_error))))
     print(f"{cell.n_mem:5d}   {cell.memory_length:<5g}   {cell.mean_error:.4e}  {bar}")
-print("\nlonger memory helps until the window covers the system's effective "
-      "memory; after the knee the curve flattens")
+best = min(cells, key=lambda cell: cell.mean_error)
+print(f"\nlowest error at n_mem={best.n_mem} (T_M={best.memory_length:g}); "
+      "too short a history cannot recover the hidden velocity")

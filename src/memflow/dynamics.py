@@ -6,11 +6,11 @@ on this module.  It provides:
 
 * ``SystemSpec`` -- a vector field on R^n with the first ``d`` components
   designated as the observed variables.  A system is described once: by
-  its matrix ``a_matrix`` (linear), by its component ``field``, or by an
-  array ``rhs`` alone; ``rhs`` is derived from the first two.  Built-in
-  systems, the homogenized closure ``example3-reduced`` among them, are
-  constructed by :func:`make_system`; arbitrary linear block systems by
-  :func:`linear_system`.
+  its matrix ``a_matrix`` (linear) or by its component ``field``
+  (nonlinear), and ``rhs`` on state arrays is worked out from that one.
+  Built-in systems, the homogenized closure ``example3-reduced`` among
+  them, are constructed by :func:`make_system`; arbitrary linear block
+  systems by :func:`linear_system`.
 * a classical 4th-order Runge-Kutta integrator with a fixed number of
   substeps per coarse sample step (:func:`integrate_batch`).  It advances
   an ``(m, n)`` batch of initial conditions in lock-step and returns
@@ -20,16 +20,15 @@ on this module.  It provides:
   so one coarse sample is one product with the precomputed
   S = R(hA)^substeps.  That is the same scheme with its sums in another
   order: it agrees with the stage loop to about 1e-12 absolute on states
-  of order 1 (2000 samples of example4).  Nonlinear systems run the one
-  RK4 stage loop, which steps a state given as a sequence of components.
-  A built-in nonlinear system writes its vector field once, over such a
-  sequence and a math namespace (``SystemSpec.field``): a batch of at most
-  ``_FLOAT_ROWS`` rows runs it row by row on Python floats with ``math``,
-  where numpy's per-call overhead would cost more than the arithmetic.  A
-  wider batch, and any system given by an array ``rhs`` alone, steps
-  ``rhs`` on the whole ``(m, n)`` batch as the loop's one component.  Both
-  apply the same float operations in the same order, so they agree bitwise
-  wherever ``math`` and ``numpy`` evaluate their functions alike.
+  of order 1 (2000 samples of example4).  A nonlinear system runs the one
+  RK4 stage loop on its field, which takes the state as a sequence of
+  components and a math namespace (``SystemSpec.field``): a batch of at
+  most ``_FLOAT_ROWS`` rows runs row by row on Python floats with
+  ``math``, where numpy's per-call overhead would cost more than the
+  arithmetic, and a wider batch runs on its ``m``-row columns with
+  ``numpy``.  Both apply the same float operations in the same order, so
+  they agree bitwise wherever ``math`` and ``numpy`` evaluate their
+  functions alike.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * ``LinearMZOracle`` -- for linear systems the dynamics of the observed
   block is known exactly: a Markov term ``A11 z(t)``, a memory integral
@@ -47,9 +46,9 @@ of shape ``(..., n)`` and return the same shape.
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -103,6 +102,9 @@ class IntegrationError(RuntimeError):
 class SystemSpec:
     """A dynamical system dx/dt = rhs(x) with observed leading components.
 
+    A system is given by exactly one of ``a_matrix`` and ``field``; a spec
+    with neither or both is a ValueError.
+
     Attributes
     ----------
     name : str
@@ -111,26 +113,20 @@ class SystemSpec:
         Full state dimension.
     d : int
         Observed dimension; the observation map keeps components ``[:d]``.
-    rhs : callable
-        Maps state arrays of shape ``(..., n)`` to derivatives of the same
-        shape.  Made from ``a_matrix`` or ``field`` when not given.
     a_matrix : ndarray or None
-        For linear systems, the full ``n x n`` matrix, so that
-        ``rhs(x) == x @ a_matrix.T``; ``None`` for nonlinear systems.  When
-        set, integration steps with this matrix and does not call ``rhs``.
+        For linear systems, the full ``n x n`` matrix: dx/dt = a_matrix @ x.
+        Integration steps with this matrix.
     field : callable or None
-        The vector field over components: ``field(x, m)`` takes a sequence
-        of the ``n`` state components and a math namespace ``m`` (``math``
-        when the components are floats, ``numpy`` when they are arrays)
-        and returns the ``n`` derivative components.  The built-in
-        nonlinear systems are defined by it, and narrow batches integrate
-        on it with floats; ``None`` for a system given by ``rhs`` alone.
+        For nonlinear systems, the vector field over components:
+        ``field(x, m)`` takes a sequence of the ``n`` state components and
+        a math namespace ``m`` (``math`` when the components are floats,
+        ``numpy`` when they are arrays) and returns the ``n`` derivative
+        components.  Integration runs the RK4 stage loop on it.
     """
 
     name: str
     n: int
     d: int
-    rhs: Callable[[np.ndarray], np.ndarray] | None = None
     a_matrix: np.ndarray | None = None
     field: Callable | None = None
 
@@ -139,18 +135,31 @@ class SystemSpec:
             raise ValueError(
                 f"observed dimension d={self.d} must satisfy 1 <= d <= n={self.n}"
             )
+        if (self.a_matrix is None) == (self.field is None):
+            raise ValueError(f"{self.name} needs exactly one of a_matrix and field")
         if self.a_matrix is not None and np.shape(self.a_matrix) != (self.n, self.n):
             raise ValueError(f"{self.name} has n={self.n} but a matrix of shape "
                              f"{np.shape(self.a_matrix)}")
-        if self.rhs is None:
-            if self.a_matrix is not None:
-                rhs = functools.partial(_times_transpose, self.a_matrix)
-            elif self.field is not None:
-                mismatch = f"{self.name} state has dimension {self.n}, got {{}}"
-                rhs = functools.partial(_on_array, self.field, self.n, mismatch)
-            else:
-                raise ValueError(f"{self.name} needs an rhs, an a_matrix or a field")
-            object.__setattr__(self, "rhs", rhs)
+
+    def rhs(self, state):
+        """dx/dt at states of shape ``(..., n)``, as an array of that shape:
+        ``state @ a_matrix.T``, or ``field`` on the last axis's components."""
+        state = np.asarray(state, dtype=float)
+        if state.shape[-1] != self.n:
+            raise ValueError(
+                f"{self.name} state has dimension {self.n}, got {state.shape[-1]}"
+            )
+        if self.a_matrix is not None:
+            return state @ self.a_matrix.T
+        derivative = self.field([state[..., i] for i in range(self.n)], np)
+        if len(derivative) != self.n:
+            raise ValueError(
+                f"vector field returns {len(derivative)} components, expected {self.n}"
+            )
+        out = np.empty_like(state)
+        for i, component in enumerate(derivative):
+            out[..., i] = component
+        return out
 
     def observe(self, states):
         """Project full states ``(..., n)`` onto the observed block ``(..., d)``."""
@@ -232,28 +241,6 @@ def example4_sigma():
     return {k: v.copy() for k, v in _SIGMA_CACHE.items()}
 
 
-def _on_array(field, n, mismatch, state):
-    """A component field on state arrays ``(..., n)``, whose last axis holds
-    the components; ``mismatch`` formats the error for another dimension."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != n:
-        raise ValueError(mismatch.format(state.shape[-1]))
-    derivative = field([state[..., i] for i in range(n)], np)
-    if len(derivative) != n:
-        raise ValueError(
-            f"vector field returns {len(derivative)} components, expected {n}"
-        )
-    out = np.empty_like(state)
-    for i, component in enumerate(derivative):
-        out[..., i] = component
-    return out
-
-
-def _times_transpose(a, state):
-    """The linear vector field ``x @ a.T`` on state arrays ``(..., n)``."""
-    return np.asarray(state, dtype=float) @ a.T
-
-
 def linear_system(a, d, name="linear-generic"):
     """Linear system dx/dt = a @ x observing the first ``d`` components."""
     a = np.array(a, dtype=float)
@@ -287,16 +274,16 @@ def make_system(name, **params):
     dataset construction into plain flow-map learning).
     """
     params = dict(params)
-    observe = params.pop("observe", None)
+    observe = _pop_number(name, params, "observe", None, integer=True)
 
     if name == "example1":
-        alpha = float(params.pop("alpha", 2.0))
+        alpha = _pop_number(name, params, "alpha", 2.0)
         _reject_params(name, params)
         spec = linear_system([[1.0, -4.0], [4.0, -alpha]], d=1, name=name)
 
     elif name == "example2":
-        alpha = float(params.pop("alpha", 0.1))
-        beta = float(params.pop("beta", 8.91))
+        alpha = _pop_number(name, params, "alpha", 0.1)
+        beta = _pop_number(name, params, "beta", 8.91)
         _reject_params(name, params)
 
         def field(x, m):
@@ -306,7 +293,7 @@ def make_system(name, **params):
         spec = SystemSpec(name=name, n=2, d=1, field=field)
 
     elif name == "example3":
-        epsilon = float(params.pop("epsilon", 0.01))
+        epsilon = _pop_number(name, params, "epsilon", 0.01)
         _reject_params(name, params)
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -337,15 +324,29 @@ def make_system(name, **params):
 
     elif name == "linear-generic":
         matrix = params.pop("matrix", None)
-        d = params.pop("d", None)
+        d = _pop_number(name, params, "d", None, integer=True)
         _reject_params(name, params)
         if matrix is None or d is None:
             raise ValueError("linear-generic requires 'matrix' and 'd' parameters")
-        spec = linear_system(matrix, d=int(d))
+        spec = linear_system(matrix, d=d)
 
     else:
         raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}")
-    return spec if observe is None else replace(spec, d=int(observe))
+    return spec if observe is None else replace(spec, d=observe)
+
+
+def _pop_number(name, params, key, default, integer=False):
+    """Remove ``key`` from ``params`` and return it as a float, or as an int
+    if ``integer``; ``default`` when it is absent.  A bool, a non-number or,
+    for ``integer``, a non-integral value is a ValueError naming the key."""
+    if key not in params:
+        return default
+    value = params.pop(key)
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} parameter {key!r} must be "
+                         f"{'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _reject_params(name, leftover):
@@ -374,11 +375,11 @@ def default_domain(spec):
 # ---------------------------------------------------------------------------
 
 
-# A batch of at most this many rows integrates its component field row by
-# row on Python floats; a wider one steps ``rhs`` on the whole batch.  One
-# substep costs about 4-7 us per row on floats against 30-80 us per batch
-# in numpy up to a few dozen rows: floats are faster up to about 8-10 rows
-# on example2 and 10-12 on example3 (measurements in CHANGES.md).
+# A batch of at most this many rows integrates its field row by row on
+# Python floats; a wider one runs it on the batch's columns in numpy.  One
+# substep costs about 4-7 us per row on floats against 40-90 us per batch
+# on columns up to a few dozen rows: floats are faster up to about 9 rows
+# on example2 and 16 on example3 (measurements in CHANGES.md).
 _FLOAT_ROWS = 8
 
 
@@ -398,49 +399,42 @@ def _rk4_sample_step(field, m, state, delta, substeps):
     return state
 
 
-def _float_sample_step(field, batch_field, row, delta, substeps):
+def _float_sample_step(field, row, delta, substeps):
     """One coarse sample of one state on Python floats.
 
     ``math`` raises where numpy returns inf or NaN (sin(inf), exp(1000),
-    1/0).  The sample is then redone on numpy as a batch of one row, as the
+    1/0).  The sample is then redone on numpy columns of one row, as the
     wide path runs it, so a state that numpy makes non-finite comes back
     non-finite and any other error is raised as it is there.
     """
     try:
         return _rk4_sample_step(field, math, row, delta, substeps)
     except (ArithmeticError, ValueError):
-        (batch,) = _rk4_sample_step(batch_field, np, [np.array([row])],
-                                    delta, substeps)
-        return batch[0].tolist()
+        columns = [np.array([x]) for x in row]
+        return np.concatenate(_rk4_sample_step(field, np, columns, delta,
+                                               substeps)).tolist()
 
 
 def _samples(spec, config, x0s):
     """Yield the batch's states ``(m, n)`` at samples 1, 2, ... ."""
     delta, substeps = config.delta, config.substeps
-
-    def batch_field(x, m):
-        # an array rhs is a field of one component: the whole batch
-        return (spec.rhs(x[0]),)
-
     if spec.a_matrix is not None:
         step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
         state = x0s
         while True:
             state = state @ step_t
             yield state
-    elif spec.field is not None and x0s.shape[0] <= _FLOAT_ROWS:
+    elif x0s.shape[0] <= _FLOAT_ROWS:
         rows = x0s.tolist()
         while True:
-            rows = [_float_sample_step(spec.field, batch_field, row, delta,
-                                       substeps)
+            rows = [_float_sample_step(spec.field, row, delta, substeps)
                     for row in rows]
             yield rows
     else:
-        state = x0s
+        columns = list(x0s.T)
         while True:
-            (state,) = _rk4_sample_step(batch_field, np, [state], delta,
-                                        substeps)
-            yield state
+            columns = _rk4_sample_step(spec.field, np, columns, delta, substeps)
+            yield np.stack(columns, axis=-1)
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -462,12 +456,12 @@ def integrate_batch(spec, config, x0s, num_samples):
     ``x0s`` has shape ``(m, n)``; the result has shape
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
     All trajectories share the coarse time grid.  A linear system takes
-    one product with the sample matrix per coarse sample; a component
-    field steps row by row on floats (at most ``_FLOAT_ROWS`` rows); any
-    other batch steps ``rhs`` on the whole batch.  A vector field that does
-    not give ``n`` components is rejected before the first step.  A
-    non-finite state aborts the run with an IntegrationError naming the
-    earliest sample and the lowest trajectory that is non-finite there.
+    one product with the sample matrix per coarse sample; a nonlinear one
+    steps its field row by row on floats (at most ``_FLOAT_ROWS`` rows) or
+    on the batch's columns.  A vector field that does not give ``n``
+    components is rejected before the first step.  A non-finite state
+    aborts the run with an IntegrationError naming the earliest sample and
+    the lowest trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n:
@@ -475,14 +469,9 @@ def integrate_batch(spec, config, x0s, num_samples):
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if spec.a_matrix is None:
-        # the stage loop's zip and the broadcast into ``out`` would hide a
-        # field with too few or too many components; one call shows it
-        shape = np.shape(spec.rhs(x0s[:1]))
-        if shape != x0s[:1].shape:
-            raise ValueError(
-                f"{spec.name} vector field maps states of shape "
-                f"{x0s[:1].shape} to shape {shape}"
-            )
+        # the stage loop's zip would hide a field with too few or too many
+        # components; rhs counts them
+        spec.rhs(x0s[:1])
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
     for k, state in zip(range(1, num_samples + 1), _samples(spec, config, x0s)):

@@ -309,8 +309,9 @@ def compare_with_homogenized(model, spec, solver, domain, eval_horizon, n_runs, 
     """Rollout accuracy of a trained chaotic-system model vs the analytic
     slow-variable closure.
 
-    ``spec`` is the full 4-variable example3 system (any epsilon); any
-    other system is a ValueError.  ``n_runs`` initial conditions of it are
+    ``spec`` is the full 4-variable example3 system (any epsilon) observing
+    x1, x2 and x3, the closure's state; any other system or observed
+    dimension is a ValueError.  ``n_runs`` initial conditions of it are
     scored with :func:`rollout_against_truth`, and the homogenized
     3-variable system is integrated from the same slow-variable initial
     conditions.  Returns a pair of ErrorSeries averaged over the runs
@@ -320,6 +321,11 @@ def compare_with_homogenized(model, spec, solver, domain, eval_horizon, n_runs, 
     if spec.name != "example3":
         raise ValueError(
             f"the homogenized closure is a reference for example3, not {spec.name}"
+        )
+    if spec.d != 3:
+        raise ValueError(
+            f"the homogenized closure predicts x1, x2 and x3, so example3 must "
+            f"observe those three; it observes d={spec.d}"
         )
     reduced = dyn.make_system("example3-reduced")
     if model.d != spec.d:

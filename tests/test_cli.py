@@ -105,8 +105,26 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_parameter_that_is_not_a_number_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="params of example1: float"):
+        with pytest.raises(ValueError, match=r"example1 parameter 'alpha' must "
+                           r"be a number, got \[2.0\]"):
             micro_config(tmp_path, params={"alpha": [2.0]})
+
+    @pytest.mark.parametrize("system, params, key", [
+        ("example1", {"alpha": "abc"}, "alpha"),
+        ("example2", {"beta": True}, "beta"),
+        ("example3", {"epsilon": None}, "epsilon"),
+        ("example1", {"observe": 1.7}, "observe"),
+        ("linear-generic", {"matrix": [[-1.0]], "d": "x"}, "d"),
+    ])
+    def test_numeric_parameters_checked_by_key(self, tmp_path, capsys, system,
+                                               params, key):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"system": system, "params": params}))
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {system} parameter '{key}' must be ")
+        assert not (tmp_path / "run").exists()
 
     def test_explicit_domain_reaches_the_config(self, tmp_path):
         cfg = micro_config(tmp_path, domain_lower=[-1.0, -0.5],

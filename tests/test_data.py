@@ -99,7 +99,7 @@ class TestGenerateTrajectories:
 
     def test_constant_system(self):
         spec = dyn.SystemSpec(
-            name="still", n=2, d=1, rhs=lambda s: np.zeros_like(s)
+            name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)
         )
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         trajs = data.generate_trajectories(

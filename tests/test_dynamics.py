@@ -41,9 +41,10 @@ class TestEvalRhs:
         )
 
     def test_dimension_mismatch_rejected(self):
-        spec = dyn.make_system("example2")
-        with pytest.raises(ValueError, match="dimension 2, got 3"):
-            spec.rhs([1.0, 0.0, 0.0])
+        for name in ("example1", "example2"):
+            spec = dyn.make_system(name)
+            with pytest.raises(ValueError, match=f"{name} state has dimension 2, got 3"):
+                spec.rhs([1.0, 0.0, 0.0])
 
     def test_batched_evaluation(self):
         for name in ("example2", "example4"):
@@ -63,11 +64,29 @@ class TestEvalRhs:
         with pytest.raises(ValueError, match="unknown parameters"):
             dyn.make_system("example1", gamma=3.0)
 
+    def test_numpy_scalar_parameters_accepted(self):
+        spec = dyn.make_system("linear-generic", matrix=-np.eye(3), d=np.int64(1),
+                               observe=np.int64(2))
+        assert spec.d == 2 and type(spec.d) is int
+        spec = dyn.make_system("example2", alpha=np.float64(0.5))
+        np.testing.assert_allclose(spec.rhs([0.0, 1.0]), [1.0, -0.5])
+
 
 class TestSystemSpec:
     def test_observed_dimension_bounds(self):
         with pytest.raises(ValueError, match="observed dimension"):
-            dyn.SystemSpec(name="x", n=2, d=3, rhs=lambda s: s)
+            dyn.SystemSpec(name="x", n=2, d=3, field=lambda x, m: x)
+
+    def test_exactly_one_description_required(self):
+        with pytest.raises(ValueError, match="none needs exactly one of a_matrix and field"):
+            dyn.SystemSpec(name="none", n=1, d=1)
+        with pytest.raises(ValueError, match="both needs exactly one of a_matrix and field"):
+            dyn.SystemSpec(name="both", n=1, d=1, a_matrix=np.eye(1),
+                           field=lambda x, m: x)
+
+    def test_rhs_follows_a_replaced_matrix(self):
+        spec = dataclasses.replace(dyn.make_system("example1"), a_matrix=-np.eye(2))
+        np.testing.assert_array_equal(spec.rhs([1.0, 0.0]), [-1.0, 0.0])
 
     def test_observe_projects_leading_components(self):
         spec = dyn.make_system("example3")
@@ -167,15 +186,15 @@ class TestIntegrate:
 
     def test_zero_vector_field_constant_solution(self):
         spec = dyn.SystemSpec(
-            name="still", n=2, d=2, rhs=lambda s: np.zeros_like(s)
+            name="still", n=2, d=2, field=lambda x, m: (0.0, 0.0)
         )
         got = dyn.integrate_batch(spec, dyn.SolverConfig(0.5, 3), [[3.0, 7.0]], 6)
         np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (1, 7, 1)))
 
     def test_rk4_convergence_order(self):
-        # on the linear sample-matrix path, on the stage loop through the
-        # array rhs, and on the stage loop through a component field, which
-        # one row integrates on Python floats
+        # on the linear sample-matrix path, and on the stage loop through a
+        # component field, which one row integrates on Python floats and a
+        # batch wider than _FLOAT_ROWS on numpy columns
         linear = dyn.make_system("example1", alpha=2.0)
         oracle = dyn.oracle_for_system(linear)
         x0 = np.array([1.3, -0.4])
@@ -183,11 +202,12 @@ class TestIntegrate:
         substeps = [1, 2, 4, 8]
         fields = dyn.SystemSpec(name="example1-field", n=2, d=1,
                                 field=example1_field)
-        for spec in (linear, dataclasses.replace(linear, a_matrix=None), fields):
+        wide = np.tile(x0, (dyn._FLOAT_ROWS + 1, 1))
+        for spec, x0s in ((linear, x0[None]), (fields, x0[None]), (fields, wide)):
             errors = []
             for s in substeps:
-                end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, s), x0[None], 50)
-                errors.append(np.linalg.norm(end[0, -1] - exact))
+                end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, s), x0s, 50)
+                errors.append(np.linalg.norm(end[-1, -1] - exact))
             slope = np.polyfit(
                 np.log([0.02 / s for s in substeps]), np.log(errors), 1
             )[0]
@@ -206,7 +226,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_sample_index(self):
         spec = dyn.SystemSpec(
-            name="blowup", n=1, d=1, rhs=lambda s: s**2
+            name="blowup", n=1, d=1, field=lambda x, m: (x[0] ** 2,)
         )
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 10)
@@ -232,7 +252,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_batch_divergence_reports_trajectory(self):
         spec = dyn.SystemSpec(
-            name="blowup", n=1, d=1, rhs=lambda s: s**2
+            name="blowup", n=1, d=1, field=lambda x, m: (x[0] ** 2,)
         )
         x0s = np.array([[0.0], [5.0]])
         with pytest.raises(dyn.IntegrationError) as info:
@@ -241,10 +261,17 @@ class TestIntegrate:
 
 
 def stage_loop(spec, cfg, x0s, num_samples):
-    """Reference: the generic RK4 stage loop on ``spec.rhs``."""
-    return dyn.integrate_batch(
-        dataclasses.replace(spec, a_matrix=None), cfg, x0s, num_samples
-    )
+    """Reference: the RK4 stage loop on ``x @ a.T``, stepping the whole
+    batch as its one component."""
+    def field(x, m):
+        return (x[0] @ spec.a_matrix.T,)
+
+    states = [np.asarray(x0s, dtype=float)]
+    for _ in range(num_samples):
+        (state,) = dyn._rk4_sample_step(field, np, states[-1:], cfg.delta,
+                                        cfg.substeps)
+        states.append(state)
+    return np.stack(states, axis=1)
 
 
 RANDOM3 = dyn.linear_system(
@@ -298,8 +325,8 @@ class TestLinearSampleMatrix:
 
 class TestComponentFields:
     """A component field integrates row by row on Python floats up to
-    ``_FLOAT_ROWS`` rows and through ``rhs`` on the whole batch above; the
-    two paths apply the same float operations in the same order."""
+    ``_FLOAT_ROWS`` rows and on the batch's numpy columns above; the two
+    paths apply the same float operations in the same order."""
 
     CFG = dyn.SolverConfig(0.02, 10)
 
@@ -342,8 +369,6 @@ class TestComponentFields:
         np.testing.assert_allclose(spec.rhs(x), want, rtol=0, atol=1e-14)
         with pytest.raises(ValueError, match="e1 state has dimension 2, got 3"):
             spec.rhs([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="needs an rhs, an a_matrix or a field"):
-            dyn.SystemSpec(name="none", n=1, d=1)
 
     @pytest.mark.parametrize("field", [lambda x, m: (-x[0],),
                                        lambda x, m: (x[1], -x[0], x[0])])
@@ -355,13 +380,6 @@ class TestComponentFields:
                                "components, expected 2"):
                 dyn.integrate_batch(spec, self.CFG, np.ones((rows, 2)), 1)
         assert not calls
-
-    def test_rhs_of_wrong_shape_rejected(self):
-        spec = dyn.SystemSpec(name="flat", n=2, d=1,
-                              rhs=lambda x: x.sum(axis=-1))
-        with pytest.raises(ValueError, match=r"flat vector field maps states "
-                           r"of shape \(1, 2\) to shape \(1,\)"):
-            dyn.integrate_batch(spec, self.CFG, np.ones((3, 2)), 1)
 
     def assert_same_failure(self, spec, cfg, x0s, num_samples, want):
         errors = []

@@ -289,7 +289,7 @@ class TestEvaluateAndSweep:
         # a zero-final-layer model predicts a constant, so against a
         # constant system the evaluation error is exactly zero
         spec = dyn.SystemSpec(
-            name="still", n=2, d=1, rhs=lambda s: np.zeros_like(s)
+            name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)
         )
         model = zero_final_layer(net.init_params(1, 2, [4], seed=3))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -309,7 +309,7 @@ class TestEvaluateAndSweep:
         biases=[np.zeros(1), np.array([1e308])],
     )
     STILL = dyn.SystemSpec(
-        name="still", n=2, d=1, rhs=lambda s: np.zeros_like(s)
+        name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)
     )
 
     def evaluate_sign_split(self, lower, upper):
@@ -389,6 +389,14 @@ class TestCompareWithHomogenized:
         model = net.init_params(1, 2, [6], seed=1)
         with pytest.raises(ValueError, match="for example3, not example2"):
             self.compare(model, dyn.make_system("example2"))
+
+    @pytest.mark.parametrize("observe", [2, 4])
+    def test_other_observed_dimensions_rejected(self, observe):
+        model = net.init_params(observe, 2, [6], seed=1)
+        spec = dyn.make_system("example3", observe=observe)
+        with pytest.raises(ValueError, match=f"must observe those three; it "
+                           f"observes d={observe}"):
+            self.compare(model, spec)
 
     def test_scores_against_the_given_epsilon(self):
         # the truth is the spec's own: example3 at epsilon 0.05, not 0.01
