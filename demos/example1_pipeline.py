@@ -45,10 +45,9 @@ print(f"trained {cfg.epochs} epochs in {report.wall_time:.1f}s, "
 
 # rollout to t = 20 from an initial condition the model has never seen,
 # seeded with the first N_MEM + 1 exact observed states
-oracle = dyn.oracle_for_system(spec)
 x0 = np.array([-0.87, 0.65])
 steps_total = int(round(20.0 / solver.delta))
-reference = dyn.exact_linear_trajectory(oracle, x0, solver.delta, steps_total)[:, :1]
+reference = dyn.exact_linear_trajectory(spec, x0, solver.delta, steps_total)[:, :1]
 res = rollout.rollout(
     model, reference[None, : N_MEM + 1], steps_total - N_MEM, delta=solver.delta
 )

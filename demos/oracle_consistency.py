@@ -38,9 +38,8 @@ print(f"semigroup residual: {semigroup:.2e}   inverse residual: {inverse:.2e}")
 
 print("\n== 2. RK4 convergence order ==")
 spec = dyn.make_system("example1", alpha=2.0)
-oracle = dyn.oracle_for_system(spec)
 x0 = np.array([1.3, -0.4])
-exact = dyn.exact_linear_solution(oracle, x0, 1.0)
+exact = dyn.exact_linear_solution(spec, x0, 1.0)
 print("substeps   error at t=1")
 errors = []
 for substeps in (1, 2, 4, 8):
@@ -53,15 +52,14 @@ print(f"observed order: {slope:.3f}")
 print("\n== 3. reduced-dynamics decomposition ==")
 for name in ("example1", "example4"):
     sys_spec = dyn.make_system(name)
-    sys_oracle = dyn.oracle_for_system(sys_spec)
     worst = 0.0
     for _ in range(10):
         x = rng.uniform(-1.5, 1.5, size=sys_spec.n)
         t = rng.uniform(0.2, 1.2)
-        got = dyn.linear_mz_rhs(sys_oracle, x, t)
+        got = dyn.linear_mz_rhs(sys_spec, x, t)
         h = 1e-5
-        hi = dyn.exact_linear_solution(sys_oracle, x, t + h)[: sys_spec.d]
-        lo = dyn.exact_linear_solution(sys_oracle, x, t - h)[: sys_spec.d]
+        hi = dyn.exact_linear_solution(sys_spec, x, t + h)[: sys_spec.d]
+        lo = dyn.exact_linear_solution(sys_spec, x, t - h)[: sys_spec.d]
         worst = max(worst, float(np.abs(got - (hi - lo) / (2 * h)).max()))
     print(f"{name}: max residual over 10 random (x0, t): {worst:.2e}")
 
@@ -71,7 +69,7 @@ for delta in (0.02, 0.01, 0.005):
     steps = int(round(1.0 / delta))
     seeds = np.zeros((steps + 1, 1))
     seeds[-1, 0] = 1.2  # window spans all of [0, t]; z(t<0) = 0 by convention
-    traj = rollout.euler_damz(oracle, seeds, steps, delta)
-    ref = dyn.exact_linear_solution(oracle, np.array([1.2, 0.0]), 1.0)[0]
+    traj = rollout.euler_damz(spec, seeds, steps, delta)
+    ref = dyn.exact_linear_solution(spec, np.array([1.2, 0.0]), 1.0)[0]
     print(f"{delta:<8g}   {abs(traj[-1, 0] - ref):.3e}")
 print("(each halving of delta should roughly halve the error)")

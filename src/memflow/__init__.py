@@ -10,7 +10,8 @@ yields long-horizon forecasts.
 Subpackages map onto the pipeline:
 
 * :mod:`memflow.dynamics` -- benchmark systems, RK4 integration, matrix
-  exponential, and the exact reduced-dynamics oracle for linear systems.
+  exponential, and the exact reduced-dynamics references for linear
+  systems, which take the linear system spec itself.
 * :mod:`memflow.data` -- trajectory generation and memory-window datasets.
 * :mod:`memflow.net` -- the residual memory network with analytic
   gradients (plain numpy, no autodiff framework).

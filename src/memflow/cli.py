@@ -91,8 +91,7 @@ _VALUE_TYPES = (
         "substeps", "n_traj", "n_mem", "batch_size", "epochs", "n_eval_runs",
         "seed")],
     *[(key, "a number", _is_number) for key in (
-        "delta", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
-        "eval_horizon")],
+        "delta", "learning_rate", "eval_horizon")],
     ("params", "an object", lambda v: isinstance(v, dict)),
     ("hidden", "a list of integers", _is_list_of(_is_int)),
     ("traj_len", 'an integer or "auto"', lambda v: v == "auto" or _is_int(v)),
@@ -129,9 +128,6 @@ class ExperimentConfig:
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eval_horizon: float = 20.0
     n_eval_runs: int = 5
     seed: int = 0
@@ -193,9 +189,6 @@ class ExperimentConfig:
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=self.epochs,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
             seed=stage_seed(self.seed, "train"),
         )
 
@@ -382,8 +375,11 @@ def cmd_predict(cfg, steps=None):
     """Roll the trained model forward and write a rollout CSV.
 
     Seeds come from a fresh truth trajectory (random in-domain initial
-    condition), which also provides the reference columns.
+    condition), which also provides the reference columns.  ``steps``
+    defaults to what reaches ``eval_horizon``; given, it must be >= 1.
     """
+    if steps is not None and steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {steps}")
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
     if steps is None:
@@ -465,7 +461,7 @@ def cmd_compare_reduced(cfg):
 
 
 def cmd_oracle_check(cfg, n_checks=20, tol=1e-4):
-    """Validate the exact reduced-dynamics oracle for a linear system.
+    """Validate the exact reduced-dynamics references of a linear system.
 
     Checks that Markov + memory + unobserved-initial-state terms reproduce
     the centered finite difference of the exact solution at random states
@@ -473,22 +469,21 @@ def cmd_oracle_check(cfg, n_checks=20, tol=1e-4):
     exponential.  Returns the maximum decomposition residual.
     """
     spec = cfg.spec()
-    oracle = dyn.oracle_for_system(spec)
     rng = np.random.default_rng(stage_seed(cfg.seed, "oracle"))
     worst = 0.0
     for _ in range(n_checks):
         x0 = rng.uniform(-1.0, 1.0, size=spec.n)
         t = rng.uniform(0.2, 1.5)
-        got = dyn.linear_mz_rhs(oracle, x0, t)
+        got = dyn.linear_mz_rhs(spec, x0, t)
         h = 1e-5
-        hi = dyn.exact_linear_solution(oracle, x0, t + h)[: spec.d]
-        lo = dyn.exact_linear_solution(oracle, x0, t - h)[: spec.d]
+        hi = dyn.exact_linear_solution(spec, x0, t + h)[: spec.d]
+        lo = dyn.exact_linear_solution(spec, x0, t - h)[: spec.d]
         want = (hi - lo) / (2 * h)
         worst = max(worst, float(np.max(np.abs(got - want))))
     x0 = rng.uniform(-1.0, 1.0, size=spec.n)
     solver = cfg.solver()
     rk4_end = dyn.integrate_batch(spec, solver, x0[None], 50)[0, -1]
-    exact_end = dyn.exact_linear_solution(oracle, x0, 50 * solver.delta)
+    exact_end = dyn.exact_linear_solution(spec, x0, 50 * solver.delta)
     rk4_err = float(np.max(np.abs(rk4_end - exact_end)))
     print(f"decomposition residual (max over {n_checks} draws): {worst:.3e}")
     print(f"RK4 vs matrix exponential at t={50 * solver.delta:g}: {rk4_err:.3e}")

@@ -30,15 +30,15 @@ on this module.  It provides:
   they agree bitwise wherever ``math`` and ``numpy`` evaluate their
   functions alike.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
-* ``LinearMZOracle`` -- for linear systems the dynamics of the observed
-  block is known exactly: a Markov term ``A11 z(t)``, a memory integral
-  with kernel ``exp(A22 s) A21 z(t-s)`` projected through ``A12``, and a
-  term propagating the unobserved initial state.  A linear system is its
-  matrix: every linear built-in is made by :func:`linear_system`, and the
-  oracle holds that same ``a_matrix`` with the observed dimension ``d``;
-  the blocks ``A11``..``A22`` are slices of it.  The oracle functions
-  evaluate all three terms, giving a zero-model-error reference that
-  trained networks and discrete schemes are validated against.
+* exact linear Mori-Zwanzig references: for a linear spec the dynamics of
+  the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
+  term ``A11 z(t)``, a memory integral with kernel ``exp(A22 s) A21
+  z(t-s)`` projected through ``A12``, and a term propagating the
+  unobserved initial state.  The references take the linear spec itself,
+  and the blocks ``A11``..``A22`` are views of its ``a_matrix`` split at
+  ``d``; a spec given by its field is rejected as not linear.  They give
+  a zero-model-error reference that trained networks and discrete schemes
+  are validated against.
 
 All right-hand sides broadcast over leading axes: they accept state arrays
 of shape ``(..., n)`` and return the same shape.
@@ -58,7 +58,6 @@ __all__ = [
     "SystemSpec",
     "Domain",
     "SolverConfig",
-    "LinearMZOracle",
     "IntegrationError",
     "make_system",
     "linear_system",
@@ -115,7 +114,8 @@ class SystemSpec:
         Observed dimension; the observation map keeps components ``[:d]``.
     a_matrix : ndarray or None
         For linear systems, the full ``n x n`` matrix: dx/dt = a_matrix @ x.
-        Integration steps with this matrix.
+        Stored as a float array of its own, which must be finite.
+        Integration and the exact references step with this matrix.
     field : callable or None
         For nonlinear systems, the vector field over components:
         ``field(x, m)`` takes a sequence of the ``n`` state components and
@@ -137,9 +137,14 @@ class SystemSpec:
             )
         if (self.a_matrix is None) == (self.field is None):
             raise ValueError(f"{self.name} needs exactly one of a_matrix and field")
-        if self.a_matrix is not None and np.shape(self.a_matrix) != (self.n, self.n):
-            raise ValueError(f"{self.name} has n={self.n} but a matrix of shape "
-                             f"{np.shape(self.a_matrix)}")
+        if self.a_matrix is not None:
+            a = np.array(self.a_matrix, dtype=float)
+            if a.shape != (self.n, self.n):
+                raise ValueError(f"{self.name} has n={self.n} but a matrix of "
+                                 f"shape {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{self.name} matrix must be finite-valued")
+            object.__setattr__(self, "a_matrix", a)
 
     def rhs(self, state):
         """dx/dt at states of shape ``(..., n)``, as an array of that shape:
@@ -242,13 +247,12 @@ def example4_sigma():
 
 
 def linear_system(a, d, name="linear-generic"):
-    """Linear system dx/dt = a @ x observing the first ``d`` components."""
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix must be finite-valued")
-    return SystemSpec(name=name, n=a.shape[0], d=d, a_matrix=a)
+    """Linear system dx/dt = a @ x observing the first ``d`` components;
+    ``n`` is read from the square matrix ``a``."""
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"matrix must be square, got shape {shape}")
+    return SystemSpec(name=name, n=shape[0], d=d, a_matrix=a)
 
 
 def make_system(name, **params):
@@ -522,97 +526,66 @@ def matrix_exponential(a):
 
 
 # ---------------------------------------------------------------------------
-# Linear Mori-Zwanzig oracle
+# Exact linear Mori-Zwanzig references
 # ---------------------------------------------------------------------------
 
 _QUAD_POINTS = 1000  # history samples per unit time in linear_mz_rhs
 
 
-@dataclass(frozen=True)
-class LinearMZOracle:
-    """A linear system dx/dt = A x seen through its first ``d`` components.
+def _linear_matrix(spec):
+    """The matrix of a linear spec; a spec given by its field is rejected."""
+    if spec.a_matrix is None:
+        raise ValueError(f"{spec.name} is not linear; no exact reference available")
+    return spec.a_matrix
 
-    With x = (z; w), z in R^d observed, the observed block satisfies exactly
 
-        dz/dt = A11 z(t)
-              + A12 * integral_0^t exp(A22 s) A21 z(t-s) ds
-              + A12 * exp(A22 t) w(0).
+def _blocks(spec):
+    """Views (A11, A12, A21, A22) of a linear spec's matrix split at ``d``.
 
-    The oracle holds ``a`` and ``d`` only; ``a11``..``a22`` are views of
-    ``a``.  ``d == n`` is allowed: the unobserved blocks are then empty and
-    the memory and noise terms vanish.
+    With ``d == n`` the unobserved blocks are empty, so the memory and
+    noise terms vanish.
     """
-
-    a: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not 1 <= self.d <= a.shape[0]:
-            raise ValueError(
-                f"observed dimension d={self.d} must satisfy 1 <= d <= n={a.shape[0]}"
-            )
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self):
-        return self.a.shape[0]
-
-    @property
-    def a11(self):
-        return self.a[: self.d, : self.d]
-
-    @property
-    def a12(self):
-        return self.a[: self.d, self.d :]
-
-    @property
-    def a21(self):
-        return self.a[self.d :, : self.d]
-
-    @property
-    def a22(self):
-        return self.a[self.d :, self.d :]
+    a, d = _linear_matrix(spec), spec.d
+    return a[:d, :d], a[:d, d:], a[d:, :d], a[d:, d:]
 
 
 def oracle_for_system(spec):
-    """The exact reduced-dynamics oracle of a linear SystemSpec; nonlinear
-    systems are rejected."""
-    if spec.a_matrix is None:
-        raise ValueError(f"{spec.name} is not linear; no exact oracle available")
-    return LinearMZOracle(spec.a_matrix, spec.d)
+    """The linear spec itself, which the exact references take; a spec given
+    by its field is rejected."""
+    _linear_matrix(spec)
+    return spec
 
 
-def exact_linear_solution(oracle, x0, t):
-    """Full-state solution exp(A t) x0 of the linear system."""
+def exact_linear_solution(spec, x0, t):
+    """Full-state solution exp(A t) x0 of a linear spec."""
+    a = _linear_matrix(spec)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (oracle.n,):
-        raise ValueError(f"x0 must have shape ({oracle.n},), got {x0.shape}")
-    return matrix_exponential(oracle.a * t) @ x0
+    if x0.shape != (spec.n,):
+        raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
+    return matrix_exponential(a * t) @ x0
 
 
-def exact_linear_trajectory(oracle, x0, delta, num_samples):
+def exact_linear_trajectory(spec, x0, delta, num_samples):
     """Exact states at times 0, delta, ..., num_samples*delta.
 
     Computed by repeated application of the one-step propagator
     exp(A delta), so there is no time-discretization error.
     """
+    a = _linear_matrix(spec)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (oracle.n,):
-        raise ValueError(f"x0 must have shape ({oracle.n},), got {x0.shape}")
-    step = matrix_exponential(oracle.a * delta)
-    out = np.empty((num_samples + 1, oracle.n))
+    if x0.shape != (spec.n,):
+        raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
+    step = matrix_exponential(a * delta)
+    out = np.empty((num_samples + 1, spec.n))
     out[0] = x0
     for k in range(1, num_samples + 1):
         out[k] = step @ out[k - 1]
     return out
 
 
-def _memory_matrix(oracle, h, m):
+def _memory_matrix(spec, h, m):
     """Trapezoid rule for the memory term over a window of ``m`` steps of
     length ``h``, as one ``(d, (m + 1) * d)`` matrix.
 
@@ -621,19 +594,20 @@ def _memory_matrix(oracle, h, m):
     z(t - j h).  The blocks are stored oldest node first, so the matrix
     applies to a history of ``m + 1`` states in time order, flattened.
     """
-    step = matrix_exponential(oracle.a22 * h)
+    _, a12, a21, a22 = _blocks(spec)
+    step = matrix_exponential(a22 * h)
     powers = np.empty((m + 1, *step.shape))  # exp(A22 j h), j = 0..m
     powers[0] = np.eye(step.shape[0])
     for j in range(1, m + 1):
         powers[j] = step @ powers[j - 1]
-    kernels = oracle.a12 @ powers @ oracle.a21
+    kernels = a12 @ powers @ a21
     weights = np.full(m + 1, h if m > 0 else 0.0)
     weights[[0, -1]] *= 0.5
     weighted = (weights[::-1, None, None] * kernels[::-1]).transpose(1, 0, 2)
-    return weighted.reshape(oracle.d, (m + 1) * oracle.d)
+    return weighted.reshape(spec.d, (m + 1) * spec.d)
 
 
-def mz_memory_integral(oracle, z_history, t, truncation):
+def mz_memory_integral(spec, z_history, t, truncation):
     """Truncated memory term of the exact reduced dynamics at time ``t``.
 
     Parameters
@@ -651,27 +625,28 @@ def mz_memory_integral(oracle, z_history, t, truncation):
         A12 * integral_0^T exp(A22 s) A21 z(t-s) ds, converging at
         O(h^2) in the history spacing h.
     """
+    _linear_matrix(spec)  # rejects a nonlinear spec also where T = 0
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     if truncation > t + 1e-12:
         raise ValueError(f"truncation {truncation} exceeds current time {t}")
     z_history = np.atleast_2d(np.asarray(z_history, dtype=float))
-    if z_history.shape[-1] != oracle.d:
+    if z_history.shape[-1] != spec.d:
         raise ValueError(
-            f"history rows have dimension {z_history.shape[-1]}, expected {oracle.d}"
+            f"history rows have dimension {z_history.shape[-1]}, expected {spec.d}"
         )
     if truncation == 0:
-        return np.zeros(oracle.d)
+        return np.zeros(spec.d)
     m = z_history.shape[0] - 1
     if m < 1:
         raise ValueError(
             f"insufficient history: need >= 2 samples covering [t-T, t], "
             f"got {z_history.shape[0]}"
         )
-    return _memory_matrix(oracle, truncation / m, m) @ z_history.reshape(-1)
+    return _memory_matrix(spec, truncation / m, m) @ z_history.reshape(-1)
 
 
-def mz_noise_term(oracle, w0, t):
+def mz_noise_term(spec, w0, t):
     """Contribution of the unobserved initial state, A12 exp(A22 t) w0.
 
     This is the orthogonal-dynamics term of the reduced equations; it is
@@ -679,17 +654,25 @@ def mz_noise_term(oracle, w0, t):
     coefficient must be A12 (shape d x (n-d)) for the reduced derivative
     decomposition to close -- see the decomposition identity tests.
     """
+    _, a12, _, a22 = _blocks(spec)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     w0 = np.asarray(w0, dtype=float)
-    m = oracle.a22.shape[0]
+    m = a22.shape[0]
     if w0.shape != (m,):
         raise ValueError(f"w0 must have shape ({m},), got {w0.shape}")
-    return oracle.a12 @ (matrix_exponential(oracle.a22 * t) @ w0)
+    return a12 @ (matrix_exponential(a22 * t) @ w0)
 
 
-def linear_mz_rhs(oracle, x0, t):
+def linear_mz_rhs(spec, x0, t):
     """dz/dt at time ``t`` via the exact reduced decomposition.
+
+    A linear spec dx/dt = A x with x = (z; w), z in R^d observed, has an
+    observed block that satisfies exactly
+
+        dz/dt = A11 z(t)
+              + A12 * integral_0^t exp(A22 s) A21 z(t-s) ds
+              + A12 * exp(A22 t) w(0).
 
     Evaluates Markov term + full-interval memory quadrature (T = t) +
     unobserved-initial-state term, with the history sampled from the
@@ -697,14 +680,15 @@ def linear_mz_rhs(oracle, x0, t):
     a self-check: the result must match the time derivative of the
     observed block of exp(A t) x0 up to quadrature error.
     """
+    a11 = _blocks(spec)[0]
     x0 = np.asarray(x0, dtype=float)
-    d = oracle.d
+    d = spec.d
     if t == 0:
-        return oracle.a11 @ x0[:d] + mz_noise_term(oracle, x0[d:], 0.0)
+        return a11 @ x0[:d] + mz_noise_term(spec, x0[d:], 0.0)
     m = max(1, int(round(t * _QUAD_POINTS)))
-    full = exact_linear_trajectory(oracle, x0, t / m, m)
+    full = exact_linear_trajectory(spec, x0, t / m, m)
     z_history = full[:, :d]
-    markov = oracle.a11 @ z_history[-1]
-    memory = mz_memory_integral(oracle, z_history, t, t)
-    noise = mz_noise_term(oracle, x0[d:], t)
+    markov = a11 @ z_history[-1]
+    memory = mz_memory_integral(spec, z_history, t, t)
+    noise = mz_noise_term(spec, x0[d:], t)
     return markov + memory + noise

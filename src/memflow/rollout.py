@@ -224,18 +224,22 @@ def memory_sweep(
 ):
     """Train and evaluate one model per memory setting.
 
-    ``n_mem_list`` must be ascending.  ``traj_len`` may be an integer or
-    ``"auto"`` for the minimal length ``n_mem + 2`` (one window per
-    trajectory).  Every cell regenerates data, builds windows, trains a
-    fresh network, and reports the mean rollout error at the evaluation
-    horizon; all randomness is derived from ``seed`` and the cell's
-    ``n_mem`` so the sweep is reproducible.
+    ``n_mem_list`` must be ascending and non-negative.  ``traj_len`` may
+    be an integer or ``"auto"`` for the minimal length ``n_mem + 2`` (one
+    window per trajectory).  Every cell regenerates data, builds windows,
+    trains a fresh network, and reports the mean rollout error at the
+    evaluation horizon; all randomness is derived from ``seed`` and the
+    cell's ``n_mem`` so the sweep is reproducible.
     """
     n_mem_list = list(n_mem_list)
     if not n_mem_list:
         raise ValueError("n_mem_list must be non-empty")
     if any(b <= a for a, b in zip(n_mem_list, n_mem_list[1:])):
         raise ValueError("n_mem_list must be strictly ascending")
+    if n_mem_list[0] < 0:
+        raise ValueError(
+            f"n_mem_list must not hold a negative n_mem, got {n_mem_list}"
+        )
     horizon_steps = int(round(eval_horizon / solver.delta))
     cells = []
     for n_mem in n_mem_list:
@@ -270,8 +274,8 @@ def memory_sweep(
 # ---------------------------------------------------------------------------
 
 
-def euler_damz(oracle, seeds, steps, delta):
-    """Explicit Euler on the discretized reduced dynamics of a linear system.
+def euler_damz(spec, seeds, steps, delta):
+    """Explicit Euler on the discretized reduced dynamics of a linear spec.
 
     The update is
 
@@ -283,19 +287,19 @@ def euler_damz(oracle, seeds, steps, delta):
     seed count (``n_mem + 1`` rows).  Unlike the learned model this scheme
     carries O(delta) time-discretization error.
     """
+    a11 = dyn._blocks(spec)[0]
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[1] != oracle.d:
+    if seeds.shape[1] != spec.d:
         raise ValueError(
-            f"seed rows have dimension {seeds.shape[1]}, expected {oracle.d}"
+            f"seed rows have dimension {seeds.shape[1]}, expected {spec.d}"
         )
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     n_mem = seeds.shape[0] - 1
-    d = oracle.d
+    d = spec.d
     # The trapezoid-weighted kernels, oldest node first, contract against
     # the history slice in time order: a view with no copy.
-    memory_mat = dyn._memory_matrix(oracle, delta, n_mem)
-    a11 = oracle.a11
+    memory_mat = dyn._memory_matrix(spec, delta, n_mem)
     states = np.empty((n_mem + 1 + steps, d))
     states[: n_mem + 1] = seeds
     for pos in range(n_mem + 1, n_mem + 1 + steps):

@@ -57,6 +57,10 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             cli.ExperimentConfig.from_dict({"system": "example1", "turbo": True})
+        # Adam's constants are not config keys
+        for key in ("adam_beta1", "adam_beta2", "adam_eps"):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+                cli.ExperimentConfig.from_dict({"system": "example1", key: 0.9})
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -74,8 +78,6 @@ class TestConfig:
         ("epochs", 0, "epochs"),
         ("n_traj", 0, "n_traj"),
         ("batch_size", 0, "batch_size"),
-        ("adam_beta1", 1.0, "betas"),
-        ("adam_beta2", -0.5, "betas"),
     ])
     def test_bad_values_rejected_at_load(self, tmp_path, monkeypatch, key, value, match):
         doc = {**cli.PRESETS["example1-fast"], key: value}
@@ -321,6 +323,18 @@ class TestMain:
             ]) == 0
             outs[tag] = (out / cli.TRAJECTORY_FILE).read_bytes()
         assert outs["s3"] != outs["s4"]
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("predict", "--steps", "0", "--steps must be >= 1, got 0"),
+        ("predict", "--steps", "-3", "--steps must be >= 1, got -3"),
+        ("sweep", "--n-mem", "-1",
+         "n_mem_list must not hold a negative n_mem, got [-1]"),
+    ], ids=["steps-zero", "steps-negative", "n-mem-negative"])
+    def test_out_of_range_count_named(self, tmp_path, capsys, command, flag, value,
+                                      message):
+        cfg_path = write_config(micro_config(tmp_path), tmp_path)
+        assert cli.main([command, "--config", str(cfg_path), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_n_mem_list(self, tmp_path, capsys):
         cfg_path = write_config(micro_config(tmp_path), tmp_path)

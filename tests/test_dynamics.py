@@ -1,4 +1,4 @@
-"""Tests for benchmark systems, integration, and the linear reduced-dynamics oracle."""
+"""Tests for benchmark systems, integration, and the exact linear references."""
 
 import dataclasses
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from memflow import data
+from memflow import data, rollout
 from memflow import dynamics as dyn
 
 
@@ -101,7 +101,7 @@ class TestSystemSpec:
         matrix = [[0.0, 1.0], [-1.0, 0.0]]
         spec = dyn.make_system("linear-generic", matrix=matrix, d=1, observe=2)
         assert spec.d == 2
-        assert dyn.oracle_for_system(spec).d == 2
+        assert dyn._blocks(spec)[0].shape == (2, 2)
 
     def test_matrix_alone_is_a_linear_system(self):
         a = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 3))
@@ -109,6 +109,24 @@ class TestSystemSpec:
         x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 5, 3))
         assert spec.rhs(x).tobytes() == (x @ a.T).tobytes()
         assert spec.rhs(x.tolist()).tobytes() == (x @ a.T).tobytes()
+
+    def test_nested_list_matrix_is_stored_as_an_array(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        listed = dyn.SystemSpec(name="lst", n=2, d=1, a_matrix=a.tolist())
+        owned = dyn.SystemSpec(name="arr", n=2, d=1, a_matrix=a)
+        a[0, 1] = 5.0  # the spec holds a copy of its own
+        np.testing.assert_array_equal(owned.a_matrix, listed.a_matrix)
+        assert listed.rhs([1.0, 0.0]).tobytes() == owned.rhs([1.0, 0.0]).tobytes()
+        solver = dyn.SolverConfig(0.1, 2)
+        np.testing.assert_array_equal(
+            dyn.integrate_batch(listed, solver, [[1.0, 0.5]], 4),
+            dyn.integrate_batch(owned, solver, [[1.0, 0.5]], 4),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="lin matrix must be finite-valued"):
+            dyn.SystemSpec(name="lin", n=2, d=1, a_matrix=[[0.0, bad], [1.0, 0.0]])
 
     def test_matrix_of_the_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"n=3 but a matrix of shape \(2, 2\)"):
@@ -160,14 +178,13 @@ def example1_field(x, m):
 class TestIntegrate:
     def test_one_step_matches_matrix_exponential(self):
         spec = dyn.make_system("example1", alpha=2.0)
-        oracle = dyn.oracle_for_system(spec)
         cfg = dyn.SolverConfig(delta=0.02, substeps=20)
         rng = np.random.default_rng(11)
         for _ in range(5):
             x0 = rng.uniform(-2, 2, size=2)
             got = dyn.integrate_batch(spec, cfg, x0[None], 1)[0]
             np.testing.assert_array_equal(got[0], x0)
-            want = dyn.exact_linear_solution(oracle, x0, 0.02)
+            want = dyn.exact_linear_solution(spec, x0, 0.02)
             assert np.abs(got[1] - want).max() <= 1e-10
 
     def test_richardson_refinement_factor(self):
@@ -196,9 +213,8 @@ class TestIntegrate:
         # component field, which one row integrates on Python floats and a
         # batch wider than _FLOAT_ROWS on numpy columns
         linear = dyn.make_system("example1", alpha=2.0)
-        oracle = dyn.oracle_for_system(linear)
         x0 = np.array([1.3, -0.4])
-        exact = dyn.exact_linear_solution(oracle, x0, 1.0)
+        exact = dyn.exact_linear_solution(linear, x0, 1.0)
         substeps = [1, 2, 4, 8]
         fields = dyn.SystemSpec(name="example1-field", n=2, d=1,
                                 field=example1_field)
@@ -522,8 +538,8 @@ class TestMatrixExponential:
         assert np.abs(prod - np.eye(5)).max() <= 1e-10
 
     def test_example4_unobserved_block_identities(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example4"))
-        a22 = oracle.a22
+        spec = dyn.make_system("example4")
+        a22 = dyn._blocks(spec)[3]
         prod = dyn.matrix_exponential(a22) @ dyn.matrix_exponential(-a22)
         assert np.abs(prod - np.eye(10)).max() <= 1e-10
         lhs = dyn.matrix_exponential(0.4 * a22) @ dyn.matrix_exponential(0.6 * a22)
@@ -532,24 +548,43 @@ class TestMatrixExponential:
 
 class TestLinearOracle:
     def test_nonlinear_system_rejected(self):
+        # oracle_for_system is kept for callers that still ask for an
+        # oracle: it is the linear spec itself
+        spec = dyn.make_system("example1")
+        assert dyn.oracle_for_system(spec) is spec
         with pytest.raises(ValueError, match="not linear"):
             dyn.oracle_for_system(dyn.make_system("example2"))
 
+    @pytest.mark.parametrize("reference", [
+        lambda spec: dyn.exact_linear_solution(spec, np.zeros(2), 1.0),
+        lambda spec: dyn.exact_linear_trajectory(spec, np.zeros(2), 0.1, 3),
+        lambda spec: dyn.mz_memory_integral(spec, np.ones((1, 1)), 1.0, 0.0),
+        lambda spec: dyn.mz_noise_term(spec, np.zeros(1), 1.0),
+        lambda spec: dyn.linear_mz_rhs(spec, np.zeros(2), 1.0),
+        lambda spec: dyn._memory_matrix(spec, 0.1, 3),
+        lambda spec: rollout.euler_damz(spec, np.zeros((3, 1)), 5, 0.1),
+    ], ids=["solution", "trajectory", "memory-integral-t0", "noise-term",
+            "mz-rhs", "memory-matrix", "euler-damz"])
+    def test_every_reference_rejects_a_field_spec(self, reference):
+        # with truncation 0 the memory integral needs no quadrature, but a
+        # pendulum still has no memory term to give
+        with pytest.raises(ValueError, match="example2 is not linear"):
+            reference(dyn.make_system("example2"))
+
     def test_block_shapes(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example4"))
-        assert oracle.a11.shape == (10, 10)
-        assert oracle.a12.shape == (10, 10)
-        assert oracle.d == 10 and oracle.n == 20
+        spec = dyn.make_system("example4")
+        a11, a12, _, _ = dyn._blocks(spec)
+        assert a11.shape == (10, 10)
+        assert a12.shape == (10, 10)
+        assert spec.d == 10 and spec.n == 20
 
     def test_blocks_are_views_of_the_matrix(self):
         spec = dyn.make_system("example4")
-        oracle = dyn.oracle_for_system(spec)
-        for block in (oracle.a11, oracle.a12, oracle.a21, oracle.a22):
-            assert np.shares_memory(block, oracle.a)
-        np.testing.assert_array_equal(
-            np.block([[oracle.a11, oracle.a12], [oracle.a21, oracle.a22]]),
-            spec.a_matrix,
-        )
+        a11, a12, a21, a22 = dyn._blocks(spec)
+        for block in (a11, a12, a21, a22):
+            assert np.shares_memory(block, spec.a_matrix)
+        np.testing.assert_array_equal(np.block([[a11, a12], [a21, a22]]),
+                                      spec.a_matrix)
 
     @pytest.mark.parametrize(
         "a, d, match",
@@ -563,75 +598,74 @@ class TestLinearOracle:
     )
     def test_bad_matrix_or_dimension_rejected(self, a, d, match):
         with pytest.raises(ValueError, match=match):
-            dyn.LinearMZOracle(a, d)
+            dyn.linear_system(a, d)
 
     def test_fully_observed_has_no_memory(self):
         # d = n: the unobserved blocks are empty, so memory and noise vanish
         # and the reduced rhs is the full vector field
         spec = dyn.make_system("example1", alpha=2.0, observe=2)
-        oracle = dyn.oracle_for_system(spec)
-        assert oracle.a22.shape == (0, 0) and oracle.a12.shape == (2, 0)
+        _, a12, _, a22 = dyn._blocks(spec)
+        assert a22.shape == (0, 0) and a12.shape == (2, 0)
         x0 = np.array([0.6, -1.3])
         for t in (0.0, 0.35, 1.1):
-            x_t = dyn.exact_linear_solution(oracle, x0, t)
+            x_t = dyn.exact_linear_solution(spec, x0, t)
             np.testing.assert_allclose(
-                dyn.linear_mz_rhs(oracle, x0, t), spec.a_matrix @ x_t,
+                dyn.linear_mz_rhs(spec, x0, t), spec.a_matrix @ x_t,
                 rtol=0, atol=1e-12,
             )
 
     def test_exact_solution_at_t0(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         x0 = np.array([0.5, -0.25])
-        np.testing.assert_allclose(dyn.exact_linear_solution(oracle, x0, 0.0), x0)
+        np.testing.assert_allclose(dyn.exact_linear_solution(spec, x0, 0.0), x0)
 
     def test_exact_solution_cross_validates_integrator_example1(self):
         spec = dyn.make_system("example1", alpha=2.0)
-        oracle = dyn.oracle_for_system(spec)
         rng = np.random.default_rng(9)
         x0 = rng.uniform(-2, 2, size=2)
         end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 50), x0[None], 50)[0, -1]
-        want = dyn.exact_linear_solution(oracle, x0, 1.0)
+        want = dyn.exact_linear_solution(spec, x0, 1.0)
         assert np.abs(end - want).max() <= 1e-8
 
     def test_exact_solution_cross_validates_integrator_example4(self):
         spec = dyn.make_system("example4")
-        oracle = dyn.oracle_for_system(spec)
         rng = np.random.default_rng(10)
         x0 = rng.uniform(-2, 2, size=20)
         end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 20), x0[None], 1)[0, -1]
-        want = dyn.exact_linear_solution(oracle, x0, 0.02)
+        want = dyn.exact_linear_solution(spec, x0, 0.02)
         assert np.abs(end - want).max() <= 1e-8
 
     def test_exact_trajectory_rejects_wrong_x0_length(self):
         # a length-1 x0 on the 2-variable system used to broadcast to [1, 1]
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(1,\)"):
-            dyn.exact_linear_trajectory(oracle, [1.0], 0.1, 5)
+            dyn.exact_linear_trajectory(spec, [1.0], 0.1, 5)
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
-            dyn.exact_linear_trajectory(oracle, [1.0, 0.0, 0.0], 0.1, 5)
+            dyn.exact_linear_trajectory(spec, [1.0, 0.0, 0.0], 0.1, 5)
 
     def test_exact_trajectory_matches_pointwise_solution(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         x0 = np.array([1.0, 1.0])
-        traj = dyn.exact_linear_trajectory(oracle, x0, 0.1, 12)
+        traj = dyn.exact_linear_trajectory(spec, x0, 0.1, 12)
         for k in (0, 5, 12):
             np.testing.assert_allclose(
-                traj[k], dyn.exact_linear_solution(oracle, x0, 0.1 * k), atol=1e-12
+                traj[k], dyn.exact_linear_solution(spec, x0, 0.1 * k), atol=1e-12
             )
 
 
-def memory_integral_loop(oracle, z_history, truncation):
+def memory_integral_loop(spec, z_history, truncation):
     """Reference: the trapezoid sum with one kernel product per history node."""
+    _, a12, a21, a22 = dyn._blocks(spec)
     m = z_history.shape[0] - 1
     h = truncation / m
-    step = dyn.matrix_exponential(oracle.a22 * h)
-    propagated = np.eye(oracle.a22.shape[0])
-    acc = 0.5 * (oracle.a21 @ z_history[m])
+    step = dyn.matrix_exponential(a22 * h)
+    propagated = np.eye(a22.shape[0])
+    acc = 0.5 * (a21 @ z_history[m])
     for j in range(1, m + 1):
         propagated = step @ propagated
-        term = propagated @ (oracle.a21 @ z_history[m - j])
+        term = propagated @ (a21 @ z_history[m - j])
         acc = acc + (0.5 * term if j == m else term)
-    return oracle.a12 @ (h * acc)
+    return a12 @ (h * acc)
 
 
 class TestMemoryIntegral:
@@ -639,46 +673,46 @@ class TestMemoryIntegral:
                                          ("example4", 60)])
     def test_matches_node_loop(self, name, m):
         # one matrix-vector product sums the nodes in another order
-        oracle = dyn.oracle_for_system(dyn.make_system(name))
-        x0 = np.random.default_rng(6).uniform(-1.0, 1.0, size=oracle.n)
-        hist = dyn.exact_linear_trajectory(oracle, x0, 0.8 / m, m)[:, : oracle.d]
-        got = dyn.mz_memory_integral(oracle, hist, t=0.8, truncation=0.8)
-        want = memory_integral_loop(oracle, hist, 0.8)
+        spec = dyn.make_system(name)
+        x0 = np.random.default_rng(6).uniform(-1.0, 1.0, size=spec.n)
+        hist = dyn.exact_linear_trajectory(spec, x0, 0.8 / m, m)[:, : spec.d]
+        got = dyn.mz_memory_integral(spec, hist, t=0.8, truncation=0.8)
+        want = memory_integral_loop(spec, hist, 0.8)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     def test_zero_history_gives_zero(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         hist = np.zeros((51, 1))
         np.testing.assert_array_equal(
-            dyn.mz_memory_integral(oracle, hist, t=1.0, truncation=0.5), [0.0]
+            dyn.mz_memory_integral(spec, hist, t=1.0, truncation=0.5), [0.0]
         )
 
     def test_zero_truncation_gives_zero(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         np.testing.assert_array_equal(
-            dyn.mz_memory_integral(oracle, np.ones((1, 1)), t=1.0, truncation=0.0),
+            dyn.mz_memory_integral(spec, np.ones((1, 1)), t=1.0, truncation=0.0),
             [0.0],
         )
 
     def test_insufficient_history_rejected(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         with pytest.raises(ValueError, match="insufficient history"):
-            dyn.mz_memory_integral(oracle, np.ones((1, 1)), t=1.0, truncation=0.5)
+            dyn.mz_memory_integral(spec, np.ones((1, 1)), t=1.0, truncation=0.5)
 
     def test_truncation_beyond_current_time_rejected(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         with pytest.raises(ValueError, match="exceeds"):
-            dyn.mz_memory_integral(oracle, np.ones((3, 1)), t=0.3, truncation=0.5)
+            dyn.mz_memory_integral(spec, np.ones((3, 1)), t=0.3, truncation=0.5)
 
     def test_quadrature_order(self):
         # halving the history spacing should cut the quadrature error ~4x
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         x0 = np.array([1.7, -0.9])
         t = 1.0
 
         def approx(m):
-            full = dyn.exact_linear_trajectory(oracle, x0, t / m, m)
-            return dyn.mz_memory_integral(oracle, full[:, :1], t, t)[0]
+            full = dyn.exact_linear_trajectory(spec, x0, t / m, m)
+            return dyn.mz_memory_integral(spec, full[:, :1], t, t)[0]
 
         fine = approx(8192)
         err_coarse = abs(approx(64) - fine)
@@ -688,17 +722,17 @@ class TestMemoryIntegral:
 
 class TestNoiseTerm:
     def test_zero_initial_unobserved(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
+        spec = dyn.make_system("example1")
         np.testing.assert_array_equal(
-            dyn.mz_noise_term(oracle, np.zeros(1), 2.0), [0.0]
+            dyn.mz_noise_term(spec, np.zeros(1), 2.0), [0.0]
         )
 
     def test_t0_is_coupling_times_w0(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example4"))
+        spec = dyn.make_system("example4")
         rng = np.random.default_rng(14)
         w0 = rng.normal(size=10)
         np.testing.assert_allclose(
-            dyn.mz_noise_term(oracle, w0, 0.0), oracle.a12 @ w0, atol=1e-14
+            dyn.mz_noise_term(spec, w0, 0.0), dyn._blocks(spec)[1] @ w0, atol=1e-14
         )
 
 
@@ -708,15 +742,14 @@ class TestDecompositionIdentity:
     @pytest.mark.parametrize("name", ["example1", "example4"])
     def test_reproduces_derivative_of_exact_solution(self, name):
         spec = dyn.make_system(name)
-        oracle = dyn.oracle_for_system(spec)
         rng = np.random.default_rng(33)
         for _ in range(5):
             x0 = rng.uniform(-1.5, 1.5, size=spec.n)
             t = rng.uniform(0.2, 1.2)
-            got = dyn.linear_mz_rhs(oracle, x0, t)
+            got = dyn.linear_mz_rhs(spec, x0, t)
             h = 1e-5
-            hi = dyn.exact_linear_solution(oracle, x0, t + h)[: spec.d]
-            lo = dyn.exact_linear_solution(oracle, x0, t - h)[: spec.d]
+            hi = dyn.exact_linear_solution(spec, x0, t + h)[: spec.d]
+            lo = dyn.exact_linear_solution(spec, x0, t - h)[: spec.d]
             assert np.abs(got - (hi - lo) / (2 * h)).max() <= 1e-5
 
     def test_identity_pins_noise_coefficient(self):
@@ -724,18 +757,18 @@ class TestDecompositionIdentity:
         # the decomposition does NOT close, so the coefficient choice is
         # observable, not a convention
         spec = dyn.make_system("example1", alpha=2.0)
-        oracle = dyn.oracle_for_system(spec)
         x0 = np.array([0.8, 1.1])
         t = 0.7
         h = 1e-5
-        hi = dyn.exact_linear_solution(oracle, x0, t + h)[:1]
-        lo = dyn.exact_linear_solution(oracle, x0, t - h)[:1]
+        hi = dyn.exact_linear_solution(spec, x0, t + h)[:1]
+        lo = dyn.exact_linear_solution(spec, x0, t - h)[:1]
         derivative = (hi - lo) / (2 * h)
-        good = dyn.linear_mz_rhs(oracle, x0, t)
+        good = dyn.linear_mz_rhs(spec, x0, t)
+        _, _, a21, a22 = dyn._blocks(spec)
         wrong_noise = (
             good
-            - dyn.mz_noise_term(oracle, x0[1:], t)
-            + oracle.a21 @ (dyn.matrix_exponential(oracle.a22 * t) @ x0[1:])
+            - dyn.mz_noise_term(spec, x0[1:], t)
+            + a21 @ (dyn.matrix_exponential(a22 * t) @ x0[1:])
         )
         assert np.abs(good - derivative).max() <= 1e-5
         assert np.abs(wrong_noise - derivative).max() > 1e-2
@@ -827,9 +860,10 @@ class TestExample4Assembly:
 
     def test_block_structure(self):
         sigma = dyn.example4_sigma()
-        oracle = dyn.oracle_for_system(dyn.make_system("example4"))
+        spec = dyn.make_system("example4")
         eye = np.eye(10)
-        np.testing.assert_array_equal(oracle.a11, sigma["SIGMA11"])
-        np.testing.assert_array_equal(oracle.a12, eye + sigma["SIGMA12"])
-        np.testing.assert_array_equal(oracle.a21, -(eye + sigma["SIGMA21"]))
-        np.testing.assert_array_equal(oracle.a22, -sigma["SIGMA22"])
+        a11, a12, a21, a22 = dyn._blocks(spec)
+        np.testing.assert_array_equal(a11, sigma["SIGMA11"])
+        np.testing.assert_array_equal(a12, eye + sigma["SIGMA12"])
+        np.testing.assert_array_equal(a21, -(eye + sigma["SIGMA21"]))
+        np.testing.assert_array_equal(a22, -sigma["SIGMA22"])

@@ -156,29 +156,30 @@ class TestErrorSeries:
         np.testing.assert_array_equal(es.times, res.times)
 
 
-def euler_damz_loop(oracle, seeds, steps, delta):
+def euler_damz_loop(spec, seeds, steps, delta):
     """Reference: the Euler scheme with one kernel product per history node."""
+    a11, a12, a21, a22 = dyn._blocks(spec)
     n_mem = seeds.shape[0] - 1
     kernels = []
-    propagated = np.eye(oracle.a22.shape[0])
-    step_mat = dyn.matrix_exponential(oracle.a22 * delta)
+    propagated = np.eye(a22.shape[0])
+    step_mat = dyn.matrix_exponential(a22 * delta)
     for j in range(n_mem + 1):
-        kernels.append(oracle.a12 @ propagated @ oracle.a21)
+        kernels.append(a12 @ propagated @ a21)
         propagated = step_mat @ propagated
     weights = np.full(n_mem + 1, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     if n_mem == 0:
         weights[:] = 0.0
-    states = np.empty((n_mem + 1 + steps, oracle.d))
+    states = np.empty((n_mem + 1 + steps, spec.d))
     states[: n_mem + 1] = seeds
     for k in range(steps):
         pos = n_mem + 1 + k
         z_now = states[pos - 1]
-        memory = np.zeros(oracle.d)
+        memory = np.zeros(spec.d)
         for j in range(n_mem + 1):
             memory += weights[j] * (kernels[j] @ states[pos - 1 - j])
-        states[pos] = z_now + delta * (oracle.a11 @ z_now + memory)
+        states[pos] = z_now + delta * (a11 @ z_now + memory)
     return states
 
 
@@ -187,25 +188,25 @@ class TestEulerScheme:
                                              ("example4", 8)])
     def test_contraction_matches_node_loop(self, name, n_mem):
         # one contraction per step sums the memory terms in another order
-        oracle = dyn.oracle_for_system(dyn.make_system(name))
-        x0 = np.random.default_rng(2).uniform(-1.0, 1.0, size=oracle.n)
-        seeds = dyn.exact_linear_trajectory(oracle, x0, 0.02, n_mem)[:, : oracle.d]
-        got = rollout.euler_damz(oracle, seeds, 300, 0.02)
-        want = euler_damz_loop(oracle, seeds, 300, 0.02)
+        spec = dyn.make_system(name)
+        x0 = np.random.default_rng(2).uniform(-1.0, 1.0, size=spec.n)
+        seeds = dyn.exact_linear_trajectory(spec, x0, 0.02, n_mem)[:, : spec.d]
+        got = rollout.euler_damz(spec, seeds, 300, 0.02)
+        want = euler_damz_loop(spec, seeds, 300, 0.02)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_zero_seeds_stay_zero(self):
-        oracle = dyn.oracle_for_system(dyn.make_system("example1"))
-        traj = rollout.euler_damz(oracle, np.zeros((31, 1)), 20, 0.02)
+        spec = dyn.make_system("example1")
+        traj = rollout.euler_damz(spec, np.zeros((31, 1)), 20, 0.02)
         np.testing.assert_array_equal(traj, np.zeros((51, 1)))
 
     def test_no_memory_no_kernel_is_explicit_euler(self):
         # with a zero observed-unobserved coupling the memory and noise
         # vanish; n_mem=0 then reduces to z_{n+1} = (1 + delta*a11) z_n
         a = np.array([[-0.7, 0.0], [1.0, -2.0]])
-        oracle = dyn.oracle_for_system(dyn.linear_system(a, d=1))
+        spec = dyn.linear_system(a, d=1)
         z0 = 1.5
-        traj = rollout.euler_damz(oracle, np.array([[z0]]), 25, 0.1)
+        traj = rollout.euler_damz(spec, np.array([[z0]]), 25, 0.1)
         expected = z0 * (1.0 + 0.1 * -0.7) ** np.arange(26)
         np.testing.assert_allclose(traj[:, 0], expected, rtol=1e-12)
 
@@ -213,25 +214,25 @@ class TestEulerScheme:
         # window covers all of [0, t] via the z(t<0)=0 convention, and the
         # unobserved initial state is zero, so the only errors left are the
         # Euler step and the trapezoid quadrature (observed: 5.13e-2)
-        oracle = dyn.oracle_for_system(dyn.make_system("example1", alpha=2.0))
+        spec = dyn.make_system("example1", alpha=2.0)
         delta = 0.02
         steps = 50
         seeds = np.zeros((steps + 1, 1))
         seeds[-1, 0] = 1.2
-        traj = rollout.euler_damz(oracle, seeds, steps, delta)
-        exact = dyn.exact_linear_solution(oracle, np.array([1.2, 0.0]), 1.0)[:1]
+        traj = rollout.euler_damz(spec, seeds, steps, delta)
+        exact = dyn.exact_linear_solution(spec, np.array([1.2, 0.0]), 1.0)[:1]
         assert abs(traj[-1, 0] - exact[0]) <= 0.08
 
     def test_first_order_rate_in_delta(self):
         # untruncated window as above; halving delta should halve the error
-        oracle = dyn.oracle_for_system(dyn.make_system("example1", alpha=2.0))
+        spec = dyn.make_system("example1", alpha=2.0)
         errors = {}
         for delta in (0.02, 0.01, 0.005):
             steps = int(round(1.0 / delta))
             seeds = np.zeros((steps + 1, 1))
             seeds[-1, 0] = 1.2
-            traj = rollout.euler_damz(oracle, seeds, steps, delta)
-            exact = dyn.exact_linear_solution(oracle, np.array([1.2, 0.0]), 1.0)[:1]
+            traj = rollout.euler_damz(spec, seeds, steps, delta)
+            exact = dyn.exact_linear_solution(spec, np.array([1.2, 0.0]), 1.0)[:1]
             errors[delta] = abs(traj[-1, 0] - exact[0])
         assert 1.6 <= errors[0.02] / errors[0.01] <= 2.4
         assert 1.6 <= errors[0.01] / errors[0.005] <= 2.4
@@ -240,15 +241,15 @@ class TestEulerScheme:
         # with the window held at T_M = 0.6 the scheme converges to the
         # truncated dynamics, not the true ones: refining delta does not
         # push the error below the truncation bias (observed ~0.27-0.31)
-        oracle = dyn.oracle_for_system(dyn.make_system("example1", alpha=2.0))
+        spec = dyn.make_system("example1", alpha=2.0)
         x0 = np.array([1.2, 0.0])
         errors = []
         for delta in (0.02, 0.005):
             n_mem = int(round(0.6 / delta))
-            seeds = dyn.exact_linear_trajectory(oracle, x0, delta, n_mem)[:, :1]
+            seeds = dyn.exact_linear_trajectory(spec, x0, delta, n_mem)[:, :1]
             steps = int(round(1.0 / delta)) - n_mem
-            traj = rollout.euler_damz(oracle, seeds, steps, delta)
-            exact = dyn.exact_linear_solution(oracle, x0, 1.0)[:1]
+            traj = rollout.euler_damz(spec, seeds, steps, delta)
+            exact = dyn.exact_linear_solution(spec, x0, 1.0)[:1]
             errors.append(abs(traj[-1, 0] - exact[0]))
         assert all(0.2 <= e <= 0.4 for e in errors)
 

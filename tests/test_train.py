@@ -36,7 +36,8 @@ def reference_adam(init, ds, cfg):
     v_w = [np.zeros_like(w) for w in weights]
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps = train.ADAM_BETA1, train.ADAM_BETA2, train.ADAM_EPS
+    lr = cfg.learning_rate
 
     def current():
         return net.NetworkParams(init.d, init.n_mem, init.hidden, weights, biases)
@@ -229,8 +230,6 @@ class TestTrainModel:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="learning_rate"):
             train.TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError, match="betas"):
-            train.TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError, match="epochs"):
             train.TrainConfig(epochs=0)
 
