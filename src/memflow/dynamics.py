@@ -20,15 +20,17 @@ on this module.  It provides:
   so one coarse sample is one product with the precomputed
   S = R(hA)^substeps.  That is the same scheme with its sums in another
   order: it agrees with the stage loop to about 1e-12 absolute on states
-  of order 1 (2000 samples of example4).  A nonlinear system runs the one
+  of order 1 (2000 samples of example4).  A nonlinear system runs one
   RK4 stage loop on its field, which takes the state as a sequence of
-  components and a math namespace (``SystemSpec.field``): a batch of at
-  most ``_FLOAT_ROWS`` rows runs row by row on Python floats with
-  ``math``, where numpy's per-call overhead would cost more than the
-  arithmetic, and a wider batch runs on its ``m``-row columns with
-  ``numpy``.  Both apply the same float operations in the same order, so
-  they agree bitwise wherever ``math`` and ``numpy`` evaluate their
-  functions alike.
+  components and a math namespace (``SystemSpec.field``).  That loop is
+  generated for the state's component count ``n`` once per
+  :func:`integrate_batch` call, with every component and stage held in a
+  local variable.  A batch of at most ``_FLOAT_ROWS`` (20) rows runs it
+  row by row on Python floats with ``math``, where numpy's per-call
+  overhead would cost more than the arithmetic, and a wider batch runs
+  it on its ``m``-row columns with ``numpy``.  Both apply the same float
+  operations in the same order, so they agree bitwise wherever ``math``
+  and ``numpy`` evaluate their functions alike.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * exact linear Mori-Zwanzig references: for a linear spec the dynamics of
   the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
@@ -381,30 +383,57 @@ def default_domain(spec):
 
 # A batch of at most this many rows integrates its field row by row on
 # Python floats; a wider one runs it on the batch's columns in numpy.  One
-# substep costs about 4-7 us per row on floats against 40-90 us per batch
-# on columns up to a few dozen rows: floats are faster up to about 9 rows
-# on example2 and 16 on example3 (measurements in CHANGES.md).
-_FLOAT_ROWS = 8
+# substep costs about 0.9-1.1 us per row on floats against 19-20 us
+# (example2), 27-30 us (example3-reduced) and 31-34 us (example3) per batch
+# on columns of up to 40 rows.  Through integrate_batch (100 samples x 20
+# substeps) floats are faster up to about 21 rows on example2, 29 on
+# example3-reduced and 29 on example3: at 12 rows of example3, 26 ms
+# against 65 ms (measurements in CHANGES.md).  20 lies below every one.
+_FLOAT_ROWS = 20
 
 
-def _rk4_sample_step(field, m, state, delta, substeps):
-    """Advance ``state``, a sequence of components, by one coarse step of
-    ``delta``.  A component is a float (one state) or an array holding it
-    for a whole batch; ``m`` is the math namespace ``field`` uses on them."""
-    h = delta / substeps
-    half, sixth = 0.5 * h, h / 6.0
-    for _ in range(substeps):
-        k1 = field(state, m)
-        k2 = field([x + half * k for x, k in zip(state, k1)], m)
-        k3 = field([x + half * k for x, k in zip(state, k2)], m)
-        k4 = field([x + h * k for x, k in zip(state, k3)], m)
-        state = [x + sixth * (a + 2.0 * b + 2.0 * c + e)
-                 for x, a, b, c, e in zip(state, k1, k2, k3, k4)]
-    return state
+def _rk4_sample_step_for(n):
+    """The RK4 stage loop for states of ``n`` components, written out with
+    each component and stage as a local variable.
+
+    Returns ``step(field, m, state, delta, substeps)``, which advances
+    ``state``, a sequence of ``n`` components, by one coarse step of
+    ``delta`` and returns the new components as a tuple.  A component is a
+    float (one state) or an array holding it for a whole batch; ``m`` is
+    the math namespace ``field`` uses on them, and ``field`` receives a
+    tuple of components.  Component i of the stages is
+    ``s_i + half * a_i``, ``s_i + half * b_i`` and ``s_i + h * c_i``, and
+    the new state ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``,
+    the classical RK4 sums in a fixed order.
+    """
+    # The source is built from the indices in range(n) alone, never from a
+    # string a caller passes, so exec only ever runs this template.
+    def each(template):
+        return "".join(template.format(i=i) + ", " for i in range(n))
+
+    s, a, b, c, e = (each(p + "{i}") for p in "sabce")
+    source = (
+        "def step(field, m, state, delta, substeps):\n"
+        "    h = delta / substeps\n"
+        "    half, sixth = 0.5 * h, h / 6.0\n"
+        f"    {s}= state\n"
+        "    for _ in range(substeps):\n"
+        f"        {a}= field(({s}), m)\n"
+        f"        {b}= field(({each('s{i} + half * a{i}')}), m)\n"
+        f"        {c}= field(({each('s{i} + half * b{i}')}), m)\n"
+        f"        {e}= field(({each('s{i} + h * c{i}')}), m)\n"
+        f"        {s}= "
+        f"{each('s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})')}\n"
+        f"    return ({s})\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
-def _float_sample_step(field, row, delta, substeps):
-    """One coarse sample of one state on Python floats.
+def _float_sample_step(step, field, row, delta, substeps):
+    """One coarse sample of one state on Python floats, by ``step`` from
+    :func:`_rk4_sample_step_for`.
 
     ``math`` raises where numpy returns inf or NaN (sin(inf), exp(1000),
     1/0).  The sample is then redone on numpy columns of one row, as the
@@ -412,11 +441,10 @@ def _float_sample_step(field, row, delta, substeps):
     non-finite and any other error is raised as it is there.
     """
     try:
-        return _rk4_sample_step(field, math, row, delta, substeps)
+        return step(field, math, row, delta, substeps)
     except (ArithmeticError, ValueError):
         columns = [np.array([x]) for x in row]
-        return np.concatenate(_rk4_sample_step(field, np, columns, delta,
-                                               substeps)).tolist()
+        return np.concatenate(step(field, np, columns, delta, substeps)).tolist()
 
 
 def _samples(spec, config, x0s):
@@ -428,16 +456,17 @@ def _samples(spec, config, x0s):
         while True:
             state = state @ step_t
             yield state
-    elif x0s.shape[0] <= _FLOAT_ROWS:
+    step = _rk4_sample_step_for(spec.n)
+    if x0s.shape[0] <= _FLOAT_ROWS:
         rows = x0s.tolist()
         while True:
-            rows = [_float_sample_step(spec.field, row, delta, substeps)
+            rows = [_float_sample_step(step, spec.field, row, delta, substeps)
                     for row in rows]
             yield rows
     else:
         columns = list(x0s.T)
         while True:
-            columns = _rk4_sample_step(spec.field, np, columns, delta, substeps)
+            columns = step(spec.field, np, columns, delta, substeps)
             yield np.stack(columns, axis=-1)
 
 
@@ -460,12 +489,14 @@ def integrate_batch(spec, config, x0s, num_samples):
     ``x0s`` has shape ``(m, n)``; the result has shape
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
     All trajectories share the coarse time grid.  A linear system takes
-    one product with the sample matrix per coarse sample; a nonlinear one
-    steps its field row by row on floats (at most ``_FLOAT_ROWS`` rows) or
-    on the batch's columns.  A vector field that does not give ``n``
-    components is rejected before the first step.  A non-finite state
-    aborts the run with an IntegrationError naming the earliest sample and
-    the lowest trajectory that is non-finite there.
+    one product with the sample matrix per coarse sample.  A nonlinear one
+    runs the RK4 stage loop generated for its ``n`` components, built once
+    per call, on its field: row by row on floats for at most
+    ``_FLOAT_ROWS`` (20) rows, or on the batch's columns.  A vector field
+    that does not give ``n`` components is rejected before the first
+    step.  A non-finite state aborts the run with an IntegrationError
+    naming the earliest sample and the lowest trajectory that is
+    non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n:
@@ -473,8 +504,8 @@ def integrate_batch(spec, config, x0s, num_samples):
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if spec.a_matrix is None:
-        # the stage loop's zip would hide a field with too few or too many
-        # components; rhs counts them
+        # the stage loop would fail on unpacking a field with too few or too
+        # many components, without naming the counts; rhs names them
         spec.rhs(x0s[:1])
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s

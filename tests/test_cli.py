@@ -106,6 +106,19 @@ class TestConfig:
         assert cli.main(["generate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_horizon_shorter_than_seed_rejected_at_load(self, tmp_path, capsys):
+        # 0.04 / 0.02 = 2 steps cannot hold the n_mem + 1 = 4 seed states
+        doc = {**micro_config(tmp_path).to_dict(), "eval_horizon": 0.04}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["predict", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: eval_horizon=0.04 is 2 steps ")
+        for name in ("eval_horizon", "n_mem=3", "delta=0.02"):
+            assert name in err
+        # the shortest horizon that covers the seed loads
+        micro_config(tmp_path, eval_horizon=0.08)
+
     def test_parameter_that_is_not_a_number_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"example1 parameter 'alpha' must "
                            r"be a number, got \[2.0\]"):

@@ -276,6 +276,23 @@ class TestIntegrate:
         assert info.value.trajectory_index == 1
 
 
+def rk4_sample_step(field, m, state, delta, substeps):
+    """Reference: the generic RK4 stage loop over a sequence of components.
+    Advances ``state`` by one coarse step of ``delta``; a component is a
+    float (one state) or an array holding it for a whole batch, and ``m``
+    is the math namespace ``field`` uses on them."""
+    h = delta / substeps
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(substeps):
+        k1 = field(state, m)
+        k2 = field([x + half * k for x, k in zip(state, k1)], m)
+        k3 = field([x + half * k for x, k in zip(state, k2)], m)
+        k4 = field([x + h * k for x, k in zip(state, k3)], m)
+        state = [x + sixth * (a + 2.0 * b + 2.0 * c + e)
+                 for x, a, b, c, e in zip(state, k1, k2, k3, k4)]
+    return state
+
+
 def stage_loop(spec, cfg, x0s, num_samples):
     """Reference: the RK4 stage loop on ``x @ a.T``, stepping the whole
     batch as its one component."""
@@ -284,10 +301,27 @@ def stage_loop(spec, cfg, x0s, num_samples):
 
     states = [np.asarray(x0s, dtype=float)]
     for _ in range(num_samples):
-        (state,) = dyn._rk4_sample_step(field, np, states[-1:], cfg.delta,
-                                        cfg.substeps)
+        (state,) = rk4_sample_step(field, np, states[-1:], cfg.delta,
+                                   cfg.substeps)
         states.append(state)
     return np.stack(states, axis=1)
+
+
+def lorenz96_field(x, m):
+    """Lorenz-96 with five components and forcing 8, plus a sine term so
+    that the math namespace is used: a field no built-in has."""
+    n = len(x)
+    return tuple((x[(i + 1) % n] - x[i - 2]) * x[i - 1] - x[i] + 8.0
+                 + 0.1 * m.sin(x[i]) for i in range(n))
+
+
+GENERATED_STEP_FIELDS = {
+    1: lambda x, m: (-x[0] + 0.5 * m.cos(x[0]),),
+    2: dyn.make_system("example2").field,
+    3: dyn.make_system("example3-reduced").field,
+    4: dyn.make_system("example3", epsilon=0.05).field,
+    5: lorenz96_field,
+}
 
 
 RANDOM3 = dyn.linear_system(
@@ -365,18 +399,36 @@ class TestComponentFields:
 
     @pytest.mark.parametrize("name", ["example2", "example3", "example3-reduced"])
     def test_float_rows_equal_whole_batch_bitwise(self, name, monkeypatch):
+        # each width, on floats up to the cutoff and on columns above it,
+        # gives the leading rows of the 600-row batch bit for bit
         spec = dyn.make_system(name)
         cut = dyn._FLOAT_ROWS
-        x0s = self.initial_states(spec, cut + 1)
+        x0s = self.initial_states(spec, 600)
         calls = self.float_rows_counted(monkeypatch)
         wide = dyn.integrate_batch(spec, self.CFG, x0s, 200)
         assert not calls
-        narrow = dyn.integrate_batch(spec, self.CFG, x0s[:cut], 200)
-        assert len(calls) == 200 * cut
-        assert narrow.tobytes() == wide[:cut].tobytes()
-        for i in (0, cut):
-            one = dyn.integrate_batch(spec, self.CFG, x0s[i : i + 1], 200)
-            assert one.tobytes() == wide[i : i + 1].tobytes()
+        for width in (1, 8, 9, 19, 20, 21, 40):
+            calls.clear()
+            narrow = dyn.integrate_batch(spec, self.CFG, x0s[:width], 200)
+            assert len(calls) == (200 * width if width <= cut else 0)
+            assert narrow.tobytes() == wide[:width].tobytes()
+        one = dyn.integrate_batch(spec, self.CFG, x0s[cut : cut + 1], 200)
+        assert one.tobytes() == wide[cut : cut + 1].tobytes()
+
+    @pytest.mark.parametrize("n", sorted(GENERATED_STEP_FIELDS))
+    def test_generated_step_equals_stage_loop_bitwise(self, n):
+        """The step written out for n components is the reference stage
+        loop bit for bit, on Python floats with math and on numpy columns."""
+        field = GENERATED_STEP_FIELDS[n]
+        step = dyn._rk4_sample_step_for(n)
+        rows = np.random.default_rng(n).uniform(-1.0, 1.0, size=(7, n))
+        for m, state in ((math, rows[0].tolist()), (np, list(rows.T))):
+            got, want = state, state
+            for _ in range(30):
+                got = step(field, m, got, 0.02, 4)
+                want = rk4_sample_step(field, m, want, 0.02, 4)
+                assert isinstance(got, tuple) and len(got) == n
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_rhs_made_from_the_field(self):
         spec = dyn.SystemSpec(name="e1", n=2, d=1, field=example1_field)
