@@ -10,8 +10,8 @@ runs, and its mean over the horizon.
 
 Scaled down (2000 trajectories, 25 epochs, a horizon of 20 time units)
 to finish in about ten seconds.  At this scale the network loses: with
-seed 5 its mean error over the horizon is 19.4 against 1.34 for the
-homogenized closure, and it is already at 21 by t = 5.
+seed 5 its mean error over the horizon is 15.4 against 1.34 for the
+homogenized closure, and it is already at 19 by t = 5.
 """
 
 from memflow import data, net, rollout, train

@@ -146,22 +146,18 @@ class ExperimentConfig:
             raise ValueError("n_eval_runs must be >= 1")
         if not self.eval_horizon > 0:
             raise ValueError("eval_horizon must be positive")
-        self.solver()  # delta > 0, which the horizon check divides by
-        horizon_steps = round(self.eval_horizon / self.delta)
-        if horizon_steps < self.n_mem + 1:
-            # predict seeds each rollout with n_mem + 1 truth states and
-            # steps on to the horizon
-            raise ValueError(
-                f"eval_horizon={self.eval_horizon:g} is {horizon_steps} steps "
-                f"of delta={self.delta:g}, fewer than the n_mem + 1 = "
-                f"{self.n_mem + 1} seed states of a rollout (n_mem={self.n_mem})"
-            )
         if (self.domain_lower is None) != (self.domain_upper is None):
             raise ValueError("domain_lower and domain_upper must be given together")
         # fail at load time, not at the first stage that uses these
+        self.solver()
         self.domain()
         self.strategy()
         self.train_config()
+        roll_mod.check_memory_setting(
+            self.n_mem, self.delta, self.eval_horizon, self.n_traj,
+            self.traj_len, self.selection_kind, self.per_trajectory,
+            self.batch_size,
+        )
 
     # -- pieces ------------------------------------------------------------
 

@@ -140,9 +140,17 @@ class MemoryWindowDataset:
 class SelectionStrategy:
     """How window start positions are chosen within each trajectory.
 
-    ``deterministic`` takes every admissible start position sequentially;
-    ``random`` draws ``per_trajectory`` distinct start positions uniformly
-    without replacement, using ``seed``.
+    ``deterministic`` takes every admissible start position sequentially.
+    ``random`` draws ``per_trajectory`` = j0 distinct start positions per
+    trajectory uniformly without replacement, from a generator
+    ``np.random.default_rng(seed)``.  The draw is Floyd's algorithm on all
+    trajectories at once: for k = 0, ..., j0 - 1, one ``rng.integers`` call
+    draws an integer per trajectory from ``[0, avail - j0 + k]``, where
+    ``avail`` is the trajectory's number of admissible starts, and a draw
+    that repeats one of its trajectory's earlier picks is replaced by
+    ``avail - j0 + k``.  Each trajectory's starts are then sorted.  A
+    trajectory with exactly j0 admissible starts gets all of them, as
+    under ``deterministic``.
     """
 
     kind: str = "deterministic"
@@ -190,38 +198,57 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
                          lengths=np.full(n_traj, traj_len))
 
 
+def _draw_starts(avail, count, rng):
+    """``count`` distinct starts in ``[0, avail[i])`` for each trajectory i,
+    as an ``(n_traj, count)`` array with sorted rows: Floyd's algorithm on
+    all rows at once, as :class:`SelectionStrategy` describes."""
+    picked = np.empty((avail.shape[0], count), dtype=np.int64)
+    for k in range(count):
+        top = avail - count + k
+        draw = rng.integers(0, top, endpoint=True)
+        repeat = (picked[:, :k] == draw[:, None]).any(axis=1)
+        picked[:, k] = np.where(repeat, top, draw)
+    picked.sort(axis=1)
+    return picked
+
+
 def build_dataset(trajs, n_mem, strategy):
     """Assemble a memory-window dataset from a trajectory set.
 
-    Deterministic selection uses every start position, giving
-    ``K_i - n_mem - 1`` windows per trajectory (trajectories shorter than
-    ``n_mem + 2`` are skipped).  Random selection draws
-    ``strategy.per_trajectory`` distinct start positions per trajectory
-    and fails loudly when a trajectory cannot supply that many.  Windows
-    come trajectory by trajectory, in increasing start position.
+    A trajectory of ``K_i`` samples has ``max(K_i - n_mem - 1, 0)``
+    admissible window starts.  Deterministic selection takes all of them
+    (trajectories shorter than ``n_mem + 2`` give none).  Random selection
+    draws ``strategy.per_trajectory`` distinct starts per trajectory, each
+    subset equally likely, with the draw described in
+    :class:`SelectionStrategy`, and fails loudly, naming the first
+    trajectory that cannot supply that many.  Windows come trajectory by
+    trajectory, in increasing start position.  Selection is array code:
+    its temporaries are O(n_traj * per_trajectory) for random selection
+    and O(number of windows) for deterministic selection.
     """
     if n_mem < 0:
         raise ValueError(f"n_mem must be >= 0, got {n_mem}")
     d = trajs.d
-    rng = np.random.default_rng(strategy.seed) if strategy.kind == "random" else None
-    starts = [np.empty(0, dtype=np.int64)]  # rows of trajs.samples
-    offset = 0
-    for i, length in enumerate(trajs.lengths.tolist()):
-        available = length - n_mem - 1  # number of admissible starts
-        if strategy.kind == "deterministic":
-            picked = np.arange(max(available, 0))
-        else:
-            j0 = strategy.per_trajectory
-            if j0 > available:
-                raise ValueError(
-                    f"trajectory {i}: requested {j0} windows but only "
-                    f"{max(available, 0)} start positions exist "
-                    f"(length {length}, n_mem {n_mem})"
-                )
-            picked = np.sort(rng.choice(available, size=j0, replace=False))
-        starts.append(offset + picked)
-        offset += length
-    starts = np.concatenate(starts)
+    lengths = trajs.lengths
+    avail = np.maximum(lengths - n_mem - 1, 0)  # admissible starts
+    first_row = np.cumsum(lengths) - lengths  # in samples, per trajectory
+    if strategy.kind == "deterministic":
+        # window p is start p - (windows before trajectory i) of trajectory i
+        before = np.cumsum(avail) - avail
+        starts = (np.arange(avail.sum(), dtype=np.int64)
+                  + np.repeat(first_row - before, avail))
+    else:
+        j0 = strategy.per_trajectory
+        short = np.flatnonzero(avail < j0)
+        if short.size:
+            i = int(short[0])
+            raise ValueError(
+                f"trajectory {i}: requested {j0} windows but only "
+                f"{avail[i]} start positions exist "
+                f"(length {lengths[i]}, n_mem {n_mem})"
+            )
+        rng = np.random.default_rng(strategy.seed)
+        starts = (first_row[:, None] + _draw_starts(avail, j0, rng)).ravel()
     width = d * (n_mem + 1)
     if starts.size == 0:
         return MemoryWindowDataset(

@@ -69,6 +69,7 @@ __all__ = [
     "oracle_for_system",
     "exact_linear_solution",
     "exact_linear_trajectory",
+    "exact_reduced_map",
     "mz_memory_integral",
     "mz_noise_term",
     "linear_mz_rhs",
@@ -614,6 +615,35 @@ def exact_linear_trajectory(spec, x0, delta, num_samples):
     for k in range(1, num_samples + 1):
         out[k] = step @ out[k - 1]
     return out
+
+
+def exact_reduced_map(spec, solver, n_mem):
+    """The exact one-step map from a linear spec's observed history.
+
+    One RK4 sample maps the full state x by S = R(hA)^substeps
+    (:func:`_rk4_sample_matrix`) and C = [I_d 0] observes it, so the
+    newest-first history h_n = (z_n, z_{n-1}, ..., z_{n-n_mem}) is O x_n
+    with O = [C; C S^-1; ...; C S^-n_mem].  When O has full column rank n,
+    the next observed state is exactly z_{n+1} = L h_n with L = C S O^+.
+    Returns ``(L, O)`` of shapes (d, d (n_mem + 1)) and (d (n_mem + 1), n);
+    a rank-deficient O is a ValueError naming its rank.
+    """
+    a = _linear_matrix(spec)
+    if n_mem < 0:
+        raise ValueError(f"n_mem must be >= 0, got {n_mem}")
+    step = _rk4_sample_matrix(a, solver.delta, solver.substeps)
+    back = np.linalg.inv(step)
+    blocks = [np.eye(spec.n)[: spec.d]]  # C S^-k, k = 0..n_mem
+    for _ in range(n_mem):
+        blocks.append(blocks[-1] @ back)
+    obs = np.concatenate(blocks)
+    rank = np.linalg.matrix_rank(obs)
+    if rank < spec.n:
+        raise ValueError(
+            f"{spec.name}: a history of n_mem={n_mem} observes rank {rank} "
+            f"of the n={spec.n} state variables; no exact reduced map"
+        )
+    return step[: spec.d] @ np.linalg.pinv(obs), obs
 
 
 def _memory_matrix(spec, h, m):

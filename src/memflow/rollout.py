@@ -35,6 +35,7 @@ __all__ = [
     "rollout",
     "error_series",
     "rollout_against_truth",
+    "check_memory_setting",
     "memory_sweep",
     "euler_damz",
     "compare_with_homogenized",
@@ -207,6 +208,42 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     return float(run_means.mean()), series
 
 
+def check_memory_setting(n_mem, delta, eval_horizon, n_traj, traj_len,
+                         selection_kind, per_trajectory, batch_size):
+    """Reject a memory length that these settings cannot train and score.
+
+    The ``n_mem + 1`` seed states of a rollout must fit in ``eval_horizon``;
+    trajectories of ``traj_len`` samples (an integer, or ``"auto"`` for
+    ``n_mem + 2``) must each supply ``per_trajectory`` window starts under
+    random selection and at least one under deterministic selection; and
+    the ``n_traj`` trajectories must give at least ``batch_size`` windows.
+    A failure is a ValueError naming the setting and n_mem.
+    """
+    horizon_steps = round(eval_horizon / delta)
+    if horizon_steps < n_mem + 1:
+        raise ValueError(
+            f"eval_horizon={eval_horizon:g} is {horizon_steps} steps of "
+            f"delta={delta:g}, fewer than the n_mem + 1 = {n_mem + 1} seed "
+            f"states of a rollout (n_mem={n_mem})"
+        )
+    random = selection_kind == "random"
+    k = n_mem + 2 if traj_len == "auto" else traj_len
+    starts = max(k - n_mem - 1, 0)
+    need = per_trajectory if random else 1
+    if starts < need:
+        raise ValueError(
+            f"traj_len={traj_len!r} leaves {starts} window starts per "
+            f"trajectory at n_mem={n_mem}, fewer than "
+            + (f"per_trajectory={need}" if random else "one")
+        )
+    windows = n_traj * (need if random else starts)
+    if batch_size > windows:
+        raise ValueError(
+            f"batch_size={batch_size} exceeds the {windows} windows of "
+            f"n_traj={n_traj} trajectories at n_mem={n_mem}"
+        )
+
+
 def memory_sweep(
     spec,
     solver,
@@ -229,7 +266,8 @@ def memory_sweep(
     window per trajectory).  Every cell regenerates data, builds windows,
     trains a fresh network, and reports the mean rollout error at the
     evaluation horizon; all randomness is derived from ``seed`` and the
-    cell's ``n_mem`` so the sweep is reproducible.
+    cell's ``n_mem`` so the sweep is reproducible.  Every cell passes
+    :func:`check_memory_setting` before the first one trains.
     """
     n_mem_list = list(n_mem_list)
     if not n_mem_list:
@@ -241,6 +279,13 @@ def memory_sweep(
             f"n_mem_list must not hold a negative n_mem, got {n_mem_list}"
         )
     horizon_steps = int(round(eval_horizon / solver.delta))
+    # a bad selection_kind or per_trajectory fails here, before any cell
+    data_mod.SelectionStrategy(kind=selection_kind, per_trajectory=per_trajectory)
+    for n_mem in n_mem_list:
+        check_memory_setting(
+            n_mem, solver.delta, eval_horizon, n_traj, traj_len,
+            selection_kind, per_trajectory, train_cfg.batch_size,
+        )
     cells = []
     for n_mem in n_mem_list:
         cell_seed = int(np.random.SeedSequence([seed, n_mem]).generate_state(1)[0])

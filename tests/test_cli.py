@@ -119,6 +119,26 @@ class TestConfig:
         # the shortest horizon that covers the seed loads
         micro_config(tmp_path, eval_horizon=0.08)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(traj_len=6, n_mem=4, per_trajectory=2),
+         "traj_len=6 leaves 1 window starts per trajectory at n_mem=4, fewer "
+         "than per_trajectory=2"),
+        (dict(traj_len=4, selection_kind="deterministic", per_trajectory=None),
+         "traj_len=4 leaves 0 window starts per trajectory at n_mem=3, fewer "
+         "than one"),
+        (dict(batch_size=51),
+         "batch_size=51 exceeds the 50 windows of n_traj=50 trajectories "
+         "at n_mem=3"),
+    ], ids=["per-trajectory", "deterministic", "batch-size"])
+    def test_dataset_the_config_cannot_build_rejected_at_load(
+            self, tmp_path, capsys, changes, message):
+        doc = {**micro_config(tmp_path).to_dict(), **changes}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["generate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_parameter_that_is_not_a_number_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"example1 parameter 'alpha' must "
                            r"be a number, got \[2.0\]"):
@@ -348,6 +368,22 @@ class TestMain:
         cfg_path = write_config(micro_config(tmp_path), tmp_path)
         assert cli.main([command, "--config", str(cfg_path), flag, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sweep_rejects_a_cell_before_training(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # n_mem 2 fits the 5-step horizon; n_mem 6 needs 7 seed states
+        trained = []
+        monkeypatch.setattr(cli.train_mod, "train_model",
+                            lambda *args: trained.append(args))
+        cfg = micro_config(tmp_path, eval_horizon=0.1)
+        cfg_path = write_config(cfg, tmp_path)
+        assert cli.main(
+            ["sweep", "--config", str(cfg_path), "--n-mem", "2,6"]) == 1
+        assert capsys.readouterr().err == (
+            "error: eval_horizon=0.1 is 5 steps of delta=0.02, fewer than the "
+            "n_mem + 1 = 7 seed states of a rollout (n_mem=6)\n")
+        assert trained == []
+        assert not (tmp_path / "run" / cli.SWEEP_FILE).exists()
 
     def test_bad_n_mem_list(self, tmp_path, capsys):
         cfg_path = write_config(micro_config(tmp_path), tmp_path)

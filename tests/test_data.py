@@ -43,19 +43,31 @@ class TestSampleInitialConditions:
 
 
 def reference_build_dataset(trajs, n_mem, strategy):
-    """The per-window loop that build_dataset replaced; it must match it
-    bitwise, start positions, row order and random draws included."""
+    """A per-window loop over the trajectories that build_dataset must match
+    bitwise, start positions, row order and random draws included.
+
+    Random starts come from Floyd's algorithm written out with Python sets:
+    for each step k, one scalar draw per trajectory from [0, top], with
+    top = available - j0 + k, taking top when the draw is already picked.
+    Steps are the outer loop, so the generator is read in the same order as
+    build_dataset's one array draw per step.
+    """
+    trajectories = trajs.trajectories
+    available = [max(t.shape[0] - n_mem - 1, 0) for t in trajectories]
+    if strategy.kind == "deterministic":
+        chosen = [range(a) for a in available]
+    else:
+        j0 = strategy.per_trajectory
+        rng = np.random.default_rng(strategy.seed)
+        chosen = [set() for _ in trajectories]
+        for k in range(j0):
+            for picks, a in zip(chosen, available):
+                top = a - j0 + k
+                draw = int(rng.integers(0, top + 1))
+                picks.add(top if draw in picks else draw)
     inputs, targets = [], []
-    rng = np.random.default_rng(strategy.seed) if strategy.kind == "random" else None
-    for traj in trajs.trajectories:
-        available = traj.shape[0] - n_mem - 1
-        if strategy.kind == "deterministic":
-            if available < 1:
-                continue
-            starts = range(available)
-        else:
-            starts = rng.choice(available, size=strategy.per_trajectory, replace=False)
-        for k in sorted(int(s) for s in starts):
+    for traj, starts in zip(trajectories, chosen):
+        for k in sorted(starts):
             window = traj[k : k + n_mem + 2]
             inputs.append(window[n_mem::-1].reshape(-1))
             targets.append(window[n_mem + 1])
@@ -196,6 +208,14 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="1 start positions"):
             data.build_dataset(trajs, 10, strategy)
 
+    def test_overdraw_names_the_first_short_trajectory(self):
+        trajs = toy_trajectories([30, 12, 5, 11])
+        strategy = data.SelectionStrategy("random", per_trajectory=2, seed=0)
+        with pytest.raises(ValueError, match=(
+                r"trajectory 1: requested 2 windows but only 1 start "
+                r"positions exist \(length 12, n_mem 10\)")):
+            data.build_dataset(trajs, 10, strategy)
+
     def test_adjacent_pairs_when_no_memory(self):
         trajs = toy_trajectories([9])
         ds = data.build_dataset(trajs, 0, data.SelectionStrategy("deterministic"))
@@ -229,6 +249,11 @@ class TestBuildDataset:
         ([3, 2, 4], 5, data.SelectionStrategy("deterministic")),  # no window
         ([12, 8, 20, 9], 4, data.SelectionStrategy("random", per_trajectory=3, seed=5)),
         ([30, 7], 2, data.SelectionStrategy("random", per_trajectory=4, seed=0)),
+        # ragged: one long trajectory among short ones, one with exactly
+        # per_trajectory starts
+        ([9, 300, 7, 12, 40, 7], 2,
+         data.SelectionStrategy("random", per_trajectory=4, seed=9)),
+        ([9, 300, 7, 12, 40, 7], 3, data.SelectionStrategy("deterministic")),
     ])
     def test_matches_per_window_loop_bitwise(self, lengths, n_mem, strategy):
         trajs = random_trajectories(lengths, d=3, seed=sum(lengths) + n_mem)
@@ -238,11 +263,100 @@ class TestBuildDataset:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_random_starts_uniform(self):
+        # start s of a trajectory with `avail` starts is picked with
+        # probability j0 / avail, and each j0-subset with 1 / C(avail, j0)
+        lengths, n_mem, j0, seeds = [8, 6], 1, 3, 4000
+        avail = [k - n_mem - 1 for k in lengths]
+        trajs = toy_trajectories(lengths)
+        hits = [np.zeros(a) for a in avail]
+        subsets = {}
+        for seed in range(seeds):
+            ds = data.build_dataset(
+                trajs, n_mem, data.SelectionStrategy("random", j0, seed))
+            starts = ds.inputs[:, -1].astype(int) - 1  # oldest entry, 1-based
+            for i, picks in enumerate(starts.reshape(len(lengths), j0)):
+                assert np.all(np.diff(picks) > 0)
+                hits[i][picks] += 1
+            key = tuple(starts[:j0])
+            subsets[key] = subsets.get(key, 0) + 1
+        # 5 binomial standard deviations: a false alarm about once in 10^6
+        for a, count in zip(avail, hits):
+            p = j0 / a
+            bound = 5 * np.sqrt(p * (1 - p) / seeds)
+            assert np.max(np.abs(count / seeds - p)) < bound, (a, count)
+        p = 1 / 20  # C(6, 3) subsets of the first trajectory's starts
+        assert len(subsets) == 20
+        bound = 5 * np.sqrt(p * (1 - p) / seeds)
+        assert max(abs(c / seeds - p) for c in subsets.values()) < bound
+
+    @pytest.mark.parametrize("lengths, n_mem, j0", [
+        ([7, 7, 7], 5, 1),          # traj_len "auto": one start each
+        ([10, 10, 10, 10], 3, 6),   # every start taken
+    ])
+    def test_every_start_drawn_gives_the_deterministic_dataset(
+            self, lengths, n_mem, j0):
+        trajs = random_trajectories(lengths, d=2, seed=1)
+        det = data.build_dataset(trajs, n_mem, data.SelectionStrategy())
+        for seed in range(5):
+            ran = data.build_dataset(
+                trajs, n_mem, data.SelectionStrategy("random", j0, seed))
+            assert ran.inputs.tobytes() == det.inputs.tobytes()
+            assert ran.targets.tobytes() == det.targets.tobytes()
+
+    def test_ragged_random_selection_not_padded(self):
+        # one trajectory of 20 000 samples among 200 of 8: padding every
+        # trajectory to the longest would allocate about 32 MB
+        lengths = [8] * 100 + [20_000] + [8] * 100
+        trajs = random_trajectories(lengths, d=1, seed=2)
+        strategy = data.SelectionStrategy("random", per_trajectory=3, seed=3)
+        tracemalloc.start()
+        try:
+            ds = data.build_dataset(trajs, 4, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.size == 3 * len(lengths)
+        assert peak < 1_000_000, peak
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="kind"):
             data.SelectionStrategy("fancy")
         with pytest.raises(ValueError, match="per_trajectory"):
             data.SelectionStrategy("random")
+
+
+class TestExactMapGate:
+    """A least-squares fit on a linear system's dataset recovers the exact
+    reduced map, with no training.
+
+    ``lstsq(inputs, targets)`` gives L_hat; L_hat O must equal C S and both
+    L_hat and the exact L of ``dynamics.exact_reduced_map`` must reproduce
+    every target.  That pins build_dataset's newest-first order, its target
+    offset and the observe split of generate_trajectories: getting any of
+    them wrong moves these numbers to about 1e-2.  Bound 1e-13 on states
+    of size at most 3.1; measured at most 8.9e-15 (L_hat O - C S, example4
+    n_mem 30), 1.2e-14 (L_hat residual) and 9.8e-15 (L residual).
+    """
+
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    @pytest.mark.parametrize("n_mem", [1, 5, 30])
+    @pytest.mark.parametrize("strategy", [
+        data.SelectionStrategy("deterministic"),
+        data.SelectionStrategy("random", per_trajectory=3, seed=7),
+    ], ids=["deterministic", "random"])
+    def test_least_squares_recovers_the_exact_map(self, name, n_mem, strategy):
+        spec = dyn.make_system(name)
+        solver = dyn.SolverConfig(0.02, 20)
+        trajs = data.generate_trajectories(
+            spec, solver, dyn.default_domain(spec), 100, n_mem + 12, seed=n_mem)
+        ds = data.build_dataset(trajs, n_mem, strategy)
+        big_l, obs = dyn.exact_reduced_map(spec, solver, n_mem)
+        fit = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)[0].T
+        step = dyn._rk4_sample_matrix(spec.a_matrix, solver.delta, solver.substeps)
+        assert np.linalg.norm(fit @ obs - step[: spec.d], 2) < 1e-13
+        for m in (fit, big_l):
+            assert np.abs(ds.inputs @ m.T - ds.targets).max() < 1e-13
 
 
 class TestSerialization:

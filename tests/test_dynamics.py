@@ -373,6 +373,52 @@ class TestLinearSampleMatrix:
         assert (info.value.sample_index, info.value.trajectory_index) == (20, 0)
 
 
+class TestExactReducedMap:
+    """z_{n+1} = L h_n with L = C S O^+ on RK4-sampled linear trajectories.
+
+    Bound 1e-13 on states of size about 2; measured at most 1.1e-14 (states
+    through integrate_batch) and 9e-15 (L O against C S).
+    """
+
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    @pytest.mark.parametrize("n_mem", [1, 5, 30])
+    def test_history_maps_to_the_next_observed_state(self, name, n_mem):
+        spec = dyn.make_system(name)
+        solver = dyn.SolverConfig(0.02, 20)
+        big_l, obs = dyn.exact_reduced_map(spec, solver, n_mem)
+        width = spec.d * (n_mem + 1)
+        assert big_l.shape == (spec.d, width) and obs.shape == (width, spec.n)
+        x0s = np.random.default_rng(n_mem).uniform(-2.0, 2.0, size=(6, spec.n))
+        states = dyn.integrate_batch(spec, solver, x0s, n_mem + 1)
+        history = states[:, n_mem::-1, : spec.d].reshape(6, width)
+        assert np.abs(states[:, n_mem] @ obs.T - history).max() < 1e-13
+        assert np.abs(history @ big_l.T - states[:, -1, : spec.d]).max() < 1e-13
+        step = dyn._rk4_sample_matrix(spec.a_matrix, 0.02, 20)
+        assert np.linalg.norm(big_l @ obs - step[: spec.d], 2) < 1e-13
+
+    def test_fully_observed_without_memory_is_the_sample_matrix(self):
+        spec = dyn.make_system("example1", observe=2)
+        big_l, obs = dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5), 0)
+        np.testing.assert_array_equal(obs, np.eye(2))
+        np.testing.assert_allclose(
+            big_l, dyn._rk4_sample_matrix(spec.a_matrix, 0.02, 5), atol=1e-15)
+
+    def test_rank_deficient_history_rejected(self):
+        # the hidden variable never reaches the observed one
+        spec = dyn.linear_system([[-1.0, 0.0], [1.0, -2.0]], d=1)
+        with pytest.raises(ValueError, match="observes rank 1 of the n=2"):
+            dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5), 4)
+        # without memory, one observed variable cannot pin two
+        with pytest.raises(ValueError, match="n_mem=0 observes rank 1"):
+            dyn.exact_reduced_map(dyn.make_system("example1"),
+                                  dyn.SolverConfig(0.02, 5), 0)
+
+    def test_negative_memory_rejected(self):
+        with pytest.raises(ValueError, match="n_mem must be >= 0"):
+            dyn.exact_reduced_map(dyn.make_system("example1"),
+                                  dyn.SolverConfig(0.02, 5), -1)
+
+
 class TestComponentFields:
     """A component field integrates row by row on Python floats up to
     ``_FLOAT_ROWS`` rows and on the batch's numpy columns above; the two
@@ -615,8 +661,9 @@ class TestLinearOracle:
         lambda spec: dyn.linear_mz_rhs(spec, np.zeros(2), 1.0),
         lambda spec: dyn._memory_matrix(spec, 0.1, 3),
         lambda spec: rollout.euler_damz(spec, np.zeros((3, 1)), 5, 0.1),
+        lambda spec: dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5), 1),
     ], ids=["solution", "trajectory", "memory-integral-t0", "noise-term",
-            "mz-rhs", "memory-matrix", "euler-damz"])
+            "mz-rhs", "memory-matrix", "euler-damz", "reduced-map"])
     def test_every_reference_rejects_a_field_spec(self, reference):
         # with truncation 0 the memory integral needs no quadrature, but a
         # pendulum still has no memory term to give

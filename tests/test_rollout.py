@@ -286,6 +286,43 @@ class TestEvaluateAndSweep:
                 eval_horizon=0.2, n_eval_runs=1, seed=0,
             )
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(eval_horizon=0.08),
+         r"eval_horizon=0.08 is 4 steps of delta=0.02, fewer than the "
+         r"n_mem \+ 1 = 5 seed states of a rollout \(n_mem=4\)"),
+        (dict(traj_len=6, per_trajectory=2),
+         r"traj_len=6 leaves 1 window starts per trajectory at n_mem=4, "
+         r"fewer than per_trajectory=2"),
+        (dict(traj_len=5, selection_kind="deterministic", per_trajectory=None),
+         r"traj_len=5 leaves 0 window starts per trajectory at n_mem=4, "
+         r"fewer than one"),
+        (dict(batch_size=11),
+         r"batch_size=11 exceeds the 10 windows of n_traj=10 trajectories "
+         r"at n_mem=1"),
+        (dict(traj_len=6, selection_kind="deterministic", per_trajectory=None,
+              batch_size=11),
+         r"batch_size=11 exceeds the 10 windows of n_traj=10 trajectories "
+         r"at n_mem=4"),
+    ], ids=["horizon", "random-starts", "deterministic-starts",
+            "batch-random", "batch-deterministic"])
+    def test_sweep_checks_every_cell_before_training(self, monkeypatch, changes,
+                                                     message):
+        def no_training(*args):
+            raise AssertionError("a cell was trained")
+
+        monkeypatch.setattr(train, "train_model", no_training)
+        spec = dyn.make_system("example1")
+        args = dict(n_traj=10, traj_len="auto", selection_kind="random",
+                    per_trajectory=1, eval_horizon=0.2, batch_size=4)
+        args.update(changes)
+        cfg = train.TrainConfig(epochs=1, batch_size=args.pop("batch_size"))
+        with pytest.raises(ValueError, match=message):
+            rollout.memory_sweep(
+                spec, dyn.SolverConfig(0.02, 2), dyn.default_domain(spec),
+                [1, 4], hidden=(3,), train_cfg=cfg, n_eval_runs=1, seed=0,
+                **args,
+            )
+
     def test_evaluate_model_zero_for_perfect_seeds(self):
         # a zero-final-layer model predicts a constant, so against a
         # constant system the evaluation error is exactly zero
