@@ -5,41 +5,26 @@ too little memory cannot reconstruct the missing velocity from history
 and its rollouts drift.  The sweep trains one model per memory length and
 prints each model's mean rollout error up to t=10.
 
-Scaled down from the full preset (1500 trajectories, 40 epochs, 5
-evaluation runs) so the whole sweep takes about 7 s on 2 cores.  At seed 3
-the error is 49 at n_mem 1, 0.59 at n_mem 3, 0.48 at n_mem 10 and 0.28 at
-n_mem 20.  One step of history is far too few.  Past that, one seed does
-not rank the memory lengths: with another draw of the training windows
-the same seed gave 0.96, 0.90, 0.12 and 0.43.
+The sweep takes the example2 preset (alpha=0.1, beta=8.91; 5 windows from
+each trajectory of 50 samples) with ``dataclasses.replace`` for the
+smaller settings: 1500 trajectories and 40 epochs, so the whole sweep
+takes about 7 s on 2 cores, and an evaluation horizon of t=10.  Every
+cell is that config with its own n_mem.  At seed 3 the error is 49 at
+n_mem 1, 0.59 at n_mem 3, 0.48 at n_mem 10 and 0.28 at n_mem 20.  One
+step of history is far too few.  Past that, one seed does not rank the
+memory lengths: with another draw of the training windows the same seed
+gave 0.96, 0.90, 0.12 and 0.43.
 """
 
 import math
+from dataclasses import replace
 
-from memflow import cli
-from memflow import dynamics as dyn
-from memflow import rollout, train
+from memflow import cli, rollout
 
 SEED = 3
 
-spec = dyn.make_system("example2")  # alpha=0.1, beta=8.91
-solver = dyn.SolverConfig(delta=0.02, substeps=20)
-domain = dyn.default_domain(spec)
-
-cells = rollout.memory_sweep(
-    spec,
-    solver,
-    domain,
-    n_mem_list=[1, 3, 10, 20],
-    n_traj=1500,
-    traj_len=50,
-    selection_kind="random",
-    per_trajectory=5,
-    hidden=(30, 30, 30),
-    train_cfg=train.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=40),
-    eval_horizon=10.0,
-    n_eval_runs=5,
-    seed=cli.stage_seed(SEED, "sweep"),
-)
+cfg = replace(cli.preset_config("example2"), n_traj=1500, epochs=40, eval_horizon=10.0)
+cells = rollout.memory_sweep(cfg, [1, 3, 10, 20], seed=cli.stage_seed(SEED, "sweep"))
 
 print("n_mem   T_M     mean rollout error (t <= 10)")
 for cell in cells:

@@ -88,12 +88,13 @@ def _is_list_of(test):
 # (config key, what its value must be, the test of that value)
 _VALUE_TYPES = (
     *[(key, "an integer", _is_int) for key in (
-        "substeps", "n_traj", "n_mem", "batch_size", "epochs", "n_eval_runs",
-        "seed")],
+        "substeps", "n_traj", "n_mem", "batch_size", "epochs", "n_eval_runs")],
+    ("seed", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
     *[(key, "a number", _is_number) for key in (
         "delta", "learning_rate", "eval_horizon")],
     ("params", "an object", lambda v: isinstance(v, dict)),
-    ("hidden", "a list of integers", _is_list_of(_is_int)),
+    ("hidden", "a non-empty list of positive integers",
+     lambda v: _is_list_of(_is_int)(v) and len(v) > 0 and min(v) > 0),
     ("traj_len", 'an integer or "auto"', lambda v: v == "auto" or _is_int(v)),
     ("per_trajectory", "an integer or null", lambda v: v is None or _is_int(v)),
     *[(key, "a list of numbers or null",
@@ -111,6 +112,8 @@ class ExperimentConfig:
     the minimal usable length ``n_mem + 2`` (one window per trajectory).
     ``domain_lower`` and ``domain_upper`` are given together or not at
     all; without them the system's default domain is used.
+    A config that cannot build its dataset or seed its rollouts fails
+    when it is built; a memory sweep builds every cell before training.
     """
 
     system: str
@@ -144,8 +147,8 @@ class ExperimentConfig:
             raise ValueError("n_traj must be >= 1")
         if self.n_eval_runs < 1:
             raise ValueError("n_eval_runs must be >= 1")
-        if not self.eval_horizon > 0:
-            raise ValueError("eval_horizon must be positive")
+        if not 0 < self.eval_horizon < np.inf:
+            raise ValueError("eval_horizon must be positive and finite")
         if (self.domain_lower is None) != (self.domain_upper is None):
             raise ValueError("domain_lower and domain_upper must be given together")
         # fail at load time, not at the first stage that uses these
@@ -153,11 +156,31 @@ class ExperimentConfig:
         self.domain()
         self.strategy()
         self.train_config()
-        roll_mod.check_memory_setting(
-            self.n_mem, self.delta, self.eval_horizon, self.n_traj,
-            self.traj_len, self.selection_kind, self.per_trajectory,
-            self.batch_size,
-        )
+        # the n_mem + 1 seed states fit the horizon, and the trajectories
+        # give enough window starts and windows
+        n_mem = self.n_mem
+        steps = self.horizon_steps()
+        if steps < n_mem + 1:
+            raise ValueError(
+                f"eval_horizon={self.eval_horizon:g} is {steps} steps of "
+                f"delta={self.delta:g}, fewer than the n_mem + 1 = {n_mem + 1} "
+                f"seed states of a rollout (n_mem={n_mem})"
+            )
+        random = self.selection_kind == "random"
+        starts = max(self.resolved_traj_len() - n_mem - 1, 0)
+        need = self.per_trajectory if random else 1
+        if starts < need:
+            raise ValueError(
+                f"traj_len={self.traj_len!r} leaves {starts} window starts per "
+                f"trajectory at n_mem={n_mem}, fewer than "
+                + (f"per_trajectory={need}" if random else "one")
+            )
+        windows = self.n_traj * (need if random else starts)
+        if self.batch_size > windows:
+            raise ValueError(
+                f"batch_size={self.batch_size} exceeds the {windows} windows of "
+                f"n_traj={self.n_traj} trajectories at n_mem={n_mem}"
+            )
 
     # -- pieces ------------------------------------------------------------
 
@@ -189,6 +212,10 @@ class ExperimentConfig:
 
     def resolved_traj_len(self):
         return self.n_mem + 2 if self.traj_len == "auto" else self.traj_len
+
+    def horizon_steps(self):
+        """``eval_horizon`` in samples of ``delta``."""
+        return int(round(self.eval_horizon / self.delta))
 
     def train_config(self):
         return train_mod.TrainConfig(
@@ -389,7 +416,7 @@ def cmd_predict(cfg, steps=None):
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
     if steps is None:
-        steps = int(round(cfg.eval_horizon / cfg.delta)) - model.n_mem
+        steps = cfg.horizon_steps() - model.n_mem
     x0s = data_mod.sample_initial_conditions(
         cfg.domain(), 1, seed=stage_seed(cfg.seed, "predict")
     )
@@ -413,29 +440,18 @@ def cmd_predict(cfg, steps=None):
 def cmd_sweep(cfg, n_mem_list):
     """Train one model per memory setting and tabulate rollout errors."""
     out = _out_dir(cfg)
-    cells = roll_mod.memory_sweep(
-        cfg.spec(),
-        cfg.solver(),
-        cfg.domain(),
-        n_mem_list,
-        n_traj=cfg.n_traj,
-        traj_len=cfg.traj_len,
-        selection_kind=cfg.selection_kind,
-        per_trajectory=cfg.per_trajectory,
-        hidden=cfg.hidden,
-        train_cfg=cfg.train_config(),
-        eval_horizon=cfg.eval_horizon,
-        n_eval_runs=cfg.n_eval_runs,
-        seed=stage_seed(cfg.seed, "sweep"),
-    )
+    cells = roll_mod.memory_sweep(cfg, n_mem_list, stage_seed(cfg.seed, "sweep"))
     path = out / SWEEP_FILE
     _write_csv(path, ["n_mem", "T_M", "mean_error"],
                [(int(c.n_mem), float(c.memory_length), float(c.mean_error))
                 for c in cells])
     for cell in cells:
+        diverged = cell.diverged_runs
         print(
             f"n_mem={cell.n_mem:4d}  T_M={cell.memory_length:g}  "
             f"mean_error={cell.mean_error:.4e}"
+            + (f"  ({len(diverged)} of {cfg.n_eval_runs} runs diverged: "
+               f"{list(diverged)})" if diverged else "")
         )
     print(f"sweep table -> {path}")
     return path
@@ -466,7 +482,11 @@ def cmd_compare_reduced(cfg):
     return path
 
 
-def cmd_oracle_check(cfg, n_checks=20, tol=1e-4):
+ORACLE_DRAWS = 20  # random states and times that oracle-check draws
+ORACLE_TOL = 1e-4  # the largest decomposition residual that passes
+
+
+def cmd_oracle_check(cfg):
     """Validate the exact reduced-dynamics references of a linear system.
 
     Checks that Markov + memory + unobserved-initial-state terms reproduce
@@ -477,7 +497,7 @@ def cmd_oracle_check(cfg, n_checks=20, tol=1e-4):
     spec = cfg.spec()
     rng = np.random.default_rng(stage_seed(cfg.seed, "oracle"))
     worst = 0.0
-    for _ in range(n_checks):
+    for _ in range(ORACLE_DRAWS):
         x0 = rng.uniform(-1.0, 1.0, size=spec.n)
         t = rng.uniform(0.2, 1.5)
         got = dyn.linear_mz_rhs(spec, x0, t)
@@ -491,9 +511,9 @@ def cmd_oracle_check(cfg, n_checks=20, tol=1e-4):
     rk4_end = dyn.integrate_batch(spec, solver, x0[None], 50)[0, -1]
     exact_end = dyn.exact_linear_solution(spec, x0, 50 * solver.delta)
     rk4_err = float(np.max(np.abs(rk4_end - exact_end)))
-    print(f"decomposition residual (max over {n_checks} draws): {worst:.3e}")
+    print(f"decomposition residual (max over {ORACLE_DRAWS} draws): {worst:.3e}")
     print(f"RK4 vs matrix exponential at t={50 * solver.delta:g}: {rk4_err:.3e}")
-    if worst > tol or rk4_err > 1e-8:
+    if worst > ORACLE_TOL or rk4_err > 1e-8:
         raise RuntimeError("oracle self-check failed")
     print("oracle check passed")
     return worst

@@ -9,12 +9,14 @@ diverged), measures pointwise l2 errors against references
 (:func:`error_series`), scores a model against the integrated truth from
 given initial conditions (:func:`rollout_against_truth`, shared by
 :func:`evaluate_model`, :func:`compare_with_homogenized` and the CLI's
-``predict``), sweeps the memory length to find where accuracy saturates
-(:func:`memory_sweep`), and provides two analytic references for
-benchmarks: an explicit-Euler discretization of the exact reduced dynamics
-for linear systems (:func:`euler_damz`) and the homogenized slow-variable
-closure of the chaotic system (:func:`compare_with_homogenized`, scored
-against the example3 spec it is given, at that spec's epsilon).
+``predict``), sweeps the memory length of an experiment config to find
+where accuracy saturates (:func:`memory_sweep`: one cell per n_mem, each
+naming its diverged evaluation runs), and provides two analytic
+references for benchmarks: an explicit-Euler discretization of the exact
+reduced dynamics for linear systems (:func:`euler_damz`) and the
+homogenized slow-variable closure of the chaotic system
+(:func:`compare_with_homogenized`, scored against the example3 spec it is
+given, at that spec's epsilon).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "rollout",
     "error_series",
     "rollout_against_truth",
-    "check_memory_setting",
     "memory_sweep",
     "euler_damz",
     "compare_with_homogenized",
@@ -177,11 +178,14 @@ def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One row of a memory sweep: the memory setting and its mean error."""
+    """One row of a memory sweep: the memory setting, its mean error, and
+    the indices of the evaluation runs that diverged (each puts ``inf``
+    in the mean)."""
 
     n_mem: int
     memory_length: float
     mean_error: float
+    diverged_runs: tuple = ()
 
 
 def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
@@ -208,66 +212,19 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     return float(run_means.mean()), series
 
 
-def check_memory_setting(n_mem, delta, eval_horizon, n_traj, traj_len,
-                         selection_kind, per_trajectory, batch_size):
-    """Reject a memory length that these settings cannot train and score.
-
-    The ``n_mem + 1`` seed states of a rollout must fit in ``eval_horizon``;
-    trajectories of ``traj_len`` samples (an integer, or ``"auto"`` for
-    ``n_mem + 2``) must each supply ``per_trajectory`` window starts under
-    random selection and at least one under deterministic selection; and
-    the ``n_traj`` trajectories must give at least ``batch_size`` windows.
-    A failure is a ValueError naming the setting and n_mem.
-    """
-    horizon_steps = round(eval_horizon / delta)
-    if horizon_steps < n_mem + 1:
-        raise ValueError(
-            f"eval_horizon={eval_horizon:g} is {horizon_steps} steps of "
-            f"delta={delta:g}, fewer than the n_mem + 1 = {n_mem + 1} seed "
-            f"states of a rollout (n_mem={n_mem})"
-        )
-    random = selection_kind == "random"
-    k = n_mem + 2 if traj_len == "auto" else traj_len
-    starts = max(k - n_mem - 1, 0)
-    need = per_trajectory if random else 1
-    if starts < need:
-        raise ValueError(
-            f"traj_len={traj_len!r} leaves {starts} window starts per "
-            f"trajectory at n_mem={n_mem}, fewer than "
-            + (f"per_trajectory={need}" if random else "one")
-        )
-    windows = n_traj * (need if random else starts)
-    if batch_size > windows:
-        raise ValueError(
-            f"batch_size={batch_size} exceeds the {windows} windows of "
-            f"n_traj={n_traj} trajectories at n_mem={n_mem}"
-        )
-
-
-def memory_sweep(
-    spec,
-    solver,
-    domain,
-    n_mem_list,
-    n_traj,
-    traj_len,
-    selection_kind,
-    per_trajectory,
-    hidden,
-    train_cfg,
-    eval_horizon,
-    n_eval_runs,
-    seed,
-):
+def memory_sweep(cfg, n_mem_list, seed):
     """Train and evaluate one model per memory setting.
 
-    ``n_mem_list`` must be ascending and non-negative.  ``traj_len`` may
-    be an integer or ``"auto"`` for the minimal length ``n_mem + 2`` (one
-    window per trajectory).  Every cell regenerates data, builds windows,
-    trains a fresh network, and reports the mean rollout error at the
-    evaluation horizon; all randomness is derived from ``seed`` and the
-    cell's ``n_mem`` so the sweep is reproducible.  Every cell passes
-    :func:`check_memory_setting` before the first one trains.
+    ``cfg`` is the experiment (a :class:`memflow.cli.ExperimentConfig`);
+    the cell for each n of ``n_mem_list``, which must be ascending and
+    non-negative, is ``dataclasses.replace(cfg, n_mem=n)``.  Every cell is
+    built, and so passes the config's checks, before the first one
+    trains.  Each cell regenerates data, builds windows, trains a fresh
+    network, and reports the mean rollout error at the evaluation horizon
+    with the indices of the evaluation runs that diverged.  Its seeds come
+    from ``cell_seed = SeedSequence([seed, n_mem])``: ``cell_seed`` + 0 to
+    + 4 for generate, select, init, train and evaluate, so the sweep is
+    reproducible.
     """
     n_mem_list = list(n_mem_list)
     if not n_mem_list:
@@ -278,39 +235,31 @@ def memory_sweep(
         raise ValueError(
             f"n_mem_list must not hold a negative n_mem, got {n_mem_list}"
         )
-    horizon_steps = int(round(eval_horizon / solver.delta))
-    # a bad selection_kind or per_trajectory fails here, before any cell
-    data_mod.SelectionStrategy(kind=selection_kind, per_trajectory=per_trajectory)
-    for n_mem in n_mem_list:
-        check_memory_setting(
-            n_mem, solver.delta, eval_horizon, n_traj, traj_len,
-            selection_kind, per_trajectory, train_cfg.batch_size,
-        )
+    cell_cfgs = [replace(cfg, n_mem=n_mem) for n_mem in n_mem_list]
+    spec, solver, domain = cfg.spec(), cfg.solver(), cfg.domain()
     cells = []
-    for n_mem in n_mem_list:
+    for cell in cell_cfgs:
+        n_mem = cell.n_mem
         cell_seed = int(np.random.SeedSequence([seed, n_mem]).generate_state(1)[0])
-        k = n_mem + 2 if traj_len == "auto" else int(traj_len)
         trajs = data_mod.generate_trajectories(
-            spec, solver, domain, n_traj, k, seed=cell_seed
+            spec, solver, domain, cell.n_traj, cell.resolved_traj_len(),
+            seed=cell_seed,
         )
-        strategy = data_mod.SelectionStrategy(
-            kind=selection_kind, per_trajectory=per_trajectory, seed=cell_seed + 1
-        )
+        strategy = replace(cell.strategy(), seed=cell_seed + 1)
         ds = data_mod.build_dataset(trajs, n_mem, strategy)
-        params0 = net_mod.init_params(spec.d, n_mem, hidden, seed=cell_seed + 2)
-        cfg = replace(train_cfg, seed=cell_seed + 3)
-        model, _ = train_mod.train_model(params0, ds, cfg)
-        mean_err, _ = evaluate_model(
-            model, spec, solver, domain, horizon_steps, n_eval_runs,
+        params0 = net_mod.init_params(spec.d, n_mem, cell.hidden, seed=cell_seed + 2)
+        train_cfg = replace(cell.train_config(), seed=cell_seed + 3)
+        model, _ = train_mod.train_model(params0, ds, train_cfg)
+        mean_err, series = evaluate_model(
+            model, spec, solver, domain, cell.horizon_steps(), cell.n_eval_runs,
             seed=cell_seed + 4,
         )
-        cells.append(
-            SweepCell(
-                n_mem=n_mem,
-                memory_length=n_mem * solver.delta,
-                mean_error=mean_err,
-            )
-        )
+        cells.append(SweepCell(
+            n_mem=n_mem,
+            memory_length=n_mem * solver.delta,
+            mean_error=mean_err,
+            diverged_runs=tuple(r for r, es in enumerate(series) if es is None),
+        ))
     return cells
 
 

@@ -58,8 +58,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not self.learning_rate >= 0:  # NaN fails too
+            raise ValueError(
+                f"learning_rate must be nonnegative, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:

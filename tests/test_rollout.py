@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memflow import data, net, rollout, train
+from memflow import cli, data, net, rollout, train
 from memflow import dynamics as dyn
 
 
@@ -254,17 +254,19 @@ class TestEulerScheme:
         assert all(0.2 <= e <= 0.4 for e in errors)
 
 
+def sweep_config(**changes):
+    """A config small enough to sweep n_mem 1 and 3 in well under a second."""
+    doc = dict(system="example1", params={"alpha": 2.0}, substeps=5,
+               n_traj=40, traj_len="auto", selection_kind="random",
+               per_trajectory=1, n_mem=1, hidden=(6,), batch_size=16,
+               epochs=2, eval_horizon=0.5, n_eval_runs=3)
+    doc.update(changes)
+    return cli.ExperimentConfig(**doc)
+
+
 class TestEvaluateAndSweep:
     def make_micro_sweep(self, seed):
-        spec = dyn.make_system("example1", alpha=2.0)
-        solver = dyn.SolverConfig(delta=0.02, substeps=5)
-        domain = dyn.default_domain(spec)
-        cfg = train.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2, seed=0)
-        return rollout.memory_sweep(
-            spec, solver, domain, [1, 3], n_traj=40, traj_len="auto",
-            selection_kind="random", per_trajectory=1, hidden=(6,),
-            train_cfg=cfg, eval_horizon=0.5, n_eval_runs=3, seed=seed,
-        )
+        return rollout.memory_sweep(sweep_config(), [1, 3], seed=seed)
 
     def test_sweep_shape_and_determinism(self):
         cells_a = self.make_micro_sweep(9)
@@ -275,16 +277,41 @@ class TestEvaluateAndSweep:
             assert a.mean_error == b.mean_error
 
     def test_sweep_requires_ascending_list(self):
-        spec = dyn.make_system("example1")
-        solver = dyn.SolverConfig(0.02, 2)
-        cfg = train.TrainConfig(epochs=1, batch_size=1)
+        cfg = sweep_config(substeps=2, n_traj=5, selection_kind="deterministic",
+                           per_trajectory=None, hidden=(3,), batch_size=1,
+                           epochs=1, eval_horizon=0.2, n_eval_runs=1)
         with pytest.raises(ValueError, match="ascending"):
-            rollout.memory_sweep(
-                spec, solver, dyn.default_domain(spec), [3, 1], n_traj=5,
-                traj_len="auto", selection_kind="deterministic",
-                per_trajectory=None, hidden=(3,), train_cfg=cfg,
-                eval_horizon=0.2, n_eval_runs=1, seed=0,
-            )
+            rollout.memory_sweep(cfg, [3, 1], seed=0)
+
+    def test_cell_seeds_follow_the_rule(self):
+        # cell_seed = SeedSequence([seed, n_mem]); generate, select, init,
+        # train and evaluate take cell_seed + 0, ..., + 4
+        cfg = sweep_config()
+        (cell,) = rollout.memory_sweep(cfg, [3], seed=9)
+        cell_seed = int(np.random.SeedSequence([9, 3]).generate_state(1)[0])
+        spec = dyn.make_system("example1", alpha=2.0)
+        solver = dyn.SolverConfig(delta=0.02, substeps=5)
+        domain = dyn.default_domain(spec)
+        trajs = data.generate_trajectories(spec, solver, domain, 40, 5,
+                                           seed=cell_seed)
+        ds = data.build_dataset(trajs, 3, data.SelectionStrategy(
+            kind="random", per_trajectory=1, seed=cell_seed + 1))
+        params0 = net.init_params(1, 3, (6,), seed=cell_seed + 2)
+        model, _ = train.train_model(params0, ds, train.TrainConfig(
+            learning_rate=1e-3, batch_size=16, epochs=2, seed=cell_seed + 3))
+        mean_err, _ = rollout.evaluate_model(model, spec, solver, domain,
+                                             horizon_steps=25, n_runs=3,
+                                             seed=cell_seed + 4)
+        assert cell.mean_error == mean_err
+        assert cell.diverged_runs == ()
+
+    def test_sweep_names_diverged_runs(self, monkeypatch):
+        es = rollout.ErrorSeries(times=np.arange(3.0), errors=np.zeros(3))
+        monkeypatch.setattr(rollout, "evaluate_model",
+                            lambda *args, **kwargs: (np.inf, [es, None, es]))
+        cells = rollout.memory_sweep(sweep_config(), [1, 3], seed=0)
+        assert [c.diverged_runs for c in cells] == [(1,), (1,)]
+        assert all(c.mean_error == np.inf for c in cells)
 
     @pytest.mark.parametrize("changes, message", [
         (dict(eval_horizon=0.08),
@@ -311,17 +338,12 @@ class TestEvaluateAndSweep:
             raise AssertionError("a cell was trained")
 
         monkeypatch.setattr(train, "train_model", no_training)
-        spec = dyn.make_system("example1")
-        args = dict(n_traj=10, traj_len="auto", selection_kind="random",
-                    per_trajectory=1, eval_horizon=0.2, batch_size=4)
+        args = dict(substeps=2, n_traj=10, hidden=(3,), batch_size=4, epochs=1,
+                    eval_horizon=0.2, n_eval_runs=1)
         args.update(changes)
-        cfg = train.TrainConfig(epochs=1, batch_size=args.pop("batch_size"))
+        # batch-random fails at every n_mem, so at the config's own n_mem=1
         with pytest.raises(ValueError, match=message):
-            rollout.memory_sweep(
-                spec, dyn.SolverConfig(0.02, 2), dyn.default_domain(spec),
-                [1, 4], hidden=(3,), train_cfg=cfg, n_eval_runs=1, seed=0,
-                **args,
-            )
+            rollout.memory_sweep(sweep_config(**args), [1, 4], seed=0)
 
     def test_evaluate_model_zero_for_perfect_seeds(self):
         # a zero-final-layer model predicts a constant, so against a
