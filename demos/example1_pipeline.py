@@ -29,9 +29,7 @@ print(f"system: {spec.name} (n={spec.n}, observed d={spec.d}), "
 trajs = data.generate_trajectories(
     spec, solver, domain, N_TRAJ, N_MEM + 2, seed=SEED
 )
-ds = data.build_dataset(
-    trajs, N_MEM, data.SelectionStrategy("random", per_trajectory=1, seed=SEED)
-)
+ds = data.build_dataset(trajs, N_MEM, per_trajectory=1, seed=SEED)
 print(f"dataset: J={ds.size} windows of width {ds.input_width}")
 
 params0 = net.init_params(spec.d, N_MEM, HIDDEN, seed=SEED)
@@ -48,9 +46,7 @@ print(f"trained {cfg.epochs} epochs in {report.wall_time:.1f}s, "
 x0 = np.array([-0.87, 0.65])
 steps_total = int(round(20.0 / solver.delta))
 reference = dyn.exact_linear_trajectory(spec, x0, solver.delta, steps_total)[:, :1]
-res = rollout.rollout(
-    model, reference[None, : N_MEM + 1], steps_total - N_MEM, delta=solver.delta
-)
+res = rollout.rollout(model, reference[None, : N_MEM + 1], steps_total - N_MEM)
 predicted = res.states[0]  # the one run of the batch
 es = rollout.error_series(predicted, reference, solver.delta)
 

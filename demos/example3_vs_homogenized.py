@@ -27,9 +27,7 @@ domain = dyn.default_domain(spec)
 
 print("generating trajectories of the full 4-variable system ...")
 trajs = data.generate_trajectories(spec, solver, domain, 2000, 100, seed=SEED)
-ds = data.build_dataset(
-    trajs, N_MEM, data.SelectionStrategy("random", per_trajectory=5, seed=SEED)
-)
+ds = data.build_dataset(trajs, N_MEM, per_trajectory=5, seed=SEED)
 print(f"dataset: J={ds.size} windows, input width {ds.input_width}")
 
 params0 = net.init_params(spec.d, N_MEM, (120, 120, 120), seed=SEED)
@@ -40,7 +38,8 @@ print(f"done in {report.wall_time:.1f}s, final loss {report.final_loss:.3e}")
 
 print("comparing against the homogenized closure ...")
 nn_series, reduced_series = rollout.compare_with_homogenized(
-    model, spec, solver, domain, eval_horizon=20.0, n_runs=5, seed=SEED + 1,
+    model, spec, solver, domain, horizon_steps=1000,  # t = 20 at delta = 0.02
+    n_runs=5, seed=SEED + 1,
 )
 
 print("\n  t     network err   homogenized err")

@@ -96,7 +96,8 @@ _VALUE_TYPES = (
     ("hidden", "a non-empty list of positive integers",
      lambda v: _is_list_of(_is_int)(v) and len(v) > 0 and min(v) > 0),
     ("traj_len", 'an integer or "auto"', lambda v: v == "auto" or _is_int(v)),
-    ("per_trajectory", "an integer or null", lambda v: v is None or _is_int(v)),
+    ("per_trajectory", "a positive integer or null",
+     lambda v: v is None or (_is_int(v) and v >= 1)),
     *[(key, "a list of numbers or null",
        lambda v: v is None or _is_list_of(_is_number)(v))
       for key in ("domain_lower", "domain_upper")],
@@ -110,6 +111,8 @@ class ExperimentConfig:
 
     ``traj_len`` is either an integer K or the string ``"auto"`` meaning
     the minimal usable length ``n_mem + 2`` (one window per trajectory).
+    ``per_trajectory`` is the number of window starts drawn from each
+    trajectory, or null to take every admissible start.
     ``domain_lower`` and ``domain_upper`` are given together or not at
     all; without them the system's default domain is used.
     A config that cannot build its dataset or seed its rollouts fails
@@ -124,7 +127,6 @@ class ExperimentConfig:
     substeps: int = 20
     n_traj: int = 1000
     traj_len: object = "auto"
-    selection_kind: str = "random"
     per_trajectory: int | None = 1
     n_mem: int = 10
     hidden: tuple = (30, 30, 30)
@@ -154,7 +156,6 @@ class ExperimentConfig:
         # fail at load time, not at the first stage that uses these
         self.solver()
         self.domain()
-        self.strategy()
         self.train_config()
         # the n_mem + 1 seed states fit the horizon, and the trajectories
         # give enough window starts and windows
@@ -166,16 +167,15 @@ class ExperimentConfig:
                 f"delta={self.delta:g}, fewer than the n_mem + 1 = {n_mem + 1} "
                 f"seed states of a rollout (n_mem={n_mem})"
             )
-        random = self.selection_kind == "random"
+        per_trajectory = self.per_trajectory
         starts = max(self.resolved_traj_len() - n_mem - 1, 0)
-        need = self.per_trajectory if random else 1
-        if starts < need:
+        if starts < (per_trajectory or 1):
             raise ValueError(
                 f"traj_len={self.traj_len!r} leaves {starts} window starts per "
                 f"trajectory at n_mem={n_mem}, fewer than "
-                + (f"per_trajectory={need}" if random else "one")
+                + (f"per_trajectory={per_trajectory}" if per_trajectory else "one")
             )
-        windows = self.n_traj * (need if random else starts)
+        windows = self.n_traj * (per_trajectory or starts)
         if self.batch_size > windows:
             raise ValueError(
                 f"batch_size={self.batch_size} exceeds the {windows} windows of "
@@ -203,19 +203,16 @@ class ExperimentConfig:
                              f"entries; {self.system} has n={spec.n}")
         return domain
 
-    def strategy(self):
-        return data_mod.SelectionStrategy(
-            kind=self.selection_kind,
-            per_trajectory=self.per_trajectory,
-            seed=stage_seed(self.seed, "select"),
-        )
-
     def resolved_traj_len(self):
         return self.n_mem + 2 if self.traj_len == "auto" else self.traj_len
 
     def horizon_steps(self):
         """``eval_horizon`` in samples of ``delta``."""
-        return int(round(self.eval_horizon / self.delta))
+        steps = self.eval_horizon / self.delta
+        if not np.isfinite(steps):
+            raise ValueError(f"eval_horizon={self.eval_horizon:g} is not a finite "
+                             f"number of steps of delta={self.delta!r}")
+        return int(round(steps))
 
     def train_config(self):
         return train_mod.TrainConfig(
@@ -267,40 +264,36 @@ PRESETS = {
     # one window per trajectory: minimal-length trajectories, J = n_traj
     "example1-fast": dict(
         system="example1", params={"alpha": 2.0}, n_traj=20000, traj_len="auto",
-        selection_kind="random", per_trajectory=1, n_mem=30,
-        hidden=(30, 30, 30), epochs=40, eval_horizon=20.0, n_eval_runs=10,
-        out_dir="runs/example1-fast",
+        per_trajectory=1, n_mem=30, hidden=(30, 30, 30), epochs=40,
+        eval_horizon=20.0, n_eval_runs=10, out_dir="runs/example1-fast",
     ),
     "example1-slow": dict(
         system="example1", params={"alpha": 1.1}, n_traj=20000, traj_len="auto",
-        selection_kind="random", per_trajectory=1, n_mem=30,
-        hidden=(30, 30, 30), epochs=40, eval_horizon=100.0, n_eval_runs=5,
-        out_dir="runs/example1-slow",
+        per_trajectory=1, n_mem=30, hidden=(30, 30, 30), epochs=40,
+        eval_horizon=100.0, n_eval_runs=5, out_dir="runs/example1-slow",
     ),
     "example2": dict(
         system="example2", params={"alpha": 0.1, "beta": 8.91}, n_traj=4000,
-        traj_len=50, selection_kind="random", per_trajectory=5, n_mem=20,
-        hidden=(30, 30, 30), epochs=100, eval_horizon=100.0, n_eval_runs=5,
-        out_dir="runs/example2",
+        traj_len=50, per_trajectory=5, n_mem=20, hidden=(30, 30, 30),
+        epochs=100, eval_horizon=100.0, n_eval_runs=5, out_dir="runs/example2",
     ),
     "example3": dict(
         system="example3", params={"epsilon": 0.01}, n_traj=6000, traj_len=100,
-        selection_kind="random", per_trajectory=5, n_mem=60,
-        hidden=(120, 120, 120), epochs=60, eval_horizon=50.0, n_eval_runs=10,
-        out_dir="runs/example3",
+        per_trajectory=5, n_mem=60, hidden=(120, 120, 120), epochs=60,
+        eval_horizon=50.0, n_eval_runs=10, out_dir="runs/example3",
     ),
     "example4": dict(
-        system="example4", n_traj=30000, traj_len=100,
-        selection_kind="random", per_trajectory=5, n_mem=30,
-        hidden=(160, 160, 160), epochs=30, eval_horizon=150.0, n_eval_runs=5,
-        out_dir="runs/example4",
+        system="example4", n_traj=30000, traj_len=100, per_trajectory=5,
+        n_mem=30, hidden=(160, 160, 160), epochs=30, eval_horizon=150.0,
+        n_eval_runs=5, out_dir="runs/example4",
     ),
     # fully observed 2-D linear system, no memory: plain flow-map learning
+    # on every window
     "flowmap-linear": dict(
         system="example1", params={"alpha": 2.0, "observe": 2}, n_traj=2000,
-        traj_len=11, selection_kind="deterministic", per_trajectory=None,
-        n_mem=0, hidden=(30, 30, 30), epochs=200, eval_horizon=1.0,
-        n_eval_runs=10, out_dir="runs/flowmap-linear",
+        traj_len=11, per_trajectory=None, n_mem=0, hidden=(30, 30, 30),
+        epochs=200, eval_horizon=1.0, n_eval_runs=10,
+        out_dir="runs/flowmap-linear",
     ),
 }
 
@@ -352,7 +345,8 @@ def cmd_build_dataset(cfg):
     """Window the trajectory file into a training dataset."""
     out = _out_dir(cfg)
     trajs = data_mod.load_trajectories(out / TRAJECTORY_FILE)
-    ds = data_mod.build_dataset(trajs, cfg.n_mem, cfg.strategy())
+    ds = data_mod.build_dataset(trajs, cfg.n_mem, cfg.per_trajectory,
+                                seed=stage_seed(cfg.seed, "select"))
     path = out / DATASET_FILE
     data_mod.save_dataset(ds, path)
     print(f"built dataset with J={ds.size} windows (n_mem={cfg.n_mem}) -> {path}")
@@ -467,7 +461,7 @@ def cmd_compare_reduced(cfg):
         cfg.spec(),
         cfg.solver(),
         cfg.domain(),
-        cfg.eval_horizon,
+        cfg.horizon_steps(),
         cfg.n_eval_runs,
         seed=stage_seed(cfg.seed, "compare"),
     )

@@ -9,7 +9,9 @@ The canonical in-memory layout of an input row is NEWEST FIRST:
 ``(z_k, z_{k-1}, ..., z_{k-n_mem})`` flattened, so the current state
 occupies the leading ``d`` entries and the residual projection in the
 network can read it off directly.  Windows are extracted oldest-first
-from trajectories and reversed by the builder.
+from trajectories and reversed by the builder, which takes every
+admissible start or draws a fixed number per trajectory
+(:func:`build_dataset`'s ``per_trajectory``).
 
 Both container types are stored as uncompressed ``.npz`` archives of
 float64 and int64 arrays with a fixed set of members; see
@@ -30,7 +32,6 @@ from memflow.dynamics import integrate_batch
 __all__ = [
     "TrajectorySet",
     "MemoryWindowDataset",
-    "SelectionStrategy",
     "sample_initial_conditions",
     "generate_trajectories",
     "build_dataset",
@@ -136,35 +137,6 @@ class MemoryWindowDataset:
         return self.d * (self.n_mem + 1)
 
 
-@dataclass(frozen=True)
-class SelectionStrategy:
-    """How window start positions are chosen within each trajectory.
-
-    ``deterministic`` takes every admissible start position sequentially.
-    ``random`` draws ``per_trajectory`` = j0 distinct start positions per
-    trajectory uniformly without replacement, from a generator
-    ``np.random.default_rng(seed)``.  The draw is Floyd's algorithm on all
-    trajectories at once: for k = 0, ..., j0 - 1, one ``rng.integers`` call
-    draws an integer per trajectory from ``[0, avail - j0 + k]``, where
-    ``avail`` is the trajectory's number of admissible starts, and a draw
-    that repeats one of its trajectory's earlier picks is replaced by
-    ``avail - j0 + k``.  Each trajectory's starts are then sorted.  A
-    trajectory with exactly j0 admissible starts gets all of them, as
-    under ``deterministic``.
-    """
-
-    kind: str = "deterministic"
-    per_trajectory: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("deterministic", "random"):
-            raise ValueError(f"kind must be deterministic|random, got {self.kind!r}")
-        if self.kind == "random":
-            if self.per_trajectory is None or self.per_trajectory < 1:
-                raise ValueError("random selection requires per_trajectory >= 1")
-
-
 def sample_initial_conditions(domain, count, seed):
     """Uniform initial conditions on the domain box, deterministic in seed."""
     if count < 1:
@@ -201,7 +173,7 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
 def _draw_starts(avail, count, rng):
     """``count`` distinct starts in ``[0, avail[i])`` for each trajectory i,
     as an ``(n_traj, count)`` array with sorted rows: Floyd's algorithm on
-    all rows at once, as :class:`SelectionStrategy` describes."""
+    all rows at once, as :func:`build_dataset` describes."""
     picked = np.empty((avail.shape[0], count), dtype=np.int64)
     for k in range(count):
         top = avail - count + k
@@ -212,33 +184,41 @@ def _draw_starts(avail, count, rng):
     return picked
 
 
-def build_dataset(trajs, n_mem, strategy):
+def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     """Assemble a memory-window dataset from a trajectory set.
 
     A trajectory of ``K_i`` samples has ``max(K_i - n_mem - 1, 0)``
-    admissible window starts.  Deterministic selection takes all of them
-    (trajectories shorter than ``n_mem + 2`` give none).  Random selection
-    draws ``strategy.per_trajectory`` distinct starts per trajectory, each
-    subset equally likely, with the draw described in
-    :class:`SelectionStrategy`, and fails loudly, naming the first
-    trajectory that cannot supply that many.  Windows come trajectory by
-    trajectory, in increasing start position.  Selection is array code:
-    its temporaries are O(n_traj * per_trajectory) for random selection
-    and O(number of windows) for deterministic selection.
+    admissible window starts.  With ``per_trajectory`` None every one of
+    them is taken (trajectories shorter than ``n_mem + 2`` give none).  An
+    integer ``per_trajectory`` = j0 >= 1 draws j0 distinct starts per
+    trajectory, each subset equally likely, from a generator
+    ``np.random.default_rng(seed)``, and fails loudly, naming the first
+    trajectory that cannot supply that many.  The draw is Floyd's
+    algorithm on all trajectories at once: for k = 0, ..., j0 - 1, one
+    ``rng.integers`` call draws an integer per trajectory from
+    ``[0, avail - j0 + k]``, where ``avail`` is the trajectory's number of
+    admissible starts, and a draw that repeats one of its trajectory's
+    earlier picks is replaced by ``avail - j0 + k``.  A trajectory with
+    exactly j0 admissible starts gets all of them.  Windows come
+    trajectory by trajectory, in increasing start position.  Selection is
+    array code: its temporaries are O(n_traj * j0) for a draw and
+    O(number of windows) when every start is taken.
     """
     if n_mem < 0:
         raise ValueError(f"n_mem must be >= 0, got {n_mem}")
+    if per_trajectory is not None and per_trajectory < 1:
+        raise ValueError(f"per_trajectory must be >= 1 or None, got {per_trajectory}")
     d = trajs.d
     lengths = trajs.lengths
     avail = np.maximum(lengths - n_mem - 1, 0)  # admissible starts
     first_row = np.cumsum(lengths) - lengths  # in samples, per trajectory
-    if strategy.kind == "deterministic":
+    if per_trajectory is None:
         # window p is start p - (windows before trajectory i) of trajectory i
         before = np.cumsum(avail) - avail
         starts = (np.arange(avail.sum(), dtype=np.int64)
                   + np.repeat(first_row - before, avail))
     else:
-        j0 = strategy.per_trajectory
+        j0 = per_trajectory
         short = np.flatnonzero(avail < j0)
         if short.size:
             i = int(short[0])
@@ -247,7 +227,7 @@ def build_dataset(trajs, n_mem, strategy):
                 f"{avail[i]} start positions exist "
                 f"(length {lengths[i]}, n_mem {n_mem})"
             )
-        rng = np.random.default_rng(strategy.seed)
+        rng = np.random.default_rng(seed)
         starts = (first_row[:, None] + _draw_starts(avail, j0, rng)).ravel()
     width = d * (n_mem + 1)
     if starts.size == 0:

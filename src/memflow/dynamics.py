@@ -213,8 +213,8 @@ class SolverConfig:
     substeps: int = 20
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
 

@@ -52,14 +52,9 @@ class RolloutResult:
     a non-finite state; the run's rows from that index on are NaN.
     """
 
-    delta: float
     states: np.ndarray
     seed_len: int
     diverged_at: tuple
-
-    @property
-    def times(self):
-        return np.arange(self.states.shape[-2]) * self.delta
 
     def raise_if_diverged(self):
         """Raise RuntimeError naming the first diverged run and its step."""
@@ -90,7 +85,7 @@ class ErrorSeries:
             raise ValueError("errors must be nonnegative")
 
 
-def rollout(model, seeds, steps, delta=np.nan):
+def rollout(model, seeds, steps):
     """Iterate the one-step model from ``n_mem + 1`` seed states per run.
 
     ``seeds`` has shape (R, n_mem + 1, d); the R runs advance together
@@ -98,7 +93,6 @@ def rollout(model, seeds, steps, delta=np.nan):
     input is its latest ``n_mem + 1`` states in newest-first order, and
     the model output becomes its next state.  A non-finite prediction
     stops its run and records the divergence index; the other runs go on.
-    ``delta`` is carried through for time axes when known.
     """
     seeds = np.asarray(seeds, dtype=float)
     need = model.n_mem + 1
@@ -127,8 +121,7 @@ def rollout(model, seeds, steps, delta=np.nan):
             if live.size == 0:
                 break
         states[live, pos] = nxt
-    return RolloutResult(delta=delta, states=states, seed_len=need,
-                         diverged_at=tuple(diverged_at))
+    return RolloutResult(states=states, seed_len=need, diverged_at=tuple(diverged_at))
 
 
 def error_series(pred, reference, delta):
@@ -166,8 +159,7 @@ def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
             f"horizon of {horizon_steps} steps cannot cover {need} seed states"
         )
     truth = spec.observe(dyn.integrate_batch(spec, solver, x0s, horizon_steps))
-    result = rollout(model, truth[:, :need], horizon_steps + 1 - need,
-                     delta=solver.delta)
+    result = rollout(model, truth[:, :need], horizon_steps + 1 - need)
     return truth, result, error_series(result.states, truth, solver.delta)
 
 
@@ -245,8 +237,8 @@ def memory_sweep(cfg, n_mem_list, seed):
             spec, solver, domain, cell.n_traj, cell.resolved_traj_len(),
             seed=cell_seed,
         )
-        strategy = replace(cell.strategy(), seed=cell_seed + 1)
-        ds = data_mod.build_dataset(trajs, n_mem, strategy)
+        ds = data_mod.build_dataset(trajs, n_mem, cell.per_trajectory,
+                                    seed=cell_seed + 1)
         params0 = net_mod.init_params(spec.d, n_mem, cell.hidden, seed=cell_seed + 2)
         train_cfg = replace(cell.train_config(), seed=cell_seed + 3)
         model, _ = train_mod.train_model(params0, ds, train_cfg)
@@ -303,7 +295,7 @@ def euler_damz(spec, seeds, steps, delta):
     return states
 
 
-def compare_with_homogenized(model, spec, solver, domain, eval_horizon, n_runs, seed):
+def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs, seed):
     """Rollout accuracy of a trained chaotic-system model vs the analytic
     slow-variable closure.
 
@@ -312,9 +304,10 @@ def compare_with_homogenized(model, spec, solver, domain, eval_horizon, n_runs, 
     dimension is a ValueError.  ``n_runs`` initial conditions of it are
     scored with :func:`rollout_against_truth`, and the homogenized
     3-variable system is integrated from the same slow-variable initial
-    conditions.  Returns a pair of ErrorSeries averaged over the runs
-    (network, homogenized), both measured against the truth.  A diverged
-    network run raises RuntimeError naming the run and the step.
+    conditions, both over ``horizon_steps`` samples.  Returns a pair of
+    ErrorSeries averaged over the runs (network, homogenized), both
+    measured against the truth.  A diverged network run raises
+    RuntimeError naming the run and the step.
     """
     if spec.name != "example3":
         raise ValueError(
@@ -330,7 +323,6 @@ def compare_with_homogenized(model, spec, solver, domain, eval_horizon, n_runs, 
         raise ValueError(
             f"model d={model.d} does not match observed dimension {spec.d}"
         )
-    horizon_steps = int(round(eval_horizon / solver.delta))
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
     truth, result, nn = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
     result.raise_if_diverged()

@@ -18,7 +18,6 @@ def micro_config(tmp_path, **overrides):
         substeps=3,
         n_traj=50,
         traj_len="auto",
-        selection_kind="random",
         per_trajectory=1,
         n_mem=3,
         hidden=[8],
@@ -61,6 +60,11 @@ class TestConfig:
         for key in ("adam_beta1", "adam_beta2", "adam_eps"):
             with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
                 cli.ExperimentConfig.from_dict({"system": "example1", key: 0.9})
+        # per_trajectory alone selects the windows
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys: \['selection_kind'\]"):
+            cli.ExperimentConfig.from_dict(
+                {**cli.PRESETS["example1-fast"], "selection_kind": "random"})
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -73,8 +77,9 @@ class TestConfig:
             cli.load_config(path)
 
     @pytest.mark.parametrize("key, value, match", [
-        ("selection_kind", "sometimes", "kind"),
         ("per_trajectory", 0, "per_trajectory"),
+        ("per_trajectory", -3,
+         "per_trajectory must be a positive integer or null, got -3"),
         ("epochs", 0, "epochs"),
         ("n_traj", 0, "n_traj"),
         ("batch_size", 0, "batch_size"),
@@ -83,6 +88,11 @@ class TestConfig:
         ("learning_rate", float("nan"), "learning_rate must be nonnegative, got nan"),
         ("hidden", [], r"hidden must be a non-empty list of positive integers, got \[\]"),
         ("hidden", [0], r"hidden must be a non-empty list of positive integers, got \[0\]"),
+        ("per_trajectory", True,
+         "per_trajectory must be a positive integer or null, got True"),
+        ("delta", float("inf"), "delta must be positive and finite, got inf"),
+        ("delta", 1e-320, "eval_horizon=20 is not a finite number of steps "
+         "of delta=1e-320"),
     ])
     def test_bad_values_rejected_at_load(self, tmp_path, monkeypatch, key, value, match):
         doc = {**cli.PRESETS["example1-fast"], key: value}
@@ -124,11 +134,23 @@ class TestConfig:
         # the shortest horizon that covers the seed loads
         micro_config(tmp_path, eval_horizon=0.08)
 
+    def test_horizon_of_infinitely_many_steps_rejected_at_load(self, tmp_path,
+                                                               capsys):
+        # 20 / 1e-320 overflows to inf steps: named, not an OverflowError
+        path = tmp_path / "tiny-delta.json"
+        path.write_text('{"system": "example1", "delta": 1e-320}')
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: eval_horizon=20 is not a finite number "
+                       f"of steps of delta=1e-320\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("changes, message", [
         (dict(traj_len=6, n_mem=4, per_trajectory=2),
          "traj_len=6 leaves 1 window starts per trajectory at n_mem=4, fewer "
          "than per_trajectory=2"),
-        (dict(traj_len=4, selection_kind="deterministic", per_trajectory=None),
+        (dict(traj_len=4, per_trajectory=None),
          "traj_len=4 leaves 0 window starts per trajectory at n_mem=3, fewer "
          "than one"),
         (dict(batch_size=51),

@@ -42,7 +42,7 @@ class TestSampleInitialConditions:
             data.sample_initial_conditions(dom, 0, seed=0)
 
 
-def reference_build_dataset(trajs, n_mem, strategy):
+def reference_build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     """A per-window loop over the trajectories that build_dataset must match
     bitwise, start positions, row order and random draws included.
 
@@ -54,11 +54,11 @@ def reference_build_dataset(trajs, n_mem, strategy):
     """
     trajectories = trajs.trajectories
     available = [max(t.shape[0] - n_mem - 1, 0) for t in trajectories]
-    if strategy.kind == "deterministic":
+    if per_trajectory is None:
         chosen = [range(a) for a in available]
     else:
-        j0 = strategy.per_trajectory
-        rng = np.random.default_rng(strategy.seed)
+        j0 = per_trajectory
+        rng = np.random.default_rng(seed)
         chosen = [set() for _ in trajectories]
         for k in range(j0):
             for picks, a in zip(chosen, available):
@@ -150,17 +150,17 @@ class TestGenerateTrajectories:
 class TestBuildDataset:
     def test_deterministic_window_count(self):
         trajs = toy_trajectories([50, 50, 50])
-        ds = data.build_dataset(trajs, 10, data.SelectionStrategy("deterministic"))
+        ds = data.build_dataset(trajs, 10)
         assert ds.size == 3 * (50 - 10 - 1)
 
     def test_minimal_trajectory_single_window(self):
         trajs = toy_trajectories([12])
-        ds = data.build_dataset(trajs, 10, data.SelectionStrategy("deterministic"))
+        ds = data.build_dataset(trajs, 10)
         assert ds.size == 1
 
     def test_enumerated_windows_newest_first(self):
         trajs = toy_trajectories([7])
-        ds = data.build_dataset(trajs, 2, data.SelectionStrategy("deterministic"))
+        ds = data.build_dataset(trajs, 2)
         np.testing.assert_array_equal(
             ds.inputs,
             [[3, 2, 1], [4, 3, 2], [5, 4, 3], [6, 5, 4]],
@@ -169,7 +169,7 @@ class TestBuildDataset:
 
     def test_short_trajectories_skipped_deterministic(self):
         trajs = toy_trajectories([12, 5, 20])
-        ds = data.build_dataset(trajs, 10, data.SelectionStrategy("deterministic"))
+        ds = data.build_dataset(trajs, 10)
         assert ds.size == 1 + 0 + 9
 
     def test_random_selection_counts_and_coherence(self):
@@ -178,8 +178,7 @@ class TestBuildDataset:
         trajs = data.TrajectorySet(
             d=2, delta=0.02, samples=np.tile(values[:, None], (1, 2)), lengths=[50, 50]
         )
-        strategy = data.SelectionStrategy("random", per_trajectory=7, seed=13)
-        ds = data.build_dataset(trajs, 4, strategy)
+        ds = data.build_dataset(trajs, 4, per_trajectory=7, seed=13)
         assert ds.size == 14
         # windows must be distinct within each trajectory and each must
         # de-reverse into 6 consecutive trajectory entries
@@ -196,29 +195,26 @@ class TestBuildDataset:
 
     def test_random_selection_reproducible(self):
         trajs = toy_trajectories([30, 30])
-        strategy = data.SelectionStrategy("random", per_trajectory=5, seed=4)
-        a = data.build_dataset(trajs, 3, strategy)
-        b = data.build_dataset(trajs, 3, strategy)
+        a = data.build_dataset(trajs, 3, per_trajectory=5, seed=4)
+        b = data.build_dataset(trajs, 3, per_trajectory=5, seed=4)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_random_selection_overdraw_rejected(self):
         trajs = toy_trajectories([12])
-        strategy = data.SelectionStrategy("random", per_trajectory=2, seed=0)
         with pytest.raises(ValueError, match="1 start positions"):
-            data.build_dataset(trajs, 10, strategy)
+            data.build_dataset(trajs, 10, per_trajectory=2, seed=0)
 
     def test_overdraw_names_the_first_short_trajectory(self):
         trajs = toy_trajectories([30, 12, 5, 11])
-        strategy = data.SelectionStrategy("random", per_trajectory=2, seed=0)
         with pytest.raises(ValueError, match=(
                 r"trajectory 1: requested 2 windows but only 1 start "
                 r"positions exist \(length 12, n_mem 10\)")):
-            data.build_dataset(trajs, 10, strategy)
+            data.build_dataset(trajs, 10, per_trajectory=2, seed=0)
 
     def test_adjacent_pairs_when_no_memory(self):
         trajs = toy_trajectories([9])
-        ds = data.build_dataset(trajs, 0, data.SelectionStrategy("deterministic"))
+        ds = data.build_dataset(trajs, 0)
         assert ds.size == 8
         np.testing.assert_array_equal(ds.inputs.ravel(), np.arange(1.0, 9.0))
         np.testing.assert_array_equal(ds.targets.ravel(), np.arange(2.0, 10.0))
@@ -229,7 +225,7 @@ class TestBuildDataset:
             spec, dyn.SolverConfig(0.02, 4), dyn.default_domain(spec), 2, 20, seed=8
         )
         n_mem = 6
-        ds = data.build_dataset(trajs, n_mem, data.SelectionStrategy("deterministic"))
+        ds = data.build_dataset(trajs, n_mem)
         flat = {tuple(np.round(t[:, 0], 12)): t for t in trajs.trajectories}
         for row_in, row_tgt in zip(ds.inputs, ds.targets):
             window = np.concatenate([row_in.reshape(n_mem + 1, 1)[::-1], [row_tgt]])
@@ -243,22 +239,22 @@ class TestBuildDataset:
             assert found, "window does not match consecutive trajectory entries"
         assert flat  # trajectories nonempty
 
+    # strategy: build_dataset's selection keywords; {} takes every start
     @pytest.mark.parametrize("lengths, n_mem, strategy", [
-        ([12, 5, 20, 9, 3], 0, data.SelectionStrategy("deterministic")),
-        ([12, 5, 20, 9, 3], 4, data.SelectionStrategy("deterministic")),
-        ([3, 2, 4], 5, data.SelectionStrategy("deterministic")),  # no window
-        ([12, 8, 20, 9], 4, data.SelectionStrategy("random", per_trajectory=3, seed=5)),
-        ([30, 7], 2, data.SelectionStrategy("random", per_trajectory=4, seed=0)),
+        ([12, 5, 20, 9, 3], 0, {}),
+        ([12, 5, 20, 9, 3], 4, {}),
+        ([3, 2, 4], 5, {}),  # no window
+        ([12, 8, 20, 9], 4, dict(per_trajectory=3, seed=5)),
+        ([30, 7], 2, dict(per_trajectory=4, seed=0)),
         # ragged: one long trajectory among short ones, one with exactly
         # per_trajectory starts
-        ([9, 300, 7, 12, 40, 7], 2,
-         data.SelectionStrategy("random", per_trajectory=4, seed=9)),
-        ([9, 300, 7, 12, 40, 7], 3, data.SelectionStrategy("deterministic")),
+        ([9, 300, 7, 12, 40, 7], 2, dict(per_trajectory=4, seed=9)),
+        ([9, 300, 7, 12, 40, 7], 3, {}),
     ])
     def test_matches_per_window_loop_bitwise(self, lengths, n_mem, strategy):
         trajs = random_trajectories(lengths, d=3, seed=sum(lengths) + n_mem)
-        ds = data.build_dataset(trajs, n_mem, strategy)
-        want_in, want_tgt = reference_build_dataset(trajs, n_mem, strategy)
+        ds = data.build_dataset(trajs, n_mem, **strategy)
+        want_in, want_tgt = reference_build_dataset(trajs, n_mem, **strategy)
         for got, want in ((ds.inputs, want_in), (ds.targets, want_tgt)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -272,8 +268,7 @@ class TestBuildDataset:
         hits = [np.zeros(a) for a in avail]
         subsets = {}
         for seed in range(seeds):
-            ds = data.build_dataset(
-                trajs, n_mem, data.SelectionStrategy("random", j0, seed))
+            ds = data.build_dataset(trajs, n_mem, per_trajectory=j0, seed=seed)
             starts = ds.inputs[:, -1].astype(int) - 1  # oldest entry, 1-based
             for i, picks in enumerate(starts.reshape(len(lengths), j0)):
                 assert np.all(np.diff(picks) > 0)
@@ -297,10 +292,9 @@ class TestBuildDataset:
     def test_every_start_drawn_gives_the_deterministic_dataset(
             self, lengths, n_mem, j0):
         trajs = random_trajectories(lengths, d=2, seed=1)
-        det = data.build_dataset(trajs, n_mem, data.SelectionStrategy())
+        det = data.build_dataset(trajs, n_mem)
         for seed in range(5):
-            ran = data.build_dataset(
-                trajs, n_mem, data.SelectionStrategy("random", j0, seed))
+            ran = data.build_dataset(trajs, n_mem, per_trajectory=j0, seed=seed)
             assert ran.inputs.tobytes() == det.inputs.tobytes()
             assert ran.targets.tobytes() == det.targets.tobytes()
 
@@ -309,10 +303,9 @@ class TestBuildDataset:
         # trajectory to the longest would allocate about 32 MB
         lengths = [8] * 100 + [20_000] + [8] * 100
         trajs = random_trajectories(lengths, d=1, seed=2)
-        strategy = data.SelectionStrategy("random", per_trajectory=3, seed=3)
         tracemalloc.start()
         try:
-            ds = data.build_dataset(trajs, 4, strategy)
+            ds = data.build_dataset(trajs, 4, per_trajectory=3, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,10 +313,11 @@ class TestBuildDataset:
         assert peak < 1_000_000, peak
 
     def test_strategy_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            data.SelectionStrategy("fancy")
-        with pytest.raises(ValueError, match="per_trajectory"):
-            data.SelectionStrategy("random")
+        trajs = toy_trajectories([12])
+        for j0 in (0, -3):
+            with pytest.raises(ValueError, match=(
+                    f"per_trajectory must be >= 1 or None, got {j0}")):
+                data.build_dataset(trajs, 2, per_trajectory=j0)
 
 
 class TestExactMapGate:
@@ -342,15 +336,15 @@ class TestExactMapGate:
     @pytest.mark.parametrize("name", ["example1", "example4"])
     @pytest.mark.parametrize("n_mem", [1, 5, 30])
     @pytest.mark.parametrize("strategy", [
-        data.SelectionStrategy("deterministic"),
-        data.SelectionStrategy("random", per_trajectory=3, seed=7),
+        {},
+        dict(per_trajectory=3, seed=7),
     ], ids=["deterministic", "random"])
     def test_least_squares_recovers_the_exact_map(self, name, n_mem, strategy):
         spec = dyn.make_system(name)
         solver = dyn.SolverConfig(0.02, 20)
         trajs = data.generate_trajectories(
             spec, solver, dyn.default_domain(spec), 100, n_mem + 12, seed=n_mem)
-        ds = data.build_dataset(trajs, n_mem, strategy)
+        ds = data.build_dataset(trajs, n_mem, **strategy)
         big_l, obs = dyn.exact_reduced_map(spec, solver, n_mem)
         fit = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)[0].T
         step = dyn._rk4_sample_matrix(spec.a_matrix, solver.delta, solver.substeps)
@@ -541,16 +535,12 @@ class TestInvariants:
         lengths = [50, 40, 12, 33]
         trajs = toy_trajectories(lengths)
         for n_mem in (0, 3, 10):
-            ds = data.build_dataset(
-                trajs, n_mem, data.SelectionStrategy("deterministic")
-            )
+            ds = data.build_dataset(trajs, n_mem)
             assert ds.size == sum(max(k - n_mem - 1, 0) for k in lengths)
 
     def test_count_identity_random(self):
         trajs = toy_trajectories([50, 40, 33])
-        ds = data.build_dataset(
-            trajs, 5, data.SelectionStrategy("random", per_trajectory=4, seed=2)
-        )
+        ds = data.build_dataset(trajs, 5, per_trajectory=4, seed=2)
         assert ds.size == 4 * 3
 
     def test_dataset_validation_rejects_mismatched_shapes(self):

@@ -176,6 +176,12 @@ def example1_field(x, m):
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("delta", [0.0, -0.02, float("inf"), float("nan")])
+    def test_step_that_is_not_positive_and_finite_rejected(self, delta):
+        with pytest.raises(ValueError, match=(
+                f"delta must be positive and finite, got {delta}")):
+            dyn.SolverConfig(delta=delta)
+
     def test_one_step_matches_matrix_exponential(self):
         spec = dyn.make_system("example1", alpha=2.0)
         cfg = dyn.SolverConfig(delta=0.02, substeps=20)

@@ -80,12 +80,11 @@ class TestBatchedRollout:
         rng = np.random.default_rng(8)
         model = net.init_params(2, 4, [12, 12], seed=8)
         seeds = 0.5 * rng.normal(size=(6, 5, 2))
-        batch = rollout.rollout(model, seeds, 60, delta=0.1)
+        batch = rollout.rollout(model, seeds, 60)
         assert batch.states.shape == (6, 65, 2)
         assert batch.diverged_at == (None,) * 6
-        np.testing.assert_allclose(batch.times, 0.1 * np.arange(65))
         for r in range(6):
-            single = rollout.rollout(model, seeds[r : r + 1], 60, delta=0.1)
+            single = rollout.rollout(model, seeds[r : r + 1], 60)
             assert np.abs(batch.states[r] - single.states[0]).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -147,13 +146,6 @@ class TestErrorSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             rollout.error_series(np.zeros((3, 1)), np.zeros((4, 1)), delta=1.0)
-
-    def test_rollout_result_carries_delta(self):
-        model = net.init_params(1, 0, [2], seed=7)
-        res = rollout.rollout(model, np.array([[[0.5]]]), 3, delta=0.25)
-        np.testing.assert_allclose(res.times, [0.0, 0.25, 0.5, 0.75])
-        es = rollout.error_series(res.states, np.zeros((1, 4, 1)), res.delta)
-        np.testing.assert_array_equal(es.times, res.times)
 
 
 def euler_damz_loop(spec, seeds, steps, delta):
@@ -257,9 +249,9 @@ class TestEulerScheme:
 def sweep_config(**changes):
     """A config small enough to sweep n_mem 1 and 3 in well under a second."""
     doc = dict(system="example1", params={"alpha": 2.0}, substeps=5,
-               n_traj=40, traj_len="auto", selection_kind="random",
-               per_trajectory=1, n_mem=1, hidden=(6,), batch_size=16,
-               epochs=2, eval_horizon=0.5, n_eval_runs=3)
+               n_traj=40, traj_len="auto", per_trajectory=1, n_mem=1,
+               hidden=(6,), batch_size=16, epochs=2, eval_horizon=0.5,
+               n_eval_runs=3)
     doc.update(changes)
     return cli.ExperimentConfig(**doc)
 
@@ -277,9 +269,9 @@ class TestEvaluateAndSweep:
             assert a.mean_error == b.mean_error
 
     def test_sweep_requires_ascending_list(self):
-        cfg = sweep_config(substeps=2, n_traj=5, selection_kind="deterministic",
-                           per_trajectory=None, hidden=(3,), batch_size=1,
-                           epochs=1, eval_horizon=0.2, n_eval_runs=1)
+        cfg = sweep_config(substeps=2, n_traj=5, per_trajectory=None,
+                           hidden=(3,), batch_size=1, epochs=1,
+                           eval_horizon=0.2, n_eval_runs=1)
         with pytest.raises(ValueError, match="ascending"):
             rollout.memory_sweep(cfg, [3, 1], seed=0)
 
@@ -294,8 +286,7 @@ class TestEvaluateAndSweep:
         domain = dyn.default_domain(spec)
         trajs = data.generate_trajectories(spec, solver, domain, 40, 5,
                                            seed=cell_seed)
-        ds = data.build_dataset(trajs, 3, data.SelectionStrategy(
-            kind="random", per_trajectory=1, seed=cell_seed + 1))
+        ds = data.build_dataset(trajs, 3, per_trajectory=1, seed=cell_seed + 1)
         params0 = net.init_params(1, 3, (6,), seed=cell_seed + 2)
         model, _ = train.train_model(params0, ds, train.TrainConfig(
             learning_rate=1e-3, batch_size=16, epochs=2, seed=cell_seed + 3))
@@ -320,14 +311,13 @@ class TestEvaluateAndSweep:
         (dict(traj_len=6, per_trajectory=2),
          r"traj_len=6 leaves 1 window starts per trajectory at n_mem=4, "
          r"fewer than per_trajectory=2"),
-        (dict(traj_len=5, selection_kind="deterministic", per_trajectory=None),
+        (dict(traj_len=5, per_trajectory=None),
          r"traj_len=5 leaves 0 window starts per trajectory at n_mem=4, "
          r"fewer than one"),
         (dict(batch_size=11),
          r"batch_size=11 exceeds the 10 windows of n_traj=10 trajectories "
          r"at n_mem=1"),
-        (dict(traj_len=6, selection_kind="deterministic", per_trajectory=None,
-              batch_size=11),
+        (dict(traj_len=6, per_trajectory=None, batch_size=11),
          r"batch_size=11 exceeds the 10 windows of n_traj=10 trajectories "
          r"at n_mem=4"),
     ], ids=["horizon", "random-starts", "deterministic-starts",
@@ -421,7 +411,7 @@ class TestCompareWithHomogenized:
     def compare(self, model, spec=None):
         spec = spec or dyn.make_system("example3")
         return rollout.compare_with_homogenized(
-            model, spec, self.SOLVER, dyn.default_domain(spec), eval_horizon=0.2,
+            model, spec, self.SOLVER, dyn.default_domain(spec), horizon_steps=10,
             n_runs=2, seed=4,
         )
 
