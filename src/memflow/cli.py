@@ -344,7 +344,11 @@ def cmd_generate(cfg):
 def cmd_build_dataset(cfg):
     """Window the trajectory file into a training dataset."""
     out = _out_dir(cfg)
-    trajs = data_mod.load_trajectories(out / TRAJECTORY_FILE)
+    path = out / TRAJECTORY_FILE
+    trajs = data_mod.load_trajectories(path)
+    if trajs.delta != cfg.delta:
+        raise ValueError(f"{path}: delta={trajs.delta} does not match config "
+                         f"delta={cfg.delta}")
     ds = data_mod.build_dataset(trajs, cfg.n_mem, cfg.per_trajectory,
                                 seed=stage_seed(cfg.seed, "select"))
     path = out / DATASET_FILE

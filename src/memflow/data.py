@@ -61,8 +61,8 @@ class TrajectorySet:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("observed dimension must be >= 1")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         samples = np.ascontiguousarray(self.samples, dtype=float)
         lengths = np.asarray(self.lengths, dtype=np.int64)
         object.__setattr__(self, "samples", samples)

@@ -602,18 +602,26 @@ def exact_linear_solution(spec, x0, t):
 def exact_linear_trajectory(spec, x0, delta, num_samples):
     """Exact states at times 0, delta, ..., num_samples*delta.
 
-    Computed by repeated application of the one-step propagator
-    exp(A delta), so there is no time-discretization error.
+    Computed from powers of the one-step propagator exp(A delta), filled
+    by doubling, so there is no time-discretization error.
     """
     a = _linear_matrix(spec)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
-    step = matrix_exponential(a * delta)
     out = np.empty((num_samples + 1, spec.n))
     out[0] = x0
-    for k in range(1, num_samples + 1):
-        out[k] = step @ out[k - 1]
+    return _fill_by_doubling(out, matrix_exponential(a * delta).T)
+
+
+def _fill_by_doubling(out, step):
+    """Fill ``out[k] = out[0] @ step**k`` for k >= 1 and return ``out``: rows
+    [j, 2j) are rows [0, j) times step**j, log2(len(out)) batched products."""
+    j = 1
+    while j < len(out):
+        rows = out[j : 2 * j]
+        np.matmul(out[: len(rows)], step, out=rows)
+        step, j = step @ step, 2 * j
     return out
 
 
@@ -656,12 +664,9 @@ def _memory_matrix(spec, h, m):
     applies to a history of ``m + 1`` states in time order, flattened.
     """
     _, a12, a21, a22 = _blocks(spec)
-    step = matrix_exponential(a22 * h)
-    powers = np.empty((m + 1, *step.shape))  # exp(A22 j h), j = 0..m
-    powers[0] = np.eye(step.shape[0])
-    for j in range(1, m + 1):
-        powers[j] = step @ powers[j - 1]
-    kernels = a12 @ powers @ a21
+    powers = np.empty((m + 1, *a22.shape))  # exp(A22 j h), j = 0..m
+    powers[0] = np.eye(a22.shape[0])
+    kernels = a12 @ _fill_by_doubling(powers, matrix_exponential(a22 * h)) @ a21
     weights = np.full(m + 1, h if m > 0 else 0.0)
     weights[[0, -1]] *= 0.5
     weighted = (weights[::-1, None, None] * kernels[::-1]).transpose(1, 0, 2)

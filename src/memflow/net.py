@@ -20,8 +20,10 @@ gradient, an optimizer moment) out the same way.
 
 Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
-Both operate on row-stacked inputs; :func:`forward_batch` also takes a
-single ``(D,)`` row.
+Both operate on row-stacked inputs.  :func:`forward_batch` holds the one
+layer loop and also takes a single ``(D,)`` row; it can cache each layer's
+input in a list ``acts``, from which :func:`backward_batch` runs the
+reverse pass alone, so a training step runs the forward pass once.
 
 A checkpoint is an uncompressed ``.npz`` archive holding ``d``, ``n_mem``
 and ``hidden`` (int64) and ``flat`` (float64); see :func:`save_params`.
@@ -161,21 +163,24 @@ def _check_width(params, z):
         )
 
 
-def forward_batch(params, z_stacks):
+def forward_batch(params, z_stacks, acts=None):
     """Evaluate the model on rows of stacked states, shape (J, D) -> (J, d);
-    a single (D,) row gives (d,)."""
+    a single (D,) row gives (d,).  A list passed as ``acts`` receives each
+    layer's input, the cache :func:`backward_batch` reads."""
     z_stacks = np.asarray(z_stacks, dtype=float)
     _check_width(params, z_stacks)
     act = z_stacks
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if acts is not None:
+            acts.append(act)
         act = act @ w.T + b
         if l != last:
             act = np.tanh(act)
     return z_stacks[..., : params.d] + act
 
 
-def backward_batch(params, z_stacks, output_grads):
+def backward_batch(params, z_stacks, output_grads, acts=None):
     """Reverse-mode gradients for a batch.
 
     Given upstream gradients ``output_grads`` (J, d) of some scalar with
@@ -184,6 +189,8 @@ def backward_batch(params, z_stacks, output_grads):
     laid out like ``params.flat``, plus its gradient with respect to the
     inputs, shape (J, D).  The residual projection contributes
     ``output_grads`` directly onto the leading ``d`` input columns.
+    ``acts`` is the list a :func:`forward_batch` call on the same inputs
+    filled; without it the forward pass runs here.
     """
     z_stacks = np.asarray(z_stacks, dtype=float)
     output_grads = np.asarray(output_grads, dtype=float)
@@ -193,12 +200,10 @@ def backward_batch(params, z_stacks, output_grads):
             f"output_grads shape {output_grads.shape}, expected "
             f"({z_stacks.shape[0]}, {params.d})"
         )
-    # forward pass, caching post-activation values per layer
-    acts = [z_stacks]
+    if acts is None:
+        acts = []
+        forward_batch(params, z_stacks, acts)
     last = params.n_layers - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = acts[-1] @ w.T + b
-        acts.append(np.tanh(pre) if l != last else pre)
     # reverse pass, writing each layer's gradient into its view of flat_grad
     flat_grad = np.empty_like(params.flat)
     grad_w, grad_b = params.split(flat_grad)

@@ -133,7 +133,8 @@ def train_model(init, ds, cfg):
             idx = order[lo : lo + cfg.batch_size]
             xb = ds.inputs[idx]
             yb = ds.targets[idx]
-            pred = forward_batch(work, xb)
+            acts = []  # this step's layer outputs, which backward_batch reuses
+            pred = forward_batch(work, xb, acts)
             resid = pred - yb
             with np.errstate(over="ignore"):  # detected and raised below
                 batch_loss = np.mean(np.sum(resid**2, axis=1))
@@ -143,7 +144,7 @@ def train_model(init, ds, cfg):
                     "reduce the learning rate",
                     step=step,
                 )
-            grad, _ = backward_batch(work, xb, (2.0 / xb.shape[0]) * resid)
+            grad, _ = backward_batch(work, xb, (2.0 / xb.shape[0]) * resid, acts)
             step += 1
             corr1 = 1.0 - b1**step
             corr2 = 1.0 - b2**step

@@ -410,6 +410,20 @@ class TestMain:
         assert cli.main([command, "--config", str(cfg_path), flag, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_build_dataset_rejects_trajectories_of_another_delta(self, tmp_path,
+                                                                 capsys):
+        fine = write_config(micro_config(tmp_path, delta=0.02), tmp_path)
+        coarse = write_config(micro_config(tmp_path, delta=0.05), tmp_path,
+                              "coarse.json")
+        assert cli.main(["generate", "--config", str(fine)]) == 0
+        capsys.readouterr()
+        assert cli.main(["build-dataset", "--config", str(coarse)]) == 1
+        path = tmp_path / "run" / cli.TRAJECTORY_FILE
+        assert capsys.readouterr().err == (
+            f"error: {path}: delta=0.02 does not match config delta=0.05\n"
+        )
+        assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
+
     def test_sweep_rejects_a_cell_before_training(self, tmp_path, capsys,
                                                   monkeypatch):
         # n_mem 2 fits the 5-step horizon; n_mem 6 needs 7 seed states

@@ -563,6 +563,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match=r"shape \(6, 2\), expected \(K, 3\)"):
             data.TrajectorySet(d=3, delta=0.1, samples=samples, lengths=[6])
 
+    @pytest.mark.parametrize("delta", [0.0, np.inf, np.nan])
+    def test_trajectory_set_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            data.TrajectorySet(d=1, delta=delta, samples=np.ones((2, 1)),
+                               lengths=[2])
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="trajectory 1 contains non-finite"):
             data.TrajectorySet(

@@ -748,6 +748,20 @@ class TestLinearOracle:
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
             dyn.exact_linear_trajectory(spec, [1.0, 0.0, 0.0], 0.1, 5)
 
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    @pytest.mark.parametrize("num_samples", [0, 1, 2, 7, 8, 1500, 5000])
+    def test_exact_trajectory_matches_sequential_loop(self, name, num_samples):
+        # doubling multiplies by step**j, which rounds differently from j
+        # single steps
+        spec = dyn.make_system(name)
+        x0 = np.random.default_rng(9).uniform(-1.0, 1.0, size=spec.n)
+        got = dyn.exact_linear_trajectory(spec, x0, 0.02, num_samples)
+        want = exact_trajectory_loop(spec, x0, 0.02, num_samples)
+        assert got.shape == want.shape == (num_samples + 1, spec.n)
+        np.testing.assert_array_equal(got[0], x0)
+        bound = 1e-12 * np.maximum(1.0, np.abs(want).max(axis=1))
+        assert np.all(np.abs(got - want).max(axis=1) <= bound)
+
     def test_exact_trajectory_matches_pointwise_solution(self):
         spec = dyn.make_system("example1")
         x0 = np.array([1.0, 1.0])
@@ -756,6 +770,15 @@ class TestLinearOracle:
             np.testing.assert_allclose(
                 traj[k], dyn.exact_linear_solution(spec, x0, 0.1 * k), atol=1e-12
             )
+
+
+def exact_trajectory_loop(spec, x0, delta, num_samples):
+    """Reference: one propagator product per sample."""
+    step = dyn.matrix_exponential(spec.a_matrix * delta)
+    out = [np.asarray(x0, dtype=float)]
+    for _ in range(num_samples):
+        out.append(step @ out[-1])
+    return np.array(out)
 
 
 def memory_integral_loop(spec, z_history, truncation):
@@ -775,7 +798,7 @@ def memory_integral_loop(spec, z_history, truncation):
 
 class TestMemoryIntegral:
     @pytest.mark.parametrize("name, m", [("example1", 1), ("example1", 400),
-                                         ("example4", 60)])
+                                         ("example1", 1500), ("example4", 60)])
     def test_matches_node_loop(self, name, m):
         # one matrix-vector product sums the nodes in another order
         spec = dyn.make_system(name)

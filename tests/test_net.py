@@ -187,6 +187,31 @@ class TestBackward:
         assert input_grad[0, 0] == 2.5
         np.testing.assert_array_equal(input_grad[0, 1:], np.zeros(3))
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_cached_activations_give_the_uncached_gradients(self, rows,
+                                                            monkeypatch):
+        rng = np.random.default_rng(33)
+        params = net.init_params(2, 3, [9, 9], seed=33)
+        z = rng.normal(size=(rows, params.input_width))
+        grad_out = rng.normal(size=(rows, 2))
+        forward = net.forward_batch
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(net, "forward_batch", spy)
+        want_flat, want_input = net.backward_batch(params, z, grad_out)
+        assert len(calls) == 1
+        acts = []
+        forward(params, z, acts)
+        assert len(acts) == params.n_layers
+        got_flat, got_input = net.backward_batch(params, z, grad_out, acts)
+        assert len(calls) == 1  # the cached call ran no forward pass
+        assert got_flat.tobytes() == want_flat.tobytes()
+        assert got_input.tobytes() == want_input.tobytes()
+
 
 class TestFlatLayout:
     def test_weights_and_biases_are_views_of_flat(self):
