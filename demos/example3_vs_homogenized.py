@@ -28,16 +28,16 @@ domain = dyn.default_domain(spec)
 print("generating trajectories of the full 4-variable system ...")
 trajs = data.generate_trajectories(spec, solver, domain, 2000, 100, seed=SEED)
 ds = data.build_dataset(trajs, N_MEM, per_trajectory=5, seed=SEED)
-print(f"dataset: J={ds.size} windows, input width {ds.input_width}")
+print(f"dataset: J={ds.size} windows, input width {ds.inputs.shape[1]}")
 
 params0 = net.init_params(spec.d, N_MEM, (120, 120, 120), seed=SEED)
 cfg = train.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=25, seed=SEED)
-print(f"training {net.count_params(params0)} parameters ...")
+print(f"training {params0.flat.size} parameters ...")
 model, report = train.train_model(params0, ds, cfg)
 print(f"done in {report.wall_time:.1f}s, final loss {report.final_loss:.3e}")
 
 print("comparing against the homogenized closure ...")
-nn_series, reduced_series = rollout.compare_with_homogenized(
+nn_errors, reduced_errors = rollout.compare_with_homogenized(
     model, spec, solver, domain, horizon_steps=1000,  # t = 20 at delta = 0.02
     n_runs=5, seed=SEED + 1,
 )
@@ -45,9 +45,8 @@ nn_series, reduced_series = rollout.compare_with_homogenized(
 print("\n  t     network err   homogenized err")
 for t_mark in (2.0, 5.0, 10.0, 20.0):
     k = int(round(t_mark / solver.delta))
-    print(f"{t_mark:5.1f}   {nn_series.errors[k]:.4e}    "
-          f"{reduced_series.errors[k]:.4e}")
-print(f"\nmean over the horizon: network {nn_series.errors.mean():.4e}, "
-      f"homogenized {reduced_series.errors.mean():.4e}")
+    print(f"{t_mark:5.1f}   {nn_errors[k]:.4e}    {reduced_errors[k]:.4e}")
+print(f"\nmean over the horizon: network {nn_errors.mean():.4e}, "
+      f"homogenized {reduced_errors.mean():.4e}")
 print("(the homogenized system starts with an O(epsilon) handicap and "
       "drifts in phase; the network was fitted to the true flow)")

@@ -16,7 +16,7 @@ Subpackages map onto the pipeline:
 * :mod:`memflow.net` -- the residual memory network with analytic
   gradients (plain numpy, no autodiff framework).
 * :mod:`memflow.train` -- mean-squared loss and minibatch Adam training.
-* :mod:`memflow.rollout` -- iterative prediction, error series, the
+* :mod:`memflow.rollout` -- iterative prediction and its l2 errors, the
   memory-length sweep, and the explicit-Euler reference scheme for linear
   systems.
 * :mod:`memflow.cli` -- config-driven command line driver with presets

@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,30 +77,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_list_of(test):
-    return lambda v: isinstance(v, (list, tuple)) and all(map(test, v))
-
-
 # (config key, what its value must be, the test of that value)
 _VALUE_TYPES = (
     *[(key, "an integer", _is_int) for key in (
         "substeps", "n_traj", "n_mem", "batch_size", "epochs", "n_eval_runs")],
     ("seed", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
-    *[(key, "a number", _is_number) for key in (
-        "delta", "learning_rate", "eval_horizon")],
+    *[(key, "a number", lambda v: _is_int(v) or isinstance(v, float))
+      for key in ("delta", "learning_rate", "eval_horizon")],
     ("params", "an object", lambda v: isinstance(v, dict)),
     ("hidden", "a non-empty list of positive integers",
-     lambda v: _is_list_of(_is_int)(v) and len(v) > 0 and min(v) > 0),
+     lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+     and all(_is_int(w) and w > 0 for w in v)),
     ("traj_len", 'an integer or "auto"', lambda v: v == "auto" or _is_int(v)),
     ("per_trajectory", "a positive integer or null",
      lambda v: v is None or (_is_int(v) and v >= 1)),
-    *[(key, "a list of numbers or null",
-       lambda v: v is None or _is_list_of(_is_number)(v))
-      for key in ("domain_lower", "domain_upper")],
     ("out_dir", "a string", lambda v: isinstance(v, str)),
 )
 
@@ -113,16 +103,13 @@ class ExperimentConfig:
     the minimal usable length ``n_mem + 2`` (one window per trajectory).
     ``per_trajectory`` is the number of window starts drawn from each
     trajectory, or null to take every admissible start.
-    ``domain_lower`` and ``domain_upper`` are given together or not at
-    all; without them the system's default domain is used.
+    Initial conditions come from the system's default domain.
     A config that cannot build its dataset or seed its rollouts fails
     when it is built; a memory sweep builds every cell before training.
     """
 
     system: str
     params: dict = field(default_factory=dict)
-    domain_lower: list | None = None
-    domain_upper: list | None = None
     delta: float = 0.02
     substeps: int = 20
     n_traj: int = 1000
@@ -151,11 +138,9 @@ class ExperimentConfig:
             raise ValueError("n_eval_runs must be >= 1")
         if not 0 < self.eval_horizon < np.inf:
             raise ValueError("eval_horizon must be positive and finite")
-        if (self.domain_lower is None) != (self.domain_upper is None):
-            raise ValueError("domain_lower and domain_upper must be given together")
         # fail at load time, not at the first stage that uses these
         self.solver()
-        self.domain()
+        self.spec()
         self.train_config()
         # the n_mem + 1 seed states fit the horizon, and the trajectories
         # give enough window starts and windows
@@ -194,14 +179,7 @@ class ExperimentConfig:
         return dyn.SolverConfig(delta=self.delta, substeps=self.substeps)
 
     def domain(self):
-        spec = self.spec()
-        if self.domain_lower is None:
-            return dyn.default_domain(spec)
-        domain = dyn.Domain(np.array(self.domain_lower), np.array(self.domain_upper))
-        if domain.n != spec.n:
-            raise ValueError(f"domain_lower and domain_upper have {domain.n} "
-                             f"entries; {self.system} has n={spec.n}")
-        return domain
+        return dyn.default_domain(self.spec())
 
     def resolved_traj_len(self):
         return self.n_mem + 2 if self.traj_len == "auto" else self.traj_len
@@ -223,9 +201,6 @@ class ExperimentConfig:
         )
 
     # -- serialization -----------------------------------------------------
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
@@ -252,7 +227,7 @@ def load_config(path):
 
 def save_config(cfg, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -369,8 +344,8 @@ def cmd_train(cfg):
     params0 = net_mod.init_params(
         ds.d, ds.n_mem, cfg.hidden, seed=stage_seed(cfg.seed, "init")
     )
-    n_params = net_mod.count_params(params0)
-    if train_mod.data_sizing_ratio(params0, ds) < 5:
+    n_params = params0.flat.size
+    if ds.size / n_params < 5:
         print(
             f"warning: J={ds.size} is below 5x the parameter count "
             f"({n_params}); training may be data-starved",
@@ -418,19 +393,20 @@ def cmd_predict(cfg, steps=None):
     x0s = data_mod.sample_initial_conditions(
         cfg.domain(), 1, seed=stage_seed(cfg.seed, "predict")
     )
-    truth, res, es = roll_mod.rollout_against_truth(
+    truth, res, errors = roll_mod.rollout_against_truth(
         model, cfg.spec(), cfg.solver(), x0s, model.n_mem + steps
     )
     res.raise_if_diverged()
     d = model.d
     header = (["t"] + [f"z_{i + 1}" for i in range(d)]
               + [f"ref_{i + 1}" for i in range(d)] + ["err"])
-    rows = np.column_stack([es.times, res.states[0], truth[0], es.errors[0]])
+    times = np.arange(errors.shape[1]) * cfg.delta
+    rows = np.column_stack([times, res.states[0], truth[0], errors[0]])
     path = out / ROLLOUT_FILE
     _write_csv(path, header, rows.tolist())
     print(
-        f"rolled out {steps} steps to t={es.times[-1]:g}; "
-        f"final error {es.errors[0, -1]:.3e} -> {path}"
+        f"rolled out {steps} steps to t={times[-1]:g}; "
+        f"final error {errors[0, -1]:.3e} -> {path}"
     )
     return path
 
@@ -460,7 +436,7 @@ def cmd_compare_reduced(cfg):
     closure; write both mean error series."""
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
-    nn_series, reduced_series = roll_mod.compare_with_homogenized(
+    nn_errors, reduced_errors = roll_mod.compare_with_homogenized(
         model,
         cfg.spec(),
         cfg.solver(),
@@ -470,12 +446,13 @@ def cmd_compare_reduced(cfg):
         seed=stage_seed(cfg.seed, "compare"),
     )
     path = out / COMPARE_FILE
-    rows = np.column_stack([nn_series.times, nn_series.errors, reduced_series.errors])
+    times = np.arange(nn_errors.size) * cfg.delta
+    rows = np.column_stack([times, nn_errors, reduced_errors])
     _write_csv(path, ["t", "nn_error", "reduced_error"], rows.tolist())
     print(
         f"mean error over t<=({cfg.eval_horizon:g}): "
-        f"network {nn_series.errors.mean():.4e}, "
-        f"homogenized {reduced_series.errors.mean():.4e} -> {path}"
+        f"network {nn_errors.mean():.4e}, "
+        f"homogenized {reduced_errors.mean():.4e} -> {path}"
     )
     return path
 
@@ -531,12 +508,8 @@ def _resolve_config(args):
         cfg = preset_config(args.preset)
     else:
         raise ValueError("one of --config or --preset is required")
-    doc = cfg.to_dict()
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    return ExperimentConfig.from_dict(doc)
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _parse_n_mem_list(text):
@@ -549,6 +522,25 @@ def _parse_n_mem_list(text):
     return values
 
 
+# subcommand -> (help text, its call on the config and the parsed arguments)
+_COMMANDS = {
+    "generate": ("integrate random initial conditions into a trajectory file",
+                 lambda cfg, args: cmd_generate(cfg)),
+    "build-dataset": ("window trajectories into a training dataset",
+                      lambda cfg, args: cmd_build_dataset(cfg)),
+    "train": ("train the residual memory network",
+              lambda cfg, args: cmd_train(cfg)),
+    "predict": ("roll the trained model forward against the truth",
+                lambda cfg, args: cmd_predict(cfg, steps=args.steps)),
+    "sweep": ("train/evaluate across a list of memory lengths",
+              lambda cfg, args: cmd_sweep(cfg, _parse_n_mem_list(args.n_mem))),
+    "compare-reduced": ("compare the model with the homogenized closure",
+                        lambda cfg, args: cmd_compare_reduced(cfg)),
+    "oracle-check": ("self-check the linear reduced-dynamics oracle",
+                     lambda cfg, args: cmd_oracle_check(cfg)),
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="memflow",
@@ -556,16 +548,7 @@ def main(argv=None):
         "observed variables of a dynamical system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("generate", "integrate random initial conditions into a trajectory file"),
-        ("build-dataset", "window trajectories into a training dataset"),
-        ("train", "train the residual memory network"),
-        ("predict", "roll the trained model forward against the truth"),
-        ("sweep", "train/evaluate across a list of memory lengths"),
-        ("compare-reduced", "compare the model with the homogenized closure"),
-        ("oracle-check", "self-check the linear reduced-dynamics oracle"),
-    ]
-    for name, help_text in commands:
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--preset", help=f"built-in config: {', '.join(PRESETS)}")
@@ -580,23 +563,14 @@ def main(argv=None):
             )
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "generate":
-            cmd_generate(cfg)
-        elif args.command == "build-dataset":
-            cmd_build_dataset(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "predict":
-            cmd_predict(cfg, steps=args.steps)
-        elif args.command == "sweep":
-            cmd_sweep(cfg, _parse_n_mem_list(args.n_mem))
-        elif args.command == "compare-reduced":
-            cmd_compare_reduced(cfg)
-        elif args.command == "oracle-check":
-            cmd_oracle_check(cfg)
+        _, run = _COMMANDS[args.command]
+        run(_resolve_config(args), args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(f"error: {args.command} ran out of memory"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     return 0
 

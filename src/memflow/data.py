@@ -132,10 +132,6 @@ class MemoryWindowDataset:
     def size(self):
         return self.inputs.shape[0]
 
-    @property
-    def input_width(self):
-        return self.d * (self.n_mem + 1)
-
 
 def sample_initial_conditions(domain, count, seed):
     """Uniform initial conditions on the domain box, deterministic in seed."""

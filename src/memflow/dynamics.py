@@ -344,8 +344,9 @@ def make_system(name, **params):
 
 def _pop_number(name, params, key, default, integer=False):
     """Remove ``key`` from ``params`` and return it as a float, or as an int
-    if ``integer``; ``default`` when it is absent.  A bool, a non-number or,
-    for ``integer``, a non-integral value is a ValueError naming the key."""
+    if ``integer``; ``default`` when it is absent.  A bool, a non-number, a
+    NaN or infinity or, for ``integer``, a non-integral value is a
+    ValueError naming the key."""
     if key not in params:
         return default
     value = params.pop(key)
@@ -353,7 +354,11 @@ def _pop_number(name, params, key, default, integer=False):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} parameter {key!r} must be "
                          f"{'an integer' if integer else 'a number'}, got {value!r}")
-    return int(value) if integer else float(value)
+    if integer:
+        return int(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} parameter {key!r} must be finite, got {value}")
+    return float(value)
 
 
 def _reject_params(name, leftover):
@@ -749,8 +754,6 @@ def linear_mz_rhs(spec, x0, t):
     a11 = _blocks(spec)[0]
     x0 = np.asarray(x0, dtype=float)
     d = spec.d
-    if t == 0:
-        return a11 @ x0[:d] + mz_noise_term(spec, x0[d:], 0.0)
     m = max(1, int(round(t * _QUAD_POINTS)))
     full = exact_linear_trajectory(spec, x0, t / m, m)
     z_history = full[:, :d]

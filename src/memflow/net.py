@@ -42,7 +42,6 @@ __all__ = [
     "init_params",
     "forward_batch",
     "backward_batch",
-    "count_params",
     "save_params",
     "load_params",
 ]
@@ -98,10 +97,6 @@ class NetworkParams:
     def input_width(self):
         return self.d * (self.n_mem + 1)
 
-    @property
-    def n_layers(self):
-        return len(self.weights)
-
     def split(self, vec):
         """Per-layer ``(weights, biases)`` views into ``vec``, a vector laid
         out like ``flat``."""
@@ -150,11 +145,6 @@ def init_params(d, n_mem, hidden, seed):
     return NetworkParams(d=d, n_mem=n_mem, hidden=hidden, weights=weights, biases=biases)
 
 
-def count_params(params):
-    """Total number of scalar parameters."""
-    return params.flat.size
-
-
 def _check_width(params, z):
     if z.shape[-1] != params.input_width:
         raise ValueError(
@@ -170,7 +160,7 @@ def forward_batch(params, z_stacks, acts=None):
     z_stacks = np.asarray(z_stacks, dtype=float)
     _check_width(params, z_stacks)
     act = z_stacks
-    last = params.n_layers - 1
+    last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         if acts is not None:
             acts.append(act)
@@ -203,7 +193,7 @@ def backward_batch(params, z_stacks, output_grads, acts=None):
     if acts is None:
         acts = []
         forward_batch(params, z_stacks, acts)
-    last = params.n_layers - 1
+    last = len(params.weights) - 1
     # reverse pass, writing each layer's gradient into its view of flat_grad
     flat_grad = np.empty_like(params.flat)
     grad_w, grad_b = params.split(flat_grad)

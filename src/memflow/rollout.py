@@ -5,11 +5,10 @@ seed block of ``n_mem + 1`` states.  Every run in flight has the layout
 ``(R, T, d)``: R runs of T observed states each.  This module iterates the
 model (:func:`rollout`: seeds ``(R, n_mem + 1, d)`` advance together, one
 batched network evaluation per step, each run recording where it
-diverged), measures pointwise l2 errors against references
-(:func:`error_series`), scores a model against the integrated truth from
-given initial conditions (:func:`rollout_against_truth`, shared by
-:func:`evaluate_model`, :func:`compare_with_homogenized` and the CLI's
-``predict``), sweeps the memory length of an experiment config to find
+diverged), scores a model by pointwise l2 errors against the truth
+integrated from given initial conditions (:func:`rollout_against_truth`,
+shared by :func:`evaluate_model`, :func:`compare_with_homogenized` and
+the CLI's ``predict``), sweeps the memory length of an experiment config to find
 where accuracy saturates (:func:`memory_sweep`: one cell per n_mem, each
 naming its diverged evaluation runs), and provides two analytic
 references for benchmarks: an explicit-Euler discretization of the exact
@@ -32,11 +31,10 @@ from memflow import train as train_mod
 
 __all__ = [
     "RolloutResult",
-    "ErrorSeries",
     "SweepCell",
     "rollout",
-    "error_series",
     "rollout_against_truth",
+    "evaluate_model",
     "memory_sweep",
     "euler_damz",
     "compare_with_homogenized",
@@ -61,28 +59,6 @@ class RolloutResult:
         for r, step in enumerate(self.diverged_at):
             if step is not None:
                 raise RuntimeError(f"rollout diverged at step {step} in run {r}")
-
-
-@dataclass(frozen=True)
-class ErrorSeries:
-    """Pointwise l2 distance between a prediction and a reference.
-
-    ``times`` has shape (T,); ``errors`` has shape (T,) for one run or
-    (R, T) for R runs.
-    """
-
-    times: np.ndarray
-    errors: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        errors = np.asarray(self.errors, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "errors", errors)
-        if times.ndim != 1 or errors.shape[-1:] != times.shape:
-            raise ValueError("times and errors must have equal length")
-        if np.any(errors < 0):
-            raise ValueError("errors must be nonnegative")
 
 
 def rollout(model, seeds, steps):
@@ -124,24 +100,6 @@ def rollout(model, seeds, steps):
     return RolloutResult(states=states, seed_len=need, diverged_at=tuple(diverged_at))
 
 
-def error_series(pred, reference, delta):
-    """Pointwise l2 error of predicted states against a reference.
-
-    ``pred`` and ``reference`` are arrays of equal shape (T, d) or
-    (R, T, d); the errors have shape (T,) or (R, T), on the time grid
-    0, delta, ..., (T - 1) * delta.
-    """
-    pred = np.asarray(pred, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if pred.shape != reference.shape:
-        raise ValueError(
-            f"prediction shape {pred.shape} does not match reference "
-            f"{reference.shape}"
-        )
-    times = np.arange(pred.shape[-2]) * delta
-    return ErrorSeries(times=times, errors=np.linalg.norm(pred - reference, axis=-1))
-
-
 def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
     """Roll the model out against the integrated truth from ``x0s``.
 
@@ -151,7 +109,8 @@ def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
     horizon, and every run is scored against its truth.  Returns
     ``(truth, result, errors)``: the observed truth (R, T, d) with
     T = horizon_steps + 1, the RolloutResult on the same grid, and the
-    ErrorSeries with errors (R, T), NaN from a run's divergence on.
+    pointwise l2 errors (R, T), NaN from a run's divergence on.  Sample k
+    of each is at time ``k * solver.delta``.
     """
     need = model.n_mem + 1
     if horizon_steps < need:
@@ -160,7 +119,7 @@ def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
         )
     truth = spec.observe(dyn.integrate_batch(spec, solver, x0s, horizon_steps))
     result = rollout(model, truth[:, :need], horizon_steps + 1 - need)
-    return truth, result, error_series(result.states, truth, solver.delta)
+    return truth, result, np.linalg.norm(result.states - truth, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +144,22 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
 
     ``n_runs`` initial conditions are drawn in the domain and scored with
     :func:`rollout_against_truth`.  Returns (scalar mean over runs of the
-    time-averaged post-seed l2 error, list of per-run ErrorSeries); a run
+    time-averaged post-seed l2 error, list of per-run (T,) errors); a run
     that diverged contributes ``inf`` to the mean and None to the list.
     When every run diverged there is no error to report: RuntimeError,
     naming each run and the step at which it diverged.
     """
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
-    _, result, scored = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
+    _, result, errors = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
     diverged = np.array([step is not None for step in result.diverged_at])
     if diverged.all():
         runs = ", ".join(f"run {r} at step {step}"
                          for r, step in enumerate(result.diverged_at))
         raise RuntimeError(f"every rollout diverged: {runs}")
-    post_seed = scored.errors[:, result.seed_len:].mean(axis=1)
+    post_seed = errors[:, result.seed_len:].mean(axis=1)
     run_means = np.where(diverged, np.inf, post_seed)
-    series = [None if bad else ErrorSeries(times=scored.times, errors=errors)
-              for bad, errors in zip(diverged, scored.errors)]
+    series = [None if bad else run_errors
+              for bad, run_errors in zip(diverged, errors)]
     return float(run_means.mean()), series
 
 
@@ -304,9 +263,10 @@ def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs,
     dimension is a ValueError.  ``n_runs`` initial conditions of it are
     scored with :func:`rollout_against_truth`, and the homogenized
     3-variable system is integrated from the same slow-variable initial
-    conditions, both over ``horizon_steps`` samples.  Returns a pair of
-    ErrorSeries averaged over the runs (network, homogenized), both
-    measured against the truth.  A diverged network run raises
+    conditions, both over ``horizon_steps`` samples.  Returns the pair
+    (network, homogenized) of (T,) l2 errors against the truth, averaged
+    over the runs, on the grid of :func:`rollout_against_truth`.  A
+    diverged network run raises
     RuntimeError naming the run and the step.
     """
     if spec.name != "example3":
@@ -327,6 +287,5 @@ def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs,
     truth, result, nn = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
     result.raise_if_diverged()
     baseline = dyn.integrate_batch(reduced, solver, x0s[:, :3], horizon_steps)
-    closure = error_series(baseline, truth, solver.delta)
-    return (ErrorSeries(times=nn.times, errors=nn.errors.mean(axis=0)),
-            ErrorSeries(times=closure.times, errors=closure.errors.mean(axis=0)))
+    closure = np.linalg.norm(baseline - truth, axis=-1)
+    return nn.mean(axis=0), closure.mean(axis=0)

@@ -17,7 +17,6 @@ import numpy as np
 from memflow.net import (
     NetworkParams,
     backward_batch,
-    count_params,
     forward_batch,
     load_params,
     save_params,
@@ -31,7 +30,6 @@ __all__ = [
     "train_model",
     "save_model",
     "load_model",
-    "data_sizing_ratio",
 ]
 
 
@@ -122,6 +120,8 @@ def train_model(init, ds, cfg):
     theta = work.flat  # updated in place, so work's weight views follow it
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    step_buf = np.empty_like(theta)  # the update's two temporaries, reused
+    denom = np.empty_like(theta)
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cfg.learning_rate
 
     t0 = time.perf_counter()
@@ -148,11 +148,22 @@ def train_model(init, ds, cfg):
             step += 1
             corr1 = 1.0 - b1**step
             corr2 = 1.0 - b2**step
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2, then
+            # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
             m *= b1
-            m += (1 - b1) * grad
+            np.multiply(grad, 1 - b1, out=step_buf)
+            m += step_buf
             v *= b2
-            v += (1 - b2) * grad**2
-            theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            np.square(grad, out=step_buf)
+            step_buf *= 1 - b2
+            v += step_buf
+            np.divide(m, corr1, out=step_buf)
+            step_buf *= lr
+            np.divide(v, corr2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step_buf /= denom
+            theta -= step_buf
         losses[epoch] = mse_loss(work, ds)
     # a fresh, validated copy: non-finite parameters are rejected here
     trained = NetworkParams(work.d, work.n_mem, work.hidden, work.weights, work.biases)
@@ -173,8 +184,3 @@ def save_model(params, path):
 def load_model(path):
     """Load a checkpoint written by :func:`save_model`."""
     return load_params(path)
-
-
-def data_sizing_ratio(params, ds):
-    """Dataset rows per model parameter; below ~5 training may be data-starved."""
-    return ds.size / count_params(params)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -43,15 +44,15 @@ class TestConfig:
     def test_presets_round_trip(self):
         for name in cli.PRESETS:
             cfg = cli.preset_config(name)
-            doc = cfg.to_dict()
+            doc = asdict(cfg)
             again = cli.ExperimentConfig.from_dict(doc)
-            assert again.to_dict() == doc
+            assert asdict(again) == doc
 
     def test_presets_json_round_trip(self, tmp_path):
         for name in cli.PRESETS:
             cfg = cli.preset_config(name)
             path = write_config(cfg, tmp_path, f"{name}.json")
-            assert cli.load_config(path).to_dict() == cfg.to_dict()
+            assert asdict(cli.load_config(path)) == asdict(cfg)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -65,6 +66,10 @@ class TestConfig:
                            match=r"unknown config keys: \['selection_kind'\]"):
             cli.ExperimentConfig.from_dict(
                 {**cli.PRESETS["example1-fast"], "selection_kind": "random"})
+        # initial conditions come from the system's default domain
+        for key in ("domain_lower", "domain_upper"):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+                cli.ExperimentConfig.from_dict({"system": "example1", key: [-1, -1]})
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -112,7 +117,7 @@ class TestConfig:
         ("n_mem", 1.5),
     ])
     def test_wrong_types_rejected_at_load(self, tmp_path, capsys, key, value):
-        doc = {**micro_config(tmp_path).to_dict(), key: value}
+        doc = {**asdict(micro_config(tmp_path)), key: value}
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(doc))
         message = f"{path}: {key} must be "
@@ -123,7 +128,7 @@ class TestConfig:
 
     def test_horizon_shorter_than_seed_rejected_at_load(self, tmp_path, capsys):
         # 0.04 / 0.02 = 2 steps cannot hold the n_mem + 1 = 4 seed states
-        doc = {**micro_config(tmp_path).to_dict(), "eval_horizon": 0.04}
+        doc = {**asdict(micro_config(tmp_path)), "eval_horizon": 0.04}
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["predict", "--config", str(path)]) == 1
@@ -159,7 +164,7 @@ class TestConfig:
     ], ids=["per-trajectory", "deterministic", "batch-size"])
     def test_dataset_the_config_cannot_build_rejected_at_load(
             self, tmp_path, capsys, changes, message):
-        doc = {**micro_config(tmp_path).to_dict(), **changes}
+        doc = {**asdict(micro_config(tmp_path)), **changes}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["generate", "--config", str(path)]) == 1
@@ -188,28 +193,39 @@ class TestConfig:
         assert err.startswith(f"error: {path}: {system} parameter '{key}' must be ")
         assert not (tmp_path / "run").exists()
 
-    def test_explicit_domain_reaches_the_config(self, tmp_path):
-        cfg = micro_config(tmp_path, domain_lower=[-1.0, -0.5],
-                           domain_upper=[0.5, 1.0])
-        domain = cfg.domain()
-        np.testing.assert_array_equal(domain.lower, [-1.0, -0.5])
-        np.testing.assert_array_equal(domain.upper, [0.5, 1.0])
-
     @pytest.mark.parametrize("key", ["domain_lower", "domain_upper"])
     def test_half_a_domain_rejected(self, tmp_path, capsys, key):
+        # a config that sets either key fails at load, before any stage
         doc = {"system": "example1", key: [-1, -1]}
         path = tmp_path / "half.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["generate", "--config", str(path),
                          "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "domain_lower and domain_upper" in err
+        assert err == f"error: {path}: unknown config keys: ['{key}']\n"
         assert not (tmp_path / "run").exists()
 
-    def test_domain_of_the_wrong_dimension_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="3 entries; example1 has n=2"):
-            micro_config(tmp_path, domain_lower=[-1, -1, -1], domain_upper=[1, 1, 1])
+    @pytest.mark.parametrize("system, key, value", [
+        ("example2", "alpha", float("nan")),
+        ("example3", "epsilon", float("inf")),
+    ])
+    def test_non_finite_parameters_rejected_at_load(self, tmp_path, capsys,
+                                                    system, key, value):
+        # json writes and reads NaN and Infinity; they fail at load, by key
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"system": system, "params": {key: value}}))
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {system} parameter '{key}' must be finite, "
+            f"got {value}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_domain_is_the_systems_default(self, tmp_path):
+        cfg = micro_config(tmp_path)
+        want = cli.dyn.default_domain(cfg.spec())
+        np.testing.assert_array_equal(cfg.domain().lower, want.lower)
+        np.testing.assert_array_equal(cfg.domain().upper, want.upper)
 
     def test_stage_seeds_differ_by_label(self):
         assert cli.stage_seed(7, "generate") != cli.stage_seed(7, "train")
@@ -230,6 +246,10 @@ class TestPipeline:
         header = rollout_path.read_text().splitlines()
         assert header[0] == "t,z_1,ref_1,err"
         assert len(header) == 1 + cfg.n_mem + 1 + 10
+        # row k is at time k * delta, and its err is |z - ref|
+        table = np.loadtxt(rollout_path, delimiter=",", skiprows=1)
+        assert table[:, 0].tobytes() == (np.arange(len(table)) * cfg.delta).tobytes()
+        np.testing.assert_array_equal(table[:, 3], np.abs(table[:, 1] - table[:, 2]))
 
     def test_train_warns_when_data_starved(self, tmp_path, capsys):
         cfg = micro_config(tmp_path)
@@ -237,6 +257,22 @@ class TestPipeline:
         cli.cmd_build_dataset(cfg)
         cli.cmd_train(cfg)  # J=50 << 5 * n_params
         assert "below 5x the parameter count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_traj, warned", [(244, True), (245, False)])
+    def test_train_warns_below_five_windows_per_parameter(
+            self, tmp_path, capsys, n_traj, warned):
+        # hidden [8] at d=1, n_mem=3: (4*8 + 8) + (8*1 + 1) = 49 parameters,
+        # and 5 * 49 = 245 windows, one per trajectory
+        cfg = micro_config(tmp_path, n_traj=n_traj, epochs=1)
+        cli.cmd_generate(cfg)
+        cli.cmd_build_dataset(cfg)
+        capsys.readouterr()
+        cli.cmd_train(cfg)
+        out, err = capsys.readouterr()
+        assert "trained 49-parameter model" in out
+        want = (f"warning: J={n_traj} is below 5x the parameter count (49); "
+                "training may be data-starved\n")
+        assert err == (want if warned else "")
 
     def test_seed_determines_artifacts_bitwise(self, tmp_path):
         artifacts = {}
@@ -272,7 +308,7 @@ class TestPipeline:
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
 
     def test_sweep_names_diverged_runs(self, tmp_path, capsys, monkeypatch):
-        es = rollout.ErrorSeries(times=np.arange(3.0), errors=np.zeros(3))
+        es = np.zeros(3)
         monkeypatch.setattr(rollout, "evaluate_model",
                             lambda *args, **kwargs: (np.inf, [es, None, es]))
         cfg = micro_config(tmp_path, n_traj=30, epochs=2, n_eval_runs=3)
@@ -304,6 +340,24 @@ class TestPipeline:
         cfg = micro_config(tmp_path, system="example2", params={})
         with pytest.raises(ValueError, match="not linear"):
             cli.cmd_oracle_check(cfg)
+
+    def test_compare_reduced_writes_errors_on_the_time_grid(self, tmp_path):
+        cfg = micro_config(tmp_path, system="example3", params={},
+                           n_eval_runs=2)
+        out = tmp_path / "run"
+        out.mkdir()
+        net.save_params(net.init_params(3, cfg.n_mem, cfg.hidden, seed=0),
+                        out / cli.MODEL_FILE)
+        path = cli.cmd_compare_reduced(cfg)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,nn_error,reduced_error"
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        steps = cfg.horizon_steps()
+        assert table.shape == (steps + 1, 3)
+        assert table[:, 0].tobytes() == (np.arange(steps + 1) * cfg.delta).tobytes()
+        # both start from the true slow state
+        np.testing.assert_array_equal(table[0, 1:], 0.0)
+        assert np.all(table[1:, 2] > 0.0)
 
     def test_compare_reduced_rejects_checkpoint_config_mismatch(self, tmp_path):
         cfg = micro_config(tmp_path, system="example3", params={})
@@ -439,6 +493,22 @@ class TestMain:
             "n_mem + 1 = 7 seed states of a rollout (n_mem=6)\n")
         assert trained == []
         assert not (tmp_path / "run" / cli.SWEEP_FILE).exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 14.9 GiB for an array",
+         "error: generate ran out of memory: Unable to allocate 14.9 GiB for "
+         "an array\n"),
+        ("", "error: generate ran out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_named_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                             message, line):
+        def out_of_memory(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_generate", out_of_memory)
+        cfg_path = write_config(micro_config(tmp_path), tmp_path)
+        assert cli.main(["generate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == line
 
     def test_bad_n_mem_list(self, tmp_path, capsys):
         cfg_path = write_config(micro_config(tmp_path), tmp_path)

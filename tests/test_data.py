@@ -375,7 +375,7 @@ class TestSerialization:
         path = tmp_path / "empty.npz"
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
-        assert back.size == 0 and back.input_width == 3
+        assert back.size == 0 and back.inputs.shape[1] == 3
 
     def test_header_row_width_mismatch_rejected(self, tmp_path, write_archive):
         path = write_archive(

@@ -71,6 +71,17 @@ class TestEvalRhs:
         spec = dyn.make_system("example2", alpha=np.float64(0.5))
         np.testing.assert_allclose(spec.rhs([0.0, 1.0]), [1.0, -0.5])
 
+    @pytest.mark.parametrize("name, key, value, shown", [
+        ("example1", "alpha", float("nan"), "nan"),
+        ("example2", "alpha", np.float64("nan"), "nan"),
+        ("example2", "beta", float("-inf"), "-inf"),
+        ("example3", "epsilon", float("inf"), "inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, name, key, value, shown):
+        with pytest.raises(ValueError, match=f"^{name} parameter '{key}' must be "
+                           f"finite, got {shown}$"):
+            dyn.make_system(name, **{key: value})
+
 
 class TestSystemSpec:
     def test_observed_dimension_bounds(self):
@@ -879,6 +890,18 @@ class TestDecompositionIdentity:
             hi = dyn.exact_linear_solution(spec, x0, t + h)[: spec.d]
             lo = dyn.exact_linear_solution(spec, x0, t - h)[: spec.d]
             assert np.abs(got - (hi - lo) / (2 * h)).max() <= 1e-5
+
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    def test_at_t0_is_the_full_field_on_the_observed_block(self, name):
+        # no memory has accrued: dz/dt = A11 z(0) + A12 w(0) = (A x0)[:d]
+        spec = dyn.make_system(name)
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            x0 = rng.uniform(-1.5, 1.5, size=spec.n)
+            np.testing.assert_allclose(
+                dyn.linear_mz_rhs(spec, x0, 0.0), (spec.a_matrix @ x0)[: spec.d],
+                rtol=0, atol=1e-15,
+            )
 
     def test_identity_pins_noise_coefficient(self):
         # with the transposed coupling in the propagated-initial-state term

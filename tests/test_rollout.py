@@ -1,4 +1,4 @@
-"""Tests for iterative prediction, error series, and the Euler reference scheme."""
+"""Tests for iterative prediction, its errors, and the Euler reference scheme."""
 
 import numpy as np
 import pytest
@@ -119,33 +119,48 @@ class TestBatchedRollout:
 
 
 class TestErrorSeries:
+    """The pointwise l2 errors that rollout_against_truth scores runs by."""
+
+    # a constant system, observed in full
+    STILL = dyn.SystemSpec(
+        name="still", n=2, d=2, field=lambda x, m: (0.0, 0.0)
+    )
+    SOLVER = dyn.SolverConfig(0.5, 1)
+
+    def drifting(self, offset):
+        """A model that adds ``offset`` to the current state each step."""
+        params = zero_final_layer(net.init_params(2, 1, [3], seed=0))
+        params.biases[-1][:] = offset
+        return params
+
     def test_identical_sequences_zero_error(self):
-        seq = np.arange(10.0)[:, None]
-        es = rollout.error_series(seq, seq, delta=0.5)
-        np.testing.assert_array_equal(es.errors, np.zeros(10))
-        np.testing.assert_allclose(es.times, 0.5 * np.arange(10))
+        x0s = np.array([[0.3, -0.2], [1.0, 2.0]])
+        truth, result, errors = rollout.rollout_against_truth(
+            self.drifting([0.0, 0.0]), self.STILL, self.SOLVER, x0s, 9
+        )
+        assert truth.shape == result.states.shape == (2, 10, 2)
+        np.testing.assert_array_equal(errors, np.zeros((2, 10)))
 
     def test_constant_offset_pythagorean(self):
-        base = np.zeros((6, 2))
-        shifted = base + np.array([0.3, 0.4])
-        es = rollout.error_series(shifted, base, delta=1.0)
-        np.testing.assert_allclose(es.errors, np.full(6, 0.5))
+        # after the two seed states, step k is off by k * (0.3, 0.4)
+        _, _, errors = rollout.rollout_against_truth(
+            self.drifting([0.3, 0.4]), self.STILL, self.SOLVER, np.zeros((1, 2)), 5
+        )
+        np.testing.assert_allclose(errors[0], [0, 0, 0.5, 1.0, 1.5, 2.0],
+                                   rtol=1e-15)
 
     def test_batched_runs_match_one_run_each(self):
         # one norm over (R, T, d) gives each run's row bit for bit
-        rng = np.random.default_rng(3)
-        pred, ref = rng.normal(size=(2, 3, 7, 2))
-        es = rollout.error_series(pred, ref, delta=0.5)
-        assert es.errors.shape == (3, 7) and es.times.shape == (7,)
+        model = net.init_params(1, 2, [6], seed=3)
+        spec = dyn.make_system("example1")
+        x0s = np.random.default_rng(3).uniform(-1, 1, size=(3, 2))
+        truth, result, errors = rollout.rollout_against_truth(
+            model, spec, dyn.SolverConfig(0.1, 2), x0s, 6
+        )
+        assert errors.shape == (3, 7)
         for r in range(3):
-            one = rollout.error_series(pred[r], ref[r], delta=0.5)
-            assert one.errors.tobytes() == es.errors[r].tobytes()
-        with pytest.raises(ValueError, match="equal length"):
-            rollout.ErrorSeries(times=np.arange(6.0), errors=es.errors)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            rollout.error_series(np.zeros((3, 1)), np.zeros((4, 1)), delta=1.0)
+            one = np.linalg.norm(result.states[r] - truth[r], axis=-1)
+            assert one.tobytes() == errors[r].tobytes()
 
 
 def euler_damz_loop(spec, seeds, steps, delta):
@@ -297,7 +312,7 @@ class TestEvaluateAndSweep:
         assert cell.diverged_runs == ()
 
     def test_sweep_names_diverged_runs(self, monkeypatch):
-        es = rollout.ErrorSeries(times=np.arange(3.0), errors=np.zeros(3))
+        es = np.zeros(3)
         monkeypatch.setattr(rollout, "evaluate_model",
                             lambda *args, **kwargs: (np.inf, [es, None, es]))
         cells = rollout.memory_sweep(sweep_config(), [1, 3], seed=0)
@@ -349,6 +364,9 @@ class TestEvaluateAndSweep:
         )
         assert mean_err == 0.0
         assert len(series) == 4
+        for es in series:
+            assert es.shape == (13,)
+            np.testing.assert_array_equal(es, 0.0)
 
     # increment 1e308 * (tanh(1000 z) + 1) on the constant system: exactly 0
     # for z < -0.02, so those runs hold still; it overflows at the first
@@ -382,7 +400,7 @@ class TestEvaluateAndSweep:
         assert [es is None for es in series] == bad.tolist()
         for es in series:
             if es is not None:
-                np.testing.assert_array_equal(es.errors, 0.0)
+                np.testing.assert_array_equal(es, 0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_evaluate_model_raises_when_every_run_diverges(self):
@@ -419,13 +437,12 @@ class TestCompareWithHomogenized:
         model = zero_final_layer(net.init_params(3, 2, [6], seed=1))
         nn, closure = self.compare(model)
         for es in (nn, closure):
-            assert es.times.shape == es.errors.shape == (11,)
-            assert np.all(np.isfinite(es.errors))
-            assert es.errors[0] == 0.0  # both start from the true slow state
-        np.testing.assert_allclose(nn.times, 0.02 * np.arange(11))
+            assert es.shape == (11,)  # samples 0, ..., 10 of delta
+            assert np.all(np.isfinite(es))
+            assert es[0] == 0.0  # both start from the true slow state
         # the seeds are the truth, so the network's error starts after them
-        np.testing.assert_array_equal(nn.errors[:3], 0.0)
-        assert nn.errors[-1] > 0.0
+        np.testing.assert_array_equal(nn[:3], 0.0)
+        assert nn[-1] > 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverged_network_raises_runtime_error(self):
@@ -461,8 +478,8 @@ class TestCompareWithHomogenized:
             dyn.make_system("example3-reduced"), self.SOLVER, x0s[:, :3], 10
         )
         want = np.linalg.norm(baseline - truth, axis=-1).mean(axis=0)
-        assert nn.errors.tobytes() == scored.errors.mean(axis=0).tobytes()
-        assert closure.errors.tobytes() == want.tobytes()
+        assert nn.tobytes() == scored.mean(axis=0).tobytes()
+        assert closure.tobytes() == want.tobytes()
         default_nn, default_closure = self.compare(model)
-        assert not np.array_equal(default_closure.errors, closure.errors)
-        assert not np.array_equal(default_nn.errors, nn.errors)
+        assert not np.array_equal(default_closure, closure)
+        assert not np.array_equal(default_nn, nn)

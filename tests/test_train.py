@@ -261,11 +261,3 @@ class TestSaveLoad:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(ValueError, match="model.npz: not a readable npz archive"):
             train.load_model(path)
-
-
-class TestSizing:
-    def test_data_sizing_ratio(self):
-        rng = np.random.default_rng(11)
-        params = net.init_params(1, 0, [2], seed=0)  # 2+2+2+1 = 7 params
-        ds = make_dataset(rng, 70, d=1, n_mem=0)
-        assert train.data_sizing_ratio(params, ds) == pytest.approx(10.0)
