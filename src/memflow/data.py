@@ -1,9 +1,10 @@
 """Trajectory sets and memory-window training datasets.
 
-A trajectory set holds observed-variable samples at a constant step; a
-memory-window dataset regroups them into (history stack, next state)
-pairs.  Each window covers ``n_mem + 2`` consecutive samples: the first
-``n_mem + 1`` form the network input, the last is the regression target.
+A trajectory set holds observed-variable trajectories of one length K at
+a constant step, as one ``(n_traj, K, d)`` array; a memory-window
+dataset regroups them into (history stack, next state) pairs.  Each
+window covers ``n_mem + 2`` consecutive samples: the first ``n_mem + 1``
+form the network input, the last is the regression target.
 
 The canonical in-memory layout of an input row is NEWEST FIRST:
 ``(z_k, z_{k-1}, ..., z_{k-n_mem})`` flattened, so the current state
@@ -44,55 +45,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Observed-variable trajectories sharing dimension and sample step.
+    """Observed-variable trajectories of one length and sample step.
 
-    ``samples`` of shape ``(sum K_i, d)`` holds the trajectories one after
-    another and ``lengths`` the ``K_i``, the same layout as on disk; each
-    ``K_i`` must be >= 1 and the lengths must cover ``samples`` exactly.
-    A float64 C-contiguous ``samples`` is adopted without a copy.
-    ``trajectories`` lists the ``(K_i, d)`` views into it.
+    ``trajectories`` of shape ``(n_traj, K, d)``, with K >= 1 and d >= 1,
+    holds trajectory i's samples at times 0, delta, ..., (K - 1) * delta
+    in ``trajectories[i]``, the same layout as on disk.  A float64
+    C-contiguous array is adopted without a copy.
     """
 
-    d: int
     delta: float
-    samples: np.ndarray
-    lengths: np.ndarray
+    trajectories: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("observed dimension must be >= 1")
         if not 0 < self.delta < np.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        samples = np.ascontiguousarray(self.samples, dtype=float)
-        lengths = np.asarray(self.lengths, dtype=np.int64)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "lengths", lengths)
-        if samples.ndim != 2 or samples.shape[1] != self.d:
+        trajectories = np.ascontiguousarray(self.trajectories, dtype=float)
+        object.__setattr__(self, "trajectories", trajectories)
+        if trajectories.ndim != 3 or 0 in trajectories.shape[1:]:
             raise ValueError(
-                f"samples have shape {samples.shape}, expected (K, {self.d})"
+                f"trajectories have shape {trajectories.shape}, expected "
+                "(n_traj, K, d) with K >= 1 and d >= 1"
             )
-        low = int(lengths.min(initial=0))
-        if low < 0 or lengths.sum() != samples.shape[0]:
-            raise ValueError(
-                f"lengths (sum {lengths.sum()}, min {low}) must be >= 0 and "
-                f"sum to the {samples.shape[0]} rows of samples"
-            )
-        if not lengths.all():
-            raise ValueError(f"trajectory {np.argmin(lengths)} is empty")
-        bad_rows = np.nonzero(~np.isfinite(samples).all(axis=1))[0]
-        if bad_rows.size:
-            bad = np.searchsorted(np.cumsum(lengths), bad_rows[0], side="right")
-            raise ValueError(f"trajectory {bad} contains non-finite entries")
+        bad = np.flatnonzero(~np.isfinite(trajectories).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"trajectory {bad[0]} contains non-finite entries")
 
     @property
     def n_traj(self):
-        return self.lengths.shape[0]
+        return self.trajectories.shape[0]
 
     @property
-    def trajectories(self):
-        ends = np.cumsum(self.lengths).tolist()
-        return [self.samples[end - k : end]
-                for k, end in zip(self.lengths.tolist(), ends)]
+    def d(self):
+        return self.trajectories.shape[2]
 
 
 @dataclass(frozen=True)
@@ -144,10 +128,10 @@ def sample_initial_conditions(domain, count, seed):
 def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     """Integrate ``n_traj`` random initial conditions and keep the observed part.
 
-    Each trajectory holds the first ``d`` state components at times
-    0, delta, ..., (traj_len - 1) * delta; the unobserved components are
-    discarded.  Integration failures abort loudly with the offending
-    trajectory index.
+    Returns a set of shape ``(n_traj, traj_len, spec.d)``: each trajectory
+    holds the first ``d`` state components at times 0, delta, ...,
+    (traj_len - 1) * delta; the unobserved components are discarded.
+    Integration failures abort loudly with the offending trajectory index.
     """
     if traj_len < 1:
         raise ValueError(f"traj_len must be >= 1, got {traj_len}")
@@ -161,19 +145,17 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     else:
         full = integrate_batch(spec, config, x0s, traj_len - 1)
         observed = spec.observe(full)
-    return TrajectorySet(d=spec.d, delta=config.delta,
-                         samples=observed.reshape(-1, spec.d),
-                         lengths=np.full(n_traj, traj_len))
+    return TrajectorySet(delta=config.delta, trajectories=observed)
 
 
-def _draw_starts(avail, count, rng):
-    """``count`` distinct starts in ``[0, avail[i])`` for each trajectory i,
-    as an ``(n_traj, count)`` array with sorted rows: Floyd's algorithm on
-    all rows at once, as :func:`build_dataset` describes."""
-    picked = np.empty((avail.shape[0], count), dtype=np.int64)
+def _draw_starts(n_traj, avail, count, rng):
+    """``count`` distinct starts in ``[0, avail)`` for each of ``n_traj``
+    trajectories, as an ``(n_traj, count)`` array with sorted rows: Floyd's
+    algorithm on all rows at once, as :func:`build_dataset` describes."""
+    picked = np.empty((n_traj, count), dtype=np.int64)
     for k in range(count):
         top = avail - count + k
-        draw = rng.integers(0, top, endpoint=True)
+        draw = rng.integers(0, top, size=n_traj, endpoint=True)
         repeat = (picked[:, :k] == draw[:, None]).any(axis=1)
         picked[:, k] = np.where(repeat, top, draw)
     picked.sort(axis=1)
@@ -183,59 +165,44 @@ def _draw_starts(avail, count, rng):
 def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     """Assemble a memory-window dataset from a trajectory set.
 
-    A trajectory of ``K_i`` samples has ``max(K_i - n_mem - 1, 0)``
-    admissible window starts.  With ``per_trajectory`` None every one of
-    them is taken (trajectories shorter than ``n_mem + 2`` give none).  An
-    integer ``per_trajectory`` = j0 >= 1 draws j0 distinct starts per
-    trajectory, each subset equally likely, from a generator
-    ``np.random.default_rng(seed)``, and fails loudly, naming the first
-    trajectory that cannot supply that many.  The draw is Floyd's
-    algorithm on all trajectories at once: for k = 0, ..., j0 - 1, one
-    ``rng.integers`` call draws an integer per trajectory from
-    ``[0, avail - j0 + k]``, where ``avail`` is the trajectory's number of
-    admissible starts, and a draw that repeats one of its trajectory's
-    earlier picks is replaced by ``avail - j0 + k``.  A trajectory with
-    exactly j0 admissible starts gets all of them.  Windows come
-    trajectory by trajectory, in increasing start position.  Selection is
-    array code: its temporaries are O(n_traj * j0) for a draw and
-    O(number of windows) when every start is taken.
+    Trajectories of K samples have ``avail = K - n_mem - 1`` admissible
+    window starts each.  With ``per_trajectory`` None every one of them is
+    taken.  An integer ``per_trajectory`` = j0 >= 1 draws j0 distinct
+    starts per trajectory, each subset equally likely, from a generator
+    ``np.random.default_rng(seed)``.  The draw is Floyd's algorithm on all
+    trajectories at once: for k = 0, ..., j0 - 1, one ``rng.integers``
+    call draws an integer per trajectory from ``[0, avail - j0 + k]``, and
+    a draw that repeats one of its trajectory's earlier picks is replaced
+    by ``avail - j0 + k``; with exactly j0 starts every one is taken.
+    Fewer starts than requested (j0, or one when taking every start) is a
+    ValueError.  Windows come trajectory by trajectory, in increasing
+    start position; the inputs are the only full-size copy made.
     """
     if n_mem < 0:
         raise ValueError(f"n_mem must be >= 0, got {n_mem}")
     if per_trajectory is not None and per_trajectory < 1:
         raise ValueError(f"per_trajectory must be >= 1 or None, got {per_trajectory}")
-    d = trajs.d
-    lengths = trajs.lengths
-    avail = np.maximum(lengths - n_mem - 1, 0)  # admissible starts
-    first_row = np.cumsum(lengths) - lengths  # in samples, per trajectory
-    if per_trajectory is None:
-        # window p is start p - (windows before trajectory i) of trajectory i
-        before = np.cumsum(avail) - avail
-        starts = (np.arange(avail.sum(), dtype=np.int64)
-                  + np.repeat(first_row - before, avail))
-    else:
-        j0 = per_trajectory
-        short = np.flatnonzero(avail < j0)
-        if short.size:
-            i = int(short[0])
-            raise ValueError(
-                f"trajectory {i}: requested {j0} windows but only "
-                f"{avail[i]} start positions exist "
-                f"(length {lengths[i]}, n_mem {n_mem})"
-            )
-        rng = np.random.default_rng(seed)
-        starts = (first_row[:, None] + _draw_starts(avail, j0, rng)).ravel()
-    width = d * (n_mem + 1)
-    if starts.size == 0:
-        return MemoryWindowDataset(
-            d=d, n_mem=n_mem, inputs=np.empty((0, width)), targets=np.empty((0, d))
+    n_traj, length, d = trajs.trajectories.shape
+    avail = length - n_mem - 1  # admissible starts per trajectory
+    if avail < (per_trajectory or 1):
+        raise ValueError(
+            f"requested {per_trajectory or 1} windows per trajectory but only "
+            f"{max(avail, 0)} start positions exist (length {length}, n_mem {n_mem})"
         )
-    # history[k, t] = samples[k + n_mem - t]: n_mem + 1 rows from row k, newest first
-    history = sliding_window_view(trajs.samples, n_mem + 1, axis=0)
-    history = history[:, :, ::-1].transpose(0, 2, 1)
+    if per_trajectory is None:
+        starts = np.broadcast_to(np.arange(avail), (n_traj, avail))
+    else:
+        starts = _draw_starts(n_traj, avail, per_trajectory,
+                              np.random.default_rng(seed))
+    rows = np.arange(n_traj)[:, None]
+    # history[i, k, t] = trajectories[i, k + n_mem - t]: n_mem + 1 samples
+    # from sample k of trajectory i, newest first
+    history = sliding_window_view(trajs.trajectories, n_mem + 1, axis=1)
+    history = history[..., ::-1].swapaxes(2, 3)
     return MemoryWindowDataset(
-        d=d, n_mem=n_mem, inputs=history[starts].reshape(starts.size, width),
-        targets=trajs.samples[starts + n_mem + 1],
+        d=d, n_mem=n_mem,
+        inputs=history[rows, starts].reshape(starts.size, d * (n_mem + 1)),
+        targets=trajs.trajectories[rows, starts + n_mem + 1].reshape(starts.size, d),
     )
 
 
@@ -247,10 +214,7 @@ _DATASET_SCHEMA = {
     "d": (np.int64, 0), "n_mem": (np.int64, 0),
     "inputs": (np.float64, 2), "targets": (np.float64, 2),
 }
-_TRAJECTORY_SCHEMA = {
-    "d": (np.int64, 0), "delta": (np.float64, 0),
-    "lengths": (np.int64, 1), "samples": (np.float64, 2),
-}
+_TRAJECTORY_SCHEMA = {"delta": (np.float64, 0), "trajectories": (np.float64, 3)}
 
 
 def save_dataset(ds, path):
@@ -272,17 +236,15 @@ def load_dataset(path):
 
 
 def save_trajectories(trajs, path):
-    """Write a trajectory set as an npz archive: ``d`` (int64 scalar),
-    ``delta`` (float64 scalar), ``lengths`` (int64, one ``K_i`` per
-    trajectory) and ``samples`` (float64, ``(sum K_i, d)``, the
-    trajectories one after another)."""
-    _npz.save(path, _TRAJECTORY_SCHEMA, d=trajs.d, delta=trajs.delta,
-              lengths=trajs.lengths, samples=trajs.samples)
+    """Write a trajectory set as an npz archive: ``delta`` (float64 scalar)
+    and ``trajectories`` (float64, ``(n_traj, K, d)``)."""
+    _npz.save(path, _TRAJECTORY_SCHEMA, delta=trajs.delta,
+              trajectories=trajs.trajectories)
 
 
 def load_trajectories(path):
     """Inverse of :func:`save_trajectories`; malformed files are rejected."""
     members = _npz.load(path, _TRAJECTORY_SCHEMA)
     with _npz.naming(path):
-        return TrajectorySet(d=int(members["d"]), delta=float(members["delta"]),
-                             samples=members["samples"], lengths=members["lengths"])
+        return TrajectorySet(delta=float(members["delta"]),
+                             trajectories=members["trajectories"])

@@ -335,6 +335,10 @@ def make_system(name, **params):
         _reject_params(name, params)
         if matrix is None or d is None:
             raise ValueError("linear-generic requires 'matrix' and 'd' parameters")
+        # float() would read a string or a bool as a number
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                   for x in np.asarray(matrix, dtype=object).flat):
+            raise ValueError("linear-generic parameter 'matrix' must hold numbers")
         spec = linear_system(matrix, d=d)
 
     else:

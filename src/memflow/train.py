@@ -56,9 +56,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:  # NaN fails too
+        if not 0 <= self.learning_rate < np.inf:  # NaN fails too
             raise ValueError(
-                f"learning_rate must be nonnegative, got {self.learning_rate}"
+                f"learning_rate must be nonnegative and finite, got {self.learning_rate}"
             )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -104,8 +104,8 @@ def train_model(init, ds, cfg):
     from ``cfg.seed``, in ceil(J / batch_size) minibatches (the last one
     may be short).  Returns the trained parameters and a report with the
     full-dataset loss after each epoch.
-    A non-finite minibatch loss aborts with the global step index, the
-    usual sign of a divergent learning rate.
+    A non-finite minibatch or epoch loss aborts with the global step
+    index, the usual sign of a divergent learning rate.
     """
     _check_shapes(init, ds)
     j_total = ds.size
@@ -127,44 +127,52 @@ def train_model(init, ds, cfg):
     t0 = time.perf_counter()
     losses = np.empty(cfg.epochs)
     step = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(j_total)
-        for lo in range(0, j_total, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            xb = ds.inputs[idx]
-            yb = ds.targets[idx]
-            acts = []  # this step's layer outputs, which backward_batch reuses
-            pred = forward_batch(work, xb, acts)
-            resid = pred - yb
-            with np.errstate(over="ignore"):  # detected and raised below
+    # no overflow or invalid-value warnings: a non-finite loss raises
+    # TrainingDiverged below, non-finite parameters fail the final check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(j_total)
+            for lo in range(0, j_total, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                xb = ds.inputs[idx]
+                yb = ds.targets[idx]
+                acts = []  # this step's layer outputs, which backward_batch reuses
+                pred = forward_batch(work, xb, acts)
+                resid = pred - yb
                 batch_loss = np.mean(np.sum(resid**2, axis=1))
-            if not np.isfinite(batch_loss):
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at step {step} (epoch {epoch}); "
+                        "reduce the learning rate",
+                        step=step,
+                    )
+                grad, _ = backward_batch(work, xb, (2.0 / xb.shape[0]) * resid, acts)
+                step += 1
+                corr1 = 1.0 - b1**step
+                corr2 = 1.0 - b2**step
+                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2, then
+                # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+                m *= b1
+                np.multiply(grad, 1 - b1, out=step_buf)
+                m += step_buf
+                v *= b2
+                np.square(grad, out=step_buf)
+                step_buf *= 1 - b2
+                v += step_buf
+                np.divide(m, corr1, out=step_buf)
+                step_buf *= lr
+                np.divide(v, corr2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                step_buf /= denom
+                theta -= step_buf
+            losses[epoch] = mse_loss(work, ds)
+            if not np.isfinite(losses[epoch]):
                 raise TrainingDiverged(
-                    f"non-finite loss at step {step} (epoch {epoch}); "
+                    f"non-finite loss after epoch {epoch} (step {step}); "
                     "reduce the learning rate",
                     step=step,
                 )
-            grad, _ = backward_batch(work, xb, (2.0 / xb.shape[0]) * resid, acts)
-            step += 1
-            corr1 = 1.0 - b1**step
-            corr2 = 1.0 - b2**step
-            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2, then
-            # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
-            m *= b1
-            np.multiply(grad, 1 - b1, out=step_buf)
-            m += step_buf
-            v *= b2
-            np.square(grad, out=step_buf)
-            step_buf *= 1 - b2
-            v += step_buf
-            np.divide(m, corr1, out=step_buf)
-            step_buf *= lr
-            np.divide(v, corr2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            step_buf /= denom
-            theta -= step_buf
-        losses[epoch] = mse_loss(work, ds)
     # a fresh, validated copy: non-finite parameters are rejected here
     trained = NetworkParams(work.d, work.n_mem, work.hidden, work.weights, work.biases)
     report = TrainReport(

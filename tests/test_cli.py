@@ -90,7 +90,8 @@ class TestConfig:
         ("batch_size", 0, "batch_size"),
         ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("eval_horizon", float("inf"), "eval_horizon must be positive and finite"),
-        ("learning_rate", float("nan"), "learning_rate must be nonnegative, got nan"),
+        ("learning_rate", float("nan"),
+         "learning_rate must be nonnegative and finite, got nan"),
         ("hidden", [], r"hidden must be a non-empty list of positive integers, got \[\]"),
         ("hidden", [0], r"hidden must be a non-empty list of positive integers, got \[0\]"),
         ("per_trajectory", True,
@@ -191,6 +192,20 @@ class TestConfig:
                          "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {system} parameter '{key}' must be ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("matrix", [
+        [["-1", "0.5"], ["0", "-2"]],
+        [[True, False], [False, True]],
+    ], ids=["strings", "bools"])
+    def test_generic_matrix_of_non_numbers_rejected(self, tmp_path, capsys, matrix):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(
+            {"system": "linear-generic", "params": {"matrix": matrix, "d": 1}}))
+        assert cli.main(["oracle-check", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: linear-generic parameter 'matrix' must hold numbers\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["domain_lower", "domain_upper"])
@@ -422,7 +437,7 @@ class TestMain:
 
     @pytest.mark.parametrize("stage, name, members", [
         ("build-dataset", cli.TRAJECTORY_FILE,
-         dict(d=np.int64(1), delta=np.float64(0.02), lengths=np.array([1]))),
+         dict(delta=np.float64(0.02))),
         ("train", cli.DATASET_FILE,
          dict(d=np.int64(1), n_mem=np.int64(3), targets=np.zeros((1, 1)))),
     ])
@@ -432,8 +447,9 @@ class TestMain:
         base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
         out = tmp_path / "run"
         out.mkdir()
-        bulk = "samples" if name == cli.TRAJECTORY_FILE else "inputs"
-        write_archive(out / name, **members, **{bulk: declared_npy((10**9, 10))})
+        bulk, shape = {cli.TRAJECTORY_FILE: ("trajectories", (10**9, 10, 1)),
+                       cli.DATASET_FILE: ("inputs", (10**9, 10))}[name]
+        write_archive(out / name, **members, **{bulk: declared_npy(shape)})
         assert cli.main([stage, *base]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / name}: member '{bulk}' declares shape")
@@ -493,6 +509,30 @@ class TestMain:
             "n_mem + 1 = 7 seed states of a rollout (n_mem=6)\n")
         assert trained == []
         assert not (tmp_path / "run" / cli.SWEEP_FILE).exists()
+
+    def test_divergent_training_fails_without_checkpoint(self, tmp_path, capsys):
+        # J = 64 = batch_size: one Adam step, then the epoch's loss overflows
+        cfg = micro_config(tmp_path, n_traj=64, n_mem=4, batch_size=64, epochs=1,
+                           learning_rate=1e300)
+        base = ["--config", str(write_config(cfg, tmp_path))]
+        for stage in ("generate", "build-dataset"):
+            assert cli.main([stage, *base]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", *base]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: non-finite loss after epoch 0 (step 1); reduce the learning "
+            "rate\n")
+        for name in (cli.MODEL_FILE, cli.TRAIN_LOG_FILE):
+            assert not (tmp_path / "run" / name).exists()
+
+    def test_infinite_learning_rate_rejected_at_load(self, tmp_path, capsys):
+        doc = {**asdict(micro_config(tmp_path)), "learning_rate": float("inf")}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))  # written as Infinity
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: learning_rate must be nonnegative and finite, got inf\n")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 14.9 GiB for an array",

@@ -1,5 +1,6 @@
 """Tests for trajectory generation and memory-window dataset construction."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,12 @@ from memflow import data
 from memflow import dynamics as dyn
 
 
-def toy_trajectories(rows_per_traj, d=1, delta=0.02):
-    """Trajectory set with entries 1, 2, 3, ... (per component) for easy reading."""
-    base = np.concatenate([np.arange(1, k + 1, dtype=float) for k in rows_per_traj])
+def toy_trajectories(n_traj, length, d=1, delta=0.02):
+    """``n_traj`` trajectories with entries 1, 2, 3, ... (per component) for
+    easy reading."""
+    base = np.arange(1, length + 1, dtype=float)
     return data.TrajectorySet(
-        d=d, delta=delta, samples=np.tile(base[:, None], (1, d)), lengths=rows_per_traj
+        delta=delta, trajectories=np.tile(base[:, None], (n_traj, 1, d))
     )
 
 
@@ -78,10 +80,10 @@ def reference_build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     )
 
 
-def random_trajectories(lengths, d, seed):
+def random_trajectories(n_traj, length, d, seed):
     rng = np.random.default_rng(seed)
     return data.TrajectorySet(
-        d=d, delta=0.02, samples=rng.normal(size=(sum(lengths), d)), lengths=lengths
+        delta=0.02, trajectories=rng.normal(size=(n_traj, length, d))
     )
 
 
@@ -94,7 +96,7 @@ class TestGenerateTrajectories:
             n_traj=4, traj_len=n_mem + 2, seed=0,
         )
         assert trajs.n_traj == 4
-        assert trajs.lengths.tolist() == [32, 32, 32, 32]
+        assert trajs.trajectories.shape == (4, 32, 1)
         assert trajs.d == 1
 
     def test_time_span(self):
@@ -105,9 +107,8 @@ class TestGenerateTrajectories:
         )
         # K samples cover (K-1)*delta = 1.98, i.e. sample k sits at t = k*0.02,
         # so 100 samples span a time lapse of 2 per trajectory
-        assert trajs.lengths.tolist() == [100, 100]
+        assert trajs.trajectories.shape == (2, 100, 3)
         assert trajs.delta * 100 == pytest.approx(2.0)
-        assert all(t.shape[1] == 3 for t in trajs.trajectories)
 
     def test_constant_system(self):
         spec = dyn.SystemSpec(
@@ -136,30 +137,28 @@ class TestGenerateTrajectories:
             spec, dyn.SolverConfig(0.05, 2), dyn.default_domain(spec), 6, 9, seed=3
         )
         assert spec.n > spec.d
-        assert trajs.samples.shape == (6 * 9, spec.d)
-        assert trajs.samples.dtype == np.float64 and trajs.samples.flags.c_contiguous
-        # the views keep alive one owned array of exactly the observed bytes
-        owner = trajs.samples if trajs.samples.base is None else trajs.samples.base
-        assert all(traj.base is owner for traj in trajs.trajectories)
+        owner = trajs.trajectories
+        assert owner.shape == (6, 9, spec.d)
+        assert owner.dtype == np.float64 and owner.flags.c_contiguous
+        # one owned array of exactly the observed bytes; iterating it gives
+        # views into it
         assert owner.base is None and owner.nbytes == 6 * 9 * spec.d * 8
-        np.testing.assert_array_equal(
-            trajs.samples, np.concatenate(trajs.trajectories)
-        )
+        assert all(traj.base is owner for traj in owner)
 
 
 class TestBuildDataset:
     def test_deterministic_window_count(self):
-        trajs = toy_trajectories([50, 50, 50])
+        trajs = toy_trajectories(3, 50)
         ds = data.build_dataset(trajs, 10)
         assert ds.size == 3 * (50 - 10 - 1)
 
     def test_minimal_trajectory_single_window(self):
-        trajs = toy_trajectories([12])
+        trajs = toy_trajectories(1, 12)
         ds = data.build_dataset(trajs, 10)
         assert ds.size == 1
 
     def test_enumerated_windows_newest_first(self):
-        trajs = toy_trajectories([7])
+        trajs = toy_trajectories(1, 7)
         ds = data.build_dataset(trajs, 2)
         np.testing.assert_array_equal(
             ds.inputs,
@@ -167,16 +166,11 @@ class TestBuildDataset:
         )
         np.testing.assert_array_equal(ds.targets, [[4], [5], [6], [7]])
 
-    def test_short_trajectories_skipped_deterministic(self):
-        trajs = toy_trajectories([12, 5, 20])
-        ds = data.build_dataset(trajs, 10)
-        assert ds.size == 1 + 0 + 9
-
     def test_random_selection_counts_and_coherence(self):
         # offset the second trajectory so windows are attributable
-        values = np.concatenate([np.arange(1.0, 51.0), np.arange(1001.0, 1051.0)])
+        values = np.stack([np.arange(1.0, 51.0), np.arange(1001.0, 1051.0)])
         trajs = data.TrajectorySet(
-            d=2, delta=0.02, samples=np.tile(values[:, None], (1, 2)), lengths=[50, 50]
+            delta=0.02, trajectories=np.repeat(values[:, :, None], 2, axis=2)
         )
         ds = data.build_dataset(trajs, 4, per_trajectory=7, seed=13)
         assert ds.size == 14
@@ -194,26 +188,36 @@ class TestBuildDataset:
         assert len(seen[0]) == 7 and len(seen[1]) == 7
 
     def test_random_selection_reproducible(self):
-        trajs = toy_trajectories([30, 30])
+        trajs = toy_trajectories(2, 30)
         a = data.build_dataset(trajs, 3, per_trajectory=5, seed=4)
         b = data.build_dataset(trajs, 3, per_trajectory=5, seed=4)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_random_selection_overdraw_rejected(self):
-        trajs = toy_trajectories([12])
+        trajs = toy_trajectories(1, 12)
         with pytest.raises(ValueError, match="1 start positions"):
             data.build_dataset(trajs, 10, per_trajectory=2, seed=0)
 
     def test_overdraw_names_the_first_short_trajectory(self):
-        trajs = toy_trajectories([30, 12, 5, 11])
+        trajs = toy_trajectories(4, 12)
         with pytest.raises(ValueError, match=(
-                r"trajectory 1: requested 2 windows but only 1 start "
-                r"positions exist \(length 12, n_mem 10\)")):
+                r"^requested 2 windows per trajectory but only 1 start "
+                r"positions exist \(length 12, n_mem 10\)$")):
             data.build_dataset(trajs, 10, per_trajectory=2, seed=0)
 
+    @pytest.mark.parametrize("length, n_mem, avail", [(5, 4, 0), (3, 5, 0)])
+    @pytest.mark.parametrize("per_trajectory", [None, 1])
+    def test_no_window_is_one_error_from_both_branches(self, length, n_mem, avail,
+                                                        per_trajectory):
+        trajs = toy_trajectories(3, length)
+        with pytest.raises(ValueError, match=(
+                rf"^requested 1 windows per trajectory but only {avail} start "
+                rf"positions exist \(length {length}, n_mem {n_mem}\)$")):
+            data.build_dataset(trajs, n_mem, per_trajectory=per_trajectory)
+
     def test_adjacent_pairs_when_no_memory(self):
-        trajs = toy_trajectories([9])
+        trajs = toy_trajectories(1, 9)
         ds = data.build_dataset(trajs, 0)
         assert ds.size == 8
         np.testing.assert_array_equal(ds.inputs.ravel(), np.arange(1.0, 9.0))
@@ -240,19 +244,19 @@ class TestBuildDataset:
         assert flat  # trajectories nonempty
 
     # strategy: build_dataset's selection keywords; {} takes every start
+    # lengths: every trajectory's, one value repeated n_traj times
     @pytest.mark.parametrize("lengths, n_mem, strategy", [
-        ([12, 5, 20, 9, 3], 0, {}),
-        ([12, 5, 20, 9, 3], 4, {}),
-        ([3, 2, 4], 5, {}),  # no window
-        ([12, 8, 20, 9], 4, dict(per_trajectory=3, seed=5)),
-        ([30, 7], 2, dict(per_trajectory=4, seed=0)),
-        # ragged: one long trajectory among short ones, one with exactly
-        # per_trajectory starts
-        ([9, 300, 7, 12, 40, 7], 2, dict(per_trajectory=4, seed=9)),
-        ([9, 300, 7, 12, 40, 7], 3, {}),
+        ([12] * 5, 0, {}),
+        ([12] * 5, 4, {}),
+        ([7] * 3, 5, {}),  # traj_len "auto": one window each
+        ([12] * 4, 4, dict(per_trajectory=3, seed=5)),
+        ([30] * 2, 2, dict(per_trajectory=4, seed=0)),
+        ([7] * 6, 2, dict(per_trajectory=4, seed=9)),  # exactly 4 starts each
+        ([300] * 6, 3, {}),
     ])
     def test_matches_per_window_loop_bitwise(self, lengths, n_mem, strategy):
-        trajs = random_trajectories(lengths, d=3, seed=sum(lengths) + n_mem)
+        trajs = random_trajectories(len(lengths), lengths[0], d=3,
+                                    seed=sum(lengths) + n_mem)
         ds = data.build_dataset(trajs, n_mem, **strategy)
         want_in, want_tgt = reference_build_dataset(trajs, n_mem, **strategy)
         for got, want in ((ds.inputs, want_in), (ds.targets, want_tgt)):
@@ -262,24 +266,23 @@ class TestBuildDataset:
     def test_random_starts_uniform(self):
         # start s of a trajectory with `avail` starts is picked with
         # probability j0 / avail, and each j0-subset with 1 / C(avail, j0)
-        lengths, n_mem, j0, seeds = [8, 6], 1, 3, 4000
-        avail = [k - n_mem - 1 for k in lengths]
-        trajs = toy_trajectories(lengths)
-        hits = [np.zeros(a) for a in avail]
+        n_traj, length, n_mem, j0, seeds = 2, 8, 1, 3, 4000
+        avail = length - n_mem - 1
+        trajs = toy_trajectories(n_traj, length)
+        hits = np.zeros((n_traj, avail))
         subsets = {}
         for seed in range(seeds):
             ds = data.build_dataset(trajs, n_mem, per_trajectory=j0, seed=seed)
             starts = ds.inputs[:, -1].astype(int) - 1  # oldest entry, 1-based
-            for i, picks in enumerate(starts.reshape(len(lengths), j0)):
+            for i, picks in enumerate(starts.reshape(n_traj, j0)):
                 assert np.all(np.diff(picks) > 0)
                 hits[i][picks] += 1
             key = tuple(starts[:j0])
             subsets[key] = subsets.get(key, 0) + 1
         # 5 binomial standard deviations: a false alarm about once in 10^6
-        for a, count in zip(avail, hits):
-            p = j0 / a
-            bound = 5 * np.sqrt(p * (1 - p) / seeds)
-            assert np.max(np.abs(count / seeds - p)) < bound, (a, count)
+        p = j0 / avail
+        bound = 5 * np.sqrt(p * (1 - p) / seeds)
+        assert np.max(np.abs(hits / seeds - p)) < bound, hits
         p = 1 / 20  # C(6, 3) subsets of the first trajectory's starts
         assert len(subsets) == 20
         bound = 5 * np.sqrt(p * (1 - p) / seeds)
@@ -291,29 +294,15 @@ class TestBuildDataset:
     ])
     def test_every_start_drawn_gives_the_deterministic_dataset(
             self, lengths, n_mem, j0):
-        trajs = random_trajectories(lengths, d=2, seed=1)
+        trajs = random_trajectories(len(lengths), lengths[0], d=2, seed=1)
         det = data.build_dataset(trajs, n_mem)
         for seed in range(5):
             ran = data.build_dataset(trajs, n_mem, per_trajectory=j0, seed=seed)
             assert ran.inputs.tobytes() == det.inputs.tobytes()
             assert ran.targets.tobytes() == det.targets.tobytes()
 
-    def test_ragged_random_selection_not_padded(self):
-        # one trajectory of 20 000 samples among 200 of 8: padding every
-        # trajectory to the longest would allocate about 32 MB
-        lengths = [8] * 100 + [20_000] + [8] * 100
-        trajs = random_trajectories(lengths, d=1, seed=2)
-        tracemalloc.start()
-        try:
-            ds = data.build_dataset(trajs, 4, per_trajectory=3, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ds.size == 3 * len(lengths)
-        assert peak < 1_000_000, peak
-
     def test_strategy_validation(self):
-        trajs = toy_trajectories([12])
+        trajs = toy_trajectories(1, 12)
         for j0 in (0, -3):
             with pytest.raises(ValueError, match=(
                     f"per_trajectory must be >= 1 or None, got {j0}")):
@@ -406,27 +395,19 @@ class TestSerialization:
         trajs = data.generate_trajectories(
             spec, dyn.SolverConfig(0.02, 5), dyn.default_domain(spec), 3, 8, seed=0
         )
-        path = tmp_path / "trajs.npz"
-        data.save_trajectories(trajs, path)
-        back = data.load_trajectories(path)
-        assert back.d == trajs.d and back.delta == trajs.delta
-        assert back.n_traj == trajs.n_traj
-        for a, b in zip(back.trajectories, trajs.trajectories):
-            np.testing.assert_array_equal(a, b)
-
-    def test_ragged_trajectory_round_trip(self, tmp_path):
-        trajs = random_trajectories([5, 1, 9], d=2, seed=4)
         path = tmp_path / "exact-name"
         data.save_trajectories(trajs, path)
         assert [p.name for p in tmp_path.iterdir()] == ["exact-name"]
         back = data.load_trajectories(path)
-        assert back.lengths.tolist() == [5, 1, 9]
-        assert back.samples.tobytes() == trajs.samples.tobytes()
+        assert back.d == trajs.d and back.delta == trajs.delta
+        assert back.n_traj == trajs.n_traj
+        assert back.trajectories.shape == (3, 8, 3)
+        assert back.trajectories.tobytes() == trajs.trajectories.tobytes()
 
     def test_load_holds_the_samples_once(self, tmp_path):
         # 400 trajectories of 100 samples, d=10: 3.2 MB, as in the example4
         # benchmark; the set adopts the loaded array instead of copying it
-        trajs = random_trajectories([100] * 400, d=10, seed=1)
+        trajs = random_trajectories(400, 100, d=10, seed=1)
         path = tmp_path / "trajs.npz"
         data.save_trajectories(trajs, path)
         tracemalloc.start()
@@ -435,28 +416,36 @@ class TestSerialization:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert back.samples.nbytes == 3_200_000
-        assert peak < 1.5 * back.samples.nbytes
-        assert back.samples.tobytes() == trajs.samples.tobytes()
+        assert back.trajectories.shape == (400, 100, 10)
+        assert back.trajectories.nbytes == 3_200_000
+        assert peak < 1.5 * back.trajectories.nbytes
+        assert back.trajectories.tobytes() == trajs.trajectories.tobytes()
 
-    def test_truncated_trajectory_file_rejected(self, tmp_path, write_archive):
-        path = write_archive(
-            tmp_path / "bad.npz", d=np.int64(1), delta=np.float64(0.02),
-            lengths=np.array([3]), samples=np.array([[1.0], [2.0]]),
-        )
-        with pytest.raises(ValueError, match=r"bad\.npz: lengths .*sum to the 2 rows"):
-            data.load_trajectories(path)
+    def test_truncated_trajectory_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.npz"
         good = tmp_path / "good.npz"
-        data.save_trajectories(toy_trajectories([3]), good)
+        data.save_trajectories(toy_trajectories(1, 3), good)
         path.write_bytes(good.read_bytes()[:-40])
         with pytest.raises(ValueError, match=r"bad\.npz: not a readable npz archive"):
             data.load_trajectories(path)
 
+    def test_flat_layout_with_lengths_rejected(self, tmp_path, write_archive):
+        # the earlier layout: the trajectories one after another in samples
+        path = write_archive(
+            tmp_path / "old.npz", d=np.int64(1), delta=np.float64(0.02),
+            lengths=np.array([2, 1]), samples=np.array([[1.0], [2.0], [3.0]]),
+        )
+        with pytest.raises(ValueError) as err:
+            data.load_trajectories(path)
+        assert str(err.value) == (
+            f"{path}: members ['d.npy', 'delta.npy', 'lengths.npy', "
+            "'samples.npy'], expected ['delta.npy', 'trajectories.npy']"
+        )
+
 
 VALID_MEMBERS = {
     "trajectories": dict(
-        d=np.int64(1), delta=np.float64(0.02), lengths=np.array([2, 1]),
-        samples=np.array([[1.0], [2.0], [3.0]]),
+        delta=np.float64(0.02), trajectories=np.array([[[1.0], [2.0]], [[3.0], [4.0]]]),
     ),
     "dataset": dict(
         d=np.int64(1), n_mem=np.int64(1), inputs=np.ones((2, 2)),
@@ -464,7 +453,17 @@ VALID_MEMBERS = {
     ),
 }
 LOADERS = {"trajectories": data.load_trajectories, "dataset": data.load_dataset}
-BULK = {"trajectories": "samples", "dataset": "inputs"}
+BULK = {"trajectories": "trajectories", "dataset": "inputs"}
+# the trajectory file's scalar is 'delta' and its bulk member has 3 dims, so
+# a declared shape gets a trailing 1 and these cases read differently there
+SCALAR = {"trajectories": "delta", "dataset": "d"}
+TRAJECTORY_MATCH = {
+    "dtype": "float32 with 3 dims, expected float64",
+    "ndim": "'delta' is float64 with 1 dims, expected float64 with 0",
+    "pickled": "is object with 3 dims",
+    "oversized": r"declares shape \(1000000000, 10, 1\)",
+    "negative_shape": r"declares shape \(-1, -2, 1\)",
+}
 
 
 class TestMalformedArtifacts:
@@ -490,6 +489,9 @@ class TestMalformedArtifacts:
     def test_rejected(self, tmp_path, write_archive, declared_npy, kind, case, match):
         members = dict(VALID_MEMBERS[kind])
         bulk = BULK[kind]
+        extra_dims = members[bulk].ndim - 2
+        if kind == "trajectories":
+            match = TRAJECTORY_MATCH.get(case, match)
         path = tmp_path / "bad.npz"
         if case == "not_npz":
             path.write_text("d=1 n_mem=0 J=1\n1.0 ; 2.0\n")
@@ -503,43 +505,37 @@ class TestMalformedArtifacts:
             elif case == "dtype":
                 members[bulk] = members[bulk].astype(np.float32)
             elif case == "ndim":
-                members["d"] = np.array([1])
+                members[SCALAR[kind]] = members[SCALAR[kind]].reshape(1)
             elif case == "pickled":
                 members[bulk] = members[bulk].astype(object)
             elif case == "oversized":
-                members[bulk] = declared_npy((10**9, 10))  # 74.5 GiB
+                members[bulk] = declared_npy((10**9, 10) + (1,) * extra_dims)  # 74.5 GiB
             elif case == "negative_shape":
-                members[bulk] = declared_npy((-1, -2))  # 80 bytes, as held
+                # 80 bytes, as held
+                members[bulk] = declared_npy((-1, -2) + (1,) * extra_dims)
             write_archive(path, **members)
         with pytest.raises(ValueError, match=match) as err:
             LOADERS[kind](path)
         assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize("lengths", [[3, -1], [4, 0], [1, 1]])
-    def test_bad_lengths_rejected(self, tmp_path, write_archive, lengths):
-        members = dict(VALID_MEMBERS["trajectories"], lengths=np.array(lengths))
-        path = write_archive(tmp_path / "bad.npz", **members)
-        with pytest.raises(ValueError, match="bad.npz: lengths") as err:
-            data.load_trajectories(path)
-        assert "must be >= 0 and sum to the 3 rows" in str(err.value)
-
     def test_empty_trajectory_rejected(self, tmp_path, write_archive):
-        members = dict(VALID_MEMBERS["trajectories"], lengths=np.array([3, 0]))
+        members = dict(VALID_MEMBERS["trajectories"], trajectories=np.empty((2, 0, 1)))
         path = write_archive(tmp_path / "bad.npz", **members)
-        with pytest.raises(ValueError, match="bad.npz: trajectory 1 is empty"):
+        with pytest.raises(ValueError, match=(
+                r"bad\.npz: trajectories have shape \(2, 0, 1\), expected "
+                r"\(n_traj, K, d\) with K >= 1 and d >= 1")):
             data.load_trajectories(path)
 
 
 class TestInvariants:
     def test_count_identity_deterministic(self):
-        lengths = [50, 40, 12, 33]
-        trajs = toy_trajectories(lengths)
+        trajs = toy_trajectories(4, 40)
         for n_mem in (0, 3, 10):
             ds = data.build_dataset(trajs, n_mem)
-            assert ds.size == sum(max(k - n_mem - 1, 0) for k in lengths)
+            assert ds.size == 4 * (40 - n_mem - 1)
 
     def test_count_identity_random(self):
-        trajs = toy_trajectories([50, 40, 33])
+        trajs = toy_trajectories(3, 40)
         ds = data.build_dataset(trajs, 5, per_trajectory=4, seed=2)
         assert ds.size == 4 * 3
 
@@ -554,24 +550,29 @@ class TestInvariants:
             )
 
     def test_trajectory_set_adopts_float64_samples(self):
-        samples = np.arange(12.0).reshape(6, 2).copy()
-        trajs = data.TrajectorySet(d=2, delta=0.1, samples=samples, lengths=[4, 2])
-        assert trajs.samples is samples
-        assert [t.shape for t in trajs.trajectories] == [(4, 2), (2, 2)]
+        samples = np.arange(12.0).reshape(2, 3, 2).copy()
+        trajs = data.TrajectorySet(delta=0.1, trajectories=samples)
+        assert trajs.trajectories is samples
+        assert (trajs.n_traj, trajs.d) == (2, 2)
+        assert [t.shape for t in trajs.trajectories] == [(3, 2), (3, 2)]
         assert all(t.base is samples for t in trajs.trajectories)
-        np.testing.assert_array_equal(trajs.trajectories[1], samples[4:])
-        with pytest.raises(ValueError, match=r"shape \(6, 2\), expected \(K, 3\)"):
-            data.TrajectorySet(d=3, delta=0.1, samples=samples, lengths=[6])
+        np.testing.assert_array_equal(trajs.trajectories[1], samples[1])
+
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 0, 1), (2, 3, 0)],
+                             ids=["2-D", "K=0", "d=0"])
+    def test_trajectory_set_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match=(
+                rf"^trajectories have shape {re.escape(str(shape))}, expected "
+                r"\(n_traj, K, d\) with K >= 1 and d >= 1$")):
+            data.TrajectorySet(delta=0.1, trajectories=np.ones(shape))
 
     @pytest.mark.parametrize("delta", [0.0, np.inf, np.nan])
     def test_trajectory_set_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
-            data.TrajectorySet(d=1, delta=delta, samples=np.ones((2, 1)),
-                               lengths=[2])
+            data.TrajectorySet(delta=delta, trajectories=np.ones((1, 2, 1)))
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="trajectory 1 contains non-finite"):
             data.TrajectorySet(
-                d=1, delta=0.02, samples=np.array([[1.0], [2.0], [np.nan]]),
-                lengths=[1, 2],
+                delta=0.02, trajectories=np.array([[[1.0], [2.0]], [[3.0], [np.nan]]]),
             )

@@ -82,6 +82,16 @@ class TestEvalRhs:
                            f"finite, got {shown}$"):
             dyn.make_system(name, **{key: value})
 
+    @pytest.mark.parametrize("matrix", [
+        [["-1", "0.5"], ["0", "-2"]],
+        [[True, False], [False, True]],
+        [[-1.0, True], [0.0, -2.0]],
+    ], ids=["strings", "bools", "one-bool"])
+    def test_generic_matrix_of_non_numbers_rejected(self, matrix):
+        with pytest.raises(ValueError, match=(
+                "^linear-generic parameter 'matrix' must hold numbers$")):
+            dyn.make_system("linear-generic", matrix=matrix, d=1)
+
 
 class TestSystemSpec:
     def test_observed_dimension_bounds(self):

@@ -211,6 +211,20 @@ class TestTrainModel:
             train.train_model(init, ds, cfg)
         assert info.value.step >= 1
 
+    def test_non_finite_epoch_loss_raises_with_the_epoch(self):
+        # one step per epoch, whose update leaves the weights near 1e300:
+        # the batch loss before it is finite, the epoch loss after it is not,
+        # and no overflow warning escapes (warnings are errors under pytest)
+        rng = np.random.default_rng(6)
+        ds = make_dataset(rng, 64, d=1, n_mem=4)
+        init = net.init_params(1, 4, [8, 8, 8], seed=6)
+        cfg = train.TrainConfig(learning_rate=1e300, batch_size=64, epochs=1, seed=6)
+        with pytest.raises(train.TrainingDiverged, match=(
+                r"^non-finite loss after epoch 0 \(step 1\); reduce the "
+                r"learning rate$")) as info:
+            train.train_model(init, ds, cfg)
+        assert info.value.step == 1
+
     def test_batch_larger_than_dataset_rejected(self):
         rng = np.random.default_rng(7)
         ds = make_dataset(rng, 10, d=1, n_mem=0)
@@ -228,8 +242,10 @@ class TestTrainModel:
             train.train_model(init, ds, train.TrainConfig(epochs=1, batch_size=1))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            train.TrainConfig(learning_rate=-1.0)
+        for lr in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=(
+                    f"^learning_rate must be nonnegative and finite, got {lr}$")):
+                train.TrainConfig(learning_rate=lr)
         with pytest.raises(ValueError, match="epochs"):
             train.TrainConfig(epochs=0)
 
