@@ -324,6 +324,9 @@ def cmd_build_dataset(cfg):
     if trajs.delta != cfg.delta:
         raise ValueError(f"{path}: delta={trajs.delta} does not match config "
                          f"delta={cfg.delta}")
+    if trajs.d != cfg.spec().d:
+        raise ValueError(f"{path}: d={trajs.d} does not match config "
+                         f"d={cfg.spec().d}")
     ds = data_mod.build_dataset(trajs, cfg.n_mem, cfg.per_trajectory,
                                 seed=stage_seed(cfg.seed, "select"))
     path = out / DATASET_FILE

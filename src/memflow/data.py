@@ -83,8 +83,8 @@ class TrajectorySet:
 class MemoryWindowDataset:
     """Input/target pairs for the memory network.
 
-    ``inputs`` has shape ``(J, d*(n_mem+1))`` with newest-first d-blocks;
-    ``targets`` has shape ``(J, d)``.
+    ``inputs`` has shape ``(J, d*(n_mem+1))`` with newest-first d-blocks
+    and J >= 1; ``targets`` has shape ``(J, d)``.
     """
 
     d: int
@@ -100,9 +100,9 @@ class MemoryWindowDataset:
         if self.d < 1 or self.n_mem < 0:
             raise ValueError("require d >= 1 and n_mem >= 0")
         width = self.d * (self.n_mem + 1)
-        if inputs.ndim != 2 or inputs.shape[1] != width:
+        if inputs.ndim != 2 or inputs.shape[1] != width or inputs.shape[0] < 1:
             raise ValueError(
-                f"inputs have shape {inputs.shape}, expected (J, {width})"
+                f"inputs have shape {inputs.shape}, expected (J, {width}) with J >= 1"
             )
         if targets.ndim != 2 or targets.shape != (inputs.shape[0], self.d):
             raise ValueError(

@@ -496,7 +496,7 @@ def integrate_batch(spec, config, x0s, num_samples):
     """Integrate many trajectories in lock-step, returning states at times
     0, delta, ..., num_samples * delta.
 
-    ``x0s`` has shape ``(m, n)``; the result has shape
+    ``x0s`` has shape ``(m, n)`` with m >= 1; the result has shape
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
     All trajectories share the coarse time grid.  A linear system takes
     one product with the sample matrix per coarse sample.  A nonlinear one
@@ -509,8 +509,10 @@ def integrate_batch(spec, config, x0s, num_samples):
     non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
-    if x0s.ndim != 2 or x0s.shape[1] != spec.n:
-        raise ValueError(f"x0s must have shape (m, {spec.n}), got {x0s.shape}")
+    if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:
+        raise ValueError(
+            f"x0s must have shape (m, {spec.n}) with m >= 1, got {x0s.shape}"
+        )
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if spec.a_matrix is None:

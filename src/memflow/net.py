@@ -12,11 +12,11 @@ output layer.  The network therefore learns only the increment between
 consecutive states; zeroing its final layer makes the model an exact
 "persistence" predictor.
 
-All parameters live in one contiguous float64 vector ``flat``: layer by
-layer, the weight matrix in row-major order followed by the bias.
-``weights[l]`` and ``biases[l]`` are views into it, and
-:meth:`NetworkParams.split` lays any vector of the same length (a
-gradient, an optimizer moment) out the same way.
+A network is built from its parameters as one contiguous float64
+vector ``flat``: layer by layer, the weight matrix in row-major order
+followed by the bias.  ``weights[l]`` and ``biases[l]`` are views derived
+from it, and :meth:`NetworkParams.split` lays any vector of the same
+length (a gradient, an optimizer moment) out the same way.
 
 Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
@@ -47,49 +47,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkParams:
-    """Weights and biases of the residual memory network.
+    """The residual memory network, as its parameter vector ``flat``.
 
-    ``weights[l]`` has shape ``(width_out, width_in)`` and ``biases[l]``
-    shape ``(width_out,)``; the layer chain runs
-    ``D -> hidden[0] -> ... -> hidden[-1] -> d``.  The given arrays are
-    copied into ``flat``, of which ``weights`` and ``biases`` are views.
+    ``flat`` holds every parameter along the layer chain
+    ``D -> hidden[0] -> ... -> hidden[-1] -> d``: for each layer, the
+    weight matrix ``(width_out, width_in)`` in row-major order, then the
+    bias ``(width_out,)``.  The given vector is copied, and
+    ``weights[l]`` and ``biases[l]`` are views into the copy, laid out by
+    :meth:`split`.  Two networks compare equal only if they are the same
+    object.
     """
 
     d: int
     n_mem: int
     hidden: tuple
-    weights: list
-    biases: list
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(repr=False)
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        widths = _widths(self.d, self.n_mem, self.hidden)
-        if len(self.weights) != len(widths) - 1 or len(self.biases) != len(widths) - 1:
-            raise ValueError(
-                f"expected {len(widths) - 1} weight/bias pairs, got "
-                f"{len(self.weights)}/{len(self.biases)}"
-            )
-        pieces = []
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.shape != (widths[l + 1], widths[l]):
-                raise ValueError(
-                    f"layer {l} weight shape {w.shape}, expected "
-                    f"({widths[l + 1]}, {widths[l]})"
-                )
-            if b.shape != (widths[l + 1],):
-                raise ValueError(
-                    f"layer {l} bias shape {b.shape}, expected ({widths[l + 1]},)"
-                )
+        object.__setattr__(self, "flat", np.array(self.flat, dtype=float))
+        weights, biases = self.split(self.flat)
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} contains non-finite parameters")
-            pieces += [w.ravel(), b]
-        object.__setattr__(self, "flat", np.concatenate(pieces))
-        weights, biases = self.split(self.flat)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
 
@@ -99,8 +83,23 @@ class NetworkParams:
 
     def split(self, vec):
         """Per-layer ``(weights, biases)`` views into ``vec``, a vector laid
-        out like ``flat``."""
-        return _split(vec, _widths(self.d, self.n_mem, self.hidden))
+        out like ``flat``; ``vec`` must hold exactly that many parameters."""
+        widths = _widths(self.d, self.n_mem, self.hidden)
+        size = sum(w_out * (w_in + 1) for w_in, w_out in zip(widths[:-1], widths[1:]))
+        if vec.shape != (size,):
+            raise ValueError(
+                f"vector shape {vec.shape} does not fit layer widths {widths}, "
+                f"expected ({size},)"
+            )
+        weights = []
+        biases = []
+        pos = 0
+        for w_in, w_out in zip(widths[:-1], widths[1:]):
+            weights.append(vec[pos : pos + w_out * w_in].reshape(w_out, w_in))
+            pos += w_out * w_in
+            biases.append(vec[pos : pos + w_out])
+            pos += w_out
+        return weights, biases
 
 
 def _widths(d, n_mem, hidden):
@@ -112,37 +111,16 @@ def _widths(d, n_mem, hidden):
     return [d * (n_mem + 1), *hidden, d]
 
 
-def _split(vec, widths):
-    """Per-layer weight and bias views into ``vec`` for the layer chain
-    ``widths``; ``vec`` must hold exactly that many parameters."""
-    size = sum(w_out * (w_in + 1) for w_in, w_out in zip(widths[:-1], widths[1:]))
-    if vec.shape != (size,):
-        raise ValueError(
-            f"vector shape {vec.shape} does not fit layer widths {widths}, "
-            f"expected ({size},)"
-        )
-    weights = []
-    biases = []
-    pos = 0
-    for w_in, w_out in zip(widths[:-1], widths[1:]):
-        weights.append(vec[pos : pos + w_out * w_in].reshape(w_out, w_in))
-        pos += w_out * w_in
-        biases.append(vec[pos : pos + w_out])
-        pos += w_out
-    return weights, biases
-
-
 def init_params(d, n_mem, hidden, seed):
     """Fresh parameters: zero-mean weights scaled by 1/sqrt(fan_in), zero biases."""
     hidden = tuple(int(w) for w in hidden)
     widths = _widths(d, n_mem, hidden)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    pieces = []
     for w_in, w_out in zip(widths[:-1], widths[1:]):
-        weights.append(rng.normal(0.0, 1.0 / np.sqrt(w_in), size=(w_out, w_in)))
-        biases.append(np.zeros(w_out))
-    return NetworkParams(d=d, n_mem=n_mem, hidden=hidden, weights=weights, biases=biases)
+        pieces.append(rng.normal(0.0, 1.0 / np.sqrt(w_in), size=w_out * w_in))
+        pieces.append(np.zeros(w_out))
+    return NetworkParams(d, n_mem, hidden, np.concatenate(pieces))
 
 
 def _check_width(params, z):
@@ -231,8 +209,6 @@ def load_params(path):
     """Inverse of :func:`save_params`; a ``flat`` whose length does not
     match ``(d, n_mem, hidden)`` and malformed files are rejected."""
     members = _npz.load(path, _CHECKPOINT_SCHEMA)
-    d, n_mem = int(members["d"]), int(members["n_mem"])
-    hidden = tuple(members["hidden"].tolist())
     with _npz.naming(path):
-        weights, biases = _split(members["flat"], _widths(d, n_mem, hidden))
-        return NetworkParams(d, n_mem, hidden, weights, biases)
+        return NetworkParams(int(members["d"]), int(members["n_mem"]),
+                             members["hidden"].tolist(), members["flat"])

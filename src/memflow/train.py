@@ -10,17 +10,11 @@ seed, so runs are bitwise reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from memflow.net import (
-    NetworkParams,
-    backward_batch,
-    forward_batch,
-    load_params,
-    save_params,
-)
+from memflow.net import backward_batch, forward_batch, load_params, save_params
 
 __all__ = [
     "TrainConfig",
@@ -109,14 +103,12 @@ def train_model(init, ds, cfg):
     """
     _check_shapes(init, ds)
     j_total = ds.size
-    if j_total < 1:
-        raise ValueError("dataset is empty")
     if cfg.batch_size > j_total:
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds dataset size {j_total}"
         )
     rng = np.random.default_rng(cfg.seed)
-    work = NetworkParams(init.d, init.n_mem, init.hidden, init.weights, init.biases)
+    work = replace(init)  # a copy: init.flat is left as it is
     theta = work.flat  # updated in place, so work's weight views follow it
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -174,7 +166,7 @@ def train_model(init, ds, cfg):
                     step=step,
                 )
     # a fresh, validated copy: non-finite parameters are rejected here
-    trained = NetworkParams(work.d, work.n_mem, work.hidden, work.weights, work.biases)
+    trained = replace(work)
     report = TrainReport(
         loss_per_epoch=losses,
         final_loss=float(losses[-1]),

@@ -494,6 +494,20 @@ class TestMain:
         )
         assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
+    def test_build_dataset_rejects_trajectories_of_another_d(self, tmp_path,
+                                                             capsys):
+        both = write_config(
+            micro_config(tmp_path, params={"alpha": 2.0, "observe": 2}), tmp_path)
+        one = write_config(micro_config(tmp_path), tmp_path, "one.json")
+        assert cli.main(["generate", "--config", str(both)]) == 0
+        capsys.readouterr()
+        assert cli.main(["build-dataset", "--config", str(one)]) == 1
+        path = tmp_path / "run" / cli.TRAJECTORY_FILE
+        assert capsys.readouterr().err == (
+            f"error: {path}: d=2 does not match config d=1\n"
+        )
+        assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
+
     def test_sweep_rejects_a_cell_before_training(self, tmp_path, capsys,
                                                   monkeypatch):
         # n_mem 2 fits the 5-step horizon; n_mem 6 needs 7 seed states

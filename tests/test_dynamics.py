@@ -277,10 +277,18 @@ class TestIntegrate:
         # a batch of one row still names its trajectory
         assert info.value.trajectory_index == 0
         assert f"trajectory 0 at sample {info.value.sample_index}" in str(info.value)
-        with pytest.raises(ValueError, match=r"x0s must have shape \(m, 1\), got \(2,\)"):
+        with pytest.raises(ValueError, match=(
+                r"x0s must have shape \(m, 1\) with m >= 1, got \(2,\)")):
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [5.0, 1.0], 10)
         with pytest.raises(ValueError, match="num_samples must be >= 1, got 0"):
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 0)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])  # matrix, field
+    def test_empty_batch_rejected(self, name):
+        spec = dyn.make_system(name)
+        with pytest.raises(ValueError, match=(
+                r"^x0s must have shape \(m, 2\) with m >= 1, got \(0, 2\)$")):
+            dyn.integrate_batch(spec, dyn.SolverConfig(0.1, 1), np.zeros((0, 2)), 3)
 
     def test_batch_matches_single(self):
         spec = dyn.make_system("example3", epsilon=0.05)

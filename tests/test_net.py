@@ -1,5 +1,7 @@
 """Tests for the residual memory network and its analytic gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,10 @@ from memflow import net
 
 
 def zero_final_layer(params):
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    weights[-1][:] = 0.0
-    biases[-1][:] = 0.0
-    return net.NetworkParams(
-        d=params.d, n_mem=params.n_mem, hidden=params.hidden,
-        weights=weights, biases=biases,
-    )
+    params = replace(params)
+    params.weights[-1][:] = 0.0
+    params.biases[-1][:] = 0.0
+    return params
 
 
 def fd_gradient(params, z, grad_out, step=1e-5):
@@ -22,9 +20,7 @@ def fd_gradient(params, z, grad_out, step=1e-5):
     parameter, as one vector laid out like ``params.flat``."""
 
     def objective(flat):
-        p = net.NetworkParams(params.d, params.n_mem, params.hidden,
-                              *params.split(flat))
-        return float(net.forward_batch(p, z) @ grad_out)
+        return float(net.forward_batch(replace(params, flat=flat), z) @ grad_out)
 
     grad = np.zeros_like(params.flat)
     for i in range(grad.size):
@@ -83,9 +79,7 @@ class TestForward:
         w1, w2, b = 0.3, -0.7, 0.2
         w_out, b_out = 1.5, -0.1
         params = net.NetworkParams(
-            d=1, n_mem=1, hidden=(1,),
-            weights=[np.array([[w1, w2]]), np.array([[w_out]])],
-            biases=[np.array([b]), np.array([b_out])],
+            d=1, n_mem=1, hidden=(1,), flat=np.array([w1, w2, b, w_out, b_out])
         )
         z_now, z_prev = 0.8, -0.4
         want = z_now + w_out * np.tanh(w1 * z_now + w2 * z_prev + b) + b_out
@@ -228,15 +222,42 @@ class TestFlatLayout:
         assert params.biases[-1][-1] == params.flat.size - 1
 
     def test_built_from_lists_does_not_alias(self):
-        weights = [np.ones((4, 3)), np.ones((1, 4))]
-        biases = [np.zeros(4), np.zeros(1)]
-        params = net.NetworkParams(1, 2, (4,), weights, biases)
-        for a in weights + biases:
-            assert not np.shares_memory(a, params.flat)
+        # (4*3 + 4) + (1*4 + 1) = 21 parameters
+        params = net.NetworkParams(1, 2, (4,), [1] * 21)
+        assert params.flat.dtype == np.float64
+        np.testing.assert_array_equal(params.flat, np.ones(21))
+        flat = np.ones(21)
+        params = net.NetworkParams(1, 2, (4,), flat)
+        assert not np.shares_memory(flat, params.flat)
         params.flat[:] = 7.0
-        weights[0][0, 0] = 5.0
-        assert np.all(weights[1] == 1.0) and np.all(biases[0] == 0.0)
+        flat[0] = 5.0
+        assert np.all(flat[1:] == 1.0)
         assert np.all(params.flat == 7.0)
+
+    def test_wrong_length_flat_names_the_widths(self):
+        with pytest.raises(ValueError, match=(
+                r"^vector shape \(20,\) does not fit layer widths \[3, 4, 1\], "
+                r"expected \(21,\)$")):
+            net.NetworkParams(1, 2, (4,), np.zeros(20))
+        with pytest.raises(ValueError, match=r"vector shape \(3, 7\) does not fit"):
+            net.NetworkParams(1, 2, (4,), np.zeros((3, 7)))
+
+    def test_replace_copies_flat(self):
+        params = net.init_params(2, 3, [5, 4], seed=3)
+        copy = replace(params)
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        assert (copy.d, copy.n_mem, copy.hidden) == (params.d, params.n_mem, params.hidden)
+        for a in [copy.flat, *copy.weights, *copy.biases]:
+            assert not np.shares_memory(a, params.flat)
+        copy.weights[0][:] = 0.0
+        assert np.all(params.weights[0] != 0.0)
+
+    def test_equality_is_identity(self):
+        a = net.init_params(1, 2, [4], seed=0)
+        b = net.init_params(1, 2, [4], seed=1)
+        assert a.flat.tobytes() != b.flat.tobytes()
+        assert a != b and not a == b
+        assert a == a
 
     def test_split_views_any_vector_like_flat(self):
         params = net.init_params(1, 2, [6, 3], seed=4)
@@ -253,10 +274,14 @@ class TestFlatLayout:
 
     def test_non_finite_parameters_rejected(self):
         params = net.init_params(1, 2, [6], seed=4)
-        weights = [w.copy() for w in params.weights]
-        weights[1][0, 2] = np.nan
-        with pytest.raises(ValueError, match="layer 1 contains non-finite"):
-            net.NetworkParams(1, 2, (6,), weights, params.biases)
+        nan_weight = params.flat.copy()
+        params.split(nan_weight)[0][1][0, 2] = np.nan  # weights[1]
+        inf_bias = params.flat.copy()
+        params.split(inf_bias)[1][0][-1] = np.inf  # biases[0]
+        for layer, flat in [(1, nan_weight), (0, inf_bias)]:
+            with pytest.raises(ValueError, match=(
+                    f"^layer {layer} contains non-finite parameters$")):
+                net.NetworkParams(1, 2, (6,), flat)
 
 
 class TestCountParams:
@@ -314,6 +339,12 @@ class TestCheckpoint:
             net.load_params(path)
         want = "model.npz: vector shape (21,) does not fit layer widths [3, 5, 1]"
         assert want in str(err.value)
+
+    def test_load_then_save_writes_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        net.save_params(net.init_params(3, 7, [11, 13], seed=77), first)
+        net.save_params(net.load_params(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "model.npz"

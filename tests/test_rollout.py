@@ -1,5 +1,7 @@
 """Tests for iterative prediction, its errors, and the Euler reference scheme."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,10 @@ from memflow import dynamics as dyn
 
 
 def zero_final_layer(params):
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    weights[-1][:] = 0.0
-    biases[-1][:] = 0.0
-    return net.NetworkParams(
-        d=params.d, n_mem=params.n_mem, hidden=params.hidden,
-        weights=weights, biases=biases,
-    )
+    params = replace(params)
+    params.weights[-1][:] = 0.0
+    params.biases[-1][:] = 0.0
+    return params
 
 
 class TestRollout:
@@ -59,10 +57,8 @@ class TestRollout:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_recorded(self):
-        params = net.init_params(1, 0, [2], seed=6)
-        biases = [b.copy() for b in params.biases]
-        biases[-1][:] = 1e308  # first step lands near the float ceiling
-        model = net.NetworkParams(1, 0, params.hidden, params.weights, biases)
+        model = net.init_params(1, 0, [2], seed=6)
+        model.biases[-1][:] = 1e308  # first step lands near the float ceiling
         res = rollout.rollout(model, np.array([[[1.0]]]), 10)
         (step,) = res.diverged_at
         assert step is not None and res.states.shape == (1, 11, 1)
@@ -91,10 +87,9 @@ class TestBatchedRollout:
     def test_diverged_run_stops_alone(self):
         # increment 1e308 * tanh(z): z = 0 is a fixed point, z = 1 grows to
         # 7.6e307, then 1.76e308, then overflows at index 3
+        # flat: weight and bias of the hidden unit, then of the output
         model = net.NetworkParams(
-            d=1, n_mem=0, hidden=(1,),
-            weights=[np.array([[1.0]]), np.array([[1e308]])],
-            biases=[np.zeros(1), np.zeros(1)],
+            d=1, n_mem=0, hidden=(1,), flat=[1.0, 0.0, 1e308, 0.0]
         )
         seeds = np.array([[[0.0]], [[1.0]], [[0.0]]])
         res = rollout.rollout(model, seeds, 6)
@@ -372,9 +367,7 @@ class TestEvaluateAndSweep:
     # for z < -0.02, so those runs hold still; it overflows at the first
     # prediction (step 1 with n_mem = 0) for z > 0.02
     SIGN_SPLIT = net.NetworkParams(
-        d=1, n_mem=0, hidden=(1,),
-        weights=[np.array([[1000.0]]), np.array([[1e308]])],
-        biases=[np.zeros(1), np.array([1e308])],
+        d=1, n_mem=0, hidden=(1,), flat=[1000.0, 0.0, 1e308, 1e308]
     )
     STILL = dyn.SystemSpec(
         name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)

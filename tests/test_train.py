@@ -1,5 +1,7 @@
 """Tests for the loss and the Adam training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,29 +20,25 @@ def make_dataset(rng, j, d=1, n_mem=0, scale=1.0):
 def exact_fit_params(row_input, row_target, d, n_mem, hidden, seed=0):
     """Solve the final affine layer so one row is reproduced exactly."""
     params = net.init_params(d, n_mem, hidden, seed=seed)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    weights[-1][:] = 0.0
+    params.weights[-1][:] = 0.0
     # with a zero final weight matrix the output is z_now + b_out
-    biases[-1] = np.asarray(row_target) - np.asarray(row_input)[:d]
-    return net.NetworkParams(d, n_mem, params.hidden, weights, biases)
+    params.biases[-1][:] = np.asarray(row_target) - np.asarray(row_input)[:d]
+    return params
 
 
 def reference_adam(init, ds, cfg):
     """Minibatch Adam with moments kept per layer, as separate weight and
-    bias arrays; ``train_model`` must match it bitwise."""
+    bias arrays, and each layer updated through its own views;
+    ``train_model`` must match it bitwise."""
     rng = np.random.default_rng(cfg.seed)
-    weights = [w.copy() for w in init.weights]
-    biases = [b.copy() for b in init.biases]
+    params = replace(init)
+    weights, biases = params.weights, params.biases
     m_w = [np.zeros_like(w) for w in weights]
     v_w = [np.zeros_like(w) for w in weights]
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
     b1, b2, eps = train.ADAM_BETA1, train.ADAM_BETA2, train.ADAM_EPS
     lr = cfg.learning_rate
-
-    def current():
-        return net.NetworkParams(init.d, init.n_mem, init.hidden, weights, biases)
 
     losses = []
     step = 0
@@ -49,7 +47,6 @@ def reference_adam(init, ds, cfg):
         for lo in range(0, ds.size, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = ds.inputs[idx], ds.targets[idx]
-            params = current()
             resid = net.forward_batch(params, xb) - yb
             grad, _ = net.backward_batch(params, xb, (2.0 / xb.shape[0]) * resid)
             grads_w, grads_b = params.split(grad)
@@ -64,8 +61,8 @@ def reference_adam(init, ds, cfg):
                 v_b[l] = b2 * v_b[l] + (1 - b2) * gb**2
                 weights[l] -= lr * (m_w[l] / corr1) / (np.sqrt(v_w[l] / corr2) + eps)
                 biases[l] -= lr * (m_b[l] / corr1) / (np.sqrt(v_b[l] / corr2) + eps)
-        losses.append(train.mse_loss(current(), ds))
-    return current(), np.array(losses)
+        losses.append(train.mse_loss(params, ds))
+    return params, np.array(losses)
 
 
 class TestMseLoss:
@@ -234,12 +231,11 @@ class TestTrainModel:
             train.train_model(init, ds, cfg)
 
     def test_empty_dataset_rejected(self):
-        ds = data.MemoryWindowDataset(
-            d=1, n_mem=0, inputs=np.empty((0, 1)), targets=np.empty((0, 1))
-        )
-        init = net.init_params(1, 0, [2], seed=0)
-        with pytest.raises(ValueError, match="empty|batch_size"):
-            train.train_model(init, ds, train.TrainConfig(epochs=1, batch_size=1))
+        with pytest.raises(ValueError, match=(
+                r"^inputs have shape \(0, 1\), expected \(J, 1\) with J >= 1$")):
+            data.MemoryWindowDataset(
+                d=1, n_mem=0, inputs=np.empty((0, 1)), targets=np.empty((0, 1))
+            )
 
     def test_config_validation(self):
         for lr in (-1.0, float("inf"), float("nan")):
