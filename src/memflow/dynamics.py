@@ -6,8 +6,9 @@ on this module.  It provides:
 
 * ``SystemSpec`` -- a vector field on R^n with the first ``d`` components
   designated as the observed variables.  A system is described once: by
-  its matrix ``a_matrix`` (linear) or by its component ``field``
-  (nonlinear), and ``rhs`` on state arrays is worked out from that one.
+  its matrix ``a_matrix`` (linear) or by its ``field``, one expression
+  per component over ``x0 ... x{n-1}`` and named ``params`` (nonlinear),
+  and ``rhs`` on state arrays is worked out from that one.
   Built-in systems, the homogenized closure ``example3-reduced`` among
   them, are constructed by :func:`make_system`; arbitrary linear block
   systems by :func:`linear_system`.
@@ -21,16 +22,17 @@ on this module.  It provides:
   S = R(hA)^substeps.  That is the same scheme with its sums in another
   order: it agrees with the stage loop to about 1e-12 absolute on states
   of order 1 (2000 samples of example4).  A nonlinear system runs one
-  RK4 stage loop on its field, which takes the state as a sequence of
-  components and a math namespace (``SystemSpec.field``).  That loop is
-  generated for the state's component count ``n`` once per
+  RK4 stage loop generated from its field once per
   :func:`integrate_batch` call, with every component and stage held in a
-  local variable.  A batch of at most ``_FLOAT_ROWS`` (20) rows runs it
-  row by row on Python floats with ``math``, where numpy's per-call
+  local variable and each expression written inline, so a stage calls no
+  Python function.  The expressions are checked against a small allowlist
+  when the spec is built, and nothing else is compiled.  A batch of at
+  most ``_FLOAT_ROWS`` (32) rows runs the loop row by row on Python
+  floats with ``math``'s sin, cos and exp, where numpy's per-call
   overhead would cost more than the arithmetic, and a wider batch runs
-  it on its ``m``-row columns with ``numpy``.  Both apply the same float
-  operations in the same order, so they agree bitwise wherever ``math``
-  and ``numpy`` evaluate their functions alike.
+  it on its ``m``-row columns with ``numpy``'s.  Both apply the same
+  float operations in the same order, so they agree bitwise wherever
+  ``math`` and ``numpy`` evaluate their functions alike.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * exact linear Mori-Zwanzig references: for a linear spec the dynamics of
   the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
@@ -48,11 +50,12 @@ of shape ``(..., n)`` and return the same shape.
 
 from __future__ import annotations
 
+import ast
 import importlib.resources
+import keyword
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -119,19 +122,29 @@ class SystemSpec:
         For linear systems, the full ``n x n`` matrix: dx/dt = a_matrix @ x.
         Stored as a float array of its own, which must be finite.
         Integration and the exact references step with this matrix.
-    field : callable or None
-        For nonlinear systems, the vector field over components:
-        ``field(x, m)`` takes a sequence of the ``n`` state components and
-        a math namespace ``m`` (``math`` when the components are floats,
-        ``numpy`` when they are arrays) and returns the ``n`` derivative
-        components.  Integration runs the RK4 stage loop on it.
+    field : tuple of str or None
+        For nonlinear systems, the vector field as ``n`` Python expressions,
+        component i of dx/dt in the i-th, over the state components
+        ``x0 ... x{n-1}`` and the names in ``params``; the pendulum is
+        ``("x1", "-alpha * x1 - beta * sin(x0)")``.  An expression may use
+        only those names, numbers, unary ``+ -``, binary ``+ - * / **`` and
+        calls of ``sin``, ``cos`` and ``exp`` on one argument; anything else
+        is a ValueError naming the expression.  Stored as ``ast.unparse``
+        writes them; the RK4 loop and ``rhs`` are generated from them
+        (:func:`_generate`).
+    params : mapping of str to float, optional
+        The field's named constants, e.g. ``{"alpha": 0.1, "beta": 8.91}``:
+        finite numbers, stored as floats, under ASCII identifiers that do
+        not start with ``_`` and are not components, ``sin``, ``cos``,
+        ``exp`` or ``range``.  A matrix takes none; stored as a dict.
     """
 
     name: str
     n: int
     d: int
     a_matrix: np.ndarray | None = None
-    field: Callable | None = None
+    field: tuple | None = None
+    params: dict | None = None
 
     def __post_init__(self):
         if not (1 <= self.d <= self.n):
@@ -140,6 +153,7 @@ class SystemSpec:
             )
         if (self.a_matrix is None) == (self.field is None):
             raise ValueError(f"{self.name} needs exactly one of a_matrix and field")
+        params = dict(self.params or {})
         if self.a_matrix is not None:
             a = np.array(self.a_matrix, dtype=float)
             if a.shape != (self.n, self.n):
@@ -147,7 +161,32 @@ class SystemSpec:
                                  f"shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{self.name} matrix must be finite-valued")
+            if params:
+                raise ValueError(f"{self.name}: params name constants of a field; "
+                                 f"a matrix takes none")
             object.__setattr__(self, "a_matrix", a)
+        else:
+            if callable(self.field) or isinstance(self.field, str):
+                raise ValueError(f"{self.name} field must be a sequence of expression "
+                                 f"strings, got {self.field!r}")
+            field = tuple(self.field)
+            if len(field) != self.n:
+                raise ValueError(
+                    f"vector field returns {len(field)} components, expected {self.n}"
+                )
+            components = {f"x{i}" for i in range(self.n)}
+            for key, value in params.items():
+                if (not isinstance(key, str) or not key.isascii()
+                        or not key.isidentifier() or keyword.iskeyword(key)
+                        or key.startswith("_") or key in components
+                        or key in (*_FUNCTIONS, "range")):
+                    raise ValueError(
+                        f"{self.name} parameter name {key!r} is not allowed")
+                params[key] = _pop_number(self.name, {key: value}, key, None)
+            names = components | set(params)
+            object.__setattr__(self, "field", tuple(
+                _checked_expression(self.name, text, names) for text in field))
+        object.__setattr__(self, "params", params)
 
     def rhs(self, state):
         """dx/dt at states of shape ``(..., n)``, as an array of that shape:
@@ -159,13 +198,9 @@ class SystemSpec:
             )
         if self.a_matrix is not None:
             return state @ self.a_matrix.T
-        derivative = self.field([state[..., i] for i in range(self.n)], np)
-        if len(derivative) != self.n:
-            raise ValueError(
-                f"vector field returns {len(derivative)} components, expected {self.n}"
-            )
+        _, field = _generate(self, np)
         out = np.empty_like(state)
-        for i, component in enumerate(derivative):
+        for i, component in enumerate(field(*(state[..., i] for i in range(self.n)))):
             out[..., i] = component
         return out
 
@@ -177,6 +212,46 @@ class SystemSpec:
                 f"state dimension {states.shape[-1]} does not match n={self.n}"
             )
         return states[..., : self.d]
+
+
+_FUNCTIONS = ("sin", "cos", "exp")
+
+
+def _checked_expression(name, text, names):
+    """``text`` as ``ast.unparse`` writes it, once it is known to use only
+    ``names``, numbers, unary ``+ -``, binary ``+ - * / **`` and calls of
+    sin, cos and exp on one argument; anything else is a ValueError
+    naming the expression and the part not allowed."""
+    try:
+        tree = ast.parse(text.strip(), mode="eval").body
+    except (AttributeError, SyntaxError, ValueError):  # not a str, not an expression
+        raise ValueError(f"{name} field expression {text!r} is not "
+                         f"a Python expression") from None
+    bad = _outside_field_language(tree, names)
+    if bad is not None:
+        raise ValueError(f"{name} field expression {text!r} may not use "
+                         f"{ast.unparse(bad)!r}: only components, parameters, "
+                         f"numbers, + - * / ** and sin, cos, exp")
+    return ast.unparse(tree)
+
+
+def _outside_field_language(node, names):
+    """The first part of expression tree ``node`` not allowed in a field."""
+    match node:
+        case ast.Constant(value=value) if type(value) in (int, float):
+            return None
+        case ast.Name(id=name) if name in names:
+            return None
+        case ast.UnaryOp(op=ast.UAdd() | ast.USub(), operand=inner):
+            return _outside_field_language(inner, names)
+        case ast.Call(func=ast.Name(id=function), args=[inner],
+                      keywords=[]) if function in _FUNCTIONS:
+            return _outside_field_language(inner, names)
+        case ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow(),
+                       left=left, right=right):
+            return (_outside_field_language(left, names)
+                    or _outside_field_language(right, names))
+    return node
 
 
 @dataclass(frozen=True)
@@ -215,8 +290,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.delta < np.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        substeps = self.substeps
+        if (isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral)
+                or substeps < 1):
+            raise ValueError(f"substeps must be an integer >= 1, got {substeps}")
+        object.__setattr__(self, "substeps", int(substeps))
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +370,25 @@ def make_system(name, **params):
         alpha = _pop_number(name, params, "alpha", 0.1)
         beta = _pop_number(name, params, "beta", 8.91)
         _reject_params(name, params)
-
-        def field(x, m):
-            x1, x2 = x
-            return (x2, -alpha * x2 - beta * m.sin(x1))
-
-        spec = SystemSpec(name=name, n=2, d=1, field=field)
+        spec = SystemSpec(name=name, n=2, d=1,
+                          field=("x1", "-alpha * x1 - beta * sin(x0)"),
+                          params={"alpha": alpha, "beta": beta})
 
     elif name == "example3":
         epsilon = _pop_number(name, params, "epsilon", 0.01)
         _reject_params(name, params)
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-
-        def field(x, m):
-            x1, x2, x3, y = x
-            return (-x2 - x3, x1 + x2 / 5.0, 0.2 + y - 5.0 * x3,
-                    (x1 * x3 - y) / epsilon)
-
-        spec = SystemSpec(name=name, n=4, d=3, field=field)
+        # x3 is the fast variable y
+        spec = SystemSpec(name=name, n=4, d=3,
+                          field=("-x1 - x2", "x0 + x1 / 5.0", "0.2 + x3 - 5.0 * x2",
+                                 "(x0 * x2 - x3) / epsilon"),
+                          params={"epsilon": epsilon})
 
     elif name == "example3-reduced":
         _reject_params(name, params)
-
-        def field(x, m):
-            x1, x2, x3 = x
-            return (-x2 - x3, x1 + x2 / 5.0, 0.2 + x3 * (x1 - 5.0))
-
-        spec = SystemSpec(name=name, n=3, d=3, field=field)
+        spec = SystemSpec(name=name, n=3, d=3,
+                          field=("-x1 - x2", "x0 + x1 / 5.0", "0.2 + x2 * (x0 - 5.0)"))
 
     elif name == "example4":
         _reject_params(name, params)
@@ -392,69 +461,79 @@ def default_domain(spec):
 
 
 # A batch of at most this many rows integrates its field row by row on
-# Python floats; a wider one runs it on the batch's columns in numpy.  One
-# substep costs about 0.9-1.1 us per row on floats against 19-20 us
-# (example2), 27-30 us (example3-reduced) and 31-34 us (example3) per batch
-# on columns of up to 40 rows.  Through integrate_batch (100 samples x 20
-# substeps) floats are faster up to about 21 rows on example2, 29 on
-# example3-reduced and 29 on example3: at 12 rows of example3, 26 ms
-# against 65 ms (measurements in CHANGES.md).  20 lies below every one.
-_FLOAT_ROWS = 20
+# Python floats; a wider one runs it on the batch's columns in numpy.
+# Through integrate_batch (50 samples x 20 substeps, best of 15, the two
+# paths interleaved) floats take 0.75-0.77 of the column time at 32 rows,
+# 0.82-0.99 at 40 and 1.08-1.13 at 48, on example2, example3-reduced and
+# example3 alike (measurements in CHANGES.md).  32 lies below every
+# crossover.
+_FLOAT_ROWS = 32
 
 
-def _rk4_sample_step_for(n):
-    """The RK4 stage loop for states of ``n`` components, written out with
-    each component and stage as a local variable.
+def _generate(spec, m):
+    """``(step, field)`` for the nonlinear ``spec``, compiled from its
+    expressions with ``m``'s (``math`` or ``numpy``) sin, cos and exp.
 
-    Returns ``step(field, m, state, delta, substeps)``, which advances
-    ``state``, a sequence of ``n`` components, by one coarse step of
-    ``delta`` and returns the new components as a tuple.  A component is a
-    float (one state) or an array holding it for a whole batch; ``m`` is
-    the math namespace ``field`` uses on them, and ``field`` receives a
-    tuple of components.  Component i of the stages is
-    ``s_i + half * a_i``, ``s_i + half * b_i`` and ``s_i + h * c_i``, and
-    the new state ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``,
-    the classical RK4 sums in a fixed order.
+    ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.
+    ``step(state, delta, substeps)`` advances ``state``, a sequence of ``n``
+    components, by one coarse step of ``delta`` and returns the new
+    components as a tuple.  A component is a float (one state) or an array
+    holding it for a whole batch.  The stage loop is written out with each
+    component and stage as a local variable and each expression inline, and
+    the functions and parameters are bound as locals by default arguments,
+    so a stage calls no Python function.  Component i of the stages is
+    evaluated at ``s_i + half * a_i``, ``s_i + half * b_i`` and
+    ``s_i + h * c_i``, and the new state is
+    ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``, the classical RK4
+    sums in a fixed order.
     """
-    # The source is built from the indices in range(n) alone, never from a
-    # string a caller passes, so exec only ever runs this template.
-    def each(template):
-        return "".join(template.format(i=i) + ", " for i in range(n))
+    # Only expressions that passed _checked_expression, and parameter names
+    # that are plain identifiers, are written into the source.
+    def each(template, sep="\n        "):
+        return sep.join(template.format(i=i, e=e) for i, e in enumerate(spec.field))
 
-    s, a, b, c, e = (each(p + "{i}") for p in "sabce")
+    bound = ", ".join(f"{k}={k}" for k in (*_FUNCTIONS, *spec.params))
+    update = "_s{i} = _s{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})"
     source = (
-        "def step(field, m, state, delta, substeps):\n"
-        "    h = delta / substeps\n"
-        "    half, sixth = 0.5 * h, h / 6.0\n"
-        f"    {s}= state\n"
-        "    for _ in range(substeps):\n"
-        f"        {a}= field(({s}), m)\n"
-        f"        {b}= field(({each('s{i} + half * a{i}')}), m)\n"
-        f"        {c}= field(({each('s{i} + half * b{i}')}), m)\n"
-        f"        {e}= field(({each('s{i} + h * c{i}')}), m)\n"
-        f"        {s}= "
-        f"{each('s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})')}\n"
-        f"    return ({s})\n"
+        f"def _field({each('x{i}', ', ')}, {bound}):\n"
+        f"    return ({each('{e}', ', ')},)\n"
+        f"def _step(_state, _delta, _substeps, {bound}):\n"
+        "    _h = _delta / _substeps\n"
+        "    _half, _sixth = 0.5 * _h, _h / 6.0\n"
+        f"    {each('_s{i}', ', ')}, = _state\n"
+        "    for _ in range(_substeps):\n"
+        f"        {each('x{i} = _s{i}')}\n"
+        f"        {each('_a{i} = {e}')}\n"
+        f"        {each('x{i} = _s{i} + _half * _a{i}')}\n"
+        f"        {each('_b{i} = {e}')}\n"
+        f"        {each('x{i} = _s{i} + _half * _b{i}')}\n"
+        f"        {each('_c{i} = {e}')}\n"
+        f"        {each('x{i} = _s{i} + _h * _c{i}')}\n"
+        f"        {each('_e{i} = {e}')}\n"
+        f"        {each(update)}\n"
+        f"    return ({each('_s{i}', ', ')},)\n"
     )
-    namespace = {}
+    namespace = {f: getattr(m, f) for f in _FUNCTIONS} | spec.params
     exec(source, namespace)
-    return namespace["step"]
+    return namespace["_step"], namespace["_field"]
 
 
-def _float_sample_step(step, field, row, delta, substeps):
-    """One coarse sample of one state on Python floats, by ``step`` from
-    :func:`_rk4_sample_step_for`.
+def _float_sample_step(spec, step, row, delta, substeps):
+    """One coarse sample of one state of ``spec`` on Python floats, by
+    ``step``, the stage loop :func:`_generate` makes on ``math``.
 
     ``math`` raises where numpy returns inf or NaN (sin(inf), exp(1000),
-    1/0).  The sample is then redone on numpy columns of one row, as the
-    wide path runs it, so a state that numpy makes non-finite comes back
-    non-finite and any other error is raised as it is there.
+    1/0).  The sample is then redone by the stage loop on ``numpy``, on
+    columns of one row, as the wide path runs it, so a state that numpy
+    makes non-finite comes back non-finite and any other error is raised
+    as it is there.
     """
     try:
-        return step(field, math, row, delta, substeps)
+        return step(row, delta, substeps)
     except (ArithmeticError, ValueError):
+        on_columns, _ = _generate(spec, np)
         columns = [np.array([x]) for x in row]
-        return np.concatenate(step(field, np, columns, delta, substeps)).tolist()
+        return np.concatenate(on_columns(columns, delta, substeps)).tolist()
 
 
 def _samples(spec, config, x0s):
@@ -466,17 +545,18 @@ def _samples(spec, config, x0s):
         while True:
             state = state @ step_t
             yield state
-    step = _rk4_sample_step_for(spec.n)
     if x0s.shape[0] <= _FLOAT_ROWS:
+        step, _ = _generate(spec, math)
         rows = x0s.tolist()
         while True:
-            rows = [_float_sample_step(step, spec.field, row, delta, substeps)
+            rows = [_float_sample_step(spec, step, row, delta, substeps)
                     for row in rows]
             yield rows
     else:
+        step, _ = _generate(spec, np)
         columns = list(x0s.T)
         while True:
-            columns = step(spec.field, np, columns, delta, substeps)
+            columns = step(columns, delta, substeps)
             yield np.stack(columns, axis=-1)
 
 
@@ -500,13 +580,11 @@ def integrate_batch(spec, config, x0s, num_samples):
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
     All trajectories share the coarse time grid.  A linear system takes
     one product with the sample matrix per coarse sample.  A nonlinear one
-    runs the RK4 stage loop generated for its ``n`` components, built once
-    per call, on its field: row by row on floats for at most
-    ``_FLOAT_ROWS`` (20) rows, or on the batch's columns.  A vector field
-    that does not give ``n`` components is rejected before the first
-    step.  A non-finite state aborts the run with an IntegrationError
-    naming the earliest sample and the lowest trajectory that is
-    non-finite there.
+    runs the RK4 stage loop generated from its field expressions, built
+    once per call: row by row on floats for at most ``_FLOAT_ROWS`` (32)
+    rows, or on the batch's columns.  A non-finite state aborts the run
+    with an IntegrationError naming the earliest sample and the lowest
+    trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:
@@ -515,10 +593,6 @@ def integrate_batch(spec, config, x0s, num_samples):
         )
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    if spec.a_matrix is None:
-        # the stage loop would fail on unpacking a field with too few or too
-        # many components, without naming the counts; rhs names them
-        spec.rhs(x0s[:1])
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
     for k, state in zip(range(1, num_samples + 1), _samples(spec, config, x0s)):

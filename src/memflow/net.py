@@ -31,6 +31,7 @@ and ``hidden`` (int64) and ``flat`` (float64); see :func:`save_params`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,8 @@ class NetworkParams:
     biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
+        object.__setattr__(self, "hidden",
+                           tuple(_widths(self.d, self.n_mem, self.hidden)[1:-1]))
         object.__setattr__(self, "flat", np.array(self.flat, dtype=float))
         weights, biases = self.split(self.flat)
         for l, (w, b) in enumerate(zip(weights, biases)):
@@ -103,24 +105,28 @@ class NetworkParams:
 
 
 def _widths(d, n_mem, hidden):
-    """Layer widths ``D, *hidden, d``; impossible shapes are rejected."""
+    """Layer widths ``D, *hidden, d`` as ints; impossible shapes, and a
+    hidden width that is not an integer, are rejected."""
     if d < 1 or n_mem < 0:
         raise ValueError("require d >= 1 and n_mem >= 0")
+    hidden = tuple(hidden)
+    for w in hidden:
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+            raise ValueError(f"hidden width {w!r} is not an integer")
     if not hidden or any(w < 1 for w in hidden):
         raise ValueError("hidden widths must be a non-empty list of counts >= 1")
-    return [d * (n_mem + 1), *hidden, d]
+    return [d * (n_mem + 1), *map(int, hidden), d]
 
 
 def init_params(d, n_mem, hidden, seed):
     """Fresh parameters: zero-mean weights scaled by 1/sqrt(fan_in), zero biases."""
-    hidden = tuple(int(w) for w in hidden)
     widths = _widths(d, n_mem, hidden)
     rng = np.random.default_rng(seed)
     pieces = []
     for w_in, w_out in zip(widths[:-1], widths[1:]):
         pieces.append(rng.normal(0.0, 1.0 / np.sqrt(w_in), size=w_out * w_in))
         pieces.append(np.zeros(w_out))
-    return NetworkParams(d, n_mem, hidden, np.concatenate(pieces))
+    return NetworkParams(d, n_mem, widths[1:-1], np.concatenate(pieces))
 
 
 def _check_width(params, z):

@@ -111,9 +111,7 @@ class TestGenerateTrajectories:
         assert trajs.delta * 100 == pytest.approx(2.0)
 
     def test_constant_system(self):
-        spec = dyn.SystemSpec(
-            name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)
-        )
+        spec = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         trajs = data.generate_trajectories(
             spec, dyn.SolverConfig(0.1, 1), dom, n_traj=3, traj_len=7, seed=2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,14 +97,14 @@ class TestEvalRhs:
 class TestSystemSpec:
     def test_observed_dimension_bounds(self):
         with pytest.raises(ValueError, match="observed dimension"):
-            dyn.SystemSpec(name="x", n=2, d=3, field=lambda x, m: x)
+            dyn.SystemSpec(name="x", n=2, d=3, field=("x0", "x1"))
 
     def test_exactly_one_description_required(self):
         with pytest.raises(ValueError, match="none needs exactly one of a_matrix and field"):
             dyn.SystemSpec(name="none", n=1, d=1)
         with pytest.raises(ValueError, match="both needs exactly one of a_matrix and field"):
             dyn.SystemSpec(name="both", n=1, d=1, a_matrix=np.eye(1),
-                           field=lambda x, m: x)
+                           field=("x0",))
 
     def test_rhs_follows_a_replaced_matrix(self):
         spec = dataclasses.replace(dyn.make_system("example1"), a_matrix=-np.eye(2))
@@ -171,6 +172,111 @@ class TestSystemSpec:
             assert (spec.n, spec.d) == (n, d)
 
 
+class TestFieldExpressions:
+    """A field is ``n`` expressions in a small language, checked when the
+    spec is built; only checked expressions are compiled."""
+
+    LANGUAGE = "only components, parameters, numbers, + - * / ** and sin, cos, exp"
+
+    @pytest.mark.parametrize("text, part", [
+        ("x0.__class__", "x0.__class__"),
+        ("open('memflow.txt')", "open('memflow.txt')"),
+        ("x0 + y", "y"),
+        ("x0[0]", "x0[0]"),
+        ("lambda x0: x0", "lambda x0: x0"),
+        ("x0 < 1.0", "x0 < 1.0"),
+        ("'x0'", "'x0'"),
+        ("sin(x0, x0)", "sin(x0, x0)"),
+        ("exp(x=x0)", "exp(x=x0)"),
+        ("sin + x0", "sin"),
+        ("x0 // 2.0", "x0 // 2.0"),
+        ("True * x0", "True"),
+        ("2j * x0", "2j"),
+    ], ids=["attribute", "other-call", "unknown-name", "subscript", "lambda",
+            "comparison", "string", "two-arguments", "keyword-argument",
+            "bare-function", "floor-division", "bool", "complex"])
+    def test_outside_the_language_rejected(self, text, part):
+        with pytest.raises(ValueError, match=(
+                f"^lang field expression {re.escape(repr(text))} may not use "
+                f"{re.escape(repr(part))}: {re.escape(self.LANGUAGE)}$")):
+            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", text),
+                           params={"alpha": 1.0})
+
+    @pytest.mark.parametrize("text", ["x0 +", "x0 = 1.0", "x0; x1", "", 1.5])
+    def test_not_an_expression_rejected(self, text):
+        with pytest.raises(ValueError, match=(
+                f"^lang field expression {re.escape(repr(text))} is not "
+                f"a Python expression$")):
+            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", text))
+
+    @pytest.mark.parametrize("field", [lambda x, m: (x[1], -x[0]), "x1"],
+                             ids=["callable", "string"])
+    def test_field_that_is_not_a_sequence_of_expressions_rejected(self, field):
+        with pytest.raises(ValueError, match=(
+                "^lang field must be a sequence of expression strings")):
+            dyn.SystemSpec(name="lang", n=2, d=1, field=field)
+
+    @pytest.mark.parametrize("key", ["x0", "sin", "range", "_h", "None", "a b",
+                                     "a=1", "\u03b1", 1])
+    def test_parameter_name_outside_plain_identifiers_rejected(self, key):
+        with pytest.raises(ValueError, match=(
+                f"^lang parameter name {re.escape(repr(key))} is not allowed$")):
+            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", "-x0"),
+                           params={key: 1.0})
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "must be finite, got nan"),
+        (float("inf"), "must be finite, got inf"),
+        ("1.0", "must be a number, got '1.0'"),
+        (True, "must be a number, got True"),
+    ])
+    def test_parameter_value_that_is_not_a_finite_number_rejected(self, value,
+                                                                   message):
+        with pytest.raises(ValueError, match=(
+                f"^lang parameter 'alpha' {re.escape(message)}$")):
+            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", "-alpha * x0"),
+                           params={"alpha": value})
+
+    def test_matrix_takes_no_parameters(self):
+        with pytest.raises(ValueError, match=(
+                "^lin: params name constants of a field; a matrix takes none$")):
+            dyn.SystemSpec(name="lin", n=1, d=1, a_matrix=[[-1.0]],
+                           params={"alpha": 1.0})
+        assert dyn.make_system("example1").params == {}
+
+    def test_stored_as_unparsed_with_float_parameters(self):
+        # a comment, a line break inside parentheses and surrounding blanks
+        # are not part of the expression; numbers become floats
+        spec = dyn.SystemSpec(
+            name="tidy", n=2, d=1,
+            field=("  x1", "(-k *\n x0)  # spring"),
+            params={"k": np.int64(4), "unused": np.float64(0.5)})
+        assert spec.field == ("x1", "-k * x0")
+        assert spec.params == {"k": 4.0, "unused": 0.5}
+        assert all(type(v) is float for v in spec.params.values())
+        np.testing.assert_array_equal(spec.rhs([[1.0, 2.0]]), [[2.0, -4.0]])
+        assert dataclasses.replace(spec, d=2).field == spec.field
+
+    def test_parameters_named_like_the_loop_variables(self):
+        # the generated loop's own names start with "_", so these are free
+        named = dyn.SystemSpec(
+            name="names", n=2, d=1, field=("step * x1", "h - field * x0"),
+            params={"step": 0.5, "field": 2.0, "h": 0.25, "delta": 9.0})
+        plain = dyn.SystemSpec(name="plain", n=2, d=1,
+                               field=("0.5 * x1", "0.25 - 2.0 * x0"))
+        x0s = np.array([[0.3, -0.2]] * (dyn._FLOAT_ROWS + 1))
+        for rows in (x0s[:1], x0s):
+            got = dyn.integrate_batch(named, dyn.SolverConfig(0.1, 3), rows, 5)
+            want = dyn.integrate_batch(plain, dyn.SolverConfig(0.1, 3), rows, 5)
+            assert got.tobytes() == want.tobytes()
+
+    def test_builtins_are_their_expressions(self):
+        spec = dyn.make_system("example2", alpha=0.25, beta=3.0)
+        assert spec.field == ("x1", "-alpha * x1 - beta * sin(x0)")
+        assert spec.params == {"alpha": 0.25, "beta": 3.0}
+        assert dyn.make_system("example3", epsilon=0.05).params == {"epsilon": 0.05}
+
+
 class TestDomain:
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError, match="lower"):
@@ -190,10 +296,8 @@ class TestDomain:
         np.testing.assert_array_equal(dom.upper, [2.0, 2.0, 2.0])
 
 
-def example1_field(x, m):
-    """example1 (alpha = 2) written over components."""
-    x1, x2 = x
-    return (x1 - 4.0 * x2, 4.0 * x1 - 2.0 * x2)
+# example1 (alpha = 2) written as component expressions
+example1_field = ("x0 - 4.0 * x1", "4.0 * x0 - 2.0 * x1")
 
 
 class TestIntegrate:
@@ -202,6 +306,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=(
                 f"delta must be positive and finite, got {delta}")):
             dyn.SolverConfig(delta=delta)
+
+    @pytest.mark.parametrize("substeps", [2.5, np.float64(3.0), True, 0, "3"])
+    def test_substeps_that_is_not_a_positive_integer_rejected(self, substeps):
+        with pytest.raises(ValueError, match=(
+                f"^substeps must be an integer >= 1, got {substeps}$")):
+            dyn.SolverConfig(0.02, substeps)
+
+    def test_integral_substeps_stored_as_int(self):
+        solver = dyn.SolverConfig(0.02, np.int64(3))
+        assert solver.substeps == 3 and type(solver.substeps) is int
 
     def test_one_step_matches_matrix_exponential(self):
         spec = dyn.make_system("example1", alpha=2.0)
@@ -229,9 +343,7 @@ class TestIntegrate:
         assert 16**4 / 2 <= ratio <= 16**4 * 2
 
     def test_zero_vector_field_constant_solution(self):
-        spec = dyn.SystemSpec(
-            name="still", n=2, d=2, field=lambda x, m: (0.0, 0.0)
-        )
+        spec = dyn.SystemSpec(name="still", n=2, d=2, field=("0.0", "0.0"))
         got = dyn.integrate_batch(spec, dyn.SolverConfig(0.5, 3), [[3.0, 7.0]], 6)
         np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (1, 7, 1)))
 
@@ -268,9 +380,7 @@ class TestIntegrate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_sample_index(self):
-        spec = dyn.SystemSpec(
-            name="blowup", n=1, d=1, field=lambda x, m: (x[0] ** 2,)
-        )
+        spec = dyn.SystemSpec(name="blowup", n=1, d=1, field=("x0 ** 2",))
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 10)
         assert info.value.sample_index >= 1
@@ -302,13 +412,25 @@ class TestIntegrate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_batch_divergence_reports_trajectory(self):
-        spec = dyn.SystemSpec(
-            name="blowup", n=1, d=1, field=lambda x, m: (x[0] ** 2,)
-        )
+        spec = dyn.SystemSpec(name="blowup", n=1, d=1, field=("x0 ** 2",))
         x0s = np.array([[0.0], [5.0]])
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s, 10)
         assert info.value.trajectory_index == 1
+
+
+def evaluated(spec):
+    """Reference: ``spec``'s field expressions as a Python callable
+    ``field(x, m)`` over a sequence of components ``x``, evaluated by
+    ``eval`` with the math namespace ``m``'s sin, cos and exp."""
+    codes = [compile(text, "<field>", "eval") for text in spec.field]
+
+    def field(x, m):
+        names = {"sin": m.sin, "cos": m.cos, "exp": m.exp, **spec.params,
+                 **{f"x{i}": component for i, component in enumerate(x)}}
+        return tuple(eval(code, {}, names) for code in codes)
+
+    return field
 
 
 def rk4_sample_step(field, m, state, delta, substeps):
@@ -342,20 +464,21 @@ def stage_loop(spec, cfg, x0s, num_samples):
     return np.stack(states, axis=1)
 
 
-def lorenz96_field(x, m):
-    """Lorenz-96 with five components and forcing 8, plus a sine term so
-    that the math namespace is used: a field no built-in has."""
-    n = len(x)
-    return tuple((x[(i + 1) % n] - x[i - 2]) * x[i - 1] - x[i] + 8.0
-                 + 0.1 * m.sin(x[i]) for i in range(n))
+# Lorenz-96 with five components and forcing 8, plus a sine term so that
+# the math namespace is used: a field no built-in has
+lorenz96_field = tuple(
+    f"(x{(i + 1) % 5} - x{(i - 2) % 5}) * x{(i - 1) % 5} - x{i} + forcing"
+    f" + 0.1 * sin(x{i})" for i in range(5)
+)
 
 
 GENERATED_STEP_FIELDS = {
-    1: lambda x, m: (-x[0] + 0.5 * m.cos(x[0]),),
-    2: dyn.make_system("example2").field,
-    3: dyn.make_system("example3-reduced").field,
-    4: dyn.make_system("example3", epsilon=0.05).field,
-    5: lorenz96_field,
+    1: dyn.SystemSpec(name="cos", n=1, d=1, field=("-x0 + 0.5 * cos(x0)",)),
+    2: dyn.make_system("example2"),
+    3: dyn.make_system("example3-reduced"),
+    4: dyn.make_system("example3", epsilon=0.05),
+    5: dyn.SystemSpec(name="lorenz96", n=5, d=1, field=lorenz96_field,
+                      params={"forcing": 8.0}),
 }
 
 
@@ -455,9 +578,10 @@ class TestExactReducedMap:
 
 
 class TestComponentFields:
-    """A component field integrates row by row on Python floats up to
-    ``_FLOAT_ROWS`` rows and on the batch's numpy columns above; the two
-    paths apply the same float operations in the same order."""
+    """A field of component expressions integrates row by row on Python
+    floats up to ``_FLOAT_ROWS`` rows and on the batch's numpy columns
+    above; the two paths apply the same float operations in the same
+    order."""
 
     CFG = dyn.SolverConfig(0.02, 10)
 
@@ -488,7 +612,7 @@ class TestComponentFields:
         calls = self.float_rows_counted(monkeypatch)
         wide = dyn.integrate_batch(spec, self.CFG, x0s, 200)
         assert not calls
-        for width in (1, 8, 9, 19, 20, 21, 40):
+        for width in (1, 8, 9, 19, 20, 21, cut, cut + 1, 40):
             calls.clear()
             narrow = dyn.integrate_batch(spec, self.CFG, x0s[:width], 200)
             assert len(calls) == (200 * width if width <= cut else 0)
@@ -498,15 +622,19 @@ class TestComponentFields:
 
     @pytest.mark.parametrize("n", sorted(GENERATED_STEP_FIELDS))
     def test_generated_step_equals_stage_loop_bitwise(self, n):
-        """The step written out for n components is the reference stage
-        loop bit for bit, on Python floats with math and on numpy columns."""
-        field = GENERATED_STEP_FIELDS[n]
-        step = dyn._rk4_sample_step_for(n)
+        """The step written out for n components, with the expressions
+        inline, is the reference stage loop on the same expressions bit for
+        bit, on Python floats with math and on numpy columns."""
+        spec = GENERATED_STEP_FIELDS[n]
+        field = evaluated(spec)
         rows = np.random.default_rng(n).uniform(-1.0, 1.0, size=(7, n))
         for m, state in ((math, rows[0].tolist()), (np, list(rows.T))):
+            step, generated_field = dyn._generate(spec, m)
+            assert (np.array(generated_field(*state)).tobytes()
+                    == np.array(field(state, m)).tobytes())
             got, want = state, state
             for _ in range(30):
-                got = step(field, m, got, 0.02, 4)
+                got = step(got, 0.02, 4)
                 want = rk4_sample_step(field, m, want, 0.02, 4)
                 assert isinstance(got, tuple) and len(got) == n
                 assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -519,16 +647,13 @@ class TestComponentFields:
         with pytest.raises(ValueError, match="e1 state has dimension 2, got 3"):
             spec.rhs([1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("field", [lambda x, m: (-x[0],),
-                                       lambda x, m: (x[1], -x[0], x[0])])
-    def test_wrong_number_of_components_rejected(self, field, monkeypatch):
-        spec = dyn.SystemSpec(name="short", n=2, d=1, field=field)
-        calls = self.float_rows_counted(monkeypatch)
-        for rows in (1, dyn._FLOAT_ROWS + 1):
-            with pytest.raises(ValueError, match="vector field returns [13] "
-                               "components, expected 2"):
-                dyn.integrate_batch(spec, self.CFG, np.ones((rows, 2)), 1)
-        assert not calls
+    @pytest.mark.parametrize("field", [("-x0",), ("x1", "-x0", "x0")],
+                             ids=["one-component", "three-components"])
+    def test_wrong_number_of_components_rejected(self, field):
+        # when the spec is built, before anything integrates
+        with pytest.raises(ValueError, match="^vector field returns [13] "
+                           "components, expected 2$"):
+            dyn.SystemSpec(name="short", n=2, d=1, field=field)
 
     def assert_same_failure(self, spec, cfg, x0s, num_samples, want):
         errors = []
@@ -548,8 +673,7 @@ class TestComponentFields:
         # 7e123 at sample 2, and a stage overflows to inf at sample 3; floats
         # overflow silently, as numpy does.  Rows 3 and 5 fail first, row 1
         # later.
-        spec = dyn.SystemSpec(name="square", n=1, d=1,
-                              field=lambda x, m: (x[0] * x[0],))
+        spec = dyn.SystemSpec(name="square", n=1, d=1, field=("x0 * x0",))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
         x0s[[3, 5]] = 5.0
         x0s[1] = 0.5
@@ -560,31 +684,42 @@ class TestComponentFields:
         assert later > 3
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_sin_of_inf_mid_sample_fails_alike_on_both_paths(self):
-        # x1 overflows at the second stage of sample 3, and the third stage
+    def test_sin_of_inf_mid_sample_fails_alike_on_both_paths(self, monkeypatch):
+        # x0 overflows at the second stage of sample 3, and the third stage
         # takes sin(inf): math raises ValueError there, numpy returns NaN
-        reached = []
-
-        def field(x, m):
-            x1, x2 = x
-            if m is math and math.isinf(x1):
-                reached.append(True)
-            return (x1 * x1, m.sin(x1))
-
-        spec = dyn.SystemSpec(name="square-sin", n=2, d=1, field=field)
+        spec = dyn.SystemSpec(name="square-sin", n=2, d=1,
+                              field=("x0 * x0", "sin(x0)"))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 2))
         x0s[4, 0] = 5.0
         with pytest.raises(ValueError, match="math domain error"):
             math.sin(math.inf)
+        # the float path redid the failing sample on numpy columns of one row
+        retried = []
+        generate = dyn._generate
+
+        def spied(spec, m):
+            step, field = generate(spec, m)
+            if m is not np:
+                return step, field
+
+            def counted(columns, delta, substeps):
+                retried.append(len(columns[0]))
+                return step(columns, delta, substeps)
+
+            return counted, field
+
+        monkeypatch.setattr(dyn, "_generate", spied)
         self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 4))
-        assert reached
+        # one sample of one row on the float path, then the three samples of
+        # the wide path on its columns
+        assert retried == [1] + [dyn._FLOAT_ROWS + 1] * 3
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_math_error_with_finite_numpy_result_continues(self):
         # -1/(1/x) at x = 0: 1/0 raises ZeroDivisionError on floats, while
         # numpy gives -1/inf = -0.0; the row goes on as the wide path does
         spec = dyn.SystemSpec(name="reciprocal", n=1, d=1,
-                              field=lambda x, m: (-1.0 / (1.0 / x[0]),))
+                              field=("-1.0 / (1.0 / x0)",))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
         x0s[2] = 1.0
         wide = dyn.integrate_batch(spec, self.CFG, x0s, 20)

@@ -1,5 +1,6 @@
 """Tests for the residual memory network and its analytic gradients."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,21 @@ class TestInitParams:
     def test_empty_hidden_rejected(self):
         with pytest.raises(ValueError, match="hidden"):
             net.init_params(1, 0, [], seed=0)
+
+    @pytest.mark.parametrize("width", [2.7, 3.0, np.float64(2.0), True, "2"])
+    def test_hidden_width_that_is_not_an_integer_rejected(self, width):
+        message = f"^hidden width {re.escape(repr(width))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            net.init_params(1, 0, [4, width], seed=0)
+        with pytest.raises(ValueError, match=message):
+            net.NetworkParams(1, 0, [width], [0.0] * 7)
+
+    def test_integral_hidden_widths_stored_as_ints(self):
+        params = net.init_params(1, 0, np.array([3, 2]), seed=0)
+        assert params.hidden == (3, 2)
+        assert all(type(w) is int for w in params.hidden)
+        params = net.NetworkParams(1, 0, [np.int64(2)], [0.0] * 7)
+        assert params.hidden == (2,) and type(params.hidden[0]) is int
 
 
 class TestForward:

@@ -117,9 +117,7 @@ class TestErrorSeries:
     """The pointwise l2 errors that rollout_against_truth scores runs by."""
 
     # a constant system, observed in full
-    STILL = dyn.SystemSpec(
-        name="still", n=2, d=2, field=lambda x, m: (0.0, 0.0)
-    )
+    STILL = dyn.SystemSpec(name="still", n=2, d=2, field=("0.0", "0.0"))
     SOLVER = dyn.SolverConfig(0.5, 1)
 
     def drifting(self, offset):
@@ -348,9 +346,7 @@ class TestEvaluateAndSweep:
     def test_evaluate_model_zero_for_perfect_seeds(self):
         # a zero-final-layer model predicts a constant, so against a
         # constant system the evaluation error is exactly zero
-        spec = dyn.SystemSpec(
-            name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)
-        )
+        spec = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
         model = zero_final_layer(net.init_params(1, 2, [4], seed=3))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         mean_err, series = rollout.evaluate_model(
@@ -369,9 +365,7 @@ class TestEvaluateAndSweep:
     SIGN_SPLIT = net.NetworkParams(
         d=1, n_mem=0, hidden=(1,), flat=[1000.0, 0.0, 1e308, 1e308]
     )
-    STILL = dyn.SystemSpec(
-        name="still", n=2, d=1, field=lambda x, m: (0.0, 0.0)
-    )
+    STILL = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
 
     def evaluate_sign_split(self, lower, upper):
         dom = dyn.Domain(np.array([lower, -1.0]), np.array([upper, 1.0]))
