@@ -27,12 +27,13 @@ on this module.  It provides:
   local variable and each expression written inline, so a stage calls no
   Python function.  The expressions are checked against a small allowlist
   when the spec is built, and nothing else is compiled.  A batch of at
-  most ``_FLOAT_ROWS`` (32) rows runs the loop row by row on Python
-  floats with ``math``'s sin, cos and exp, where numpy's per-call
-  overhead would cost more than the arithmetic, and a wider batch runs
-  it on its ``m``-row columns with ``numpy``'s.  Both apply the same
-  float operations in the same order, so they agree bitwise wherever
-  ``math`` and ``numpy`` evaluate their functions alike.
+  most ``_FLOAT_ROWS`` (32) rows runs the loop on Python floats with
+  ``math``'s sin, cos and exp, one call per row for all its samples,
+  where numpy's per-call overhead would cost more than the arithmetic, and
+  a wider batch runs it on its ``m``-row columns with ``numpy``'s, one call
+  per sample.  Both apply the same float operations in the same order, so
+  they agree bitwise wherever ``math`` and ``numpy`` evaluate their
+  functions alike.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * exact linear Mori-Zwanzig references: for a linear spec the dynamics of
   the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
@@ -460,104 +461,123 @@ def default_domain(spec):
 # ---------------------------------------------------------------------------
 
 
-# A batch of at most this many rows integrates its field row by row on
-# Python floats; a wider one runs it on the batch's columns in numpy.
-# Through integrate_batch (50 samples x 20 substeps, best of 15, the two
-# paths interleaved) floats take 0.75-0.77 of the column time at 32 rows,
-# 0.82-0.99 at 40 and 1.08-1.13 at 48, on example2, example3-reduced and
-# example3 alike (measurements in CHANGES.md).  32 lies below every
-# crossover.
+# At most this many rows integrate row by row on floats, more on numpy
+# columns: floats take 0.63-0.78 of the column time at 32 rows and cross it
+# at 40-56 on example2, example3-reduced and example3 (CHANGES.md).
 _FLOAT_ROWS = 32
+_CHECK_SAMPLES = 64  # samples of a linear batch per finiteness check
 
 
 def _generate(spec, m):
     """``(step, field)`` for the nonlinear ``spec``, compiled from its
     expressions with ``m``'s (``math`` or ``numpy``) sin, cos and exp.
 
-    ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.
-    ``step(state, delta, substeps)`` advances ``state``, a sequence of ``n``
-    components, by one coarse step of ``delta`` and returns the new
-    components as a tuple.  A component is a float (one state) or an array
-    holding it for a whole batch.  The stage loop is written out with each
-    component and stage as a local variable and each expression inline, and
-    the functions and parameters are bound as locals by default arguments,
-    so a stage calls no Python function.  Component i of the stages is
-    evaluated at ``s_i + half * a_i``, ``s_i + half * b_i`` and
-    ``s_i + h * c_i``, and the new state is
-    ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``, the classical RK4
-    sums in a fixed order.
+    ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.  On
+    numpy, ``step(columns, delta, substeps)`` advances ``n`` columns over a
+    batch by one coarse step of ``delta`` and returns the new columns.  On
+    math, ``step(states, count, delta, substeps)`` runs one row: from the
+    tuple of floats ``states[-1]`` it appends one tuple per coarse step,
+    ``count`` at most, and returns after a state that is not finite.  A
+    complex state (a negative number to a fractional power) raises
+    TypeError before it is appended, as ``math`` raises on sin(inf).
+
+    The stage loop is written out with each component and stage as a local
+    variable and each expression inline.  The functions, the parameters and
+    each part of an expression made of parameters alone (example2's
+    ``-alpha``, computed once per call) are locals too, so a stage calls no
+    Python function.  Component i of the stages is evaluated at
+    ``s_i + half * a_i``, ``s_i + half * b_i`` and ``s_i + h * c_i``, and
+    the new state is ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``,
+    the classical RK4 sums in a fixed order.
     """
+    components, folds = {f"x{i}" for i in range(spec.n)}, {}
+
+    class Fold(ast.NodeTransformer):  # parameters-only parts become _p{j}
+        def visit(self, node):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if isinstance(node, ast.Name) or not names or names & components:
+                return self.generic_visit(node)
+            return ast.Name(folds.setdefault(ast.unparse(node), f"_p{len(folds)}"))
+
     # Only expressions that passed _checked_expression, and parameter names
     # that are plain identifiers, are written into the source.
-    def each(template, sep="\n        "):
-        return sep.join(template.format(i=i, e=e) for i, e in enumerate(spec.field))
+    fields = [ast.unparse(Fold().visit(ast.parse(e, mode="eval"))) for e in spec.field]
 
-    bound = ", ".join(f"{k}={k}" for k in (*_FUNCTIONS, *spec.params))
-    update = "_s{i} = _s{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})"
+    def each(template, sep="\n            "):
+        return sep.join(template.format(i=i, e=e) for i, e in enumerate(fields))
+
+    state = each("_s{i}", ", ") + ","
+    bound = ", ".join(f"{k}={k}" for k in ("_isfinite", *_FUNCTIONS, *spec.params))
+    head = "".join(f"\n    {name} = {text}" for text, name in folds.items())
+    stages = "\n            ".join(map(each, (
+        "x{i} = _s{i}", "_a{i} = {e}", "x{i} = _s{i} + _half * _a{i}", "_b{i} = {e}",
+        "x{i} = _s{i} + _half * _b{i}", "_c{i} = {e}", "x{i} = _s{i} + _h * _c{i}",
+        "_e{i} = {e}", "_s{i} = _s{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})")))
     source = (
-        f"def _field({each('x{i}', ', ')}, {bound}):\n"
+        f"def _field({each('x{i}', ', ')}, {bound}):{head}\n"
         f"    return ({each('{e}', ', ')},)\n"
-        f"def _step(_state, _delta, _substeps, {bound}):\n"
+        f"def _rows(_states, _count, _delta, _substeps, {bound}):{head}\n"
         "    _h = _delta / _substeps\n"
         "    _half, _sixth = 0.5 * _h, _h / 6.0\n"
-        f"    {each('_s{i}', ', ')}, = _state\n"
-        "    for _ in range(_substeps):\n"
-        f"        {each('x{i} = _s{i}')}\n"
-        f"        {each('_a{i} = {e}')}\n"
-        f"        {each('x{i} = _s{i} + _half * _a{i}')}\n"
-        f"        {each('_b{i} = {e}')}\n"
-        f"        {each('x{i} = _s{i} + _half * _b{i}')}\n"
-        f"        {each('_c{i} = {e}')}\n"
-        f"        {each('x{i} = _s{i} + _h * _c{i}')}\n"
-        f"        {each('_e{i} = {e}')}\n"
-        f"        {each(update)}\n"
-        f"    return ({each('_s{i}', ', ')},)\n"
+        f"    {state} = _states[-1]\n"
+        "    for _ in range(_count):\n"
+        "        for _ in range(_substeps):\n"
+        f"            {stages}\n"
+        f"        _finite = {each('_isfinite(_s{i})', ' & ')}\n"
+        f"        _states.append(({state}))\n"
+        "        if not _finite:\n"
+        "            return\n"
+        "def _step(_state, _delta, _substeps):\n"
+        "    _states = [_state]\n"
+        "    _rows(_states, 1, _delta, _substeps)\n"
+        "    return _states[1]\n"
     )
     namespace = {f: getattr(m, f) for f in _FUNCTIONS} | spec.params
+    # a column step runs one sample, which its caller checks
+    namespace["_isfinite"] = math.isfinite if m is math else lambda column: True
     exec(source, namespace)
-    return namespace["_step"], namespace["_field"]
+    return namespace["_rows" if m is math else "_step"], namespace["_field"]
 
 
-def _float_sample_step(spec, step, row, delta, substeps):
-    """One coarse sample of one state of ``spec`` on Python floats, by
-    ``step``, the stage loop :func:`_generate` makes on ``math``.
+def _float_rows(spec, delta, substeps, out):
+    """Fill ``out[i, 1:]`` row after row by :func:`_generate`'s loop on
+    ``math``; return ``(sample, row)`` of the earliest non-finite state,
+    lowest row first, or None.  Where ``math`` raises and numpy gives inf or
+    NaN (sin(inf), exp(1000), 1/0, or a complex power), that sample is redone
+    on numpy columns of one row, as the wide path runs it but without numpy's
+    warnings (a row may run past a later row's failure), and the row goes on
+    on floats.  The numpy loop is compiled on the first redo."""
+    run, redo = _generate(spec, math)[0], None
+    failed, last = None, out.shape[1] - 1
+    for i, row in enumerate(out):
+        states = [tuple(row[0].tolist())]
+        while len(states) <= last:
+            try:
+                run(states, last + 1 - len(states), delta, substeps)
+            except (ArithmeticError, ValueError, TypeError):
+                redo = redo or _generate(spec, np)[0]
+                with np.errstate(all="ignore"):
+                    columns = redo(np.array(states[-1])[:, None], delta, substeps)
+                states.append(tuple(np.concatenate(columns).tolist()))
+            if not all(map(math.isfinite, states[-1])):
+                failed, last = (len(states) - 1, i), len(states) - 2
+                break
+        row[: len(states)] = states
+    return failed
 
-    ``math`` raises where numpy returns inf or NaN (sin(inf), exp(1000),
-    1/0).  The sample is then redone by the stage loop on ``numpy``, on
-    columns of one row, as the wide path runs it, so a state that numpy
-    makes non-finite comes back non-finite and any other error is raised
-    as it is there.
-    """
-    try:
-        return step(row, delta, substeps)
-    except (ArithmeticError, ValueError):
-        on_columns, _ = _generate(spec, np)
-        columns = [np.array([x]) for x in row]
-        return np.concatenate(on_columns(columns, delta, substeps)).tolist()
 
-
-def _samples(spec, config, x0s):
-    """Yield the batch's states ``(m, n)`` at samples 1, 2, ... ."""
-    delta, substeps = config.delta, config.substeps
-    if spec.a_matrix is not None:
-        step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
-        state = x0s
-        while True:
-            state = state @ step_t
-            yield state
-    if x0s.shape[0] <= _FLOAT_ROWS:
-        step, _ = _generate(spec, math)
-        rows = x0s.tolist()
-        while True:
-            rows = [_float_sample_step(spec, step, row, delta, substeps)
-                    for row in rows]
-            yield rows
-    else:
-        step, _ = _generate(spec, np)
-        columns = list(x0s.T)
-        while True:
-            columns = step(columns, delta, substeps)
-            yield np.stack(columns, axis=-1)
+def _lockstep(out, every, sample):
+    """Call ``sample(k)``, which writes ``out[:, k]``, for k = 1, 2, ..., and
+    check once per ``every`` samples; return as :func:`_float_rows` does."""
+    for start in range(1, out.shape[1], every):
+        stop = min(start + every, out.shape[1])
+        for k in range(start, stop):
+            sample(k)
+        finite = np.isfinite(out[:, start:stop]).all(axis=2)
+        if not finite.all():
+            k, row = np.argwhere(~finite.T)[0]
+            return start + int(k), int(row)
+    return None
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -578,13 +598,14 @@ def integrate_batch(spec, config, x0s, num_samples):
 
     ``x0s`` has shape ``(m, n)`` with m >= 1; the result has shape
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
-    All trajectories share the coarse time grid.  A linear system takes
-    one product with the sample matrix per coarse sample.  A nonlinear one
-    runs the RK4 stage loop generated from its field expressions, built
-    once per call: row by row on floats for at most ``_FLOAT_ROWS`` (32)
-    rows, or on the batch's columns.  A non-finite state aborts the run
-    with an IntegrationError naming the earliest sample and the lowest
-    trajectory that is non-finite there.
+    All trajectories share the coarse time grid, and each path writes its
+    samples straight into the result: a linear system one product with the
+    sample matrix per sample, checked once per ``_CHECK_SAMPLES`` (64); a
+    nonlinear one the RK4 stage loop generated from its expressions
+    (:func:`_generate`), one call per row on floats for at most
+    ``_FLOAT_ROWS`` (32) rows, else one per sample on the batch's columns.
+    A non-finite state aborts the run with an IntegrationError naming the
+    earliest sample and the lowest trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:
@@ -595,17 +616,32 @@ def integrate_batch(spec, config, x0s, num_samples):
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
-    for k, state in zip(range(1, num_samples + 1), _samples(spec, config, x0s)):
-        out[:, k] = state
-        finite = np.isfinite(out[:, k]).all(axis=1)
-        if not finite.all():
-            bad = int(np.nonzero(~finite)[0][0])
-            raise IntegrationError(
-                f"non-finite state in trajectory {bad} at sample {k} "
-                f"(t={k * config.delta:g}) while integrating {spec.name}",
-                sample_index=k,
-                trajectory_index=bad,
-            )
+    delta, substeps = config.delta, config.substeps
+    if spec.a_matrix is not None:
+        step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
+        # an overflow or NaN in a product leaves a non-finite state anyway
+        with np.errstate(over="ignore", invalid="ignore"):
+            failed = _lockstep(out, _CHECK_SAMPLES, lambda k: np.matmul(
+                out[:, k - 1], step_t, out=out[:, k]))
+    elif len(out) <= _FLOAT_ROWS:
+        failed = _float_rows(spec, delta, substeps, out)
+    else:
+        step, columns = _generate(spec, np)[0], list(x0s.T)
+
+        def sample(k):  # from the last columns, not strided reads of out
+            nonlocal columns
+            columns = step(columns, delta, substeps)
+            np.stack(columns, axis=-1, out=out[:, k])
+
+        failed = _lockstep(out, 1, sample)
+    if failed is not None:
+        k, bad = failed
+        raise IntegrationError(
+            f"non-finite state in trajectory {bad} at sample {k} "
+            f"(t={k * config.delta:g}) while integrating {spec.name}",
+            sample_index=k,
+            trajectory_index=bad,
+        )
     return out
 
 

@@ -57,8 +57,8 @@ class NetworkParams:
     weight matrix ``(width_out, width_in)`` in row-major order, then the
     bias ``(width_out,)``.  The given vector is copied, and
     ``weights[l]`` and ``biases[l]`` are views into the copy, laid out by
-    :meth:`split`.  Two networks compare equal only if they are the same
-    object.
+    :meth:`split` from the layer slices worked out once at construction.
+    Two networks compare equal only if they are the same object.
     """
 
     d: int
@@ -67,10 +67,17 @@ class NetworkParams:
     flat: np.ndarray = field(repr=False)
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
+    _layout: tuple = field(init=False, repr=False)  # widths, size, layer slices
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden",
-                           tuple(_widths(self.d, self.n_mem, self.hidden)[1:-1]))
+        widths = _widths(self.d, self.n_mem, self.hidden)
+        layers, pos = [], 0
+        for w_in, w_out in zip(widths[:-1], widths[1:]):
+            end = pos + w_out * w_in
+            layers.append((slice(pos, end), (w_out, w_in), slice(end, end + w_out)))
+            pos = end + w_out
+        object.__setattr__(self, "_layout", (widths, pos, layers))
+        object.__setattr__(self, "hidden", tuple(widths[1:-1]))
         object.__setattr__(self, "flat", np.array(self.flat, dtype=float))
         weights, biases = self.split(self.flat)
         for l, (w, b) in enumerate(zip(weights, biases)):
@@ -86,22 +93,14 @@ class NetworkParams:
     def split(self, vec):
         """Per-layer ``(weights, biases)`` views into ``vec``, a vector laid
         out like ``flat``; ``vec`` must hold exactly that many parameters."""
-        widths = _widths(self.d, self.n_mem, self.hidden)
-        size = sum(w_out * (w_in + 1) for w_in, w_out in zip(widths[:-1], widths[1:]))
+        widths, size, layers = self._layout
         if vec.shape != (size,):
             raise ValueError(
                 f"vector shape {vec.shape} does not fit layer widths {widths}, "
                 f"expected ({size},)"
             )
-        weights = []
-        biases = []
-        pos = 0
-        for w_in, w_out in zip(widths[:-1], widths[1:]):
-            weights.append(vec[pos : pos + w_out * w_in].reshape(w_out, w_in))
-            pos += w_out * w_in
-            biases.append(vec[pos : pos + w_out])
-            pos += w_out
-        return weights, biases
+        return ([vec[w].reshape(shape) for w, shape, _ in layers],
+                [vec[b] for _, _, b in layers])
 
 
 def _widths(d, n_mem, hidden):

@@ -258,10 +258,12 @@ class TestFieldExpressions:
         assert dataclasses.replace(spec, d=2).field == spec.field
 
     def test_parameters_named_like_the_loop_variables(self):
-        # the generated loop's own names start with "_", so these are free
+        # the generated loop's own names start with "_", and it calls no
+        # builtin but range, so these are free
         named = dyn.SystemSpec(
             name="names", n=2, d=1, field=("step * x1", "h - field * x0"),
-            params={"step": 0.5, "field": 2.0, "h": 0.25, "delta": 9.0})
+            params={"step": 0.5, "field": 2.0, "h": 0.25, "delta": 9.0,
+                    "len": 1.0, "tuple": 2.0, "isfinite": 3.0, "math": 4.0})
         plain = dyn.SystemSpec(name="plain", n=2, d=1,
                                field=("0.5 * x1", "0.25 - 2.0 * x0"))
         x0s = np.array([[0.3, -0.2]] * (dyn._FLOAT_ROWS + 1))
@@ -531,6 +533,66 @@ class TestLinearSampleMatrix:
         assert (info.value.sample_index, info.value.trajectory_index) == (20, 0)
 
 
+def matrix_failure(spec, cfg, x0s, num_samples):
+    """Reference: ``(sample, row)`` of the first non-finite state of the
+    linear path stepped one product at a time and checked every sample."""
+    step_t = dyn._rk4_sample_matrix(spec.a_matrix, cfg.delta, cfg.substeps).T
+    state = np.asarray(x0s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, num_samples + 1):
+            state = state @ step_t
+            bad = ~np.isfinite(state).all(axis=1)
+            if bad.any():
+                return k, int(np.argmax(bad))
+    return None
+
+
+class TestMatrixBlocks:
+    """The linear path checks its states once per ``_CHECK_SAMPLES`` samples
+    and still names the sample and row that a check after every sample
+    names.  dx/dt = x with h = 1 multiplies by R(1) = 65/24 per sample, so
+    from MAX / R(1)**(k - 0.5) the state first overflows at sample k."""
+
+    SPEC = dyn.linear_system([[1.0]], d=1)
+    CFG = dyn.SolverConfig(1.0, 1)
+
+    @staticmethod
+    def failing_at(k):
+        return np.finfo(float).max / (65.0 / 24.0) ** (k - 0.5)
+
+    @pytest.mark.parametrize("rows, want", [
+        # inside the first block: a later row fails first, a tie after it
+        ([1.0, 30, 20, 20], (20, 2)),
+        # the last sample of a block, and a row failing just after it
+        ([65, 64, 1.0], (64, 1)),
+        # the first sample of the next block, the previous one finite
+        ([1.0, 66, 65], (65, 2)),
+        # the second block's last sample, past the first block
+        ([128, 129], (128, 0)),
+    ], ids=["inside", "block-end", "block-start", "second-block-end"])
+    def test_failure_named_as_a_per_sample_check_names_it(self, rows, want):
+        assert dyn._CHECK_SAMPLES == 64
+        x0s = np.array([[1.0 if k == 1.0 else self.failing_at(k)] for k in rows])
+        assert matrix_failure(self.SPEC, self.CFG, x0s, 200) == want
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(self.SPEC, self.CFG, x0s, 200)
+        k, row = want
+        assert (info.value.sample_index, info.value.trajectory_index) == want
+        assert str(info.value) == (f"non-finite state in trajectory {row} at "
+                                   f"sample {k} (t={k:g}) while integrating "
+                                   f"linear-generic")
+
+    def test_finite_run_past_several_blocks_is_the_product_chain(self):
+        x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2))
+        spec, cfg = dyn.make_system("example1"), dyn.SolverConfig(0.02, 4)
+        got = dyn.integrate_batch(spec, cfg, x0s, 2 * dyn._CHECK_SAMPLES + 5)
+        step_t = dyn._rk4_sample_matrix(spec.a_matrix, 0.02, 4).T
+        want = [x0s]
+        for _ in range(2 * dyn._CHECK_SAMPLES + 5):
+            want.append(want[-1] @ step_t)
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+
+
 class TestExactReducedMap:
     """z_{n+1} = L h_n with L = C S O^+ on RK4-sampled linear trajectories.
 
@@ -592,14 +654,22 @@ class TestComponentFields:
         return x0s
 
     def float_rows_counted(self, monkeypatch):
+        """Count the calls of the float path's row loop, one per row."""
         calls = []
-        step = dyn._float_sample_step
+        generate = dyn._generate
 
-        def counted(*args):
-            calls.append(1)
-            return step(*args)
+        def spied(spec, m):
+            run, field = generate(spec, m)
+            if m is not math:
+                return run, field
 
-        monkeypatch.setattr(dyn, "_float_sample_step", counted)
+            def counted(*args):
+                calls.append(1)
+                return run(*args)
+
+            return counted, field
+
+        monkeypatch.setattr(dyn, "_generate", spied)
         return calls
 
     @pytest.mark.parametrize("name", ["example2", "example3", "example3-reduced"])
@@ -615,7 +685,7 @@ class TestComponentFields:
         for width in (1, 8, 9, 19, 20, 21, cut, cut + 1, 40):
             calls.clear()
             narrow = dyn.integrate_batch(spec, self.CFG, x0s[:width], 200)
-            assert len(calls) == (200 * width if width <= cut else 0)
+            assert len(calls) == (width if width <= cut else 0)
             assert narrow.tobytes() == wide[:width].tobytes()
         one = dyn.integrate_batch(spec, self.CFG, x0s[cut : cut + 1], 200)
         assert one.tobytes() == wide[cut : cut + 1].tobytes()
@@ -625,19 +695,51 @@ class TestComponentFields:
         """The step written out for n components, with the expressions
         inline, is the reference stage loop on the same expressions bit for
         bit, on Python floats with math and on numpy columns."""
-        spec = GENERATED_STEP_FIELDS[n]
+        self.assert_generated_step_equals_stage_loop(GENERATED_STEP_FIELDS[n], n)
+
+    def test_parameter_only_parts_folded_bitwise(self):
+        # -alpha, -beta and -beta * exp(-alpha) read no component: each is a
+        # local computed once per call, and the loop still gives the
+        # reference's bits
+        spec = dyn.SystemSpec(
+            name="folded", n=2, d=1,
+            field=("-alpha * x1 + x0 * -beta",
+                   "-alpha * x1 - beta * sin(x0) + -beta * exp(-alpha) * cos(x0)"),
+            params={"alpha": 0.3, "beta": 2.5})
+        run, _ = dyn._generate(spec, math)
+        for code in (run.__code__, *(dyn._generate(spec, m)[1].__code__
+                                     for m in (math, np))):
+            assert {"_p0", "_p1", "_p2"} <= set(code.co_varnames)
+            assert "_p3" not in code.co_varnames
+        self.assert_generated_step_equals_stage_loop(spec, 11)
+        # on both paths, the bits of the same field with the numbers written in
+        plain = dyn.SystemSpec(
+            name="plain", n=2, d=1,
+            field=("-0.3 * x1 + x0 * -2.5",
+                   "-0.3 * x1 - 2.5 * sin(x0) + -2.5 * exp(-0.3) * cos(x0)"))
+        x0s = np.random.default_rng(2).uniform(-1.0, 1.0, size=(dyn._FLOAT_ROWS + 1, 2))
+        for rows in (x0s[:3], x0s):
+            got = dyn.integrate_batch(spec, self.CFG, rows, 40)
+            want = dyn.integrate_batch(plain, self.CFG, rows, 40)
+            assert got.tobytes() == want.tobytes()
+
+    def assert_generated_step_equals_stage_loop(self, spec, seed):
+        n = spec.n
         field = evaluated(spec)
-        rows = np.random.default_rng(n).uniform(-1.0, 1.0, size=(7, n))
+        rows = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(7, n))
         for m, state in ((math, rows[0].tolist()), (np, list(rows.T))):
             step, generated_field = dyn._generate(spec, m)
             assert (np.array(generated_field(*state)).tobytes()
                     == np.array(field(state, m)).tobytes())
-            got, want = state, state
+            got, want = [tuple(state)], [state]
+            if m is math:  # one call runs the row's 30 samples
+                step(got, 30, 0.02, 4)
             for _ in range(30):
-                got = step(got, 0.02, 4)
-                want = rk4_sample_step(field, m, want, 0.02, 4)
-                assert isinstance(got, tuple) and len(got) == n
-                assert np.array(got).tobytes() == np.array(want).tobytes()
+                if m is np:
+                    got.append(step(got[-1], 0.02, 4))
+                want.append(rk4_sample_step(field, m, want[-1], 0.02, 4))
+            assert all(isinstance(x, tuple) and len(x) == n for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_rhs_made_from_the_field(self):
         spec = dyn.SystemSpec(name="e1", n=2, d=1, field=example1_field)
@@ -713,6 +815,96 @@ class TestComponentFields:
         # one sample of one row on the float path, then the three samples of
         # the wide path on its columns
         assert retried == [1] + [dyn._FLOAT_ROWS + 1] * 3
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_float_rows_report_the_earliest_sample_then_the_lowest_row(self):
+        # dx/dt = x * x with h = 1 fails at sample 3 from 5.0 and at 4 from
+        # 1.0: row 0 runs on past sample 3, row 2 fails there first, and row
+        # 6 fails there too, so the floats, row after row, name row 2 as the
+        # wide path does
+        spec = dyn.SystemSpec(name="square", n=1, d=1, field=("x0 * x0",))
+        cfg = dyn.SolverConfig(1.0, 1)
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, cfg, [[1.0]], 10)
+        assert info.value.sample_index == 4
+        x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
+        x0s[0], x0s[[2, 6]] = 1.0, 5.0
+        self.assert_same_failure(spec, cfg, x0s, 10, (3, 2))
+        # a lower row failing at a later sample does not hide it
+        x0s[2] = 0.0
+        self.assert_same_failure(spec, cfg, x0s, 10, (3, 6))
+        # nor do the rows after a failure at the first sample
+        x0s[4] = 1e200
+        self.assert_same_failure(spec, cfg, x0s, 10, (1, 4))
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_complex_power_fails_alike_on_both_paths(self):
+        # x0 counts down by h = 0.5, and x0 ** 0.5 of a negative stage value
+        # is complex on floats and NaN on numpy: from 1.1 the last stages of
+        # sample 3 take it, from 2.1 those of sample 5.  Row 1 meets it first
+        # on the float path, and its redo names sample 5 before row 4 names
+        # sample 3, the failure every path reports.
+        spec = dyn.SystemSpec(name="root", n=2, d=1, field=("-1.0", "x0 ** 0.5"))
+        cfg = dyn.SolverConfig(0.5, 1)
+        with pytest.raises(TypeError):
+            math.isfinite((-0.15) ** 0.5)
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, cfg, [[1.1, 0.0]], 10)
+        assert (info.value.sample_index, info.value.trajectory_index) == (3, 0)
+        x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [3.0, 0.0])
+        x0s[1, 0], x0s[4, 0] = 2.1, 1.1
+        self.assert_same_failure(spec, cfg, x0s, 10, (3, 4))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_redo_past_a_later_rows_failure_warns_of_nothing(self):
+        # row 0 counts down to 1/0 at sample 4, where numpy's redo would warn
+        # of a divide by zero; row 1 overflows at sample 1, so a check after
+        # every sample never reaches row 0's redo, and no path warns of it
+        # (the warning would fail this test)
+        spec = dyn.SystemSpec(name="edge", n=2, d=1,
+                              field=("-1.0", "-1.0 / (1.0 / x0) + x1 * x1"))
+        x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [2.9, 0.0])
+        x0s[0], x0s[1] = [2.0, 0.0], [2.9, 1e200]
+        self.assert_same_failure(spec, dyn.SolverConfig(0.5, 1), x0s, 10, (1, 1))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_math_error_mid_row_redoes_that_sample_then_floats_go_on(
+            self, monkeypatch):
+        # x0 counts down by h = 0.5 from 2: the last stage of sample 4 and the
+        # first of sample 5 take 1/0 in -1/(1/x0), which raises on floats
+        # and is -1/inf = -0.0 on numpy; the row goes on from the numpy
+        # result, on floats again from sample 6
+        spec = dyn.SystemSpec(name="countdown", n=2, d=1,
+                              field=("-1.0", "-1.0 / (1.0 / x0)"))
+        cfg = dyn.SolverConfig(0.5, 1)
+        x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [2.1, 0.0])
+        x0s[2, 0] = 2.0
+        retried, rows = [], []
+        generate = dyn._generate
+
+        def spied(spec, m):
+            step, field = generate(spec, m)
+
+            def counted(first, *rest):
+                if m is np:
+                    retried.append(len(first[0]))  # rows in each column
+                else:
+                    rows.append(len(first))  # states held when the loop starts
+                return step(first, *rest)
+
+            return counted, field
+
+        monkeypatch.setattr(dyn, "_generate", spied)
+        narrow = dyn.integrate_batch(spec, cfg, x0s[:3], 10)
+        # one numpy sample each at samples 4 and 5; row 2's loop started from
+        # samples 0, 4 and 5, rows 0 and 1 ran through in one call each
+        assert retried == [1, 1]
+        assert rows == [1, 1, 1, 5, 6]
+        monkeypatch.undo()
+        wide = dyn.integrate_batch(spec, cfg, x0s, 10)
+        assert narrow.tobytes() == wide[:3].tobytes()
+        assert np.isfinite(narrow).all()
+        np.testing.assert_array_equal(narrow[2, :, 0], 2.0 - 0.5 * np.arange(11))
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_math_error_with_finite_numpy_result_continues(self):

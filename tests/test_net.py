@@ -283,6 +283,21 @@ class TestFlatLayout:
             np.testing.assert_array_equal(got, want)
             assert np.shares_memory(got, vec)
 
+    def test_split_slices_by_the_layout_made_at_construction(self, monkeypatch):
+        params = net.init_params(1, 2, [6, 3], seed=4)
+        monkeypatch.setattr(net, "_widths", None)  # split no longer needs it
+        vec = np.arange(params.flat.size, dtype=float)
+        vw, vb = params.split(vec)
+        assert [w.shape for w in vw] == [(6, 3), (3, 6), (1, 3)]
+        assert [b.shape for b in vb] == [(6,), (3,), (1,)]
+        # weight then bias, layer by layer, covering vec once in order
+        pieces = [x.ravel() for w, b in zip(vw, vb) for x in (w, b)]
+        np.testing.assert_array_equal(np.concatenate(pieces), vec)
+        with pytest.raises(ValueError, match=(
+                r"^vector shape \(50,\) does not fit layer widths \[3, 6, 3, 1\], "
+                r"expected \(49,\)$")):
+            params.split(np.zeros(50))
+
     def test_split_rejects_wrong_length(self):
         params = net.init_params(1, 2, [6], seed=4)
         with pytest.raises(ValueError, match="shape"):
