@@ -781,8 +781,8 @@ def _memory_matrix(spec, h, m):
 
     Node j carries the kernel A12 exp(A22 j h) A21 with weight h (h/2 at
     both ends; all zero when m == 0, a window of length 0) and multiplies
-    z(t - j h).  The blocks are stored oldest node first, so the matrix
-    applies to a history of ``m + 1`` states in time order, flattened.
+    z(t - j h).  The blocks are stored newest node first, so the matrix
+    applies to the flattened history (z(t), ..., z(t - m h)), a rollout stack.
     """
     _, a12, a21, a22 = _blocks(spec)
     powers = np.empty((m + 1, *a22.shape))  # exp(A22 j h), j = 0..m
@@ -790,7 +790,7 @@ def _memory_matrix(spec, h, m):
     kernels = a12 @ _fill_by_doubling(powers, matrix_exponential(a22 * h)) @ a21
     weights = np.full(m + 1, h if m > 0 else 0.0)
     weights[[0, -1]] *= 0.5
-    weighted = (weights[::-1, None, None] * kernels[::-1]).transpose(1, 0, 2)
+    weighted = (weights[:, None, None] * kernels).transpose(1, 0, 2)
     return weighted.reshape(spec.d, (m + 1) * spec.d)
 
 
@@ -830,7 +830,7 @@ def mz_memory_integral(spec, z_history, t, truncation):
             f"insufficient history: need >= 2 samples covering [t-T, t], "
             f"got {z_history.shape[0]}"
         )
-    return _memory_matrix(spec, truncation / m, m) @ z_history.reshape(-1)
+    return _memory_matrix(spec, truncation / m, m) @ z_history[::-1].ravel()
 
 
 def mz_noise_term(spec, w0, t):

@@ -90,6 +90,11 @@ class NetworkParams:
     def input_width(self):
         return self.d * (self.n_mem + 1)
 
+    def __call__(self, stacks):
+        """The one-step map of :mod:`memflow.rollout`; ``forward_batch`` is
+        looked up by name so that a wrapper set on the module sees it."""
+        return forward_batch(self, stacks)
+
     def split(self, vec):
         """Per-layer ``(weights, biases)`` views into ``vec``, a vector laid
         out like ``flat``; ``vec`` must hold exactly that many parameters."""

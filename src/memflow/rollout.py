@@ -1,21 +1,19 @@
 """Iterative prediction and its evaluation machinery.
 
-A trained model advances the observed state one step at a time from a
-seed block of ``n_mem + 1`` states.  Every run in flight has the layout
-``(R, T, d)``: R runs of T observed states each.  This module iterates the
-model (:func:`rollout`: seeds ``(R, n_mem + 1, d)`` advance together, one
-batched network evaluation per step, each run recording where it
-diverged), scores a model by pointwise l2 errors against the truth
-integrated from given initial conditions (:func:`rollout_against_truth`,
-shared by :func:`evaluate_model`, :func:`compare_with_homogenized` and
-the CLI's ``predict``), sweeps the memory length of an experiment config to find
-where accuracy saturates (:func:`memory_sweep`: one cell per n_mem, each
-naming its diverged evaluation runs), and provides two analytic
-references for benchmarks: an explicit-Euler discretization of the exact
-reduced dynamics for linear systems (:func:`euler_damz`) and the
-homogenized slow-variable closure of the chaotic system
-(:func:`compare_with_homogenized`, scored against the example3 spec it is
-given, at that spec's epsilon).
+A one-step map takes ``(R', D)`` newest-first stacks of ``n_mem + 1``
+observed states, D = d (n_mem + 1), to ``(R', d)`` next states and has
+``d`` and ``n_mem`` attributes: a trained network, or a :class:`LinearMap`
+such as the exact reduced map of a linear system.  A run in flight has
+the layout ``(R, T, d)``: R runs of T observed states each.  This module
+iterates a map (:func:`rollout`: the R runs advance together, one call of
+the map per step, each run recording where it diverged), scores it by
+pointwise l2 errors against the truth integrated from given initial
+conditions (:func:`rollout_against_truth`, shared by :func:`evaluate_model`,
+:func:`compare_with_homogenized` and the CLI's ``predict``), sweeps the
+memory length of an experiment config (:func:`memory_sweep`), and provides
+two analytic references: explicit Euler on the reduced dynamics of a linear
+system, rolled out the same way (:func:`euler_damz`), and the homogenized
+slow-variable closure of the chaotic system (:func:`compare_with_homogenized`).
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from memflow import train as train_mod
 
 __all__ = [
     "RolloutResult",
+    "LinearMap",
     "SweepCell",
     "rollout",
     "rollout_against_truth",
@@ -61,14 +60,28 @@ class RolloutResult:
                 raise RuntimeError(f"rollout diverged at step {step} in run {r}")
 
 
+class LinearMap:
+    """The one-step map ``h -> matrix @ h``, ``matrix`` (d, d (n_mem + 1)).
+    A plain class: equality is identity, as for a network."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    d = property(lambda self: self.matrix.shape[0])
+    n_mem = property(lambda self: self.matrix.shape[1] // self.d - 1)
+
+    def __call__(self, stacks):
+        return stacks @ self.matrix.T
+
+
 def rollout(model, seeds, steps):
-    """Iterate the one-step model from ``n_mem + 1`` seed states per run.
+    """Iterate the one-step map ``model`` from ``n_mem + 1`` seed states per run.
 
     ``seeds`` has shape (R, n_mem + 1, d); the R runs advance together
-    through one batched network evaluation per step.  At each step a run's
-    input is its latest ``n_mem + 1`` states in newest-first order, and
-    the model output becomes its next state.  A non-finite prediction
-    stops its run and records the divergence index; the other runs go on.
+    through one call ``model(stacks)`` per step.  A live run's stack is its
+    latest ``n_mem + 1`` states, newest first, and the map's output becomes
+    its next state.  A non-finite prediction stops its run and records the
+    divergence index; the other runs go on.
     """
     seeds = np.asarray(seeds, dtype=float)
     need = model.n_mem + 1
@@ -87,9 +100,9 @@ def rollout(model, seeds, steps):
     for pos in range(need, need + steps):
         window = states[live, pos - need : pos]          # oldest ... newest
         stacks = window[:, ::-1].reshape(window.shape[0], -1)  # newest first
-        nxt = net_mod.forward_batch(model, stacks)
-        finite = np.isfinite(nxt).all(axis=1)
-        if not finite.all():
+        nxt = model(stacks)
+        if not np.isfinite(nxt).all():
+            finite = np.isfinite(nxt).all(axis=1)
             live = np.arange(runs)[live]
             for r in live[~finite]:
                 diverged_at[r] = pos
@@ -219,6 +232,14 @@ def memory_sweep(cfg, n_mem_list, seed):
 # ---------------------------------------------------------------------------
 
 
+class _EulerMap(LinearMap):
+    """``h -> z_n + matrix @ h``, z_n leading h.  Euler's identity stays out
+    of ``matrix``: rounding I + delta A11 would bias every step alike."""
+
+    def __call__(self, stacks):
+        return stacks[:, : self.d] + stacks @ self.matrix.T
+
+
 def euler_damz(spec, seeds, steps, delta):
     """Explicit Euler on the discretized reduced dynamics of a linear spec.
 
@@ -228,30 +249,15 @@ def euler_damz(spec, seeds, steps, delta):
 
     where M is the trapezoid quadrature of the truncated memory integral
     over the discrete history (spacing ``delta``, window ``n_mem * delta``),
-    projected through A12.  The number of memory steps is inferred from the
-    seed count (``n_mem + 1`` rows).  Unlike the learned model this scheme
-    carries O(delta) time-discretization error.
+    projected through A12.  The ``n_mem + 1`` seed rows, oldest first, set
+    the memory length.  :func:`rollout` runs the update as the map z_n +
+    delta [A11 + w_0 K_0, w_1 K_1, ...] h_n, K_j = A12 exp(A22 j delta) A21
+    with trapezoid weights w_j, so a diverging run ends in NaN rows.  Unlike
+    the learned model this scheme carries O(delta) time-discretization error.
     """
-    a11 = dyn._blocks(spec)[0]
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[1] != spec.d:
-        raise ValueError(
-            f"seed rows have dimension {seeds.shape[1]}, expected {spec.d}"
-        )
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    n_mem = seeds.shape[0] - 1
-    d = spec.d
-    # The trapezoid-weighted kernels, oldest node first, contract against
-    # the history slice in time order: a view with no copy.
-    memory_mat = dyn._memory_matrix(spec, delta, n_mem)
-    states = np.empty((n_mem + 1 + steps, d))
-    states[: n_mem + 1] = seeds
-    for pos in range(n_mem + 1, n_mem + 1 + steps):
-        z_now = states[pos - 1]
-        memory = memory_mat @ states[pos - 1 - n_mem : pos].reshape(-1)
-        states[pos] = z_now + delta * (a11 @ z_now + memory)
-    return states
+    increment = delta * dyn._memory_matrix(spec, delta, len(seeds) - 1)
+    increment[:, : spec.d] += delta * dyn._blocks(spec)[0]
+    return rollout(_EulerMap(increment), [seeds], steps).states[0]
 
 
 def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs, seed):
