@@ -29,11 +29,12 @@ on this module.  It provides:
   when the spec is built, and nothing else is compiled.  A batch of at
   most ``_FLOAT_ROWS`` (32) rows runs the loop on Python floats with
   ``math``'s sin, cos and exp, one call per row for all its samples,
-  where numpy's per-call overhead would cost more than the arithmetic, and
-  a wider batch runs it on its ``m``-row columns with ``numpy``'s, one call
-  per sample.  Both apply the same float operations in the same order, so
-  they agree bitwise wherever ``math`` and ``numpy`` evaluate their
-  functions alike.
+  where numpy's per-call overhead would cost more than the arithmetic; a
+  wider batch, or a narrow one on which ``math`` raises (sin(inf), 1/0),
+  runs it on its ``m``-row columns with ``numpy``'s, one call per sample.
+  Both apply the same float operations in the same order, so they agree
+  bitwise wherever ``math`` and ``numpy`` evaluate their functions alike.
+  On every path a non-finite state is one IntegrationError, no warning.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * exact linear Mori-Zwanzig references: for a linear spec the dynamics of
   the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
@@ -52,6 +53,7 @@ of shape ``(..., n)`` and return the same shape.
 from __future__ import annotations
 
 import ast
+import functools
 import importlib.resources
 import keyword
 import math
@@ -302,7 +304,6 @@ class SolverConfig:
 # Built-in systems
 # ---------------------------------------------------------------------------
 
-_SIGMA_CACHE: dict[str, np.ndarray] | None = None
 _SIGMA_LABELS = ("SIGMA11", "SIGMA12", "SIGMA21", "SIGMA22")
 
 
@@ -312,20 +313,20 @@ def example4_sigma():
     Loaded once from the packaged plain-text file (row-major, one labeled
     block per matrix, values already scaled by 1e-3).
     """
-    global _SIGMA_CACHE
-    if _SIGMA_CACHE is None:
-        path = importlib.resources.files(__package__) / "example4_sigma.txt"
-        lines = path.read_text().splitlines()
-        labels = tuple(line.strip() for line in lines if line.startswith("SIGMA"))
-        if labels != _SIGMA_LABELS:
-            raise ValueError(
-                f"expected blocks {_SIGMA_LABELS} in order, found {labels}"
-            )
-        rows = np.loadtxt(lines, comments=("#", "SIGMA"))
-        if rows.shape != (40, 10):
-            raise ValueError(f"matrix rows have shape {rows.shape}, expected (40, 10)")
-        _SIGMA_CACHE = dict(zip(_SIGMA_LABELS, rows.reshape(4, 10, 10)))
-    return {k: v.copy() for k, v in _SIGMA_CACHE.items()}
+    return {k: v.copy() for k, v in _load_sigma().items()}
+
+
+@functools.cache
+def _load_sigma():
+    path = importlib.resources.files(__package__) / "example4_sigma.txt"
+    lines = path.read_text().splitlines()
+    labels = tuple(line.strip() for line in lines if line.startswith("SIGMA"))
+    if labels != _SIGMA_LABELS:
+        raise ValueError(f"expected blocks {_SIGMA_LABELS} in order, found {labels}")
+    rows = np.loadtxt(lines, comments=("#", "SIGMA"))
+    if rows.shape != (40, 10):
+        raise ValueError(f"matrix rows have shape {rows.shape}, expected (40, 10)")
+    return dict(zip(_SIGMA_LABELS, rows.reshape(4, 10, 10)))
 
 
 def linear_system(a, d, name="linear-generic"):
@@ -465,21 +466,21 @@ def default_domain(spec):
 # columns: floats take 0.63-0.78 of the column time at 32 rows and cross it
 # at 40-56 on example2, example3-reduced and example3 (CHANGES.md).
 _FLOAT_ROWS = 32
-_CHECK_SAMPLES = 64  # samples of a linear batch per finiteness check
+_CHECK_SAMPLES = 64  # samples per finiteness check of products and columns
 
 
 def _generate(spec, m):
-    """``(step, field)`` for the nonlinear ``spec``, compiled from its
+    """``(rows, field)`` for the nonlinear ``spec``, compiled from its
     expressions with ``m``'s (``math`` or ``numpy``) sin, cos and exp.
 
-    ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.  On
-    numpy, ``step(columns, delta, substeps)`` advances ``n`` columns over a
-    batch by one coarse step of ``delta`` and returns the new columns.  On
-    math, ``step(states, count, delta, substeps)`` runs one row: from the
-    tuple of floats ``states[-1]`` it appends one tuple per coarse step,
-    ``count`` at most, and returns after a state that is not finite.  A
-    complex state (a negative number to a fractional power) raises
-    TypeError before it is appended, as ``math`` raises on sin(inf).
+    ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.
+    ``rows(states, count, delta, substeps)`` appends to ``states`` one
+    tuple of components per coarse step of ``delta`` from ``states[-1]``,
+    ``count`` of them: on numpy the columns of a batch, which its caller
+    checks; on math the floats of one row, returning after a state that is
+    not finite.  A complex float state (a negative number to a fractional
+    power) raises TypeError before it is appended, as ``math`` raises on
+    sin(inf).
 
     The stage loop is written out with each component and stage as a local
     variable and each expression inline.  The functions, the parameters and
@@ -527,50 +528,48 @@ def _generate(spec, m):
         f"        _states.append(({state}))\n"
         "        if not _finite:\n"
         "            return\n"
-        "def _step(_state, _delta, _substeps):\n"
-        "    _states = [_state]\n"
-        "    _rows(_states, 1, _delta, _substeps)\n"
-        "    return _states[1]\n"
     )
     namespace = {f: getattr(m, f) for f in _FUNCTIONS} | spec.params
-    # a column step runs one sample, which its caller checks
     namespace["_isfinite"] = math.isfinite if m is math else lambda column: True
     exec(source, namespace)
-    return namespace["_rows" if m is math else "_step"], namespace["_field"]
+    return namespace["_rows"], namespace["_field"]
 
 
 def _float_rows(spec, delta, substeps, out):
-    """Fill ``out[i, 1:]`` row after row by :func:`_generate`'s loop on
-    ``math``; return ``(sample, row)`` of the earliest non-finite state,
-    lowest row first, or None.  Where ``math`` raises and numpy gives inf or
-    NaN (sin(inf), exp(1000), 1/0, or a complex power), that sample is redone
-    on numpy columns of one row, as the wide path runs it but without numpy's
-    warnings (a row may run past a later row's failure), and the row goes on
-    on floats.  The numpy loop is compiled on the first redo."""
-    run, redo = _generate(spec, math)[0], None
+    """Fill ``out[i, 1:]`` by one call per row of :func:`_generate`'s loop on
+    ``math``, up to the sample before the earliest failure so far; return
+    ``(sample, row)`` of the earliest non-finite state, lowest row first, or
+    None.  Raises where ``math`` does (sin(inf), exp(1000), 1/0, or a
+    complex power), and numpy would give inf or NaN."""
+    run = _generate(spec, math)[0]
     failed, last = None, out.shape[1] - 1
     for i, row in enumerate(out):
         states = [tuple(row[0].tolist())]
-        while len(states) <= last:
-            try:
-                run(states, last + 1 - len(states), delta, substeps)
-            except (ArithmeticError, ValueError, TypeError):
-                redo = redo or _generate(spec, np)[0]
-                with np.errstate(all="ignore"):
-                    columns = redo(np.array(states[-1])[:, None], delta, substeps)
-                states.append(tuple(np.concatenate(columns).tolist()))
-            if not all(map(math.isfinite, states[-1])):
-                failed, last = (len(states) - 1, i), len(states) - 2
-                break
+        run(states, last, delta, substeps)
+        if not all(map(math.isfinite, states[-1])):
+            failed, last = (len(states) - 1, i), len(states) - 2
         row[: len(states)] = states
     return failed
 
 
-def _lockstep(out, every, sample):
+def _columns(spec, delta, substeps, out):
+    """Fill ``out[:, 1:]`` by one call per sample of :func:`_generate`'s loop
+    on the batch's numpy columns; return as :func:`_lockstep` does."""
+    run, states = _generate(spec, np)[0], [tuple(out[:, 0].T.copy())]
+
+    def sample(k):  # from the last columns, not strided reads of out
+        run(states, 1, delta, substeps)
+        del states[0]
+        np.stack(states[0], axis=-1, out=out[:, k])
+
+    return _lockstep(out, sample)
+
+
+def _lockstep(out, sample):
     """Call ``sample(k)``, which writes ``out[:, k]``, for k = 1, 2, ..., and
-    check once per ``every`` samples; return as :func:`_float_rows` does."""
-    for start in range(1, out.shape[1], every):
-        stop = min(start + every, out.shape[1])
+    check once per ``_CHECK_SAMPLES``; return as :func:`_float_rows` does."""
+    for start in range(1, out.shape[1], _CHECK_SAMPLES):
+        stop = min(start + _CHECK_SAMPLES, out.shape[1])
         for k in range(start, stop):
             sample(k)
         finite = np.isfinite(out[:, start:stop]).all(axis=2)
@@ -600,12 +599,14 @@ def integrate_batch(spec, config, x0s, num_samples):
     ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
     All trajectories share the coarse time grid, and each path writes its
     samples straight into the result: a linear system one product with the
-    sample matrix per sample, checked once per ``_CHECK_SAMPLES`` (64); a
-    nonlinear one the RK4 stage loop generated from its expressions
-    (:func:`_generate`), one call per row on floats for at most
-    ``_FLOAT_ROWS`` (32) rows, else one per sample on the batch's columns.
-    A non-finite state aborts the run with an IntegrationError naming the
-    earliest sample and the lowest trajectory that is non-finite there.
+    sample matrix per sample; a nonlinear one the RK4 stage loop generated
+    from its expressions (:func:`_generate`), one call per row on floats
+    for at most ``_FLOAT_ROWS`` (32) rows, else, and again from the start
+    where ``math`` raises, one per sample on the batch's columns.  Products
+    and columns are checked once per ``_CHECK_SAMPLES`` (64) samples.  On
+    every path, with no numpy warning, a non-finite state aborts the run
+    with an IntegrationError naming the earliest sample and the lowest
+    trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:
@@ -617,23 +618,18 @@ def integrate_batch(spec, config, x0s, num_samples):
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
     delta, substeps = config.delta, config.substeps
-    if spec.a_matrix is not None:
-        step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
-        # an overflow or NaN in a product leaves a non-finite state anyway
-        with np.errstate(over="ignore", invalid="ignore"):
-            failed = _lockstep(out, _CHECK_SAMPLES, lambda k: np.matmul(
+    with np.errstate(all="ignore"):  # a non-finite state is reported below
+        if spec.a_matrix is not None:
+            step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
+            failed = _lockstep(out, lambda k: np.matmul(
                 out[:, k - 1], step_t, out=out[:, k]))
-    elif len(out) <= _FLOAT_ROWS:
-        failed = _float_rows(spec, delta, substeps, out)
-    else:
-        step, columns = _generate(spec, np)[0], list(x0s.T)
-
-        def sample(k):  # from the last columns, not strided reads of out
-            nonlocal columns
-            columns = step(columns, delta, substeps)
-            np.stack(columns, axis=-1, out=out[:, k])
-
-        failed = _lockstep(out, 1, sample)
+        elif len(out) <= _FLOAT_ROWS:
+            try:
+                failed = _float_rows(spec, delta, substeps, out)
+            except (ArithmeticError, ValueError, TypeError):
+                failed = _columns(spec, delta, substeps, out)
+        else:
+            failed = _columns(spec, delta, substeps, out)
     if failed is not None:
         k, bad = failed
         raise IntegrationError(
@@ -730,6 +726,8 @@ def exact_linear_trajectory(spec, x0, delta, num_samples):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
     out = np.empty((num_samples + 1, spec.n))
     out[0] = x0
     return _fill_by_doubling(out, matrix_exponential(a * delta).T)

@@ -61,10 +61,16 @@ class RolloutResult:
 
 
 class LinearMap:
-    """The one-step map ``h -> matrix @ h``, ``matrix`` (d, d (n_mem + 1)).
-    A plain class: equality is identity, as for a network."""
+    """The one-step map ``h -> matrix @ h``, ``matrix`` a float array of
+    shape (d, d (n_mem + 1)), which is checked when the map is made.  A
+    plain class: equality is identity, as for a network."""
 
     def __init__(self, matrix):
+        matrix = np.asarray(matrix, dtype=float)
+        shape = matrix.shape
+        if len(shape) != 2 or not 0 < shape[0] <= shape[1] or shape[1] % shape[0]:
+            raise ValueError(f"a linear map needs a matrix of shape "
+                             f"(d, d (n_mem + 1)), got {shape}")
         self.matrix = matrix
 
     d = property(lambda self: self.matrix.shape[0])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -380,7 +381,6 @@ class TestIntegrate:
         second = dyn.integrate_batch(spec, cfg, first[:, -1], k)
         assert np.abs(whole[:, k:] - second).max() <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_sample_index(self):
         spec = dyn.SystemSpec(name="blowup", n=1, d=1, field=("x0 ** 2",))
         with pytest.raises(dyn.IntegrationError) as info:
@@ -412,7 +412,6 @@ class TestIntegrate:
             single = dyn.integrate_batch(spec, cfg, x0s[i : i + 1], 8)
             np.testing.assert_array_equal(batch[i], single[0])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_batch_divergence_reports_trajectory(self):
         spec = dyn.SystemSpec(name="blowup", n=1, d=1, field=("x0 ** 2",))
         x0s = np.array([[0.0], [5.0]])
@@ -518,7 +517,6 @@ class TestLinearSampleMatrix:
         bound = 2e-12 * max(1.0, np.abs(want).max())
         assert np.abs(got - want).max() <= bound
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_sample_and_trajectory(self):
         # dx/dt = x with h = 1: each sample multiplies by R(1) = 65/24, so
         # from 1e300 the state is 1.66e308 at sample 19 and overflows at 20
@@ -732,11 +730,8 @@ class TestComponentFields:
             assert (np.array(generated_field(*state)).tobytes()
                     == np.array(field(state, m)).tobytes())
             got, want = [tuple(state)], [state]
-            if m is math:  # one call runs the row's 30 samples
-                step(got, 30, 0.02, 4)
+            step(got, 30, 0.02, 4)  # one call runs the 30 samples
             for _ in range(30):
-                if m is np:
-                    got.append(step(got[-1], 0.02, 4))
                 want.append(rk4_sample_step(field, m, want[-1], 0.02, 4))
             assert all(isinstance(x, tuple) and len(x) == n for x in got)
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -769,7 +764,6 @@ class TestComponentFields:
         assert str(narrow) == str(wide)
         assert "math" not in str(narrow)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_fails_alike_on_both_paths(self):
         # dx/dt = x * x from 5 with h = 1: the state is 1.0e8 at sample 1 and
         # 7e123 at sample 2, and a stage overflows to inf at sample 3; floats
@@ -785,7 +779,6 @@ class TestComponentFields:
         self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 3))
         assert later > 3
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_sin_of_inf_mid_sample_fails_alike_on_both_paths(self, monkeypatch):
         # x0 overflows at the second stage of sample 3, and the third stage
         # takes sin(inf): math raises ValueError there, numpy returns NaN
@@ -795,28 +788,28 @@ class TestComponentFields:
         x0s[4, 0] = 5.0
         with pytest.raises(ValueError, match="math domain error"):
             math.sin(math.inf)
-        # the float path redid the failing sample on numpy columns of one row
+        # the float path raised at row 4, and the narrow batch ran again on
+        # its columns
         retried = []
         generate = dyn._generate
 
         def spied(spec, m):
-            step, field = generate(spec, m)
+            run, field = generate(spec, m)
             if m is not np:
-                return step, field
+                return run, field
 
-            def counted(columns, delta, substeps):
-                retried.append(len(columns[0]))
-                return step(columns, delta, substeps)
+            def counted(states, *rest):
+                retried.append(len(states[-1][0]))
+                return run(states, *rest)
 
             return counted, field
 
         monkeypatch.setattr(dyn, "_generate", spied)
         self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 4))
-        # one sample of one row on the float path, then the three samples of
-        # the wide path on its columns
-        assert retried == [1] + [dyn._FLOAT_ROWS + 1] * 3
+        # the 10 samples of the narrow batch's 32 columns, then those of the
+        # wide batch's 33: both check once after the 10th
+        assert retried == [dyn._FLOAT_ROWS] * 10 + [dyn._FLOAT_ROWS + 1] * 10
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_float_rows_report_the_earliest_sample_then_the_lowest_row(self):
         # dx/dt = x * x with h = 1 fails at sample 3 from 5.0 and at 4 from
         # 1.0: row 0 runs on past sample 3, row 2 fails there first, and row
@@ -837,13 +830,12 @@ class TestComponentFields:
         x0s[4] = 1e200
         self.assert_same_failure(spec, cfg, x0s, 10, (1, 4))
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_complex_power_fails_alike_on_both_paths(self):
         # x0 counts down by h = 0.5, and x0 ** 0.5 of a negative stage value
         # is complex on floats and NaN on numpy: from 1.1 the last stages of
         # sample 3 take it, from 2.1 those of sample 5.  Row 1 meets it first
-        # on the float path, and its redo names sample 5 before row 4 names
-        # sample 3, the failure every path reports.
+        # on the float path, and the batch runs again on columns, which name
+        # sample 3 of row 4, the failure every path reports.
         spec = dyn.SystemSpec(name="root", n=2, d=1, field=("-1.0", "x0 ** 0.5"))
         cfg = dyn.SolverConfig(0.5, 1)
         with pytest.raises(TypeError):
@@ -855,61 +847,54 @@ class TestComponentFields:
         x0s[1, 0], x0s[4, 0] = 2.1, 1.1
         self.assert_same_failure(spec, cfg, x0s, 10, (3, 4))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_redo_past_a_later_rows_failure_warns_of_nothing(self):
-        # row 0 counts down to 1/0 at sample 4, where numpy's redo would warn
-        # of a divide by zero; row 1 overflows at sample 1, so a check after
-        # every sample never reaches row 0's redo, and no path warns of it
-        # (the warning would fail this test)
+        # row 0 counts down to 1/0 at sample 4, which raises on floats, so
+        # the narrow batch runs again on columns; they run on past row 1's
+        # overflow at sample 1 and divide by zero in row 0, and no path
+        # warns of either (a warning would fail this test)
         spec = dyn.SystemSpec(name="edge", n=2, d=1,
                               field=("-1.0", "-1.0 / (1.0 / x0) + x1 * x1"))
         x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [2.9, 0.0])
         x0s[0], x0s[1] = [2.0, 0.0], [2.9, 1e200]
         self.assert_same_failure(spec, dyn.SolverConfig(0.5, 1), x0s, 10, (1, 1))
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")
-    def test_math_error_mid_row_redoes_that_sample_then_floats_go_on(
-            self, monkeypatch):
+    def test_math_error_mid_row_runs_the_batch_on_columns(self, monkeypatch):
         # x0 counts down by h = 0.5 from 2: the last stage of sample 4 and the
         # first of sample 5 take 1/0 in -1/(1/x0), which raises on floats
-        # and is -1/inf = -0.0 on numpy; the row goes on from the numpy
-        # result, on floats again from sample 6
+        # and is -1/inf = -0.0 on numpy; the batch runs again on columns
         spec = dyn.SystemSpec(name="countdown", n=2, d=1,
                               field=("-1.0", "-1.0 / (1.0 / x0)"))
         cfg = dyn.SolverConfig(0.5, 1)
         x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [2.1, 0.0])
         x0s[2, 0] = 2.0
-        retried, rows = [], []
+        calls = []
         generate = dyn._generate
 
         def spied(spec, m):
-            step, field = generate(spec, m)
+            run, field = generate(spec, m)
 
-            def counted(first, *rest):
-                if m is np:
-                    retried.append(len(first[0]))  # rows in each column
-                else:
-                    rows.append(len(first))  # states held when the loop starts
-                return step(first, *rest)
+            def counted(states, count, *rest):
+                # the loop's namespace, the rows in a component, and samples
+                calls.append((m.__name__, np.size(states[-1][0]), count))
+                return run(states, count, *rest)
 
             return counted, field
 
         monkeypatch.setattr(dyn, "_generate", spied)
         narrow = dyn.integrate_batch(spec, cfg, x0s[:3], 10)
-        # one numpy sample each at samples 4 and 5; row 2's loop started from
-        # samples 0, 4 and 5, rows 0 and 1 ran through in one call each
-        assert retried == [1, 1]
-        assert rows == [1, 1, 1, 5, 6]
+        # rows 0 and 1 ran through on floats and row 2 raised, then the three
+        # rows ran again on columns, one sample per call
+        assert calls == [("math", 1, 10)] * 3 + [("numpy", 3, 1)] * 10
         monkeypatch.undo()
         wide = dyn.integrate_batch(spec, cfg, x0s, 10)
         assert narrow.tobytes() == wide[:3].tobytes()
         assert np.isfinite(narrow).all()
         np.testing.assert_array_equal(narrow[2, :, 0], 2.0 - 0.5 * np.arange(11))
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_math_error_with_finite_numpy_result_continues(self):
         # -1/(1/x) at x = 0: 1/0 raises ZeroDivisionError on floats, while
-        # numpy gives -1/inf = -0.0; the row goes on as the wide path does
+        # numpy gives -1/inf = -0.0; the narrow batch runs again on columns
+        # and goes on as the wide path does
         spec = dyn.SystemSpec(name="reciprocal", n=1, d=1,
                               field=("-1.0 / (1.0 / x0)",))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
@@ -918,6 +903,41 @@ class TestComponentFields:
         narrow = dyn.integrate_batch(spec, self.CFG, x0s[: dyn._FLOAT_ROWS], 20)
         assert narrow.tobytes() == wide[: dyn._FLOAT_ROWS].tobytes()
         np.testing.assert_allclose(wide[2, -1, 0], math.exp(-0.4), rtol=1e-10)
+
+    def test_wide_blowup_raises_without_a_warning(self):
+        # on the 33 columns x0 overflows at the second stage of sample 3 in
+        # row 5, and the third stage takes sin(inf): the IntegrationError is
+        # the one signal of both
+        spec = dyn.SystemSpec(name="square-sin", n=2, d=1,
+                              field=("x0 * x0", "sin(x0)"))
+        x0s = np.zeros((dyn._FLOAT_ROWS + 1, 2))
+        x0s[5, 0] = 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dyn.IntegrationError) as info:
+                dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s, 10)
+        assert (info.value.sample_index, info.value.trajectory_index) == (3, 5)
+
+    def test_narrow_math_error_takes_the_wide_bits_without_a_warning(self):
+        # x0 climbs by 200 per sample from 0 in row 3: exp(800) at the last
+        # stage of sample 4 raises OverflowError on floats and is inf on
+        # numpy, where exp(-inf) = 0 goes on; the other rows, from -1000,
+        # stay below exp's limit.  The narrow batch, run again on columns, is
+        # the wide batch's leading rows bit for bit, and neither warns.
+        spec = dyn.SystemSpec(name="exp-exp", n=2, d=1,
+                              field=("200.0", "exp(-exp(x0))"))
+        x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [-1000.0, 0.0])
+        x0s[3, 0] = 0.0
+        with pytest.raises(OverflowError):
+            math.exp(800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            narrow = dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1),
+                                         x0s[: dyn._FLOAT_ROWS], 6)
+            wide = dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s, 6)
+        assert narrow.tobytes() == wide[: dyn._FLOAT_ROWS].tobytes()
+        assert np.isfinite(wide).all()
+        np.testing.assert_array_equal(wide[3, :, 0], 200.0 * np.arange(7))
 
 
 class TestRhsBuffers:
@@ -1103,6 +1123,13 @@ class TestLinearOracle:
             dyn.exact_linear_trajectory(spec, [1.0], 0.1, 5)
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
             dyn.exact_linear_trajectory(spec, [1.0, 0.0, 0.0], 0.1, 5)
+
+    def test_exact_trajectory_rejects_negative_sample_count(self):
+        spec = dyn.make_system("example1")
+        with pytest.raises(ValueError, match="^num_samples must be >= 0, got -1$"):
+            dyn.exact_linear_trajectory(spec, [1.0, 0.0], 0.1, -1)
+        np.testing.assert_array_equal(
+            dyn.exact_linear_trajectory(spec, [1.0, 0.0], 0.1, 0), [[1.0, 0.0]])
 
     @pytest.mark.parametrize("name", ["example1", "example4"])
     @pytest.mark.parametrize("num_samples", [0, 1, 2, 7, 8, 1500, 5000])
@@ -1345,10 +1372,16 @@ class TestExample4Assembly:
     def test_malformed_file_rejected(self, tmp_path, monkeypatch, edit, match):
         packaged = dyn.importlib.resources.files("memflow") / "example4_sigma.txt"
         (tmp_path / "example4_sigma.txt").write_text(edit(packaged.read_text()))
-        monkeypatch.setattr(dyn, "_SIGMA_CACHE", None)
         monkeypatch.setattr(dyn.importlib.resources, "files", lambda _: tmp_path)
+        dyn._load_sigma.cache_clear()  # a failed load is not cached
         with pytest.raises(ValueError, match=match):
             dyn.example4_sigma()
+
+    def test_loaded_once_and_returned_as_copies(self):
+        first = dyn.example4_sigma()
+        first["SIGMA11"][:] = 0.0
+        assert dyn.example4_sigma()["SIGMA11"].any()
+        assert dyn._load_sigma.cache_info().currsize == 1
 
     def test_symmetric_unobserved_coupling(self):
         sigma = dyn.example4_sigma()

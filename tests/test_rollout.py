@@ -1,5 +1,6 @@
 """Tests for iterative prediction, its errors, and the Euler reference scheme."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,15 @@ class TestOneStepMaps:
         np.testing.assert_array_equal(lin(stacks), [[15.0, 51.0]] * 3)
         # a map compares equal only to itself, as a network does
         assert lin == lin and lin != rollout.LinearMap(lin.matrix)
+        # a nested list is taken as a float matrix
+        assert rollout.LinearMap([[1, 2]]).matrix.dtype == float
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 1), (6,), (2, 0), (0, 3), (1, 2, 2)])
+    def test_linear_map_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=(
+                rf"^a linear map needs a matrix of shape \(d, d \(n_mem \+ 1\)\), "
+                rf"got {re.escape(str(shape))}$")):
+            rollout.LinearMap(np.ones(shape))
 
     def test_linear_map_wrong_seed_shape_rejected(self):
         lin = rollout.LinearMap(np.ones((2, 6)))
