@@ -1,16 +1,17 @@
 """Bulk artifacts as uncompressed ``.npz`` archives with a fixed schema.
 
-A schema maps each member name to its ``(dtype, ndim)``.  Loading checks
-the member names, dtypes and ndims, and that each member holds exactly
-the bytes its header declares, before any member is read, so a damaged
-or crafted header cannot make the loader allocate more than the file
-holds.  Object arrays are refused, so nothing is unpickled.  Every
-rejection is a ``ValueError`` naming the file.
+A schema maps each init field of the artifact's container (a dataclass)
+to its ``(dtype, ndim)``, in the order the members are written.  Loading
+checks the member names, dtypes and ndims, and that each member holds
+exactly the bytes its header declares, before any member is read, so a
+damaged or crafted header cannot make the loader allocate more than the
+file holds.  Object arrays are refused, so nothing is unpickled.  The
+members, 0-d ones as Python scalars, then build the container, whose own
+checks run as well.  Every rejection is a ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import zipfile
@@ -18,29 +19,21 @@ import zipfile
 import numpy as np
 
 
-@contextlib.contextmanager
-def naming(path):
-    """Prefix ``path`` to any ``ValueError`` raised in the block."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def save(path, schema, **members):
-    """Write ``members``, each cast to its schema dtype, at exactly ``path``
-    (given a name, ``np.savez`` would append ``.npz`` to it)."""
+def save(path, obj, schema):
+    """Write each schema field of ``obj``, cast to its schema dtype, at
+    exactly ``path`` (given a name, ``np.savez`` would append ``.npz``)."""
     with open(path, "wb") as fh:
-        np.savez(fh, **{k: np.asarray(members[k], dtype=schema[k][0]) for k in schema})
+        np.savez(fh, **{k: np.asarray(getattr(obj, k), dtype=dtype)
+                        for k, (dtype, _) in schema.items()})
 
 
-def load(path, schema):
-    """Read the archive at ``path`` as a dict of the members ``schema`` names."""
-    with open(path, "rb") as fh, naming(path):
-        if fh.read(4) != b"PK\x03\x04":
-            raise ValueError("not a readable npz archive (no zip header)")
-        fh.seek(0)
+def load(path, cls, schema):
+    """Read the archive at ``path`` back as ``cls(**members)``."""
+    with open(path, "rb") as fh:
         try:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not a readable npz archive (no zip header)")
+            fh.seek(0)
             with np.load(fh, allow_pickle=False) as archive:
                 names = sorted(archive.zip.namelist())
                 expected = sorted(f"{name}.npy" for name in schema)
@@ -49,9 +42,13 @@ def load(path, schema):
                 size = os.fstat(fh.fileno()).st_size
                 for name, (dtype, ndim) in schema.items():
                     _check_member(archive.zip, name, np.dtype(dtype), ndim, size)
-                return {name: archive[name] for name in schema}
+                members = {name: archive[name] for name in schema}
+            return cls(**{k: m.item() if m.ndim == 0 else m
+                          for k, m in members.items()})
         except (zipfile.BadZipFile, EOFError) as exc:
-            raise ValueError(f"not a readable npz archive ({exc})") from None
+            raise ValueError(f"{path}: not a readable npz archive ({exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_member(zf, name, dtype, ndim, archive_size):

@@ -298,6 +298,20 @@ def _out_dir(cfg):
     return out
 
 
+def _read(path, load, **want):
+    """``load(path)``, checked field by field against the config's values
+    ``want``: a mismatch is a ValueError naming the file and each field
+    that differs."""
+    obj = load(path)
+    got = {k: getattr(obj, k) for k in want}
+    differ = [k for k in want if got[k] != want[k]]
+    if differ:
+        def fields(values):
+            return ", ".join(f"{k}={values[k]!r}" for k in differ)
+        raise ValueError(f"{path}: {fields(got)} does not match config {fields(want)}")
+    return obj
+
+
 def cmd_generate(cfg):
     """Generate observed trajectories and write the trajectory file."""
     out = _out_dir(cfg)
@@ -319,14 +333,8 @@ def cmd_generate(cfg):
 def cmd_build_dataset(cfg):
     """Window the trajectory file into a training dataset."""
     out = _out_dir(cfg)
-    path = out / TRAJECTORY_FILE
-    trajs = data_mod.load_trajectories(path)
-    if trajs.delta != cfg.delta:
-        raise ValueError(f"{path}: delta={trajs.delta} does not match config "
-                         f"delta={cfg.delta}")
-    if trajs.d != cfg.spec().d:
-        raise ValueError(f"{path}: d={trajs.d} does not match config "
-                         f"d={cfg.spec().d}")
+    trajs = _read(out / TRAJECTORY_FILE, data_mod.load_trajectories,
+                  delta=cfg.delta, d=cfg.spec().d)
     ds = data_mod.build_dataset(trajs, cfg.n_mem, cfg.per_trajectory,
                                 seed=stage_seed(cfg.seed, "select"))
     path = out / DATASET_FILE
@@ -338,12 +346,8 @@ def cmd_build_dataset(cfg):
 def cmd_train(cfg):
     """Train a model on the dataset file; write checkpoint and loss log."""
     out = _out_dir(cfg)
-    ds = data_mod.load_dataset(out / DATASET_FILE)
-    if ds.n_mem != cfg.n_mem or ds.d != cfg.spec().d:
-        raise ValueError(
-            f"dataset (d={ds.d}, n_mem={ds.n_mem}) does not match config "
-            f"(d={cfg.spec().d}, n_mem={cfg.n_mem})"
-        )
+    ds = _read(out / DATASET_FILE, data_mod.load_dataset,
+               d=cfg.spec().d, n_mem=cfg.n_mem)
     params0 = net_mod.init_params(
         ds.d, ds.n_mem, cfg.hidden, seed=stage_seed(cfg.seed, "init")
     )
@@ -369,15 +373,8 @@ def cmd_train(cfg):
 
 def _load_model(cfg, out):
     """Load the checkpoint and check its shape against the config."""
-    model = train_mod.load_model(out / MODEL_FILE)
-    got = (model.d, model.n_mem, model.hidden)
-    want = (cfg.spec().d, cfg.n_mem, cfg.hidden)
-    if got != want:
-        raise ValueError(
-            "checkpoint (d={}, n_mem={}, hidden={}) does not match config "
-            "(d={}, n_mem={}, hidden={})".format(*got, *want)
-        )
-    return model
+    return _read(out / MODEL_FILE, train_mod.load_model,
+                 d=cfg.spec().d, n_mem=cfg.n_mem, hidden=cfg.hidden)
 
 
 def cmd_predict(cfg, steps=None):

@@ -140,12 +140,8 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
             f"domain dimension {domain.n} does not match system n={spec.n}"
         )
     x0s = sample_initial_conditions(domain, n_traj, seed)
-    if traj_len == 1:
-        observed = spec.observe(x0s)[:, None, :]
-    else:
-        full = integrate_batch(spec, config, x0s, traj_len - 1)
-        observed = spec.observe(full)
-    return TrajectorySet(delta=config.delta, trajectories=observed)
+    full = integrate_batch(spec, config, x0s, traj_len - 1)
+    return TrajectorySet(delta=config.delta, trajectories=spec.observe(full))
 
 
 def _draw_starts(n_traj, avail, count, rng):
@@ -221,30 +217,20 @@ def save_dataset(ds, path):
     """Write a dataset as an npz archive: ``d`` and ``n_mem`` (int64
     scalars), ``inputs`` (float64, ``(J, d*(n_mem+1))``, newest-first
     rows) and ``targets`` (float64, ``(J, d)``)."""
-    _npz.save(path, _DATASET_SCHEMA, d=ds.d, n_mem=ds.n_mem,
-              inputs=ds.inputs, targets=ds.targets)
+    _npz.save(path, ds, _DATASET_SCHEMA)
 
 
 def load_dataset(path):
     """Inverse of :func:`save_dataset`; malformed files are rejected."""
-    members = _npz.load(path, _DATASET_SCHEMA)
-    with _npz.naming(path):
-        return MemoryWindowDataset(
-            d=int(members["d"]), n_mem=int(members["n_mem"]),
-            inputs=members["inputs"], targets=members["targets"],
-        )
+    return _npz.load(path, MemoryWindowDataset, _DATASET_SCHEMA)
 
 
 def save_trajectories(trajs, path):
     """Write a trajectory set as an npz archive: ``delta`` (float64 scalar)
     and ``trajectories`` (float64, ``(n_traj, K, d)``)."""
-    _npz.save(path, _TRAJECTORY_SCHEMA, delta=trajs.delta,
-              trajectories=trajs.trajectories)
+    _npz.save(path, trajs, _TRAJECTORY_SCHEMA)
 
 
 def load_trajectories(path):
     """Inverse of :func:`save_trajectories`; malformed files are rejected."""
-    members = _npz.load(path, _TRAJECTORY_SCHEMA)
-    with _npz.naming(path):
-        return TrajectorySet(delta=float(members["delta"]),
-                             trajectories=members["trajectories"])
+    return _npz.load(path, TrajectorySet, _TRAJECTORY_SCHEMA)

@@ -451,9 +451,11 @@ _DEFAULT_DOMAINS = {
 
 
 def default_domain(spec):
-    """The initial-condition box a system is studied on: each built-in's
-    own, and [-2, 2]^n for any other."""
-    lower, upper = _DEFAULT_DOMAINS.get(spec.name, ([-2.0] * spec.n, [2.0] * spec.n))
+    """The initial-condition box a system is studied on: a built-in's own
+    where it has ``spec.n`` components, else [-2, 2]^n."""
+    lower, upper = _DEFAULT_DOMAINS.get(spec.name, ((), ()))
+    if len(lower) != spec.n:
+        lower, upper = [-2.0] * spec.n, [2.0] * spec.n
     return Domain(np.array(lower), np.array(upper))
 
 
@@ -546,7 +548,7 @@ def _float_rows(spec, delta, substeps, out):
     for i, row in enumerate(out):
         states = [tuple(row[0].tolist())]
         run(states, last, delta, substeps)
-        if not all(map(math.isfinite, states[-1])):
+        if len(states) > 1 and not all(map(math.isfinite, states[-1])):
             failed, last = (len(states) - 1, i), len(states) - 2
         row[: len(states)] = states
     return failed
@@ -596,7 +598,8 @@ def integrate_batch(spec, config, x0s, num_samples):
     0, delta, ..., num_samples * delta.
 
     ``x0s`` has shape ``(m, n)`` with m >= 1; the result has shape
-    ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly.
+    ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly
+    (with ``num_samples`` 0, the initial states alone).
     All trajectories share the coarse time grid, and each path writes its
     samples straight into the result: a linear system one product with the
     sample matrix per sample; a nonlinear one the RK4 stage loop generated
@@ -613,8 +616,8 @@ def integrate_batch(spec, config, x0s, num_samples):
         raise ValueError(
             f"x0s must have shape (m, {spec.n}) with m >= 1, got {x0s.shape}"
         )
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
     delta, substeps = config.delta, config.substeps

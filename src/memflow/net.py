@@ -211,14 +211,10 @@ def save_params(params, path):
     """Write a checkpoint as an npz archive: ``d`` and ``n_mem`` (int64
     scalars), ``hidden`` (int64 widths) and ``flat`` (float64, the
     parameter vector laid out as :attr:`NetworkParams.flat`)."""
-    _npz.save(path, _CHECKPOINT_SCHEMA, d=params.d, n_mem=params.n_mem,
-              hidden=params.hidden, flat=params.flat)
+    _npz.save(path, params, _CHECKPOINT_SCHEMA)
 
 
 def load_params(path):
     """Inverse of :func:`save_params`; a ``flat`` whose length does not
     match ``(d, n_mem, hidden)`` and malformed files are rejected."""
-    members = _npz.load(path, _CHECKPOINT_SCHEMA)
-    with _npz.naming(path):
-        return NetworkParams(int(members["d"]), int(members["n_mem"]),
-                             members["hidden"].tolist(), members["flat"])
+    return _npz.load(path, NetworkParams, _CHECKPOINT_SCHEMA)

@@ -9,6 +9,7 @@ seed, so runs are bitwise reproducible.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -54,10 +55,12 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be nonnegative and finite, got {self.learning_rate}"
             )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key in ("batch_size", "epochs"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{key} must be an integer >= 1, got {value}")
+            object.__setattr__(self, key, int(value))
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,36 @@ class TestMain:
         assert got in err and want in err
         assert err.index(got) < err.index(want)  # checkpoint first, then config
 
+    @pytest.mark.parametrize("change, got, want", [
+        ({"hidden": [9]}, "hidden=(8,)", "hidden=(9,)"),
+        ({"n_mem": 4, "hidden": [9]}, "n_mem=3, hidden=(8,)", "n_mem=4, hidden=(9,)"),
+    ], ids=["hidden", "n_mem-and-hidden"])
+    def test_predict_names_the_checkpoint_and_each_field_that_differs(
+        self, tmp_path, capsys, change, got, want
+    ):
+        base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
+        for stage in ("generate", "build-dataset", "train"):
+            assert cli.main([stage, *base]) == 0
+        other = write_config(micro_config(tmp_path, **change), tmp_path, "other.json")
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", str(other), "--steps", "5"]) == 1
+        path = tmp_path / "run" / cli.MODEL_FILE
+        assert capsys.readouterr().err == (
+            f"error: {path}: {got} does not match config {want}\n")
+
+    def test_train_names_the_dataset_and_each_field_that_differs(self, tmp_path,
+                                                                 capsys):
+        base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
+        for stage in ("generate", "build-dataset"):
+            assert cli.main([stage, *base]) == 0
+        other = write_config(micro_config(tmp_path, n_mem=5), tmp_path, "other.json")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(other)]) == 1
+        path = tmp_path / "run" / cli.DATASET_FILE
+        assert capsys.readouterr().err == (
+            f"error: {path}: n_mem=3 does not match config n_mem=5\n")
+        assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
+
     @pytest.mark.parametrize("stage, name, members", [
         ("build-dataset", cli.TRAJECTORY_FILE,
          dict(delta=np.float64(0.02))),

@@ -352,6 +352,7 @@ class TestSerialization:
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
         assert back.d == 2 and back.n_mem == 3
+        assert type(back.d) is int and type(back.n_mem) is int
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.targets, ds.targets)
 
@@ -401,6 +402,7 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["exact-name"]
         back = data.load_trajectories(path)
         assert back.d == trajs.d and back.delta == trajs.delta
+        assert type(back.delta) is float
         assert back.n_traj == trajs.n_traj
         assert back.trajectories.shape == (3, 8, 3)
         assert back.trajectories.tobytes() == trajs.trajectories.tobytes()

@@ -298,6 +298,15 @@ class TestDomain:
         np.testing.assert_array_equal(dom.lower, [-2.0, -2.0, -2.0])
         np.testing.assert_array_equal(dom.upper, [2.0, 2.0, 2.0])
 
+    def test_builtin_name_of_another_size_defaults_to_minus_two_to_two(self):
+        # example1's own box is 2-D; a 3-D system of that name gets [-2, 2]^3
+        spec = dyn.linear_system(np.diag([-1.0, -2.0, -3.0]), d=1, name="example1")
+        dom = dyn.default_domain(spec)
+        np.testing.assert_array_equal(dom.lower, [-2.0, -2.0, -2.0])
+        np.testing.assert_array_equal(dom.upper, [2.0, 2.0, 2.0])
+        trajs = data.generate_trajectories(spec, dyn.SolverConfig(0.1, 1), dom, 2, 3, 0)
+        assert trajs.trajectories.shape == (2, 3, 1)
+
 
 # example1 (alpha = 2) written as component expressions
 example1_field = ("x0 - 4.0 * x1", "4.0 * x0 - 2.0 * x1")
@@ -392,8 +401,19 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=(
                 r"x0s must have shape \(m, 1\) with m >= 1, got \(2,\)")):
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [5.0, 1.0], 10)
-        with pytest.raises(ValueError, match="num_samples must be >= 1, got 0"):
-            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 0)
+        with pytest.raises(ValueError, match="num_samples must be >= 0, got -1"):
+            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], -1)
+
+    @pytest.mark.parametrize("name, rows", [
+        ("example1", 3), ("example2", 3), ("example2", dyn._FLOAT_ROWS + 1),
+    ], ids=["matrix", "float", "columns"])
+    def test_zero_samples_return_the_initial_states(self, name, rows):
+        spec = dyn.make_system(name)
+        x0s = np.random.default_rng(5).uniform(-2.0, 2.0, size=(rows, 2))
+        x0s[1, 0] = np.nan  # no sample is computed, so none is checked
+        got = dyn.integrate_batch(spec, dyn.SolverConfig(0.1, 3), x0s, 0)
+        assert got.shape == (rows, 1, 2)
+        assert got.tobytes() == x0s[:, None].tobytes()
 
     @pytest.mark.parametrize("name", ["example1", "example2"])  # matrix, field
     def test_empty_batch_rejected(self, name):

@@ -341,6 +341,8 @@ class TestCheckpoint:
         net.save_params(params, path)
         back = net.load_params(path)
         assert back.d == 3 and back.n_mem == 7 and back.hidden == (11, 13)
+        assert type(back.d) is int and type(back.n_mem) is int
+        assert type(back.hidden) is tuple and all(type(w) is int for w in back.hidden)
         for a, b in zip(back.weights, params.weights):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.biases, params.biases):

@@ -245,6 +245,18 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="epochs"):
             train.TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("key", ["batch_size", "epochs"])
+    @pytest.mark.parametrize("value", [4.5, True, 0, "8"])
+    def test_counts_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=(
+                f"^{key} must be an integer >= 1, got {value}$")):
+            train.TrainConfig(**{key: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = train.TrainConfig(batch_size=np.int64(8), epochs=np.int32(2))
+        assert type(cfg.batch_size) is int and type(cfg.epochs) is int
+        assert (cfg.batch_size, cfg.epochs) == (8, 2)
+
 
 class TestSaveLoad:
     def test_round_trip_bitwise(self, tmp_path):
