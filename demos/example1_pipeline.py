@@ -33,7 +33,7 @@ trajs = data.generate_trajectories(
     spec, solver, domain, N_TRAJ, N_MEM + 2, seed=SEED
 )
 ds = data.build_dataset(trajs, N_MEM, per_trajectory=1, seed=SEED)
-print(f"dataset: J={ds.size} windows of width {ds.inputs.shape[1]}")
+print(f"dataset: J={ds.size} windows of width {ds.d * (ds.n_mem + 1)}")
 
 params0 = net.init_params(spec.d, N_MEM, HIDDEN, seed=SEED)
 n_params = params0.flat.size

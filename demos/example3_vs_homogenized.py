@@ -28,7 +28,7 @@ domain = dyn.default_domain(spec)
 print("generating trajectories of the full 4-variable system ...")
 trajs = data.generate_trajectories(spec, solver, domain, 2000, 100, seed=SEED)
 ds = data.build_dataset(trajs, N_MEM, per_trajectory=5, seed=SEED)
-print(f"dataset: J={ds.size} windows, input width {ds.inputs.shape[1]}")
+print(f"dataset: J={ds.size} windows, input width {ds.d * (ds.n_mem + 1)}")
 
 params0 = net.init_params(spec.d, N_MEM, (120, 120, 120), seed=SEED)
 cfg = train.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=25, seed=SEED)

@@ -331,7 +331,7 @@ def cmd_generate(cfg):
 
 
 def cmd_build_dataset(cfg):
-    """Window the trajectory file into a training dataset."""
+    """Index the memory windows of the trajectory file as a training dataset."""
     out = _out_dir(cfg)
     trajs = _read(out / TRAJECTORY_FILE, data_mod.load_trajectories,
                   delta=cfg.delta, d=cfg.spec().d)
@@ -339,7 +339,8 @@ def cmd_build_dataset(cfg):
                                 seed=stage_seed(cfg.seed, "select"))
     path = out / DATASET_FILE
     data_mod.save_dataset(ds, path)
-    print(f"built dataset with J={ds.size} windows (n_mem={cfg.n_mem}) -> {path}")
+    print(f"built dataset with J={ds.size} windows (n_mem={cfg.n_mem}) over "
+          f"{trajs.n_traj} trajectories -> {path}")
     return path
 
 

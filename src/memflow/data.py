@@ -1,18 +1,20 @@
 """Trajectory sets and memory-window training datasets.
 
 A trajectory set holds observed-variable trajectories of one length K at
-a constant step, as one ``(n_traj, K, d)`` array; a memory-window
-dataset regroups them into (history stack, next state) pairs.  Each
-window covers ``n_mem + 2`` consecutive samples: the first ``n_mem + 1``
-form the network input, the last is the regression target.
+a constant step, as one ``(n_traj, K, d)`` array.  A memory-window
+dataset is an index over such an array: each window covers ``n_mem + 2``
+consecutive samples of one trajectory, the first ``n_mem + 1`` form the
+network input and the last is the regression target.  The dataset holds
+the trajectories once and the start of each window, never the windows
+themselves; :meth:`MemoryWindowDataset.windows` gathers the rows a
+minibatch or a loss chunk needs.
 
-The canonical in-memory layout of an input row is NEWEST FIRST:
+The canonical layout of an input row is NEWEST FIRST:
 ``(z_k, z_{k-1}, ..., z_{k-n_mem})`` flattened, so the current state
 occupies the leading ``d`` entries and the residual projection in the
-network can read it off directly.  Windows are extracted oldest-first
-from trajectories and reversed by the builder, which takes every
-admissible start or draws a fixed number per trajectory
-(:func:`build_dataset`'s ``per_trajectory``).
+network can read it off directly.  The builder takes every admissible
+start or draws a fixed number per trajectory (:func:`build_dataset`'s
+``per_trajectory``).
 
 Both container types are stored as uncompressed ``.npz`` archives of
 float64 and int64 arrays with a fixed set of members; see
@@ -22,7 +24,8 @@ Loaders reject any other layout with a ``ValueError`` naming the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,14 +46,35 @@ __all__ = [
 ]
 
 
+def _checked_trajectories(trajectories):
+    """``trajectories`` as a float64 C-contiguous ``(n_traj, K, d)`` array,
+    adopted without a copy where it already is one; an empty or
+    non-finite set is a ValueError."""
+    trajectories = np.ascontiguousarray(trajectories, dtype=float)
+    if trajectories.ndim != 3 or 0 in trajectories.shape[1:]:
+        raise ValueError(
+            f"trajectories have shape {trajectories.shape}, expected "
+            "(n_traj, K, d) with K >= 1 and d >= 1"
+        )
+    if trajectories.shape[0] == 0:
+        raise ValueError(
+            f"trajectories have shape {trajectories.shape}, expected "
+            "at least one trajectory"
+        )
+    bad = np.flatnonzero(~np.isfinite(trajectories).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"trajectory {bad[0]} contains non-finite entries")
+    return trajectories
+
+
 @dataclass(frozen=True)
 class TrajectorySet:
     """Observed-variable trajectories of one length and sample step.
 
-    ``trajectories`` of shape ``(n_traj, K, d)``, with K >= 1 and d >= 1,
-    holds trajectory i's samples at times 0, delta, ..., (K - 1) * delta
-    in ``trajectories[i]``, the same layout as on disk.  A float64
-    C-contiguous array is adopted without a copy.
+    ``trajectories`` of shape ``(n_traj, K, d)``, with n_traj, K and d
+    >= 1, holds trajectory i's samples at times 0, delta, ...,
+    (K - 1) * delta in ``trajectories[i]``, the same layout as on disk.  A
+    float64 C-contiguous array is adopted without a copy.
     """
 
     delta: float
@@ -59,16 +83,8 @@ class TrajectorySet:
     def __post_init__(self):
         if not 0 < self.delta < np.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        trajectories = np.ascontiguousarray(self.trajectories, dtype=float)
-        object.__setattr__(self, "trajectories", trajectories)
-        if trajectories.ndim != 3 or 0 in trajectories.shape[1:]:
-            raise ValueError(
-                f"trajectories have shape {trajectories.shape}, expected "
-                "(n_traj, K, d) with K >= 1 and d >= 1"
-            )
-        bad = np.flatnonzero(~np.isfinite(trajectories).all(axis=(1, 2)))
-        if bad.size:
-            raise ValueError(f"trajectory {bad[0]} contains non-finite entries")
+        object.__setattr__(self, "trajectories",
+                           _checked_trajectories(self.trajectories))
 
     @property
     def n_traj(self):
@@ -81,40 +97,86 @@ class TrajectorySet:
 
 @dataclass(frozen=True)
 class MemoryWindowDataset:
-    """Input/target pairs for the memory network.
+    """Memory windows as an index over trajectories.
 
-    ``inputs`` has shape ``(J, d*(n_mem+1))`` with newest-first d-blocks
-    and J >= 1; ``targets`` has shape ``(J, d)``.
+    ``trajectories`` is an ``(n_traj, K, d)`` array as in
+    :class:`TrajectorySet`, adopted without a copy.  ``starts`` is an
+    ``(n_traj, count)`` integer array with count >= 1: window row
+    ``j = i * count + c`` covers samples ``starts[i, c]`` to
+    ``starts[i, c] + n_mem + 1`` of trajectory i, so every start lies in
+    ``[0, K - n_mem - 2]``.  The J = ``starts.size`` rows are gathered by
+    :meth:`windows`.
     """
 
-    d: int
     n_mem: int
-    inputs: np.ndarray
-    targets: np.ndarray
+    trajectories: np.ndarray
+    starts: np.ndarray
+    # per row, the flat sample index of the window's oldest sample
+    _oldest: np.ndarray = field(init=False, repr=False, compare=False)
+    # _blocks[w, t] = flat sample w + n_mem + 1 - t: a window newest first
+    _blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
-        if self.d < 1 or self.n_mem < 0:
-            raise ValueError("require d >= 1 and n_mem >= 0")
-        width = self.d * (self.n_mem + 1)
-        if inputs.ndim != 2 or inputs.shape[1] != width or inputs.shape[0] < 1:
+        n_mem = self.n_mem
+        if isinstance(n_mem, bool) or not isinstance(n_mem, numbers.Integral) \
+                or n_mem < 0:
+            raise ValueError(f"n_mem must be an integer >= 0, got {n_mem}")
+        object.__setattr__(self, "n_mem", int(n_mem))
+        trajectories = _checked_trajectories(self.trajectories)
+        n_traj, length, d = trajectories.shape
+        starts = np.asarray(self.starts)
+        if not np.issubdtype(starts.dtype, np.integer):
+            raise ValueError(f"starts must be an integer array, got {starts.dtype}")
+        if starts.ndim != 2 or starts.shape[0] != n_traj or starts.shape[1] < 1:
             raise ValueError(
-                f"inputs have shape {inputs.shape}, expected (J, {width}) with J >= 1"
+                f"starts have shape {starts.shape}, expected ({n_traj}, count) "
+                "with count >= 1"
             )
-        if targets.ndim != 2 or targets.shape != (inputs.shape[0], self.d):
+        last = length - n_mem - 2
+        if starts.min() < 0 or starts.max() > last:
             raise ValueError(
-                f"targets have shape {targets.shape}, expected "
-                f"({inputs.shape[0]}, {self.d})"
+                f"starts lie in [{starts.min()}, {starts.max()}], expected "
+                f"[0, {last}] for K={length} and n_mem={n_mem}"
             )
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-            raise ValueError("dataset contains non-finite entries")
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        flat = trajectories.reshape(n_traj * length, d)
+        blocks = sliding_window_view(flat, n_mem + 2, axis=0)[..., ::-1]
+        object.__setattr__(self, "trajectories", trajectories)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "_oldest",
+                           (np.arange(n_traj)[:, None] * length + starts).ravel())
+        object.__setattr__(self, "_blocks", blocks.swapaxes(1, 2))
+
+    @property
+    def d(self):
+        return self.trajectories.shape[2]
 
     @property
     def size(self):
-        return self.inputs.shape[0]
+        return self.starts.size
+
+    def windows(self, rows):
+        """``(inputs, targets)`` of the window rows ``rows``, an index
+        array or a slice: shapes ``(B, d*(n_mem+1))``, newest-first
+        d-blocks, and ``(B, d)``, gathered in one copy of B windows that
+        both are views of."""
+        block = self._blocks[self._oldest[rows]]
+        width = self.d * (self.n_mem + 1)
+        return block[:, 1:].reshape(block.shape[0], width), block[:, 0]
+
+    @property
+    def inputs(self):
+        """All J input rows, gathered into a fresh array on every access:
+        for inspection and small scripts.  Training must not use it; it
+        gathers its rows by :meth:`windows`."""
+        return self.windows(slice(None))[0]
+
+    @property
+    def targets(self):
+        """All J targets, gathered into a fresh array on every access: for
+        inspection and small scripts.  Training must not use it; it
+        gathers its rows by :meth:`windows`."""
+        return self.windows(slice(None))[1]
 
 
 def sample_initial_conditions(domain, count, seed):
@@ -159,7 +221,7 @@ def _draw_starts(n_traj, avail, count, rng):
 
 
 def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
-    """Assemble a memory-window dataset from a trajectory set.
+    """Index the memory windows of a trajectory set.
 
     Trajectories of K samples have ``avail = K - n_mem - 1`` admissible
     window starts each.  With ``per_trajectory`` None every one of them is
@@ -172,13 +234,15 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     by ``avail - j0 + k``; with exactly j0 starts every one is taken.
     Fewer starts than requested (j0, or one when taking every start) is a
     ValueError.  Windows come trajectory by trajectory, in increasing
-    start position; the inputs are the only full-size copy made.
+    start position.  The dataset shares the trajectory array; the starts
+    are the only array it adds.
     """
-    if n_mem < 0:
-        raise ValueError(f"n_mem must be >= 0, got {n_mem}")
-    if per_trajectory is not None and per_trajectory < 1:
-        raise ValueError(f"per_trajectory must be >= 1 or None, got {per_trajectory}")
-    n_traj, length, d = trajs.trajectories.shape
+    if per_trajectory is not None and (
+            isinstance(per_trajectory, bool)
+            or not isinstance(per_trajectory, numbers.Integral) or per_trajectory < 1):
+        raise ValueError(
+            f"per_trajectory must be an integer >= 1 or None, got {per_trajectory}")
+    n_traj, length, _ = trajs.trajectories.shape
     avail = length - n_mem - 1  # admissible starts per trajectory
     if avail < (per_trajectory or 1):
         raise ValueError(
@@ -190,16 +254,8 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     else:
         starts = _draw_starts(n_traj, avail, per_trajectory,
                               np.random.default_rng(seed))
-    rows = np.arange(n_traj)[:, None]
-    # history[i, k, t] = trajectories[i, k + n_mem - t]: n_mem + 1 samples
-    # from sample k of trajectory i, newest first
-    history = sliding_window_view(trajs.trajectories, n_mem + 1, axis=1)
-    history = history[..., ::-1].swapaxes(2, 3)
-    return MemoryWindowDataset(
-        d=d, n_mem=n_mem,
-        inputs=history[rows, starts].reshape(starts.size, d * (n_mem + 1)),
-        targets=trajs.trajectories[rows, starts + n_mem + 1].reshape(starts.size, d),
-    )
+    return MemoryWindowDataset(n_mem=n_mem, trajectories=trajs.trajectories,
+                               starts=starts)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +263,16 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
 # ---------------------------------------------------------------------------
 
 _DATASET_SCHEMA = {
-    "d": (np.int64, 0), "n_mem": (np.int64, 0),
-    "inputs": (np.float64, 2), "targets": (np.float64, 2),
+    "n_mem": (np.int64, 0), "trajectories": (np.float64, 3),
+    "starts": (np.int64, 2),
 }
 _TRAJECTORY_SCHEMA = {"delta": (np.float64, 0), "trajectories": (np.float64, 3)}
 
 
 def save_dataset(ds, path):
-    """Write a dataset as an npz archive: ``d`` and ``n_mem`` (int64
-    scalars), ``inputs`` (float64, ``(J, d*(n_mem+1))``, newest-first
-    rows) and ``targets`` (float64, ``(J, d)``)."""
+    """Write a dataset as an npz archive: ``n_mem`` (int64 scalar),
+    ``trajectories`` (float64, ``(n_traj, K, d)``) and ``starts`` (int64,
+    ``(n_traj, count)``, each window's first sample)."""
     _npz.save(path, ds, _DATASET_SCHEMA)
 
 

@@ -291,8 +291,11 @@ class SolverConfig:
     substeps: int = 20
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        delta = self.delta
+        # a bool or a string is not a step; NaN fails the range test
+        if (isinstance(delta, bool) or not isinstance(delta, numbers.Real)
+                or not 0 < delta < np.inf):
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         substeps = self.substeps
         if (isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral)
                 or substeps < 1):

@@ -152,10 +152,13 @@ def forward_batch(params, z_stacks, acts=None):
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         if acts is not None:
             acts.append(act)
-        act = act @ w.T + b
+        # one fresh array per layer: the bias and tanh act on the product
+        act = act @ w.T
+        act += b
         if l != last:
-            act = np.tanh(act)
-    return z_stacks[..., : params.d] + act
+            np.tanh(act, out=act)
+    act += z_stacks[..., : params.d]
+    return act
 
 
 def backward_batch(params, z_stacks, output_grads, acts=None):

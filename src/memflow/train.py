@@ -51,10 +51,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.learning_rate < np.inf:  # NaN fails too
-            raise ValueError(
-                f"learning_rate must be nonnegative and finite, got {self.learning_rate}"
-            )
+        lr = self.learning_rate
+        # a bool or a string is not a rate; NaN fails the range test
+        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                or not 0 <= lr < np.inf):
+            raise ValueError(f"learning_rate must be nonnegative and finite, got {lr}")
         for key in ("batch_size", "epochs"):
             value = getattr(self, key)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
@@ -70,8 +71,9 @@ class TrainReport:
     wall_time: float
 
 
-# Rows per forward_batch call in mse_loss, which bounds the activations it
-# holds at once independently of the dataset size.
+# Rows per forward_batch call in mse_loss, which bounds the windows it
+# gathers and the activations it holds at once independently of the
+# dataset size.
 LOSS_CHUNK_ROWS = 1024
 
 
@@ -81,7 +83,8 @@ def mse_loss(params, ds):
     sq_norms = np.empty(ds.size)
     for lo in range(0, ds.size, LOSS_CHUNK_ROWS):
         hi = lo + LOSS_CHUNK_ROWS
-        resid = forward_batch(params, ds.inputs[lo:hi]) - ds.targets[lo:hi]
+        inputs, targets = ds.windows(slice(lo, hi))
+        resid = forward_batch(params, inputs) - targets
         sq_norms[lo:hi] = np.sum(resid**2, axis=1)
     return float(np.mean(sq_norms))
 
@@ -115,8 +118,7 @@ def train_model(init, ds, cfg):
     theta = work.flat  # updated in place, so work's weight views follow it
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    step_buf = np.empty_like(theta)  # the update's two temporaries, reused
-    denom = np.empty_like(theta)
+    denom = np.empty_like(theta)  # the update's one temporary, reused
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cfg.learning_rate
 
     t0 = time.perf_counter()
@@ -128,39 +130,29 @@ def train_model(init, ds, cfg):
         for epoch in range(cfg.epochs):
             order = rng.permutation(j_total)
             for lo in range(0, j_total, cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                xb = ds.inputs[idx]
-                yb = ds.targets[idx]
-                acts = []  # this step's layer outputs, which backward_batch reuses
-                pred = forward_batch(work, xb, acts)
-                resid = pred - yb
-                batch_loss = np.mean(np.sum(resid**2, axis=1))
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at step {step} (epoch {epoch}); "
-                        "reduce the learning rate",
-                        step=step,
-                    )
-                grad, _ = backward_batch(work, xb, (2.0 / xb.shape[0]) * resid, acts)
+                # a fresh vector, which the update below then overwrites
+                grad = _gradient(work, ds, order[lo : lo + cfg.batch_size],
+                                 step, epoch)
                 step += 1
                 corr1 = 1.0 - b1**step
                 corr2 = 1.0 - b2**step
                 # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2, then
                 # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
                 m *= b1
-                np.multiply(grad, 1 - b1, out=step_buf)
-                m += step_buf
+                np.multiply(grad, 1 - b1, out=denom)
+                m += denom
                 v *= b2
-                np.square(grad, out=step_buf)
-                step_buf *= 1 - b2
-                v += step_buf
-                np.divide(m, corr1, out=step_buf)
-                step_buf *= lr
+                np.square(grad, out=grad)
+                grad *= 1 - b2
+                v += grad
+                np.divide(m, corr1, out=grad)
+                grad *= lr
                 np.divide(v, corr2, out=denom)
                 np.sqrt(denom, out=denom)
                 denom += eps
-                step_buf /= denom
-                theta -= step_buf
+                grad /= denom
+                theta -= grad
+            del grad  # not held through the loss pass
             losses[epoch] = mse_loss(work, ds)
             if not np.isfinite(losses[epoch]):
                 raise TrainingDiverged(
@@ -176,6 +168,23 @@ def train_model(init, ds, cfg):
         wall_time=time.perf_counter() - t0,
     )
     return trained, report
+
+
+def _gradient(params, ds, rows, step, epoch):
+    """The gradient of the mean squared loss over the window rows ``rows``,
+    as a fresh vector laid out like ``params.flat``; a non-finite loss
+    raises TrainingDiverged at ``step``."""
+    xb, yb = ds.windows(rows)
+    acts = []  # this step's layer outputs, which backward_batch reuses
+    resid = forward_batch(params, xb, acts) - yb
+    batch_loss = np.mean(np.sum(resid**2, axis=1))
+    if not np.isfinite(batch_loss):
+        raise TrainingDiverged(
+            f"non-finite loss at step {step} (epoch {epoch}); "
+            "reduce the learning rate",
+            step=step,
+        )
+    return backward_batch(params, xb, (2.0 / xb.shape[0]) * resid, acts)[0]
 
 
 def save_model(params, path):

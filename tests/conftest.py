@@ -1,10 +1,27 @@
-"""Shared fixtures: hand-built ``.npz`` archives for the loader rejection tests."""
+"""Shared helpers: datasets made from given windows, and hand-built
+``.npz`` archives for the loader rejection tests."""
 
 import io
 import zipfile
 
 import numpy as np
 import pytest
+
+from memflow import data
+
+
+def windows_dataset(n_mem, inputs, targets):
+    """A dataset whose rows are the given ``(J, d*(n_mem+1))`` newest-first
+    inputs and ``(J, d)`` targets: one trajectory of ``n_mem + 2`` samples,
+    oldest first, per window, each indexed from start 0."""
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    j, d = targets.shape
+    history = inputs.reshape(j, n_mem + 1, d)[:, ::-1]
+    return data.MemoryWindowDataset(
+        n_mem=n_mem, trajectories=np.concatenate([history, targets[:, None]], axis=1),
+        starts=np.zeros((j, 1), dtype=np.int64),
+    )
 
 
 def _npy(value):

@@ -7,7 +7,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from memflow import cli, net, rollout
+from conftest import windows_dataset
+from memflow import cli, data, net, rollout
 
 
 def micro_config(tmp_path, **overrides):
@@ -306,6 +307,28 @@ class TestPipeline:
             }
         assert artifacts["a"] == artifacts["b"]
 
+    def test_windows_held_once_train_like_windows_held_apart(self, tmp_path):
+        # every window of 50 trajectories, indexed over the trajectories
+        # themselves or over one trajectory of n_mem + 2 samples per window,
+        # trains from one seed to the same checkpoint and loss log
+        outs = {}
+        for tag in ("shared", "apart"):
+            cfg = micro_config(tmp_path, traj_len=12, per_trajectory=None,
+                               out_dir=str(tmp_path / tag))
+            cli.cmd_generate(cfg)
+            cli.cmd_build_dataset(cfg)
+            if tag == "apart":
+                path = tmp_path / tag / cli.DATASET_FILE
+                ds = data.load_dataset(path)
+                apart = windows_dataset(ds.n_mem, ds.inputs, ds.targets)
+                assert ds.trajectories.shape == (50, 12, 1)
+                assert apart.trajectories.shape == (400, 5, 1)
+                data.save_dataset(apart, path)
+            cli.cmd_train(cfg)
+            outs[tag] = [(tmp_path / tag / name).read_bytes()
+                         for name in (cli.MODEL_FILE, cli.TRAIN_LOG_FILE)]
+        assert outs["shared"] == outs["apart"]
+
     def test_different_seed_changes_artifacts(self, tmp_path):
         outs = {}
         for seed in (1, 2):
@@ -469,7 +492,7 @@ class TestMain:
         ("build-dataset", cli.TRAJECTORY_FILE,
          dict(delta=np.float64(0.02))),
         ("train", cli.DATASET_FILE,
-         dict(d=np.int64(1), n_mem=np.int64(3), targets=np.zeros((1, 1)))),
+         dict(n_mem=np.int64(3), starts=np.zeros((1, 1), dtype=np.int64))),
     ])
     def test_oversized_artifact_fails_without_traceback(
         self, tmp_path, capsys, write_archive, declared_npy, stage, name, members
@@ -477,9 +500,9 @@ class TestMain:
         base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
         out = tmp_path / "run"
         out.mkdir()
-        bulk, shape = {cli.TRAJECTORY_FILE: ("trajectories", (10**9, 10, 1)),
-                       cli.DATASET_FILE: ("inputs", (10**9, 10))}[name]
-        write_archive(out / name, **members, **{bulk: declared_npy(shape)})
+        # both files hold their samples in a 'trajectories' member
+        bulk = "trajectories"
+        write_archive(out / name, **members, **{bulk: declared_npy((10**9, 10, 1))})
         assert cli.main([stage, *base]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / name}: member '{bulk}' declares shape")

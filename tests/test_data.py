@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import windows_dataset
 from memflow import data
 from memflow import dynamics as dyn
 
@@ -261,6 +262,27 @@ class TestBuildDataset:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("strategy", [{}, dict(per_trajectory=3, seed=2)],
+                             ids=["every-start", "per-trajectory"])
+    @pytest.mark.parametrize("rows", [
+        np.array([11, 0, 5, 5, 7]), np.array([], dtype=np.int64),
+        slice(None), slice(4, 11), slice(3, None, 5),
+    ], ids=["indices", "no-indices", "all", "slice", "strided-slice"])
+    def test_windows_match_per_window_loop_bitwise(self, strategy, rows):
+        trajs = random_trajectories(4, 12, d=3, seed=7)
+        ds = data.build_dataset(trajs, 4, **strategy)
+        want_in, want_tgt = reference_build_dataset(trajs, 4, **strategy)
+        for got, want in zip(ds.windows(rows), (want_in[rows], want_tgt[rows])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_shares_the_trajectories(self):
+        trajs = random_trajectories(3, 20, d=2, seed=3)
+        ds = data.build_dataset(trajs, 5, per_trajectory=4, seed=1)
+        assert ds.trajectories is trajs.trajectories
+        assert ds.starts.dtype == np.int64 and ds.starts.shape == (3, 4)
+        assert (ds.d, ds.n_mem, ds.size) == (2, 5, 12)
+
     def test_random_starts_uniform(self):
         # start s of a trajectory with `avail` starts is picked with
         # probability j0 / avail, and each j0-subset with 1 / C(avail, j0)
@@ -301,9 +323,9 @@ class TestBuildDataset:
 
     def test_strategy_validation(self):
         trajs = toy_trajectories(1, 12)
-        for j0 in (0, -3):
+        for j0 in (0, -3, True, 2.0, "3"):
             with pytest.raises(ValueError, match=(
-                    f"per_trajectory must be >= 1 or None, got {j0}")):
+                    f"per_trajectory must be an integer >= 1 or None, got {j0}")):
                 data.build_dataset(trajs, 2, per_trajectory=j0)
 
 
@@ -343,16 +365,17 @@ class TestExactMapGate:
 class TestSerialization:
     def test_dataset_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        ds = data.MemoryWindowDataset(
-            d=2, n_mem=3,
-            inputs=rng.normal(size=(11, 8)) * 10.0 ** rng.integers(-8, 8, size=(11, 1)),
-            targets=rng.normal(size=(11, 2)),
-        )
+        trajs = data.TrajectorySet(delta=0.02, trajectories=(
+            rng.normal(size=(5, 9, 2)) * 10.0 ** rng.integers(-8, 8, size=(5, 9, 1))))
+        ds = data.build_dataset(trajs, 3, per_trajectory=2, seed=6)
         path = tmp_path / "ds.npz"
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
         assert back.d == 2 and back.n_mem == 3
         assert type(back.d) is int and type(back.n_mem) is int
+        assert back.trajectories.tobytes() == ds.trajectories.tobytes()
+        assert back.starts.dtype == np.int64
+        np.testing.assert_array_equal(back.starts, ds.starts)
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.targets, ds.targets)
 
@@ -360,20 +383,23 @@ class TestSerialization:
         # no empty dataset can be built, so none is read back: a file of no
         # windows is rejected, naming the file
         path = write_archive(
-            tmp_path / "empty.npz", d=np.int64(1), n_mem=np.int64(2),
-            inputs=np.empty((0, 3)), targets=np.empty((0, 1)),
+            tmp_path / "empty.npz", n_mem=np.int64(2),
+            trajectories=np.ones((2, 5, 1)), starts=np.empty((2, 0), dtype=np.int64),
         )
         with pytest.raises(ValueError, match=(
-                r"empty\.npz: inputs have shape \(0, 3\), expected \(J, 3\) "
-                r"with J >= 1$")):
+                r"empty\.npz: starts have shape \(2, 0\), expected \(2, count\) "
+                r"with count >= 1$")):
             data.load_dataset(path)
 
     def test_header_row_width_mismatch_rejected(self, tmp_path, write_archive):
+        # trajectories of 3 samples hold no window of n_mem + 2 = 4
         path = write_archive(
-            tmp_path / "bad.npz", d=np.int64(2), n_mem=np.int64(1),
-            inputs=np.array([[1.0, 2.0, 3.0]]), targets=np.array([[4.0, 5.0]]),
+            tmp_path / "bad.npz", n_mem=np.int64(2),
+            trajectories=np.ones((1, 3, 2)), starts=np.zeros((1, 1), dtype=np.int64),
         )
-        with pytest.raises(ValueError, match=r"bad\.npz: inputs have shape \(1, 3\)"):
+        with pytest.raises(ValueError, match=(
+                r"bad\.npz: starts lie in \[0, 0\], expected \[0, -1\] for K=3 "
+                r"and n_mem=2$")):
             data.load_dataset(path)
 
     def test_bad_header_rejected(self, tmp_path, write_archive):
@@ -386,10 +412,34 @@ class TestSerialization:
 
     def test_row_count_mismatch_rejected(self, tmp_path, write_archive):
         path = write_archive(
-            tmp_path / "bad.npz", d=np.int64(1), n_mem=np.int64(0),
-            inputs=np.array([[1.0], [3.0]]), targets=np.array([[2.0]]),
+            tmp_path / "bad.npz", n_mem=np.int64(0),
+            trajectories=np.ones((2, 3, 1)), starts=np.zeros((1, 1), dtype=np.int64),
         )
-        with pytest.raises(ValueError, match=r"bad\.npz: targets have shape \(1, 1\)"):
+        with pytest.raises(ValueError, match=(
+                r"bad\.npz: starts have shape \(1, 1\), expected \(2, count\)")):
+            data.load_dataset(path)
+
+    @pytest.mark.parametrize("members, match", [
+        (dict(starts=np.array([[0, 2]])), r"starts lie in \[0, 2\], expected \[0, 1\]"),
+        (dict(starts=np.array([[-1, 0]])), r"starts lie in \[-1, 0\], expected \[0, 1\]"),
+        (dict(starts=np.array([[0.0, 1.0]])),
+         "member 'starts' is float64 with 2 dims, expected int64 with 2"),
+        (dict(starts=np.zeros((2, 1), dtype=np.int64)),
+         r"starts have shape \(2, 1\), expected \(1, count\) with count >= 1"),
+        (dict(starts=np.zeros((1, 0), dtype=np.int64)),
+         r"starts have shape \(1, 0\), expected \(1, count\) with count >= 1"),
+        (dict(starts=None, trajectories=None, d=np.int64(1), inputs=np.ones((2, 2)),
+              targets=np.ones((2, 1))),
+         r"members \['d.npy', 'inputs.npy', 'n_mem.npy', 'targets.npy'\], expected "
+         r"\['n_mem.npy', 'starts.npy', 'trajectories.npy'\]"),
+    ], ids=["past-the-end", "negative", "float", "row-count", "no-columns",
+            "old-layout"])
+    def test_malformed_index_rejected(self, tmp_path, write_archive, members, match):
+        # one trajectory of 5 samples holds windows of n_mem + 2 = 4 at 0 and 1
+        base = dict(n_mem=np.int64(2), trajectories=np.ones((1, 5, 1)))
+        members = {k: v for k, v in {**base, **members}.items() if v is not None}
+        path = write_archive(tmp_path / "bad.npz", **members)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
             data.load_dataset(path)
 
     def test_trajectory_round_trip(self, tmp_path):
@@ -451,21 +501,25 @@ VALID_MEMBERS = {
         delta=np.float64(0.02), trajectories=np.array([[[1.0], [2.0]], [[3.0], [4.0]]]),
     ),
     "dataset": dict(
-        d=np.int64(1), n_mem=np.int64(1), inputs=np.ones((2, 2)),
-        targets=np.ones((2, 1)),
+        n_mem=np.int64(1), trajectories=np.ones((2, 3, 1)),
+        starts=np.zeros((2, 1), dtype=np.int64),
     ),
 }
 LOADERS = {"trajectories": data.load_trajectories, "dataset": data.load_dataset}
-BULK = {"trajectories": "trajectories", "dataset": "inputs"}
-# the trajectory file's scalar is 'delta' and its bulk member has 3 dims, so
-# a declared shape gets a trailing 1 and these cases read differently there
-SCALAR = {"trajectories": "delta", "dataset": "d"}
-TRAJECTORY_MATCH = {
+# both files hold their samples in a 'trajectories' member of 3 dims, so a
+# declared shape gets a trailing 1 and these cases read differently from
+# the 2-dim defaults in the parametrization
+BULK = "trajectories"
+SCALAR = {"trajectories": "delta", "dataset": "n_mem"}
+BULK_MATCH = {
     "dtype": "float32 with 3 dims, expected float64",
-    "ndim": "'delta' is float64 with 1 dims, expected float64 with 0",
     "pickled": "is object with 3 dims",
     "oversized": r"declares shape \(1000000000, 10, 1\)",
     "negative_shape": r"declares shape \(-1, -2, 1\)",
+}
+NDIM_MATCH = {
+    "trajectories": "'delta' is float64 with 1 dims, expected float64 with 0",
+    "dataset": "'n_mem' is int64 with 1 dims, expected int64 with 0",
 }
 
 
@@ -491,10 +545,9 @@ class TestMalformedArtifacts:
     ])
     def test_rejected(self, tmp_path, write_archive, declared_npy, kind, case, match):
         members = dict(VALID_MEMBERS[kind])
-        bulk = BULK[kind]
+        bulk = BULK
         extra_dims = members[bulk].ndim - 2
-        if kind == "trajectories":
-            match = TRAJECTORY_MATCH.get(case, match)
+        match = NDIM_MATCH[kind] if case == "ndim" else BULK_MATCH.get(case, match)
         path = tmp_path / "bad.npz"
         if case == "not_npz":
             path.write_text("d=1 n_mem=0 J=1\n1.0 ; 2.0\n")
@@ -521,6 +574,17 @@ class TestMalformedArtifacts:
             LOADERS[kind](path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["trajectories", "dataset"])
+    def test_no_trajectories_rejected(self, tmp_path, write_archive, kind):
+        members = dict(VALID_MEMBERS[kind], trajectories=np.empty((0, 3, 1)))
+        if kind == "dataset":
+            members["starts"] = np.empty((0, 1), dtype=np.int64)
+        path = write_archive(tmp_path / "bad.npz", **members)
+        with pytest.raises(ValueError, match=(
+                r"^.*bad\.npz: trajectories have shape \(0, 3, 1\), expected at "
+                r"least one trajectory$")):
+            LOADERS[kind](path)
+
     def test_empty_trajectory_rejected(self, tmp_path, write_archive):
         members = dict(VALID_MEMBERS["trajectories"], trajectories=np.empty((2, 0, 1)))
         path = write_archive(tmp_path / "bad.npz", **members)
@@ -543,14 +607,38 @@ class TestInvariants:
         assert ds.size == 4 * 3
 
     def test_dataset_validation_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="inputs"):
-            data.MemoryWindowDataset(
-                d=1, n_mem=2, inputs=np.ones((4, 2)), targets=np.ones((4, 1))
-            )
-        with pytest.raises(ValueError, match="targets"):
-            data.MemoryWindowDataset(
-                d=1, n_mem=2, inputs=np.ones((4, 3)), targets=np.ones((3, 1))
-            )
+        trajectories = np.ones((4, 5, 1))
+        with pytest.raises(ValueError, match=r"^starts have shape \(3, 1\)"):
+            data.MemoryWindowDataset(n_mem=2, trajectories=trajectories,
+                                     starts=np.zeros((3, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"^starts have shape \(4,\)"):
+            data.MemoryWindowDataset(n_mem=2, trajectories=trajectories,
+                                     starts=np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="^starts must be an integer array, got bool"):
+            data.MemoryWindowDataset(n_mem=2, trajectories=trajectories,
+                                     starts=np.zeros((4, 1), dtype=bool))
+        with pytest.raises(ValueError, match=r"^trajectories have shape \(4, 5\)"):
+            data.MemoryWindowDataset(n_mem=2, trajectories=trajectories[..., 0],
+                                     starts=np.zeros((4, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="^trajectory 2 contains non-finite"):
+            bad = trajectories.copy()
+            bad[2, 4, 0] = np.inf
+            data.MemoryWindowDataset(n_mem=2, trajectories=bad,
+                                     starts=np.zeros((4, 1), dtype=np.int64))
+        for n_mem in (-1, True, 2.0):
+            with pytest.raises(ValueError, match=(
+                    f"^n_mem must be an integer >= 0, got {n_mem}$")):
+                data.MemoryWindowDataset(n_mem=n_mem, trajectories=trajectories,
+                                         starts=np.zeros((4, 1), dtype=np.int64))
+
+    def test_dataset_of_given_windows(self):
+        # the helper the loss and training tests build their datasets with
+        rng = np.random.default_rng(2)
+        inputs, targets = rng.normal(size=(6, 8)), rng.normal(size=(6, 2))
+        ds = windows_dataset(3, inputs, targets)
+        assert (ds.d, ds.n_mem, ds.size) == (2, 3, 6)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.targets.tobytes() == targets.tobytes()
 
     def test_trajectory_set_adopts_float64_samples(self):
         samples = np.arange(12.0).reshape(2, 3, 2).copy()
@@ -568,6 +656,12 @@ class TestInvariants:
                 rf"^trajectories have shape {re.escape(str(shape))}, expected "
                 r"\(n_traj, K, d\) with K >= 1 and d >= 1$")):
             data.TrajectorySet(delta=0.1, trajectories=np.ones(shape))
+
+    def test_trajectory_set_rejects_no_trajectories(self):
+        with pytest.raises(ValueError, match=(
+                r"^trajectories have shape \(0, 5, 1\), expected at least one "
+                r"trajectory$")):
+            data.TrajectorySet(delta=0.02, trajectories=np.zeros((0, 5, 1)))
 
     @pytest.mark.parametrize("delta", [0.0, np.inf, np.nan])
     def test_trajectory_set_rejects_bad_delta(self, delta):

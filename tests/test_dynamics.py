@@ -313,6 +313,12 @@ example1_field = ("x0 - 4.0 * x1", "4.0 * x0 - 2.0 * x1")
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("delta", [True, "0.02", None])
+    def test_step_that_is_not_a_number_rejected(self, delta):
+        with pytest.raises(ValueError, match=(
+                f"^delta must be positive and finite, got {delta}$")):
+            dyn.SolverConfig(delta=delta)
+
     @pytest.mark.parametrize("delta", [0.0, -0.02, float("inf"), float("nan")])
     def test_step_that_is_not_positive_and_finite_rejected(self, delta):
         with pytest.raises(ValueError, match=(

@@ -5,15 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import windows_dataset
 from memflow import data, net, train
 
 
 def make_dataset(rng, j, d=1, n_mem=0, scale=1.0):
     width = d * (n_mem + 1)
-    return data.MemoryWindowDataset(
-        d=d, n_mem=n_mem,
-        inputs=scale * rng.normal(size=(j, width)),
-        targets=scale * rng.normal(size=(j, d)),
+    return windows_dataset(
+        n_mem, scale * rng.normal(size=(j, width)), scale * rng.normal(size=(j, d)),
     )
 
 
@@ -69,17 +68,13 @@ class TestMseLoss:
     def test_exact_reproduction_gives_zero(self):
         row_in = np.array([0.4, -0.2, 0.9])
         row_tgt = np.array([1.3])
-        ds = data.MemoryWindowDataset(
-            d=1, n_mem=2, inputs=row_in[None, :], targets=row_tgt[None, :]
-        )
+        ds = windows_dataset(2, row_in[None, :], row_tgt[None, :])
         params = exact_fit_params(row_in, row_tgt, d=1, n_mem=2, hidden=[6])
         assert train.mse_loss(params, ds) == 0.0
 
     def test_single_row_squared_error(self):
         row_in = np.array([0.5])
-        ds = data.MemoryWindowDataset(
-            d=1, n_mem=0, inputs=row_in[None, :], targets=np.array([[2.0]])
-        )
+        ds = windows_dataset(0, row_in[None, :], np.array([[2.0]]))
         params = net.init_params(1, 0, [3], seed=4)
         prediction = net.forward_batch(params, row_in)[0]
         np.testing.assert_allclose(
@@ -94,7 +89,7 @@ class TestMseLoss:
         # with zeroed final layer and bias 0 the model is the identity on z_now
         inputs = np.array([[1.0, 0.0], [2.0, 0.5]])
         targets = np.array([[1.0 + 1.0], [2.0 + np.sqrt(3.0)]])
-        ds = data.MemoryWindowDataset(d=1, n_mem=1, inputs=inputs, targets=targets)
+        ds = windows_dataset(1, inputs, targets)
         np.testing.assert_allclose(train.mse_loss(params, ds), 2.0, rtol=1e-12)
 
     def test_chunked_matches_whole_dataset(self, monkeypatch):
@@ -126,9 +121,7 @@ class TestMseLoss:
         rng = np.random.default_rng(7)
         ds = make_dataset(rng, 20, d=2, n_mem=2)
         perm = rng.permutation(20)
-        shuffled = data.MemoryWindowDataset(
-            d=2, n_mem=2, inputs=ds.inputs[perm], targets=ds.targets[perm]
-        )
+        shuffled = windows_dataset(2, ds.inputs[perm], ds.targets[perm])
         params = net.init_params(2, 2, [8], seed=7)
         np.testing.assert_allclose(
             train.mse_loss(params, ds), train.mse_loss(params, shuffled), rtol=1e-12
@@ -140,7 +133,7 @@ class TestTrainModel:
         # z_next = 0.9 * z_now has an exact representation; loss floor is 0
         rng = np.random.default_rng(1)
         z = rng.uniform(-1, 1, size=(50, 1))
-        ds = data.MemoryWindowDataset(d=1, n_mem=0, inputs=z, targets=0.9 * z)
+        ds = windows_dataset(0, z, 0.9 * z)
         cfg = train.TrainConfig(
             learning_rate=1e-2, batch_size=50, epochs=2000, seed=0
         )
@@ -231,10 +224,20 @@ class TestTrainModel:
             train.train_model(init, ds, cfg)
 
     def test_empty_dataset_rejected(self):
+        # no window in any trajectory, and no trajectory at all
         with pytest.raises(ValueError, match=(
-                r"^inputs have shape \(0, 1\), expected \(J, 1\) with J >= 1$")):
+                r"^starts have shape \(1, 0\), expected \(1, count\) with "
+                r"count >= 1$")):
             data.MemoryWindowDataset(
-                d=1, n_mem=0, inputs=np.empty((0, 1)), targets=np.empty((0, 1))
+                n_mem=0, trajectories=np.ones((1, 2, 1)),
+                starts=np.empty((1, 0), dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match=(
+                r"^trajectories have shape \(0, 2, 1\), expected at least one "
+                r"trajectory$")):
+            data.MemoryWindowDataset(
+                n_mem=0, trajectories=np.empty((0, 2, 1)),
+                starts=np.empty((0, 1), dtype=np.int64),
             )
 
     def test_config_validation(self):
@@ -244,6 +247,12 @@ class TestTrainModel:
                 train.TrainConfig(learning_rate=lr)
         with pytest.raises(ValueError, match="epochs"):
             train.TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("lr", [True, "0.1", None])
+    def test_learning_rate_must_be_a_number(self, lr):
+        with pytest.raises(ValueError, match=(
+                f"^learning_rate must be nonnegative and finite, got {lr}$")):
+            train.TrainConfig(learning_rate=lr)
 
     @pytest.mark.parametrize("key", ["batch_size", "epochs"])
     @pytest.mark.parametrize("value", [4.5, True, 0, "8"])
