@@ -56,7 +56,7 @@ __all__ = [
     "main",
 ]
 
-TRAJECTORY_FILE = "trajectories.npz"
+TRAJECTORY_FILE = data_mod.TRAJECTORY_FILE
 DATASET_FILE = "dataset.npz"
 MODEL_FILE = "model.npz"
 TRAIN_LOG_FILE = "train_log.csv"

@@ -16,24 +16,31 @@ network can read it off directly.  The builder takes every admissible
 start or draws a fixed number per trajectory (:func:`build_dataset`'s
 ``per_trajectory``).
 
-Both container types are stored as uncompressed ``.npz`` archives of
-float64 and int64 arrays with a fixed set of members; see
-:func:`save_trajectories` and :func:`save_dataset` for the members.
-Loaders reject any other layout with a ``ValueError`` naming the file.
+Both are stored as uncompressed ``.npz`` archives of float64 and int64
+arrays with a fixed set of members; see :func:`save_trajectories` and
+:func:`save_dataset` for the members.  The dataset file is an index too:
+it holds the window starts and a CRC-32 of the trajectories it was built
+on, and :func:`load_dataset` reads the trajectories from the
+:data:`TRAJECTORY_FILE` beside it.  Loaders reject any other layout with a
+``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
 import numbers
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memflow import _npz
-from memflow.dynamics import integrate_batch
+from memflow.dynamics import _count, integrate_batch
 
 __all__ = [
+    "TRAJECTORY_FILE",
     "TrajectorySet",
     "MemoryWindowDataset",
     "sample_initial_conditions",
@@ -195,8 +202,7 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     (traj_len - 1) * delta; the unobserved components are discarded.
     Integration failures abort loudly with the offending trajectory index.
     """
-    if traj_len < 1:
-        raise ValueError(f"traj_len must be >= 1, got {traj_len}")
+    traj_len = _count("traj_len", traj_len, 1)
     if domain.n != spec.n:
         raise ValueError(
             f"domain dimension {domain.n} does not match system n={spec.n}"
@@ -262,23 +268,52 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
 # Serialization
 # ---------------------------------------------------------------------------
 
+TRAJECTORY_FILE = "trajectories.npz"
+
 _DATASET_SCHEMA = {
-    "n_mem": (np.int64, 0), "trajectories": (np.float64, 3),
-    "starts": (np.int64, 2),
+    "n_mem": (np.int64, 0), "starts": (np.int64, 2),
+    "trajectories_crc32": (np.int64, 0),
 }
 _TRAJECTORY_SCHEMA = {"delta": (np.float64, 0), "trajectories": (np.float64, 3)}
 
 
+def _crc32(trajectories):
+    return zlib.crc32(np.ascontiguousarray(trajectories, dtype=np.float64))
+
+
 def save_dataset(ds, path):
     """Write a dataset as an npz archive: ``n_mem`` (int64 scalar),
-    ``trajectories`` (float64, ``(n_traj, K, d)``) and ``starts`` (int64,
-    ``(n_traj, count)``, each window's first sample)."""
-    _npz.save(path, ds, _DATASET_SCHEMA)
+    ``starts`` (int64, ``(n_traj, count)``, each window's first sample) and
+    ``trajectories_crc32`` (int64 scalar, ``zlib.crc32`` of the float64
+    trajectory array).  The trajectories themselves are not written: they
+    are read back from the :data:`TRAJECTORY_FILE` beside ``path``."""
+    _npz.save(path, SimpleNamespace(
+        n_mem=ds.n_mem, starts=ds.starts,
+        trajectories_crc32=_crc32(ds.trajectories)), _DATASET_SCHEMA)
 
 
 def load_dataset(path):
-    """Inverse of :func:`save_dataset`; malformed files are rejected."""
-    return _npz.load(path, MemoryWindowDataset, _DATASET_SCHEMA)
+    """Inverse of :func:`save_dataset`, over the trajectories of the
+    :data:`TRAJECTORY_FILE` beside ``path``.  A malformed file is rejected;
+    so is a trajectory file that is missing, malformed or not the one the
+    dataset was built on (another CRC-32), naming both files."""
+    index = _npz.load(path, dict, _DATASET_SCHEMA)
+    source = Path(path).with_name(TRAJECTORY_FILE)
+    try:
+        trajectories = _npz.load(source, dict, _TRAJECTORY_SCHEMA)["trajectories"]
+    except (OSError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: cannot read the trajectories it indexes: {exc}") from None
+    got, want = _crc32(trajectories), index["trajectories_crc32"]
+    if got != want:
+        raise ValueError(
+            f"{path}: built on trajectories of CRC-32 {want:08x}, but {source} "
+            f"has CRC-32 {got:08x}; build the dataset again")
+    try:
+        return MemoryWindowDataset(n_mem=index["n_mem"], trajectories=trajectories,
+                                   starts=index["starts"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_trajectories(trajs, path):

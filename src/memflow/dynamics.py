@@ -596,6 +596,16 @@ def _rk4_sample_matrix(a, delta, substeps):
     return np.linalg.matrix_power(r, substeps)
 
 
+def _count(name, value, least):
+    """``value`` as an int >= ``least``; a bool, a non-integer or a smaller
+    value is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def integrate_batch(spec, config, x0s, num_samples):
     """Integrate many trajectories in lock-step, returning states at times
     0, delta, ..., num_samples * delta.
@@ -619,8 +629,7 @@ def integrate_batch(spec, config, x0s, num_samples):
         raise ValueError(
             f"x0s must have shape (m, {spec.n}) with m >= 1, got {x0s.shape}"
         )
-    if num_samples < 0:
-        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
+    num_samples = _count("num_samples", num_samples, 0)
     out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
     out[:, 0] = x0s
     delta, substeps = config.delta, config.substeps
@@ -732,8 +741,7 @@ def exact_linear_trajectory(spec, x0, delta, num_samples):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
-    if num_samples < 0:
-        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
+    num_samples = _count("num_samples", num_samples, 0)
     out = np.empty((num_samples + 1, spec.n))
     out[0] = x0
     return _fill_by_doubling(out, matrix_exponential(a * delta).T)
@@ -762,8 +770,7 @@ def exact_reduced_map(spec, solver, n_mem):
     a rank-deficient O is a ValueError naming its rank.
     """
     a = _linear_matrix(spec)
-    if n_mem < 0:
-        raise ValueError(f"n_mem must be >= 0, got {n_mem}")
+    n_mem = _count("n_mem", n_mem, 0)
     step = _rk4_sample_matrix(a, solver.delta, solver.substeps)
     back = np.linalg.inv(step)
     blocks = [np.eye(spec.n)[: spec.d]]  # C S^-k, k = 0..n_mem

@@ -86,20 +86,20 @@ def rollout(model, seeds, steps):
     ``seeds`` has shape (R, n_mem + 1, d); the R runs advance together
     through one call ``model(stacks)`` per step.  A live run's stack is its
     latest ``n_mem + 1`` states, newest first, and the map's output becomes
-    its next state.  A non-finite prediction stops its run and records the
+    its next state; an output that is not ``(R', d)`` for the R' live runs
+    is a ValueError.  A non-finite prediction stops its run and records the
     divergence index; the other runs go on.
     """
     seeds = np.asarray(seeds, dtype=float)
-    need = model.n_mem + 1
-    if seeds.ndim != 3 or seeds.shape[1:] != (need, model.d):
+    need, d = model.n_mem + 1, model.d
+    if seeds.ndim != 3 or seeds.shape[1:] != (need, d):
         raise ValueError(
-            f"seeds must have shape (R, {need}, {model.d}) = (R, n_mem + 1, d), "
+            f"seeds must have shape (R, {need}, {d}) = (R, n_mem + 1, d), "
             f"got {seeds.shape}"
         )
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = dyn._count("steps", steps, 0)
     runs = seeds.shape[0]
-    states = np.full((runs, need + steps, model.d), np.nan)
+    states = np.full((runs, need + steps, d), np.nan)
     states[:, :need] = seeds
     diverged_at = [None] * runs
     live = slice(None)  # every run; an index array once one has diverged
@@ -107,6 +107,9 @@ def rollout(model, seeds, steps):
         window = states[live, pos - need : pos]          # oldest ... newest
         stacks = window[:, ::-1].reshape(window.shape[0], -1)  # newest first
         nxt = model(stacks)
+        if nxt.shape != (len(stacks), d):
+            raise ValueError(f"the map returned shape {nxt.shape}, expected "
+                             f"{(len(stacks), d)} for {len(stacks)} live runs")
         if not np.isfinite(nxt).all():
             finite = np.isfinite(nxt).all(axis=1)
             live = np.arange(runs)[live]

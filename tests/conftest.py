@@ -49,13 +49,14 @@ def write_archive():
 
 @pytest.fixture
 def declared_npy():
-    """``member(shape)``: an npy member whose header declares a float64
-    array of ``shape`` but which holds 80 bytes of data."""
+    """``member(shape, descr="<f8")``: an npy member whose header declares
+    an array of ``shape`` and dtype ``descr`` but which holds 80 bytes of
+    data."""
 
-    def member(shape):
+    def member(shape, descr="<f8"):
         buf = io.BytesIO()
         np.lib.format.write_array_header_1_0(
-            buf, {"descr": "<f8", "fortran_order": False, "shape": shape}
+            buf, {"descr": descr, "fortran_order": False, "shape": shape}
         )
         return buf.getvalue() + bytes(80)
 

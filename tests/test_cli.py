@@ -323,6 +323,10 @@ class TestPipeline:
                 apart = windows_dataset(ds.n_mem, ds.inputs, ds.targets)
                 assert ds.trajectories.shape == (50, 12, 1)
                 assert apart.trajectories.shape == (400, 5, 1)
+                # the dataset file indexes the trajectory file beside it
+                data.save_trajectories(
+                    data.TrajectorySet(cfg.delta, apart.trajectories),
+                    tmp_path / tag / cli.TRAJECTORY_FILE)
                 data.save_dataset(apart, path)
             cli.cmd_train(cfg)
             outs[tag] = [(tmp_path / tag / name).read_bytes()
@@ -488,11 +492,31 @@ class TestMain:
             f"error: {path}: n_mem=3 does not match config n_mem=5\n")
         assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
 
+    def test_train_rejects_a_dataset_of_regenerated_trajectories(self, tmp_path,
+                                                                capsys):
+        cfg_path = write_config(micro_config(tmp_path), tmp_path)
+        base = ["--config", str(cfg_path)]
+        for stage in ("generate", "build-dataset"):
+            assert cli.main([stage, *base]) == 0
+        assert cli.main(["generate", *base, "--seed", "2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", *base]) == 1
+        out = tmp_path / "run"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / cli.DATASET_FILE}: built on trajectories "
+                              "of CRC-32 ")
+        assert f"but {out / cli.TRAJECTORY_FILE} has CRC-32 " in err
+        assert err.endswith("; build the dataset again\n")
+        assert not (out / cli.MODEL_FILE).exists()
+
+    def test_trajectory_file_named_once(self):
+        assert cli.TRAJECTORY_FILE is data.TRAJECTORY_FILE
+
     @pytest.mark.parametrize("stage, name, members", [
         ("build-dataset", cli.TRAJECTORY_FILE,
          dict(delta=np.float64(0.02))),
         ("train", cli.DATASET_FILE,
-         dict(n_mem=np.int64(3), starts=np.zeros((1, 1), dtype=np.int64))),
+         dict(n_mem=np.int64(3), trajectories_crc32=np.int64(0))),
     ])
     def test_oversized_artifact_fails_without_traceback(
         self, tmp_path, capsys, write_archive, declared_npy, stage, name, members
@@ -500,9 +524,13 @@ class TestMain:
         base = ["--config", str(write_config(micro_config(tmp_path), tmp_path))]
         out = tmp_path / "run"
         out.mkdir()
-        # both files hold their samples in a 'trajectories' member
-        bulk = "trajectories"
-        write_archive(out / name, **members, **{bulk: declared_npy((10**9, 10, 1))})
+        # the trajectory file's bulk member is its float64 samples, the
+        # dataset's its int64 window starts
+        if name == cli.TRAJECTORY_FILE:
+            bulk, declared = "trajectories", declared_npy((10**9, 10, 1))
+        else:
+            bulk, declared = "starts", declared_npy((10**9, 10), "<i8")
+        write_archive(out / name, **members, **{bulk: declared})
         assert cli.main([stage, *base]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / name}: member '{bulk}' declares shape")

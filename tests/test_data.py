@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +19,17 @@ def toy_trajectories(n_traj, length, d=1, delta=0.02):
     return data.TrajectorySet(
         delta=delta, trajectories=np.tile(base[:, None], (n_traj, 1, d))
     )
+
+
+def write_index(write_archive, path, samples, **members):
+    """A dataset archive of ``members`` at ``path``, beside a trajectory file
+    holding ``samples``; its CRC-32 member is theirs unless given, and a
+    member given as None is left out."""
+    samples = np.asarray(samples, dtype=float)
+    write_archive(path.with_name(data.TRAJECTORY_FILE), delta=np.float64(0.02),
+                  trajectories=samples)
+    members = {"trajectories_crc32": np.int64(zlib.crc32(samples)), **members}
+    return write_archive(path, **{k: v for k, v in members.items() if v is not None})
 
 
 class TestSampleInitialConditions:
@@ -89,6 +101,15 @@ def random_trajectories(n_traj, length, d, seed):
 
 
 class TestGenerateTrajectories:
+    @pytest.mark.parametrize("traj_len", [True, 2.0], ids=["bool", "float"])
+    def test_traj_len_must_be_an_integer(self, traj_len):
+        # True used to run as 1 sample per trajectory
+        spec = dyn.make_system("example1")
+        with pytest.raises(ValueError, match=(
+                f"^traj_len must be an integer, got {traj_len!r}$")):
+            data.generate_trajectories(spec, dyn.SolverConfig(0.02, 5),
+                                       dyn.default_domain(spec), 2, traj_len, seed=0)
+
     def test_minimal_length_trajectories(self):
         n_mem = 30
         spec = dyn.make_system("example1", alpha=2.0)
@@ -368,6 +389,7 @@ class TestSerialization:
         trajs = data.TrajectorySet(delta=0.02, trajectories=(
             rng.normal(size=(5, 9, 2)) * 10.0 ** rng.integers(-8, 8, size=(5, 9, 1))))
         ds = data.build_dataset(trajs, 3, per_trajectory=2, seed=6)
+        data.save_trajectories(trajs, tmp_path / data.TRAJECTORY_FILE)
         path = tmp_path / "ds.npz"
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
@@ -378,13 +400,71 @@ class TestSerialization:
         np.testing.assert_array_equal(back.starts, ds.starts)
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.targets, ds.targets)
+        # saving what was loaded writes the same bytes
+        data.save_dataset(back, tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+    def test_dataset_file_holds_the_index_alone(self, tmp_path):
+        trajs = random_trajectories(4, 10, d=3, seed=2)
+        ds = data.build_dataset(trajs, 2, per_trajectory=3, seed=1)
+        path = tmp_path / "ds.npz"
+        data.save_dataset(ds, path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == ["n_mem", "starts", "trajectories_crc32"]
+            assert archive["trajectories_crc32"].dtype == np.int64
+            assert archive["trajectories_crc32"].ndim == 0
+            assert archive["trajectories_crc32"] == zlib.crc32(trajs.trajectories)
+            assert archive["starts"].tobytes() == ds.starts.tobytes()
+        # the starts and three scalars: 3 x 4 x 8 bytes of starts, not the
+        # 4 x 10 x 3 x 8 bytes of samples
+        assert path.stat().st_size < 1000
+
+    def test_regenerated_trajectories_rejected(self, tmp_path):
+        # build-dataset, then generate again with another seed: the index
+        # no longer fits the trajectories beside it
+        trajs = random_trajectories(3, 8, d=1, seed=1)
+        source = tmp_path / data.TRAJECTORY_FILE
+        data.save_trajectories(trajs, source)
+        path = tmp_path / "ds.npz"
+        data.save_dataset(data.build_dataset(trajs, 2), path)
+        data.save_trajectories(random_trajectories(3, 8, d=1, seed=2), source)
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        want = zlib.crc32(trajs.trajectories)
+        got = zlib.crc32(data.load_trajectories(source).trajectories)
+        assert str(err.value) == (
+            f"{path}: built on trajectories of CRC-32 {want:08x}, but {source} "
+            f"has CRC-32 {got:08x}; build the dataset again")
+
+    def test_missing_trajectories_rejected(self, tmp_path):
+        trajs = random_trajectories(3, 8, d=1, seed=1)
+        path = tmp_path / "ds.npz"
+        data.save_dataset(data.build_dataset(trajs, 2), path)
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        message = str(err.value)
+        assert message.startswith(
+            f"{path}: cannot read the trajectories it indexes: ")
+        assert str(tmp_path / data.TRAJECTORY_FILE) in message
+
+    def test_unreadable_trajectories_rejected(self, tmp_path, write_archive):
+        trajs = random_trajectories(3, 8, d=1, seed=1)
+        path = tmp_path / "ds.npz"
+        data.save_dataset(data.build_dataset(trajs, 2), path)
+        source = tmp_path / data.TRAJECTORY_FILE
+        write_archive(source, delta=np.float64(0.02))
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        assert str(err.value) == (
+            f"{path}: cannot read the trajectories it indexes: {source}: members "
+            "['delta.npy'], expected ['delta.npy', 'trajectories.npy']")
 
     def test_empty_dataset_round_trip(self, tmp_path, write_archive):
         # no empty dataset can be built, so none is read back: a file of no
         # windows is rejected, naming the file
-        path = write_archive(
-            tmp_path / "empty.npz", n_mem=np.int64(2),
-            trajectories=np.ones((2, 5, 1)), starts=np.empty((2, 0), dtype=np.int64),
+        path = write_index(
+            write_archive, tmp_path / "empty.npz", np.ones((2, 5, 1)),
+            n_mem=np.int64(2), starts=np.empty((2, 0), dtype=np.int64),
         )
         with pytest.raises(ValueError, match=(
                 r"empty\.npz: starts have shape \(2, 0\), expected \(2, count\) "
@@ -393,9 +473,9 @@ class TestSerialization:
 
     def test_header_row_width_mismatch_rejected(self, tmp_path, write_archive):
         # trajectories of 3 samples hold no window of n_mem + 2 = 4
-        path = write_archive(
-            tmp_path / "bad.npz", n_mem=np.int64(2),
-            trajectories=np.ones((1, 3, 2)), starts=np.zeros((1, 1), dtype=np.int64),
+        path = write_index(
+            write_archive, tmp_path / "bad.npz", np.ones((1, 3, 2)),
+            n_mem=np.int64(2), starts=np.zeros((1, 1), dtype=np.int64),
         )
         with pytest.raises(ValueError, match=(
                 r"bad\.npz: starts lie in \[0, 0\], expected \[0, -1\] for K=3 "
@@ -411,9 +491,9 @@ class TestSerialization:
             data.load_dataset(path)
 
     def test_row_count_mismatch_rejected(self, tmp_path, write_archive):
-        path = write_archive(
-            tmp_path / "bad.npz", n_mem=np.int64(0),
-            trajectories=np.ones((2, 3, 1)), starts=np.zeros((1, 1), dtype=np.int64),
+        path = write_index(
+            write_archive, tmp_path / "bad.npz", np.ones((2, 3, 1)),
+            n_mem=np.int64(0), starts=np.zeros((1, 1), dtype=np.int64),
         )
         with pytest.raises(ValueError, match=(
                 r"bad\.npz: starts have shape \(1, 1\), expected \(2, count\)")):
@@ -428,17 +508,21 @@ class TestSerialization:
          r"starts have shape \(2, 1\), expected \(1, count\) with count >= 1"),
         (dict(starts=np.zeros((1, 0), dtype=np.int64)),
          r"starts have shape \(1, 0\), expected \(1, count\) with count >= 1"),
-        (dict(starts=None, trajectories=None, d=np.int64(1), inputs=np.ones((2, 2)),
-              targets=np.ones((2, 1))),
+        (dict(starts=None, trajectories_crc32=None, d=np.int64(1),
+              inputs=np.ones((2, 2)), targets=np.ones((2, 1))),
          r"members \['d.npy', 'inputs.npy', 'n_mem.npy', 'targets.npy'\], expected "
-         r"\['n_mem.npy', 'starts.npy', 'trajectories.npy'\]"),
+         r"\['n_mem.npy', 'starts.npy', 'trajectories_crc32.npy'\]"),
+        # the index layout that held a second copy of the trajectories
+        (dict(starts=np.zeros((1, 1), dtype=np.int64), trajectories_crc32=None,
+              trajectories=np.ones((1, 5, 1))),
+         r"members \['n_mem.npy', 'starts.npy', 'trajectories.npy'\], expected "
+         r"\['n_mem.npy', 'starts.npy', 'trajectories_crc32.npy'\]$"),
     ], ids=["past-the-end", "negative", "float", "row-count", "no-columns",
-            "old-layout"])
+            "old-layout", "trajectories-copy"])
     def test_malformed_index_rejected(self, tmp_path, write_archive, members, match):
         # one trajectory of 5 samples holds windows of n_mem + 2 = 4 at 0 and 1
-        base = dict(n_mem=np.int64(2), trajectories=np.ones((1, 5, 1)))
-        members = {k: v for k, v in {**base, **members}.items() if v is not None}
-        path = write_archive(tmp_path / "bad.npz", **members)
+        path = write_index(write_archive, tmp_path / "bad.npz", np.ones((1, 5, 1)),
+                           **{"n_mem": np.int64(2), **members})
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
             data.load_dataset(path)
 
@@ -501,21 +585,28 @@ VALID_MEMBERS = {
         delta=np.float64(0.02), trajectories=np.array([[[1.0], [2.0]], [[3.0], [4.0]]]),
     ),
     "dataset": dict(
-        n_mem=np.int64(1), trajectories=np.ones((2, 3, 1)),
-        starts=np.zeros((2, 1), dtype=np.int64),
+        n_mem=np.int64(1), starts=np.zeros((2, 1), dtype=np.int64),
+        trajectories_crc32=np.int64(zlib.crc32(np.ones((2, 3, 1)))),
     ),
 }
+# the trajectory file a dataset's index is read over, written beside it
+BESIDE = {"dataset": dict(delta=np.float64(0.02), trajectories=np.ones((2, 3, 1)))}
 LOADERS = {"trajectories": data.load_trajectories, "dataset": data.load_dataset}
-# both files hold their samples in a 'trajectories' member of 3 dims, so a
-# declared shape gets a trailing 1 and these cases read differently from
-# the 2-dim defaults in the parametrization
-BULK = "trajectories"
+# each file's bulk member: the trajectory file's float64 samples of 3 dims,
+# so a declared shape gets a trailing 1, and the dataset's int64 starts of
+# 2 dims; their cases read differently from the defaults in the
+# parametrization
+BULK = {"trajectories": "trajectories", "dataset": "starts"}
+BULK_DESCR = {"trajectories": "<f8", "dataset": "<i8"}
 SCALAR = {"trajectories": "delta", "dataset": "n_mem"}
 BULK_MATCH = {
-    "dtype": "float32 with 3 dims, expected float64",
-    "pickled": "is object with 3 dims",
-    "oversized": r"declares shape \(1000000000, 10, 1\)",
-    "negative_shape": r"declares shape \(-1, -2, 1\)",
+    "trajectories": {
+        "dtype": "float32 with 3 dims, expected float64",
+        "pickled": "is object with 3 dims",
+        "oversized": r"declares shape \(1000000000, 10, 1\)",
+        "negative_shape": r"declares shape \(-1, -2, 1\)",
+    },
+    "dataset": {"dtype": "'starts' is float32 with 2 dims, expected int64"},
 }
 NDIM_MATCH = {
     "trajectories": "'delta' is float64 with 1 dims, expected float64 with 0",
@@ -529,6 +620,8 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("kind", ["trajectories", "dataset"])
     def test_valid_members_load(self, tmp_path, write_archive, kind):
+        if kind in BESIDE:
+            write_archive(tmp_path / data.TRAJECTORY_FILE, **BESIDE[kind])
         LOADERS[kind](write_archive(tmp_path / "ok.npz", **VALID_MEMBERS[kind]))
 
     @pytest.mark.parametrize("kind", ["trajectories", "dataset"])
@@ -545,9 +638,11 @@ class TestMalformedArtifacts:
     ])
     def test_rejected(self, tmp_path, write_archive, declared_npy, kind, case, match):
         members = dict(VALID_MEMBERS[kind])
-        bulk = BULK
+        bulk = BULK[kind]
         extra_dims = members[bulk].ndim - 2
-        match = NDIM_MATCH[kind] if case == "ndim" else BULK_MATCH.get(case, match)
+        match = NDIM_MATCH[kind] if case == "ndim" else BULK_MATCH[kind].get(case, match)
+        if kind in BESIDE:
+            write_archive(tmp_path / data.TRAJECTORY_FILE, **BESIDE[kind])
         path = tmp_path / "bad.npz"
         if case == "not_npz":
             path.write_text("d=1 n_mem=0 J=1\n1.0 ; 2.0\n")
@@ -565,10 +660,12 @@ class TestMalformedArtifacts:
             elif case == "pickled":
                 members[bulk] = members[bulk].astype(object)
             elif case == "oversized":
-                members[bulk] = declared_npy((10**9, 10) + (1,) * extra_dims)  # 74.5 GiB
+                members[bulk] = declared_npy(  # 74.5 GiB
+                    (10**9, 10) + (1,) * extra_dims, BULK_DESCR[kind])
             elif case == "negative_shape":
                 # 80 bytes, as held
-                members[bulk] = declared_npy((-1, -2) + (1,) * extra_dims)
+                members[bulk] = declared_npy((-1, -2) + (1,) * extra_dims,
+                                             BULK_DESCR[kind])
             write_archive(path, **members)
         with pytest.raises(ValueError, match=match) as err:
             LOADERS[kind](path)
@@ -576,10 +673,13 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("kind", ["trajectories", "dataset"])
     def test_no_trajectories_rejected(self, tmp_path, write_archive, kind):
-        members = dict(VALID_MEMBERS[kind], trajectories=np.empty((0, 3, 1)))
+        empty = np.empty((0, 3, 1))
         if kind == "dataset":
-            members["starts"] = np.empty((0, 1), dtype=np.int64)
-        path = write_archive(tmp_path / "bad.npz", **members)
+            path = write_index(write_archive, tmp_path / "bad.npz", empty,
+                               n_mem=np.int64(1), starts=np.empty((0, 1), np.int64))
+        else:
+            path = write_archive(tmp_path / "bad.npz",
+                                 **dict(VALID_MEMBERS[kind], trajectories=empty))
         with pytest.raises(ValueError, match=(
                 r"^.*bad\.npz: trajectories have shape \(0, 3, 1\), expected at "
                 r"least one trajectory$")):

@@ -663,6 +663,31 @@ class TestExactReducedMap:
                                   dyn.SolverConfig(0.02, 5), -1)
 
 
+@pytest.mark.parametrize("value", [True, 2.0, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("num_samples", lambda n: dyn.integrate_batch(
+        dyn.make_system("example1"), dyn.SolverConfig(0.02, 5), [[1.0, 0.0]], n)),
+    ("num_samples", lambda n: dyn.exact_linear_trajectory(
+        dyn.make_system("example1"), [1.0, 0.0], 0.1, n)),
+    ("n_mem", lambda n: dyn.exact_reduced_map(
+        dyn.make_system("example1"), dyn.SolverConfig(0.02, 5), n)),
+], ids=["integrate_batch", "exact_linear_trajectory", "exact_reduced_map"])
+def test_counts_must_be_integers(name, call, value):
+    # True used to run as 1, and 2.0 to fail inside numpy naming nothing
+    with pytest.raises(ValueError, match=(
+            f"^{name} must be an integer, got {re.escape(repr(value))}$")):
+        call(value)
+
+
+def test_integer_counts_of_numpy_type_accepted():
+    spec = dyn.make_system("example1")
+    out = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 5), [[1.0, 0.0]],
+                              np.int64(3))
+    assert out.shape == (1, 4, 2)
+    assert dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5),
+                                 np.int32(2))[0].shape == (1, 3)
+
+
 class TestComponentFields:
     """A field of component expressions integrates row by row on Python
     floats up to ``_FLOAT_ROWS`` rows and on the batch's numpy columns

@@ -184,6 +184,42 @@ class TestOneStepMaps:
         assert np.all(np.isfinite(traj[:2])) and np.all(np.isnan(traj[2:]))
         assert not np.all(np.isfinite(traj))
 
+    @pytest.mark.parametrize("steps", [True, 2.0], ids=["bool", "float"])
+    def test_steps_must_be_an_integer(self, steps):
+        # True used to run one step
+        model = rollout.LinearMap(np.ones((1, 3)))
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps!r}$"):
+            rollout.rollout(model, np.ones((2, 3, 1)), steps)
+
+    def test_map_output_of_another_shape_rejected(self):
+        # one row for three runs used to be broadcast into every run
+        class OneRow:
+            d, n_mem = 1, 2
+
+            def __call__(self, stacks):
+                return np.ones((1, 1))
+
+        with pytest.raises(ValueError, match=(
+                r"^the map returned shape \(1, 1\), expected \(3, 1\) for 3 live "
+                r"runs$")):
+            rollout.rollout(OneRow(), np.zeros((3, 3, 1)), 2)
+
+    def test_map_output_checked_against_the_live_runs(self):
+        # after run 0 diverges, a map still returning three rows is wrong
+        class Stale:
+            d, n_mem = 1, 0
+            calls = 0
+
+            def __call__(self, stacks):
+                self.calls += 1
+                return np.array([[np.inf], [1.0], [1.0]]) if self.calls == 1 \
+                    else np.ones((3, 1))
+
+        with pytest.raises(ValueError, match=(
+                r"^the map returned shape \(3, 1\), expected \(2, 1\) for 2 live "
+                r"runs$")):
+            rollout.rollout(Stale(), np.zeros((3, 1, 1)), 3)
+
     def test_euler_seeds_and_steps_checked_by_rollout(self):
         spec = dyn.make_system("example1")  # d = 1
         with pytest.raises(ValueError, match=r"shape \(R, 3, 1\).*got \(1, 3, 2\)"):
