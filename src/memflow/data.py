@@ -37,7 +37,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memflow import _npz
-from memflow.dynamics import _count, integrate_batch
+from memflow.dynamics import (
+    _CHECK_SAMPLES,
+    IntegrationError,
+    _count,
+    _integration_error,
+    integrate_batch,
+)
 
 __all__ = [
     "TRAJECTORY_FILE",
@@ -200,16 +206,39 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     Returns a set of shape ``(n_traj, traj_len, spec.d)``: each trajectory
     holds the first ``d`` state components at times 0, delta, ...,
     (traj_len - 1) * delta; the unobserved components are discarded.
-    Integration failures abort loudly with the offending trajectory index.
+
+    The integration runs through :func:`integrate_batch` in time blocks of
+    at most ``_CHECK_SAMPLES`` (64) samples, the block its finiteness check
+    covers, each starting from a copy of the last full state of the block
+    before, so a run of at most 65 samples is one call.  Each block's
+    observed columns go straight into the output, and a block is released
+    before the next is integrated: besides the output's
+    ``8 * n_traj * traj_len * d`` bytes, generation holds one block of full
+    states, at most ``8 * n_traj * 65 * n`` bytes.  The samples are those of
+    one call over the whole run, bit for bit, except where ``math`` raises
+    on the float-row path: then only the block in which it raised runs
+    again on numpy columns.  A non-finite state aborts with the
+    IntegrationError one call would raise, naming the earliest sample and,
+    at it, the lowest trajectory.
     """
     traj_len = _count("traj_len", traj_len, 1)
     if domain.n != spec.n:
         raise ValueError(
             f"domain dimension {domain.n} does not match system n={spec.n}"
         )
-    x0s = sample_initial_conditions(domain, n_traj, seed)
-    full = integrate_batch(spec, config, x0s, traj_len - 1)
-    return TrajectorySet(delta=config.delta, trajectories=spec.observe(full))
+    state = sample_initial_conditions(domain, n_traj, seed)
+    out = np.empty((n_traj, traj_len, spec.d))
+    for start in range(0, max(traj_len - 1, 1), _CHECK_SAMPLES):
+        count = min(_CHECK_SAMPLES, traj_len - 1 - start)
+        try:
+            full = integrate_batch(spec, config, state, count)
+        except IntegrationError as exc:
+            raise _integration_error(spec, config, start + exc.sample_index,
+                                     exc.trajectory_index) from None
+        out[:, start : start + count + 1] = spec.observe(full)
+        state = full[:, -1].copy()
+        del full  # released before the next block is allocated
+    return TrajectorySet(delta=config.delta, trajectories=out)
 
 
 def _draw_starts(n_traj, avail, count, rng):

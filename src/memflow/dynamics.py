@@ -646,14 +646,19 @@ def integrate_batch(spec, config, x0s, num_samples):
         else:
             failed = _columns(spec, delta, substeps, out)
     if failed is not None:
-        k, bad = failed
-        raise IntegrationError(
-            f"non-finite state in trajectory {bad} at sample {k} "
-            f"(t={k * config.delta:g}) while integrating {spec.name}",
-            sample_index=k,
-            trajectory_index=bad,
-        )
+        raise _integration_error(spec, config, *failed)
     return out
+
+
+def _integration_error(spec, config, k, bad):
+    """The IntegrationError for a non-finite state of trajectory ``bad`` at
+    sample ``k`` of an integration of ``spec`` at ``config``'s step."""
+    return IntegrationError(
+        f"non-finite state in trajectory {bad} at sample {k} "
+        f"(t={k * config.delta:g}) while integrating {spec.name}",
+        sample_index=k,
+        trajectory_index=bad,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,8 @@ class NetworkParams:
             layers.append((slice(pos, end), (w_out, w_in), slice(end, end + w_out)))
             pos = end + w_out
         object.__setattr__(self, "_layout", (widths, pos, layers))
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "n_mem", int(self.n_mem))
         object.__setattr__(self, "hidden", tuple(widths[1:-1]))
         object.__setattr__(self, "flat", np.array(self.flat, dtype=float))
         weights, biases = self.split(self.flat)
@@ -110,16 +112,18 @@ class NetworkParams:
 
 def _widths(d, n_mem, hidden):
     """Layer widths ``D, *hidden, d`` as ints; impossible shapes, and a
-    hidden width that is not an integer, are rejected."""
+    ``d``, ``n_mem`` or hidden width that is not an integer (a bool is
+    not), are rejected."""
+    hidden = tuple(hidden)
+    for name, value in (("d", d), ("n_mem", n_mem),
+                        *(("hidden width", w) for w in hidden)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} {value!r} is not an integer")
     if d < 1 or n_mem < 0:
         raise ValueError("require d >= 1 and n_mem >= 0")
-    hidden = tuple(hidden)
-    for w in hidden:
-        if isinstance(w, bool) or not isinstance(w, numbers.Integral):
-            raise ValueError(f"hidden width {w!r} is not an integer")
     if not hidden or any(w < 1 for w in hidden):
         raise ValueError("hidden widths must be a non-empty list of counts >= 1")
-    return [d * (n_mem + 1), *map(int, hidden), d]
+    return [int(d) * (int(n_mem) + 1), *map(int, hidden), int(d)]
 
 
 def init_params(d, n_mem, hidden, seed):

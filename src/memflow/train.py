@@ -73,8 +73,10 @@ class TrainReport:
 
 # Rows per forward_batch call in mse_loss, which bounds the windows it
 # gathers and the activations it holds at once independently of the
-# dataset size.
-LOSS_CHUNK_ROWS = 1024
+# dataset size: at linear20's shapes (d 10, n_mem 30, hidden 160) one chunk
+# gathers 256 * 8 * d * (n_mem + 2) = 655,360 bytes of windows, and its two
+# live 160-wide activations hold as many again.
+LOSS_CHUNK_ROWS = 256
 
 
 def mse_loss(params, ds):

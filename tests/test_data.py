@@ -166,6 +166,79 @@ class TestGenerateTrajectories:
         assert all(traj.base is owner for traj in owner)
 
 
+    @pytest.mark.parametrize("name, n_traj", [
+        ("example1", 5), ("example3", 4), ("example4", 6),
+        ("example2", dyn._FLOAT_ROWS), ("example2", 40),
+    ], ids=["example1", "example3", "example4", "example2-floats",
+            "example2-columns"])
+    @pytest.mark.parametrize("traj_len, calls", [
+        (1, 1), (2, 1), (64, 1), (65, 1), (66, 2), (130, 3)])
+    def test_blocks_give_the_samples_of_one_call_bitwise(
+            self, monkeypatch, name, n_traj, traj_len, calls):
+        spec = dyn.make_system(name)
+        cfg, dom = dyn.SolverConfig(0.02, 3), dyn.default_domain(spec)
+        x0s = data.sample_initial_conditions(dom, n_traj, seed=9)
+        want = spec.observe(dyn.integrate_batch(spec, cfg, x0s, traj_len - 1))
+        counts = []
+
+        def counting(spec, config, x0s, num_samples):
+            counts.append(num_samples)
+            return dyn.integrate_batch(spec, config, x0s, num_samples)
+
+        monkeypatch.setattr(data, "integrate_batch", counting)
+        got = data.generate_trajectories(spec, cfg, dom, n_traj, traj_len, seed=9)
+        assert got.trajectories.tobytes() == want.tobytes()
+        # blocks of at most 64 samples, 65 samples in one call
+        assert len(counts) == calls and sum(counts) == traj_len - 1
+        assert max(counts) <= dyn._CHECK_SAMPLES == 64
+
+    @pytest.mark.parametrize("lower, upper, block", [
+        (0.42, 0.62, 2), (0.25, 0.35, 3)])
+    @pytest.mark.parametrize("n_traj", [8, 40], ids=["floats", "columns"])
+    def test_failure_past_the_first_block_named_as_one_call_names_it(
+            self, lower, upper, block, n_traj):
+        # dx/dt = x^2 from c reaches infinity at t = 1/c: from c <= 0.62 no
+        # state is non-finite before t = 1.6, sample 80 of delta 0.02, and
+        # from c <= 0.35 none before sample 142
+        spec = dyn.SystemSpec(name="riccati", n=1, d=1, field=("x0 * x0",))
+        dom = dyn.Domain(np.array([lower]), np.array([upper]))
+        cfg = dyn.SolverConfig(0.02, 2)
+        x0s = data.sample_initial_conditions(dom, n_traj, seed=4)
+        with pytest.raises(dyn.IntegrationError) as one:
+            dyn.integrate_batch(spec, cfg, x0s, 199)
+        with pytest.raises(dyn.IntegrationError) as blocked:
+            data.generate_trajectories(spec, cfg, dom, n_traj, 200, seed=4)
+        k = one.value.sample_index
+        assert (k - 1) // dyn._CHECK_SAMPLES + 1 == block
+        assert one.value.trajectory_index > 0
+        assert (blocked.value.sample_index, blocked.value.trajectory_index) == (
+            k, one.value.trajectory_index)
+        assert str(blocked.value) == str(one.value)
+
+    def test_holds_the_output_and_one_block_of_full_states(self):
+        # three blocks of 64 samples at example4 (n=20, d=10): the output is
+        # 50 * 193 * 10 * 8 = 772,000 bytes and a block of full states
+        # 50 * 65 * 20 * 8 = 520,000, where one call held all 1,544,000
+        # bytes of full states beside the output.  The slack covers the
+        # finiteness check's boolean copy of a block (65,000 bytes), the
+        # step matrix and Python objects: 139,024 bytes over the two arrays
+        # were measured.
+        spec = dyn.make_system("example4")
+        cfg, dom = dyn.SolverConfig(0.05, 2), dyn.default_domain(spec)
+        n_traj, traj_len = 50, 3 * dyn._CHECK_SAMPLES + 1
+        data.generate_trajectories(spec, cfg, dom, 2, 3, seed=3)  # lazy imports
+        tracemalloc.start()
+        try:
+            trajs = data.generate_trajectories(spec, cfg, dom, n_traj, traj_len,
+                                               seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * n_traj * (dyn._CHECK_SAMPLES + 1) * spec.n
+        assert trajs.trajectories.nbytes == 772_000 and block == 520_000
+        assert peak < trajs.trajectories.nbytes + block + 256 * 1024
+
+
 class TestBuildDataset:
     def test_deterministic_window_count(self):
         trajs = toy_trajectories(3, 50)

@@ -73,6 +73,24 @@ class TestInitParams:
         with pytest.raises(ValueError, match=message):
             net.NetworkParams(1, 0, [width], [0.0] * 7)
 
+    @pytest.mark.parametrize("key", ["d", "n_mem"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, np.float64(2.0), "1"])
+    def test_count_that_is_not_an_integer_rejected(self, key, value):
+        # n_mem=True used to run as n_mem 1 with the bool kept, and a bool
+        # or float d failed inside numpy
+        counts = {"d": 1, "n_mem": 1, key: value}
+        message = f"^{key} {re.escape(repr(value))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            net.init_params(counts["d"], counts["n_mem"], [3], seed=0)
+        with pytest.raises(ValueError, match=message):
+            net.NetworkParams(counts["d"], counts["n_mem"], [3], [0.0] * 13)
+
+    def test_integral_counts_stored_as_ints(self):
+        for params in (net.init_params(np.int64(1), np.int64(1), [3], seed=0),
+                       net.NetworkParams(np.int64(1), np.int64(1), [3], [0.0] * 13)):
+            assert (params.d, params.n_mem) == (1, 1)
+            assert type(params.d) is int and type(params.n_mem) is int
+
     def test_integral_hidden_widths_stored_as_ints(self):
         params = net.init_params(1, 0, np.array([3, 2]), seed=0)
         assert params.hidden == (3, 2)

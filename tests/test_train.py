@@ -1,5 +1,6 @@
 """Tests for the loss and the Adam training loop."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,26 @@ class TestMseLoss:
         # rows may round differently in a shorter GEMM: a few ulp, not more
         np.testing.assert_allclose(train.mse_loss(params, ds), whole, rtol=1e-13)
         assert rows == [train.LOSS_CHUNK_ROWS, train.LOSS_CHUNK_ROWS, 37]
+
+    def test_holds_one_chunk_of_256_rows(self):
+        # linear20's shapes: d=10, n_mem=30, hidden 160^3, here 2112 windows.
+        # 256 rows gather 256 * 8 * 10 * 32 = 655,360 bytes of windows, and
+        # the forward pass holds two 160-wide activations, as many again.
+        # The slack covers the 2112 squared norms (16,896 bytes), the
+        # residuals and Python objects: 42,208 bytes over were measured.
+        rng = np.random.default_rng(1)
+        trajs = data.TrajectorySet(0.02, rng.normal(size=(64, 64, 10)))
+        ds = data.build_dataset(trajs, 30)
+        params = net.init_params(10, 30, [160, 160, 160], seed=0)
+        train.mse_loss(params, ds)  # lazy imports
+        tracemalloc.start()
+        try:
+            train.mse_loss(params, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.size == 2112
+        assert peak < 256 * 8 * (10 * 32 + 2 * 160) + 128 * 1024
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(0)
