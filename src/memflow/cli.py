@@ -459,16 +459,21 @@ def cmd_compare_reduced(cfg):
 
 
 ORACLE_DRAWS = 20  # random states and times that oracle-check draws
-ORACLE_TOL = 1e-4  # the largest decomposition residual that passes
+# The largest decomposition residual that passes.  The four linear presets
+# measure at most 1.8e-14 over 200 seeds, a margin of over 50; random
+# linear-generic systems whose dz/dt reaches 5e4 measure 1.7e-13.
+ORACLE_TOL = 1e-12
 
 
 def cmd_oracle_check(cfg):
     """Validate the exact reduced-dynamics references of a linear system.
 
     Checks that Markov + memory + unobserved-initial-state terms reproduce
-    the centered finite difference of the exact solution at random states
-    and times, and that the RK4 integrator agrees with the matrix
-    exponential.  Returns the maximum decomposition residual.
+    the exact derivative (A exp(A t) x0)[:d] of the observed block at
+    random states and times, and that the RK4 integrator agrees with the
+    matrix exponential.  Returns the maximum decomposition residual, each
+    draw's largest error over max(1, its largest |dz/dt|): round-off
+    grows with the derivative on a system with growing modes.
     """
     spec = cfg.spec()
     rng = np.random.default_rng(stage_seed(cfg.seed, "oracle"))
@@ -477,11 +482,9 @@ def cmd_oracle_check(cfg):
         x0 = rng.uniform(-1.0, 1.0, size=spec.n)
         t = rng.uniform(0.2, 1.5)
         got = dyn.linear_mz_rhs(spec, x0, t)
-        h = 1e-5
-        hi = dyn.exact_linear_solution(spec, x0, t + h)[: spec.d]
-        lo = dyn.exact_linear_solution(spec, x0, t - h)[: spec.d]
-        want = (hi - lo) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        want = (spec.a_matrix @ dyn.exact_linear_solution(spec, x0, t))[: spec.d]
+        scale = max(1.0, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     x0 = rng.uniform(-1.0, 1.0, size=spec.n)
     solver = cfg.solver()
     rk4_end = dyn.integrate_batch(spec, solver, x0[None], 50)[0, -1]

@@ -374,9 +374,30 @@ class TestPipeline:
     def test_oracle_check_passes_for_linear_system(self, tmp_path, capsys):
         cfg = micro_config(tmp_path, substeps=20)
         worst = cli.cmd_oracle_check(cfg)
-        assert worst <= 1e-4
+        assert worst <= cli.ORACLE_TOL
         out = capsys.readouterr().out
         assert "max over 20 draws" in out and "oracle check passed" in out
+
+    def test_oracle_check_sees_a_small_decomposition_error(self, tmp_path,
+                                                           monkeypatch):
+        # a fault of 1e-8 is far below the trapezoid's error, far above
+        # round-off
+        exact = cli.dyn.linear_mz_rhs
+        monkeypatch.setattr(cli.dyn, "linear_mz_rhs",
+                            lambda spec, x0, t: exact(spec, x0, t) + 1e-8)
+        with pytest.raises(RuntimeError, match="oracle self-check failed"):
+            cli.cmd_oracle_check(micro_config(tmp_path, substeps=20))
+
+    @pytest.mark.parametrize("preset", ["example1-fast", "example1-slow",
+                                        "example4", "flowmap-linear"])
+    def test_oracle_check_passes_on_every_linear_preset(self, preset, capsys):
+        assert cli.main(["oracle-check", "--preset", preset]) == 0
+        assert capsys.readouterr().out.endswith("oracle check passed\n")
+
+    def test_oracle_check_fails_on_a_nonlinear_preset(self, capsys):
+        assert cli.main(["oracle-check", "--preset", "example2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: example2 is not linear; no exact reference available\n")
 
     def test_oracle_check_rejects_nonlinear_system(self, tmp_path):
         cfg = micro_config(tmp_path, system="example2", params={})

@@ -1089,17 +1089,13 @@ class TestLinearOracle:
     @pytest.mark.parametrize("reference", [
         lambda spec: dyn.exact_linear_solution(spec, np.zeros(2), 1.0),
         lambda spec: dyn.exact_linear_trajectory(spec, np.zeros(2), 0.1, 3),
-        lambda spec: dyn.mz_memory_integral(spec, np.ones((1, 1)), 1.0, 0.0),
-        lambda spec: dyn.mz_noise_term(spec, np.zeros(1), 1.0),
         lambda spec: dyn.linear_mz_rhs(spec, np.zeros(2), 1.0),
         lambda spec: dyn._memory_matrix(spec, 0.1, 3),
         lambda spec: rollout.euler_damz(spec, np.zeros((3, 1)), 5, 0.1),
         lambda spec: dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5), 1),
-    ], ids=["solution", "trajectory", "memory-integral-t0", "noise-term",
-            "mz-rhs", "memory-matrix", "euler-damz", "reduced-map"])
+    ], ids=["solution", "trajectory", "mz-rhs", "memory-matrix", "euler-damz",
+            "reduced-map"])
     def test_every_reference_rejects_a_field_spec(self, reference):
-        # with truncation 0 the memory integral needs no quadrature, but a
-        # pendulum still has no memory term to give
         with pytest.raises(ValueError, match="example2 is not linear"):
             reference(dyn.make_system("example2"))
 
@@ -1175,6 +1171,21 @@ class TestLinearOracle:
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
             dyn.exact_linear_trajectory(spec, [1.0, 0.0, 0.0], 0.1, 5)
 
+    @pytest.mark.parametrize("reference", [
+        dyn.exact_linear_solution, dyn.linear_mz_rhs], ids=["solution", "mz-rhs"])
+    def test_pointwise_references_reject_wrong_x0_length(self, reference):
+        spec = dyn.make_system("example1")
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(1,\)"):
+            reference(spec, [1.0], 0.5)
+
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("reference", [
+        dyn.exact_linear_solution, dyn.linear_mz_rhs], ids=["solution", "mz-rhs"])
+    def test_pointwise_references_reject_a_bad_time_by_name(self, reference, t):
+        spec = dyn.make_system("example1")
+        with pytest.raises(ValueError, match=rf"^t must be finite and >= 0, got {t}$"):
+            reference(spec, [1.0, 0.0], t)
+
     def test_exact_trajectory_rejects_negative_sample_count(self):
         spec = dyn.make_system("example1")
         with pytest.raises(ValueError, match="^num_samples must be >= 0, got -1$"):
@@ -1215,11 +1226,11 @@ def exact_trajectory_loop(spec, x0, delta, num_samples):
     return np.array(out)
 
 
-def memory_integral_loop(spec, z_history, truncation):
-    """Reference: the trapezoid sum with one kernel product per history node."""
+def memory_matrix_loop(spec, z_history, h):
+    """Reference: the trapezoid sum with one kernel product per history
+    node, over ``z_history`` oldest first with spacing ``h``."""
     _, a12, a21, a22 = dyn._blocks(spec)
     m = z_history.shape[0] - 1
-    h = truncation / m
     step = dyn.matrix_exponential(a22 * h)
     propagated = np.eye(a22.shape[0])
     acc = 0.5 * (a21 @ z_history[m])
@@ -1230,7 +1241,24 @@ def memory_integral_loop(spec, z_history, truncation):
     return a12 @ (h * acc)
 
 
-class TestMemoryIntegral:
+def exact_terms(spec, x0, t):
+    """The Markov and propagated-initial-state terms of the decomposition,
+    A11 z(t) and A12 exp(A22 t) w(0), each from ``matrix_exponential``."""
+    a11, a12, _, a22 = dyn._blocks(spec)
+    z = (dyn.matrix_exponential(spec.a_matrix * t) @ x0)[: spec.d]
+    return a11 @ z, a12 @ (dyn.matrix_exponential(a22 * t) @ x0[spec.d :])
+
+
+def trapezoid_memory(spec, x0, t, m):
+    """The memory term by ``_memory_matrix`` over the exact history of
+    ``m`` steps covering [0, t]."""
+    hist = dyn.exact_linear_trajectory(spec, x0, t / m, m)[:, : spec.d]
+    return dyn._memory_matrix(spec, t / m, m) @ hist[::-1].ravel()
+
+
+class TestMemoryMatrix:
+    """The trapezoid memory term that ``rollout.euler_damz`` applies."""
+
     @pytest.mark.parametrize("name, m", [("example1", 1), ("example1", 400),
                                          ("example1", 1500), ("example4", 60)])
     def test_matches_node_loop(self, name, m):
@@ -1238,81 +1266,93 @@ class TestMemoryIntegral:
         spec = dyn.make_system(name)
         x0 = np.random.default_rng(6).uniform(-1.0, 1.0, size=spec.n)
         hist = dyn.exact_linear_trajectory(spec, x0, 0.8 / m, m)[:, : spec.d]
-        got = dyn.mz_memory_integral(spec, hist, t=0.8, truncation=0.8)
-        want = memory_integral_loop(spec, hist, 0.8)
+        got = dyn._memory_matrix(spec, 0.8 / m, m) @ hist[::-1].ravel()
+        want = memory_matrix_loop(spec, hist, 0.8 / m)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     def test_zero_history_gives_zero(self):
         spec = dyn.make_system("example1")
-        hist = np.zeros((51, 1))
         np.testing.assert_array_equal(
-            dyn.mz_memory_integral(spec, hist, t=1.0, truncation=0.5), [0.0]
-        )
+            dyn._memory_matrix(spec, 0.01, 50) @ np.zeros(51), [0.0])
 
-    def test_zero_truncation_gives_zero(self):
-        spec = dyn.make_system("example1")
-        np.testing.assert_array_equal(
-            dyn.mz_memory_integral(spec, np.ones((1, 1)), t=1.0, truncation=0.0),
-            [0.0],
-        )
-
-    def test_insufficient_history_rejected(self):
-        spec = dyn.make_system("example1")
-        with pytest.raises(ValueError, match="insufficient history"):
-            dyn.mz_memory_integral(spec, np.ones((1, 1)), t=1.0, truncation=0.5)
-
-    def test_truncation_beyond_current_time_rejected(self):
-        spec = dyn.make_system("example1")
-        with pytest.raises(ValueError, match="exceeds"):
-            dyn.mz_memory_integral(spec, np.ones((3, 1)), t=0.3, truncation=0.5)
+    def test_zero_window_gives_zero(self):
+        # a window of length 0 carries no memory: every weight is zero
+        spec = dyn.make_system("example4")
+        np.testing.assert_array_equal(dyn._memory_matrix(spec, 0.01, 0),
+                                      np.zeros((10, 10)))
 
     def test_quadrature_order(self):
-        # halving the history spacing should cut the quadrature error ~4x
+        # halving the history spacing should cut the trapezoid error ~4x;
+        # the exact memory term is linear_mz_rhs less the other two terms
         spec = dyn.make_system("example1")
         x0 = np.array([1.7, -0.9])
         t = 1.0
-
-        def approx(m):
-            full = dyn.exact_linear_trajectory(spec, x0, t / m, m)
-            return dyn.mz_memory_integral(spec, full[:, :1], t, t)[0]
-
-        fine = approx(8192)
-        err_coarse = abs(approx(64) - fine)
-        err_half = abs(approx(128) - fine)
+        markov, noise = exact_terms(spec, x0, t)
+        exact = dyn.linear_mz_rhs(spec, x0, t) - markov - noise
+        err_coarse = abs(trapezoid_memory(spec, x0, t, 64) - exact)[0]
+        err_half = abs(trapezoid_memory(spec, x0, t, 128) - exact)[0]
         assert 3.0 <= err_coarse / err_half <= 5.0
 
 
 class TestNoiseTerm:
+    """The propagated-initial-state term A12 exp(A22 t) w(0)."""
+
     def test_zero_initial_unobserved(self):
+        # with w(0) = 0 the decomposition is the Markov and memory terms
+        # alone, so it agrees with a fine trapezoid to its O(h^2) error
         spec = dyn.make_system("example1")
-        np.testing.assert_array_equal(
-            dyn.mz_noise_term(spec, np.zeros(1), 2.0), [0.0]
-        )
+        x0 = np.array([1.2, 0.0])
+        t = 2.0
+        markov, noise = exact_terms(spec, x0, t)
+        np.testing.assert_array_equal(noise, [0.0])
+        got = dyn.linear_mz_rhs(spec, x0, t) - markov
+        assert np.abs(got - trapezoid_memory(spec, x0, t, 2000)).max() <= 1e-5
 
     def test_t0_is_coupling_times_w0(self):
+        # with z(0) = 0 and no memory accrued, only A12 w(0) is left
         spec = dyn.make_system("example4")
-        rng = np.random.default_rng(14)
-        w0 = rng.normal(size=10)
+        w0 = np.random.default_rng(14).normal(size=10)
         np.testing.assert_allclose(
-            dyn.mz_noise_term(spec, w0, 0.0), dyn._blocks(spec)[1] @ w0, atol=1e-14
+            dyn.linear_mz_rhs(spec, np.concatenate([np.zeros(10), w0]), 0.0),
+            dyn._blocks(spec)[1] @ w0, rtol=0, atol=1e-14,
         )
+
+
+def exact_derivative(spec, x0, t):
+    """dz/dt = (A exp(A t) x0)[:d], the observed block of the exact field."""
+    return (spec.a_matrix @ dyn.exact_linear_solution(spec, x0, t))[: spec.d]
 
 
 class TestDecompositionIdentity:
     """Markov + memory + unobserved-initial terms must equal dz/dt."""
 
-    @pytest.mark.parametrize("name", ["example1", "example4"])
-    def test_reproduces_derivative_of_exact_solution(self, name):
-        spec = dyn.make_system(name)
+    # measured at most 8.9e-16, 2.0e-15 and 1.1e-14 on the draws below
+    BOUND = 1e-13
+
+    @pytest.mark.parametrize("spec", [
+        dyn.make_system("example1"),
+        dyn.make_system("example4"),
+        # example4's A22 is symmetric, so only a generic matrix tells the
+        # propagator exp(A22 t) from its transpose
+        dyn.linear_system(np.random.default_rng(35).normal(size=(6, 6)), d=2),
+    ], ids=["example1", "example4", "generic"])
+    def test_reproduces_derivative_of_exact_solution(self, spec):
         rng = np.random.default_rng(33)
         for _ in range(5):
             x0 = rng.uniform(-1.5, 1.5, size=spec.n)
             t = rng.uniform(0.2, 1.2)
             got = dyn.linear_mz_rhs(spec, x0, t)
-            h = 1e-5
-            hi = dyn.exact_linear_solution(spec, x0, t + h)[: spec.d]
-            lo = dyn.exact_linear_solution(spec, x0, t - h)[: spec.d]
-            assert np.abs(got - (hi - lo) / (2 * h)).max() <= 1e-5
+            assert np.abs(got - exact_derivative(spec, x0, t)).max() <= self.BOUND
+
+    @pytest.mark.parametrize("name, params", [("example1", {"alpha": 1.1}),
+                                              ("example4", {})])
+    def test_holds_at_a_long_time(self, name, params):
+        # one block exponential at any t, no history growing with it
+        spec = dyn.make_system(name, **params)
+        x0 = np.linspace(-1.0, 1.0, spec.n)
+        want = exact_derivative(spec, x0, 200.0)
+        got = dyn.linear_mz_rhs(spec, x0, 200.0)
+        assert np.abs(got - want).max() <= self.BOUND * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("name", ["example1", "example4"])
     def test_at_t0_is_the_full_field_on_the_observed_block(self, name):
@@ -1333,18 +1373,12 @@ class TestDecompositionIdentity:
         spec = dyn.make_system("example1", alpha=2.0)
         x0 = np.array([0.8, 1.1])
         t = 0.7
-        h = 1e-5
-        hi = dyn.exact_linear_solution(spec, x0, t + h)[:1]
-        lo = dyn.exact_linear_solution(spec, x0, t - h)[:1]
-        derivative = (hi - lo) / (2 * h)
+        derivative = exact_derivative(spec, x0, t)
         good = dyn.linear_mz_rhs(spec, x0, t)
+        _, noise = exact_terms(spec, x0, t)
         _, _, a21, a22 = dyn._blocks(spec)
-        wrong_noise = (
-            good
-            - dyn.mz_noise_term(spec, x0[1:], t)
-            + a21 @ (dyn.matrix_exponential(a22 * t) @ x0[1:])
-        )
-        assert np.abs(good - derivative).max() <= 1e-5
+        wrong_noise = good - noise + a21 @ (dyn.matrix_exponential(a22 * t) @ x0[1:])
+        assert np.abs(good - derivative).max() <= self.BOUND
         assert np.abs(wrong_noise - derivative).max() > 1e-2
 
 
