@@ -73,36 +73,28 @@ def stage_seed(master, label):
     )
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# (config key, what its value must be, the test of that value)
-_VALUE_TYPES = (
-    *[(key, "an integer", _is_int) for key in (
-        "substeps", "n_traj", "n_mem", "batch_size", "epochs", "n_eval_runs")],
-    ("seed", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
-    *[(key, "a number", lambda v: _is_int(v) or isinstance(v, float))
-      for key in ("delta", "learning_rate", "eval_horizon")],
-    ("params", "an object", lambda v: isinstance(v, dict)),
-    ("hidden", "a non-empty list of positive integers",
-     lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-     and all(_is_int(w) and w > 0 for w in v)),
-    ("traj_len", 'an integer or "auto"', lambda v: v == "auto" or _is_int(v)),
-    ("per_trajectory", "a positive integer or null",
-     lambda v: v is None or (_is_int(v) and v >= 1)),
-    ("out_dir", "a string", lambda v: isinstance(v, str)),
-)
+# count key -> its least value
+_COUNTS = {"substeps": 1, "n_traj": 1, "n_mem": 0, "batch_size": 1, "epochs": 1,
+           "n_eval_runs": 1, "seed": 0}
+# real-valued key -> (its bound, whether the bound itself is refused)
+_NUMBERS = {"delta": (0, True), "learning_rate": (0, False),
+            "eval_horizon": (0, True)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs, JSON-serializable.
 
-    ``traj_len`` is either an integer K or the string ``"auto"`` meaning
+    ``traj_len`` is either a count K >= 1 or the string ``"auto"`` meaning
     the minimal usable length ``n_mem + 2`` (one window per trajectory).
-    ``per_trajectory`` is the number of window starts drawn from each
-    trajectory, or null to take every admissible start.
+    ``per_trajectory`` is the number (>= 1) of window starts drawn from
+    each trajectory, or null to take every admissible start.  ``hidden``
+    is a non-empty list of widths >= 1.  The other counts are ``n_mem``
+    and ``seed`` (>= 0) and ``substeps``, ``n_traj``, ``batch_size``,
+    ``epochs`` and ``n_eval_runs`` (>= 1); the real values ``delta`` and
+    ``eval_horizon`` (> 0) and ``learning_rate`` (>= 0).  Each is checked
+    by :func:`memflow.dynamics._count` or ``_number`` and stored as the
+    Python int or float that returns, so numpy scalars are accepted.
     Initial conditions come from the system's default domain.
     A config that cannot build its dataset or seed its rollouts fails
     when it is built; a memory sweep builds every cell before training.
@@ -126,18 +118,25 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        for key, want, test in _VALUE_TYPES:
-            if not test(getattr(self, key)):
-                raise ValueError(f"{key} must be {want}, got {getattr(self, key)!r}")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        if self.n_mem < 0:
-            raise ValueError("n_mem must be >= 0")
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be >= 1")
-        if self.n_eval_runs < 1:
-            raise ValueError("n_eval_runs must be >= 1")
-        if not 0 < self.eval_horizon < np.inf:
-            raise ValueError("eval_horizon must be positive and finite")
+        def store(key, value):
+            object.__setattr__(self, key, value)
+
+        for key, least in _COUNTS.items():
+            store(key, dyn._count(key, getattr(self, key), least))
+        for key, (least, strict) in _NUMBERS.items():
+            store(key, dyn._number(key, getattr(self, key), least, strict))
+        if self.traj_len != "auto":
+            store("traj_len", dyn._count("traj_len", self.traj_len, 1))
+        if self.per_trajectory is not None:
+            store("per_trajectory",
+                  dyn._count("per_trajectory", self.per_trajectory, 1))
+        if not isinstance(self.hidden, (list, tuple)) or not self.hidden:
+            raise ValueError(f"hidden must be a non-empty list, got {self.hidden!r}")
+        store("hidden", tuple(dyn._count("hidden width", w, 1) for w in self.hidden))
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object, got {self.params!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         # fail at load time, not at the first stage that uses these
         self.solver()
         self.spec()
@@ -385,8 +384,8 @@ def cmd_predict(cfg, steps=None):
     condition), which also provides the reference columns.  ``steps``
     defaults to what reaches ``eval_horizon``; given, it must be >= 1.
     """
-    if steps is not None and steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {steps}")
+    if steps is not None:
+        steps = dyn._count("--steps", steps, 1)
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
     if steps is None:

@@ -27,7 +27,6 @@ on, and :func:`load_dataset` reads the trajectories from the
 
 from __future__ import annotations
 
-import numbers
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +41,7 @@ from memflow.dynamics import (
     IntegrationError,
     _count,
     _integration_error,
+    _number,
     integrate_batch,
 )
 
@@ -87,15 +87,15 @@ class TrajectorySet:
     ``trajectories`` of shape ``(n_traj, K, d)``, with n_traj, K and d
     >= 1, holds trajectory i's samples at times 0, delta, ...,
     (K - 1) * delta in ``trajectories[i]``, the same layout as on disk.  A
-    float64 C-contiguous array is adopted without a copy.
+    float64 C-contiguous array is adopted without a copy.  ``delta`` is a
+    number > 0, stored as a Python float.
     """
 
     delta: float
     trajectories: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", _number("delta", self.delta, 0, True))
         object.__setattr__(self, "trajectories",
                            _checked_trajectories(self.trajectories))
 
@@ -130,11 +130,8 @@ class MemoryWindowDataset:
     _blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n_mem = self.n_mem
-        if isinstance(n_mem, bool) or not isinstance(n_mem, numbers.Integral) \
-                or n_mem < 0:
-            raise ValueError(f"n_mem must be an integer >= 0, got {n_mem}")
-        object.__setattr__(self, "n_mem", int(n_mem))
+        n_mem = _count("n_mem", self.n_mem, 0)
+        object.__setattr__(self, "n_mem", n_mem)
         trajectories = _checked_trajectories(self.trajectories)
         n_traj, length, d = trajectories.shape
         starts = np.asarray(self.starts)
@@ -193,9 +190,9 @@ class MemoryWindowDataset:
 
 
 def sample_initial_conditions(domain, count, seed):
-    """Uniform initial conditions on the domain box, deterministic in seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    """``count`` (>= 1) uniform initial conditions on the domain box,
+    deterministic in seed."""
+    count = _count("count", count, 1)
     rng = np.random.default_rng(seed)
     return rng.uniform(domain.lower, domain.upper, size=(count, domain.n))
 
@@ -221,7 +218,7 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     IntegrationError one call would raise, naming the earliest sample and,
     at it, the lowest trajectory.
     """
-    traj_len = _count("traj_len", traj_len, 1)
+    n_traj, traj_len = _count("n_traj", n_traj, 1), _count("traj_len", traj_len, 1)
     if domain.n != spec.n:
         raise ValueError(
             f"domain dimension {domain.n} does not match system n={spec.n}"
@@ -272,11 +269,9 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     start position.  The dataset shares the trajectory array; the starts
     are the only array it adds.
     """
-    if per_trajectory is not None and (
-            isinstance(per_trajectory, bool)
-            or not isinstance(per_trajectory, numbers.Integral) or per_trajectory < 1):
-        raise ValueError(
-            f"per_trajectory must be an integer >= 1 or None, got {per_trajectory}")
+    n_mem = _count("n_mem", n_mem, 0)
+    if per_trajectory is not None:
+        per_trajectory = _count("per_trajectory", per_trajectory, 1)
     n_traj, length, _ = trajs.trajectories.shape
     avail = length - n_mem - 1  # admissible starts per trajectory
     if avail < (per_trajectory or 1):

@@ -149,10 +149,11 @@ class SystemSpec:
     params: dict | None = None
 
     def __post_init__(self):
-        if not (1 <= self.d <= self.n):
-            raise ValueError(
-                f"observed dimension d={self.d} must satisfy 1 <= d <= n={self.n}"
-            )
+        n, d = _count("n", self.n, 1), _count("d", self.d, 1)
+        if d > n:
+            raise ValueError(f"observed dimension d={d} must satisfy 1 <= d <= n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         if (self.a_matrix is None) == (self.field is None):
             raise ValueError(f"{self.name} needs exactly one of a_matrix and field")
         params = dict(self.params or {})
@@ -184,7 +185,8 @@ class SystemSpec:
                         or key in (*_FUNCTIONS, "range")):
                     raise ValueError(
                         f"{self.name} parameter name {key!r} is not allowed")
-                params[key] = _pop_number(self.name, {key: value}, key, None)
+                params[key] = _number(f"{self.name} parameter {key!r}", value,
+                                      -math.inf, False)
             names = components | set(params)
             object.__setattr__(self, "field", tuple(
                 _checked_expression(self.name, text, names) for text in field))
@@ -284,22 +286,16 @@ class SolverConfig:
 
     The integrator is the classical 4th-order Runge-Kutta method with
     ``substeps`` uniform internal steps per coarse step ``delta``.
+    ``delta`` is a number > 0 and ``substeps`` a count >= 1, stored as a
+    Python float and int (:func:`_number`, :func:`_count`).
     """
 
     delta: float = 0.02
     substeps: int = 20
 
     def __post_init__(self):
-        delta = self.delta
-        # a bool or a string is not a step; NaN fails the range test
-        if (isinstance(delta, bool) or not isinstance(delta, numbers.Real)
-                or not 0 < delta < np.inf):
-            raise ValueError(f"delta must be positive and finite, got {delta}")
-        substeps = self.substeps
-        if (isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral)
-                or substeps < 1):
-            raise ValueError(f"substeps must be an integer >= 1, got {substeps}")
-        object.__setattr__(self, "substeps", int(substeps))
+        object.__setattr__(self, "delta", _number("delta", self.delta, 0, True))
+        object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +416,15 @@ def make_system(name, **params):
 
 
 def _pop_number(name, params, key, default, integer=False):
-    """Remove ``key`` from ``params`` and return it as a float, or as an int
-    if ``integer``; ``default`` when it is absent.  A bool, a non-number, a
-    NaN or infinity or, for ``integer``, a non-integral value is a
-    ValueError naming the key."""
+    """Remove ``key`` from ``params`` and return it as a count >= 1 if
+    ``integer``, else as any finite number; ``default`` when it is absent.
+    The ValueError of :func:`_count` or :func:`_number` names system and key."""
     if key not in params:
         return default
-    value = params.pop(key)
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} parameter {key!r} must be "
-                         f"{'an integer' if integer else 'a number'}, got {value!r}")
+    label = f"{name} parameter {key!r}"
     if integer:
-        return int(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} parameter {key!r} must be finite, got {value}")
-    return float(value)
+        return _count(label, params.pop(key), 1)
+    return _number(label, params.pop(key), -math.inf, False)
 
 
 def _reject_params(name, leftover):
@@ -596,13 +585,32 @@ def _rk4_sample_matrix(a, delta, substeps):
 
 
 def _count(name, value, least):
-    """``value`` as an int >= ``least``; a bool, a non-integer or a smaller
-    value is a ValueError naming ``name``."""
+    """``value`` as a Python int >= ``least``; a bool, a non-integer (a
+    numpy integer is one) or a smaller value is a ValueError naming
+    ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _number(name, value, least, strict):
+    """``value`` as a finite Python float >= ``least``, or > it if
+    ``strict``; a bool, a non-number, NaN, an infinity (or an int too
+    large for a float) or a value out of range is a ValueError naming
+    ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < least or (strict and value == least):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {least}, "
+                         f"got {value}")
+    return float(value)
 
 
 def integrate_batch(spec, config, x0s, num_samples):
@@ -729,19 +737,11 @@ def _initial_state(spec, x0):
     return x0
 
 
-def _time(t):
-    """``t`` as a float; a negative, NaN or infinite time is a ValueError
-    naming ``t``."""
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    return float(t)
-
-
 def exact_linear_solution(spec, x0, t):
     """Full-state solution exp(A t) x0 of a linear spec; a negative, NaN or
     infinite ``t`` is a ValueError naming ``t``."""
     a = _linear_matrix(spec)
-    x0, t = _initial_state(spec, x0), _time(t)
+    x0, t = _initial_state(spec, x0), _number("t", t, 0, False)
     return matrix_exponential(a * t) @ x0
 
 
@@ -752,7 +752,7 @@ def exact_linear_trajectory(spec, x0, delta, num_samples):
     by doubling, so there is no time-discretization error.
     """
     a = _linear_matrix(spec)
-    x0 = _initial_state(spec, x0)
+    x0, delta = _initial_state(spec, x0), _number("delta", delta, 0, True)
     num_samples = _count("num_samples", num_samples, 0)
     out = np.empty((num_samples + 1, spec.n))
     out[0] = x0
@@ -838,7 +838,7 @@ def linear_mz_rhs(spec, x0, t):
     a ValueError naming ``t``.
     """
     a11, a12, a21, a22 = _blocks(spec)
-    x0, t = _initial_state(spec, x0), _time(t)
+    x0, t = _initial_state(spec, x0), _number("t", t, 0, False)
     d, k = spec.d, spec.n - spec.d
     block = np.block([[a22, a21 @ np.eye(spec.n)[:d]],
                       [np.zeros((spec.n, k)), spec.a_matrix]])

@@ -31,12 +31,12 @@ and ``hidden`` (int64) and ``flat`` (float64); see :func:`save_params`.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from memflow import _npz
+from memflow.dynamics import _count
 
 __all__ = [
     "NetworkParams",
@@ -111,19 +111,14 @@ class NetworkParams:
 
 
 def _widths(d, n_mem, hidden):
-    """Layer widths ``D, *hidden, d`` as ints; impossible shapes, and a
-    ``d``, ``n_mem`` or hidden width that is not an integer (a bool is
-    not), are rejected."""
-    hidden = tuple(hidden)
-    for name, value in (("d", d), ("n_mem", n_mem),
-                        *(("hidden width", w) for w in hidden)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} {value!r} is not an integer")
-    if d < 1 or n_mem < 0:
-        raise ValueError("require d >= 1 and n_mem >= 0")
-    if not hidden or any(w < 1 for w in hidden):
+    """Layer widths ``D, *hidden, d`` as Python ints: ``d`` and each hidden
+    width are counts >= 1 and ``n_mem`` one >= 0 (:func:`_count`), and
+    ``hidden`` is not empty."""
+    d, n_mem = _count("d", d, 1), _count("n_mem", n_mem, 0)
+    hidden = [_count("hidden width", w, 1) for w in hidden]
+    if not hidden:
         raise ValueError("hidden widths must be a non-empty list of counts >= 1")
-    return [int(d) * (int(n_mem) + 1), *map(int, hidden), int(d)]
+    return [d * (n_mem + 1), *hidden, d]
 
 
 def init_params(d, n_mem, hidden, seed):

@@ -135,6 +135,7 @@ def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
     of each is at time ``k * solver.delta``.
     """
     need = model.n_mem + 1
+    horizon_steps = dyn._count("horizon_steps", horizon_steps, 0)
     if horizon_steps < need:
         raise ValueError(
             f"horizon of {horizon_steps} steps cannot cover {need} seed states"
@@ -171,6 +172,7 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     When every run diverged there is no error to report: RuntimeError,
     naming each run and the step at which it diverged.
     """
+    n_runs = dyn._count("n_runs", n_runs, 1)
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
     _, result, errors = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
     diverged = np.array([step is not None for step in result.diverged_at])
@@ -189,12 +191,12 @@ def memory_sweep(cfg, n_mem_list, seed):
     """Train and evaluate one model per memory setting.
 
     ``cfg`` is the experiment (a :class:`memflow.cli.ExperimentConfig`);
-    the cell for each n of ``n_mem_list``, which must be ascending and
-    non-negative, is ``dataclasses.replace(cfg, n_mem=n)``.  Every cell is
-    built, and so passes the config's checks, before the first one
-    trains.  Each cell regenerates data, builds windows, trains a fresh
-    network, and reports the mean rollout error at the evaluation horizon
-    with the indices of the evaluation runs that diverged.  Its seeds come
+    the cell for each n of ``n_mem_list``, which must be ascending, is
+    ``dataclasses.replace(cfg, n_mem=n)``.  Every cell is built, and so
+    passes the config's checks (n a count >= 0 among them), before the
+    first one trains.  Each cell regenerates data, builds windows, trains
+    a fresh network, and reports the mean rollout error at the evaluation
+    horizon with the indices of the evaluation runs that diverged.  Its seeds come
     from ``cell_seed = SeedSequence([seed, n_mem])``: ``cell_seed`` + 0 to
     + 4 for generate, select, init, train and evaluate, so the sweep is
     reproducible.
@@ -204,10 +206,6 @@ def memory_sweep(cfg, n_mem_list, seed):
         raise ValueError("n_mem_list must be non-empty")
     if any(b <= a for a, b in zip(n_mem_list, n_mem_list[1:])):
         raise ValueError("n_mem_list must be strictly ascending")
-    if n_mem_list[0] < 0:
-        raise ValueError(
-            f"n_mem_list must not hold a negative n_mem, got {n_mem_list}"
-        )
     cell_cfgs = [replace(cfg, n_mem=n_mem) for n_mem in n_mem_list]
     spec, solver, domain = cfg.spec(), cfg.solver(), cfg.domain()
     cells = []
@@ -264,6 +262,7 @@ def euler_damz(spec, seeds, steps, delta):
     with trapezoid weights w_j, so a diverging run ends in NaN rows.  Unlike
     the learned model this scheme carries O(delta) time-discretization error.
     """
+    delta = dyn._number("delta", delta, 0, True)
     increment = delta * dyn._memory_matrix(spec, delta, len(seeds) - 1)
     increment[:, : spec.d] += delta * dyn._blocks(spec)[0]
     return rollout(_EulerMap(increment), [seeds], steps).states[0]
@@ -298,6 +297,7 @@ def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs,
         raise ValueError(
             f"model d={model.d} does not match observed dimension {spec.d}"
         )
+    n_runs = dyn._count("n_runs", n_runs, 1)
     x0s = data_mod.sample_initial_conditions(domain, n_runs, seed)
     truth, result, nn = rollout_against_truth(model, spec, solver, x0s, horizon_steps)
     result.raise_if_diverged()

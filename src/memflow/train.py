@@ -9,12 +9,12 @@ seed, so runs are bitwise reproducible.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from memflow.dynamics import _count, _number
 from memflow.net import backward_batch, forward_batch, load_params, save_params
 
 __all__ = [
@@ -45,23 +45,20 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam's step size, a number >= 0 stored as a Python float
+    (:func:`_number`), and the minibatch size and epoch count, counts >= 1
+    stored as Python ints (:func:`_count`)."""
+
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        lr = self.learning_rate
-        # a bool or a string is not a rate; NaN fails the range test
-        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-                or not 0 <= lr < np.inf):
-            raise ValueError(f"learning_rate must be nonnegative and finite, got {lr}")
+        object.__setattr__(self, "learning_rate",
+                           _number("learning_rate", self.learning_rate, 0, False))
         for key in ("batch_size", "epochs"):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
-                raise ValueError(f"{key} must be an integer >= 1, got {value}")
-            object.__setattr__(self, key, int(value))
+            object.__setattr__(self, key, _count(key, getattr(self, key), 1))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,26 @@ class TestConfig:
             path = write_config(cfg, tmp_path, f"{name}.json")
             assert asdict(cli.load_config(path)) == asdict(cfg)
 
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        # numpy integers were refused with "n_mem must be an integer, got
+        # np.int64(3)", though every library function accepts them
+        cfg = cli.ExperimentConfig(system="example1", n_mem=np.int64(3),
+                                   hidden=(np.int64(8),) * 3, seed=np.uint32(5),
+                                   delta=np.float64(0.02), eval_horizon=np.int64(2))
+        assert (cfg.n_mem, cfg.hidden, cfg.seed) == (3, (8, 8, 8), 5)
+        assert (cfg.delta, cfg.eval_horizon) == (0.02, 2.0)
+        for value in (cfg.n_mem, *cfg.hidden, cfg.seed):
+            assert type(value) is int
+        for value in (cfg.delta, cfg.eval_horizon, cfg.learning_rate):
+            assert type(value) is float
+
+    def test_config_of_numpy_scalars_round_trips(self, tmp_path):
+        cfg = cli.ExperimentConfig(system="example1", n_mem=np.int64(3),
+                                   delta=np.float64(0.02))
+        path = write_config(cfg, tmp_path)
+        assert json.loads(path.read_text())["n_mem"] == 3
+        assert asdict(cli.load_config(path)) == asdict(cfg)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             cli.ExperimentConfig.from_dict({"system": "example1", "turbo": True})
@@ -84,20 +104,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, match", [
         ("per_trajectory", 0, "per_trajectory"),
-        ("per_trajectory", -3,
-         "per_trajectory must be a positive integer or null, got -3"),
+        ("per_trajectory", -3, "per_trajectory must be >= 1, got -3"),
         ("epochs", 0, "epochs"),
         ("n_traj", 0, "n_traj"),
         ("batch_size", 0, "batch_size"),
-        ("seed", -1, "seed must be a non-negative integer, got -1"),
-        ("eval_horizon", float("inf"), "eval_horizon must be positive and finite"),
-        ("learning_rate", float("nan"),
-         "learning_rate must be nonnegative and finite, got nan"),
-        ("hidden", [], r"hidden must be a non-empty list of positive integers, got \[\]"),
-        ("hidden", [0], r"hidden must be a non-empty list of positive integers, got \[0\]"),
-        ("per_trajectory", True,
-         "per_trajectory must be a positive integer or null, got True"),
-        ("delta", float("inf"), "delta must be positive and finite, got inf"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("eval_horizon", float("inf"), "eval_horizon must be a finite number, got inf"),
+        ("eval_horizon", 0.0, "eval_horizon must be > 0, got 0.0"),
+        ("learning_rate", float("nan"), "learning_rate must be a finite number, got nan"),
+        ("hidden", [], r"hidden must be a non-empty list, got \[\]"),
+        ("hidden", [0], "hidden width must be >= 1, got 0"),
+        ("per_trajectory", True, "per_trajectory must be an integer, got True"),
+        ("delta", float("inf"), "delta must be a finite number, got inf"),
         ("delta", 1e-320, "eval_horizon=20 is not a finite number of steps "
          "of delta=1e-320"),
     ])
@@ -175,7 +193,7 @@ class TestConfig:
 
     def test_parameter_that_is_not_a_number_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"example1 parameter 'alpha' must "
-                           r"be a number, got \[2.0\]"):
+                           r"be a finite number, got \[2.0\]"):
             micro_config(tmp_path, params={"alpha": [2.0]})
 
     @pytest.mark.parametrize("system, params, key", [
@@ -221,6 +239,20 @@ class TestConfig:
         assert err == f"error: {path}: unknown config keys: ['{key}']\n"
         assert not (tmp_path / "run").exists()
 
+    def test_old_keys_rejected_in_one_sorted_message(self, tmp_path, capsys):
+        # per_trajectory alone selects the windows and initial conditions
+        # come from the system's default domain: both keys are unknown
+        path = tmp_path / "old-keys.json"
+        path.write_text(json.dumps(
+            {"system": "example1", "selection_kind": "random",
+             "per_trajectory": 1, "domain_lower": [-1.0, -1.0]}))
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown config keys: ['domain_lower', "
+            f"'selection_kind']\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("system, key, value", [
         ("example2", "alpha", float("nan")),
         ("example3", "epsilon", float("inf")),
@@ -233,8 +265,8 @@ class TestConfig:
         assert cli.main(["generate", "--config", str(path),
                          "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: {system} parameter '{key}' must be finite, "
-            f"got {value}\n")
+            f"error: {path}: {system} parameter '{key}' must be a finite "
+            f"number, got {value}\n")
         assert not (tmp_path / "run").exists()
 
     def test_domain_is_the_systems_default(self, tmp_path):
@@ -392,6 +424,18 @@ class TestPipeline:
                                         "example4", "flowmap-linear"])
     def test_oracle_check_passes_on_every_linear_preset(self, preset, capsys):
         assert cli.main(["oracle-check", "--preset", preset]) == 0
+        assert capsys.readouterr().out.endswith("oracle check passed\n")
+
+    def test_oracle_check_passes_on_a_non_symmetric_a22(self, tmp_path, capsys):
+        # every preset's A22 is symmetric (example4) or 1x1 (example1), so
+        # none of them tells exp(A22 t) from its transpose; this one does
+        matrix = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4)) - 1.5 * np.eye(4)
+        a22 = matrix[2:, 2:]
+        assert np.abs(a22 - a22.T).max() > 0.1
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps({"system": "linear-generic",
+                                    "params": {"matrix": matrix.tolist(), "d": 2}}))
+        assert cli.main(["oracle-check", "--config", str(path)]) == 0
         assert capsys.readouterr().out.endswith("oracle check passed\n")
 
     def test_oracle_check_fails_on_a_nonlinear_preset(self, capsys):
@@ -572,9 +616,8 @@ class TestMain:
     @pytest.mark.parametrize("command, flag, value, message", [
         ("predict", "--steps", "0", "--steps must be >= 1, got 0"),
         ("predict", "--steps", "-3", "--steps must be >= 1, got -3"),
-        ("sweep", "--n-mem", "-1",
-         "n_mem_list must not hold a negative n_mem, got [-1]"),
-        ("generate", "--seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("sweep", "--n-mem", "-1", "n_mem must be >= 0, got -1"),
+        ("generate", "--seed", "-1", "seed must be >= 0, got -1"),
     ], ids=["steps-zero", "steps-negative", "n-mem-negative", "seed-negative"])
     def test_out_of_range_count_named(self, tmp_path, capsys, command, flag, value,
                                       message):
@@ -609,6 +652,33 @@ class TestMain:
             f"error: {path}: d=2 does not match config d=1\n"
         )
         assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
+
+    @pytest.mark.parametrize("stage, name, members, found, expected", [
+        ("build-dataset", cli.TRAJECTORY_FILE,
+         dict(d=np.int64(1), delta=np.float64(0.02), lengths=np.full(50, 5),
+              samples=np.zeros((250, 1))),
+         ["d.npy", "delta.npy", "lengths.npy", "samples.npy"],
+         ["delta.npy", "trajectories.npy"]),
+        ("train", cli.DATASET_FILE,
+         dict(d=np.int64(1), n_mem=np.int64(3), inputs=np.zeros((50, 4)),
+              targets=np.zeros((50, 1))),
+         ["d.npy", "inputs.npy", "n_mem.npy", "targets.npy"],
+         ["n_mem.npy", "starts.npy", "trajectories_crc32.npy"]),
+        ("train", cli.DATASET_FILE,
+         dict(n_mem=np.int64(3), starts=np.zeros((50, 1), dtype=np.int64),
+              trajectories=np.zeros((50, 5, 1))),
+         ["n_mem.npy", "starts.npy", "trajectories.npy"],
+         ["n_mem.npy", "starts.npy", "trajectories_crc32.npy"]),
+    ], ids=["flat-trajectories", "windows-dataset", "trajectory-copy-dataset"])
+    def test_earlier_artifact_layouts_rejected_by_member_names(
+            self, tmp_path, capsys, stage, name, members, found, expected):
+        cfg_path = write_config(micro_config(tmp_path), tmp_path)
+        path = tmp_path / "run" / name
+        path.parent.mkdir()
+        np.savez(path, **members)
+        assert cli.main([stage, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: members {found}, expected {expected}\n")
 
     def test_sweep_rejects_a_cell_before_training(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -647,7 +717,7 @@ class TestMain:
         path.write_text(json.dumps(doc))  # written as Infinity
         assert cli.main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: learning_rate must be nonnegative and finite, got inf\n")
+            f"error: {path}: learning_rate must be a finite number, got inf\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("message, line", [
@@ -671,3 +741,14 @@ class TestMain:
         assert cli.main(
             ["sweep", "--config", str(cfg_path), "--n-mem", "3,two"]
         ) == 1
+
+    def test_descending_n_mem_list_rejected_before_training(self, tmp_path, capsys,
+                                                            monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli.train_mod, "train_model",
+                            lambda *args: trained.append(args))
+        cfg_path = write_config(micro_config(tmp_path), tmp_path)
+        assert cli.main(["sweep", "--config", str(cfg_path), "--n-mem", "3,2"]) == 1
+        assert capsys.readouterr().err == "error: n_mem_list must be strictly ascending\n"
+        assert trained == []
+        assert not (tmp_path / "run" / cli.SWEEP_FILE).exists()

@@ -51,10 +51,17 @@ class TestSampleInitialConditions:
         samples = data.sample_initial_conditions(dom, 10**4, seed=3)
         assert abs(samples.mean() - 0.5) < 0.02
 
-    def test_count_validated(self):
+    @pytest.mark.parametrize("count, message", [
+        (0, ">= 1, got 0"),
+        # each of these used to fail inside numpy with a TypeError
+        (2.5, "an integer, got 2.5"),
+        (True, "an integer, got True"),
+        ("3", "an integer, got '3'"),
+    ])
+    def test_count_validated(self, count, message):
         dom = dyn.Domain(np.array([0.0]), np.array([1.0]))
-        with pytest.raises(ValueError, match="count"):
-            data.sample_initial_conditions(dom, 0, seed=0)
+        with pytest.raises(ValueError, match=f"^count must be {message}$"):
+            data.sample_initial_conditions(dom, count, seed=0)
 
 
 def reference_build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
@@ -109,6 +116,18 @@ class TestGenerateTrajectories:
                 f"^traj_len must be an integer, got {traj_len!r}$")):
             data.generate_trajectories(spec, dyn.SolverConfig(0.02, 5),
                                        dyn.default_domain(spec), 2, traj_len, seed=0)
+
+    @pytest.mark.parametrize("n_traj, message", [
+        (2.0, "n_traj must be an integer, got 2.0"),
+        (0, "n_traj must be >= 1, got 0"),
+    ])
+    def test_n_traj_named(self, n_traj, message):
+        # 2.0 used to fail inside numpy with a TypeError, and 0 was named
+        # "count", sample_initial_conditions' argument
+        spec = dyn.make_system("example1")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            data.generate_trajectories(spec, dyn.SolverConfig(0.02, 5),
+                                       dyn.default_domain(spec), n_traj, 3, seed=0)
 
     def test_minimal_length_trajectories(self):
         n_mem = 30
@@ -415,11 +434,19 @@ class TestBuildDataset:
             assert ran.inputs.tobytes() == det.inputs.tobytes()
             assert ran.targets.tobytes() == det.targets.tobytes()
 
+    def test_n_mem_that_is_not_an_integer_named(self):
+        # n_mem 1.5 used to fail inside numpy with a TypeError
+        with pytest.raises(ValueError, match="^n_mem must be an integer, got 1.5$"):
+            data.build_dataset(toy_trajectories(1, 12), 1.5)
+
     def test_strategy_validation(self):
         trajs = toy_trajectories(1, 12)
-        for j0 in (0, -3, True, 2.0, "3"):
+        for j0, message in ((0, ">= 1, got 0"), (-3, ">= 1, got -3"),
+                            (True, "an integer, got True"),
+                            (2.0, "an integer, got 2.0"),
+                            ("3", "an integer, got '3'")):
             with pytest.raises(ValueError, match=(
-                    f"per_trajectory must be an integer >= 1 or None, got {j0}")):
+                    f"^per_trajectory must be {re.escape(message)}$")):
                 data.build_dataset(trajs, 2, per_trajectory=j0)
 
 
@@ -798,9 +825,9 @@ class TestInvariants:
             bad[2, 4, 0] = np.inf
             data.MemoryWindowDataset(n_mem=2, trajectories=bad,
                                      starts=np.zeros((4, 1), dtype=np.int64))
-        for n_mem in (-1, True, 2.0):
-            with pytest.raises(ValueError, match=(
-                    f"^n_mem must be an integer >= 0, got {n_mem}$")):
+        for n_mem, message in ((-1, ">= 0, got -1"), (True, "an integer, got True"),
+                               (2.0, "an integer, got 2.0")):
+            with pytest.raises(ValueError, match=f"^n_mem must be {message}$"):
                 data.MemoryWindowDataset(n_mem=n_mem, trajectories=trajectories,
                                          starts=np.zeros((4, 1), dtype=np.int64))
 
@@ -836,10 +863,21 @@ class TestInvariants:
                 r"trajectory$")):
             data.TrajectorySet(delta=0.02, trajectories=np.zeros((0, 5, 1)))
 
-    @pytest.mark.parametrize("delta", [0.0, np.inf, np.nan])
-    def test_trajectory_set_rejects_bad_delta(self, delta):
-        with pytest.raises(ValueError, match="delta must be positive and finite"):
+    @pytest.mark.parametrize("delta, message", [
+        (0.0, "> 0, got 0.0"),
+        (np.inf, "a finite number, got inf"),
+        (np.nan, "a finite number, got nan"),
+        # True was accepted, and "0.1" failed with a TypeError
+        (True, "a finite number, got True"),
+        ("0.1", "a finite number, got '0.1'"),
+    ])
+    def test_trajectory_set_rejects_bad_delta(self, delta, message):
+        with pytest.raises(ValueError, match=f"^delta must be {message}$"):
             data.TrajectorySet(delta=delta, trajectories=np.ones((1, 2, 1)))
+
+    def test_trajectory_set_stores_delta_as_a_float(self):
+        trajs = data.TrajectorySet(delta=np.float32(0.5), trajectories=np.ones((1, 2, 1)))
+        assert trajs.delta == 0.5 and type(trajs.delta) is float
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="trajectory 1 contains non-finite"):

@@ -75,13 +75,13 @@ class TestEvalRhs:
 
     @pytest.mark.parametrize("name, key, value, shown", [
         ("example1", "alpha", float("nan"), "nan"),
-        ("example2", "alpha", np.float64("nan"), "nan"),
+        ("example2", "alpha", np.float64("nan"), r"np\.float64\(nan\)"),
         ("example2", "beta", float("-inf"), "-inf"),
         ("example3", "epsilon", float("inf"), "inf"),
     ])
     def test_non_finite_parameters_rejected(self, name, key, value, shown):
         with pytest.raises(ValueError, match=f"^{name} parameter '{key}' must be "
-                           f"finite, got {shown}$"):
+                           f"a finite number, got {shown}$"):
             dyn.make_system(name, **{key: value})
 
     @pytest.mark.parametrize("matrix", [
@@ -99,6 +99,23 @@ class TestSystemSpec:
     def test_observed_dimension_bounds(self):
         with pytest.raises(ValueError, match="observed dimension"):
             dyn.SystemSpec(name="x", n=2, d=3, field=("x0", "x1"))
+
+    @pytest.mark.parametrize("n, d, message", [
+        (2, 1.5, "d must be an integer, got 1.5"),
+        (2, True, "d must be an integer, got True"),
+        (2.0, 1, "n must be an integer, got 2.0"),
+        (2, 0, "d must be >= 1, got 0"),
+    ])
+    def test_dimension_that_is_not_a_count_rejected(self, n, d, message):
+        # d=1.5 was accepted and observe then raised a TypeError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dyn.SystemSpec(name="x", n=n, d=d, field=("x1", "-x0"))
+
+    def test_integral_dimensions_stored_as_ints(self):
+        spec = dyn.SystemSpec(name="x", n=np.int64(2), d=np.int32(1),
+                              field=("x1", "-x0"))
+        assert (spec.n, spec.d) == (2, 1)
+        assert type(spec.n) is int and type(spec.d) is int
 
     def test_exactly_one_description_required(self):
         with pytest.raises(ValueError, match="none needs exactly one of a_matrix and field"):
@@ -226,10 +243,10 @@ class TestFieldExpressions:
                            params={key: 1.0})
 
     @pytest.mark.parametrize("value, message", [
-        (float("nan"), "must be finite, got nan"),
-        (float("inf"), "must be finite, got inf"),
-        ("1.0", "must be a number, got '1.0'"),
-        (True, "must be a number, got True"),
+        (float("nan"), "must be a finite number, got nan"),
+        (float("inf"), "must be a finite number, got inf"),
+        ("1.0", "must be a finite number, got '1.0'"),
+        (True, "must be a finite number, got True"),
     ])
     def test_parameter_value_that_is_not_a_finite_number_rejected(self, value,
                                                                    message):
@@ -316,19 +333,29 @@ class TestIntegrate:
     @pytest.mark.parametrize("delta", [True, "0.02", None])
     def test_step_that_is_not_a_number_rejected(self, delta):
         with pytest.raises(ValueError, match=(
-                f"^delta must be positive and finite, got {delta}$")):
+                f"^delta must be a finite number, got {re.escape(repr(delta))}$")):
             dyn.SolverConfig(delta=delta)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.02, float("inf"), float("nan")])
-    def test_step_that_is_not_positive_and_finite_rejected(self, delta):
-        with pytest.raises(ValueError, match=(
-                f"delta must be positive and finite, got {delta}")):
+    @pytest.mark.parametrize("delta, message", [
+        (0.0, "delta must be > 0, got 0.0"),
+        (-0.02, "delta must be > 0, got -0.02"),
+        (float("inf"), "delta must be a finite number, got inf"),
+        (float("nan"), "delta must be a finite number, got nan"),
+    ])
+    def test_step_that_is_not_positive_and_finite_rejected(self, delta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dyn.SolverConfig(delta=delta)
 
-    @pytest.mark.parametrize("substeps", [2.5, np.float64(3.0), True, 0, "3"])
-    def test_substeps_that_is_not_a_positive_integer_rejected(self, substeps):
-        with pytest.raises(ValueError, match=(
-                f"^substeps must be an integer >= 1, got {substeps}$")):
+    @pytest.mark.parametrize("substeps, message", [
+        (2.5, "substeps must be an integer, got 2.5"),
+        (np.float64(3.0), "substeps must be an integer, got np.float64(3.0)"),
+        (True, "substeps must be an integer, got True"),
+        (0, "substeps must be >= 1, got 0"),
+        ("3", "substeps must be an integer, got '3'"),
+    ])
+    def test_substeps_that_is_not_a_positive_integer_rejected(self, substeps,
+                                                              message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dyn.SolverConfig(0.02, substeps)
 
     def test_integral_substeps_stored_as_int(self):
@@ -676,6 +703,24 @@ def test_counts_must_be_integers(name, call, value):
     # True used to run as 1, and 2.0 to fail inside numpy naming nothing
     with pytest.raises(ValueError, match=(
             f"^{name} must be an integer, got {re.escape(repr(value))}$")):
+        call(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "a finite number, got True"),
+    ("0.1", "a finite number, got '0.1'"),
+    (float("nan"), "a finite number, got nan"),
+    (0.0, "> 0, got 0.0"),
+], ids=["bool", "str", "nan", "zero"])
+@pytest.mark.parametrize("call", [
+    lambda delta: dyn.exact_linear_trajectory(
+        dyn.make_system("example1"), [1.0, 0.0], delta, 3),
+    lambda delta: rollout.euler_damz(
+        dyn.make_system("example1"), np.zeros((3, 1)), 5, delta),
+], ids=["exact_linear_trajectory", "euler_damz"])
+def test_steps_must_be_positive_numbers(call, value, message):
+    # True used to run as a step of 1
+    with pytest.raises(ValueError, match=f"^delta must be {re.escape(message)}$"):
         call(value)
 
 
@@ -1119,7 +1164,7 @@ class TestLinearOracle:
         [
             (np.ones((2, 3)), 1, "square"),
             (np.ones(4), 1, "square"),
-            (np.eye(3), 0, r"d=0 must satisfy 1 <= d <= n=3"),
+            (np.eye(3), 0, r"^d must be >= 1, got 0$"),
             (np.eye(3), 4, r"d=4 must satisfy 1 <= d <= n=3"),
         ],
         ids=["non-square", "vector", "d-zero", "d-above-n"],
@@ -1178,12 +1223,18 @@ class TestLinearOracle:
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(1,\)"):
             reference(spec, [1.0], 0.5)
 
-    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("t, message", [
+        (-0.5, "t must be >= 0, got -0.5"),
+        (np.nan, "t must be a finite number, got nan"),
+        (np.inf, "t must be a finite number, got inf"),
+        (-np.inf, "t must be a finite number, got -inf"),
+    ])
     @pytest.mark.parametrize("reference", [
         dyn.exact_linear_solution, dyn.linear_mz_rhs], ids=["solution", "mz-rhs"])
-    def test_pointwise_references_reject_a_bad_time_by_name(self, reference, t):
+    def test_pointwise_references_reject_a_bad_time_by_name(self, reference, t,
+                                                             message):
         spec = dyn.make_system("example1")
-        with pytest.raises(ValueError, match=rf"^t must be finite and >= 0, got {t}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reference(spec, [1.0, 0.0], t)
 
     def test_exact_trajectory_rejects_negative_sample_count(self):

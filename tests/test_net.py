@@ -67,7 +67,7 @@ class TestInitParams:
 
     @pytest.mark.parametrize("width", [2.7, 3.0, np.float64(2.0), True, "2"])
     def test_hidden_width_that_is_not_an_integer_rejected(self, width):
-        message = f"^hidden width {re.escape(repr(width))} is not an integer$"
+        message = f"^hidden width must be an integer, got {re.escape(repr(width))}$"
         with pytest.raises(ValueError, match=message):
             net.init_params(1, 0, [4, width], seed=0)
         with pytest.raises(ValueError, match=message):
@@ -79,7 +79,7 @@ class TestInitParams:
         # n_mem=True used to run as n_mem 1 with the bool kept, and a bool
         # or float d failed inside numpy
         counts = {"d": 1, "n_mem": 1, key: value}
-        message = f"^{key} {re.escape(repr(value))} is not an integer$"
+        message = f"^{key} must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             net.init_params(counts["d"], counts["n_mem"], [3], seed=0)
         with pytest.raises(ValueError, match=message):
@@ -412,7 +412,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("change, match", [
         ({"flat": np.zeros(3)}, r"widths \[2, 3, 1\], expected \(13,\)"),
         ({"hidden": np.array([], dtype=np.int64)}, "hidden widths"),
-        ({"d": np.int64(0)}, "require d >= 1"),
+        ({"d": np.int64(0)}, "d must be >= 1, got 0$"),
         ({"flat": np.zeros(13, dtype=np.float32)}, "'flat' is float32"),
         ({"hidden": np.array([2.0])}, "'hidden' is float64"),
         ({"flat": np.zeros(13, dtype=object)}, "'flat' is object"),

@@ -431,6 +431,13 @@ class TestEvaluateAndSweep:
         with pytest.raises(ValueError, match="ascending"):
             rollout.memory_sweep(cfg, [3, 1], seed=0)
 
+    def test_sweep_over_a_numpy_range(self):
+        # each cell is replace(cfg, n_mem=np.int64(n)), which the config
+        # used to refuse
+        cells = rollout.memory_sweep(sweep_config(), np.arange(1, 3), seed=9)
+        assert [c.n_mem for c in cells] == [1, 2]
+        assert all(type(c.n_mem) is int for c in cells)
+
     def test_cell_seeds_follow_the_rule(self):
         # cell_seed = SeedSequence([seed, n_mem]); generate, select, init,
         # train and evaluate take cell_seed + 0, ..., + 4
@@ -549,6 +556,28 @@ class TestEvaluateAndSweep:
         mean_err, series = self.evaluate_sign_split(-1.0, -0.5)
         assert mean_err == 0.0 and all(es is not None for es in series)
 
+    @pytest.mark.parametrize("n_runs, message", [
+        (0, "n_runs must be >= 1, got 0"),
+        (2.0, "n_runs must be an integer, got 2.0"),
+    ])
+    def test_evaluate_model_names_a_bad_run_count(self, n_runs, message):
+        # the count was checked only as sample_initial_conditions' "count"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rollout.evaluate_model(
+                net.init_params(1, 2, [4], seed=3), self.STILL,
+                dyn.SolverConfig(0.1, 1), dyn.default_domain(self.STILL),
+                horizon_steps=6, n_runs=n_runs, seed=2,
+            )
+
+    @pytest.mark.parametrize("steps", [2.5, True])
+    def test_horizon_that_is_not_an_integer_named(self, steps):
+        # it was named num_samples, integrate_batch's argument
+        with pytest.raises(ValueError, match=(
+                f"^horizon_steps must be an integer, got {steps}$")):
+            rollout.rollout_against_truth(
+                net.init_params(1, 0, [3], seed=0), dyn.make_system("example1"),
+                dyn.SolverConfig(0.1, 1), np.zeros((1, 2)), steps)
+
     def test_horizon_must_cover_the_seeds(self):
         spec = dyn.make_system("example1")
         model = net.init_params(1, 4, [3], seed=0)
@@ -586,6 +615,18 @@ class TestCompareWithHomogenized:
         with pytest.raises(RuntimeError, match="diverged at step 4 in run 0") as info:
             self.compare(model)
         assert not isinstance(info.value, dyn.IntegrationError)
+
+    @pytest.mark.parametrize("n_runs, message", [
+        (0, "n_runs must be >= 1, got 0"),
+        (True, "n_runs must be an integer, got True"),
+    ])
+    def test_bad_run_count_named(self, n_runs, message):
+        spec = dyn.make_system("example3")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rollout.compare_with_homogenized(
+                net.init_params(3, 2, [6], seed=1), spec, self.SOLVER,
+                dyn.default_domain(spec), horizon_steps=10, n_runs=n_runs, seed=4,
+            )
 
     def test_other_systems_rejected(self):
         model = net.init_params(1, 2, [6], seed=1)
