@@ -66,9 +66,11 @@ COMPARE_FILE = "compare.csv"
 
 
 def stage_seed(master, label):
-    """Derive a stage seed from the master seed and a fixed label."""
+    """Derive a stage seed from the master seed, a count >= 0, and a fixed
+    label."""
     return int(
-        np.random.SeedSequence([int(master), zlib.crc32(label.encode())])
+        np.random.SeedSequence([dyn._count("seed", master, 0),
+                                zlib.crc32(label.encode())])
         .generate_state(1)[0]
     )
 
@@ -89,7 +91,8 @@ class ExperimentConfig:
     the minimal usable length ``n_mem + 2`` (one window per trajectory).
     ``per_trajectory`` is the number (>= 1) of window starts drawn from
     each trajectory, or null to take every admissible start.  ``hidden``
-    is a non-empty list of widths >= 1.  The other counts are ``n_mem``
+    is a non-empty list of widths >= 1, checked by the network's own rule
+    (:func:`memflow.net._widths`).  The other counts are ``n_mem``
     and ``seed`` (>= 0) and ``substeps``, ``n_traj``, ``batch_size``,
     ``epochs`` and ``n_eval_runs`` (>= 1); the real values ``delta`` and
     ``eval_horizon`` (> 0) and ``learning_rate`` (>= 0).  Each is checked
@@ -130,16 +133,14 @@ class ExperimentConfig:
         if self.per_trajectory is not None:
             store("per_trajectory",
                   dyn._count("per_trajectory", self.per_trajectory, 1))
-        if not isinstance(self.hidden, (list, tuple)) or not self.hidden:
-            raise ValueError(f"hidden must be a non-empty list, got {self.hidden!r}")
-        store("hidden", tuple(dyn._count("hidden width", w, 1) for w in self.hidden))
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be an object, got {self.params!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         # fail at load time, not at the first stage that uses these
         self.solver()
-        self.spec()
+        d = self.spec().d
+        store("hidden", tuple(net_mod._widths(d, self.n_mem, self.hidden)[1:-1]))
         self.train_config()
         # the n_mem + 1 seed states fit the horizon, and the trajectories
         # give enough window starts and windows

@@ -191,9 +191,9 @@ class MemoryWindowDataset:
 
 def sample_initial_conditions(domain, count, seed):
     """``count`` (>= 1) uniform initial conditions on the domain box,
-    deterministic in seed."""
+    deterministic in ``seed``, a count >= 0."""
     count = _count("count", count, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     return rng.uniform(domain.lower, domain.upper, size=(count, domain.n))
 
 
@@ -259,7 +259,8 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     window starts each.  With ``per_trajectory`` None every one of them is
     taken.  An integer ``per_trajectory`` = j0 >= 1 draws j0 distinct
     starts per trajectory, each subset equally likely, from a generator
-    ``np.random.default_rng(seed)``.  The draw is Floyd's algorithm on all
+    ``np.random.default_rng(seed)``, ``seed`` a count >= 0 (checked with
+    or without a draw).  The draw is Floyd's algorithm on all
     trajectories at once: for k = 0, ..., j0 - 1, one ``rng.integers``
     call draws an integer per trajectory from ``[0, avail - j0 + k]``, and
     a draw that repeats one of its trajectory's earlier picks is replaced
@@ -269,7 +270,7 @@ def build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
     start position.  The dataset shares the trajectory array; the starts
     are the only array it adds.
     """
-    n_mem = _count("n_mem", n_mem, 0)
+    n_mem, seed = _count("n_mem", n_mem, 0), _count("seed", seed, 0)
     if per_trajectory is not None:
         per_trajectory = _count("per_trajectory", per_trajectory, 1)
     n_traj, length, _ = trajs.trajectories.shape

@@ -122,7 +122,8 @@ class SystemSpec:
         Observed dimension; the observation map keeps components ``[:d]``.
     a_matrix : ndarray or None
         For linear systems, the full ``n x n`` matrix: dx/dt = a_matrix @ x.
-        Stored as a float array of its own, which must be finite.
+        Its entries must be numbers, not strings or bools; it is stored as
+        a float array of its own, which must be finite.
         Integration and the exact references step with this matrix.
     field : tuple of str or None
         For nonlinear systems, the vector field as ``n`` Python expressions,
@@ -158,7 +159,15 @@ class SystemSpec:
             raise ValueError(f"{self.name} needs exactly one of a_matrix and field")
         params = dict(self.params or {})
         if self.a_matrix is not None:
-            a = np.array(self.a_matrix, dtype=float)
+            a = self.a_matrix
+            # float() would read a string or a bool as a number; an integer
+            # or float array holds numbers, so its entries are not looked at
+            numeric = isinstance(a, np.ndarray) and a.dtype.kind in "iuf"
+            if not numeric and not all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool)
+                    for x in np.asarray(a, dtype=object).flat):
+                raise ValueError(f"{self.name} matrix must hold numbers")
+            a = np.array(a, dtype=float)
             if a.shape != (self.n, self.n):
                 raise ValueError(f"{self.name} has n={self.n} but a matrix of "
                                  f"shape {a.shape}")
@@ -260,7 +269,8 @@ def _outside_field_language(node, names):
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned box of initial conditions."""
+    """Axis-aligned box of initial conditions: ``lower[i] < upper[i]``, and
+    each width ``upper[i] - lower[i]`` finite, so uniform draws exist."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -274,6 +284,10 @@ class Domain:
             raise ValueError("domain bounds must be 1-D vectors of equal length")
         if not np.all(lower < upper):
             raise ValueError("domain requires lower[i] < upper[i] for every i")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):
+                raise ValueError(f"domain width upper - lower must be finite, "
+                                 f"got lower={lower.tolist()}, upper={upper.tolist()}")
 
     @property
     def n(self):
@@ -330,7 +344,9 @@ def _load_sigma():
 def linear_system(a, d, name="linear-generic"):
     """Linear system dx/dt = a @ x observing the first ``d`` components;
     ``n`` is read from the square matrix ``a``."""
-    shape = np.shape(a)
+    # a ragged nested list has the shape of an object array: (2,) for
+    # [[1, 2], [3]], where np.shape raises
+    shape = (a if isinstance(a, np.ndarray) else np.asarray(a, dtype=object)).shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"matrix must be square, got shape {shape}")
     return SystemSpec(name=name, n=shape[0], d=d, a_matrix=a)
@@ -404,10 +420,6 @@ def make_system(name, **params):
         _reject_params(name, params)
         if matrix is None or d is None:
             raise ValueError("linear-generic requires 'matrix' and 'd' parameters")
-        # float() would read a string or a bool as a number
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                   for x in np.asarray(matrix, dtype=object).flat):
-            raise ValueError("linear-generic parameter 'matrix' must hold numbers")
         spec = linear_system(matrix, d=d)
 
     else:

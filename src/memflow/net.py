@@ -111,20 +111,23 @@ class NetworkParams:
 
 
 def _widths(d, n_mem, hidden):
-    """Layer widths ``D, *hidden, d`` as Python ints: ``d`` and each hidden
-    width are counts >= 1 and ``n_mem`` one >= 0 (:func:`_count`), and
-    ``hidden`` is not empty."""
+    """Layer widths ``D, *hidden, d`` as Python ints: ``d`` is a count >= 1
+    and ``n_mem`` one >= 0 (:func:`_count`), and ``hidden`` a non-empty
+    list or tuple, or a 1-D array such as a checkpoint's member, of counts
+    >= 1.  The experiment config checks its ``hidden`` here too."""
     d, n_mem = _count("d", d, 1), _count("n_mem", n_mem, 0)
-    hidden = [_count("hidden width", w, 1) for w in hidden]
-    if not hidden:
-        raise ValueError("hidden widths must be a non-empty list of counts >= 1")
-    return [d * (n_mem + 1), *hidden, d]
+    if isinstance(hidden, np.ndarray) and hidden.ndim == 1:
+        hidden = list(hidden)
+    if not isinstance(hidden, (list, tuple)) or not hidden:
+        raise ValueError(f"hidden must be a non-empty list, got {hidden!r}")
+    return [d * (n_mem + 1), *(_count("hidden width", w, 1) for w in hidden), d]
 
 
 def init_params(d, n_mem, hidden, seed):
-    """Fresh parameters: zero-mean weights scaled by 1/sqrt(fan_in), zero biases."""
+    """Fresh parameters: zero-mean weights scaled by 1/sqrt(fan_in), zero
+    biases, drawn from ``seed``, a count >= 0."""
     widths = _widths(d, n_mem, hidden)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     pieces = []
     for w_in, w_out in zip(widths[:-1], widths[1:]):
         pieces.append(rng.normal(0.0, 1.0 / np.sqrt(w_in), size=w_out * w_in))

@@ -197,10 +197,11 @@ def memory_sweep(cfg, n_mem_list, seed):
     first one trains.  Each cell regenerates data, builds windows, trains
     a fresh network, and reports the mean rollout error at the evaluation
     horizon with the indices of the evaluation runs that diverged.  Its seeds come
-    from ``cell_seed = SeedSequence([seed, n_mem])``: ``cell_seed`` + 0 to
-    + 4 for generate, select, init, train and evaluate, so the sweep is
-    reproducible.
+    from ``cell_seed = SeedSequence([seed, n_mem])``, ``seed`` a count >= 0:
+    ``cell_seed`` + 0 to + 4 for generate, select, init, train and evaluate,
+    so the sweep is reproducible.
     """
+    seed = dyn._count("seed", seed, 0)
     n_mem_list = list(n_mem_list)
     if not n_mem_list:
         raise ValueError("n_mem_list must be non-empty")

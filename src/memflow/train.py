@@ -46,8 +46,9 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     """Adam's step size, a number >= 0 stored as a Python float
-    (:func:`_number`), and the minibatch size and epoch count, counts >= 1
-    stored as Python ints (:func:`_count`)."""
+    (:func:`_number`); the minibatch size and epoch count, counts >= 1,
+    and the seed of the minibatch shuffle, a count >= 0, stored as Python
+    ints (:func:`_count`)."""
 
     learning_rate: float = 1e-3
     batch_size: int = 64
@@ -57,8 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "learning_rate",
                            _number("learning_rate", self.learning_rate, 0, False))
-        for key in ("batch_size", "epochs"):
-            object.__setattr__(self, key, _count(key, getattr(self, key), 1))
+        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            object.__setattr__(self, key, _count(key, getattr(self, key), least))
 
 
 @dataclass(frozen=True)

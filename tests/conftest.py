@@ -1,7 +1,9 @@
-"""Shared helpers: datasets made from given windows, and hand-built
-``.npz`` archives for the loader rejection tests."""
+"""Shared helpers: datasets made from given windows, hand-built ``.npz``
+archives for the loader rejection tests, and the seeds every seeded entry
+point refuses."""
 
 import io
+import re
 import zipfile
 
 import numpy as np
@@ -22,6 +24,22 @@ def windows_dataset(n_mem, inputs, targets):
         n_mem=n_mem, trajectories=np.concatenate([history, targets[:, None]], axis=1),
         starts=np.zeros((j, 1), dtype=np.int64),
     )
+
+
+# A seed is a count >= 0 (dynamics._count): a float, a bool and a negative
+# integer are refused, and so are None and numpy's SeedSequence and
+# Generator, which numpy alone would take.  Each case gives the whole
+# message as an anchored pattern.
+_SEQUENCE, _GENERATOR = np.random.SeedSequence(0), np.random.default_rng(0)
+refused_seeds = pytest.mark.parametrize("seed, message", [
+    (value, "^" + re.escape(message) + "$") for value, message in [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0, got -1"),
+        *((v, f"seed must be an integer, got {v!r}")
+          for v in (None, _SEQUENCE, _GENERATOR)),
+    ]
+], ids=["float", "bool", "negative", "None", "SeedSequence", "Generator"])
 
 
 def _npy(value):

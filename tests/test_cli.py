@@ -3,11 +3,12 @@
 import json
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import windows_dataset
+from conftest import refused_seeds, windows_dataset
 from memflow import cli, data, net, rollout
 
 
@@ -33,6 +34,11 @@ def micro_config(tmp_path, **overrides):
     )
     doc.update(overrides)
     return cli.ExperimentConfig.from_dict(doc)
+
+
+# the settings the tiny chains of test_seed_determines_artifacts_bitwise share
+_TINY = dict(substeps=5, hidden=[8, 8, 8], epochs=1, eval_horizon=1.0,
+             n_eval_runs=2, seed=1)
 
 
 def write_config(cfg, tmp_path, name="config.json"):
@@ -224,7 +230,7 @@ class TestConfig:
         assert cli.main(["oracle-check", "--config", str(path),
                          "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: linear-generic parameter 'matrix' must hold numbers\n")
+            f"error: {path}: linear-generic matrix must hold numbers\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["domain_lower", "domain_upper"])
@@ -279,6 +285,12 @@ class TestConfig:
         assert cli.stage_seed(7, "generate") != cli.stage_seed(7, "train")
         assert cli.stage_seed(7, "generate") == cli.stage_seed(7, "generate")
 
+    @refused_seeds
+    def test_stage_seed_master_must_be_a_count(self, seed, message):
+        # int() used to turn a master seed of 1.5 into 1
+        with pytest.raises(ValueError, match=message):
+            cli.stage_seed(seed, "generate")
+
 
 class TestPipeline:
     def test_end_to_end_micro_run(self, tmp_path, capsys):
@@ -322,22 +334,57 @@ class TestPipeline:
                 "training may be data-starved\n")
         assert err == (want if warned else "")
 
-    def test_seed_determines_artifacts_bitwise(self, tmp_path):
-        artifacts = {}
-        for tag in ("a", "b"):
-            cfg = micro_config(tmp_path, out_dir=str(tmp_path / tag))
-            cli.cmd_generate(cfg)
-            cli.cmd_build_dataset(cfg)
-            cli.cmd_train(cfg)
-            cli.cmd_predict(cfg, steps=8)
-            artifacts[tag] = {
-                name: (tmp_path / tag / name).read_bytes()
-                for name in (
-                    cli.TRAJECTORY_FILE, cli.DATASET_FILE, cli.MODEL_FILE,
-                    cli.TRAIN_LOG_FILE, cli.ROLLOUT_FILE,
-                )
-            }
-        assert artifacts["a"] == artifacts["b"]
+    @pytest.mark.parametrize("doc, stages, windows", [
+        (asdict(micro_config(Path("."))),
+         [["generate"], ["build-dataset"], ["train"], ["predict", "--steps", "8"]],
+         50),
+        ({**_TINY, "system": "example1", "params": {"alpha": 2.0}, "n_traj": 300,
+          "traj_len": "auto", "per_trajectory": 1, "n_mem": 10},
+         [["generate"], ["build-dataset"], ["train"], ["predict", "--steps", "20"],
+          ["sweep", "--n-mem", "2,3"]],
+         300),
+        # per_trajectory null: every window of a fully observed system,
+        # 40 trajectories x 10 starts each
+        ({**_TINY, "system": "example1", "params": {"alpha": 2.0, "observe": 2},
+          "n_traj": 40, "traj_len": 11, "per_trajectory": None, "n_mem": 0},
+         [["generate"], ["build-dataset"], ["train"]],
+         400),
+        # the nonlinear systems: generate's 40 rows step on numpy columns,
+        # predict's one row and compare-reduced's 12 example3 and
+        # example3-reduced rows on Python floats (asserted below)
+        ({**_TINY, "system": "example2", "n_traj": 40, "traj_len": 20,
+          "per_trajectory": 2, "n_mem": 4},
+         [["generate"], ["build-dataset"], ["train"], ["predict", "--steps", "20"]],
+         80),
+        ({**_TINY, "system": "example3", "params": {"epsilon": 0.02}, "n_traj": 40,
+          "traj_len": 20, "per_trajectory": 2, "n_mem": 4, "eval_horizon": 0.5,
+          "n_eval_runs": 12},
+         [["generate"], ["build-dataset"], ["train"], ["compare-reduced"]],
+         80),
+    ], ids=["micro", "example1", "flowmap", "example2", "example3"])
+    def test_seed_determines_artifacts_bitwise(self, tmp_path, capsys, doc, stages,
+                                               windows):
+        # a config plus a seed fixes every file of a run directory: the
+        # chain runs twice through cli.main, into two directories
+        if doc["system"] != "example1":
+            assert doc["n_traj"] > cli.dyn._FLOAT_ROWS >= doc["n_eval_runs"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            for command, *flags in stages:
+                assert cli.main([command, "--config", str(path), "--out", str(out),
+                                 *flags]) == 0
+            assert f"built dataset with J={windows} windows" in capsys.readouterr().out
+        writes = {"generate": [cli.TRAJECTORY_FILE], "build-dataset": [cli.DATASET_FILE],
+                  "train": [cli.MODEL_FILE, cli.TRAIN_LOG_FILE],
+                  "predict": [cli.ROLLOUT_FILE], "sweep": [cli.SWEEP_FILE],
+                  "compare-reduced": [cli.COMPARE_FILE]}
+        names = sorted(name for command, *_ in stages for name in writes[command])
+        for out in runs:
+            assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_windows_held_once_train_like_windows_held_apart(self, tmp_path):
         # every window of 50 trajectories, indexed over the trajectories

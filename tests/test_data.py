@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import windows_dataset
+from conftest import refused_seeds, windows_dataset
 from memflow import data
 from memflow import dynamics as dyn
 
@@ -62,6 +62,18 @@ class TestSampleInitialConditions:
         dom = dyn.Domain(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError, match=f"^count must be {message}$"):
             data.sample_initial_conditions(dom, count, seed=0)
+
+    @refused_seeds
+    def test_seed_must_be_a_count(self, seed, message):
+        # generate_trajectories, evaluate_model and compare_with_homogenized
+        # draw their initial conditions here
+        spec = dyn.make_system("example1")
+        dom = dyn.default_domain(spec)
+        with pytest.raises(ValueError, match=message):
+            data.sample_initial_conditions(dom, 2, seed)
+        with pytest.raises(ValueError, match=message):
+            data.generate_trajectories(spec, dyn.SolverConfig(0.02, 1), dom, 2, 3,
+                                       seed)
 
 
 def reference_build_dataset(trajs, n_mem, per_trajectory=None, seed=0):
@@ -434,6 +446,13 @@ class TestBuildDataset:
             assert ran.inputs.tobytes() == det.inputs.tobytes()
             assert ran.targets.tobytes() == det.targets.tobytes()
 
+    @refused_seeds
+    @pytest.mark.parametrize("per_trajectory", [1, None])
+    def test_seed_must_be_a_count(self, seed, message, per_trajectory):
+        # checked whether or not the draw uses it
+        with pytest.raises(ValueError, match=message):
+            data.build_dataset(toy_trajectories(1, 12), 1, per_trajectory, seed)
+
     def test_n_mem_that_is_not_an_integer_named(self):
         # n_mem 1.5 used to fail inside numpy with a TypeError
         with pytest.raises(ValueError, match="^n_mem must be an integer, got 1.5$"):
@@ -640,6 +659,9 @@ class TestSerialization:
         assert back.n_traj == trajs.n_traj
         assert back.trajectories.shape == (3, 8, 3)
         assert back.trajectories.tobytes() == trajs.trajectories.tobytes()
+        # saving what was loaded writes the same bytes
+        data.save_trajectories(back, tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
 
     def test_load_holds_the_samples_once(self, tmp_path):
         # 400 trajectories of 100 samples, d=10: 3.2 MB, as in the example4

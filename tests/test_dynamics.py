@@ -91,7 +91,7 @@ class TestEvalRhs:
     ], ids=["strings", "bools", "one-bool"])
     def test_generic_matrix_of_non_numbers_rejected(self, matrix):
         with pytest.raises(ValueError, match=(
-                "^linear-generic parameter 'matrix' must hold numbers$")):
+                "^linear-generic matrix must hold numbers$")):
             dyn.make_system("linear-generic", matrix=matrix, d=1)
 
 
@@ -298,9 +298,18 @@ class TestFieldExpressions:
 
 
 class TestDomain:
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(ValueError, match="lower"):
-            dyn.Domain(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("lower, upper, match", [
+        ([0.0, 0.0], [1.0, 0.0], "lower"),
+        # each used to be accepted, and uniform draws on it then failed in
+        # numpy with OverflowError: Range exceeds valid bounds
+        ([-np.inf], [1.0], r"^domain width upper - lower must be finite, "
+         r"got lower=\[-inf\], upper=\[1\.0\]$"),
+        ([-1e308], [1e308], r"^domain width upper - lower must be finite, "
+         r"got lower=\[-1e\+308\], upper=\[1e\+308\]$"),
+    ], ids=["empty", "infinite-bound", "overflowing-width"])
+    def test_degenerate_bounds_rejected(self, lower, upper, match):
+        with pytest.raises(ValueError, match=match):
+            dyn.Domain(np.array(lower), np.array(upper))
 
     def test_defaults_exist_for_builtins(self):
         for name in ("example1", "example2", "example3", "example3-reduced",
@@ -1166,8 +1175,14 @@ class TestLinearOracle:
             (np.ones(4), 1, "square"),
             (np.eye(3), 0, r"^d must be >= 1, got 0$"),
             (np.eye(3), 4, r"d=4 must satisfy 1 <= d <= n=3"),
+            # float() used to read these as the matrices of 1.0 and 0.0
+            ([["1", "0"], ["0", "1"]], 1, "^linear-generic matrix must hold numbers$"),
+            ([[True, 0], [0, 1]], 1, "^linear-generic matrix must hold numbers$"),
+            (np.eye(2, dtype=bool), 1, "^linear-generic matrix must hold numbers$"),
+            ([[1.0, 2.0], [3.0]], 1, r"^matrix must be square, got shape \(2,\)$"),
         ],
-        ids=["non-square", "vector", "d-zero", "d-above-n"],
+        ids=["non-square", "vector", "d-zero", "d-above-n", "strings", "bools",
+             "bool-array", "ragged"],
     )
     def test_bad_matrix_or_dimension_rejected(self, a, d, match):
         with pytest.raises(ValueError, match=match):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import refused_seeds
 from memflow import net
 
 
@@ -64,6 +65,22 @@ class TestInitParams:
     def test_empty_hidden_rejected(self):
         with pytest.raises(ValueError, match="hidden"):
             net.init_params(1, 0, [], seed=0)
+
+    @pytest.mark.parametrize("hidden", [8, None, "8", np.array(8)],
+                             ids=["int", "None", "str", "0-d-array"])
+    def test_hidden_that_is_not_a_list_rejected(self, hidden):
+        # 8 and None raised TypeError: 'int' object is not iterable; the
+        # experiment config checks hidden by this rule and message too
+        message = f"^hidden must be a non-empty list, got {re.escape(repr(hidden))}$"
+        with pytest.raises(ValueError, match=message):
+            net.init_params(1, 0, hidden, seed=0)
+        with pytest.raises(ValueError, match=message):
+            net.NetworkParams(1, 0, hidden, [0.0] * 7)
+
+    @refused_seeds
+    def test_seed_must_be_a_count(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            net.init_params(1, 0, [2], seed=seed)
 
     @pytest.mark.parametrize("width", [2.7, 3.0, np.float64(2.0), True, "2"])
     def test_hidden_width_that_is_not_an_integer_rejected(self, width):
@@ -411,7 +428,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("change, match", [
         ({"flat": np.zeros(3)}, r"widths \[2, 3, 1\], expected \(13,\)"),
-        ({"hidden": np.array([], dtype=np.int64)}, "hidden widths"),
+        ({"hidden": np.array([], dtype=np.int64)},
+         r"hidden must be a non-empty list, got \[\]$"),
         ({"d": np.int64(0)}, "d must be >= 1, got 0$"),
         ({"flat": np.zeros(13, dtype=np.float32)}, "'flat' is float32"),
         ({"hidden": np.array([2.0])}, "'hidden' is float64"),

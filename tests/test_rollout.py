@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import refused_seeds
 from memflow import cli, data, net, rollout, train
 from memflow import dynamics as dyn
 
@@ -430,6 +431,12 @@ class TestEvaluateAndSweep:
                            eval_horizon=0.2, n_eval_runs=1)
         with pytest.raises(ValueError, match="ascending"):
             rollout.memory_sweep(cfg, [3, 1], seed=0)
+
+    @refused_seeds
+    def test_sweep_seed_must_be_a_count(self, seed, message):
+        # refused before the first cell trains
+        with pytest.raises(ValueError, match=message):
+            rollout.memory_sweep(sweep_config(), [1, 3], seed)
 
     def test_sweep_over_a_numpy_range(self):
         # each cell is replace(cfg, n_mem=np.int64(n)), which the config

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import windows_dataset
+from conftest import refused_seeds, windows_dataset
 from memflow import data, net, train
 
 
@@ -284,6 +284,13 @@ class TestTrainModel:
         message = ">= 1, got 0" if value == 0 else f"an integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{key} must be {re.escape(message)}$"):
             train.TrainConfig(**{key: value})
+
+    @refused_seeds
+    def test_seed_must_be_a_count(self, seed, message):
+        # 1.5 raised numpy's unnamed TypeError in train_model, and True
+        # trained as seed 1
+        with pytest.raises(ValueError, match=message):
+            train.TrainConfig(seed=seed)
 
     def test_numpy_integer_counts_become_ints(self):
         cfg = train.TrainConfig(batch_size=np.int64(8), epochs=np.int32(2))
