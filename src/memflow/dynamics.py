@@ -474,9 +474,19 @@ _FLOAT_ROWS = 32
 _CHECK_SAMPLES = 64  # samples per finiteness check of products and columns
 
 
+# Compiled loops kept by _generate: one per field, parameter values and
+# module in use, and a sweep or a test run reuses a handful of them.
+_COMPILED_LOOPS = 32
+
+
 def _generate(spec, m):
     """``(rows, field)`` for the nonlinear ``spec``, compiled from its
     expressions with ``m``'s (``math`` or ``numpy``) sin, cos and exp.
+
+    The pair is compiled once per field, parameter values and module and
+    kept in a cache of the last ``_COMPILED_LOOPS``, keyed by value: equal
+    specs share a loop, and two specs whose parameters differ in any bit
+    (0.0 and -0.0 among them) never do.
 
     ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.
     ``rows(states, count, delta, substeps)`` appends to ``states`` one
@@ -496,7 +506,18 @@ def _generate(spec, m):
     the new state is ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``,
     the classical RK4 sums in a fixed order.
     """
-    components, folds = {f"x{i}" for i in range(spec.n)}, {}
+    params = tuple((key, value.hex()) for key, value in spec.params.items())
+    return _compile(spec.field, params, m.__name__)
+
+
+@functools.lru_cache(maxsize=_COMPILED_LOOPS)
+def _compile(field, params, module):
+    """:func:`_generate`'s pair for the expressions ``field``, the
+    parameters ``params`` as ``(name, float.hex(value))`` pairs and the
+    module named ``module``."""
+    m = math if module == "math" else np
+    params = {key: float.fromhex(value) for key, value in params}
+    components, folds = {f"x{i}" for i in range(len(field))}, {}
 
     class Fold(ast.NodeTransformer):  # parameters-only parts become _p{j}
         def visit(self, node):
@@ -507,13 +528,13 @@ def _generate(spec, m):
 
     # Only expressions that passed _checked_expression, and parameter names
     # that are plain identifiers, are written into the source.
-    fields = [ast.unparse(Fold().visit(ast.parse(e, mode="eval"))) for e in spec.field]
+    fields = [ast.unparse(Fold().visit(ast.parse(e, mode="eval"))) for e in field]
 
     def each(template, sep="\n            "):
         return sep.join(template.format(i=i, e=e) for i, e in enumerate(fields))
 
     state = each("_s{i}", ", ") + ","
-    bound = ", ".join(f"{k}={k}" for k in ("_isfinite", *_FUNCTIONS, *spec.params))
+    bound = ", ".join(f"{k}={k}" for k in ("_isfinite", *_FUNCTIONS, *params))
     head = "".join(f"\n    {name} = {text}" for text, name in folds.items())
     stages = "\n            ".join(map(each, (
         "x{i} = _s{i}", "_a{i} = {e}", "x{i} = _s{i} + _half * _a{i}", "_b{i} = {e}",
@@ -534,7 +555,7 @@ def _generate(spec, m):
         "        if not _finite:\n"
         "            return\n"
     )
-    namespace = {f: getattr(m, f) for f in _FUNCTIONS} | spec.params
+    namespace = {f: getattr(m, f) for f in _FUNCTIONS} | params
     namespace["_isfinite"] = math.isfinite if m is math else lambda column: True
     exec(source, namespace)
     return namespace["_rows"], namespace["_field"]
@@ -742,16 +763,20 @@ def oracle_for_system(spec):
 
 
 def _initial_state(spec, x0):
-    """``x0`` as a float array; a shape other than ``(n,)`` is a ValueError."""
+    """``x0`` as a float array; a shape other than ``(n,)`` or a NaN or
+    infinite entry is a ValueError naming ``x0``."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ValueError(f"x0 must have shape ({spec.n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     return x0
 
 
 def exact_linear_solution(spec, x0, t):
-    """Full-state solution exp(A t) x0 of a linear spec; a negative, NaN or
-    infinite ``t`` is a ValueError naming ``t``."""
+    """Full-state solution exp(A t) x0 of a linear spec; an ``x0`` that is
+    not a finite ``(n,)`` vector, or a negative, NaN or infinite ``t``, is a
+    ValueError naming it."""
     a = _linear_matrix(spec)
     x0, t = _initial_state(spec, x0), _number("t", t, 0, False)
     return matrix_exponential(a * t) @ x0
@@ -761,7 +786,8 @@ def exact_linear_trajectory(spec, x0, delta, num_samples):
     """Exact states at times 0, delta, ..., num_samples*delta.
 
     Computed from powers of the one-step propagator exp(A delta), filled
-    by doubling, so there is no time-discretization error.
+    by doubling, so there is no time-discretization error.  An ``x0`` that
+    is not a finite ``(n,)`` vector is a ValueError naming ``x0``.
     """
     a = _linear_matrix(spec)
     x0, delta = _initial_state(spec, x0), _number("delta", delta, 0, True)
@@ -846,8 +872,9 @@ def linear_mz_rhs(spec, x0, t):
     ``integral_0^t exp(A22 s) A21 C exp(A (t-s)) ds`` in its top-right
     block, and exp(A t) in its bottom-right block.  So the result is the
     derivative of the observed block of exp(A t) x0 to round-off (about
-    1e-14 on example1 and example4).  A negative, NaN or infinite ``t`` is
-    a ValueError naming ``t``.
+    1e-14 on example1 and example4).  An ``x0`` that is not a finite
+    ``(n,)`` vector, or a negative, NaN or infinite ``t``, is a ValueError
+    naming it.
     """
     a11, a12, a21, a22 = _blocks(spec)
     x0, t = _initial_state(spec, x0), _number("t", t, 0, False)

@@ -42,6 +42,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Elements per slice of Adam's update (128 KiB of float64): the update runs
+# over the parameter vector one slice at a time with one slice-sized
+# scratch, not a parameter-sized temporary, so a network of at most this
+# many parameters is updated in one slice.
+ADAM_SLICE = 16_384
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -106,6 +112,12 @@ def train_model(init, ds, cfg):
     full-dataset loss after each epoch.
     A non-finite minibatch or epoch loss aborts with the global step
     index, the usual sign of a divergent learning rate.
+
+    Besides the dataset, it holds the parameters, Adam's two moments, one
+    step's gradient (freed before the next step's is computed) and one
+    scratch of at most ``ADAM_SLICE`` elements, the update's only
+    temporary (:func:`_adam_update`); the moments and the scratch are freed
+    before the trained copy is made.
     """
     _check_shapes(init, ds)
     j_total = ds.size
@@ -118,8 +130,7 @@ def train_model(init, ds, cfg):
     theta = work.flat  # updated in place, so work's weight views follow it
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    denom = np.empty_like(theta)  # the update's one temporary, reused
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cfg.learning_rate
+    scratch = np.empty(min(ADAM_SLICE, theta.size))  # the update's one temporary
 
     t0 = time.perf_counter()
     losses = np.empty(cfg.epochs)
@@ -130,29 +141,11 @@ def train_model(init, ds, cfg):
         for epoch in range(cfg.epochs):
             order = rng.permutation(j_total)
             for lo in range(0, j_total, cfg.batch_size):
-                # a fresh vector, which the update below then overwrites
                 grad = _gradient(work, ds, order[lo : lo + cfg.batch_size],
                                  step, epoch)
                 step += 1
-                corr1 = 1.0 - b1**step
-                corr2 = 1.0 - b2**step
-                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2, then
-                # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
-                m *= b1
-                np.multiply(grad, 1 - b1, out=denom)
-                m += denom
-                v *= b2
-                np.square(grad, out=grad)
-                grad *= 1 - b2
-                v += grad
-                np.divide(m, corr1, out=grad)
-                grad *= lr
-                np.divide(v, corr2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += eps
-                grad /= denom
-                theta -= grad
-            del grad  # not held through the loss pass
+                _adam_update(theta, m, v, grad, scratch, step, cfg.learning_rate)
+                del grad  # freed before the next step's gradient is computed
             losses[epoch] = mse_loss(work, ds)
             if not np.isfinite(losses[epoch]):
                 raise TrainingDiverged(
@@ -160,6 +153,7 @@ def train_model(init, ds, cfg):
                     "reduce the learning rate",
                     step=step,
                 )
+    del m, v, scratch  # freed before the trained copy is made
     # a fresh, validated copy: non-finite parameters are rejected here
     trained = replace(work)
     report = TrainReport(
@@ -168,6 +162,36 @@ def train_model(init, ds, cfg):
         wall_time=time.perf_counter() - t0,
     )
     return trained, report
+
+
+def _adam_update(theta, m, v, grad, scratch, step, lr):
+    """Adam's step number ``step`` (from 1) on ``theta`` and its moments
+    ``m`` and ``v``, in place, from ``grad``, which it overwrites.  It runs
+    slice by slice, ``ADAM_SLICE`` elements at a time, with ``scratch``
+    (at least one slice long) as its only temporary; every element goes
+    through the same operations in the same order as on whole vectors."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    corr1, corr2 = 1.0 - b1**step, 1.0 - b2**step
+    for lo in range(0, theta.size, ADAM_SLICE):
+        part = slice(lo, lo + ADAM_SLICE)
+        g, mm, vv, th = grad[part], m[part], v[part], theta[part]
+        buf = scratch[: g.size]
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2, then
+        # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+        mm *= b1
+        np.multiply(g, 1 - b1, out=buf)
+        mm += buf
+        vv *= b2
+        np.square(g, out=g)
+        g *= 1 - b2
+        vv += g
+        np.divide(mm, corr1, out=g)
+        g *= lr
+        np.divide(vv, corr2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        g /= buf
+        th -= g
 
 
 def _gradient(params, ds, rows, step, epoch):

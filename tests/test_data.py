@@ -206,6 +206,22 @@ class TestGenerateTrajectories:
         (1, 1), (2, 1), (64, 1), (65, 1), (66, 2), (130, 3)])
     def test_blocks_give_the_samples_of_one_call_bitwise(
             self, monkeypatch, name, n_traj, traj_len, calls):
+        counts = self.blocks_against_one_call(monkeypatch, name, n_traj, traj_len)
+        # blocks of at most 64 samples, 65 samples in one call
+        assert len(counts) == calls and sum(counts) == traj_len - 1
+        assert max(counts) <= dyn._CHECK_SAMPLES == 64
+
+    def test_byte_cap_splits_a_wide_batch_bitwise(self, monkeypatch):
+        # 800 example4 rows take 800 * 20 * 8 = 128,000 bytes a sample, so
+        # a block of at most 1 MiB of full states covers 8 samples: 7 past
+        # its first, and 99 samples run in 15 calls
+        counts = self.blocks_against_one_call(monkeypatch, "example4", 800, 100)
+        assert data.BLOCK_BYTES == 2**20
+        assert counts == [7] * 14 + [1]
+
+    def blocks_against_one_call(self, monkeypatch, name, n_traj, traj_len):
+        """The sample count of each integrate_batch call of a generation,
+        once its trajectories are found bitwise equal to one call's."""
         spec = dyn.make_system(name)
         cfg, dom = dyn.SolverConfig(0.02, 3), dyn.default_domain(spec)
         x0s = data.sample_initial_conditions(dom, n_traj, seed=9)
@@ -219,9 +235,7 @@ class TestGenerateTrajectories:
         monkeypatch.setattr(data, "integrate_batch", counting)
         got = data.generate_trajectories(spec, cfg, dom, n_traj, traj_len, seed=9)
         assert got.trajectories.tobytes() == want.tobytes()
-        # blocks of at most 64 samples, 65 samples in one call
-        assert len(counts) == calls and sum(counts) == traj_len - 1
-        assert max(counts) <= dyn._CHECK_SAMPLES == 64
+        return counts
 
     @pytest.mark.parametrize("lower, upper, block", [
         (0.42, 0.62, 2), (0.25, 0.35, 3)])
@@ -268,6 +282,26 @@ class TestGenerateTrajectories:
         block = 8 * n_traj * (dyn._CHECK_SAMPLES + 1) * spec.n
         assert trajs.trajectories.nbytes == 772_000 and block == 520_000
         assert peak < trajs.trajectories.nbytes + block + 256 * 1024
+
+
+    def test_holds_the_output_and_at_most_1_mib_of_full_states(self):
+        # 800 example4 rows in blocks of 8 samples, 1,024,000 bytes of full
+        # states, beside the 6,400,000-byte output; one block of 65 samples
+        # held 8,320,000.  The slack covers the state carried between blocks
+        # (128,000 bytes), the finiteness check's boolean copy of a block
+        # (112,000), the step matrix and Python objects: 1,334,544 bytes
+        # over the output were measured, and 9,539,024 with 64-sample blocks.
+        spec = dyn.make_system("example4")
+        cfg, dom = dyn.SolverConfig(0.02, 3), dyn.default_domain(spec)
+        data.generate_trajectories(spec, cfg, dom, 2, 3, seed=3)  # lazy imports
+        tracemalloc.start()
+        try:
+            trajs = data.generate_trajectories(spec, cfg, dom, 800, 100, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trajs.trajectories.nbytes == 6_400_000
+        assert peak < trajs.trajectories.nbytes + data.BLOCK_BYTES + 512 * 1024
 
 
 class TestBuildDataset:

@@ -826,6 +826,40 @@ class TestComponentFields:
             want = dyn.integrate_batch(plain, self.CFG, rows, 40)
             assert got.tobytes() == want.tobytes()
 
+    def test_loop_compiled_once_per_field_parameters_and_module(self, monkeypatch):
+        # an equal spec, built again, reuses both loops and compiles nothing;
+        # specs differing in one parameter, 0.0 against -0.0 too, never
+        # share one; and the cached loops give a fresh compile's bits
+        sources = []
+
+        def counted_exec(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(dyn, "exec", counted_exec, raising=False)
+        dyn._compile.cache_clear()
+        x0s = self.initial_states(dyn.make_system("example2"), dyn._FLOAT_ROWS + 1)
+        runs = [(x0s[:3], 40), (x0s, 40)]  # floats with math, columns with numpy
+        first = [dyn.integrate_batch(dyn.make_system("example2"), self.CFG, *run)
+                 for run in runs]
+        assert len(sources) == 2
+        again = [dyn.integrate_batch(dyn.make_system("example2"), self.CFG, *run)
+                 for run in runs]
+        assert len(sources) == 2
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+        spec = dyn.make_system("example2")
+        for m in (math, np):
+            assert dyn._generate(spec, m) is dyn._generate(dyn.make_system("example2"), m)
+        assert dyn._generate(spec, math)[0] is not dyn._generate(spec, np)[0]
+        for a, b in ((0.1, np.nextafter(0.1, 1.0)), (0.0, -0.0)):
+            one, other = (dyn.make_system("example2", alpha=x) for x in (a, b))
+            for m in (math, np):
+                assert dyn._generate(one, m)[0] is not dyn._generate(other, m)[0]
+        dyn._compile.cache_clear()
+        fresh = [dyn.integrate_batch(spec, self.CFG, *run) for run in runs]
+        assert [a.tobytes() for a in fresh] == [a.tobytes() for a in first]
+        assert dyn._compile.cache_info().maxsize == dyn._COMPILED_LOOPS
+
     def assert_generated_step_equals_stage_loop(self, spec, seed):
         n = spec.n
         field = evaluated(spec)
@@ -1223,20 +1257,24 @@ class TestLinearOracle:
         want = dyn.exact_linear_solution(spec, x0, 0.02)
         assert np.abs(end - want).max() <= 1e-8
 
-    def test_exact_trajectory_rejects_wrong_x0_length(self):
-        # a length-1 x0 on the 2-variable system used to broadcast to [1, 1]
-        spec = dyn.make_system("example1")
-        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(1,\)"):
-            dyn.exact_linear_trajectory(spec, [1.0], 0.1, 5)
-        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(3,\)"):
-            dyn.exact_linear_trajectory(spec, [1.0, 0.0, 0.0], 0.1, 5)
-
+    @pytest.mark.parametrize("x0, message", [
+        ([1.0], r"x0 must have shape \(2,\), got \(1,\)$"),
+        ([1.0, 0.0, 0.0], r"x0 must have shape \(2,\), got \(3,\)$"),
+        ([np.inf, 0.0], r"x0 must be finite, got \[inf, 0\.0\]$"),
+        ([0.0, -np.inf], r"x0 must be finite, got \[0\.0, -inf\]$"),
+        ([np.nan, 0.0], r"x0 must be finite, got \[nan, 0\.0\]$"),
+    ], ids=["short", "long", "inf", "minus-inf", "nan"])
     @pytest.mark.parametrize("reference", [
-        dyn.exact_linear_solution, dyn.linear_mz_rhs], ids=["solution", "mz-rhs"])
-    def test_pointwise_references_reject_wrong_x0_length(self, reference):
+        lambda spec, x0: dyn.exact_linear_solution(spec, x0, 0.5),
+        lambda spec, x0: dyn.linear_mz_rhs(spec, x0, 0.5),
+        lambda spec, x0: dyn.exact_linear_trajectory(spec, x0, 0.1, 5),
+    ], ids=["solution", "mz-rhs", "trajectory"])
+    def test_references_reject_a_bad_x0_by_name(self, reference, x0, message):
+        # a length-1 x0 on the 2-variable system used to broadcast to
+        # [1, 1]; a non-finite one gave inf, NaN rows or a RuntimeWarning
         spec = dyn.make_system("example1")
-        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\), got \(1,\)"):
-            reference(spec, [1.0], 0.5)
+        with pytest.raises(ValueError, match="^" + message):
+            reference(spec, x0)
 
     @pytest.mark.parametrize("t, message", [
         (-0.5, "t must be >= 0, got -0.5"),

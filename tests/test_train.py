@@ -202,6 +202,51 @@ class TestTrainModel:
         assert init.flat.tobytes() == before  # training works on a copy
         assert not np.shares_memory(model.flat, init.flat)
 
+    @pytest.mark.parametrize("slice_size", [7, 16, None],
+                             ids=["slices-of-7", "slices-of-16", "two-slices"])
+    def test_sliced_update_matches_per_layer_adam_bitwise(self, monkeypatch,
+                                                           slice_size):
+        # the update runs slice by slice, the last slice short: 7 and 16
+        # split the 59 parameters of a small network, and hidden [128, 128]
+        # has 17,410 parameters, one full ADAM_SLICE and 1026 more
+        rng = np.random.default_rng(5)
+        ds = make_dataset(rng, 23, d=2, n_mem=1)
+        hidden = [5, 4] if slice_size else [128, 128]
+        init = net.init_params(2, 1, hidden, seed=5)
+        if slice_size:
+            monkeypatch.setattr(train, "ADAM_SLICE", slice_size)
+        else:
+            assert train.ADAM_SLICE < init.flat.size < 2 * train.ADAM_SLICE
+        cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=5)
+        model, report = train.train_model(init, ds, cfg)
+        want_model, want_losses = reference_adam(init, ds, cfg)
+        assert model.flat.tobytes() == want_model.flat.tobytes()
+        assert report.loss_per_epoch.tobytes() == want_losses.tobytes()
+
+    def test_holds_one_gradient_and_no_parameter_sized_scratch(self):
+        # linear20's shapes: d=10, n_mem=30, hidden 160^3 (102,890
+        # parameters, 823,120 bytes a vector), 2000 windows in 32 steps.
+        # Training holds the parameters, Adam's two moments, one step's
+        # gradient and a 128 KiB scratch: 3,423,552 bytes.  The slack covers
+        # one minibatch's windows, activations and backward products
+        # (about 0.69 MB); 4,112,232 bytes were measured, and 5,627,496 when
+        # the previous gradient and a parameter-sized scratch were alive.
+        rng = np.random.default_rng(1)
+        trajs = data.TrajectorySet(0.02, rng.normal(size=(400, 100, 10)))
+        ds = data.build_dataset(trajs, 30, per_trajectory=5, seed=1)
+        init = net.init_params(10, 30, [160, 160, 160], seed=0)
+        cfg = train.TrainConfig(batch_size=64, epochs=1, seed=0)
+        train.train_model(init, ds, cfg)  # lazy imports
+        tracemalloc.start()
+        try:
+            train.train_model(init, ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector = init.flat.nbytes
+        assert vector == 823_120 and ds.size == 2000
+        assert peak < 4 * vector + 8 * train.ADAM_SLICE + 1024 * 1024
+
     def test_small_lr_descends(self):
         rng = np.random.default_rng(5)
         ds = make_dataset(rng, 64, d=1, n_mem=2)
