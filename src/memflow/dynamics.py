@@ -474,17 +474,12 @@ _FLOAT_ROWS = 32
 _CHECK_SAMPLES = 64  # samples per finiteness check of products and columns
 
 
-# Compiled loops kept by _generate: one per field, parameter values and
-# module in use, and a sweep or a test run reuses a handful of them.
-_COMPILED_LOOPS = 32
-
-
 def _generate(spec, m):
     """``(rows, field)`` for the nonlinear ``spec``, compiled from its
     expressions with ``m``'s (``math`` or ``numpy``) sin, cos and exp.
 
     The pair is compiled once per field, parameter values and module and
-    kept in a cache of the last ``_COMPILED_LOOPS``, keyed by value: equal
+    kept in a cache of the last 32, keyed by value: equal
     specs share a loop, and two specs whose parameters differ in any bit
     (0.0 and -0.0 among them) never do.
 
@@ -510,7 +505,10 @@ def _generate(spec, m):
     return _compile(spec.field, params, m.__name__)
 
 
-@functools.lru_cache(maxsize=_COMPILED_LOOPS)
+# A compile takes 0.4-0.7 ms and a kept pair about 8 kB (example2 and
+# example3), so 32 pairs hold about 0.25 MB.  Keyed by value, one pair
+# serves every block of a generation and each stage's own spec of a run.
+@functools.lru_cache(maxsize=32)
 def _compile(field, params, module):
     """:func:`_generate`'s pair for the expressions ``field``, the
     parameters ``params`` as ``(name, float.hex(value))`` pairs and the

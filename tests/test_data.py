@@ -260,48 +260,32 @@ class TestGenerateTrajectories:
             k, one.value.trajectory_index)
         assert str(blocked.value) == str(one.value)
 
-    def test_holds_the_output_and_one_block_of_full_states(self):
-        # three blocks of 64 samples at example4 (n=20, d=10): the output is
-        # 50 * 193 * 10 * 8 = 772,000 bytes and a block of full states
-        # 50 * 65 * 20 * 8 = 520,000, where one call held all 1,544,000
-        # bytes of full states beside the output.  The slack covers the
-        # finiteness check's boolean copy of a block (65,000 bytes), the
-        # step matrix and Python objects: 139,024 bytes over the two arrays
-        # were measured.
+    @pytest.mark.parametrize("n_traj, traj_len, solver, output, block, slack", [
+        (50, 3 * 64 + 1, dyn.SolverConfig(0.05, 2), 772_000, 520_000, 256 * 1024),
+        (800, 100, dyn.SolverConfig(0.02, 3), 6_400_000, 1_024_000, 512 * 1024),
+    ], ids=["blocks-of-64-samples", "blocks-of-1-mib"])
+    def test_holds_the_output_and_one_block_of_full_states(
+            self, n_traj, traj_len, solver, output, block, slack):
+        # example4 (n=20, d=10), 160 bytes a row and sample.  50 rows take
+        # 8,000 bytes a sample, so a block is the 64-sample cap plus its
+        # first: 50 * 65 * 160 = 520,000 bytes.  800 rows take 128,000, so
+        # a block of at most 1 MiB of full states covers 8 samples:
+        # 1,024,000 bytes.  The slack covers the state carried between
+        # blocks (a sample), the finiteness check's boolean copy of a block
+        # (an eighth of it), the step matrix and Python objects: 139,024
+        # and 310,544 bytes over output and block were measured.
         spec = dyn.make_system("example4")
-        cfg, dom = dyn.SolverConfig(0.05, 2), dyn.default_domain(spec)
-        n_traj, traj_len = 50, 3 * dyn._CHECK_SAMPLES + 1
-        data.generate_trajectories(spec, cfg, dom, 2, 3, seed=3)  # lazy imports
+        dom = dyn.default_domain(spec)
+        data.generate_trajectories(spec, solver, dom, 2, 3, seed=3)  # lazy imports
         tracemalloc.start()
         try:
-            trajs = data.generate_trajectories(spec, cfg, dom, n_traj, traj_len,
+            trajs = data.generate_trajectories(spec, solver, dom, n_traj, traj_len,
                                                seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 8 * n_traj * (dyn._CHECK_SAMPLES + 1) * spec.n
-        assert trajs.trajectories.nbytes == 772_000 and block == 520_000
-        assert peak < trajs.trajectories.nbytes + block + 256 * 1024
-
-
-    def test_holds_the_output_and_at_most_1_mib_of_full_states(self):
-        # 800 example4 rows in blocks of 8 samples, 1,024,000 bytes of full
-        # states, beside the 6,400,000-byte output; one block of 65 samples
-        # held 8,320,000.  The slack covers the state carried between blocks
-        # (128,000 bytes), the finiteness check's boolean copy of a block
-        # (112,000), the step matrix and Python objects: 1,334,544 bytes
-        # over the output were measured, and 9,539,024 with 64-sample blocks.
-        spec = dyn.make_system("example4")
-        cfg, dom = dyn.SolverConfig(0.02, 3), dyn.default_domain(spec)
-        data.generate_trajectories(spec, cfg, dom, 2, 3, seed=3)  # lazy imports
-        tracemalloc.start()
-        try:
-            trajs = data.generate_trajectories(spec, cfg, dom, 800, 100, seed=9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert trajs.trajectories.nbytes == 6_400_000
-        assert peak < trajs.trajectories.nbytes + data.BLOCK_BYTES + 512 * 1024
+        assert trajs.trajectories.nbytes == output
+        assert peak < output + block + slack
 
 
 class TestBuildDataset:

@@ -229,8 +229,8 @@ class TestTrainModel:
         # Training holds the parameters, Adam's two moments, one step's
         # gradient and a 128 KiB scratch: 3,423,552 bytes.  The slack covers
         # one minibatch's windows, activations and backward products
-        # (about 0.69 MB); 4,112,232 bytes were measured, and 5,627,496 when
-        # the previous gradient and a parameter-sized scratch were alive.
+        # (about 0.69 MB); 4,112,232 bytes were measured, 359,896 under the
+        # bound.
         rng = np.random.default_rng(1)
         trajs = data.TrajectorySet(0.02, rng.normal(size=(400, 100, 10)))
         ds = data.build_dataset(trajs, 30, per_trajectory=5, seed=1)
