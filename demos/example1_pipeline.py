@@ -7,7 +7,7 @@ out against the closed-form solution.
 
 Scaled down from the full preset so it finishes in a few seconds.  At this
 scale the learned map drifts away from the decaying solution: the demo
-prints a time-averaged rollout error of about 0.834 (0.979 at t = 20,
+prints a time-averaged rollout error of about 0.831 (1.04 at t = 20,
 where the exact value is 3e-5).  ROADMAP item 7's stability check is
 meant to explain such drift.
 """

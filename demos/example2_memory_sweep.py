@@ -8,12 +8,11 @@ prints each model's mean rollout error up to t=10.
 The sweep takes the example2 preset (alpha=0.1, beta=8.91; 5 windows from
 each trajectory of 50 samples) with ``dataclasses.replace`` for the
 smaller settings: 1500 trajectories and 40 epochs, so the whole sweep
-takes about 7 s on 2 cores, and an evaluation horizon of t=10.  Every
+takes about 4 s on 2 cores, and an evaluation horizon of t=10.  Every
 cell is that config with its own n_mem.  At seed 3 the error is 49 at
-n_mem 1, 0.59 at n_mem 3, 0.48 at n_mem 10 and 0.28 at n_mem 20.  One
+n_mem 1, 0.48 at n_mem 3, 0.48 at n_mem 10 and 0.28 at n_mem 20.  One
 step of history is far too few.  Past that, one seed does not rank the
-memory lengths: with another draw of the training windows the same seed
-gave 0.96, 0.90, 0.12 and 0.43.
+memory lengths: seed 5 gives 10.5, 0.46, 0.60 and 0.14.
 """
 
 import math

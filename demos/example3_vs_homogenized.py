@@ -9,9 +9,9 @@ error of the slow variables at t = 2, 5, 10 and 20, averaged over five
 runs, and its mean over the horizon.
 
 Scaled down (2000 trajectories, 25 epochs, a horizon of 20 time units)
-to finish in about ten seconds.  At this scale the network loses: with
-seed 5 its mean error over the horizon is 15.4 against 1.34 for the
-homogenized closure, and it is already at 19 by t = 5.
+to finish in about five seconds.  At this scale the network loses: with
+seed 5 its mean error over the horizon is 15.2 against 1.34 for the
+homogenized closure, and it is already at 15 by t = 5.
 """
 
 from memflow import data, net, rollout, train

@@ -1,8 +1,12 @@
 """Bulk artifacts as uncompressed ``.npz`` archives with a fixed schema.
 
 A schema maps each init field of the artifact's container (a dataclass)
-to its ``(dtype, ndim)``, in the order the members are written.  Loading
-checks the member names, dtypes and ndims, and that each member holds
+to its ``(dtype, ndim)``, in the order the members are written; ``dtype``
+may be a tuple of the dtypes a member may have, the first of them the
+one a field of any other dtype is written as.  The archive is the one
+``np.savez`` writes, byte for byte, but each member is written from the
+array's own buffer rather than copied chunk by chunk.  Loading checks the
+member names, dtypes and ndims, and that each member holds
 exactly the bytes its header declares, before any member is read, so a
 damaged or crafted header cannot make the loader allocate more than the
 file holds.  Object arrays are refused, so nothing is unpickled.  The
@@ -19,12 +23,28 @@ import zipfile
 import numpy as np
 
 
+def _dtypes(dtype):
+    """The dtypes a schema entry allows, the one to write others as first."""
+    return [np.dtype(t) for t in (dtype if isinstance(dtype, tuple) else (dtype,))]
+
+
 def save(path, obj, schema):
-    """Write each schema field of ``obj``, cast to its schema dtype, at
-    exactly ``path`` (given a name, ``np.savez`` would append ``.npz``)."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **{k: np.asarray(getattr(obj, k), dtype=dtype)
-                        for k, (dtype, _) in schema.items()})
+    """Write each schema field of ``obj`` at exactly ``path``: in its own
+    dtype if the schema allows it, cast to the schema's first dtype
+    otherwise.  Each member is the npy 1.0 header, then the C-ordered
+    array's buffer, which is written without a copy."""
+    with open(path, "wb") as fh, zipfile.ZipFile(
+            fh, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, (dtype, _) in schema.items():
+            allowed = _dtypes(dtype)
+            value = np.asarray(getattr(obj, name))
+            value = np.asarray(
+                value, dtype=value.dtype if value.dtype in allowed else allowed[0],
+                order="C")
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(value))
+                member.write(value.reshape(-1).view(np.uint8))
 
 
 def load(path, cls, schema):
@@ -41,7 +61,7 @@ def load(path, cls, schema):
                     raise ValueError(f"members {names}, expected {expected}")
                 size = os.fstat(fh.fileno()).st_size
                 for name, (dtype, ndim) in schema.items():
-                    _check_member(archive.zip, name, np.dtype(dtype), ndim, size)
+                    _check_member(archive.zip, name, _dtypes(dtype), ndim, size)
                 members = {name: archive[name] for name in schema}
             return cls(**{k: m.item() if m.ndim == 0 else m
                           for k, m in members.items()})
@@ -51,7 +71,7 @@ def load(path, cls, schema):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_member(zf, name, dtype, ndim, archive_size):
+def _check_member(zf, name, dtypes, ndim, archive_size):
     info = zf.getinfo(f"{name}.npy")
     if info.compress_type != zipfile.ZIP_STORED or info.file_size > archive_size:
         raise ValueError(f"member {name!r} is compressed or larger than the file")
@@ -60,10 +80,10 @@ def _check_member(zf, name, dtype, ndim, archive_size):
             raise ValueError(f"member {name!r} is not in npy format 1.0")
         shape, _, got = np.lib.format.read_array_header_1_0(member)
         held = info.file_size - member.tell()
-    if got != dtype or len(shape) != ndim:
+    if got not in dtypes or len(shape) != ndim:
         raise ValueError(
             f"member {name!r} is {got} with {len(shape)} dims, expected "
-            f"{dtype} with {ndim}"
+            f"{' or '.join(map(str, dtypes))} with {ndim}"
         )
-    if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != held:
+    if min(shape, default=0) < 0 or math.prod(shape) * got.itemsize != held:
         raise ValueError(f"member {name!r} declares shape {shape}, holds {held} bytes")

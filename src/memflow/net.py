@@ -12,11 +12,20 @@ output layer.  The network therefore learns only the increment between
 consecutive states; zeroing its final layer makes the model an exact
 "persistence" predictor.
 
-A network is built from its parameters as one contiguous float64
-vector ``flat``: layer by layer, the weight matrix in row-major order
-followed by the bias.  ``weights[l]`` and ``biases[l]`` are views derived
-from it, and :meth:`NetworkParams.split` lays any vector of the same
-length (a gradient, an optimizer moment) out the same way.
+A network is built from its parameters as one contiguous vector
+``flat``: layer by layer, the weight matrix in row-major order followed by
+the bias.  ``weights[l]`` and ``biases[l]`` are views derived from it, and
+:meth:`NetworkParams.split` lays any vector of the same length (a
+gradient, an optimizer moment) out the same way.
+
+The network computes in the dtype of ``flat``: float32, as
+:func:`init_params` draws it, or float64, which any other given vector
+becomes (an old checkpoint, or a test that needs exact arithmetic).  Its
+inputs and upstream gradients are cast to that dtype, and its outputs and
+gradients have it.  A float32 network refuses a finite input that float32
+cannot hold rather than turn it into ``inf``.  Everything around the
+network (trajectories, windows, rollout states, losses and errors) stays
+float64.
 
 Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
@@ -26,7 +35,8 @@ input in a list ``acts``, from which :func:`backward_batch` runs the
 reverse pass alone, so a training step runs the forward pass once.
 
 A checkpoint is an uncompressed ``.npz`` archive holding ``d``, ``n_mem``
-and ``hidden`` (int64) and ``flat`` (float64); see :func:`save_params`.
+and ``hidden`` (int64) and ``flat`` (in the network's dtype); see
+:func:`save_params`.
 """
 
 from __future__ import annotations
@@ -55,7 +65,8 @@ class NetworkParams:
     ``flat`` holds every parameter along the layer chain
     ``D -> hidden[0] -> ... -> hidden[-1] -> d``: for each layer, the
     weight matrix ``(width_out, width_in)`` in row-major order, then the
-    bias ``(width_out,)``.  The given vector is copied, and
+    bias ``(width_out,)``.  The given vector is copied, as float32 if it
+    is float32 and as float64 otherwise, and
     ``weights[l]`` and ``biases[l]`` are views into the copy, laid out by
     :meth:`split` from the layer slices worked out once at construction.
     Two networks compare equal only if they are the same object.
@@ -80,7 +91,9 @@ class NetworkParams:
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "n_mem", int(self.n_mem))
         object.__setattr__(self, "hidden", tuple(widths[1:-1]))
-        object.__setattr__(self, "flat", np.array(self.flat, dtype=float))
+        flat = np.asarray(self.flat)
+        dtype = np.float32 if flat.dtype == np.float32 else np.float64
+        object.__setattr__(self, "flat", np.array(flat, dtype=dtype))
         weights, biases = self.split(self.flat)
         for l, (w, b) in enumerate(zip(weights, biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -124,15 +137,17 @@ def _widths(d, n_mem, hidden):
 
 
 def init_params(d, n_mem, hidden, seed):
-    """Fresh parameters: zero-mean weights scaled by 1/sqrt(fan_in), zero
-    biases, drawn from ``seed``, a count >= 0."""
+    """Fresh float32 parameters: zero-mean weights scaled by
+    1/sqrt(fan_in), zero biases, drawn in float64 from ``seed``, a count
+    >= 0, and rounded to float32."""
     widths = _widths(d, n_mem, hidden)
     rng = np.random.default_rng(_count("seed", seed, 0))
     pieces = []
     for w_in, w_out in zip(widths[:-1], widths[1:]):
         pieces.append(rng.normal(0.0, 1.0 / np.sqrt(w_in), size=w_out * w_in))
         pieces.append(np.zeros(w_out))
-    return NetworkParams(d, n_mem, widths[1:-1], np.concatenate(pieces))
+    return NetworkParams(d, n_mem, widths[1:-1],
+                         np.concatenate(pieces).astype(np.float32))
 
 
 def _check_width(params, z):
@@ -143,11 +158,32 @@ def _check_width(params, z):
         )
 
 
+def _cast(params, values, name):
+    """``values`` as an array of the network's dtype.  A finite value that
+    the dtype cannot hold, which the cast would make ``inf``, is refused
+    with a ValueError naming ``name``."""
+    values = np.asarray(values)
+    dtype = params.flat.dtype
+    if values.dtype == dtype:
+        return values
+    try:
+        with np.errstate(over="raise"):
+            return values.astype(dtype)
+    except FloatingPointError:
+        finite = values[np.isfinite(values)]
+        worst = finite[np.abs(finite).argmax()]
+        raise ValueError(
+            f"{name} hold {worst:.4g}, outside the range of the network's "
+            f"{dtype} (largest {np.finfo(dtype).max:.4g})"
+        ) from None
+
+
 def forward_batch(params, z_stacks, acts=None):
     """Evaluate the model on rows of stacked states, shape (J, D) -> (J, d);
     a single (D,) row gives (d,).  A list passed as ``acts`` receives each
-    layer's input, the cache :func:`backward_batch` reads."""
-    z_stacks = np.asarray(z_stacks, dtype=float)
+    layer's input, the cache :func:`backward_batch` reads.  The inputs are
+    cast to the network's dtype, which the outputs have."""
+    z_stacks = _cast(params, z_stacks, "input stacks")
     _check_width(params, z_stacks)
     act = z_stacks
     last = len(params.weights) - 1
@@ -173,19 +209,18 @@ def backward_batch(params, z_stacks, output_grads, acts=None):
     inputs, shape (J, D).  The residual projection contributes
     ``output_grads`` directly onto the leading ``d`` input columns.
     ``acts`` is the list a :func:`forward_batch` call on the same inputs
-    filled; without it the forward pass runs here.
+    filled; without it the forward pass runs here.  Inputs and upstream
+    gradients are cast to the network's dtype, which both results have.
     """
-    z_stacks = np.asarray(z_stacks, dtype=float)
-    output_grads = np.asarray(output_grads, dtype=float)
-    _check_width(params, z_stacks)
-    if output_grads.shape != (z_stacks.shape[0], params.d):
-        raise ValueError(
-            f"output_grads shape {output_grads.shape}, expected "
-            f"({z_stacks.shape[0]}, {params.d})"
-        )
     if acts is None:
         acts = []
         forward_batch(params, z_stacks, acts)
+    rows = acts[0].shape[0]  # acts[0] holds the inputs, cast
+    output_grads = _cast(params, output_grads, "output_grads")
+    if output_grads.shape != (rows, params.d):
+        raise ValueError(
+            f"output_grads shape {output_grads.shape}, expected ({rows}, {params.d})"
+        )
     last = len(params.weights) - 1
     # reverse pass, writing each layer's gradient into its view of flat_grad
     flat_grad = np.empty_like(params.flat)
@@ -206,20 +241,22 @@ def backward_batch(params, z_stacks, output_grads, acts=None):
 # ---------------------------------------------------------------------------
 
 
+# ``flat`` is stored in the network's own dtype, float64 or float32
 _CHECKPOINT_SCHEMA = {
     "d": (np.int64, 0), "n_mem": (np.int64, 0),
-    "hidden": (np.int64, 1), "flat": (np.float64, 1),
+    "hidden": (np.int64, 1), "flat": ((np.float64, np.float32), 1),
 }
 
 
 def save_params(params, path):
     """Write a checkpoint as an npz archive: ``d`` and ``n_mem`` (int64
-    scalars), ``hidden`` (int64 widths) and ``flat`` (float64, the
-    parameter vector laid out as :attr:`NetworkParams.flat`)."""
+    scalars), ``hidden`` (int64 widths) and ``flat`` (the parameter vector
+    laid out as :attr:`NetworkParams.flat`, in its own dtype)."""
     _npz.save(path, params, _CHECKPOINT_SCHEMA)
 
 
 def load_params(path):
-    """Inverse of :func:`save_params`; a ``flat`` whose length does not
-    match ``(d, n_mem, hidden)`` and malformed files are rejected."""
+    """Inverse of :func:`save_params`: a float32 ``flat`` gives a float32
+    network, a float64 one a float64 network.  A ``flat`` whose length does
+    not match ``(d, n_mem, hidden)`` and malformed files are rejected."""
     return _npz.load(path, NetworkParams, _CHECKPOINT_SCHEMA)

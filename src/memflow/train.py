@@ -42,7 +42,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Elements per slice of Adam's update (128 KiB of float64): the update runs
+# Elements per slice of Adam's update (64 KiB of float32): the update runs
 # over the parameter vector one slice at a time with one slice-sized
 # scratch, not a parameter-sized temporary, so a network of at most this
 # many parameters is updated in one slice.
@@ -116,8 +116,9 @@ def train_model(init, ds, cfg):
     Besides the dataset, it holds the parameters, Adam's two moments, one
     step's gradient (freed before the next step's is computed) and one
     scratch of at most ``ADAM_SLICE`` elements, the update's only
-    temporary (:func:`_adam_update`); the moments and the scratch are freed
-    before the trained copy is made.
+    temporary (:func:`_adam_update`), all in the dtype of ``init.flat``;
+    the moments and the scratch are freed before the trained copy is made.
+    The losses are float64.
     """
     _check_shapes(init, ds)
     j_total = ds.size
@@ -130,7 +131,7 @@ def train_model(init, ds, cfg):
     theta = work.flat  # updated in place, so work's weight views follow it
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    scratch = np.empty(min(ADAM_SLICE, theta.size))  # the update's one temporary
+    scratch = np.empty(min(ADAM_SLICE, theta.size), theta.dtype)  # the one temporary
 
     t0 = time.perf_counter()
     losses = np.empty(cfg.epochs)

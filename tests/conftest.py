@@ -1,10 +1,11 @@
-"""Shared helpers: datasets made from given windows, hand-built ``.npz``
-archives for the loader rejection tests, and the seeds every seeded entry
-point refuses."""
+"""Shared helpers: datasets made from given windows, float64 networks for
+the tests that need exact arithmetic, hand-built ``.npz`` archives for the
+loader rejection tests, and the seeds every seeded entry point refuses."""
 
 import io
 import re
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ def windows_dataset(n_mem, inputs, targets):
         n_mem=n_mem, trajectories=np.concatenate([history, targets[:, None]], axis=1),
         starts=np.zeros((j, 1), dtype=np.int64),
     )
+
+
+def float64_network(params):
+    """``params`` as a float64 network: the same parameter values, each
+    exact in float64.  ``init_params`` draws float32 networks; a test that
+    checks an identity to round-off (finite differences, a zero final
+    layer, batch against single rows) needs float64 arithmetic."""
+    return replace(params, flat=params.flat.astype(np.float64))
 
 
 # A seed is a count >= 0 (dynamics._count): a float, a bool and a negative

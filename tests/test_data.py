@@ -521,6 +521,39 @@ class TestExactMapGate:
 
 
 class TestSerialization:
+    def test_archives_are_the_bytes_np_savez_writes(self, tmp_path):
+        # each member is written from the array's buffer, and the archive is
+        # still np.savez's, byte for byte
+        trajs = random_trajectories(6, 11, d=3, seed=4)
+        ds = data.build_dataset(trajs, 2, per_trajectory=4, seed=4)
+        data.save_trajectories(trajs, tmp_path / "trajectories.npz")
+        data.save_dataset(ds, tmp_path / "dataset.npz")
+        np.savez(tmp_path / "want_trajectories.npz", delta=np.float64(trajs.delta),
+                 trajectories=trajs.trajectories)
+        np.savez(tmp_path / "want_dataset.npz", n_mem=np.int64(ds.n_mem),
+                 starts=ds.starts,
+                 trajectories_crc32=np.int64(zlib.crc32(trajs.trajectories)))
+        for name in ("trajectories.npz", "dataset.npz"):
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / f"want_{name}").read_bytes())
+
+    def test_save_copies_no_array(self, tmp_path):
+        # linear20's 3.2 MB of trajectories: np.savez copied them chunk by
+        # chunk (3,207,720 bytes more); the save now allocates a few kB
+        trajs = random_trajectories(400, 100, d=10, seed=1)
+        assert trajs.trajectories.nbytes == 3_200_000
+        path = tmp_path / "trajectories.npz"
+        data.save_trajectories(trajs, path)  # lazy imports
+        tracemalloc.start()
+        try:
+            data.save_trajectories(trajs, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert data.load_trajectories(path).trajectories.tobytes() == (
+            trajs.trajectories.tobytes())
+
     def test_dataset_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         trajs = data.TrajectorySet(delta=0.02, trajectories=(

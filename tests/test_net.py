@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import refused_seeds
+from conftest import float64_network, refused_seeds
 from memflow import net
 
 
@@ -51,6 +51,20 @@ class TestInitParams:
         assert params.input_width == 183
         assert params.weights[0].shape == (60, 183)
         assert params.weights[-1].shape == (3, 60)
+
+    def test_draw_is_the_float64_draw_rounded_to_float32(self):
+        # the float64 draw: normal weights of scale 1/sqrt(fan_in), layer
+        # by layer, and zero biases
+        rng = np.random.default_rng(9)
+        widths = [2 * 4, 7, 5, 2]
+        pieces = []
+        for w_in, w_out in zip(widths[:-1], widths[1:]):
+            pieces += [rng.normal(0.0, 1.0 / np.sqrt(w_in), size=w_out * w_in),
+                       np.zeros(w_out)]
+        params = net.init_params(2, 3, [7, 5], seed=9)
+        assert params.flat.dtype == np.float32
+        want = np.concatenate(pieces).astype(np.float32)
+        assert params.flat.tobytes() == want.tobytes()
 
     def test_biases_start_at_zero(self):
         params = net.init_params(2, 3, [7], seed=5)
@@ -119,7 +133,8 @@ class TestInitParams:
 class TestForward:
     def test_residual_identity_with_zero_final_layer(self):
         rng = np.random.default_rng(2)
-        params = zero_final_layer(net.init_params(3, 4, [10, 10], seed=3))
+        params = zero_final_layer(
+            float64_network(net.init_params(3, 4, [10, 10], seed=3)))
         for _ in range(100):
             z = rng.normal(size=params.input_width)
             np.testing.assert_array_equal(net.forward_batch(params, z), z[:3])
@@ -152,7 +167,7 @@ class TestForward:
         # last-ulp differences are allowed: BLAS picks different kernels for
         # different batch shapes
         rng = np.random.default_rng(8)
-        params = net.init_params(2, 2, [6, 6], seed=8)
+        params = float64_network(net.init_params(2, 2, [6, 6], seed=8))
         batch = rng.normal(size=(7, params.input_width))
         out = net.forward_batch(params, batch)
         for i in range(7):
@@ -174,7 +189,7 @@ class TestForward:
         # zeroed out
         rng = np.random.default_rng(13)
         d = 2
-        params = net.init_params(d, 3, [8], seed=13)
+        params = float64_network(net.init_params(d, 3, [8], seed=13))
         z = rng.normal(size=params.input_width)
         swapped = z.copy()
         swapped[:d], swapped[d : 2 * d] = z[d : 2 * d].copy(), z[:d].copy()
@@ -186,10 +201,71 @@ class TestForward:
         assert not np.allclose(diff_full, diff_skip_only)
 
 
+class TestDtype:
+    """A network computes in the dtype of ``flat``: float32 as drawn, or
+    float64, which every other given vector becomes."""
+
+    @pytest.mark.parametrize("given, dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64),
+    ])
+    def test_flat_keeps_float32_and_makes_anything_else_float64(self, given, dtype):
+        params = net.NetworkParams(1, 2, (4,), np.ones(21, dtype=given))
+        assert params.flat.dtype == dtype
+        assert all(a.dtype == dtype for a in params.weights + params.biases)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_and_gradients_have_the_network_dtype(self, dtype):
+        params = net.init_params(2, 3, [9, 9], seed=4)
+        params = replace(params, flat=params.flat.astype(dtype))
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(5, params.input_width))  # float64 inputs
+        grad_out = rng.normal(size=(5, 2))
+        assert net.forward_batch(params, z).dtype == dtype
+        assert net.forward_batch(params, z[0]).dtype == dtype
+        flat_grad, input_grad = net.backward_batch(params, z, grad_out)
+        assert flat_grad.dtype == input_grad.dtype == dtype
+
+    def test_float32_network_casts_its_inputs(self):
+        # float64 inputs give the outputs of their float32 rounding
+        params = net.init_params(2, 3, [9, 9], seed=5)
+        z = np.random.default_rng(5).normal(size=(6, params.input_width))
+        got = net.forward_batch(params, z)
+        assert got.tobytes() == net.forward_batch(params, z.astype(np.float32)).tobytes()
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_input_float32_cannot_hold_refused(self, value):
+        # the cast would make it inf: a warning, or a divergence blamed on
+        # the learning rate
+        params = net.init_params(1, 2, [4], seed=0)
+        z = np.zeros((2, 3))
+        z[1, 2] = value
+        message = (f"^input stacks hold {re.escape(f'{value:.4g}')}, outside the "
+                   r"range of the network's float32 \(largest 3\.403e\+38\)$")
+        with pytest.raises(ValueError, match=message):
+            net.forward_batch(params, z)
+        with pytest.raises(ValueError, match=message):
+            net.backward_batch(params, z, np.zeros((2, 1)))
+        grads = np.array([[1.0], [value]])
+        with pytest.raises(ValueError, match=(
+                f"^output_grads hold {re.escape(f'{value:.4g}')}, outside the range")):
+            net.backward_batch(params, np.zeros((2, 3)), grads)
+        # a float64 network takes them
+        wide = float64_network(params)
+        assert np.isfinite(net.forward_batch(wide, z)).all()
+        assert np.isfinite(net.backward_batch(wide, z, grads)[0]).all()
+
+    def test_non_finite_inputs_pass_through(self):
+        # inf and NaN are held by float32 as they are: not refused
+        params = net.init_params(1, 0, [2], seed=0)
+        out = net.forward_batch(params, np.array([[np.inf], [np.nan], [1.0]]))
+        assert not np.isfinite(out[:2]).any() and np.isfinite(out[2]).all()
+
+
 class TestBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(31)
-        params = net.init_params(d=2, n_mem=3, hidden=[10, 10], seed=31)
+        params = float64_network(net.init_params(d=2, n_mem=3, hidden=[10, 10], seed=31))
         z = rng.normal(size=params.input_width)
         grad_out = rng.normal(size=2)
         grad, _ = net.backward_batch(params, z[None, :], grad_out[None, :])
@@ -203,7 +279,7 @@ class TestBackward:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(32)
-        params = net.init_params(d=1, n_mem=4, hidden=[6], seed=32)
+        params = float64_network(net.init_params(d=1, n_mem=4, hidden=[6], seed=32))
         z = rng.normal(size=params.input_width)
         grad_out = np.array([1.0])
         _, input_grad = net.backward_batch(params, z[None, :], grad_out[None, :])
@@ -261,7 +337,7 @@ class TestBackward:
 class TestFlatLayout:
     def test_weights_and_biases_are_views_of_flat(self):
         params = net.init_params(2, 3, [5, 4], seed=3)
-        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.dtype == np.float32 and params.flat.flags.c_contiguous
         for a in params.weights + params.biases:
             assert np.shares_memory(a, params.flat)
         # layer by layer: the weight matrix row-major, then the bias
@@ -370,11 +446,18 @@ class TestCountParams:
 
 
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
-        params = net.init_params(3, 7, [11, 13], seed=77)
+    @pytest.mark.parametrize("network", [lambda p: p, float64_network],
+                             ids=["float32", "float64"])
+    def test_round_trip_bitwise(self, tmp_path, network):
+        # flat is stored in the network's own dtype and loads back as it
+        params = network(net.init_params(3, 7, [11, 13], seed=77))
         path = tmp_path / "model.npz"
         net.save_params(params, path)
+        with np.load(path) as archive:
+            assert archive["flat"].dtype == params.flat.dtype
         back = net.load_params(path)
+        assert back.flat.dtype == params.flat.dtype
+        assert back.flat.tobytes() == params.flat.tobytes()
         assert back.d == 3 and back.n_mem == 7 and back.hidden == (11, 13)
         assert type(back.d) is int and type(back.n_mem) is int
         assert type(back.hidden) is tuple and all(type(w) is int for w in back.hidden)
@@ -408,6 +491,20 @@ class TestCheckpoint:
         want = "model.npz: vector shape (21,) does not fit layer widths [3, 5, 1]"
         assert want in str(err.value)
 
+    def test_float64_checkpoint_loads_as_float64(self, tmp_path):
+        # a float64 checkpoint, as np.savez writes it, loads as a float64
+        # network, and saving that network writes the same bytes
+        rng = np.random.default_rng(3)
+        flat = rng.normal(size=13)
+        path = tmp_path / "model.npz"
+        np.savez(path, d=np.int64(1), n_mem=np.int64(1), hidden=np.array([3]),
+                 flat=flat)
+        back = net.load_params(path)
+        assert back.flat.dtype == np.float64
+        assert back.flat.tobytes() == flat.tobytes()
+        net.save_params(back, tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
     def test_load_then_save_writes_the_same_bytes(self, tmp_path):
         first, second = tmp_path / "first.npz", tmp_path / "second.npz"
         net.save_params(net.init_params(3, 7, [11, 13], seed=77), first)
@@ -431,7 +528,7 @@ class TestCheckpoint:
         ({"hidden": np.array([], dtype=np.int64)},
          r"hidden must be a non-empty list, got \[\]$"),
         ({"d": np.int64(0)}, "d must be >= 1, got 0$"),
-        ({"flat": np.zeros(13, dtype=np.float32)}, "'flat' is float32"),
+        ({"flat": np.zeros(13, dtype=np.float16)}, "'flat' is float16.*float64 or float32"),
         ({"hidden": np.array([2.0])}, "'hidden' is float64"),
         ({"flat": np.zeros(13, dtype=object)}, "'flat' is object"),
         ({"extra": np.zeros(1)}, "members"),

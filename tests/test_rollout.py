@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import refused_seeds
+from conftest import float64_network, refused_seeds
 from memflow import cli, data, net, rollout, train
 from memflow import dynamics as dyn
 
@@ -29,7 +29,7 @@ class TestRollout:
         assert res.states.shape == (1, 14, 2)
 
     def test_zero_final_layer_continues_last_seed(self):
-        model = zero_final_layer(net.init_params(1, 2, [5], seed=2))
+        model = zero_final_layer(float64_network(net.init_params(1, 2, [5], seed=2)))
         seeds = np.array([[[0.1], [0.2], [0.3]]])
         res = rollout.rollout(model, seeds, 4)
         np.testing.assert_array_equal(
@@ -59,7 +59,7 @@ class TestRollout:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_recorded(self):
-        model = net.init_params(1, 0, [2], seed=6)
+        model = float64_network(net.init_params(1, 0, [2], seed=6))
         model.biases[-1][:] = 1e308  # first step lands near the float ceiling
         res = rollout.rollout(model, np.array([[[1.0]]]), 10)
         (step,) = res.diverged_at
@@ -76,7 +76,7 @@ class TestBatchedRollout:
         # and reorder the sums differently for different row counts, so
         # the runs agree to rounding, not bitwise
         rng = np.random.default_rng(8)
-        model = net.init_params(2, 4, [12, 12], seed=8)
+        model = float64_network(net.init_params(2, 4, [12, 12], seed=8))
         seeds = 0.5 * rng.normal(size=(6, 5, 2))
         batch = rollout.rollout(model, seeds, 60)
         assert batch.states.shape == (6, 65, 2)
@@ -271,7 +271,7 @@ class TestErrorSeries:
 
     def drifting(self, offset):
         """A model that adds ``offset`` to the current state each step."""
-        params = zero_final_layer(net.init_params(2, 1, [3], seed=0))
+        params = zero_final_layer(float64_network(net.init_params(2, 1, [3], seed=0)))
         params.biases[-1][:] = offset
         return params
 
@@ -509,7 +509,7 @@ class TestEvaluateAndSweep:
         # a zero-final-layer model predicts a constant, so against a
         # constant system the evaluation error is exactly zero
         spec = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
-        model = zero_final_layer(net.init_params(1, 2, [4], seed=3))
+        model = zero_final_layer(float64_network(net.init_params(1, 2, [4], seed=3)))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         mean_err, series = rollout.evaluate_model(
             model, spec, dyn.SolverConfig(0.1, 1), dom,
@@ -617,7 +617,7 @@ class TestCompareWithHomogenized:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverged_network_raises_runtime_error(self):
-        model = zero_final_layer(net.init_params(3, 2, [6], seed=1))
+        model = zero_final_layer(float64_network(net.init_params(3, 2, [6], seed=1)))
         model.biases[-1][:] = 1e308
         with pytest.raises(RuntimeError, match="diverged at step 4 in run 0") as info:
             self.compare(model)

@@ -1,14 +1,18 @@
 """Tests for the loss and the Adam training loop."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import refused_seeds, windows_dataset
-from memflow import data, net, train
+from conftest import float64_network, refused_seeds, windows_dataset
+from memflow import data, net, rollout, train
+from memflow import dynamics as dyn
 
 
 def make_dataset(rng, j, d=1, n_mem=0, scale=1.0):
@@ -19,8 +23,9 @@ def make_dataset(rng, j, d=1, n_mem=0, scale=1.0):
 
 
 def exact_fit_params(row_input, row_target, d, n_mem, hidden, seed=0):
-    """Solve the final affine layer so one row is reproduced exactly."""
-    params = net.init_params(d, n_mem, hidden, seed=seed)
+    """Solve the final affine layer so one row is reproduced exactly, in
+    float64."""
+    params = float64_network(net.init_params(d, n_mem, hidden, seed=seed))
     params.weights[-1][:] = 0.0
     # with a zero final weight matrix the output is z_now + b_out
     params.biases[-1][:] = np.asarray(row_target) - np.asarray(row_input)[:d]
@@ -79,8 +84,10 @@ class TestMseLoss:
         ds = windows_dataset(0, row_in[None, :], np.array([[2.0]]))
         params = net.init_params(1, 0, [3], seed=4)
         prediction = net.forward_batch(params, row_in)[0]
+        assert prediction.dtype == np.float32
+        # the loss takes the float32 prediction's residual in float64
         np.testing.assert_allclose(
-            train.mse_loss(params, ds), (prediction - 2.0) ** 2, rtol=1e-15
+            train.mse_loss(params, ds), (float(prediction) - 2.0) ** 2, rtol=1e-15
         )
 
     def test_mean_of_per_row_squared_errors(self):
@@ -115,9 +122,11 @@ class TestMseLoss:
     def test_holds_one_chunk_of_256_rows(self):
         # linear20's shapes: d=10, n_mem=30, hidden 160^3, here 2112 windows.
         # 256 rows gather 256 * 8 * 10 * 32 = 655,360 bytes of windows, and
-        # the forward pass holds two 160-wide activations, as many again.
+        # the float32 forward pass holds their inputs' cast (317,440 bytes)
+        # and two 160-wide activations (327,680), about as many again.
         # The slack covers the 2112 squared norms (16,896 bytes), the
-        # residuals and Python objects: 42,208 bytes over were measured.
+        # residuals and Python objects: 1,352,160 bytes were measured,
+        # 89,632 under the bound.
         rng = np.random.default_rng(1)
         trajs = data.TrajectorySet(0.02, rng.normal(size=(64, 64, 10)))
         ds = data.build_dataset(trajs, 30)
@@ -187,20 +196,93 @@ class TestTrainModel:
         for a, b in zip(m1.biases, m2.biases):
             np.testing.assert_array_equal(a, b)
 
-    def test_matches_per_layer_adam_bitwise(self):
-        # 23 rows in batches of 8: the last batch of each epoch has 7 rows
+    @pytest.mark.parametrize("network", [lambda p: p, float64_network],
+                             ids=["float32", "float64"])
+    def test_matches_per_layer_adam_bitwise(self, network):
+        # 23 rows in batches of 8: the last batch of each epoch has 7 rows.
+        # A float64 network, such as an old checkpoint's, trains as before.
         rng = np.random.default_rng(4)
         ds = make_dataset(rng, 23, d=2, n_mem=1)
-        init = net.init_params(2, 1, [5, 4], seed=4)
+        init = network(net.init_params(2, 1, [5, 4], seed=4))
         before = init.flat.tobytes()
         cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=4)
         model, report = train.train_model(init, ds, cfg)
         want_model, want_losses = reference_adam(init, ds, cfg)
+        assert model.flat.dtype == init.flat.dtype
         assert model.flat.tobytes() == want_model.flat.tobytes()
         assert report.loss_per_epoch.tobytes() == want_losses.tobytes()
         assert model.flat.tobytes() != before
         assert init.flat.tobytes() == before  # training works on a copy
         assert not np.shares_memory(model.flat, init.flat)
+
+    def test_float32_throughout_one_training(self, monkeypatch):
+        # theta, m, v, every gradient and every forward output stay float32,
+        # whatever numpy's promotion rules do with the float64 windows,
+        # residuals and Python-float constants; the losses stay float64
+        seen = set()
+        forward, backward, update = (train.forward_batch, train.backward_batch,
+                                     train._adam_update)
+
+        def spy_forward(*args):
+            out = forward(*args)
+            seen.add(("forward", out.dtype))
+            return out
+
+        def spy_backward(*args):
+            flat_grad, input_grad = backward(*args)
+            seen.update({("gradient", flat_grad.dtype), ("input", input_grad.dtype)})
+            return flat_grad, input_grad
+
+        def spy_update(theta, m, v, grad, scratch, step, lr):
+            update(theta, m, v, grad, scratch, step, lr)
+            seen.update({("theta", theta.dtype), ("m", m.dtype), ("v", v.dtype),
+                         ("grad", grad.dtype), ("scratch", scratch.dtype)})
+
+        monkeypatch.setattr(train, "forward_batch", spy_forward)
+        monkeypatch.setattr(train, "backward_batch", spy_backward)
+        monkeypatch.setattr(train, "_adam_update", spy_update)
+        rng = np.random.default_rng(8)
+        ds = make_dataset(rng, 40, d=2, n_mem=2)
+        cfg = train.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=3, seed=8)
+        model, report = train.train_model(net.init_params(2, 2, [6, 5], seed=8), ds, cfg)
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+        assert {name for name, _ in seen} == {
+            "forward", "gradient", "input", "theta", "m", "v", "grad", "scratch"}
+        assert model.flat.dtype == np.float32
+        assert report.loss_per_epoch.dtype == np.float64
+        assert type(report.final_loss) is float
+
+    def test_adam_eps_is_a_normal_float32(self):
+        # eps is added to float32 denominators: a subnormal would slow every
+        # step, and one below the smallest subnormal would vanish
+        eps = np.float32(train.ADAM_EPS)
+        assert eps >= np.finfo(np.float32).tiny
+        assert abs(float(eps) - train.ADAM_EPS) <= 1e-7 * train.ADAM_EPS
+
+    def test_values_float32_cannot_hold_are_refused(self):
+        # dx/dt = A x with modes growing at rates 30 and 20: past t = 3 the
+        # samples exceed float32's 3.4e38.  A float32 network refuses such
+        # windows and rollout seeds by name, rather than train on inf and
+        # report a divergence blamed on the learning rate.
+        spec = dyn.make_system("linear-generic", matrix=[[30.0, 1.0], [0.0, 20.0]],
+                               d=1)
+        solver = dyn.SolverConfig(0.25, 20)
+        trajs = data.generate_trajectories(
+            spec, solver, dyn.default_domain(spec), 8, 16, seed=0)
+        assert np.abs(trajs.trajectories).max() > 1e40
+        ds = data.build_dataset(trajs, 2)
+        message = (r"^input stacks hold -?[0-9.]+e\+[0-9]+, outside the range of "
+                   r"the network's float32 \(largest 3\.403e\+38\)$")
+        with pytest.raises(ValueError, match=message):
+            train.train_model(net.init_params(1, 2, [4], seed=0), ds,
+                              train.TrainConfig(batch_size=8, epochs=1))
+        with pytest.raises(ValueError, match=message):
+            rollout.rollout_against_truth(
+                net.init_params(1, 12, [4], seed=0), spec, solver,
+                np.ones((1, 2)), 15)
+        # a float64 network takes the same windows
+        wide = float64_network(net.init_params(1, 2, [4], seed=0))
+        assert np.isfinite(net.forward_batch(wide, ds.inputs)).all()
 
     @pytest.mark.parametrize("slice_size", [7, 16, None],
                              ids=["slices-of-7", "slices-of-16", "two-slices"])
@@ -225,12 +307,11 @@ class TestTrainModel:
 
     def test_holds_one_gradient_and_no_parameter_sized_scratch(self):
         # linear20's shapes: d=10, n_mem=30, hidden 160^3 (102,890
-        # parameters, 823,120 bytes a vector), 2000 windows in 32 steps.
-        # Training holds the parameters, Adam's two moments, one step's
-        # gradient and a 128 KiB scratch: 3,423,552 bytes.  The slack covers
-        # one minibatch's windows, activations and backward products
-        # (about 0.69 MB); 4,112,232 bytes were measured, 359,896 under the
-        # bound.
+        # parameters, 411,560 bytes a float32 vector), 2000 windows in 32
+        # steps.  Training holds the parameters, Adam's two moments, one
+        # step's gradient and a 64 KiB scratch: 1,711,776 bytes.  The slack
+        # covers one minibatch's windows, activations and backward products;
+        # 2,671,944 bytes were measured, 88,408 under the bound.
         rng = np.random.default_rng(1)
         trajs = data.TrajectorySet(0.02, rng.normal(size=(400, 100, 10)))
         ds = data.build_dataset(trajs, 30, per_trajectory=5, seed=1)
@@ -244,8 +325,8 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         vector = init.flat.nbytes
-        assert vector == 823_120 and ds.size == 2000
-        assert peak < 4 * vector + 8 * train.ADAM_SLICE + 1024 * 1024
+        assert vector == 411_560 and ds.size == 2000
+        assert peak < 4 * vector + init.flat.itemsize * train.ADAM_SLICE + 1024 * 1024
 
     def test_small_lr_descends(self):
         rng = np.random.default_rng(5)
@@ -370,3 +451,40 @@ class TestSaveLoad:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(ValueError, match="model.npz: not a readable npz archive"):
             train.load_model(path)
+
+
+# Trains at linear20's shapes (d 10, n_mem 30, hidden 160^3) for 2 epochs,
+# then prints the sha256 of the trained parameters, of the per-epoch losses
+# and of the input gradient on the first minibatch.
+_TRAIN_AT_LINEAR20_SHAPES = """
+import hashlib
+import numpy as np
+from memflow import data, net, train
+rng = np.random.default_rng(1)
+ds = data.build_dataset(data.TrajectorySet(0.02, rng.normal(size=(64, 40, 10))),
+                        30, per_trajectory=4, seed=1)
+model, report = train.train_model(net.init_params(10, 30, [160, 160, 160], seed=0),
+                                  ds, train.TrainConfig(batch_size=64, epochs=2))
+xb, yb = ds.windows(slice(0, 64))
+_, input_grad = net.backward_batch(model, xb, net.forward_batch(model, xb) - yb)
+for array in (model.flat, report.loss_per_epoch, input_grad):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_float32_training_is_the_same_at_one_and_two_threads(self):
+        # BLAS reads its thread count when numpy loads, so each count needs
+        # its own process.  A float64 network at these shapes differs in
+        # the last bits between the two counts; a float32 one does not.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", _TRAIN_AT_LINEAR20_SHAPES],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True, timeout=120)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
