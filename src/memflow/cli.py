@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -204,10 +204,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [key for key, f in fields.items() if key not in doc
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(**doc)
 
 

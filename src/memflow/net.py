@@ -25,7 +25,8 @@ inputs and upstream gradients are cast to that dtype, and its outputs and
 gradients have it.  A float32 network refuses a finite input that float32
 cannot hold rather than turn it into ``inf``.  Everything around the
 network (trajectories, windows, rollout states, losses and errors) stays
-float64.
+float64; only a rollout's history, while it runs, takes the dtype of the
+network's outputs (:func:`memflow.rollout.rollout`).
 
 Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
@@ -228,11 +229,14 @@ def backward_batch(params, z_stacks, output_grads, acts=None):
     delta = output_grads
     for l in range(last, -1, -1):
         np.matmul(delta.T, acts[l], out=grad_w[l])
-        np.sum(delta, axis=0, out=grad_b[l])
-        delta = delta @ params.weights[l]
+        np.add.reduce(delta, axis=0, out=grad_b[l])
+        delta = delta @ params.weights[l]  # a fresh product, updated in place
         if l > 0:
-            delta = delta * (1.0 - acts[l] ** 2)  # tanh' through layer l-1 output
-    delta[:, : params.d] += output_grads  # delta is a fresh product here
+            # tanh' through layer l-1 output, 1 - act**2, in one temporary
+            slope = np.square(acts[l])
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
+    delta[:, : params.d] += output_grads
     return flat_grad, delta
 
 

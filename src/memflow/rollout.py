@@ -89,6 +89,16 @@ def rollout(model, seeds, steps):
     its next state; an output that is not ``(R', d)`` for the R' live runs
     is a ValueError.  A non-finite prediction stops its run and records the
     divergence index; the other runs go on.
+
+    The history is one buffer ``hist`` of shape (R, T, d), T = n_mem + 1 +
+    steps, laid out in reverse time: ``hist[:, T - 1 - p]`` is state p, so
+    each step's stacks are a view of it, with no copy while every run is
+    live.  The first call gets the float64 seeds, newest first; the buffer
+    then takes the dtype of that call's output, float32 if it is float32
+    and float64 otherwise, and holds the seeds cast once.  So a float32
+    network gets float32 stacks from the second step on, and refuses seeds
+    that float32 cannot hold at the first.  ``states`` is assembled in
+    float64 once, at the end, with the seeds exact.
     """
     seeds = np.asarray(seeds, dtype=float)
     need, d = model.n_mem + 1, model.d
@@ -98,19 +108,23 @@ def rollout(model, seeds, steps):
             f"got {seeds.shape}"
         )
     steps = dyn._count("steps", steps, 0)
-    runs = seeds.shape[0]
-    states = np.full((runs, need + steps, d), np.nan)
-    states[:, :need] = seeds
+    runs, total = seeds.shape[0], need + steps
     diverged_at = [None] * runs
     live = slice(None)  # every run; an index array once one has diverged
-    for pos in range(need, need + steps):
-        window = states[live, pos - need : pos]          # oldest ... newest
-        stacks = window[:, ::-1].reshape(window.shape[0], -1)  # newest first
+    stacks = seeds[:, ::-1].reshape(runs, -1)  # the first call's, newest first
+    hist = None  # made at the first output, in its dtype
+    for pos in range(need, total):
+        if hist is not None:
+            stacks = hist[live, total - pos : total - pos + need].reshape(-1, need * d)
         nxt = model(stacks)
         if nxt.shape != (len(stacks), d):
             raise ValueError(f"the map returned shape {nxt.shape}, expected "
                              f"{(len(stacks), d)} for {len(stacks)} live runs")
-        if not np.isfinite(nxt).all():
+        if hist is None:
+            dtype = np.float32 if nxt.dtype == np.float32 else np.float64
+            hist = np.full((runs, total, d), np.nan, dtype)
+            hist[:, total - need :] = seeds[:, ::-1]
+        if not np.logical_and.reduce(np.isfinite(nxt), axis=None):
             finite = np.isfinite(nxt).all(axis=1)
             live = np.arange(runs)[live]
             for r in live[~finite]:
@@ -118,7 +132,9 @@ def rollout(model, seeds, steps):
             live, nxt = live[finite], nxt[finite]
             if live.size == 0:
                 break
-        states[live, pos] = nxt
+        hist[live, total - 1 - pos] = nxt
+    states = (seeds if hist is None else hist[:, ::-1]).astype(np.float64)
+    states[:, :need] = seeds
     return RolloutResult(states=states, seed_len=need, diverged_at=tuple(diverged_at))
 
 

@@ -91,8 +91,8 @@ def mse_loss(params, ds):
         hi = lo + LOSS_CHUNK_ROWS
         inputs, targets = ds.windows(slice(lo, hi))
         resid = forward_batch(params, inputs) - targets
-        sq_norms[lo:hi] = np.sum(resid**2, axis=1)
-    return float(np.mean(sq_norms))
+        np.add.reduce(np.square(resid), axis=1, out=sq_norms[lo:hi])
+    return float(np.add.reduce(sq_norms) / ds.size)
 
 
 def _check_shapes(params, ds):
@@ -202,8 +202,8 @@ def _gradient(params, ds, rows, step, epoch):
     xb, yb = ds.windows(rows)
     acts = []  # this step's layer outputs, which backward_batch reuses
     resid = forward_batch(params, xb, acts) - yb
-    batch_loss = np.mean(np.sum(resid**2, axis=1))
-    if not np.isfinite(batch_loss):
+    # the sum, finite exactly when the mean is
+    if not np.isfinite(np.add.reduce(np.add.reduce(np.square(resid), axis=1))):
         raise TrainingDiverged(
             f"non-finite loss at step {step} (epoch {epoch}); "
             "reduce the learning rate",

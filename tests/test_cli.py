@@ -245,6 +245,18 @@ class TestConfig:
         assert err == f"error: {path}: unknown config keys: ['{key}']\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("doc", [{}, {"n_mem": 3}], ids=["empty", "no-system"])
+    def test_missing_system_named(self, tmp_path, capsys, doc):
+        # a config without the one required key used to end in a TypeError
+        # traceback from the dataclass constructor
+        path = tmp_path / "no-system.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: missing config keys: ['system']\n")
+        assert not (tmp_path / "run").exists()
+
     def test_old_keys_rejected_in_one_sorted_message(self, tmp_path, capsys):
         # per_trajectory alone selects the windows and initial conditions
         # come from the system's default domain: both keys are unknown

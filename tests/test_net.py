@@ -333,6 +333,35 @@ class TestBackward:
         assert got_flat.tobytes() == want_flat.tobytes()
         assert got_input.tobytes() == want_input.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_matches_the_reduction_and_temporary_formulation_bitwise(self, dtype,
+                                                                     rows):
+        # the reverse pass as written with np.sum and delta * (1 - act**2):
+        # np.add.reduce and the in-place tanh' run the same ufuncs
+        rng = np.random.default_rng(34)
+        params = net.init_params(3, 4, [20, 20, 20], seed=34)
+        params = replace(params, flat=params.flat.astype(dtype))
+        z = rng.normal(size=(rows, params.input_width))
+        grad_out = rng.normal(size=(rows, 3))
+        acts = []
+        net.forward_batch(params, z, acts)
+        grad_out_cast = grad_out.astype(dtype)
+        want_flat = np.empty_like(params.flat)
+        grad_w, grad_b = params.split(want_flat)
+        delta = grad_out_cast
+        for l in range(len(params.weights) - 1, -1, -1):
+            np.matmul(delta.T, acts[l], out=grad_w[l])
+            np.sum(delta, axis=0, out=grad_b[l])
+            delta = delta @ params.weights[l]
+            if l > 0:
+                delta = delta * (1.0 - acts[l] ** 2)
+        delta[:, :3] += grad_out_cast
+        got_flat, got_input = net.backward_batch(params, z, grad_out, acts)
+        assert got_flat.dtype == got_input.dtype == dtype
+        assert got_flat.tobytes() == want_flat.tobytes()
+        assert got_input.tobytes() == delta.tobytes()
+
 
 class TestFlatLayout:
     def test_weights_and_biases_are_views_of_flat(self):

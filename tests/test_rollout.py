@@ -126,18 +126,23 @@ class TestOneStepMaps:
 
     def test_network_rollout_goes_through_the_module_forward_batch(self, monkeypatch):
         # a wrapper set on net.forward_batch, as a tracer sets one, sees
-        # every step of a rollout
+        # every step of a rollout: a float32 network gets the float64 seeds
+        # at the first call and its float32 history after it, a float64
+        # network float64 throughout
         calls = []
 
         def spy(params, z_stacks, acts=None):
-            calls.append(z_stacks.shape)
+            calls.append((z_stacks.shape, z_stacks.dtype))
             return forward_batch(params, z_stacks, acts)
 
         forward_batch = net.forward_batch
         monkeypatch.setattr(net, "forward_batch", spy)
         model = net.init_params(1, 2, [4], seed=12)
         rollout.rollout(model, np.zeros((3, 3, 1)), 5)
-        assert calls == [(3, 3)] * 5
+        assert calls == [((3, 3), np.float64)] + [((3, 3), np.float32)] * 4
+        calls.clear()
+        rollout.rollout(float64_network(model), np.zeros((3, 3, 1)), 5)
+        assert calls == [((3, 3), np.float64)] * 5
 
     def test_linear_map_shape(self):
         lin = rollout.LinearMap(np.arange(12.0).reshape(2, 6))
@@ -229,13 +234,112 @@ class TestOneStepMaps:
             rollout.euler_damz(spec, np.ones((3, 1)), -1, 0.1)
 
 
+def rollout_loop(model, seeds, steps):
+    """The rollout loop as it ran on float64 states alone: each step copies
+    its window newest first, and the map casts the stacks itself.  Returns
+    ``(states, diverged_at)``."""
+    seeds = np.asarray(seeds, dtype=float)
+    need, d = model.n_mem + 1, model.d
+    runs = seeds.shape[0]
+    states = np.full((runs, need + steps, d), np.nan)
+    states[:, :need] = seeds
+    diverged_at = [None] * runs
+    live = slice(None)
+    for pos in range(need, need + steps):
+        window = states[live, pos - need : pos]
+        nxt = model(window[:, ::-1].reshape(window.shape[0], -1))
+        if not np.isfinite(nxt).all():
+            finite = np.isfinite(nxt).all(axis=1)
+            live = np.arange(runs)[live]
+            for r in live[~finite]:
+                diverged_at[r] = pos
+            live, nxt = live[finite], nxt[finite]
+            if live.size == 0:
+                break
+        states[live, pos] = nxt
+    return states, tuple(diverged_at)
+
+
+class TestReversedHistory:
+    """rollout keeps its history in one reversed buffer in the dtype of the
+    map's output and passes views of it; the states and divergence steps
+    are byte for byte those of :func:`rollout_loop`."""
+
+    # a float64 map at d = 1 is left out: its stacks were a negative-stride
+    # view, which numpy multiplied outside BLAS, so the two agree to
+    # round-off only (TestExactMapRollout covers it)
+    @pytest.mark.parametrize("d, n_mem, runs, dtype", [
+        (1, 10, 1, np.float32), (1, 10, 5, np.float32), (10, 3, 1, np.float32),
+        (10, 3, 5, np.float32), (10, 3, 1, np.float64), (3, 6, 4, np.float64),
+    ])
+    def test_matches_the_copying_loop_bitwise(self, d, n_mem, runs, dtype):
+        model = net.init_params(d, n_mem, [30, 30, 30], seed=d + runs)
+        model = replace(model, flat=model.flat.astype(dtype))
+        seeds = 0.5 * np.random.default_rng(runs).normal(size=(runs, n_mem + 1, d))
+        result = rollout.rollout(model, seeds, 250)
+        states, diverged_at = rollout_loop(model, seeds, 250)
+        assert result.states.dtype == np.float64
+        assert result.states.tobytes() == states.tobytes()
+        assert result.diverged_at == diverged_at == (None,) * runs
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1e38), (np.float64, 5e307)])
+    def test_a_run_diverging_mid_rollout_matches_bitwise(self, dtype, big):
+        # hidden unit 0 reads z_n[0] and sits at tanh = -1 exactly below
+        # 1000, where its output big/2 (tanh + 1) into z[1] is 0; run 2,
+        # seeded at 2000, adds big to z[1] at every step and overflows at
+        # index 6, while the other runs go on through the live-run path
+        model = net.init_params(2, 2, [8], seed=21)
+        model = replace(model, flat=model.flat.astype(dtype))
+        (w0, w1), (b0, b1) = model.weights, model.biases
+        w0[0] = 0.0
+        w0[0, 0], b0[0] = 1.0, -1000.0
+        w1[:, 0] = 0.0
+        w1[1] = 0.0
+        w1[1, 0] = b1[1] = big / 2
+        seeds = np.random.default_rng(21).normal(size=(4, 3, 2))
+        seeds[2, :, 0] = 2000.0
+        result = rollout.rollout(model, seeds, 200)
+        states, diverged_at = rollout_loop(model, seeds, 200)
+        assert diverged_at == (None, None, 6, None)
+        assert np.isfinite(states[[0, 1, 3]]).all()
+        assert result.diverged_at == diverged_at
+        assert result.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("out_dtype", [None, np.float16, np.int64])
+    def test_other_maps_get_float64_stacks(self, out_dtype):
+        # a LinearMap returns float64; a map returning float16 or integers
+        # still has a float64 history
+        class Recorder(rollout.LinearMap):
+            def __call__(self, stacks):
+                self.seen.append(stacks.dtype)
+                nxt = super().__call__(stacks)
+                return nxt if out_dtype is None else nxt.astype(out_dtype)
+
+        lin = Recorder([[0.5, 0.25]])
+        lin.seen = []
+        result = rollout.rollout(lin, [[[1.0], [2.0]]], 5)
+        assert lin.seen == [np.float64] * 5
+        assert result.states.dtype == np.float64
+        states, _ = rollout_loop(lin, [[[1.0], [2.0]]], 5)
+        np.testing.assert_array_equal(result.states, states)
+
+    def test_out_of_range_seed_refused_at_the_first_step(self):
+        # the seeds reach the network in float64, and its cast refuses them
+        model = net.init_params(1, 1, [4], seed=23)
+        with pytest.raises(ValueError, match=(
+                r"^input stacks hold 1e\+39, outside the range of the network's "
+                r"float32 \(largest 3\.403e\+38\)$")):
+            rollout.rollout(model, [[[1e39], [1.0]]], 5)
+
+
 class TestExactMapRollout:
     """The exact reduced map L of a linear system, rolled out through the
     same loop as the network, tracks the integrated truth to round-off.
 
-    Bound 1e-12 max ||truth||; measured 6.3e-15 (example1, n_mem 10) and
+    Bound 1e-12 max ||truth||; measured 6.9e-15 (example1, n_mem 10) and
     9.2e-14 (example4, n_mem 30) over 20 runs of 500 steps, and an
-    evaluate_model error of 3.6e-15 on example1.
+    evaluate_model error of 2.6e-15 on example1.
     """
 
     SOLVER = dyn.SolverConfig(0.02, 20)
