@@ -219,7 +219,7 @@ def load_config(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -439,6 +439,7 @@ def cmd_sweep(cfg, n_mem_list):
 def cmd_compare_reduced(cfg):
     """Compare the trained chaotic-system model against the homogenized
     closure; write both mean error series."""
+    roll_mod._homogenized_closure(cfg.spec())  # before anything is made or read
     out = _out_dir(cfg)
     model = _load_model(cfg, out)
     nn_errors, reduced_errors = roll_mod.compare_with_homogenized(

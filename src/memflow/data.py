@@ -37,7 +37,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from memflow import _npz
 from memflow.dynamics import (
-    _CHECK_SAMPLES,
     IntegrationError,
     _count,
     _integration_error,
@@ -213,18 +212,18 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     each starting from a copy of the last full state of the block before.
     A block's full states take at most ``BLOCK_BYTES`` (1 MiB): it covers
     ``BLOCK_BYTES // (8 * n_traj * n) - 1`` samples past its first, but at
-    least one and at most ``_CHECK_SAMPLES`` (64), the block the finiteness
-    check covers.  So 400 trajectories at n = 20 run in blocks of 15 samples, and
-    30,000 in blocks of one.  Each block's new observed columns go straight
-    into the output, and a block is released before the next is integrated:
-    besides the output's ``8 * n_traj * traj_len * d`` bytes, generation
-    holds one block of full states, at most 1 MiB, or two samples' worth
-    where two samples take more.  The samples are those of one call over
-    the whole run, bit for bit, except where ``math`` raises on the
-    float-row path: then only the block in which it raised runs again on
-    numpy columns.  A non-finite state aborts with the IntegrationError one
-    call would raise, naming the earliest sample and, at it, the lowest
-    trajectory.
+    least one.  So 400 trajectories at n = 20 run in blocks of 15 samples,
+    and 30,000 in blocks of one.  Each block's new observed columns go
+    straight into the output, and a block is released before the next is
+    integrated: besides the output's ``8 * n_traj * traj_len * d`` bytes,
+    generation holds one block of full states, at most 1 MiB, or two
+    samples' worth where two samples take more, and for its finiteness
+    check a boolean copy an eighth that size.  The samples are those of
+    one call over the whole run, bit for bit, except where ``math`` raises
+    on the float-row path: then only the block in which it raised runs
+    again on numpy columns.  A non-finite state aborts, at the end of its
+    block, with the IntegrationError one call would raise, naming the
+    earliest sample and, at it, the lowest trajectory.
     """
     n_traj, traj_len = _count("n_traj", n_traj, 1), _count("traj_len", traj_len, 1)
     if domain.n != spec.n:
@@ -234,7 +233,7 @@ def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     state = sample_initial_conditions(domain, n_traj, seed)
     out = np.empty((n_traj, traj_len, spec.d))
     out[:, 0] = spec.observe(state)
-    block = min(max(BLOCK_BYTES // (8 * n_traj * spec.n) - 1, 1), _CHECK_SAMPLES)
+    block = max(BLOCK_BYTES // (8 * n_traj * spec.n) - 1, 1)
     for start in range(0, max(traj_len - 1, 1), block):
         count = min(block, traj_len - 1 - start)
         try:

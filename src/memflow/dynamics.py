@@ -34,7 +34,8 @@ on this module.  It provides:
   runs it on its ``m``-row columns with ``numpy``'s, one call per sample.
   Both apply the same float operations in the same order, so they agree
   bitwise wherever ``math`` and ``numpy`` evaluate their functions alike.
-  On every path a non-finite state is one IntegrationError, no warning.
+  Every path fills its samples first; one check after the loop turns the
+  earliest non-finite state into an IntegrationError, with no warning.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * exact linear Mori-Zwanzig references: for a linear spec the dynamics of
   the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
@@ -471,7 +472,6 @@ def default_domain(spec):
 # columns: floats take 0.63-0.78 of the column time at 32 rows and cross it
 # at 40-56 on example2, example3-reduced and example3 (CHANGES.md).
 _FLOAT_ROWS = 32
-_CHECK_SAMPLES = 64  # samples per finiteness check of products and columns
 
 
 def _generate(spec, m):
@@ -560,47 +560,27 @@ def _compile(field, params, module):
 
 
 def _float_rows(spec, delta, substeps, out):
-    """Fill ``out[i, 1:]`` by one call per row of :func:`_generate`'s loop on
-    ``math``, up to the sample before the earliest failure so far; return
-    ``(sample, row)`` of the earliest non-finite state, lowest row first, or
-    None.  Raises where ``math`` does (sin(inf), exp(1000), 1/0, or a
-    complex power), and numpy would give inf or NaN."""
+    """Fill ``out[:, 1:]`` by one call per row of :func:`_generate`'s loop on
+    ``math``: each row runs to its end or to its first non-finite state, and
+    its samples after that state are NaN.  Raises where ``math`` does
+    (sin(inf), exp(1000), 1/0, or a complex power), and numpy would give
+    inf or NaN."""
     run = _generate(spec, math)[0]
-    failed, last = None, out.shape[1] - 1
-    for i, row in enumerate(out):
+    for row in out:
         states = [tuple(row[0].tolist())]
-        run(states, last, delta, substeps)
-        if len(states) > 1 and not all(map(math.isfinite, states[-1])):
-            failed, last = (len(states) - 1, i), len(states) - 2
+        run(states, len(row) - 1, delta, substeps)
         row[: len(states)] = states
-    return failed
+        row[len(states) :] = np.nan
 
 
 def _columns(spec, delta, substeps, out):
     """Fill ``out[:, 1:]`` by one call per sample of :func:`_generate`'s loop
-    on the batch's numpy columns; return as :func:`_lockstep` does."""
+    on the batch's numpy columns."""
     run, states = _generate(spec, np)[0], [tuple(out[:, 0].T.copy())]
-
-    def sample(k):  # from the last columns, not strided reads of out
+    for k in range(1, out.shape[1]):  # from the last columns, not reads of out
         run(states, 1, delta, substeps)
         del states[0]
         np.stack(states[0], axis=-1, out=out[:, k])
-
-    return _lockstep(out, sample)
-
-
-def _lockstep(out, sample):
-    """Call ``sample(k)``, which writes ``out[:, k]``, for k = 1, 2, ..., and
-    check once per ``_CHECK_SAMPLES``; return as :func:`_float_rows` does."""
-    for start in range(1, out.shape[1], _CHECK_SAMPLES):
-        stop = min(start + _CHECK_SAMPLES, out.shape[1])
-        for k in range(start, stop):
-            sample(k)
-        finite = np.isfinite(out[:, start:stop]).all(axis=2)
-        if not finite.all():
-            k, row = np.argwhere(~finite.T)[0]
-            return start + int(k), int(row)
-    return None
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -656,11 +636,11 @@ def integrate_batch(spec, config, x0s, num_samples):
     sample matrix per sample; a nonlinear one the RK4 stage loop generated
     from its expressions (:func:`_generate`), one call per row on floats
     for at most ``_FLOAT_ROWS`` (32) rows, else, and again from the start
-    where ``math`` raises, one per sample on the batch's columns.  Products
-    and columns are checked once per ``_CHECK_SAMPLES`` (64) samples.  On
-    every path, with no numpy warning, a non-finite state aborts the run
-    with an IntegrationError naming the earliest sample and the lowest
-    trajectory that is non-finite there.
+    where ``math`` raises, one per sample on the batch's columns.  The
+    loop runs to the last sample (a float row stops at its first non-finite
+    state and reads NaN after it); then one check of the result, with no
+    numpy warning, raises an IntegrationError naming the earliest
+    non-finite sample and the lowest trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:
@@ -674,17 +654,19 @@ def integrate_batch(spec, config, x0s, num_samples):
     with np.errstate(all="ignore"):  # a non-finite state is reported below
         if spec.a_matrix is not None:
             step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
-            failed = _lockstep(out, lambda k: np.matmul(
-                out[:, k - 1], step_t, out=out[:, k]))
+            for k in range(1, num_samples + 1):
+                np.matmul(out[:, k - 1], step_t, out=out[:, k])
         elif len(out) <= _FLOAT_ROWS:
             try:
-                failed = _float_rows(spec, delta, substeps, out)
+                _float_rows(spec, delta, substeps, out)
             except (ArithmeticError, ValueError, TypeError):
-                failed = _columns(spec, delta, substeps, out)
+                _columns(spec, delta, substeps, out)
         else:
-            failed = _columns(spec, delta, substeps, out)
-    if failed is not None:
-        raise _integration_error(spec, config, *failed)
+            _columns(spec, delta, substeps, out)
+        bad = ~np.isfinite(out[:, 1:]).all(axis=2)
+    if bad.any():
+        k, row = np.argwhere(bad.T)[0]
+        raise _integration_error(spec, config, int(k) + 1, int(row))
     return out
 
 

@@ -1,7 +1,7 @@
 """Iterative prediction and its evaluation machinery.
 
-A one-step map takes ``(R', D)`` newest-first stacks of ``n_mem + 1``
-observed states, D = d (n_mem + 1), to ``(R', d)`` next states and has
+A one-step map takes ``(R, D)`` newest-first stacks of ``n_mem + 1``
+observed states, D = d (n_mem + 1), to ``(R, d)`` next states and has
 ``d`` and ``n_mem`` attributes: a trained network, or a :class:`LinearMap`
 such as the exact reduced map of a linear system.  A run in flight has
 the layout ``(R, T, d)``: R runs of T observed states each.  This module
@@ -61,8 +61,8 @@ class RolloutResult:
 
 
 class LinearMap:
-    """The one-step map ``h -> matrix @ h``, ``matrix`` a float array of
-    shape (d, d (n_mem + 1)), which is checked when the map is made.  A
+    """The one-step map ``h -> matrix @ h``, ``matrix`` a finite float array
+    of shape (d, d (n_mem + 1)), which is checked when the map is made.  A
     plain class: equality is identity, as for a network."""
 
     def __init__(self, matrix):
@@ -71,6 +71,8 @@ class LinearMap:
         if len(shape) != 2 or not 0 < shape[0] <= shape[1] or shape[1] % shape[0]:
             raise ValueError(f"a linear map needs a matrix of shape "
                              f"(d, d (n_mem + 1)), got {shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("a linear map needs a finite-valued matrix")
         self.matrix = matrix
 
     d = property(lambda self: self.matrix.shape[0])
@@ -84,21 +86,23 @@ def rollout(model, seeds, steps):
     """Iterate the one-step map ``model`` from ``n_mem + 1`` seed states per run.
 
     ``seeds`` has shape (R, n_mem + 1, d); the R runs advance together
-    through one call ``model(stacks)`` per step.  A live run's stack is its
+    through one call ``model(stacks)`` per step.  A run's stack is its
     latest ``n_mem + 1`` states, newest first, and the map's output becomes
-    its next state; an output that is not ``(R', d)`` for the R' live runs
-    is a ValueError.  A non-finite prediction stops its run and records the
-    divergence index; the other runs go on.
+    its next state; an output that is not ``(R, d)`` is a ValueError.
+    Every run is stepped to the end, with no numpy warning; then one check
+    finds each run's first non-finite prediction, records its index in
+    ``diverged_at`` and makes the run's rows from it on NaN.  The seeds are
+    not checked, so a run diverges at index n_mem + 1 or later.
 
     The history is one buffer ``hist`` of shape (R, T, d), T = n_mem + 1 +
     steps, laid out in reverse time: ``hist[:, T - 1 - p]`` is state p, so
-    each step's stacks are a view of it, with no copy while every run is
-    live.  The first call gets the float64 seeds, newest first; the buffer
-    then takes the dtype of that call's output, float32 if it is float32
-    and float64 otherwise, and holds the seeds cast once.  So a float32
-    network gets float32 stacks from the second step on, and refuses seeds
-    that float32 cannot hold at the first.  ``states`` is assembled in
-    float64 once, at the end, with the seeds exact.
+    each step's stacks are a view of it, with no copy.  The first call gets
+    the float64 seeds, newest first; the buffer then takes the dtype of
+    that call's output, float32 if it is float32 and float64 otherwise,
+    and holds the seeds cast once.  So a float32 network gets float32
+    stacks from the second step on, and refuses seeds that float32 cannot
+    hold at the first.  ``states`` is assembled in float64 once, at the
+    end, with the seeds exact.
     """
     seeds = np.asarray(seeds, dtype=float)
     need, d = model.n_mem + 1, model.d
@@ -109,33 +113,30 @@ def rollout(model, seeds, steps):
         )
     steps = dyn._count("steps", steps, 0)
     runs, total = seeds.shape[0], need + steps
-    diverged_at = [None] * runs
-    live = slice(None)  # every run; an index array once one has diverged
     stacks = seeds[:, ::-1].reshape(runs, -1)  # the first call's, newest first
     hist = None  # made at the first output, in its dtype
-    for pos in range(need, total):
-        if hist is not None:
-            stacks = hist[live, total - pos : total - pos + need].reshape(-1, need * d)
-        nxt = model(stacks)
-        if nxt.shape != (len(stacks), d):
-            raise ValueError(f"the map returned shape {nxt.shape}, expected "
-                             f"{(len(stacks), d)} for {len(stacks)} live runs")
-        if hist is None:
-            dtype = np.float32 if nxt.dtype == np.float32 else np.float64
-            hist = np.full((runs, total, d), np.nan, dtype)
-            hist[:, total - need :] = seeds[:, ::-1]
-        if not np.logical_and.reduce(np.isfinite(nxt), axis=None):
-            finite = np.isfinite(nxt).all(axis=1)
-            live = np.arange(runs)[live]
-            for r in live[~finite]:
-                diverged_at[r] = pos
-            live, nxt = live[finite], nxt[finite]
-            if live.size == 0:
-                break
-        hist[live, total - 1 - pos] = nxt
+    with np.errstate(all="ignore"):  # a blow-up is reported by diverged_at
+        for pos in range(need, total):
+            if hist is not None:
+                stacks = hist[:, total - pos : total - pos + need].reshape(runs, -1)
+            nxt = model(stacks)
+            if nxt.shape != (runs, d):
+                raise ValueError(f"the map returned shape {nxt.shape}, expected "
+                                 f"{(runs, d)} for {runs} runs")
+            if hist is None:
+                dtype = np.float32 if nxt.dtype == np.float32 else np.float64
+                hist = np.empty((runs, total, d), dtype)
+                hist[:, total - need :] = seeds[:, ::-1]
+            hist[:, total - 1 - pos] = nxt
     states = (seeds if hist is None else hist[:, ::-1]).astype(np.float64)
     states[:, :need] = seeds
-    return RolloutResult(states=states, seed_len=need, diverged_at=tuple(diverged_at))
+    # per run, True up to its first non-finite prediction, False from there
+    finite = np.logical_and.accumulate(
+        np.isfinite(states[:, need:]).all(axis=2), axis=1)
+    states[:, need:][~finite] = np.nan
+    diverged_at = tuple(None if k == steps else need + int(k)
+                        for k in finite.sum(axis=1))
+    return RolloutResult(states=states, seed_len=need, diverged_at=diverged_at)
 
 
 def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
@@ -285,6 +286,21 @@ def euler_damz(spec, seeds, steps, delta):
     return rollout(_EulerMap(increment), [seeds], steps).states[0]
 
 
+def _homogenized_closure(spec):
+    """The ``example3-reduced`` spec, the closure of ``spec``; a system
+    other than example3 observing x1, x2 and x3 is a ValueError."""
+    if spec.name != "example3":
+        raise ValueError(
+            f"the homogenized closure is a reference for example3, not {spec.name}"
+        )
+    if spec.d != 3:
+        raise ValueError(
+            f"the homogenized closure predicts x1, x2 and x3, so example3 must "
+            f"observe those three; it observes d={spec.d}"
+        )
+    return dyn.make_system("example3-reduced")
+
+
 def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs, seed):
     """Rollout accuracy of a trained chaotic-system model vs the analytic
     slow-variable closure.
@@ -300,16 +316,7 @@ def compare_with_homogenized(model, spec, solver, domain, horizon_steps, n_runs,
     diverged network run raises
     RuntimeError naming the run and the step.
     """
-    if spec.name != "example3":
-        raise ValueError(
-            f"the homogenized closure is a reference for example3, not {spec.name}"
-        )
-    if spec.d != 3:
-        raise ValueError(
-            f"the homogenized closure predicts x1, x2 and x3, so example3 must "
-            f"observe those three; it observes d={spec.d}"
-        )
-    reduced = dyn.make_system("example3-reduced")
+    reduced = _homogenized_closure(spec)
     if model.d != spec.d:
         raise ValueError(
             f"model d={model.d} does not match observed dimension {spec.d}"

@@ -257,6 +257,18 @@ class TestConfig:
             f"error: {path}: missing config keys: ['system']\n")
         assert not (tmp_path / "run").exists()
 
+    def test_config_not_utf8_named(self, tmp_path, capsys):
+        # a byte that is not UTF-8 used to give the codec's message alone
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"system": "example1", "params": {"alpha": 2.0}, '
+                         b'"out_dir": "\xff"}')
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not valid JSON: 'utf-8' codec can't decode byte "
+            f"0xff in position 61: invalid start byte\n")
+        assert not (tmp_path / "run").exists()
+
     def test_old_keys_rejected_in_one_sorted_message(self, tmp_path, capsys):
         # per_trajectory alone selects the windows and initial conditions
         # come from the system's default domain: both keys are unknown
@@ -461,6 +473,25 @@ class TestPipeline:
                         out / cli.MODEL_FILE)
         with pytest.raises(ValueError, match="for example3, not example1"):
             cli.cmd_compare_reduced(cfg)
+
+    @pytest.mark.parametrize("config, message", [
+        (["--preset", "example2"], "is a reference for example3, not example2"),
+        ({"system": "example3", "params": {"observe": 2}},
+         "predicts x1, x2 and x3, so example3 must observe those three; it "
+         "observes d=2"),
+    ], ids=["example2", "example3-observing-2"])
+    def test_compare_reduced_refuses_before_making_the_run(self, tmp_path, capsys,
+                                                           config, message):
+        # the closure's system was checked only after the missing model.npz
+        # of the empty run directory it had made was reported
+        if isinstance(config, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            config = ["--config", str(path)]
+        out = tmp_path / "run"
+        assert cli.main(["compare-reduced", *config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: the homogenized closure {message}\n"
+        assert not out.exists()
 
     def test_oracle_check_passes_for_linear_system(self, tmp_path, capsys):
         cfg = micro_config(tmp_path, substeps=20)

@@ -206,10 +206,15 @@ class TestGenerateTrajectories:
         (1, 1), (2, 1), (64, 1), (65, 1), (66, 2), (130, 3)])
     def test_blocks_give_the_samples_of_one_call_bitwise(
             self, monkeypatch, name, n_traj, traj_len, calls):
+        # at the default cap every run here is one call; a cap of 65
+        # samples of full states gives blocks of 64 samples past their first
+        sample_bytes = 8 * n_traj * dyn.make_system(name).n
+        assert data.BLOCK_BYTES // sample_bytes > 130
+        monkeypatch.setattr(data, "BLOCK_BYTES", 65 * sample_bytes)
         counts = self.blocks_against_one_call(monkeypatch, name, n_traj, traj_len)
         # blocks of at most 64 samples, 65 samples in one call
         assert len(counts) == calls and sum(counts) == traj_len - 1
-        assert max(counts) <= dyn._CHECK_SAMPLES == 64
+        assert max(counts) <= 64
 
     def test_byte_cap_splits_a_wide_batch_bitwise(self, monkeypatch):
         # 800 example4 rows take 800 * 20 * 8 = 128,000 bytes a sample, so
@@ -241,7 +246,7 @@ class TestGenerateTrajectories:
         (0.42, 0.62, 2), (0.25, 0.35, 3)])
     @pytest.mark.parametrize("n_traj", [8, 40], ids=["floats", "columns"])
     def test_failure_past_the_first_block_named_as_one_call_names_it(
-            self, lower, upper, block, n_traj):
+            self, monkeypatch, lower, upper, block, n_traj):
         # dx/dt = x^2 from c reaches infinity at t = 1/c: from c <= 0.62 no
         # state is non-finite before t = 1.6, sample 80 of delta 0.02, and
         # from c <= 0.35 none before sample 142
@@ -251,28 +256,31 @@ class TestGenerateTrajectories:
         x0s = data.sample_initial_conditions(dom, n_traj, seed=4)
         with pytest.raises(dyn.IntegrationError) as one:
             dyn.integrate_batch(spec, cfg, x0s, 199)
+        # full states of 65 samples a block: blocks of 64 samples
+        monkeypatch.setattr(data, "BLOCK_BYTES", 65 * 8 * n_traj)
         with pytest.raises(dyn.IntegrationError) as blocked:
             data.generate_trajectories(spec, cfg, dom, n_traj, 200, seed=4)
         k = one.value.sample_index
-        assert (k - 1) // dyn._CHECK_SAMPLES + 1 == block
+        assert (k - 1) // 64 + 1 == block
         assert one.value.trajectory_index > 0
         assert (blocked.value.sample_index, blocked.value.trajectory_index) == (
             k, one.value.trajectory_index)
         assert str(blocked.value) == str(one.value)
 
     @pytest.mark.parametrize("n_traj, traj_len, solver, output, block, slack", [
-        (50, 3 * 64 + 1, dyn.SolverConfig(0.05, 2), 772_000, 520_000, 256 * 1024),
+        (50, 3 * 64 + 1, dyn.SolverConfig(0.05, 2), 772_000, 1_048_000, 256 * 1024),
         (800, 100, dyn.SolverConfig(0.02, 3), 6_400_000, 1_024_000, 512 * 1024),
-    ], ids=["blocks-of-64-samples", "blocks-of-1-mib"])
+    ], ids=["blocks-of-130-samples", "blocks-of-1-mib"])
     def test_holds_the_output_and_one_block_of_full_states(
             self, n_traj, traj_len, solver, output, block, slack):
-        # example4 (n=20, d=10), 160 bytes a row and sample.  50 rows take
-        # 8,000 bytes a sample, so a block is the 64-sample cap plus its
-        # first: 50 * 65 * 160 = 520,000 bytes.  800 rows take 128,000, so
-        # a block of at most 1 MiB of full states covers 8 samples:
+        # example4 (n=20, d=10), 160 bytes a row and sample.  A block of at
+        # most 1 MiB of full states covers 1,048,576 // (160 * rows)
+        # samples.  50 rows take 8,000 bytes a sample, so a block covers
+        # 131: 1,048,000 bytes, and the 192 samples run in blocks of 130
+        # and 62.  800 rows take 128,000, so a block covers 8 samples:
         # 1,024,000 bytes.  The slack covers the state carried between
         # blocks (a sample), the finiteness check's boolean copy of a block
-        # (an eighth of it), the step matrix and Python objects: 139,024
+        # (an eighth of it), the step matrix and Python objects: 205,720
         # and 310,544 bytes over output and block were measured.
         spec = dyn.make_system("example4")
         dom = dyn.default_domain(spec)

@@ -608,10 +608,11 @@ def matrix_failure(spec, cfg, x0s, num_samples):
 
 
 class TestMatrixBlocks:
-    """The linear path checks its states once per ``_CHECK_SAMPLES`` samples
-    and still names the sample and row that a check after every sample
-    names.  dx/dt = x with h = 1 multiplies by R(1) = 65/24 per sample, so
-    from MAX / R(1)**(k - 0.5) the state first overflows at sample k."""
+    """The linear path runs all its products, then checks its states once,
+    and names the sample and row that a check after every sample names,
+    also at samples 64, 65 and 128, past the first 64.  dx/dt = x with
+    h = 1 multiplies by R(1) = 65/24 per sample, so from
+    MAX / R(1)**(k - 0.5) the state first overflows at sample k."""
 
     SPEC = dyn.linear_system([[1.0]], d=1)
     CFG = dyn.SolverConfig(1.0, 1)
@@ -621,17 +622,16 @@ class TestMatrixBlocks:
         return np.finfo(float).max / (65.0 / 24.0) ** (k - 0.5)
 
     @pytest.mark.parametrize("rows, want", [
-        # inside the first block: a later row fails first, a tie after it
+        # inside the first 64 samples: a later row fails first, a tie after it
         ([1.0, 30, 20, 20], (20, 2)),
-        # the last sample of a block, and a row failing just after it
+        # sample 64, and a row failing just after it
         ([65, 64, 1.0], (64, 1)),
-        # the first sample of the next block, the previous one finite
+        # sample 65, the one before it finite
         ([1.0, 66, 65], (65, 2)),
-        # the second block's last sample, past the first block
+        # sample 128, twice 64
         ([128, 129], (128, 0)),
     ], ids=["inside", "block-end", "block-start", "second-block-end"])
     def test_failure_named_as_a_per_sample_check_names_it(self, rows, want):
-        assert dyn._CHECK_SAMPLES == 64
         x0s = np.array([[1.0 if k == 1.0 else self.failing_at(k)] for k in rows])
         assert matrix_failure(self.SPEC, self.CFG, x0s, 200) == want
         with pytest.raises(dyn.IntegrationError) as info:
@@ -645,10 +645,10 @@ class TestMatrixBlocks:
     def test_finite_run_past_several_blocks_is_the_product_chain(self):
         x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2))
         spec, cfg = dyn.make_system("example1"), dyn.SolverConfig(0.02, 4)
-        got = dyn.integrate_batch(spec, cfg, x0s, 2 * dyn._CHECK_SAMPLES + 5)
+        got = dyn.integrate_batch(spec, cfg, x0s, 133)
         step_t = dyn._rk4_sample_matrix(spec.a_matrix, 0.02, 4).T
         want = [x0s]
-        for _ in range(2 * dyn._CHECK_SAMPLES + 5):
+        for _ in range(133):
             want.append(want[-1] @ step_t)
         assert got.tobytes() == np.stack(want, axis=1).tobytes()
 

@@ -1,6 +1,7 @@
 """Tests for iterative prediction, its errors, and the Euler reference scheme."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -57,7 +58,6 @@ class TestRollout:
         restart = rollout.rollout(model, long.states[:, 20:25], 20)
         np.testing.assert_array_equal(restart.states, long.states[:, 20:])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_recorded(self):
         model = float64_network(net.init_params(1, 0, [2], seed=6))
         model.biases[-1][:] = 1e308  # first step lands near the float ceiling
@@ -85,7 +85,6 @@ class TestBatchedRollout:
             single = rollout.rollout(model, seeds[r : r + 1], 60)
             assert np.abs(batch.states[r] - single.states[0]).max() <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverged_run_stops_alone(self):
         # increment 1e308 * tanh(z): z = 0 is a fixed point, z = 1 grows to
         # 7.6e307, then 1.76e308, then overflows at index 3
@@ -161,6 +160,15 @@ class TestOneStepMaps:
                 rf"got {re.escape(str(shape))}$")):
             rollout.LinearMap(np.ones(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_linear_map_of_a_non_finite_matrix_rejected(self, bad):
+        # such a map used to make every rollout diverge at its first step
+        matrix = np.ones((2, 6))
+        matrix[1, 4] = bad
+        with pytest.raises(ValueError, match=(
+                "^a linear map needs a finite-valued matrix$")):
+            rollout.LinearMap(matrix)
+
     def test_linear_map_wrong_seed_shape_rejected(self):
         lin = rollout.LinearMap(np.ones((2, 6)))
         with pytest.raises(ValueError, match=(
@@ -168,7 +176,6 @@ class TestOneStepMaps:
                 r"got \(1, 2, 2\)")):
             rollout.rollout(lin, np.ones((1, 2, 2)), 5)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverged_linear_run_stops_alone(self):
         # z -> 1e308 z: z = 0 stays, z = 1 reaches 1e308, then overflows
         lin = rollout.LinearMap(np.array([[1e308]]))
@@ -180,7 +187,6 @@ class TestOneStepMaps:
         with pytest.raises(RuntimeError, match="diverged at step 2 in run 1"):
             res.raise_if_diverged()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverged_euler_run_ends_in_nan(self):
         # z_{n+1} = (1 + 0.1 * 1e307) z_n overflows at the second step; the
         # rows from there on are NaN, so a finiteness check still fails
@@ -206,25 +212,43 @@ class TestOneStepMaps:
                 return np.ones((1, 1))
 
         with pytest.raises(ValueError, match=(
-                r"^the map returned shape \(1, 1\), expected \(3, 1\) for 3 live "
+                r"^the map returned shape \(1, 1\), expected \(3, 1\) for 3 "
                 r"runs$")):
             rollout.rollout(OneRow(), np.zeros((3, 3, 1)), 2)
 
-    def test_map_output_checked_against_the_live_runs(self):
-        # after run 0 diverges, a map still returning three rows is wrong
-        class Stale:
+    def test_map_receives_every_run_at_every_step(self):
+        # run 0 diverges at the first step; the map still gets three rows
+        class Recorder:
             d, n_mem = 1, 0
-            calls = 0
+
+            def __init__(self):
+                self.shapes = []
 
             def __call__(self, stacks):
-                self.calls += 1
-                return np.array([[np.inf], [1.0], [1.0]]) if self.calls == 1 \
-                    else np.ones((3, 1))
+                self.shapes.append(stacks.shape)
+                return np.array([[np.inf], [1.0], [1.0]]) \
+                    if len(self.shapes) == 1 else np.ones((3, 1))
 
-        with pytest.raises(ValueError, match=(
-                r"^the map returned shape \(3, 1\), expected \(2, 1\) for 2 live "
-                r"runs$")):
-            rollout.rollout(Stale(), np.zeros((3, 1, 1)), 3)
+        recorder = Recorder()
+        res = rollout.rollout(recorder, np.zeros((3, 1, 1)), 3)
+        assert recorder.shapes == [(3, 1)] * 3
+        assert res.diverged_at == (1, None, None)
+        assert np.isnan(res.states[0, 1:]).all()
+        np.testing.assert_array_equal(res.states[1:, :, 0], [[0, 1, 1, 1]] * 2)
+
+    def test_run_cut_at_its_first_non_finite_prediction(self):
+        # z -> 1e308 z on stacks with inf read as 0: from z = 1 the second
+        # prediction overflows, and the map returns 0 from there on, a
+        # finite row after a non-finite one; the run still diverged at 2
+        class Forgiving(rollout.LinearMap):
+            def __call__(self, stacks):
+                return super().__call__(np.nan_to_num(stacks, posinf=0.0))
+
+        res = rollout.rollout(Forgiving([[1e308]]), [[[1.0]], [[0.0]]], 5)
+        assert res.diverged_at == (2, None)
+        np.testing.assert_array_equal(res.states[0, :2, 0], [1.0, 1e308])
+        assert np.isnan(res.states[0, 2:]).all()
+        assert np.isfinite(res.states[1]).all()
 
     def test_euler_seeds_and_steps_checked_by_rollout(self):
         spec = dyn.make_system("example1")  # d = 1
@@ -260,6 +284,24 @@ def rollout_loop(model, seeds, steps):
     return states, tuple(diverged_at)
 
 
+def diverging_network(dtype, big):
+    """A network of ``dtype`` and seeds for four runs, of which run 2
+    alone overflows, at index 6.  Hidden unit 0 reads z_n[0] and sits at
+    tanh = -1 exactly below 1000, where its output big/2 (tanh + 1) into
+    z[1] is 0; run 2, seeded at 2000, adds ``big`` to z[1] at every step."""
+    model = net.init_params(2, 2, [8], seed=21)
+    model = replace(model, flat=model.flat.astype(dtype))
+    (w0, w1), (b0, b1) = model.weights, model.biases
+    w0[0] = 0.0
+    w0[0, 0], b0[0] = 1.0, -1000.0
+    w1[:, 0] = 0.0
+    w1[1] = 0.0
+    w1[1, 0] = b1[1] = big / 2
+    seeds = np.random.default_rng(21).normal(size=(4, 3, 2))
+    seeds[2, :, 0] = 2000.0
+    return model, seeds
+
+
 class TestReversedHistory:
     """rollout keeps its history in one reversed buffer in the dtype of the
     map's output and passes views of it; the states and divergence steps
@@ -282,29 +324,29 @@ class TestReversedHistory:
         assert result.states.tobytes() == states.tobytes()
         assert result.diverged_at == diverged_at == (None,) * runs
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow")  # rollout_loop warns
     @pytest.mark.parametrize("dtype, big", [(np.float32, 1e38), (np.float64, 5e307)])
     def test_a_run_diverging_mid_rollout_matches_bitwise(self, dtype, big):
-        # hidden unit 0 reads z_n[0] and sits at tanh = -1 exactly below
-        # 1000, where its output big/2 (tanh + 1) into z[1] is 0; run 2,
-        # seeded at 2000, adds big to z[1] at every step and overflows at
-        # index 6, while the other runs go on through the live-run path
-        model = net.init_params(2, 2, [8], seed=21)
-        model = replace(model, flat=model.flat.astype(dtype))
-        (w0, w1), (b0, b1) = model.weights, model.biases
-        w0[0] = 0.0
-        w0[0, 0], b0[0] = 1.0, -1000.0
-        w1[:, 0] = 0.0
-        w1[1] = 0.0
-        w1[1, 0] = b1[1] = big / 2
-        seeds = np.random.default_rng(21).normal(size=(4, 3, 2))
-        seeds[2, :, 0] = 2000.0
+        # the other runs go on as they did when the map got only theirs
+        model, seeds = diverging_network(dtype, big)
         result = rollout.rollout(model, seeds, 200)
         states, diverged_at = rollout_loop(model, seeds, 200)
         assert diverged_at == (None, None, 6, None)
         assert np.isfinite(states[[0, 1, 3]]).all()
         assert result.diverged_at == diverged_at
         assert result.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: diverging_network(np.float32, 1e38), (None, None, 6, None)),
+        (lambda: (rollout.LinearMap([[1e308]]), [[[0.0]], [[1.0]]]), (None, 2)),
+    ], ids=["float32-network", "linear-map"])
+    def test_divergence_raises_no_warning(self, make, want):
+        # diverged_at is the one signal of a blow-up, under -W error too
+        model, seeds = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = rollout.rollout(model, seeds, 50)
+        assert result.diverged_at == want
 
     @pytest.mark.parametrize("out_dtype", [None, np.float16, np.int64])
     def test_other_maps_get_float64_stacks(self, out_dtype):
@@ -640,7 +682,6 @@ class TestEvaluateAndSweep:
             horizon_steps=6, n_runs=4, seed=2,
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_evaluate_model_reports_diverged_run(self):
         # some runs diverge: the mean is inf and those runs have no series
         x0s = data.sample_initial_conditions(
@@ -655,7 +696,6 @@ class TestEvaluateAndSweep:
             if es is not None:
                 np.testing.assert_array_equal(es, 0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_evaluate_model_raises_when_every_run_diverges(self):
         with pytest.raises(
             RuntimeError,
@@ -719,7 +759,7 @@ class TestCompareWithHomogenized:
         np.testing.assert_array_equal(nn[:3], 0.0)
         assert nn[-1] > 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow")  # the norm of a 1e308 error
     def test_diverged_network_raises_runtime_error(self):
         model = zero_final_layer(float64_network(net.init_params(3, 2, [6], seed=1)))
         model.biases[-1][:] = 1e308
