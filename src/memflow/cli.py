@@ -138,10 +138,8 @@ class ExperimentConfig:
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         # fail at load time, not at the first stage that uses these
-        self.solver()
         d = self.spec().d
         store("hidden", tuple(net_mod._widths(d, self.n_mem, self.hidden)[1:-1]))
-        self.train_config()
         # the n_mem + 1 seed states fit the horizon, and the trajectories
         # give enough window starts and windows
         n_mem = self.n_mem

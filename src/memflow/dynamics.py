@@ -30,8 +30,9 @@ on this module.  It provides:
   most ``_FLOAT_ROWS`` (32) rows runs the loop on Python floats with
   ``math``'s sin, cos and exp, one call per row for all its samples,
   where numpy's per-call overhead would cost more than the arithmetic; a
-  wider batch, or a narrow one on which ``math`` raises (sin(inf), 1/0),
-  runs it on its ``m``-row columns with ``numpy``'s, one call per sample.
+  wider batch, or a narrow one on which ``math`` raises (sin(inf), 1/0) or
+  whose row turns complex, runs it on its ``m``-row columns with
+  ``numpy``'s, one call per sample.
   Both apply the same float operations in the same order, so they agree
   bitwise wherever ``math`` and ``numpy`` evaluate their functions alike.
   Every path fills its samples first; one check after the loop turns the
@@ -486,11 +487,10 @@ def _generate(spec, m):
     ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.
     ``rows(states, count, delta, substeps)`` appends to ``states`` one
     tuple of components per coarse step of ``delta`` from ``states[-1]``,
-    ``count`` of them: on numpy the columns of a batch, which its caller
-    checks; on math the floats of one row, returning after a state that is
-    not finite.  A complex float state (a negative number to a fractional
-    power) raises TypeError before it is appended, as ``math`` raises on
-    sin(inf).
+    ``count`` of them: on numpy the columns of a batch, on math the floats
+    of one row.  It checks no state; its caller checks them all after the
+    loop.  A complex float state (a negative number to a fractional power)
+    is appended as it is; :func:`_float_rows` refuses it.
 
     The stage loop is written out with each component and stage as a local
     variable and each expression inline.  The functions, the parameters and
@@ -532,7 +532,7 @@ def _compile(field, params, module):
         return sep.join(template.format(i=i, e=e) for i, e in enumerate(fields))
 
     state = each("_s{i}", ", ") + ","
-    bound = ", ".join(f"{k}={k}" for k in ("_isfinite", *_FUNCTIONS, *params))
+    bound = ", ".join(f"{k}={k}" for k in (*_FUNCTIONS, *params))
     head = "".join(f"\n    {name} = {text}" for text, name in folds.items())
     stages = "\n            ".join(map(each, (
         "x{i} = _s{i}", "_a{i} = {e}", "x{i} = _s{i} + _half * _a{i}", "_b{i} = {e}",
@@ -548,29 +548,24 @@ def _compile(field, params, module):
         "    for _ in range(_count):\n"
         "        for _ in range(_substeps):\n"
         f"            {stages}\n"
-        f"        _finite = {each('_isfinite(_s{i})', ' & ')}\n"
         f"        _states.append(({state}))\n"
-        "        if not _finite:\n"
-        "            return\n"
     )
     namespace = {f: getattr(m, f) for f in _FUNCTIONS} | params
-    namespace["_isfinite"] = math.isfinite if m is math else lambda column: True
     exec(source, namespace)
     return namespace["_rows"], namespace["_field"]
 
 
 def _float_rows(spec, delta, substeps, out):
     """Fill ``out[:, 1:]`` by one call per row of :func:`_generate`'s loop on
-    ``math``: each row runs to its end or to its first non-finite state, and
-    its samples after that state are NaN.  Raises where ``math`` does
-    (sin(inf), exp(1000), 1/0, or a complex power), and numpy would give
-    inf or NaN."""
+    ``math``, each row to its end.  Raises where ``math`` does (sin(inf),
+    exp(1000), 1/0), and numpy would give inf or NaN; a complex state (a
+    negative number to a fractional power) raises TypeError where its row
+    is written into the float64 ``out``."""
     run = _generate(spec, math)[0]
     for row in out:
         states = [tuple(row[0].tolist())]
         run(states, len(row) - 1, delta, substeps)
-        row[: len(states)] = states
-        row[len(states) :] = np.nan
+        row[1:] = states[1:]
 
 
 def _columns(spec, delta, substeps, out):
@@ -636,11 +631,12 @@ def integrate_batch(spec, config, x0s, num_samples):
     sample matrix per sample; a nonlinear one the RK4 stage loop generated
     from its expressions (:func:`_generate`), one call per row on floats
     for at most ``_FLOAT_ROWS`` (32) rows, else, and again from the start
-    where ``math`` raises, one per sample on the batch's columns.  The
-    loop runs to the last sample (a float row stops at its first non-finite
-    state and reads NaN after it); then one check of the result, with no
-    numpy warning, raises an IntegrationError naming the earliest
-    non-finite sample and the lowest trajectory that is non-finite there.
+    where ``math`` raises or a row turns complex, one per sample on the
+    batch's columns.  Every path runs to the last sample, and a non-finite
+    state stays non-finite through RK4's sums; then one check of the
+    result, with no numpy warning, raises an IntegrationError naming the
+    earliest non-finite sample and the lowest trajectory that is non-finite
+    there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:

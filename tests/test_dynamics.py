@@ -948,6 +948,35 @@ class TestComponentFields:
         # wide batch's 33: both check once after the 10th
         assert retried == [dyn._FLOAT_ROWS] * 10 + [dyn._FLOAT_ROWS + 1] * 10
 
+    def test_float_row_overflowing_mid_run_appends_every_sample(self, monkeypatch):
+        # dx/dt = x * x from 5.0 with h = 1 overflows at sample 3: the row's
+        # loop checks nothing and appends all 10 samples, non-finite from
+        # sample 3 on, and the check after the loop names sample 3 of row 0
+        spec = dyn.SystemSpec(name="square", n=1, d=1, field=("x0 * x0",))
+        appended = []
+        generate = dyn._generate
+
+        def spied(spec, m):
+            run, field = generate(spec, m)
+            assert m is math
+
+            def recorded(states, *rest):
+                run(states, *rest)
+                appended.append([s[0] for s in states[1:]])
+
+            return recorded, field
+
+        monkeypatch.setattr(dyn, "_generate", spied)
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 10)
+        assert (info.value.sample_index, info.value.trajectory_index) == (3, 0)
+        assert str(info.value) == ("non-finite state in trajectory 0 at sample 3 "
+                                   "(t=3) while integrating square")
+        [row] = appended
+        assert len(row) == 10
+        assert all(map(math.isfinite, row[:2]))
+        assert not any(map(math.isfinite, row[2:]))
+
     def test_float_rows_report_the_earliest_sample_then_the_lowest_row(self):
         # dx/dt = x * x with h = 1 fails at sample 3 from 5.0 and at 4 from
         # 1.0: row 0 runs on past sample 3, row 2 fails there first, and row

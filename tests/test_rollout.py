@@ -437,6 +437,27 @@ class TestErrorSeries:
         np.testing.assert_allclose(errors[0], [0, 0, 0.5, 1.0, 1.5, 2.0],
                                    rtol=1e-15)
 
+    def test_error_past_the_square_root_of_the_largest_float_stays_finite(self):
+        # each step adds 1e200 to the state, so no run diverges, and the
+        # squares of its errors overflow: each error is still |difference|,
+        # with no overflow warning (an error in this suite)
+        model = zero_final_layer(float64_network(net.init_params(1, 0, [3], seed=0)))
+        model.biases[-1][:] = 1e200
+        x0s = np.array([[0.5, -0.5], [-1.0, 0.2]])
+        truth, result, errors = rollout.rollout_against_truth(
+            model, dyn.make_system("example1"), dyn.SolverConfig(0.1, 2), x0s, 4)
+        assert result.diverged_at == (None, None)
+        assert np.isfinite(result.states).all()
+        assert errors.tobytes() == np.abs(result.states - truth)[..., 0].tobytes()
+        np.testing.assert_allclose(errors[:, 1:], [[1e200, 2e200, 3e200, 4e200]] * 2,
+                                   rtol=1e-15)
+        # of two components: step k is off by k * (3e200, 4e200), k * 5e200
+        _, _, errors = rollout.rollout_against_truth(
+            self.drifting([3e200, 4e200]), self.STILL, self.SOLVER, np.zeros((1, 2)), 5
+        )
+        np.testing.assert_allclose(errors[0], [0, 0, 5e200, 1e201, 1.5e201, 2e201],
+                                   rtol=1e-15)
+
     def test_batched_runs_match_one_run_each(self):
         # one norm over (R, T, d) gives each run's row bit for bit
         model = net.init_params(1, 2, [6], seed=3)
@@ -759,7 +780,6 @@ class TestCompareWithHomogenized:
         np.testing.assert_array_equal(nn[:3], 0.0)
         assert nn[-1] > 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow")  # the norm of a 1e308 error
     def test_diverged_network_raises_runtime_error(self):
         model = zero_final_layer(float64_network(net.init_params(3, 2, [6], seed=1)))
         model.biases[-1][:] = 1e308
