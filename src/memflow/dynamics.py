@@ -21,20 +21,22 @@ on this module.  It provides:
   so one coarse sample is one product with the precomputed
   S = R(hA)^substeps.  That is the same scheme with its sums in another
   order: it agrees with the stage loop to about 1e-12 absolute on states
-  of order 1 (2000 samples of example4).  A nonlinear system runs one
-  RK4 stage loop generated from its field once per
-  :func:`integrate_batch` call, with every component and stage held in a
-  local variable and each expression written inline, so a stage calls no
-  Python function.  The expressions are checked against a small allowlist
-  when the spec is built, and nothing else is compiled.  A batch of at
-  most ``_FLOAT_ROWS`` (32) rows runs the loop on Python floats with
-  ``math``'s sin, cos and exp, one call per row for all its samples,
-  where numpy's per-call overhead would cost more than the arithmetic; a
-  wider batch, or a narrow one on which ``math`` raises (sin(inf), 1/0) or
-  whose row turns complex, runs it on its ``m``-row columns with
-  ``numpy``'s, one call per sample.
-  Both apply the same float operations in the same order, so they agree
-  bitwise wherever ``math`` and ``numpy`` evaluate their functions alike.
+  of order 1 (2000 samples of example4).  A nonlinear system runs code
+  compiled from its field (:func:`_generate`); the expressions are
+  checked against a small allowlist when the spec is built, and nothing
+  else is compiled.  A batch of at most ``_FLOAT_ROWS`` (24) rows runs
+  an RK4 stage loop on Python floats with ``math``'s sin, cos and exp,
+  one call per row for all its samples, with every component and stage
+  a local variable and each expression written inline, where numpy's
+  per-call overhead would cost more than the arithmetic.  A wider batch,
+  or a narrow one on which ``math`` raises (sin(inf), 1/0) or whose row
+  turns complex, is stepped in place on its columns (:func:`_columns`):
+  the state is one ``(n, m)`` block, each stage one call of a generated
+  field that writes every component into its row of a stage block
+  through ``out=`` with ``numpy``'s functions, and each RK4 sum a
+  whole-block ufunc call.  Both apply the same float operations in the
+  same order, so they agree bitwise wherever ``math`` and ``numpy``
+  evaluate their functions alike.
   Every path fills its samples first; one check after the loop turns the
   earliest non-finite state into an IntegrationError, with no warning.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
@@ -135,8 +137,8 @@ class SystemSpec:
         only those names, numbers, unary ``+ -``, binary ``+ - * / **`` and
         calls of ``sin``, ``cos`` and ``exp`` on one argument; anything else
         is a ValueError naming the expression.  Stored as ``ast.unparse``
-        writes them; the RK4 loop and ``rhs`` are generated from them
-        (:func:`_generate`).
+        writes them; the float RK4 loop and the column field, which ``rhs``
+        calls too, are generated from them (:func:`_generate`).
     params : mapping of str to float, optional
         The field's named constants, e.g. ``{"alpha": 0.1, "beta": 8.91}``:
         finite numbers, stored as floats, under ASCII identifiers that do
@@ -213,10 +215,10 @@ class SystemSpec:
             )
         if self.a_matrix is not None:
             return state @ self.a_matrix.T
-        _, field = _generate(self, np)
+        _, field, width = _generate(self)
         out = np.empty_like(state)
-        for i, component in enumerate(field(*(state[..., i] for i in range(self.n)))):
-            out[..., i] = component
+        field(*(state[..., i] for i in range(self.n)), *(out[..., i] for i in range(self.n)),
+              *(np.empty(state.shape[:-1]) for _ in range(width)))
         return out
 
     def observe(self, states):
@@ -470,77 +472,121 @@ def default_domain(spec):
 
 
 # At most this many rows integrate row by row on floats, more on numpy
-# columns: floats take 0.63-0.78 of the column time at 32 rows and cross it
-# at 40-56 on example2, example3-reduced and example3 (CHANGES.md).
-_FLOAT_ROWS = 32
+# columns: floats take 0.77-0.99 of the column time at 24 rows and cross it
+# at 24-26 rows on example3 and example3-reduced and at 31-32 on example2
+# (CHANGES.md).
+_FLOAT_ROWS = 24
+
+# numpy's ufunc for each operator of the field language
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide",
+           ast.Pow: "power", ast.USub: "negative", ast.UAdd: "positive"}
 
 
-def _generate(spec, m):
-    """``(rows, field)`` for the nonlinear ``spec``, compiled from its
-    expressions with ``m``'s (``math`` or ``numpy``) sin, cos and exp.
+def _generate(spec):
+    """``(rows, field, width)`` for the nonlinear ``spec``, compiled from
+    its expressions once per field and parameter values and kept in a
+    cache of the last 32, keyed by value: equal specs share them, and two
+    specs whose parameters differ in any bit (0.0 and -0.0 among them)
+    never do.
 
-    The pair is compiled once per field, parameter values and module and
-    kept in a cache of the last 32, keyed by value: equal
-    specs share a loop, and two specs whose parameters differ in any bit
-    (0.0 and -0.0 among them) never do.
-
-    ``field(x0, ..., x{n-1})`` returns the ``n`` derivative components.
-    ``rows(states, count, delta, substeps)`` appends to ``states`` one
-    tuple of components per coarse step of ``delta`` from ``states[-1]``,
-    ``count`` of them: on numpy the columns of a batch, on math the floats
-    of one row.  It checks no state; its caller checks them all after the
-    loop.  A complex float state (a negative number to a fractional power)
-    is appended as it is; :func:`_float_rows` refuses it.
-
-    The stage loop is written out with each component and stage as a local
-    variable and each expression inline.  The functions, the parameters and
-    each part of an expression made of parameters alone (example2's
-    ``-alpha``, computed once per call) are locals too, so a stage calls no
-    Python function.  Component i of the stages is evaluated at
+    ``rows(states, count, delta, substeps)`` is the RK4 stage loop on the
+    Python floats of one row, with ``math``'s sin, cos and exp.  It appends
+    to ``states`` one tuple of components per coarse step of ``delta`` from
+    ``states[-1]``, ``count`` of them, and checks no state; its caller
+    checks them all after the loop.  A complex state (a negative number to
+    a fractional power) is appended as it is; :func:`_float_rows` refuses
+    it.  Each component and stage is a local variable and each expression
+    is written inline.  Component i of the stages is evaluated at
     ``s_i + half * a_i``, ``s_i + half * b_i`` and ``s_i + h * c_i``, and
     the new state is ``s_i + sixth * (a_i + 2.0 * b_i + 2.0 * c_i + e_i)``,
     the classical RK4 sums in a fixed order.
+
+    ``field(x0, ..., x{n-1}, _k0, ..., _k{n-1}, _t0, ..., _t{width-1})``
+    writes component i of the field at the numpy arrays ``x0 ...`` into
+    the array ``_k{i}``, with ``numpy``'s sin, cos and exp and the
+    ``width`` arrays ``_t{j}`` as temporaries, all of one shape.  Each
+    operation is one ufunc call with ``out=``, a bare component, parameter
+    or number is copied in, and ``a ** b`` with a scalar ``b`` raises
+    ``a`` in place, where numpy takes the fast path its operator takes
+    (``square`` for ``** 2``).  So the field makes the float operations of
+    its expressions on arrays, in their order, and gives their bits.
+
+    In both, each part of an expression without a component (example2's
+    ``-alpha``) is computed once per call.  The loop binds the functions
+    and the parameters as locals, so a stage calls no Python function.
     """
     params = tuple((key, value.hex()) for key, value in spec.params.items())
-    return _compile(spec.field, params, m.__name__)
+    return _compile(spec.field, params)
 
 
-# A compile takes 0.4-0.7 ms and a kept pair about 8 kB (example2 and
-# example3), so 32 pairs hold about 0.25 MB.  Keyed by value, one pair
-# serves every block of a generation and each stage's own spec of a run.
+# One compile of both functions takes 1.5-2.5 ms and a kept triple about 6 kB
+# (example2 and example3 on an x86-64 Xeon), so 32 hold about 0.2 MB.
+# Keyed by value, one serves every block of a generation, each stage's own
+# spec of a run and every rhs call.
 @functools.lru_cache(maxsize=32)
-def _compile(field, params, module):
-    """:func:`_generate`'s pair for the expressions ``field``, the
-    parameters ``params`` as ``(name, float.hex(value))`` pairs and the
-    module named ``module``."""
-    m = math if module == "math" else np
+def _compile(field, params):
+    """:func:`_generate`'s triple for the expressions ``field`` and the
+    parameters ``params`` as ``(name, float.hex(value))`` pairs, from one
+    source."""
     params = {key: float.fromhex(value) for key, value in params}
     components, folds = {f"x{i}" for i in range(len(field))}, {}
 
-    class Fold(ast.NodeTransformer):  # parameters-only parts become _p{j}
+    class Fold(ast.NodeTransformer):  # parts without a component become _p{j}
         def visit(self, node):
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            if isinstance(node, ast.Name) or not names or names & components:
+            if (not isinstance(node, ast.expr) or isinstance(node, (ast.Name, ast.Constant))
+                    or names & components):
                 return self.generic_visit(node)
             return ast.Name(folds.setdefault(ast.unparse(node), f"_p{len(folds)}"))
 
     # Only expressions that passed _checked_expression, and parameter names
     # that are plain identifiers, are written into the source.
-    fields = [ast.unparse(Fold().visit(ast.parse(e, mode="eval"))) for e in field]
+    trees = [Fold().visit(ast.parse(e, mode="eval").body) for e in field]
+    lines, width = [], 0
+
+    def write(node, out, free):
+        """``node`` as an operand: a name or number as written, else ``out``
+        after lines that write it there with ``_t{free}`` on as temporaries."""
+        nonlocal width
+        if isinstance(node, (ast.Name, ast.Constant)):
+            return ast.unparse(node)
+        if isinstance(node, ast.BinOp):
+            a = write(node.left, out, free)
+            into = f"_t{free}" if a == out else out  # where the right operand goes
+            b = write(node.right, into, free + (into != out))
+            if b == into != out:
+                width = max(width, free + 1)
+            if isinstance(node.op, ast.Pow) and isinstance(
+                    node.right, (ast.Name, ast.Constant)) and b not in components:
+                lines.extend([f"_copyto({out}, {a})"] * (a != out) + [f"{out} **= {b}"])
+                return out
+            call = f"_{_UFUNCS[type(node.op)]}({a}, {b}"
+        elif isinstance(node, ast.UnaryOp):
+            call = f"_{_UFUNCS[type(node.op)]}({write(node.operand, out, free)}"
+        else:  # sin, cos or exp
+            call = f"{node.func.id}({write(node.args[0], out, free)}"
+        lines.append(f"{call}, out={out})")
+        return out
+
+    for i, tree in enumerate(trees):
+        value = write(tree, f"_k{i}", 0)
+        if value != f"_k{i}":  # a bare component, parameter or number
+            lines.append(f"_copyto(_k{i}, {value})")
+
+    fields = [ast.unparse(tree) for tree in trees]
 
     def each(template, sep="\n            "):
         return sep.join(template.format(i=i, e=e) for i, e in enumerate(fields))
 
     state = each("_s{i}", ", ") + ","
-    bound = ", ".join(f"{k}={k}" for k in (*_FUNCTIONS, *params))
+    bound = ", ".join([*(f"{f}=_math.{f}" for f in _FUNCTIONS), *(f"{k}={k}" for k in params)])
     head = "".join(f"\n    {name} = {text}" for text, name in folds.items())
     stages = "\n            ".join(map(each, (
         "x{i} = _s{i}", "_a{i} = {e}", "x{i} = _s{i} + _half * _a{i}", "_b{i} = {e}",
         "x{i} = _s{i} + _half * _b{i}", "_c{i} = {e}", "x{i} = _s{i} + _h * _c{i}",
         "_e{i} = {e}", "_s{i} = _s{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _e{i})")))
+    arrays = [each("x{i}", ", "), each("_k{i}", ", "), *(f"_t{j}" for j in range(width))]
     source = (
-        f"def _field({each('x{i}', ', ')}, {bound}):{head}\n"
-        f"    return ({each('{e}', ', ')},)\n"
         f"def _rows(_states, _count, _delta, _substeps, {bound}):{head}\n"
         "    _h = _delta / _substeps\n"
         "    _half, _sixth = 0.5 * _h, _h / 6.0\n"
@@ -549,10 +595,13 @@ def _compile(field, params, module):
         "        for _ in range(_substeps):\n"
         f"            {stages}\n"
         f"        _states.append(({state}))\n"
+        f"def _field({', '.join(arrays)}):{head}" + "".join(f"\n    {line}" for line in lines)
     )
-    namespace = {f: getattr(m, f) for f in _FUNCTIONS} | params
+    # the field reads numpy's functions and the parameters as globals
+    namespace = {"_math": math, **{f: getattr(np, f) for f in _FUNCTIONS}, **params,
+                 **{f"_{name}": getattr(np, name) for name in (*_UFUNCS.values(), "copyto")}}
     exec(source, namespace)
-    return namespace["_rows"], namespace["_field"]
+    return namespace["_rows"], namespace["_field"], width
 
 
 def _float_rows(spec, delta, substeps, out):
@@ -561,7 +610,7 @@ def _float_rows(spec, delta, substeps, out):
     exp(1000), 1/0), and numpy would give inf or NaN; a complex state (a
     negative number to a fractional power) raises TypeError where its row
     is written into the float64 ``out``."""
-    run = _generate(spec, math)[0]
+    run = _generate(spec)[0]
     for row in out:
         states = [tuple(row[0].tolist())]
         run(states, len(row) - 1, delta, substeps)
@@ -569,13 +618,38 @@ def _float_rows(spec, delta, substeps, out):
 
 
 def _columns(spec, delta, substeps, out):
-    """Fill ``out[:, 1:]`` by one call per sample of :func:`_generate`'s loop
-    on the batch's numpy columns."""
-    run, states = _generate(spec, np)[0], [tuple(out[:, 0].T.copy())]
-    for k in range(1, out.shape[1]):  # from the last columns, not reads of out
-        run(states, 1, delta, substeps)
-        del states[0]
-        np.stack(states[0], axis=-1, out=out[:, k])
+    """Fill ``out[:, 1:]`` on the batch's numpy columns, in place.
+
+    The state ``s`` is one C-contiguous ``(n, m)`` block, and the stage
+    input ``x``, the four stages ``a, b, c, e`` and :func:`_generate`'s
+    temporary rows are ``(n, m)`` blocks allocated once.  Each stage is one
+    call of the generated field into its block, each stage input two
+    whole-block ufunc calls and the new state seven, in the order of the
+    float loop's sums."""
+    _, field, width = _generate(spec)
+    s = out[:, 0].T.copy()
+    x, a, b, c, e = np.empty((5, *s.shape))
+    temps = tuple(np.empty((width, len(out))))
+    h = delta / substeps
+    half, sixth = 0.5 * h, h / 6.0
+    stages = [((*s, *a, *temps), half, a), ((*x, *b, *temps), half, b),
+              ((*x, *c, *temps), h, c)]
+    last = (*x, *e, *temps)
+    multiply, add = np.multiply, np.add
+    for k in range(1, out.shape[1]):
+        for _ in range(substeps):
+            for args, step, stage in stages:  # x = s + step * stage
+                field(*args)
+                multiply(step, stage, out=x)
+                add(s, x, out=x)
+            field(*last)
+            for stage in b, c:  # a + 2.0 * b + 2.0 * c
+                multiply(2.0, stage, out=stage)
+                add(a, stage, out=a)
+            add(a, e, out=a)
+            multiply(sixth, a, out=a)
+            add(s, a, out=s)
+        out[:, k] = s.T
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -630,9 +704,9 @@ def integrate_batch(spec, config, x0s, num_samples):
     samples straight into the result: a linear system one product with the
     sample matrix per sample; a nonlinear one the RK4 stage loop generated
     from its expressions (:func:`_generate`), one call per row on floats
-    for at most ``_FLOAT_ROWS`` (32) rows, else, and again from the start
-    where ``math`` raises or a row turns complex, one per sample on the
-    batch's columns.  Every path runs to the last sample, and a non-finite
+    for at most ``_FLOAT_ROWS`` (24) rows, else, and again from the start
+    where ``math`` raises or a row turns complex, in place on the batch's
+    columns (:func:`_columns`).  Every path runs to the last sample, and a non-finite
     state stays non-finite through RK4's sums; then one check of the
     result, with no numpy warning, raises an IntegrationError naming the
     earliest non-finite sample and the lowest trajectory that is non-finite

@@ -168,9 +168,11 @@ def _l2_errors(states, truth):
     A norm whose sum of squares overflows while its row is finite is taken
     again as ``m * norm(row / m)``, m the row's largest |entry|, so a
     finite error reads finite and warns of nothing; every other norm is
-    numpy's, bit for bit."""
-    diff = states - truth
+    numpy's, bit for bit.  An error beyond the float range (a difference
+    of finite entries that overflows) reads ``inf``, also with no
+    warning."""
     with np.errstate(over="ignore"):
+        diff = states - truth
         errors = np.linalg.norm(diff, axis=-1)
         redo = np.isinf(errors) & np.isfinite(diff).all(axis=-1)
         rows = diff[redo]

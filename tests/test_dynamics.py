@@ -535,6 +535,21 @@ lorenz96_field = tuple(
 )
 
 
+# Every construct the field language allows: a bare component, a constant
+# and a bare parameter as whole components; unary + and -, + - * /, ** with
+# exponents 2, 0.5, -1 and 3, with an array exponent and with a parameter
+# as base; sin, cos and exp; parts made of parameters alone (beta ** 2,
+# -beta * exp(-alpha)) and of numbers alone (cos(2.0))
+LANGUAGE = dyn.SystemSpec(name="language", n=6, d=1, field=(
+    "x1", "-0.5", "alpha",
+    "-x3 + 0.1 * (+x0 - x1 * x2 / 5.0 + (x0 * x0 + 1.0) ** 0.5 + x1 ** 2"
+    " - (2.0 + x2 * x2) ** -1 + x0 ** 3 * beta ** 2)",
+    "-x4 * gamma + sin(x0) * cos(x1) - exp(-x2 * gamma) + -beta * exp(-alpha)"
+    " + beta ** x1 * 0.1",
+    "-(x5 * 2.0) + (x0 * x0 + 1.0) ** (x1 * 0.1) + cos(2.0) * x0"),
+    params={"alpha": 0.3, "beta": 1.5, "gamma": 0.7})
+
+
 GENERATED_STEP_FIELDS = {
     1: dyn.SystemSpec(name="cos", n=1, d=1, field=("-x0 + 0.5 * cos(x0)",)),
     2: dyn.make_system("example2"),
@@ -542,6 +557,7 @@ GENERATED_STEP_FIELDS = {
     4: dyn.make_system("example3", epsilon=0.05),
     5: dyn.SystemSpec(name="lorenz96", n=5, d=1, field=lorenz96_field,
                       params={"forcing": 8.0}),
+    6: LANGUAGE,
 }
 
 
@@ -761,16 +777,14 @@ class TestComponentFields:
         calls = []
         generate = dyn._generate
 
-        def spied(spec, m):
-            run, field = generate(spec, m)
-            if m is not math:
-                return run, field
+        def spied(spec):
+            run, field, width = generate(spec)
 
             def counted(*args):
                 calls.append(1)
                 return run(*args)
 
-            return counted, field
+            return counted, field, width
 
         monkeypatch.setattr(dyn, "_generate", spied)
         return calls
@@ -800,6 +814,47 @@ class TestComponentFields:
         bit, on Python floats with math and on numpy columns."""
         self.assert_generated_step_equals_stage_loop(GENERATED_STEP_FIELDS[n], n)
 
+    @pytest.mark.parametrize("spec", GENERATED_STEP_FIELDS.values(),
+                             ids=lambda spec: spec.name)
+    def test_rhs_is_the_expressions_evaluated_bitwise(self, spec):
+        # through the generated field, written in place, as the expressions
+        # evaluated on the components give it
+        field = evaluated(spec)
+        rng = np.random.default_rng(5)
+        for shape in [(spec.n,), (7, spec.n), (3, 4, spec.n)]:
+            x = rng.uniform(-1.0, 1.0, size=shape)
+            want = np.empty_like(x)
+            for i, component in enumerate(field([x[..., i] for i in range(spec.n)], np)):
+                want[..., i] = component
+            got = spec.rhs(x)
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [33, 64, 600])
+    def test_wide_overflow_mid_run_names_the_per_sample_check(self, width):
+        # x0 overflows at the second stage of sample 3 from 5.0 and later
+        # from 1.0, and the third stage takes sin(inf); the in-place columns
+        # run on to sample 10 and name what a check after every sample of
+        # the reference stage loop names, sample 3 of the lower 5.0 row
+        spec = dyn.SystemSpec(name="square-sin", n=2, d=1,
+                              field=("x0 * x0", "sin(x0)"))
+        cfg = dyn.SolverConfig(1.0, 1)
+        x0s = np.zeros((width, 2))
+        x0s[[1, width // 2], 0] = 1.0
+        x0s[[width // 3, width - 1], 0] = 5.0
+        field, state = evaluated(spec), list(x0s.T)
+        with np.errstate(all="ignore"):
+            for k in range(1, 11):
+                state = rk4_sample_step(field, np, state, cfg.delta, cfg.substeps)
+                bad = ~np.isfinite(np.array(state)).all(axis=0)
+                if bad.any():
+                    break
+        assert (k, int(np.argmax(bad))) == (3, width // 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dyn.IntegrationError) as info:
+                dyn.integrate_batch(spec, cfg, x0s, 10)
+        assert (info.value.sample_index, info.value.trajectory_index) == (3, width // 3)
+
     def test_parameter_only_parts_folded_bitwise(self):
         # -alpha, -beta and -beta * exp(-alpha) read no component: each is a
         # local computed once per call, and the loop still gives the
@@ -809,9 +864,8 @@ class TestComponentFields:
             field=("-alpha * x1 + x0 * -beta",
                    "-alpha * x1 - beta * sin(x0) + -beta * exp(-alpha) * cos(x0)"),
             params={"alpha": 0.3, "beta": 2.5})
-        run, _ = dyn._generate(spec, math)
-        for code in (run.__code__, *(dyn._generate(spec, m)[1].__code__
-                                     for m in (math, np))):
+        run, field, _ = dyn._generate(spec)
+        for code in (run.__code__, field.__code__):
             assert {"_p0", "_p1", "_p2"} <= set(code.co_varnames)
             assert "_p3" not in code.co_varnames
         self.assert_generated_step_equals_stage_loop(spec, 11)
@@ -827,9 +881,10 @@ class TestComponentFields:
             assert got.tobytes() == want.tobytes()
 
     def test_loop_compiled_once_per_field_parameters_and_module(self, monkeypatch):
-        # an equal spec, built again, reuses both loops and compiles nothing;
-        # specs differing in one parameter, 0.0 against -0.0 too, never
-        # share one; and the cached loops give a fresh compile's bits
+        # the float loop and the column field come from one compile; an
+        # equal spec, built again, reuses both and compiles nothing; specs
+        # differing in one parameter, 0.0 against -0.0 too, never share
+        # them; and the cached pair gives a fresh compile's bits
         sources = []
 
         def counted_exec(source, namespace):
@@ -842,37 +897,42 @@ class TestComponentFields:
         runs = [(x0s[:3], 40), (x0s, 40)]  # floats with math, columns with numpy
         first = [dyn.integrate_batch(dyn.make_system("example2"), self.CFG, *run)
                  for run in runs]
-        assert len(sources) == 2
+        assert len(sources) == 1
         again = [dyn.integrate_batch(dyn.make_system("example2"), self.CFG, *run)
                  for run in runs]
-        assert len(sources) == 2
+        assert len(sources) == 1
         assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
         spec = dyn.make_system("example2")
-        for m in (math, np):
-            assert dyn._generate(spec, m) is dyn._generate(dyn.make_system("example2"), m)
-        assert dyn._generate(spec, math)[0] is not dyn._generate(spec, np)[0]
+        assert dyn._generate(spec) is dyn._generate(dyn.make_system("example2"))
         for a, b in ((0.1, np.nextafter(0.1, 1.0)), (0.0, -0.0)):
             one, other = (dyn.make_system("example2", alpha=x) for x in (a, b))
-            for m in (math, np):
-                assert dyn._generate(one, m)[0] is not dyn._generate(other, m)[0]
+            for made, other_made in zip(dyn._generate(one)[:2], dyn._generate(other)[:2]):
+                assert made is not other_made
         dyn._compile.cache_clear()
         fresh = [dyn.integrate_batch(spec, self.CFG, *run) for run in runs]
         assert [a.tobytes() for a in fresh] == [a.tobytes() for a in first]
 
     def assert_generated_step_equals_stage_loop(self, spec, seed):
+        """The float loop on one row with math, and the column path in place
+        at 33, 64 and 600 rows with numpy, are the reference stage loop on
+        the same expressions bit for bit over 30 samples."""
         n = spec.n
         field = evaluated(spec)
-        rows = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(7, n))
-        for m, state in ((math, rows[0].tolist()), (np, list(rows.T))):
-            step, generated_field = dyn._generate(spec, m)
-            assert (np.array(generated_field(*state)).tobytes()
-                    == np.array(field(state, m)).tobytes())
-            got, want = [tuple(state)], [state]
-            step(got, 30, 0.02, 4)  # one call runs the 30 samples
+        rows = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(600, n))
+        step = dyn._generate(spec)[0]
+        got, want = [tuple(rows[0].tolist())], [rows[0].tolist()]
+        step(got, 30, 0.02, 4)  # one call runs the 30 samples
+        for _ in range(30):
+            want.append(rk4_sample_step(field, math, want[-1], 0.02, 4))
+        assert all(isinstance(x, tuple) and len(x) == n for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        for width in (33, 64, 600):
+            assert width > dyn._FLOAT_ROWS
+            got = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 4), rows[:width], 30)
+            want = [list(rows[:width].T)]
             for _ in range(30):
-                want.append(rk4_sample_step(field, m, want[-1], 0.02, 4))
-            assert all(isinstance(x, tuple) and len(x) == n for x in got)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+                want.append(rk4_sample_step(field, np, want[-1], 0.02, 4))
+            assert got.tobytes() == np.array(want).transpose(2, 0, 1).tobytes()
 
     def test_rhs_made_from_the_field(self):
         spec = dyn.SystemSpec(name="e1", n=2, d=1, field=example1_field)
@@ -931,22 +991,20 @@ class TestComponentFields:
         retried = []
         generate = dyn._generate
 
-        def spied(spec, m):
-            run, field = generate(spec, m)
-            if m is not np:
-                return run, field
+        def spied(spec):
+            run, field, width = generate(spec)
 
-            def counted(states, *rest):
-                retried.append(len(states[-1][0]))
-                return run(states, *rest)
+            def counted(*arrays):
+                retried.append(len(arrays[0]))
+                return field(*arrays)
 
-            return counted, field
+            return run, counted, width
 
         monkeypatch.setattr(dyn, "_generate", spied)
         self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 4))
-        # the 10 samples of the narrow batch's 32 columns, then those of the
-        # wide batch's 33: both check once after the 10th
-        assert retried == [dyn._FLOAT_ROWS] * 10 + [dyn._FLOAT_ROWS + 1] * 10
+        # the four stages of the 10 samples of the narrow batch's columns,
+        # then those of the wide batch's: both check once after the 10th
+        assert retried == [dyn._FLOAT_ROWS] * 40 + [dyn._FLOAT_ROWS + 1] * 40
 
     def test_float_row_overflowing_mid_run_appends_every_sample(self, monkeypatch):
         # dx/dt = x * x from 5.0 with h = 1 overflows at sample 3: the row's
@@ -956,15 +1014,17 @@ class TestComponentFields:
         appended = []
         generate = dyn._generate
 
-        def spied(spec, m):
-            run, field = generate(spec, m)
-            assert m is math
+        def spied(spec):
+            run, _, width = generate(spec)
 
             def recorded(states, *rest):
                 run(states, *rest)
                 appended.append([s[0] for s in states[1:]])
 
-            return recorded, field
+            def columns(*arrays):
+                raise AssertionError("the row ran again on columns")
+
+            return recorded, columns, width
 
         monkeypatch.setattr(dyn, "_generate", spied)
         with pytest.raises(dyn.IntegrationError) as info:
@@ -1037,21 +1097,25 @@ class TestComponentFields:
         calls = []
         generate = dyn._generate
 
-        def spied(spec, m):
-            run, field = generate(spec, m)
+        def spied(spec):
+            run, field, width = generate(spec)
 
-            def counted(states, count, *rest):
-                # the loop's namespace, the rows in a component, and samples
-                calls.append((m.__name__, np.size(states[-1][0]), count))
+            def rows(states, count, *rest):
+                # the rows in a component, and samples
+                calls.append(("rows", np.size(states[-1][0]), count))
                 return run(states, count, *rest)
 
-            return counted, field
+            def columns(*arrays):
+                calls.append(("field", np.size(arrays[0])))
+                return field(*arrays)
+
+            return rows, columns, width
 
         monkeypatch.setattr(dyn, "_generate", spied)
         narrow = dyn.integrate_batch(spec, cfg, x0s[:3], 10)
         # rows 0 and 1 ran through on floats and row 2 raised, then the three
-        # rows ran again on columns, one sample per call
-        assert calls == [("math", 1, 10)] * 3 + [("numpy", 3, 1)] * 10
+        # rows ran again on columns, one field call per stage of each sample
+        assert calls == [("rows", 1, 10)] * 3 + [("field", 3)] * 40
         monkeypatch.undo()
         wide = dyn.integrate_batch(spec, cfg, x0s, 10)
         assert narrow.tobytes() == wide[:3].tobytes()
@@ -1072,7 +1136,7 @@ class TestComponentFields:
         np.testing.assert_allclose(wide[2, -1, 0], math.exp(-0.4), rtol=1e-10)
 
     def test_wide_blowup_raises_without_a_warning(self):
-        # on the 33 columns x0 overflows at the second stage of sample 3 in
+        # on the columns x0 overflows at the second stage of sample 3 in
         # row 5, and the third stage takes sin(inf): the IntegrationError is
         # the one signal of both
         spec = dyn.SystemSpec(name="square-sin", n=2, d=1,

@@ -458,6 +458,19 @@ class TestErrorSeries:
         np.testing.assert_allclose(errors[0], [0, 0, 5e200, 1e201, 1.5e201, 2e201],
                                    rtol=1e-15)
 
+    def test_error_beyond_the_float_range_reads_inf_without_a_warning(self):
+        # finite states of opposite sign near the float limit differ by more
+        # than the largest float; the errors in range keep their bits
+        states = np.array([[[1e308, 0.0], [3.0, 4.0], [1e200, -1e200]]])
+        truth = np.array([[[-1e308, 0.0], [0.0, 0.0], [-1e200, 1e200]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = rollout._l2_errors(states, truth)
+        assert errors[0, 0] == np.inf
+        row = np.array([2e200, -2e200])
+        want = [np.linalg.norm([3.0, 4.0]), 2e200 * np.linalg.norm(row / 2e200)]
+        assert errors[0, 1:].tobytes() == np.array(want).tobytes()
+
     def test_batched_runs_match_one_run_each(self):
         # one norm over (R, T, d) gives each run's row bit for bit
         model = net.init_params(1, 2, [6], seed=3)
