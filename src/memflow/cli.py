@@ -168,9 +168,11 @@ class ExperimentConfig:
     # -- pieces ------------------------------------------------------------
 
     def spec(self):
+        # make_system refuses a bad value with ValueError (_number, _count);
+        # a TypeError is a params key that is not a string (**params)
         try:
             return dyn.make_system(self.system, **self.params)
-        except TypeError as exc:  # a parameter value that is not a number
+        except TypeError as exc:
             raise ValueError(f"params of {self.system}: {exc}") from None
 
     def solver(self):

@@ -79,7 +79,7 @@ def _checked_trajectories(trajectories):
     return trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySet:
     """Observed-variable trajectories of one length and sample step.
 
@@ -87,7 +87,8 @@ class TrajectorySet:
     >= 1, holds trajectory i's samples at times 0, delta, ...,
     (K - 1) * delta in ``trajectories[i]``, the same layout as on disk.  A
     float64 C-contiguous array is adopted without a copy.  ``delta`` is a
-    number > 0, stored as a Python float.
+    number > 0, stored as a Python float.  Two sets compare equal only if
+    they are the same object.
     """
 
     delta: float
@@ -107,7 +108,7 @@ class TrajectorySet:
         return self.trajectories.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryWindowDataset:
     """Memory windows as an index over trajectories.
 
@@ -117,16 +118,17 @@ class MemoryWindowDataset:
     ``j = i * count + c`` covers samples ``starts[i, c]`` to
     ``starts[i, c] + n_mem + 1`` of trajectory i, so every start lies in
     ``[0, K - n_mem - 2]``.  The J = ``starts.size`` rows are gathered by
-    :meth:`windows`.
+    :meth:`windows`.  Two datasets compare equal only if they are the
+    same object.
     """
 
     n_mem: int
     trajectories: np.ndarray
     starts: np.ndarray
     # per row, the flat sample index of the window's oldest sample
-    _oldest: np.ndarray = field(init=False, repr=False, compare=False)
+    _oldest: np.ndarray = field(init=False, repr=False)
     # _blocks[w, t] = flat sample w + n_mem + 1 - t: a window newest first
-    _blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_mem = _count("n_mem", self.n_mem, 0)

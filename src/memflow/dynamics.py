@@ -109,7 +109,7 @@ class IntegrationError(RuntimeError):
         self.trajectory_index = trajectory_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """A dynamical system dx/dt = rhs(x) with observed leading components.
 
@@ -144,6 +144,8 @@ class SystemSpec:
         finite numbers, stored as floats, under ASCII identifiers that do
         not start with ``_`` and are not components, ``sin``, ``cos``,
         ``exp`` or ``range``.  A matrix takes none; stored as a dict.
+
+    Two specs compare equal only if they are the same object.
     """
 
     name: str
@@ -271,10 +273,11 @@ def _outside_field_language(node, names):
     return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """Axis-aligned box of initial conditions: ``lower[i] < upper[i]``, and
-    each width ``upper[i] - lower[i]`` finite, so uniform draws exist."""
+    each width ``upper[i] - lower[i]`` finite, so uniform draws exist.  Two
+    domains compare equal only if they are the same object."""
 
     lower: np.ndarray
     upper: np.ndarray

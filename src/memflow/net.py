@@ -31,9 +31,10 @@ network's outputs (:func:`memflow.rollout.rollout`).
 Forward and reverse passes are written directly in numpy with exact
 analytic gradients; there is no autodiff framework behind this module.
 Both operate on row-stacked inputs.  :func:`forward_batch` holds the one
-layer loop and also takes a single ``(D,)`` row; it can cache each layer's
-input in a list ``acts``, from which :func:`backward_batch` runs the
-reverse pass alone, so a training step runs the forward pass once.
+layer loop and also takes a single ``(D,)`` row; on ``(J, D)`` rows it can
+cache each layer's input in a list ``acts``.  :func:`backward_batch` reads
+only that cache, never the inputs, so the reverse pass never runs the
+forward pass again.
 
 A checkpoint is an uncompressed ``.npz`` archive holding ``d``, ``n_mem``
 and ``hidden`` (int64) and ``flat`` (in the network's dtype); see
@@ -200,22 +201,19 @@ def forward_batch(params, z_stacks, acts=None):
     return act
 
 
-def backward_batch(params, z_stacks, output_grads, acts=None):
+def backward_batch(params, output_grads, acts):
     """Reverse-mode gradients for a batch.
 
-    Given upstream gradients ``output_grads`` (J, d) of some scalar with
-    respect to the model outputs, returns the gradient of that scalar
-    with respect to all parameters (summed over the batch), as one vector
-    laid out like ``params.flat``, plus its gradient with respect to the
-    inputs, shape (J, D).  The residual projection contributes
-    ``output_grads`` directly onto the leading ``d`` input columns.
-    ``acts`` is the list a :func:`forward_batch` call on the same inputs
-    filled; without it the forward pass runs here.  Inputs and upstream
-    gradients are cast to the network's dtype, which both results have.
+    ``acts`` is the list a :func:`forward_batch` call on (J, D) input rows
+    filled, the only record of the inputs this pass reads.  Given upstream
+    gradients ``output_grads`` (J, d) of some scalar with respect to that
+    call's outputs, returns the gradient of that scalar with respect to
+    all parameters (summed over the batch), as one vector laid out like
+    ``params.flat``, plus its gradient with respect to the inputs, shape
+    (J, D).  The residual projection contributes ``output_grads`` directly
+    onto the leading ``d`` input columns.  The upstream gradients are cast
+    to the network's dtype, which both results have.
     """
-    if acts is None:
-        acts = []
-        forward_batch(params, z_stacks, acts)
     rows = acts[0].shape[0]  # acts[0] holds the inputs, cast
     output_grads = _cast(params, output_grads, "output_grads")
     if output_grads.shape != (rows, params.d):

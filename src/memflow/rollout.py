@@ -40,13 +40,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RolloutResult:
     """Predicted observed states of R runs, seed states included.
 
     ``states`` has shape (R, seed_len + steps, d).  ``diverged_at`` holds
     one entry per run: None, or the index at which the run first produced
-    a non-finite state; the run's rows from that index on are NaN.
+    a non-finite state; the run's rows from that index on are NaN.  Two
+    results compare equal only if they are the same object.
     """
 
     states: np.ndarray

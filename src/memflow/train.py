@@ -68,8 +68,14 @@ class TrainConfig:
             object.__setattr__(self, key, _count(key, getattr(self, key), least))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainReport:
+    """What :func:`train_model` reports: ``loss_per_epoch``, a float64
+    array of :func:`mse_loss` over the whole dataset after each epoch;
+    ``final_loss``, its last entry as a Python float; and ``wall_time``,
+    the seconds the epochs took.  Two reports compare equal only if they
+    are the same object."""
+
     loss_per_epoch: np.ndarray
     final_loss: float
     wall_time: float
@@ -209,7 +215,7 @@ def _gradient(params, ds, rows, step, epoch):
             "reduce the learning rate",
             step=step,
         )
-    return backward_batch(params, xb, (2.0 / xb.shape[0]) * resid, acts)[0]
+    return backward_batch(params, (2.0 / xb.shape[0]) * resid, acts)[0]
 
 
 def save_model(params, path):

@@ -1,6 +1,7 @@
 """Shared helpers: datasets made from given windows, float64 networks for
 the tests that need exact arithmetic, hand-built ``.npz`` archives for the
-loader rejection tests, and the seeds every seeded entry point refuses."""
+loader rejection tests, the seeds every seeded entry point refuses, and
+the equality checks of containers and value records."""
 
 import io
 import re
@@ -49,6 +50,21 @@ refused_seeds = pytest.mark.parametrize("seed, message", [
           for v in (None, _SEQUENCE, _GENERATOR)),
     ]
 ], ids=["float", "bool", "negative", "None", "SeedSequence", "Generator"])
+
+
+def assert_compared_by_identity(make):
+    """Two containers ``make()`` builds alike: each equals itself and not
+    the other, and ``==``, ``in`` and ``hash`` raise nothing."""
+    a, b = make(), make()
+    assert a == a and a in [a]
+    assert (a == b, a != b, a in [b]) == (False, True, False)
+    assert isinstance(hash(a), int) and hash(a) == hash(a)
+
+
+def assert_compared_by_value(make):
+    """Two value records ``make()`` builds alike compare equal."""
+    a, b = make(), make()
+    assert a is not b and a == b and a in [b]
 
 
 def _npy(value):

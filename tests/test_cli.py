@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import refused_seeds, windows_dataset
+from conftest import assert_compared_by_value, refused_seeds, windows_dataset
 from memflow import cli, data, net, rollout
 
 
@@ -102,11 +102,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown preset"):
             cli.preset_config("example9")
 
+    def test_config_compares_by_value(self, tmp_path):
+        assert_compared_by_value(lambda: micro_config(tmp_path))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             cli.load_config(path)
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([{"system": "example1"}]))
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: config must be a JSON object\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_params_key_that_is_not_a_string_rejected(self, tmp_path):
+        # make_system(**params) raises TypeError on it
+        with pytest.raises(ValueError, match=(
+                "^params of example1: keywords must be strings$")):
+            micro_config(tmp_path, params={1: 2.0})
 
     @pytest.mark.parametrize("key, value, match", [
         ("per_trajectory", 0, "per_trajectory"),
@@ -124,6 +142,9 @@ class TestConfig:
         ("delta", float("inf"), "delta must be a finite number, got inf"),
         ("delta", 1e-320, "eval_horizon=20 is not a finite number of steps "
          "of delta=1e-320"),
+        # math.isfinite raises OverflowError on it
+        ("eval_horizon", 10**400,
+         f"eval_horizon must be a finite number, got {10**400}$"),
     ])
     def test_bad_values_rejected_at_load(self, tmp_path, monkeypatch, key, value, match):
         doc = {**cli.PRESETS["example1-fast"], key: value}
@@ -141,6 +162,7 @@ class TestConfig:
         ("seed", None),
         ("n_traj", "abc"),
         ("n_mem", 1.5),
+        ("out_dir", 3),
     ])
     def test_wrong_types_rejected_at_load(self, tmp_path, capsys, key, value):
         doc = {**asdict(micro_config(tmp_path)), key: value}
@@ -334,6 +356,15 @@ class TestPipeline:
         table = np.loadtxt(rollout_path, delimiter=",", skiprows=1)
         assert table[:, 0].tobytes() == (np.arange(len(table)) * cfg.delta).tobytes()
         np.testing.assert_array_equal(table[:, 3], np.abs(table[:, 1] - table[:, 2]))
+
+    def test_predict_by_default_reaches_the_horizon(self, tmp_path, capsys):
+        cfg = micro_config(tmp_path)
+        for stage in (cli.cmd_generate, cli.cmd_build_dataset, cli.cmd_train):
+            stage(cfg)
+        table = np.loadtxt(cli.cmd_predict(cfg), delimiter=",", skiprows=1)
+        # the n_mem + 1 seed states and the steps after them
+        assert table.shape == (cfg.horizon_steps() + 1, 4) == (26, 4)
+        assert table[-1, 0] == cfg.eval_horizon == 0.5
 
     def test_train_warns_when_data_starved(self, tmp_path, capsys):
         cfg = micro_config(tmp_path)
@@ -826,11 +857,16 @@ class TestMain:
         assert cli.main(["generate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == line
 
-    def test_bad_n_mem_list(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("3,two", "--n-mem expects comma-separated integers, got '3,two'"),
+        (",", "--n-mem list is empty"),
+        (" , ", "--n-mem list is empty"),
+    ], ids=["not-integers", "comma", "spaced-comma"])
+    def test_bad_n_mem_list(self, tmp_path, capsys, text, message):
         cfg_path = write_config(micro_config(tmp_path), tmp_path)
-        assert cli.main(
-            ["sweep", "--config", str(cfg_path), "--n-mem", "3,two"]
-        ) == 1
+        assert cli.main(["sweep", "--config", str(cfg_path), "--n-mem", text]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run" / cli.SWEEP_FILE).exists()
 
     def test_descending_n_mem_list_rejected_before_training(self, tmp_path, capsys,
                                                             monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for trajectory generation and memory-window dataset construction."""
 
+import io
 import re
 import tracemalloc
 import zlib
@@ -7,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import refused_seeds, windows_dataset
+from conftest import assert_compared_by_identity, refused_seeds, windows_dataset
 from memflow import data
 from memflow import dynamics as dyn
 
@@ -140,6 +141,14 @@ class TestGenerateTrajectories:
         with pytest.raises(ValueError, match=f"^{message}$"):
             data.generate_trajectories(spec, dyn.SolverConfig(0.02, 5),
                                        dyn.default_domain(spec), n_traj, 3, seed=0)
+
+    def test_domain_of_another_dimension_rejected(self):
+        spec = dyn.make_system("example1")
+        domain = dyn.default_domain(dyn.make_system("example3"))
+        with pytest.raises(ValueError, match=(
+                "^domain dimension 4 does not match system n=2$")):
+            data.generate_trajectories(spec, dyn.SolverConfig(0.02, 5), domain,
+                                       2, 3, seed=0)
 
     def test_minimal_length_trajectories(self):
         n_mem = 30
@@ -816,6 +825,8 @@ class TestMalformedArtifacts:
         ("oversized", r"declares shape \(1000000000, 10\)"),
         ("negative_shape", r"declares shape \(-1, -2\)"),
         ("compressed", "compressed"),
+        # np.load reads npy 2.0 as well; the loaders read only 1.0 headers
+        ("npy_2_0", "is not in npy format 1.0"),
     ])
     def test_rejected(self, tmp_path, write_archive, declared_npy, kind, case, match):
         members = dict(VALID_MEMBERS[kind])
@@ -847,6 +858,10 @@ class TestMalformedArtifacts:
                 # 80 bytes, as held
                 members[bulk] = declared_npy((-1, -2) + (1,) * extra_dims,
                                              BULK_DESCR[kind])
+            elif case == "npy_2_0":
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, members[bulk], version=(2, 0))
+                members[bulk] = buf.getvalue()
             write_archive(path, **members)
         with pytest.raises(ValueError, match=match) as err:
             LOADERS[kind](path)
@@ -876,6 +891,14 @@ class TestMalformedArtifacts:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize("make", [
+        lambda: toy_trajectories(2, 5),
+        lambda: data.build_dataset(toy_trajectories(2, 5), 1),
+    ], ids=["trajectory-set", "dataset"])
+    def test_containers_compare_by_identity(self, make):
+        # each held an array, so == raised ValueError and hash TypeError
+        assert_compared_by_identity(make)
+
     def test_count_identity_deterministic(self):
         trajs = toy_trajectories(4, 40)
         for n_mem in (0, 3, 10):

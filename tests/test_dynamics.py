@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import assert_compared_by_identity, assert_compared_by_value
 from memflow import data, rollout
 from memflow import dynamics as dyn
 
@@ -65,6 +66,18 @@ class TestEvalRhs:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):
             dyn.make_system("example1", gamma=3.0)
+
+    @pytest.mark.parametrize("epsilon, shown", [(0, "0.0"), (-0.5, "-0.5")])
+    def test_example3_epsilon_not_positive_rejected(self, epsilon, shown):
+        with pytest.raises(ValueError, match=f"^epsilon must be positive, got {shown}$"):
+            dyn.make_system("example3", epsilon=epsilon)
+
+    @pytest.mark.parametrize("params", [{"d": 1}, {"matrix": -np.eye(2)}, {}],
+                             ids=["no-matrix", "no-d", "neither"])
+    def test_generic_system_without_matrix_or_d_rejected(self, params):
+        with pytest.raises(ValueError, match=(
+                "^linear-generic requires 'matrix' and 'd' parameters$")):
+            dyn.make_system("linear-generic", **params)
 
     def test_numpy_scalar_parameters_accepted(self):
         spec = dyn.make_system("linear-generic", matrix=-np.eye(3), d=np.int64(1),
@@ -172,6 +185,13 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match=r"n=3 but a matrix of shape \(2, 2\)"):
             dyn.SystemSpec(name="lin", n=3, d=1, a_matrix=np.eye(2))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_observe_of_another_state_width_rejected(self, width):
+        spec = dyn.make_system("example2")
+        with pytest.raises(ValueError, match=(
+                f"^state dimension {width} does not match n=2$")):
+            spec.observe(np.zeros((4, width)))
+
     def test_linear_builtins_share_their_matrix_rhs(self):
         for name in ("example1", "example4"):
             spec = dyn.make_system(name)
@@ -188,6 +208,21 @@ class TestSystemSpec:
         ]:
             spec = dyn.make_system(name)
             assert (spec.n, spec.d) == (n, d)
+
+
+class TestEquality:
+    @pytest.mark.parametrize("make", [
+        lambda: dyn.make_system("example1"),
+        lambda: dyn.make_system("example2"),
+        lambda: dyn.default_domain(dyn.make_system("example2")),
+    ], ids=["matrix-spec", "field-spec", "domain"])
+    def test_containers_compare_by_identity(self, make):
+        # a spec or domain holding an array raised ValueError on == and
+        # TypeError on hash
+        assert_compared_by_identity(make)
+
+    def test_solver_config_compares_by_value(self):
+        assert_compared_by_value(lambda: dyn.SolverConfig(0.05, 4))
 
 
 class TestFieldExpressions:
@@ -306,7 +341,11 @@ class TestDomain:
          r"got lower=\[-inf\], upper=\[1\.0\]$"),
         ([-1e308], [1e308], r"^domain width upper - lower must be finite, "
          r"got lower=\[-1e\+308\], upper=\[1e\+308\]$"),
-    ], ids=["empty", "infinite-bound", "overflowing-width"])
+        ([0.0, 0.0], [1.0], "^domain bounds must be 1-D vectors of equal length$"),
+        ([0.0], [1.0, 1.0], "^domain bounds must be 1-D vectors of equal length$"),
+        ([[0.0]], [[1.0]], "^domain bounds must be 1-D vectors of equal length$"),
+    ], ids=["empty", "infinite-bound", "overflowing-width", "shorter-upper",
+            "shorter-lower", "2-D"])
     def test_degenerate_bounds_rejected(self, lower, upper, match):
         with pytest.raises(ValueError, match=match):
             dyn.Domain(np.array(lower), np.array(upper))
@@ -1230,6 +1269,12 @@ class TestMatrixExponential:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             dyn.matrix_exponential(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match=(
+                "^matrix_exponential requires finite entries$")):
+            dyn.matrix_exponential(np.array([[0.0, bad], [1.0, 0.0]]))
 
     def test_semigroup_identity(self):
         rng = np.random.default_rng(21)

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import float64_network, refused_seeds
+from conftest import (assert_compared_by_identity, assert_compared_by_value,
+                      float64_network, refused_seeds)
 from memflow import cli, data, net, rollout, train
 from memflow import dynamics as dyn
 
@@ -20,6 +21,15 @@ def zero_final_layer(params):
 
 
 class TestRollout:
+    def test_result_compares_by_identity(self):
+        # its states array made == raise ValueError and hash TypeError
+        model = net.init_params(1, 1, [3], seed=0)
+        assert_compared_by_identity(
+            lambda: rollout.rollout(model, np.zeros((2, 2, 1)), 3))
+
+    def test_sweep_cell_compares_by_value(self):
+        assert_compared_by_value(lambda: rollout.SweepCell(3, 0.06, 0.25, (1,)))
+
     def test_seed_fidelity(self):
         rng = np.random.default_rng(1)
         model = net.init_params(2, 3, [6], seed=1)
@@ -612,6 +622,10 @@ class TestEvaluateAndSweep:
         with pytest.raises(ValueError, match="ascending"):
             rollout.memory_sweep(cfg, [3, 1], seed=0)
 
+    def test_sweep_requires_a_memory_setting(self):
+        with pytest.raises(ValueError, match="^n_mem_list must be non-empty$"):
+            rollout.memory_sweep(sweep_config(), [], seed=0)
+
     @refused_seeds
     def test_sweep_seed_must_be_a_count(self, seed, message):
         # refused before the first cell trains
@@ -811,6 +825,12 @@ class TestCompareWithHomogenized:
                 net.init_params(3, 2, [6], seed=1), spec, self.SOLVER,
                 dyn.default_domain(spec), horizon_steps=10, n_runs=n_runs, seed=4,
             )
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_model_of_another_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match=(
+                f"^model d={d} does not match observed dimension 3$")):
+            self.compare(net.init_params(d, 2, [6], seed=1))
 
     def test_other_systems_rejected(self):
         model = net.init_params(1, 2, [6], seed=1)

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import float64_network, refused_seeds, windows_dataset
+from conftest import (assert_compared_by_identity, assert_compared_by_value,
+                      float64_network, refused_seeds, windows_dataset)
 from memflow import data, net, rollout, train
 from memflow import dynamics as dyn
 
@@ -53,8 +54,9 @@ def reference_adam(init, ds, cfg):
         for lo in range(0, ds.size, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = ds.inputs[idx], ds.targets[idx]
-            resid = net.forward_batch(params, xb) - yb
-            grad, _ = net.backward_batch(params, xb, (2.0 / xb.shape[0]) * resid)
+            acts = []
+            resid = net.forward_batch(params, xb, acts) - yb
+            grad, _ = net.backward_batch(params, (2.0 / xb.shape[0]) * resid, acts)
             grads_w, grads_b = params.split(grad)
             step += 1
             corr1 = 1.0 - b1**step
@@ -160,6 +162,14 @@ class TestMseLoss:
 
 
 class TestTrainModel:
+    def test_report_compares_by_identity(self):
+        # its float64 loss array made == raise ValueError and hash TypeError
+        assert_compared_by_identity(
+            lambda: train.TrainReport(np.array([2.0, 1.0]), 1.0, 0.5))
+
+    def test_config_compares_by_value(self):
+        assert_compared_by_value(lambda: train.TrainConfig(1e-2, 16, 3, seed=8))
+
     def test_linear_regression_converges(self):
         # z_next = 0.9 * z_now has an exact representation; loss floor is 0
         rng = np.random.default_rng(1)
@@ -466,7 +476,9 @@ ds = data.build_dataset(data.TrajectorySet(0.02, rng.normal(size=(64, 40, 10))),
 model, report = train.train_model(net.init_params(10, 30, [160, 160, 160], seed=0),
                                   ds, train.TrainConfig(batch_size=64, epochs=2))
 xb, yb = ds.windows(slice(0, 64))
-_, input_grad = net.backward_batch(model, xb, net.forward_batch(model, xb) - yb)
+acts = []
+resid = net.forward_batch(model, xb, acts) - yb
+_, input_grad = net.backward_batch(model, resid, acts)
 for array in (model.flat, report.loss_per_epoch, input_grad):
     print(hashlib.sha256(array.tobytes()).hexdigest())
 """
