@@ -22,8 +22,9 @@ from memflow import cli, rollout
 
 SEED = 3
 
-cfg = replace(cli.preset_config("example2"), n_traj=1500, epochs=40, eval_horizon=10.0)
-cells = rollout.memory_sweep(cfg, [1, 3, 10, 20], seed=cli.stage_seed(SEED, "sweep"))
+cfg = replace(cli.preset_config("example2"), n_traj=1500, epochs=40, eval_horizon=10.0,
+              seed=cli.stage_seed(SEED, "sweep"))
+cells = rollout.memory_sweep(cfg, [1, 3, 10, 20])
 
 print("n_mem   T_M     mean rollout error (t <= 10)")
 for cell in cells:

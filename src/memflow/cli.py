@@ -419,7 +419,7 @@ def cmd_predict(cfg, steps=None):
 def cmd_sweep(cfg, n_mem_list):
     """Train one model per memory setting and tabulate rollout errors."""
     out = _out_dir(cfg)
-    cells = roll_mod.memory_sweep(cfg, n_mem_list, stage_seed(cfg.seed, "sweep"))
+    cells = roll_mod.memory_sweep(replace(cfg, seed=stage_seed(cfg.seed, "sweep")), n_mem_list)
     path = out / SWEEP_FILE
     _write_csv(path, ["n_mem", "T_M", "mean_error"],
                [(int(c.n_mem), float(c.memory_length), float(c.mean_error))

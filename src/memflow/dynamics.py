@@ -8,10 +8,10 @@ on this module.  It provides:
   designated as the observed variables.  A system is described once: by
   its matrix ``a_matrix`` (linear) or by its ``field``, one expression
   per component over ``x0 ... x{n-1}`` and named ``params`` (nonlinear),
-  and ``rhs`` on state arrays is worked out from that one.
-  Built-in systems, the homogenized closure ``example3-reduced`` among
-  them, are constructed by :func:`make_system`; arbitrary linear block
-  systems by :func:`linear_system`.
+  and ``rhs`` on state arrays and the state dimension ``n`` are worked
+  out from that one.  Built-in systems, the homogenized closure
+  ``example3-reduced`` among them, are constructed by :func:`make_system`;
+  any other system is a ``SystemSpec`` given its matrix or its field.
 * a classical 4th-order Runge-Kutta integrator with a fixed number of
   substeps per coarse sample step (:func:`integrate_batch`).  It advances
   an ``(m, n)`` batch of initial conditions in lock-step and returns
@@ -73,7 +73,6 @@ __all__ = [
     "SolverConfig",
     "IntegrationError",
     "make_system",
-    "linear_system",
     "default_domain",
     "integrate_batch",
     "matrix_exponential",
@@ -114,20 +113,24 @@ class SystemSpec:
     """A dynamical system dx/dt = rhs(x) with observed leading components.
 
     A system is given by exactly one of ``a_matrix`` and ``field``; a spec
-    with neither or both is a ValueError.
+    with neither or both is a ValueError.  Its full state dimension ``n``
+    is read from that one (a property: the matrix's size or the number of
+    expressions), so ``dataclasses.replace(spec, a_matrix=b)`` is a system
+    on the size of ``b``.
 
     Attributes
     ----------
     name : str
         Identifier, e.g. ``"example2"``.
-    n : int
-        Full state dimension.
     d : int
-        Observed dimension; the observation map keeps components ``[:d]``.
+        Observed dimension, a count with 1 <= d <= n; the observation map
+        keeps components ``[:d]``.
     a_matrix : ndarray or None
-        For linear systems, the full ``n x n`` matrix: dx/dt = a_matrix @ x.
-        Its entries must be numbers, not strings or bools; it is stored as
-        a float array of its own, which must be finite.
+        For linear systems, the full square ``n x n`` matrix: dx/dt =
+        a_matrix @ x.  Its entries must be numbers, not strings or bools; it
+        is stored as a float array of its own, which must be finite.  Any
+        other shape, a ragged nested list among them, is a ValueError
+        naming the spec and the shape.
         Integration and the exact references step with this matrix.
     field : tuple of str or None
         For nonlinear systems, the vector field as ``n`` Python expressions,
@@ -149,34 +152,32 @@ class SystemSpec:
     """
 
     name: str
-    n: int
     d: int
     a_matrix: np.ndarray | None = None
     field: tuple | None = None
     params: dict | None = None
 
     def __post_init__(self):
-        n, d = _count("n", self.n, 1), _count("d", self.d, 1)
-        if d > n:
-            raise ValueError(f"observed dimension d={d} must satisfy 1 <= d <= n={n}")
-        object.__setattr__(self, "n", n)
+        d = _count("d", self.d, 1)
         object.__setattr__(self, "d", d)
         if (self.a_matrix is None) == (self.field is None):
             raise ValueError(f"{self.name} needs exactly one of a_matrix and field")
         params = dict(self.params or {})
         if self.a_matrix is not None:
             a = self.a_matrix
+            if not isinstance(a, np.ndarray):
+                # a ragged nested list has the shape of an object array: (2,)
+                # for [[1, 2], [3]], where np.shape raises
+                a = np.asarray(a, dtype=object)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValueError(f"{self.name} matrix must be square, got shape {a.shape}")
             # float() would read a string or a bool as a number; an integer
             # or float array holds numbers, so its entries are not looked at
-            numeric = isinstance(a, np.ndarray) and a.dtype.kind in "iuf"
-            if not numeric and not all(
+            if a.dtype.kind not in "iuf" and not all(
                     isinstance(x, numbers.Real) and not isinstance(x, bool)
-                    for x in np.asarray(a, dtype=object).flat):
+                    for x in a.flat):
                 raise ValueError(f"{self.name} matrix must hold numbers")
             a = np.array(a, dtype=float)
-            if a.shape != (self.n, self.n):
-                raise ValueError(f"{self.name} has n={self.n} but a matrix of "
-                                 f"shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{self.name} matrix must be finite-valued")
             if params:
@@ -188,11 +189,7 @@ class SystemSpec:
                 raise ValueError(f"{self.name} field must be a sequence of expression "
                                  f"strings, got {self.field!r}")
             field = tuple(self.field)
-            if len(field) != self.n:
-                raise ValueError(
-                    f"vector field returns {len(field)} components, expected {self.n}"
-                )
-            components = {f"x{i}" for i in range(self.n)}
+            components = {f"x{i}" for i in range(len(field))}
             for key, value in params.items():
                 if (not isinstance(key, str) or not key.isascii()
                         or not key.isidentifier() or keyword.iskeyword(key)
@@ -206,14 +203,22 @@ class SystemSpec:
             object.__setattr__(self, "field", tuple(
                 _checked_expression(self.name, text, names) for text in field))
         object.__setattr__(self, "params", params)
+        if d > self.n:
+            raise ValueError(f"observed dimension d={d} must satisfy 1 <= d <= n={self.n}")
+
+    @property
+    def n(self):
+        """Full state dimension: the matrix's size, or the number of field
+        expressions."""
+        return len(self.field if self.a_matrix is None else self.a_matrix)
 
     def rhs(self, state):
         """dx/dt at states of shape ``(..., n)``, as an array of that shape:
         ``state @ a_matrix.T``, or ``field`` on the last axis's components."""
         state = np.asarray(state, dtype=float)
-        if state.shape[-1] != self.n:
+        if _width(state) != self.n:
             raise ValueError(
-                f"{self.name} state has dimension {self.n}, got {state.shape[-1]}"
+                f"{self.name} state has dimension {self.n}, got {_width(state)}"
             )
         if self.a_matrix is not None:
             return state @ self.a_matrix.T
@@ -226,11 +231,17 @@ class SystemSpec:
     def observe(self, states):
         """Project full states ``(..., n)`` onto the observed block ``(..., d)``."""
         states = np.asarray(states)
-        if states.shape[-1] != self.n:
+        if _width(states) != self.n:
             raise ValueError(
-                f"state dimension {states.shape[-1]} does not match n={self.n}"
+                f"state dimension {_width(states)} does not match n={self.n}"
             )
         return states[..., : self.d]
+
+
+def _width(states):
+    """The length of the last axis of the array ``states``; ``"0-d"`` for an
+    array without axes."""
+    return states.shape[-1] if states.ndim else "0-d"
 
 
 _FUNCTIONS = ("sin", "cos", "exp")
@@ -348,17 +359,6 @@ def _load_sigma():
     return dict(zip(_SIGMA_LABELS, rows.reshape(4, 10, 10)))
 
 
-def linear_system(a, d, name="linear-generic"):
-    """Linear system dx/dt = a @ x observing the first ``d`` components;
-    ``n`` is read from the square matrix ``a``."""
-    # a ragged nested list has the shape of an object array: (2,) for
-    # [[1, 2], [3]], where np.shape raises
-    shape = (a if isinstance(a, np.ndarray) else np.asarray(a, dtype=object)).shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"matrix must be square, got shape {shape}")
-    return SystemSpec(name=name, n=shape[0], d=d, a_matrix=a)
-
-
 def make_system(name, **params):
     """Construct a built-in system by name.
 
@@ -387,14 +387,13 @@ def make_system(name, **params):
     if name == "example1":
         alpha = _pop_number(name, params, "alpha", 2.0)
         _reject_params(name, params)
-        spec = linear_system([[1.0, -4.0], [4.0, -alpha]], d=1, name=name)
+        spec = SystemSpec(name, 1, a_matrix=[[1.0, -4.0], [4.0, -alpha]])
 
     elif name == "example2":
         alpha = _pop_number(name, params, "alpha", 0.1)
         beta = _pop_number(name, params, "beta", 8.91)
         _reject_params(name, params)
-        spec = SystemSpec(name=name, n=2, d=1,
-                          field=("x1", "-alpha * x1 - beta * sin(x0)"),
+        spec = SystemSpec(name, 1, field=("x1", "-alpha * x1 - beta * sin(x0)"),
                           params={"alpha": alpha, "beta": beta})
 
     elif name == "example3":
@@ -403,15 +402,14 @@ def make_system(name, **params):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         # x3 is the fast variable y
-        spec = SystemSpec(name=name, n=4, d=3,
+        spec = SystemSpec(name, 3,
                           field=("-x1 - x2", "x0 + x1 / 5.0", "0.2 + x3 - 5.0 * x2",
                                  "(x0 * x2 - x3) / epsilon"),
                           params={"epsilon": epsilon})
 
     elif name == "example3-reduced":
         _reject_params(name, params)
-        spec = SystemSpec(name=name, n=3, d=3,
-                          field=("-x1 - x2", "x0 + x1 / 5.0", "0.2 + x2 * (x0 - 5.0)"))
+        spec = SystemSpec(name, 3, field=("-x1 - x2", "x0 + x1 / 5.0", "0.2 + x2 * (x0 - 5.0)"))
 
     elif name == "example4":
         _reject_params(name, params)
@@ -419,7 +417,7 @@ def make_system(name, **params):
         eye = np.eye(10)
         a = np.block([[sig["SIGMA11"], eye + sig["SIGMA12"]],
                       [-(eye + sig["SIGMA21"]), -sig["SIGMA22"]]])
-        spec = linear_system(a, d=10, name=name)
+        spec = SystemSpec(name, 10, a_matrix=a)
 
     elif name == "linear-generic":
         matrix = params.pop("matrix", None)
@@ -427,7 +425,7 @@ def make_system(name, **params):
         _reject_params(name, params)
         if matrix is None or d is None:
             raise ValueError("linear-generic requires 'matrix' and 'd' parameters")
-        spec = linear_system(matrix, d=d)
+        spec = SystemSpec(name, d, a_matrix=matrix)
 
     else:
         raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}")

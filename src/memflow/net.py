@@ -214,7 +214,10 @@ def backward_batch(params, output_grads, acts):
     onto the leading ``d`` input columns.  The upstream gradients are cast
     to the network's dtype, which both results have.
     """
-    rows = acts[0].shape[0]  # acts[0] holds the inputs, cast
+    if acts[0].ndim != 2:  # acts[0] holds the inputs, cast
+        raise ValueError(f"backward_batch needs the cache of a forward_batch call "
+                         f"on (J, D) rows, got inputs of shape {acts[0].shape}")
+    rows = acts[0].shape[0]
     output_grads = _cast(params, output_grads, "output_grads")
     if output_grads.shape != (rows, params.d):
         raise ValueError(

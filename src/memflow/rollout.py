@@ -224,7 +224,7 @@ def evaluate_model(model, spec, solver, domain, horizon_steps, n_runs, seed):
     return float(run_means.mean()), series
 
 
-def memory_sweep(cfg, n_mem_list, seed):
+def memory_sweep(cfg, n_mem_list):
     """Train and evaluate one model per memory setting.
 
     ``cfg`` is the experiment (a :class:`memflow.cli.ExperimentConfig`);
@@ -233,12 +233,11 @@ def memory_sweep(cfg, n_mem_list, seed):
     passes the config's checks (n a count >= 0 among them), before the
     first one trains.  Each cell regenerates data, builds windows, trains
     a fresh network, and reports the mean rollout error at the evaluation
-    horizon with the indices of the evaluation runs that diverged.  Its seeds come
-    from ``cell_seed = SeedSequence([seed, n_mem])``, ``seed`` a count >= 0:
-    ``cell_seed`` + 0 to + 4 for generate, select, init, train and evaluate,
-    so the sweep is reproducible.
+    horizon with the indices of the evaluation runs that diverged.  Its seeds
+    come from ``cell_seed = SeedSequence([cfg.seed, n_mem])``: ``cell_seed``
+    + 0 to + 4 for generate, select, init, train and evaluate, so a config
+    fixes its sweep.
     """
-    seed = dyn._count("seed", seed, 0)
     n_mem_list = list(n_mem_list)
     if not n_mem_list:
         raise ValueError("n_mem_list must be non-empty")
@@ -249,7 +248,7 @@ def memory_sweep(cfg, n_mem_list, seed):
     cells = []
     for cell in cell_cfgs:
         n_mem = cell.n_mem
-        cell_seed = int(np.random.SeedSequence([seed, n_mem]).generate_state(1)[0])
+        cell_seed = int(np.random.SeedSequence([cfg.seed, n_mem]).generate_state(1)[0])
         trajs = data_mod.generate_trajectories(
             spec, solver, domain, cell.n_traj, cell.resolved_traj_len(),
             seed=cell_seed,

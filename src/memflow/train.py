@@ -71,14 +71,17 @@ class TrainConfig:
 @dataclass(frozen=True, eq=False)
 class TrainReport:
     """What :func:`train_model` reports: ``loss_per_epoch``, a float64
-    array of :func:`mse_loss` over the whole dataset after each epoch;
-    ``final_loss``, its last entry as a Python float; and ``wall_time``,
-    the seconds the epochs took.  Two reports compare equal only if they
+    array of :func:`mse_loss` over the whole dataset after each epoch, and
+    ``wall_time``, the seconds the epochs took; ``final_loss`` reads the
+    last loss as a Python float.  Two reports compare equal only if they
     are the same object."""
 
     loss_per_epoch: np.ndarray
-    final_loss: float
     wall_time: float
+
+    @property
+    def final_loss(self):
+        return float(self.loss_per_epoch[-1])
 
 
 # Rows per forward_batch call in mse_loss, which bounds the windows it
@@ -163,11 +166,7 @@ def train_model(init, ds, cfg):
     del m, v, scratch  # freed before the trained copy is made
     # a fresh, validated copy: non-finite parameters are rejected here
     trained = replace(work)
-    report = TrainReport(
-        loss_per_epoch=losses,
-        final_loss=float(losses[-1]),
-        wall_time=time.perf_counter() - t0,
-    )
+    report = TrainReport(loss_per_epoch=losses, wall_time=time.perf_counter() - t0)
     return trained, report
 
 

@@ -173,7 +173,7 @@ class TestGenerateTrajectories:
         assert trajs.delta * 100 == pytest.approx(2.0)
 
     def test_constant_system(self):
-        spec = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
+        spec = dyn.SystemSpec(name="still", d=1, field=("0.0", "0.0"))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         trajs = data.generate_trajectories(
             spec, dyn.SolverConfig(0.1, 1), dom, n_traj=3, traj_len=7, seed=2
@@ -259,7 +259,7 @@ class TestGenerateTrajectories:
         # dx/dt = x^2 from c reaches infinity at t = 1/c: from c <= 0.62 no
         # state is non-finite before t = 1.6, sample 80 of delta 0.02, and
         # from c <= 0.35 none before sample 142
-        spec = dyn.SystemSpec(name="riccati", n=1, d=1, field=("x0 * x0",))
+        spec = dyn.SystemSpec(name="riccati", d=1, field=("x0 * x0",))
         dom = dyn.Domain(np.array([lower]), np.array([upper]))
         cfg = dyn.SolverConfig(0.02, 2)
         x0s = data.sample_initial_conditions(dom, n_traj, seed=4)

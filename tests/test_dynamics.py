@@ -111,30 +111,68 @@ class TestEvalRhs:
 class TestSystemSpec:
     def test_observed_dimension_bounds(self):
         with pytest.raises(ValueError, match="observed dimension"):
-            dyn.SystemSpec(name="x", n=2, d=3, field=("x0", "x1"))
+            dyn.SystemSpec(name="x", d=3, field=("x0", "x1"))
 
-    @pytest.mark.parametrize("n, d, message", [
-        (2, 1.5, "d must be an integer, got 1.5"),
-        (2, True, "d must be an integer, got True"),
-        (2.0, 1, "n must be an integer, got 2.0"),
-        (2, 0, "d must be >= 1, got 0"),
+    @pytest.mark.parametrize("d, message", [
+        (1.5, "d must be an integer, got 1.5"),
+        (True, "d must be an integer, got True"),
+        (0, "d must be >= 1, got 0"),
     ])
-    def test_dimension_that_is_not_a_count_rejected(self, n, d, message):
+    def test_dimension_that_is_not_a_count_rejected(self, d, message):
         # d=1.5 was accepted and observe then raised a TypeError
         with pytest.raises(ValueError, match=f"^{message}$"):
-            dyn.SystemSpec(name="x", n=n, d=d, field=("x1", "-x0"))
+            dyn.SystemSpec(name="x", d=d, field=("x1", "-x0"))
 
     def test_integral_dimensions_stored_as_ints(self):
-        spec = dyn.SystemSpec(name="x", n=np.int64(2), d=np.int32(1),
-                              field=("x1", "-x0"))
+        spec = dyn.SystemSpec(name="x", d=np.int32(1), field=("x1", "-x0"))
         assert (spec.n, spec.d) == (2, 1)
         assert type(spec.n) is int and type(spec.d) is int
 
+    @pytest.mark.parametrize("name, n", [
+        ("example1", 2), ("example2", 2), ("example3", 4), ("example3-reduced", 3),
+        ("example4", 20),
+    ])
+    def test_builtin_size_is_read_from_its_matrix_or_field(self, name, n):
+        spec = dyn.make_system(name)
+        assert spec.n == n and type(spec.n) is int
+        assert spec.n == len(spec.field if spec.a_matrix is None else spec.a_matrix)
+
+    def test_generic_linear_size_is_read_from_its_matrix(self):
+        spec = dyn.make_system("linear-generic", matrix=-np.eye(5), d=2)
+        assert (spec.n, spec.d) == (5, 2)
+        assert dyn.default_domain(spec).n == 5
+
+    def test_spec_takes_no_size(self):
+        with pytest.raises(TypeError, match="'n'"):
+            dyn.SystemSpec(name="x", n=2, d=1, field=("x1", "-x0"))
+
+    def test_size_follows_a_replaced_matrix(self):
+        b = np.diag([-1.0, -2.0, -3.0])
+        spec = dataclasses.replace(dyn.make_system("example1"), a_matrix=b)
+        assert spec.n == 3
+        solver, x0s = dyn.SolverConfig(0.1, 2), [[1.0, 1.0, 1.0]]
+        traj = dyn.integrate_batch(spec, solver, x0s, 4)
+        assert traj.shape == (1, 5, 3)
+        own = dyn.SystemSpec(name="example1", d=1, a_matrix=b)
+        assert traj.tobytes() == dyn.integrate_batch(own, solver, x0s, 4).tobytes()
+
+    def test_size_follows_a_replaced_field(self):
+        spec = dataclasses.replace(dyn.make_system("example2"),
+                                   field=("x1", "x2", "-x0"), params={})
+        assert spec.n == 3
+        np.testing.assert_array_equal(spec.rhs([1.0, 2.0, 3.0]), [2.0, 3.0, -1.0])
+
+    def test_observed_dimension_above_a_replaced_size_rejected(self):
+        with pytest.raises(ValueError, match=(
+                r"^observed dimension d=3 must satisfy 1 <= d <= n=2$")):
+            dataclasses.replace(dyn.make_system("example3-reduced"),
+                                field=("x1", "-x0"))
+
     def test_exactly_one_description_required(self):
         with pytest.raises(ValueError, match="none needs exactly one of a_matrix and field"):
-            dyn.SystemSpec(name="none", n=1, d=1)
+            dyn.SystemSpec(name="none", d=1)
         with pytest.raises(ValueError, match="both needs exactly one of a_matrix and field"):
-            dyn.SystemSpec(name="both", n=1, d=1, a_matrix=np.eye(1),
+            dyn.SystemSpec(name="both", d=1, a_matrix=np.eye(1),
                            field=("x0",))
 
     def test_rhs_follows_a_replaced_matrix(self):
@@ -158,15 +196,15 @@ class TestSystemSpec:
 
     def test_matrix_alone_is_a_linear_system(self):
         a = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 3))
-        spec = dyn.SystemSpec(name="lin", n=3, d=1, a_matrix=a)
+        spec = dyn.SystemSpec(name="lin", d=1, a_matrix=a)
         x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 5, 3))
         assert spec.rhs(x).tobytes() == (x @ a.T).tobytes()
         assert spec.rhs(x.tolist()).tobytes() == (x @ a.T).tobytes()
 
     def test_nested_list_matrix_is_stored_as_an_array(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        listed = dyn.SystemSpec(name="lst", n=2, d=1, a_matrix=a.tolist())
-        owned = dyn.SystemSpec(name="arr", n=2, d=1, a_matrix=a)
+        listed = dyn.SystemSpec(name="lst", d=1, a_matrix=a.tolist())
+        owned = dyn.SystemSpec(name="arr", d=1, a_matrix=a)
         a[0, 1] = 5.0  # the spec holds a copy of its own
         np.testing.assert_array_equal(owned.a_matrix, listed.a_matrix)
         assert listed.rhs([1.0, 0.0]).tobytes() == owned.rhs([1.0, 0.0]).tobytes()
@@ -179,11 +217,7 @@ class TestSystemSpec:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match="lin matrix must be finite-valued"):
-            dyn.SystemSpec(name="lin", n=2, d=1, a_matrix=[[0.0, bad], [1.0, 0.0]])
-
-    def test_matrix_of_the_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match=r"n=3 but a matrix of shape \(2, 2\)"):
-            dyn.SystemSpec(name="lin", n=3, d=1, a_matrix=np.eye(2))
+            dyn.SystemSpec(name="lin", d=1, a_matrix=[[0.0, bad], [1.0, 0.0]])
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_observe_of_another_state_width_rejected(self, width):
@@ -191,6 +225,16 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match=(
                 f"^state dimension {width} does not match n=2$")):
             spec.observe(np.zeros((4, width)))
+
+    @pytest.mark.parametrize("state", [np.float64(1.0), 1.0, np.array(1.0)],
+                             ids=["numpy-scalar", "float", "0-d-array"])
+    def test_state_without_axes_rejected(self, state):
+        # a state without axes has no last axis to hold n components
+        spec = dyn.make_system("example2")
+        with pytest.raises(ValueError, match="^state dimension 0-d does not match n=2$"):
+            spec.observe(state)
+        with pytest.raises(ValueError, match="^example2 state has dimension 2, got 0-d$"):
+            spec.rhs(state)
 
     def test_linear_builtins_share_their_matrix_rhs(self):
         for name in ("example1", "example4"):
@@ -252,7 +296,7 @@ class TestFieldExpressions:
         with pytest.raises(ValueError, match=(
                 f"^lang field expression {re.escape(repr(text))} may not use "
                 f"{re.escape(repr(part))}: {re.escape(self.LANGUAGE)}$")):
-            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", text),
+            dyn.SystemSpec(name="lang", d=1, field=("x1", text),
                            params={"alpha": 1.0})
 
     @pytest.mark.parametrize("text", ["x0 +", "x0 = 1.0", "x0; x1", "", 1.5])
@@ -260,21 +304,21 @@ class TestFieldExpressions:
         with pytest.raises(ValueError, match=(
                 f"^lang field expression {re.escape(repr(text))} is not "
                 f"a Python expression$")):
-            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", text))
+            dyn.SystemSpec(name="lang", d=1, field=("x1", text))
 
     @pytest.mark.parametrize("field", [lambda x, m: (x[1], -x[0]), "x1"],
                              ids=["callable", "string"])
     def test_field_that_is_not_a_sequence_of_expressions_rejected(self, field):
         with pytest.raises(ValueError, match=(
                 "^lang field must be a sequence of expression strings")):
-            dyn.SystemSpec(name="lang", n=2, d=1, field=field)
+            dyn.SystemSpec(name="lang", d=1, field=field)
 
     @pytest.mark.parametrize("key", ["x0", "sin", "range", "_h", "None", "a b",
                                      "a=1", "\u03b1", 1])
     def test_parameter_name_outside_plain_identifiers_rejected(self, key):
         with pytest.raises(ValueError, match=(
                 f"^lang parameter name {re.escape(repr(key))} is not allowed$")):
-            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", "-x0"),
+            dyn.SystemSpec(name="lang", d=1, field=("x1", "-x0"),
                            params={key: 1.0})
 
     @pytest.mark.parametrize("value, message", [
@@ -287,13 +331,13 @@ class TestFieldExpressions:
                                                                    message):
         with pytest.raises(ValueError, match=(
                 f"^lang parameter 'alpha' {re.escape(message)}$")):
-            dyn.SystemSpec(name="lang", n=2, d=1, field=("x1", "-alpha * x0"),
+            dyn.SystemSpec(name="lang", d=1, field=("x1", "-alpha * x0"),
                            params={"alpha": value})
 
     def test_matrix_takes_no_parameters(self):
         with pytest.raises(ValueError, match=(
                 "^lin: params name constants of a field; a matrix takes none$")):
-            dyn.SystemSpec(name="lin", n=1, d=1, a_matrix=[[-1.0]],
+            dyn.SystemSpec(name="lin", d=1, a_matrix=[[-1.0]],
                            params={"alpha": 1.0})
         assert dyn.make_system("example1").params == {}
 
@@ -301,7 +345,7 @@ class TestFieldExpressions:
         # a comment, a line break inside parentheses and surrounding blanks
         # are not part of the expression; numbers become floats
         spec = dyn.SystemSpec(
-            name="tidy", n=2, d=1,
+            name="tidy", d=1,
             field=("  x1", "(-k *\n x0)  # spring"),
             params={"k": np.int64(4), "unused": np.float64(0.5)})
         assert spec.field == ("x1", "-k * x0")
@@ -314,10 +358,10 @@ class TestFieldExpressions:
         # the generated loop's own names start with "_", and it calls no
         # builtin but range, so these are free
         named = dyn.SystemSpec(
-            name="names", n=2, d=1, field=("step * x1", "h - field * x0"),
+            name="names", d=1, field=("step * x1", "h - field * x0"),
             params={"step": 0.5, "field": 2.0, "h": 0.25, "delta": 9.0,
                     "len": 1.0, "tuple": 2.0, "isfinite": 3.0, "math": 4.0})
-        plain = dyn.SystemSpec(name="plain", n=2, d=1,
+        plain = dyn.SystemSpec(name="plain", d=1,
                                field=("0.5 * x1", "0.25 - 2.0 * x0"))
         x0s = np.array([[0.3, -0.2]] * (dyn._FLOAT_ROWS + 1))
         for rows in (x0s[:1], x0s):
@@ -365,7 +409,7 @@ class TestDomain:
 
     def test_builtin_name_of_another_size_defaults_to_minus_two_to_two(self):
         # example1's own box is 2-D; a 3-D system of that name gets [-2, 2]^3
-        spec = dyn.linear_system(np.diag([-1.0, -2.0, -3.0]), d=1, name="example1")
+        spec = dyn.SystemSpec(name="example1", d=1, a_matrix=np.diag([-1.0, -2.0, -3.0]))
         dom = dyn.default_domain(spec)
         np.testing.assert_array_equal(dom.lower, [-2.0, -2.0, -2.0])
         np.testing.assert_array_equal(dom.upper, [2.0, 2.0, 2.0])
@@ -436,7 +480,7 @@ class TestIntegrate:
         assert 16**4 / 2 <= ratio <= 16**4 * 2
 
     def test_zero_vector_field_constant_solution(self):
-        spec = dyn.SystemSpec(name="still", n=2, d=2, field=("0.0", "0.0"))
+        spec = dyn.SystemSpec(name="still", d=2, field=("0.0", "0.0"))
         got = dyn.integrate_batch(spec, dyn.SolverConfig(0.5, 3), [[3.0, 7.0]], 6)
         np.testing.assert_array_equal(got, np.tile([3.0, 7.0], (1, 7, 1)))
 
@@ -448,7 +492,7 @@ class TestIntegrate:
         x0 = np.array([1.3, -0.4])
         exact = dyn.exact_linear_solution(linear, x0, 1.0)
         substeps = [1, 2, 4, 8]
-        fields = dyn.SystemSpec(name="example1-field", n=2, d=1,
+        fields = dyn.SystemSpec(name="example1-field", d=1,
                                 field=example1_field)
         wide = np.tile(x0, (dyn._FLOAT_ROWS + 1, 1))
         for spec, x0s in ((linear, x0[None]), (fields, x0[None]), (fields, wide)):
@@ -472,7 +516,7 @@ class TestIntegrate:
         assert np.abs(whole[:, k:] - second).max() <= 1e-9
 
     def test_divergence_reports_sample_index(self):
-        spec = dyn.SystemSpec(name="blowup", n=1, d=1, field=("x0 ** 2",))
+        spec = dyn.SystemSpec(name="blowup", d=1, field=("x0 ** 2",))
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), [[5.0]], 10)
         assert info.value.sample_index >= 1
@@ -514,7 +558,7 @@ class TestIntegrate:
             np.testing.assert_array_equal(batch[i], single[0])
 
     def test_batch_divergence_reports_trajectory(self):
-        spec = dyn.SystemSpec(name="blowup", n=1, d=1, field=("x0 ** 2",))
+        spec = dyn.SystemSpec(name="blowup", d=1, field=("x0 ** 2",))
         x0s = np.array([[0.0], [5.0]])
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s, 10)
@@ -579,7 +623,7 @@ lorenz96_field = tuple(
 # exponents 2, 0.5, -1 and 3, with an array exponent and with a parameter
 # as base; sin, cos and exp; parts made of parameters alone (beta ** 2,
 # -beta * exp(-alpha)) and of numbers alone (cos(2.0))
-LANGUAGE = dyn.SystemSpec(name="language", n=6, d=1, field=(
+LANGUAGE = dyn.SystemSpec(name="language", d=1, field=(
     "x1", "-0.5", "alpha",
     "-x3 + 0.1 * (+x0 - x1 * x2 / 5.0 + (x0 * x0 + 1.0) ** 0.5 + x1 ** 2"
     " - (2.0 + x2 * x2) ** -1 + x0 ** 3 * beta ** 2)",
@@ -590,19 +634,19 @@ LANGUAGE = dyn.SystemSpec(name="language", n=6, d=1, field=(
 
 
 GENERATED_STEP_FIELDS = {
-    1: dyn.SystemSpec(name="cos", n=1, d=1, field=("-x0 + 0.5 * cos(x0)",)),
+    1: dyn.SystemSpec(name="cos", d=1, field=("-x0 + 0.5 * cos(x0)",)),
     2: dyn.make_system("example2"),
     3: dyn.make_system("example3-reduced"),
     4: dyn.make_system("example3", epsilon=0.05),
-    5: dyn.SystemSpec(name="lorenz96", n=5, d=1, field=lorenz96_field,
+    5: dyn.SystemSpec(name="lorenz96", d=1, field=lorenz96_field,
                       params={"forcing": 8.0}),
     6: LANGUAGE,
 }
 
 
-RANDOM3 = dyn.linear_system(
-    np.random.default_rng(7).normal(size=(3, 3)) - 2.0 * np.eye(3), d=1
-)
+RANDOM3 = dyn.SystemSpec(
+    name="linear-generic", d=1,
+    a_matrix=np.random.default_rng(7).normal(size=(3, 3)) - 2.0 * np.eye(3))
 
 
 class TestLinearSampleMatrix:
@@ -637,7 +681,7 @@ class TestLinearSampleMatrix:
     def test_divergence_reports_sample_and_trajectory(self):
         # dx/dt = x with h = 1: each sample multiplies by R(1) = 65/24, so
         # from 1e300 the state is 1.66e308 at sample 19 and overflows at 20
-        spec = dyn.linear_system([[1.0]], d=1)
+        spec = dyn.SystemSpec(name="linear-generic", d=1, a_matrix=[[1.0]])
         cfg = dyn.SolverConfig(1.0, 1)
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, cfg, np.array([[1.0], [1e300]]), 25)
@@ -669,7 +713,7 @@ class TestMatrixBlocks:
     h = 1 multiplies by R(1) = 65/24 per sample, so from
     MAX / R(1)**(k - 0.5) the state first overflows at sample k."""
 
-    SPEC = dyn.linear_system([[1.0]], d=1)
+    SPEC = dyn.SystemSpec(name="linear-generic", d=1, a_matrix=[[1.0]])
     CFG = dyn.SolverConfig(1.0, 1)
 
     @staticmethod
@@ -740,7 +784,8 @@ class TestExactReducedMap:
 
     def test_rank_deficient_history_rejected(self):
         # the hidden variable never reaches the observed one
-        spec = dyn.linear_system([[-1.0, 0.0], [1.0, -2.0]], d=1)
+        spec = dyn.SystemSpec(name="linear-generic", d=1,
+                              a_matrix=[[-1.0, 0.0], [1.0, -2.0]])
         with pytest.raises(ValueError, match="observes rank 1 of the n=2"):
             dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5), 4)
         # without memory, one observed variable cannot pin two
@@ -874,7 +919,7 @@ class TestComponentFields:
         # from 1.0, and the third stage takes sin(inf); the in-place columns
         # run on to sample 10 and name what a check after every sample of
         # the reference stage loop names, sample 3 of the lower 5.0 row
-        spec = dyn.SystemSpec(name="square-sin", n=2, d=1,
+        spec = dyn.SystemSpec(name="square-sin", d=1,
                               field=("x0 * x0", "sin(x0)"))
         cfg = dyn.SolverConfig(1.0, 1)
         x0s = np.zeros((width, 2))
@@ -899,7 +944,7 @@ class TestComponentFields:
         # local computed once per call, and the loop still gives the
         # reference's bits
         spec = dyn.SystemSpec(
-            name="folded", n=2, d=1,
+            name="folded", d=1,
             field=("-alpha * x1 + x0 * -beta",
                    "-alpha * x1 - beta * sin(x0) + -beta * exp(-alpha) * cos(x0)"),
             params={"alpha": 0.3, "beta": 2.5})
@@ -910,7 +955,7 @@ class TestComponentFields:
         self.assert_generated_step_equals_stage_loop(spec, 11)
         # on both paths, the bits of the same field with the numbers written in
         plain = dyn.SystemSpec(
-            name="plain", n=2, d=1,
+            name="plain", d=1,
             field=("-0.3 * x1 + x0 * -2.5",
                    "-0.3 * x1 - 2.5 * sin(x0) + -2.5 * exp(-0.3) * cos(x0)"))
         x0s = np.random.default_rng(2).uniform(-1.0, 1.0, size=(dyn._FLOAT_ROWS + 1, 2))
@@ -974,20 +1019,12 @@ class TestComponentFields:
             assert got.tobytes() == np.array(want).transpose(2, 0, 1).tobytes()
 
     def test_rhs_made_from_the_field(self):
-        spec = dyn.SystemSpec(name="e1", n=2, d=1, field=example1_field)
+        spec = dyn.SystemSpec(name="e1", d=1, field=example1_field)
         x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(3, 4, 2))
         want = x @ dyn.make_system("example1").a_matrix.T
         np.testing.assert_allclose(spec.rhs(x), want, rtol=0, atol=1e-14)
         with pytest.raises(ValueError, match="e1 state has dimension 2, got 3"):
             spec.rhs([1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("field", [("-x0",), ("x1", "-x0", "x0")],
-                             ids=["one-component", "three-components"])
-    def test_wrong_number_of_components_rejected(self, field):
-        # when the spec is built, before anything integrates
-        with pytest.raises(ValueError, match="^vector field returns [13] "
-                           "components, expected 2$"):
-            dyn.SystemSpec(name="short", n=2, d=1, field=field)
 
     def assert_same_failure(self, spec, cfg, x0s, num_samples, want):
         errors = []
@@ -1006,7 +1043,7 @@ class TestComponentFields:
         # 7e123 at sample 2, and a stage overflows to inf at sample 3; floats
         # overflow silently, as numpy does.  Rows 3 and 5 fail first, row 1
         # later.
-        spec = dyn.SystemSpec(name="square", n=1, d=1, field=("x0 * x0",))
+        spec = dyn.SystemSpec(name="square", d=1, field=("x0 * x0",))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
         x0s[[3, 5]] = 5.0
         x0s[1] = 0.5
@@ -1019,7 +1056,7 @@ class TestComponentFields:
     def test_sin_of_inf_mid_sample_fails_alike_on_both_paths(self, monkeypatch):
         # x0 overflows at the second stage of sample 3, and the third stage
         # takes sin(inf): math raises ValueError there, numpy returns NaN
-        spec = dyn.SystemSpec(name="square-sin", n=2, d=1,
+        spec = dyn.SystemSpec(name="square-sin", d=1,
                               field=("x0 * x0", "sin(x0)"))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 2))
         x0s[4, 0] = 5.0
@@ -1049,7 +1086,7 @@ class TestComponentFields:
         # dx/dt = x * x from 5.0 with h = 1 overflows at sample 3: the row's
         # loop checks nothing and appends all 10 samples, non-finite from
         # sample 3 on, and the check after the loop names sample 3 of row 0
-        spec = dyn.SystemSpec(name="square", n=1, d=1, field=("x0 * x0",))
+        spec = dyn.SystemSpec(name="square", d=1, field=("x0 * x0",))
         appended = []
         generate = dyn._generate
 
@@ -1081,7 +1118,7 @@ class TestComponentFields:
         # 1.0: row 0 runs on past sample 3, row 2 fails there first, and row
         # 6 fails there too, so the floats, row after row, name row 2 as the
         # wide path does
-        spec = dyn.SystemSpec(name="square", n=1, d=1, field=("x0 * x0",))
+        spec = dyn.SystemSpec(name="square", d=1, field=("x0 * x0",))
         cfg = dyn.SolverConfig(1.0, 1)
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, cfg, [[1.0]], 10)
@@ -1102,7 +1139,7 @@ class TestComponentFields:
         # sample 3 take it, from 2.1 those of sample 5.  Row 1 meets it first
         # on the float path, and the batch runs again on columns, which name
         # sample 3 of row 4, the failure every path reports.
-        spec = dyn.SystemSpec(name="root", n=2, d=1, field=("-1.0", "x0 ** 0.5"))
+        spec = dyn.SystemSpec(name="root", d=1, field=("-1.0", "x0 ** 0.5"))
         cfg = dyn.SolverConfig(0.5, 1)
         with pytest.raises(TypeError):
             math.isfinite((-0.15) ** 0.5)
@@ -1118,7 +1155,7 @@ class TestComponentFields:
         # the narrow batch runs again on columns; they run on past row 1's
         # overflow at sample 1 and divide by zero in row 0, and no path
         # warns of either (a warning would fail this test)
-        spec = dyn.SystemSpec(name="edge", n=2, d=1,
+        spec = dyn.SystemSpec(name="edge", d=1,
                               field=("-1.0", "-1.0 / (1.0 / x0) + x1 * x1"))
         x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [2.9, 0.0])
         x0s[0], x0s[1] = [2.0, 0.0], [2.9, 1e200]
@@ -1128,7 +1165,7 @@ class TestComponentFields:
         # x0 counts down by h = 0.5 from 2: the last stage of sample 4 and the
         # first of sample 5 take 1/0 in -1/(1/x0), which raises on floats
         # and is -1/inf = -0.0 on numpy; the batch runs again on columns
-        spec = dyn.SystemSpec(name="countdown", n=2, d=1,
+        spec = dyn.SystemSpec(name="countdown", d=1,
                               field=("-1.0", "-1.0 / (1.0 / x0)"))
         cfg = dyn.SolverConfig(0.5, 1)
         x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [2.1, 0.0])
@@ -1165,7 +1202,7 @@ class TestComponentFields:
         # -1/(1/x) at x = 0: 1/0 raises ZeroDivisionError on floats, while
         # numpy gives -1/inf = -0.0; the narrow batch runs again on columns
         # and goes on as the wide path does
-        spec = dyn.SystemSpec(name="reciprocal", n=1, d=1,
+        spec = dyn.SystemSpec(name="reciprocal", d=1,
                               field=("-1.0 / (1.0 / x0)",))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 1))
         x0s[2] = 1.0
@@ -1178,7 +1215,7 @@ class TestComponentFields:
         # on the columns x0 overflows at the second stage of sample 3 in
         # row 5, and the third stage takes sin(inf): the IntegrationError is
         # the one signal of both
-        spec = dyn.SystemSpec(name="square-sin", n=2, d=1,
+        spec = dyn.SystemSpec(name="square-sin", d=1,
                               field=("x0 * x0", "sin(x0)"))
         x0s = np.zeros((dyn._FLOAT_ROWS + 1, 2))
         x0s[5, 0] = 5.0
@@ -1194,7 +1231,7 @@ class TestComponentFields:
         # numpy, where exp(-inf) = 0 goes on; the other rows, from -1000,
         # stay below exp's limit.  The narrow batch, run again on columns, is
         # the wide batch's leading rows bit for bit, and neither warns.
-        spec = dyn.SystemSpec(name="exp-exp", n=2, d=1,
+        spec = dyn.SystemSpec(name="exp-exp", d=1,
                               field=("200.0", "exp(-exp(x0))"))
         x0s = np.full((dyn._FLOAT_ROWS + 1, 2), [-1000.0, 0.0])
         x0s[3, 0] = 0.0
@@ -1350,14 +1387,15 @@ class TestLinearOracle:
             ([["1", "0"], ["0", "1"]], 1, "^linear-generic matrix must hold numbers$"),
             ([[True, 0], [0, 1]], 1, "^linear-generic matrix must hold numbers$"),
             (np.eye(2, dtype=bool), 1, "^linear-generic matrix must hold numbers$"),
-            ([[1.0, 2.0], [3.0]], 1, r"^matrix must be square, got shape \(2,\)$"),
+            ([[1.0, 2.0], [3.0]], 1,
+             r"^linear-generic matrix must be square, got shape \(2,\)$"),
         ],
         ids=["non-square", "vector", "d-zero", "d-above-n", "strings", "bools",
              "bool-array", "ragged"],
     )
     def test_bad_matrix_or_dimension_rejected(self, a, d, match):
         with pytest.raises(ValueError, match=match):
-            dyn.linear_system(a, d)
+            dyn.SystemSpec(name="linear-generic", d=d, a_matrix=a)
 
     def test_fully_observed_has_no_memory(self):
         # d = n: the unobserved blocks are empty, so memory and noise vanish
@@ -1575,7 +1613,8 @@ class TestDecompositionIdentity:
         dyn.make_system("example4"),
         # example4's A22 is symmetric, so only a generic matrix tells the
         # propagator exp(A22 t) from its transpose
-        dyn.linear_system(np.random.default_rng(35).normal(size=(6, 6)), d=2),
+        dyn.SystemSpec(name="linear-generic", d=2,
+                       a_matrix=np.random.default_rng(35).normal(size=(6, 6))),
     ], ids=["example1", "example4", "generic"])
     def test_reproduces_derivative_of_exact_solution(self, spec):
         rng = np.random.default_rng(33)

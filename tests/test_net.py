@@ -320,6 +320,16 @@ class TestBackward:
                 f"output_grads shape {shape}, expected (2, 1)") + "$"):
             backward(params, np.zeros((2, 3)), np.zeros(shape))
 
+    @pytest.mark.parametrize("grads", [(2,), (1, 2)])
+    def test_cache_of_a_single_row_refused(self, grads):
+        # forward_batch takes one (D,) row; its cache has no row axis, which
+        # backward_batch read as D rows
+        params = net.init_params(2, 3, [4], seed=0)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "backward_batch needs the cache of a forward_batch call on "
+                "(J, D) rows, got inputs of shape (8,)") + "$"):
+            backward(params, np.zeros(params.input_width), np.zeros(grads))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 64])
     def test_matches_the_reduction_and_temporary_formulation_bitwise(self, dtype,

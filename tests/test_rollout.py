@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_compared_by_identity, assert_compared_by_value,
-                      float64_network, refused_seeds)
+                      float64_network)
 from memflow import cli, data, net, rollout, train
 from memflow import dynamics as dyn
 
@@ -200,7 +200,8 @@ class TestOneStepMaps:
     def test_diverged_euler_run_ends_in_nan(self):
         # z_{n+1} = (1 + 0.1 * 1e307) z_n overflows at the second step; the
         # rows from there on are NaN, so a finiteness check still fails
-        spec = dyn.linear_system([[1e307, 0.0], [0.0, -1.0]], d=1)
+        spec = dyn.SystemSpec(name="linear-generic", d=1,
+                              a_matrix=[[1e307, 0.0], [0.0, -1.0]])
         traj = rollout.euler_damz(spec, np.array([[1.0]]), 4, 0.1)
         assert traj.shape == (5, 1)
         assert np.all(np.isfinite(traj[:2])) and np.all(np.isnan(traj[2:]))
@@ -422,7 +423,7 @@ class TestErrorSeries:
     """The pointwise l2 errors that rollout_against_truth scores runs by."""
 
     # a constant system, observed in full
-    STILL = dyn.SystemSpec(name="still", n=2, d=2, field=("0.0", "0.0"))
+    STILL = dyn.SystemSpec(name="still", d=2, field=("0.0", "0.0"))
     SOLVER = dyn.SolverConfig(0.5, 1)
 
     def drifting(self, offset):
@@ -543,7 +544,7 @@ class TestEulerScheme:
         # with a zero observed-unobserved coupling the memory and noise
         # vanish; n_mem=0 then reduces to z_{n+1} = (1 + delta*a11) z_n
         a = np.array([[-0.7, 0.0], [1.0, -2.0]])
-        spec = dyn.linear_system(a, d=1)
+        spec = dyn.SystemSpec(name="linear-generic", d=1, a_matrix=a)
         z0 = 1.5
         traj = rollout.euler_damz(spec, np.array([[z0]]), 25, 0.1)
         expected = z0 * (1.0 + 0.1 * -0.7) ** np.arange(26)
@@ -605,7 +606,7 @@ def sweep_config(**changes):
 
 class TestEvaluateAndSweep:
     def make_micro_sweep(self, seed):
-        return rollout.memory_sweep(sweep_config(), [1, 3], seed=seed)
+        return rollout.memory_sweep(sweep_config(seed=seed), [1, 3])
 
     def test_sweep_shape_and_determinism(self):
         cells_a = self.make_micro_sweep(9)
@@ -620,31 +621,32 @@ class TestEvaluateAndSweep:
                            hidden=(3,), batch_size=1, epochs=1,
                            eval_horizon=0.2, n_eval_runs=1)
         with pytest.raises(ValueError, match="ascending"):
-            rollout.memory_sweep(cfg, [3, 1], seed=0)
+            rollout.memory_sweep(cfg, [3, 1])
 
     def test_sweep_requires_a_memory_setting(self):
         with pytest.raises(ValueError, match="^n_mem_list must be non-empty$"):
-            rollout.memory_sweep(sweep_config(), [], seed=0)
+            rollout.memory_sweep(sweep_config(), [])
 
-    @refused_seeds
-    def test_sweep_seed_must_be_a_count(self, seed, message):
-        # refused before the first cell trains
-        with pytest.raises(ValueError, match=message):
-            rollout.memory_sweep(sweep_config(), [1, 3], seed)
+    def test_sweep_seed_is_the_configs(self):
+        cells_a, cells_b = self.make_micro_sweep(9), self.make_micro_sweep(10)
+        assert [a.n_mem for a in cells_a] == [b.n_mem for b in cells_b]
+        for a, b in zip(cells_a, cells_b):
+            assert a.mean_error != b.mean_error
 
     def test_sweep_over_a_numpy_range(self):
         # each cell is replace(cfg, n_mem=np.int64(n)), which the config
         # used to refuse
-        cells = rollout.memory_sweep(sweep_config(), np.arange(1, 3), seed=9)
+        cells = rollout.memory_sweep(sweep_config(seed=9), np.arange(1, 3))
         assert [c.n_mem for c in cells] == [1, 2]
         assert all(type(c.n_mem) is int for c in cells)
 
-    def test_cell_seeds_follow_the_rule(self):
-        # cell_seed = SeedSequence([seed, n_mem]); generate, select, init,
-        # train and evaluate take cell_seed + 0, ..., + 4
-        cfg = sweep_config()
-        (cell,) = rollout.memory_sweep(cfg, [3], seed=9)
-        cell_seed = int(np.random.SeedSequence([9, 3]).generate_state(1)[0])
+    @pytest.mark.parametrize("seed", [9, 5])
+    def test_cell_seeds_follow_the_rule(self, seed):
+        # cell_seed = SeedSequence([cfg.seed, n_mem]); generate, select,
+        # init, train and evaluate take cell_seed + 0, ..., + 4
+        cfg = sweep_config(seed=seed)
+        (cell,) = rollout.memory_sweep(cfg, [3])
+        cell_seed = int(np.random.SeedSequence([seed, 3]).generate_state(1)[0])
         spec = dyn.make_system("example1", alpha=2.0)
         solver = dyn.SolverConfig(delta=0.02, substeps=5)
         domain = dyn.default_domain(spec)
@@ -664,7 +666,7 @@ class TestEvaluateAndSweep:
         es = np.zeros(3)
         monkeypatch.setattr(rollout, "evaluate_model",
                             lambda *args, **kwargs: (np.inf, [es, None, es]))
-        cells = rollout.memory_sweep(sweep_config(), [1, 3], seed=0)
+        cells = rollout.memory_sweep(sweep_config(), [1, 3])
         assert [c.diverged_runs for c in cells] == [(1,), (1,)]
         assert all(c.mean_error == np.inf for c in cells)
 
@@ -697,12 +699,12 @@ class TestEvaluateAndSweep:
         args.update(changes)
         # batch-random fails at every n_mem, so at the config's own n_mem=1
         with pytest.raises(ValueError, match=message):
-            rollout.memory_sweep(sweep_config(**args), [1, 4], seed=0)
+            rollout.memory_sweep(sweep_config(**args), [1, 4])
 
     def test_evaluate_model_zero_for_perfect_seeds(self):
         # a zero-final-layer model predicts a constant, so against a
         # constant system the evaluation error is exactly zero
-        spec = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
+        spec = dyn.SystemSpec(name="still", d=1, field=("0.0", "0.0"))
         model = zero_final_layer(float64_network(net.init_params(1, 2, [4], seed=3)))
         dom = dyn.Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         mean_err, series = rollout.evaluate_model(
@@ -721,7 +723,7 @@ class TestEvaluateAndSweep:
     SIGN_SPLIT = net.NetworkParams(
         d=1, n_mem=0, hidden=(1,), flat=[1000.0, 0.0, 1e308, 1e308]
     )
-    STILL = dyn.SystemSpec(name="still", n=2, d=1, field=("0.0", "0.0"))
+    STILL = dyn.SystemSpec(name="still", d=1, field=("0.0", "0.0"))
 
     def evaluate_sign_split(self, lower, upper):
         dom = dyn.Domain(np.array([lower, -1.0]), np.array([upper, 1.0]))

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,7 +165,13 @@ class TestTrainModel:
     def test_report_compares_by_identity(self):
         # its float64 loss array made == raise ValueError and hash TypeError
         assert_compared_by_identity(
-            lambda: train.TrainReport(np.array([2.0, 1.0]), 1.0, 0.5))
+            lambda: train.TrainReport(np.array([2.0, 1.0]), 0.5))
+
+    def test_final_loss_reads_the_last_epoch(self):
+        report = train.TrainReport(np.array([2.0, 0.25]), wall_time=0.5)
+        assert report.final_loss == 0.25 and type(report.final_loss) is float
+        assert [f.name for f in fields(report)] == [
+            "loss_per_epoch", "wall_time"]
 
     def test_config_compares_by_value(self):
         assert_compared_by_value(lambda: train.TrainConfig(1e-2, 16, 3, seed=8))
