@@ -21,6 +21,8 @@ Five acts:
 Runs in a few seconds; prints everything, writes nothing.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from memflow import dynamics as dyn
@@ -42,12 +44,13 @@ print(f"semigroup residual: {semigroup:.2e}   inverse residual: {inverse:.2e}")
 
 print("\n== 2. RK4 convergence order ==")
 spec = dyn.make_system("example1", alpha=2.0)
+full = replace(spec, d=spec.n)  # the integrator's full states, x1 and x2
 x0 = np.array([1.3, -0.4])
 exact = dyn.exact_linear_solution(spec, x0, 1.0)
 print("substeps   error at t=1")
 errors = []
 for substeps in (1, 2, 4, 8):
-    end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, substeps), x0[None], 50)
+    end = dyn.integrate_batch(full, dyn.SolverConfig(0.02, substeps), x0[None], 50)
     errors.append(np.linalg.norm(end[0, -1] - exact))
     print(f"{substeps:8d}   {errors[-1]:.3e}")
 slope = np.polyfit(np.log([0.02 / s for s in (1, 2, 4, 8)]), np.log(errors), 1)[0]

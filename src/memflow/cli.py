@@ -25,8 +25,6 @@ human-facing outputs as CSV (``train_log.csv``, ``rollout.csv``,
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import zlib
 from dataclasses import MISSING, asdict, dataclass, field, replace
@@ -216,6 +214,7 @@ class ExperimentConfig:
 
 
 def load_config(path):
+    import json  # here and in save_config: importing the module loads no json
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -230,6 +229,7 @@ def load_config(path):
 
 
 def save_config(cfg, path):
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -492,7 +492,7 @@ def cmd_oracle_check(cfg):
         worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     x0 = rng.uniform(-1.0, 1.0, size=spec.n)
     solver = cfg.solver()
-    rk4_end = dyn.integrate_batch(spec, solver, x0[None], 50)[0, -1]
+    rk4_end = dyn.integrate_batch(replace(spec, d=spec.n), solver, x0[None], 50)[0, -1]
     exact_end = dyn.exact_linear_solution(spec, x0, 50 * solver.delta)
     rk4_err = float(np.max(np.abs(rk4_end - exact_end)))
     print(f"decomposition residual (max over {ORACLE_DRAWS} draws): {worst:.3e}")
@@ -551,6 +551,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    import argparse  # with gettext, only the command line loads it
     parser = argparse.ArgumentParser(
         prog="memflow",
         description="Learn memory-dependent predictive models for the "

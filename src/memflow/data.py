@@ -36,13 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memflow import _npz
-from memflow.dynamics import (
-    IntegrationError,
-    _count,
-    _integration_error,
-    _number,
-    integrate_batch,
-)
+from memflow.dynamics import _count, _number, integrate_batch
 
 __all__ = [
     "TRAJECTORY_FILE",
@@ -198,56 +192,26 @@ def sample_initial_conditions(domain, count, seed):
     return rng.uniform(domain.lower, domain.upper, size=(count, domain.n))
 
 
-# The most bytes of full states that one time block of generate_trajectories
-# holds beside its output (unless two samples take more).
-BLOCK_BYTES = 2**20
-
-
 def generate_trajectories(spec, config, domain, n_traj, traj_len, seed):
     """Integrate ``n_traj`` random initial conditions and keep the observed part.
 
     Returns a set of shape ``(n_traj, traj_len, spec.d)``: each trajectory
     holds the first ``d`` state components at times 0, delta, ...,
-    (traj_len - 1) * delta; the unobserved components are discarded.
-
-    The integration runs through :func:`integrate_batch` in time blocks,
-    each starting from a copy of the last full state of the block before.
-    A block's full states take at most ``BLOCK_BYTES`` (1 MiB): it covers
-    ``BLOCK_BYTES // (8 * n_traj * n) - 1`` samples past its first, but at
-    least one.  So 400 trajectories at n = 20 run in blocks of 15 samples,
-    and 30,000 in blocks of one.  Each block's new observed columns go
-    straight into the output, and a block is released before the next is
-    integrated: besides the output's ``8 * n_traj * traj_len * d`` bytes,
-    generation holds one block of full states, at most 1 MiB, or two
-    samples' worth where two samples take more, and for its finiteness
-    check a boolean copy an eighth that size.  The samples are those of
-    one call over the whole run, bit for bit, except where ``math`` raises
-    on the float-row path: then only the block in which it raised runs
-    again on numpy columns.  A non-finite state aborts, at the end of its
-    block, with the IntegrationError one call would raise, naming the
-    earliest sample and, at it, the lowest trajectory.
+    (traj_len - 1) * delta, from one :func:`integrate_batch` call, which
+    writes only those components and raises its IntegrationError on a
+    non-finite state.  Besides the output's ``8 * n_traj * traj_len * d``
+    bytes, generation holds the integration's working states, a few
+    ``(n_traj, n)`` arrays, and for the set's finiteness check a boolean
+    copy of the output, an eighth its size.
     """
     n_traj, traj_len = _count("n_traj", n_traj, 1), _count("traj_len", traj_len, 1)
     if domain.n != spec.n:
         raise ValueError(
             f"domain dimension {domain.n} does not match system n={spec.n}"
         )
-    state = sample_initial_conditions(domain, n_traj, seed)
-    out = np.empty((n_traj, traj_len, spec.d))
-    out[:, 0] = spec.observe(state)
-    block = max(BLOCK_BYTES // (8 * n_traj * spec.n) - 1, 1)
-    for start in range(0, max(traj_len - 1, 1), block):
-        count = min(block, traj_len - 1 - start)
-        try:
-            full = integrate_batch(spec, config, state, count)
-        except IntegrationError as exc:
-            raise _integration_error(spec, config, start + exc.sample_index,
-                                     exc.trajectory_index) from None
-        # a block's first sample is the last one written
-        out[:, start + 1 : start + count + 1] = spec.observe(full[:, 1:])
-        state = full[:, -1].copy()
-        del full  # released before the next block is allocated
-    return TrajectorySet(delta=config.delta, trajectories=out)
+    x0s = sample_initial_conditions(domain, n_traj, seed)
+    return TrajectorySet(delta=config.delta,
+                         trajectories=integrate_batch(spec, config, x0s, traj_len - 1))
 
 
 def _draw_starts(n_traj, avail, count, rng):

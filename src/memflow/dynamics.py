@@ -14,8 +14,10 @@ on this module.  It provides:
   any other system is a ``SystemSpec`` given its matrix or its field.
 * a classical 4th-order Runge-Kutta integrator with a fixed number of
   substeps per coarse sample step (:func:`integrate_batch`).  It advances
-  an ``(m, n)`` batch of initial conditions in lock-step and returns
-  ``(m, num_samples + 1, n)``; one trajectory is a batch of one row.
+  an ``(m, n)`` batch of initial conditions in lock-step and returns the
+  observed trajectory, ``(m, num_samples + 1, d)``; one trajectory is a
+  batch of one row, and full states are those of a fully observed spec,
+  ``replace(spec, d=spec.n)``.  Each path holds only its working state.
   For a linear system (``a_matrix`` set) RK4 is the linear map R(hA)
   with the stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
   so one coarse sample is one product with the precomputed
@@ -37,8 +39,10 @@ on this module.  It provides:
   whole-block ufunc call.  Both apply the same float operations in the
   same order, so they agree bitwise wherever ``math`` and ``numpy``
   evaluate their functions alike.
-  Every path fills its samples first; one check after the loop turns the
-  earliest non-finite state into an IntegrationError, with no warning.
+  Every path fills its samples first and keeps each row's last full
+  state; one check of those finds every failure, with no warning, and
+  the failing rows, integrated again fully observed, name the earliest
+  non-finite state in an IntegrationError.
 * :func:`matrix_exponential` (scaling-and-squaring, truncated-series core).
 * exact linear Mori-Zwanzig references: for a linear spec the dynamics of
   the observed block is known exactly (:func:`linear_mz_rhs`): a Markov
@@ -227,15 +231,6 @@ class SystemSpec:
         field(*(state[..., i] for i in range(self.n)), *(out[..., i] for i in range(self.n)),
               *(np.empty(state.shape[:-1]) for _ in range(width)))
         return out
-
-    def observe(self, states):
-        """Project full states ``(..., n)`` onto the observed block ``(..., d)``."""
-        states = np.asarray(states)
-        if _width(states) != self.n:
-            raise ValueError(
-                f"state dimension {_width(states)} does not match n={self.n}"
-            )
-        return states[..., : self.d]
 
 
 def _width(states):
@@ -494,7 +489,7 @@ def _generate(spec):
     Python floats of one row, with ``math``'s sin, cos and exp.  It appends
     to ``states`` one tuple of components per coarse step of ``delta`` from
     ``states[-1]``, ``count`` of them, and checks no state; its caller
-    checks them all after the loop.  A complex state (a negative number to
+    checks the last one after the loop.  A complex state (a negative number to
     a fractional power) is appended as it is; :func:`_float_rows` refuses
     it.  Each component and stage is a local variable and each expression
     is written inline.  Component i of the stages is evaluated at
@@ -522,8 +517,8 @@ def _generate(spec):
 
 # One compile of both functions takes 1.5-2.5 ms and a kept triple about 6 kB
 # (example2 and example3 on an x86-64 Xeon), so 32 hold about 0.2 MB.
-# Keyed by value, one serves every block of a generation, each stage's own
-# spec of a run and every rhs call.
+# Keyed by value, one serves a batch and the fully observed rerun of its
+# failing rows, each stage's own spec of a run and every rhs call.
 @functools.lru_cache(maxsize=32)
 def _compile(field, params):
     """:func:`_generate`'s triple for the expressions ``field`` and the
@@ -605,32 +600,38 @@ def _compile(field, params):
     return namespace["_rows"], namespace["_field"], width
 
 
-def _float_rows(spec, delta, substeps, out):
-    """Fill ``out[:, 1:]`` by one call per row of :func:`_generate`'s loop on
-    ``math``, each row to its end.  Raises where ``math`` does (sin(inf),
+def _float_rows(spec, delta, substeps, x0s, out):
+    """Fill ``out[:, 1:]`` with the observed components by one call per row
+    of :func:`_generate`'s loop on ``math``, each row to its end, and
+    return the last full states.  Raises where ``math`` does (sin(inf),
     exp(1000), 1/0), and numpy would give inf or NaN; a complex state (a
-    negative number to a fractional power) raises TypeError where its row
-    is written into the float64 ``out``."""
+    negative number to a fractional power) stays complex and raises
+    TypeError where its row's last state is written into a float64 array."""
     run = _generate(spec)[0]
-    for row in out:
-        states = [tuple(row[0].tolist())]
+    last = np.empty_like(x0s)
+    for x0, row, end in zip(x0s.tolist(), out, last):
+        states = [tuple(x0)]
         run(states, len(row) - 1, delta, substeps)
-        row[1:] = states[1:]
+        end[:] = states[-1]
+        row[:] = np.array(states)[:, : spec.d]
+    return last
 
 
-def _columns(spec, delta, substeps, out):
-    """Fill ``out[:, 1:]`` on the batch's numpy columns, in place.
+def _columns(spec, delta, substeps, x0s, out):
+    """Fill ``out[:, 1:]`` with the observed components on the batch's
+    numpy columns, in place.
 
     The state ``s`` is one C-contiguous ``(n, m)`` block, and the stage
     input ``x``, the four stages ``a, b, c, e`` and :func:`_generate`'s
     temporary rows are ``(n, m)`` blocks allocated once.  Each stage is one
     call of the generated field into its block, each stage input two
     whole-block ufunc calls and the new state seven, in the order of the
-    float loop's sums."""
+    float loop's sums.  Each sample's first ``d`` rows of ``s`` go into
+    ``out``, and ``s`` is returned as the last full states."""
     _, field, width = _generate(spec)
-    s = out[:, 0].T.copy()
+    s = x0s.T.copy()
     x, a, b, c, e = np.empty((5, *s.shape))
-    temps = tuple(np.empty((width, len(out))))
+    temps = tuple(np.empty((width, len(x0s))))
     h = delta / substeps
     half, sixth = 0.5 * h, h / 6.0
     stages = [((*s, *a, *temps), half, a), ((*x, *b, *temps), half, b),
@@ -650,7 +651,8 @@ def _columns(spec, delta, substeps, out):
             add(a, e, out=a)
             multiply(sixth, a, out=a)
             add(s, a, out=s)
-        out[:, k] = s.T
+        out[:, k] = s[: spec.d].T
+    return s.T
 
 
 def _rk4_sample_matrix(a, delta, substeps):
@@ -695,23 +697,26 @@ def _number(name, value, least, strict):
 
 
 def integrate_batch(spec, config, x0s, num_samples):
-    """Integrate many trajectories in lock-step, returning states at times
-    0, delta, ..., num_samples * delta.
+    """Integrate many trajectories in lock-step, returning their observed
+    components at times 0, delta, ..., num_samples * delta.
 
     ``x0s`` has shape ``(m, n)`` with m >= 1; the result has shape
-    ``(m, num_samples + 1, n)`` and row ``[i, 0]`` is ``x0s[i]`` exactly
-    (with ``num_samples`` 0, the initial states alone).
-    All trajectories share the coarse time grid, and each path writes its
-    samples straight into the result: a linear system one product with the
-    sample matrix per sample; a nonlinear one the RK4 stage loop generated
-    from its expressions (:func:`_generate`), one call per row on floats
-    for at most ``_FLOAT_ROWS`` (24) rows, else, and again from the start
-    where ``math`` raises or a row turns complex, in place on the batch's
-    columns (:func:`_columns`).  Every path runs to the last sample, and a non-finite
-    state stays non-finite through RK4's sums; then one check of the
-    result, with no numpy warning, raises an IntegrationError naming the
-    earliest non-finite sample and the lowest trajectory that is non-finite
-    there.
+    ``(m, num_samples + 1, d)`` and row ``[i, 0]`` is ``x0s[i, :d]``
+    exactly (with ``num_samples`` 0, the initial states alone).  Full
+    states are those of a fully observed spec, ``replace(spec, d=spec.n)``.
+    Each path holds only its working state, writes the observed components
+    of every sample and keeps each row's last full state: a linear system
+    one product of its ``(m, n)`` state with the sample matrix per sample;
+    a nonlinear one the RK4 stage loop generated from its expressions
+    (:func:`_generate`), on floats for at most ``_FLOAT_ROWS`` (24) rows
+    (:func:`_float_rows`), else, and again from the start where ``math``
+    raises or a row turns complex, in place on the batch's columns
+    (:func:`_columns`).  A non-finite component stays non-finite through
+    RK4's sums and the sample product, so one check of the last full
+    states, with no numpy warning, finds every failure.  Only then are the
+    failing rows integrated again, fully observed, and the
+    IntegrationError names the earliest non-finite sample and the lowest
+    trajectory that is non-finite there.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != spec.n or x0s.shape[0] < 1:
@@ -719,37 +724,41 @@ def integrate_batch(spec, config, x0s, num_samples):
             f"x0s must have shape (m, {spec.n}) with m >= 1, got {x0s.shape}"
         )
     num_samples = _count("num_samples", num_samples, 0)
-    out = np.empty((x0s.shape[0], num_samples + 1, spec.n))
-    out[:, 0] = x0s
-    delta, substeps = config.delta, config.substeps
-    with np.errstate(all="ignore"):  # a non-finite state is reported below
-        if spec.a_matrix is not None:
-            step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
-            for k in range(1, num_samples + 1):
-                np.matmul(out[:, k - 1], step_t, out=out[:, k])
-        elif len(out) <= _FLOAT_ROWS:
-            try:
-                _float_rows(spec, delta, substeps, out)
-            except (ArithmeticError, ValueError, TypeError):
-                _columns(spec, delta, substeps, out)
-        else:
-            _columns(spec, delta, substeps, out)
-        bad = ~np.isfinite(out[:, 1:]).all(axis=2)
-    if bad.any():
-        k, row = np.argwhere(bad.T)[0]
-        raise _integration_error(spec, config, int(k) + 1, int(row))
+    out = np.empty((x0s.shape[0], num_samples + 1, spec.d))
+    out[:, 0] = x0s[:, : spec.d]
+    failed = ~np.isfinite(_fill(spec, config, x0s, out)).all(axis=1)
+    if num_samples and failed.any():
+        rows = np.flatnonzero(failed)
+        full = np.empty((len(rows), num_samples + 1, spec.n))
+        _fill(replace(spec, d=spec.n), config, x0s[rows], full)
+        k, row = np.argwhere(~np.isfinite(full[:, 1:]).all(axis=2).T)[0]
+        k, row = int(k) + 1, int(rows[row])
+        raise IntegrationError(f"non-finite state in trajectory {row} at sample {k} "
+                               f"(t={k * config.delta:g}) while integrating {spec.name}",
+                               sample_index=k, trajectory_index=row)
     return out
 
 
-def _integration_error(spec, config, k, bad):
-    """The IntegrationError for a non-finite state of trajectory ``bad`` at
-    sample ``k`` of an integration of ``spec`` at ``config``'s step."""
-    return IntegrationError(
-        f"non-finite state in trajectory {bad} at sample {k} "
-        f"(t={k * config.delta:g}) while integrating {spec.name}",
-        sample_index=k,
-        trajectory_index=bad,
-    )
+def _fill(spec, config, x0s, out):
+    """Fill ``out[:, 1:]`` by the path :func:`integrate_batch` takes for
+    ``spec`` and the ``len(x0s)`` rows, with no numpy warning, and return
+    the last full states."""
+    delta, substeps = config.delta, config.substeps
+    with np.errstate(all="ignore"):  # a non-finite state is reported by the caller
+        if spec.a_matrix is not None:
+            step_t = _rk4_sample_matrix(spec.a_matrix, delta, substeps).T
+            state, product = x0s.copy(), np.empty_like(x0s)
+            for k in range(1, out.shape[1]):
+                np.matmul(state, step_t, out=product)
+                state, product = product, state
+                out[:, k] = state[:, : spec.d]
+            return state
+        if len(x0s) <= _FLOAT_ROWS:
+            try:
+                return _float_rows(spec, delta, substeps, x0s, out)
+            except (ArithmeticError, ValueError, TypeError):
+                pass
+        return _columns(spec, delta, substeps, x0s, out)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +774,9 @@ def matrix_exponential(a):
     The input is scaled by a power of two until its 1-norm is at most 1/2,
     the series is summed in Horner form with ``_EXPM_TERMS`` terms, and the
     result is squared back up.  Relative error is well below 1e-12 for
-    matrices with norm up to ~10.
+    matrices with norm up to ~10.  A result beyond the float range
+    (``[[800.0]]``) is a ValueError naming the function, with no numpy
+    warning.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -780,8 +791,17 @@ def matrix_exponential(a):
     result = eye.copy()
     for k in range(_EXPM_TERMS, 0, -1):
         result = eye + (scaled @ result) / k
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        for _ in range(squarings):
+            result = result @ result
+    return _finite("matrix_exponential", result)
+
+
+def _finite(name, result):
+    """``result`` once every entry is finite; else a ValueError saying that
+    the result of ``name`` overflows the float range."""
+    if not np.isfinite(result).all():
+        raise ValueError(f"{name}: the result overflows the float range")
     return result
 
 
@@ -827,10 +847,11 @@ def _initial_state(spec, x0):
 def exact_linear_solution(spec, x0, t):
     """Full-state solution exp(A t) x0 of a linear spec; an ``x0`` that is
     not a finite ``(n,)`` vector, or a negative, NaN or infinite ``t``, is a
-    ValueError naming it."""
+    ValueError naming it, and so is a solution beyond the float range."""
     a = _linear_matrix(spec)
     x0, t = _initial_state(spec, x0), _number("t", t, 0, False)
-    return matrix_exponential(a * t) @ x0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        return _finite("exact_linear_solution", matrix_exponential(a * t) @ x0)
 
 
 def exact_linear_trajectory(spec, x0, delta, num_samples):
@@ -838,24 +859,30 @@ def exact_linear_trajectory(spec, x0, delta, num_samples):
 
     Computed from powers of the one-step propagator exp(A delta), filled
     by doubling, so there is no time-discretization error.  An ``x0`` that
-    is not a finite ``(n,)`` vector is a ValueError naming ``x0``.
+    is not a finite ``(n,)`` vector is a ValueError naming ``x0``, and so
+    is a state beyond the float range, naming the function.
     """
     a = _linear_matrix(spec)
     x0, delta = _initial_state(spec, x0), _number("delta", delta, 0, True)
     num_samples = _count("num_samples", num_samples, 0)
     out = np.empty((num_samples + 1, spec.n))
     out[0] = x0
-    return _fill_by_doubling(out, matrix_exponential(a * delta).T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        step = matrix_exponential(a * delta).T
+    return _finite("exact_linear_trajectory", _fill_by_doubling(out, step))
 
 
 def _fill_by_doubling(out, step):
     """Fill ``out[k] = out[0] @ step**k`` for k >= 1 and return ``out``: rows
-    [j, 2j) are rows [0, j) times step**j, log2(len(out)) batched products."""
+    [j, 2j) are rows [0, j) times step**j, log2(len(out)) batched products.
+    The products do not warn: the last squaring may overflow unused, and the
+    caller refuses an ``out`` that is not finite."""
     j = 1
-    while j < len(out):
-        rows = out[j : 2 * j]
-        np.matmul(out[: len(rows)], step, out=rows)
-        step, j = step @ step, 2 * j
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < len(out):
+            rows = out[j : 2 * j]
+            np.matmul(out[: len(rows)], step, out=rows)
+            step, j = step @ step, 2 * j
     return out
 
 
@@ -899,7 +926,8 @@ def _memory_matrix(spec, h, m):
     _, a12, a21, a22 = _blocks(spec)
     powers = np.empty((m + 1, *a22.shape))  # exp(A22 j h), j = 0..m
     powers[0] = np.eye(a22.shape[0])
-    kernels = a12 @ _fill_by_doubling(powers, matrix_exponential(a22 * h)) @ a21
+    step = matrix_exponential(a22 * h)
+    kernels = a12 @ _finite("euler_damz", _fill_by_doubling(powers, step)) @ a21
     weights = np.full(m + 1, h if m > 0 else 0.0)
     weights[[0, -1]] *= 0.5
     weighted = (weights[:, None, None] * kernels).transpose(1, 0, 2)
@@ -925,15 +953,16 @@ def linear_mz_rhs(spec, x0, t):
     derivative of the observed block of exp(A t) x0 to round-off (about
     1e-14 on example1 and example4).  An ``x0`` that is not a finite
     ``(n,)`` vector, or a negative, NaN or infinite ``t``, is a ValueError
-    naming it.
+    naming it, and so is a result beyond the float range.
     """
     a11, a12, a21, a22 = _blocks(spec)
     x0, t = _initial_state(spec, x0), _number("t", t, 0, False)
     d, k = spec.d, spec.n - spec.d
     block = np.block([[a22, a21 @ np.eye(spec.n)[:d]],
                       [np.zeros((spec.n, k)), spec.a_matrix]])
-    e = matrix_exponential(block * t)
-    z = e[k : k + d, k:] @ x0
-    memory = a12 @ (e[:k, k:] @ x0)
-    noise = a12 @ (e[:k, :k] @ x0[d:])
-    return a11 @ z + memory + noise
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        e = matrix_exponential(block * t)
+        z = e[k : k + d, k:] @ x0
+        memory = a12 @ (e[:k, k:] @ x0)
+        noise = a12 @ (e[:k, :k] @ x0[d:])
+        return _finite("linear_mz_rhs", a11 @ z + memory + noise)

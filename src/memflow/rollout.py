@@ -86,10 +86,10 @@ class LinearMap:
 def rollout(model, seeds, steps):
     """Iterate the one-step map ``model`` from ``n_mem + 1`` seed states per run.
 
-    ``seeds`` has shape (R, n_mem + 1, d); the R runs advance together
-    through one call ``model(stacks)`` per step.  A run's stack is its
-    latest ``n_mem + 1`` states, newest first, and the map's output becomes
-    its next state; an output that is not ``(R, d)`` is a ValueError.
+    ``seeds`` has shape (R, n_mem + 1, d) with R >= 1; the R runs advance
+    together through one call ``model(stacks)`` per step.  A run's stack
+    is its latest ``n_mem + 1`` states, newest first, and the map's output
+    becomes its next state; an output that is not ``(R, d)`` is a ValueError.
     Every run is stepped to the end, with no numpy warning; then one check
     finds each run's first non-finite prediction, records its index in
     ``diverged_at`` and makes the run's rows from it on NaN.  The seeds are
@@ -107,10 +107,10 @@ def rollout(model, seeds, steps):
     """
     seeds = np.asarray(seeds, dtype=float)
     need, d = model.n_mem + 1, model.d
-    if seeds.ndim != 3 or seeds.shape[1:] != (need, d):
+    if seeds.ndim != 3 or seeds.shape[1:] != (need, d) or seeds.shape[0] < 1:
         raise ValueError(
-            f"seeds must have shape (R, {need}, {d}) = (R, n_mem + 1, d), "
-            f"got {seeds.shape}"
+            f"seeds must have shape (R, {need}, {d}) = (R, n_mem + 1, d) "
+            f"with R >= 1, got {seeds.shape}"
         )
     steps = dyn._count("steps", steps, 0)
     runs, total = seeds.shape[0], need + steps
@@ -143,14 +143,14 @@ def rollout(model, seeds, steps):
 def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
     """Roll the model out against the integrated truth from ``x0s``.
 
-    The full system is integrated from each initial condition of ``x0s``
-    (shape (R, n)) over ``horizon_steps`` samples, each run is seeded with
-    its first ``n_mem + 1`` true observed states and rolled out to the
-    horizon, and every run is scored against its truth.  Returns
-    ``(truth, result, errors)``: the observed truth (R, T, d) with
-    T = horizon_steps + 1, the RolloutResult on the same grid, and the
-    pointwise l2 errors (R, T), NaN from a run's divergence on.  Sample k
-    of each is at time ``k * solver.delta``.
+    The system is integrated from each initial condition of ``x0s`` (shape
+    (R, n)) over ``horizon_steps`` samples, keeping its observed states
+    alone; each run is seeded with its first ``n_mem + 1`` true observed
+    states and rolled out to the horizon, and every run is scored against
+    its truth.  Returns ``(truth, result, errors)``: the observed truth
+    (R, T, d) with T = horizon_steps + 1, the RolloutResult on the same
+    grid, and the pointwise l2 errors (R, T), NaN from a run's divergence
+    on.  Sample k of each is at time ``k * solver.delta``.
     """
     need = model.n_mem + 1
     horizon_steps = dyn._count("horizon_steps", horizon_steps, 0)
@@ -158,7 +158,7 @@ def rollout_against_truth(model, spec, solver, x0s, horizon_steps):
         raise ValueError(
             f"horizon of {horizon_steps} steps cannot cover {need} seed states"
         )
-    truth = spec.observe(dyn.integrate_batch(spec, solver, x0s, horizon_steps))
+    truth = dyn.integrate_batch(spec, solver, x0s, horizon_steps)
     result = rollout(model, truth[:, :need], horizon_steps + 1 - need)
     return truth, result, _l2_errors(result.states, truth)
 

@@ -1,7 +1,10 @@
 """Tests for the command line driver: configs, presets, and the pipeline glue."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -606,6 +609,19 @@ class TestPipeline:
 
 
 class TestMain:
+    def test_import_loads_neither_argparse_nor_json(self):
+        # a library user, the benchmark's workloads among them, imports the
+        # module for its configs and stages; only main parses arguments and
+        # only load_config and save_config read and write JSON
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, memflow.cli; "
+             "print(sorted({'argparse', 'json'} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True, timeout=60)
+        assert run.stdout.split() == ["[]"]
+
     def test_requires_config_or_preset(self, capsys):
         assert cli.main(["generate"]) == 1
         assert "required" in capsys.readouterr().err

@@ -151,10 +151,12 @@ class TestSystemSpec:
         spec = dataclasses.replace(dyn.make_system("example1"), a_matrix=b)
         assert spec.n == 3
         solver, x0s = dyn.SolverConfig(0.1, 2), [[1.0, 1.0, 1.0]]
-        traj = dyn.integrate_batch(spec, solver, x0s, 4)
+        traj = dyn.integrate_batch(dataclasses.replace(spec, d=3), solver, x0s, 4)
         assert traj.shape == (1, 5, 3)
-        own = dyn.SystemSpec(name="example1", d=1, a_matrix=b)
+        own = dyn.SystemSpec(name="example1", d=3, a_matrix=b)
         assert traj.tobytes() == dyn.integrate_batch(own, solver, x0s, 4).tobytes()
+        observed = dyn.integrate_batch(spec, solver, x0s, 4)
+        assert observed.tobytes() == traj[..., :1].tobytes()
 
     def test_size_follows_a_replaced_field(self):
         spec = dataclasses.replace(dyn.make_system("example2"),
@@ -178,11 +180,6 @@ class TestSystemSpec:
     def test_rhs_follows_a_replaced_matrix(self):
         spec = dataclasses.replace(dyn.make_system("example1"), a_matrix=-np.eye(2))
         np.testing.assert_array_equal(spec.rhs([1.0, 0.0]), [-1.0, 0.0])
-
-    def test_observe_projects_leading_components(self):
-        spec = dyn.make_system("example3")
-        state = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(spec.observe(state), [1.0, 2.0, 3.0])
 
     def test_observe_override(self):
         spec = dyn.make_system("example1", alpha=2.0, observe=2)
@@ -219,20 +216,11 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match="lin matrix must be finite-valued"):
             dyn.SystemSpec(name="lin", d=1, a_matrix=[[0.0, bad], [1.0, 0.0]])
 
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_observe_of_another_state_width_rejected(self, width):
-        spec = dyn.make_system("example2")
-        with pytest.raises(ValueError, match=(
-                f"^state dimension {width} does not match n=2$")):
-            spec.observe(np.zeros((4, width)))
-
     @pytest.mark.parametrize("state", [np.float64(1.0), 1.0, np.array(1.0)],
                              ids=["numpy-scalar", "float", "0-d-array"])
     def test_state_without_axes_rejected(self, state):
         # a state without axes has no last axis to hold n components
         spec = dyn.make_system("example2")
-        with pytest.raises(ValueError, match="^state dimension 0-d does not match n=2$"):
-            spec.observe(state)
         with pytest.raises(ValueError, match="^example2 state has dimension 2, got 0-d$"):
             spec.rhs(state)
 
@@ -455,7 +443,7 @@ class TestIntegrate:
         assert solver.substeps == 3 and type(solver.substeps) is int
 
     def test_one_step_matches_matrix_exponential(self):
-        spec = dyn.make_system("example1", alpha=2.0)
+        spec = dyn.make_system("example1", alpha=2.0, observe=2)
         cfg = dyn.SolverConfig(delta=0.02, substeps=20)
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -488,11 +476,11 @@ class TestIntegrate:
         # on the linear sample-matrix path, and on the stage loop through a
         # component field, which one row integrates on Python floats and a
         # batch wider than _FLOAT_ROWS on numpy columns
-        linear = dyn.make_system("example1", alpha=2.0)
+        linear = dyn.make_system("example1", alpha=2.0, observe=2)
         x0 = np.array([1.3, -0.4])
         exact = dyn.exact_linear_solution(linear, x0, 1.0)
         substeps = [1, 2, 4, 8]
-        fields = dyn.SystemSpec(name="example1-field", d=1,
+        fields = dyn.SystemSpec(name="example1-field", d=2,
                                 field=example1_field)
         wide = np.tile(x0, (dyn._FLOAT_ROWS + 1, 1))
         for spec, x0s in ((linear, x0[None]), (fields, x0[None]), (fields, wide)):
@@ -506,7 +494,7 @@ class TestIntegrate:
             assert 3.8 <= slope <= 4.2
 
     def test_flow_map_composition(self):
-        spec = dyn.make_system("example2")
+        spec = dyn.make_system("example2", observe=2)
         cfg = dyn.SolverConfig(0.02, 10)
         x0 = np.array([0.7, -1.1])
         k = 25
@@ -533,12 +521,16 @@ class TestIntegrate:
         ("example1", 3), ("example2", 3), ("example2", dyn._FLOAT_ROWS + 1),
     ], ids=["matrix", "float", "columns"])
     def test_zero_samples_return_the_initial_states(self, name, rows):
-        spec = dyn.make_system(name)
+        spec = dyn.make_system(name, observe=2)
         x0s = np.random.default_rng(5).uniform(-2.0, 2.0, size=(rows, 2))
         x0s[1, 0] = np.nan  # no sample is computed, so none is checked
         got = dyn.integrate_batch(spec, dyn.SolverConfig(0.1, 3), x0s, 0)
         assert got.shape == (rows, 1, 2)
         assert got.tobytes() == x0s[:, None].tobytes()
+        x0s[1] = [0.0, np.nan]  # nor the hidden component of an initial state
+        got = dyn.integrate_batch(dyn.make_system(name), dyn.SolverConfig(0.1, 3),
+                                  x0s, 0)
+        assert got.tobytes() == x0s[:, None, :1].tobytes()
 
     @pytest.mark.parametrize("name", ["example1", "example2"])  # matrix, field
     def test_empty_batch_rejected(self, name):
@@ -563,6 +555,66 @@ class TestIntegrate:
         with pytest.raises(dyn.IntegrationError) as info:
             dyn.integrate_batch(spec, dyn.SolverConfig(1.0, 1), x0s, 10)
         assert info.value.trajectory_index == 1
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "example3-reduced", "example4"])
+    @pytest.mark.parametrize("rows", [1, 5, dyn._FLOAT_ROWS, dyn._FLOAT_ROWS + 1, 600])
+    def test_observed_output_is_the_full_output_s_leading_columns(self, name, rows):
+        # on the linear path, and on floats and on columns: only the observed
+        # components are returned, with the bits of the full states
+        spec = dyn.make_system(name)
+        x0s = data.sample_initial_conditions(dyn.default_domain(spec), rows, 6)
+        cfg = dyn.SolverConfig(0.01, 3)
+        observed = dyn.integrate_batch(spec, cfg, x0s, 30)
+        full = dyn.integrate_batch(dataclasses.replace(spec, d=spec.n), cfg, x0s, 30)
+        assert observed.shape == (rows, 31, spec.d) and full.shape == (rows, 31, spec.n)
+        assert observed.flags.c_contiguous
+        assert observed.tobytes() == np.ascontiguousarray(full[..., : spec.d]).tobytes()
+
+    @staticmethod
+    def filled(monkeypatch):
+        """Record the rows and observed dimension of each integration pass."""
+        calls = []
+        fill = dyn._fill
+
+        def spied(spec, config, x0s, out):
+            calls.append((len(x0s), spec.d))
+            return fill(spec, config, x0s, out)
+
+        monkeypatch.setattr(dyn, "_fill", spied)
+        return calls
+
+    @pytest.mark.parametrize("rows", [1, 30], ids=["floats", "columns"])
+    def test_hidden_only_blowup_named_by_its_failing_row(self, monkeypatch, rows):
+        # dx1/dt = x1 * x1 from 3 overflows at t = 1/3 while the observed x0
+        # decays: the last full state shows the failure, and the failing row
+        # alone, integrated again fully observed, names its sample
+        spec = dyn.SystemSpec(name="hidden", d=1, field=("-x0", "x1 * x1"))
+        x0s = np.tile([1.0, 0.5], (rows, 1))
+        x0s[-1, 1] = 3.0
+        calls = self.filled(monkeypatch)
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 10), x0s, 40)
+        assert (info.value.sample_index, info.value.trajectory_index) == (17, rows - 1)
+        assert str(info.value) == (f"non-finite state in trajectory {rows - 1} at "
+                                   f"sample 17 (t=0.34) while integrating hidden")
+        assert calls == [(rows, 1), (1, 2)]
+        calls.clear()
+        dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 10), x0s * [1.0, 0.0], 40)
+        assert calls == [(rows, 1)]  # a run without a failure integrates once
+
+    @pytest.mark.parametrize("rows", [1, 30], ids=["floats", "columns"])
+    def test_complex_hidden_state_named_on_columns(self, rows):
+        # x1 falls from 1.5 below 1, where (x1 - 1) ** 0.5 turns complex on
+        # floats, and the row runs on its columns, where it is NaN; the
+        # observed x0 stays real
+        spec = dyn.SystemSpec(name="complex", d=1,
+                              field=("-x0", "x0 * 0.0 + (x1 - 1.0) ** 0.5 - 1.0"))
+        x0s = np.tile([1.0, 3.0], (rows, 1))
+        x0s[0, 1] = 1.5
+        with pytest.raises(dyn.IntegrationError) as info:
+            dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 10), x0s, 100)
+        assert (info.value.sample_index, info.value.trajectory_index) == (53, 0)
 
 
 def evaluated(spec):
@@ -672,7 +724,8 @@ class TestLinearSampleMatrix:
     def test_matches_stage_loop(self, spec, substeps, num_samples):
         cfg = dyn.SolverConfig(0.02, substeps)
         x0s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, spec.n))
-        got = dyn.integrate_batch(spec, cfg, x0s, num_samples)
+        got = dyn.integrate_batch(dataclasses.replace(spec, d=spec.n), cfg, x0s,
+                                  num_samples)
         want = stage_loop(spec, cfg, x0s, num_samples)
         np.testing.assert_array_equal(got[:, 0], x0s)
         bound = 2e-12 * max(1.0, np.abs(want).max())
@@ -744,12 +797,15 @@ class TestMatrixBlocks:
     def test_finite_run_past_several_blocks_is_the_product_chain(self):
         x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2))
         spec, cfg = dyn.make_system("example1"), dyn.SolverConfig(0.02, 4)
-        got = dyn.integrate_batch(spec, cfg, x0s, 133)
+        got = dyn.integrate_batch(dataclasses.replace(spec, d=2), cfg, x0s, 133)
         step_t = dyn._rk4_sample_matrix(spec.a_matrix, 0.02, 4).T
         want = [x0s]
         for _ in range(133):
             want.append(want[-1] @ step_t)
-        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+        want = np.stack(want, axis=1)
+        assert got.tobytes() == want.tobytes()
+        observed = dyn.integrate_batch(spec, cfg, x0s, 133)
+        assert observed.tobytes() == np.ascontiguousarray(want[..., :1]).tobytes()
 
 
 class TestExactReducedMap:
@@ -768,7 +824,8 @@ class TestExactReducedMap:
         width = spec.d * (n_mem + 1)
         assert big_l.shape == (spec.d, width) and obs.shape == (width, spec.n)
         x0s = np.random.default_rng(n_mem).uniform(-2.0, 2.0, size=(6, spec.n))
-        states = dyn.integrate_batch(spec, solver, x0s, n_mem + 1)
+        states = dyn.integrate_batch(dataclasses.replace(spec, d=spec.n), solver, x0s,
+                                     n_mem + 1)
         history = states[:, n_mem::-1, : spec.d].reshape(6, width)
         assert np.abs(states[:, n_mem] @ obs.T - history).max() < 1e-13
         assert np.abs(history @ big_l.T - states[:, -1, : spec.d]).max() < 1e-13
@@ -837,7 +894,7 @@ def test_integer_counts_of_numpy_type_accepted():
     spec = dyn.make_system("example1")
     out = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 5), [[1.0, 0.0]],
                               np.int64(3))
-    assert out.shape == (1, 4, 2)
+    assert out.shape == (1, 4, 1)
     assert dyn.exact_reduced_map(spec, dyn.SolverConfig(0.02, 5),
                                  np.int32(2))[0].shape == (1, 3)
 
@@ -1010,9 +1067,10 @@ class TestComponentFields:
             want.append(rk4_sample_step(field, math, want[-1], 0.02, 4))
         assert all(isinstance(x, tuple) and len(x) == n for x in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        full = dataclasses.replace(spec, d=n)
         for width in (33, 64, 600):
             assert width > dyn._FLOAT_ROWS
-            got = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 4), rows[:width], 30)
+            got = dyn.integrate_batch(full, dyn.SolverConfig(0.02, 4), rows[:width], 30)
             want = [list(rows[:width].T)]
             for _ in range(30):
                 want.append(rk4_sample_step(field, np, want[-1], 0.02, 4))
@@ -1063,7 +1121,9 @@ class TestComponentFields:
         with pytest.raises(ValueError, match="math domain error"):
             math.sin(math.inf)
         # the float path raised at row 4, and the narrow batch ran again on
-        # its columns
+        # its columns; each batch found row 4 failing and integrated it
+        # again, fully observed, where the float path raised again and the
+        # one row ran on its columns
         retried = []
         generate = dyn._generate
 
@@ -1078,14 +1138,17 @@ class TestComponentFields:
 
         monkeypatch.setattr(dyn, "_generate", spied)
         self.assert_same_failure(spec, dyn.SolverConfig(1.0, 1), x0s, 10, (3, 4))
-        # the four stages of the 10 samples of the narrow batch's columns,
-        # then those of the wide batch's: both check once after the 10th
-        assert retried == [dyn._FLOAT_ROWS] * 40 + [dyn._FLOAT_ROWS + 1] * 40
+        # the four stages of the 10 samples of the narrow batch's columns and
+        # of its failing row's, then those of the wide batch's and of its
+        # failing row's: each checks once after the 10th
+        assert retried == ([dyn._FLOAT_ROWS] * 40 + [1] * 40
+                           + [dyn._FLOAT_ROWS + 1] * 40 + [1] * 40)
 
     def test_float_row_overflowing_mid_run_appends_every_sample(self, monkeypatch):
         # dx/dt = x * x from 5.0 with h = 1 overflows at sample 3: the row's
         # loop checks nothing and appends all 10 samples, non-finite from
-        # sample 3 on, and the check after the loop names sample 3 of row 0
+        # sample 3 on, the check of its last state finds it, and the row,
+        # integrated again on floats, names sample 3 of row 0
         spec = dyn.SystemSpec(name="square", d=1, field=("x0 * x0",))
         appended = []
         generate = dyn._generate
@@ -1108,10 +1171,11 @@ class TestComponentFields:
         assert (info.value.sample_index, info.value.trajectory_index) == (3, 0)
         assert str(info.value) == ("non-finite state in trajectory 0 at sample 3 "
                                    "(t=3) while integrating square")
-        [row] = appended
-        assert len(row) == 10
-        assert all(map(math.isfinite, row[:2]))
-        assert not any(map(math.isfinite, row[2:]))
+        assert len(appended) == 2
+        for row in appended:
+            assert len(row) == 10
+            assert all(map(math.isfinite, row[:2]))
+            assert not any(map(math.isfinite, row[2:]))
 
     def test_float_rows_report_the_earliest_sample_then_the_lowest_row(self):
         # dx/dt = x * x with h = 1 fails at sample 3 from 5.0 and at 4 from
@@ -1307,6 +1371,53 @@ class TestMatrixExponential:
         with pytest.raises(ValueError, match="square"):
             dyn.matrix_exponential(np.ones((2, 3)))
 
+    # exp(400) is 5.2e173 and exp(800) beyond the float range: each of these
+    # used to return inf with numpy's overflow warning
+    GROWING = dyn.make_system("linear-generic", matrix=[[1.0, 0.0], [0.0, 2.0]], d=1)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: dyn.matrix_exponential([[800.0]]), "matrix_exponential"),
+        (lambda: dyn.exact_linear_solution(TestMatrixExponential.GROWING, [1.0, 1.0],
+                                           400.0), "matrix_exponential"),
+        (lambda: dyn.linear_mz_rhs(TestMatrixExponential.GROWING, [1.0, 1.0], 400.0),
+         "matrix_exponential"),
+        (lambda: dyn.matrix_exponential(np.diag([1.0, 2.0]) * 1600.0),
+         "matrix_exponential"),
+        # exp(708) is finite, times 100 it is not
+        (lambda: dyn.exact_linear_solution(TestMatrixExponential.GROWING, [1.0, 100.0],
+                                           354.0), "exact_linear_solution"),
+        (lambda: dyn.linear_mz_rhs(TestMatrixExponential.GROWING, [1.0, 100.0], 354.0),
+         "linear_mz_rhs"),
+        (lambda: dyn.exact_linear_trajectory(TestMatrixExponential.GROWING, [1.0, 1.0],
+                                             0.02, 20000), "exact_linear_trajectory"),
+        (lambda: rollout.euler_damz(
+            dyn.make_system("linear-generic", matrix=[[-1.0, 1.0], [1.0, 40.0]], d=1),
+            np.zeros((1000, 1)), 1, 0.02), "euler_damz"),
+    ], ids=["scalar", "solution", "mz-rhs", "nan-off-diagonal", "solution-product",
+            "mz-rhs-product", "trajectory", "euler-kernel"])
+    def test_result_beyond_the_float_range_rejected(self, call, name):
+        with pytest.raises(ValueError, match=(
+                f"^{name}: the result overflows the float range$")):
+            call()
+
+    @pytest.mark.parametrize("reference", [
+        lambda spec: dyn.exact_linear_solution(spec, [1.0, 1.0], 1e308),
+        lambda spec: dyn.exact_linear_trajectory(spec, [1.0, 1.0], 1e308, 2),
+        lambda spec: dyn.linear_mz_rhs(spec, [1.0, 1.0], 1e308),
+    ], ids=["solution", "trajectory", "mz-rhs"])
+    def test_time_that_overflows_the_exponent_rejected(self, reference):
+        # A t is beyond the float range, which the exponential refuses
+        with pytest.raises(ValueError, match="^matrix_exponential requires finite entries$"):
+            reference(self.GROWING)
+
+    def test_unused_last_squaring_may_overflow(self):
+        # 600 samples of dx/dt = x with delta 1 fill up to exp(600) = 3.8e260;
+        # doubling squares the step on to exp(1024), used for no sample
+        spec = dyn.make_system("linear-generic", matrix=[[1.0]], d=1)
+        got = dyn.exact_linear_trajectory(spec, [1.0], 1.0, 600)
+        assert np.isfinite(got).all()
+        assert got[-1, 0] == pytest.approx(math.exp(600.0), rel=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match=(
@@ -1417,7 +1528,7 @@ class TestLinearOracle:
         np.testing.assert_allclose(dyn.exact_linear_solution(spec, x0, 0.0), x0)
 
     def test_exact_solution_cross_validates_integrator_example1(self):
-        spec = dyn.make_system("example1", alpha=2.0)
+        spec = dyn.make_system("example1", alpha=2.0, observe=2)
         rng = np.random.default_rng(9)
         x0 = rng.uniform(-2, 2, size=2)
         end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 50), x0[None], 50)[0, -1]
@@ -1425,7 +1536,7 @@ class TestLinearOracle:
         assert np.abs(end - want).max() <= 1e-8
 
     def test_exact_solution_cross_validates_integrator_example4(self):
-        spec = dyn.make_system("example4")
+        spec = dyn.make_system("example4", observe=20)
         rng = np.random.default_rng(10)
         x0 = rng.uniform(-2, 2, size=20)
         end = dyn.integrate_batch(spec, dyn.SolverConfig(0.02, 20), x0[None], 1)[0, -1]
@@ -1704,7 +1815,7 @@ class TestExample3SlowManifold:
         for epsilon in (0.02, 0.01):
             spec = dyn.make_system("example3", epsilon=epsilon)
             end = dyn.integrate_batch(spec, self.SOLVER, x0[None], 50)[0, -1]
-            errors.append(np.linalg.norm(spec.observe(end) - closure))
+            errors.append(np.linalg.norm(end - closure))
         assert 1.6 <= errors[0] / errors[1] <= 2.4
 
 

@@ -179,12 +179,14 @@ class TestOneStepMaps:
                 "^a linear map needs a finite-valued matrix$")):
             rollout.LinearMap(matrix)
 
-    def test_linear_map_wrong_seed_shape_rejected(self):
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (0, 3, 2)], ids=["short", "no-runs"])
+    def test_linear_map_wrong_seed_shape_rejected(self, shape):
+        # zero runs used to fail inside numpy, reshaping an empty array
         lin = rollout.LinearMap(np.ones((2, 6)))
         with pytest.raises(ValueError, match=(
-                r"seeds must have shape \(R, 3, 2\) = \(R, n_mem \+ 1, d\), "
-                r"got \(1, 2, 2\)")):
-            rollout.rollout(lin, np.ones((1, 2, 2)), 5)
+                r"^seeds must have shape \(R, 3, 2\) = \(R, n_mem \+ 1, d\) "
+                rf"with R >= 1, got {re.escape(str(shape))}$")):
+            rollout.rollout(lin, np.ones(shape), 5)
 
     def test_diverged_linear_run_stops_alone(self):
         # z -> 1e308 z: z = 0 stays, z = 1 reaches 1e308, then overflows
